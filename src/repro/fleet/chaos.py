@@ -1,11 +1,16 @@
 """The fleet chaos workload: a spine-link flap during multi-job tenancy.
 
-Two pair tenants share the routed test fabric, both crossing the same
-global (spine) link from different leaves.  On top of whatever fault
-schedule the campaign generated, the workload injects a deterministic
-flap of that shared spine link — expressed as simultaneous flaps of
-both tenants' node pairs, since fault injection keys on endpoints —
-so every campaign run exercises correlated cross-tenant recovery.
+Two pair tenants are placed on the routed test fabric so that both
+routes cross the same global (spine) link from different leaves.  On
+top of whatever fault schedule the campaign generated, the workload
+injects a deterministic flap of that spine link — expressed as
+simultaneous flaps of both tenants' node pairs, since fault injection
+keys on endpoints — so every campaign run exercises correlated
+cross-tenant recovery.  The correlation is in *time* only: with a
+schedule installed the NIC models loss on the end-to-end wire and
+bypasses the routed ``LinkQueue``s (``NIC._qp_transmitter``), so the
+tenants contend for the spine in the clean run (``schedule=None``) but
+not under the flap.
 
 Invariants beyond the standard chaos set:
 

@@ -16,14 +16,9 @@ import numpy as np
 
 from repro.config import ClusterConfig
 from repro.errors import ProtectionError
+from repro.faults.schedule import CHUNK_OK
 from repro.ib.constants import Opcode, QPState, WCOpcode, WCStatus
-from repro.ib.link import (
-    IngressPort,
-    chunk_occupancy,
-    injection_spacing,
-    iter_chunks,
-    wire_table,
-)
+from repro.ib.link import IngressPort, wire_table
 from repro.ib.qp import QueuePair
 from repro.ib.wr import SendWR, WorkCompletion
 from repro.sim.core import Environment
@@ -127,38 +122,75 @@ class NIC:
         """Stage 2: in-order transmission of one QP's messages.
 
         With no fault schedule installed on the fabric the fault-aware
-        paths are never entered and the virtual-time behaviour is
+        branches are never entered and the virtual-time behaviour is
         bit-identical to the fault-free simulator.
         """
+        env = self.env
+        fabric = self.fabric
         while True:
             wr, payload = yield qp._txq.get()
             if qp.state is QPState.ERROR:
                 self._flush_wr(qp, wr)
                 continue
+            faults = fabric.faults
+            if faults is not None:
+                # NIC-stall gate: a stalled NIC holds the WQE until the
+                # window ends; the QP may have been killed meanwhile.
+                until = faults.stall_until(self.node_id, env.now)
+                if until > env.now:
+                    fabric.counters.inc("fault.nic_stalls")
+                    self.trace.record(env.now, "fault.nic_stall",
+                                      self.node_id, qp=qp.qp_num, until=until)
+                    yield until - env.now
+                    if qp.state is QPState.ERROR:
+                        self._flush_wr(qp, wr)
+                        continue
             nbytes = wr.total_length
-            remote = self.fabric.nic_at(qp.dest_node)
-            if self.fabric.faults is not None:
-                yield from self._transmit_faulty(qp, wr, payload, nbytes,
-                                                 remote)
-            elif wr.opcode is Opcode.RDMA_READ:
+            remote = fabric.nic_at(qp.dest_node)
+            if wr.opcode is Opcode.RDMA_READ:
                 yield from self._execute_read(qp, wr, nbytes, remote)
             elif remote is self:
+                # Loopback never touches the wire; only stalls apply.
                 yield from self._transmit_loopback(qp, wr, payload, nbytes, remote)
-            elif self.fabric.links is not None:
+            elif fabric.links is not None and faults is None:
+                # A fault schedule bypasses the routed links: chunk loss
+                # and retransmission are modelled on the end-to-end wire
+                # only, so with a schedule installed no LinkQueue carries
+                # a chunk.  Composing loss with hop-by-hop forwarding
+                # changes simulated results and is a follow-up; the pin
+                # is tests/test_fleet/test_chaos_fleet.py.
                 yield from self._transmit_routed(qp, wr, payload, nbytes,
                                                  remote)
             else:
                 yield from self._transmit_wire(qp, wr, payload, nbytes, remote)
 
-    def _transmit_wire(self, qp: QueuePair, wr: SendWR, payload, nbytes: int,
-                       remote: "NIC"):
+    def _chunk_train(self, qp: QueuePair, dest: "NIC", ingress: IngressPort,
+                     nbytes: int, latency: float, forward=None):
+        """Inject ``nbytes`` toward ``dest`` as a train of wire chunks.
+
+        The simulator's one per-chunk loop.  It runs on the
+        *transmitting* NIC: ``qp`` paces the train and names the egress
+        port (the posting QP for sends and writes, the responder-side QP
+        for read responses) and ``ingress`` is the pipe at ``dest`` the
+        bytes land on.  Each chunk costs, in this order, at most one
+        pacing sleep, one egress grant and one occupancy — the ordering
+        every golden depends on (docs/PERF.md).  Only what happens to a
+        chunk once it has left egress differs by fabric:
+
+        * a fault schedule draws the chunk's fate first; a lost or
+          corrupted chunk ends the train and ``None`` is returned;
+        * ``forward`` (routed topologies) is spawned per chunk to walk
+          the route's shared links and admit the chunk itself;
+        * otherwise ingress is serialized analytically, right here.
+
+        Returns the last chunk's arrival time at ``dest``.
+        """
         env = self.env
         wires = self.wires
         trace = self.trace
-        latency = self.fabric.latency(self.node_id, remote.node_id)
+        faults = self.fabric.faults
         egress = self.egress_for(qp)
-        ingress = remote.ingress_for(qp)
-        arrival = env.now
+        arrival = env._now
         for chunk in wires.chunks(nbytes):
             # Per-QP injection rate limit: spaces chunk starts so a lone
             # QP tops out at qp_rate; gaps are usable by other QPs.
@@ -176,7 +208,90 @@ class NIC:
                 trace.record(start, "ib.chunk", self.node_id,
                              qp=qp.qp_num, nbytes=chunk,
                              occupancy=occupancy)
-            arrival = ingress.admit(start, occupancy, latency, chunk)
+            if faults is not None:
+                if faults.chunk_outcome(self.node_id, dest.node_id,
+                                        start) is not CHUNK_OK:
+                    # The receiver drops everything after the missing
+                    # PSN; stop wasting wire time on the rest.
+                    return None
+                extra = faults.latency_extra(self.node_id, dest.node_id,
+                                             start)
+                arrival = ingress.admit(start, occupancy, latency + extra,
+                                        chunk)
+            elif forward is not None:
+                env.process(forward(occupancy, chunk))
+            else:
+                arrival = ingress.admit(start, occupancy, latency, chunk)
+        return arrival
+
+    def _transmit_wire(self, qp: QueuePair, wr: SendWR, payload, nbytes: int,
+                       remote: "NIC"):
+        """Wire transmission, with loss, NAKs and RC retransmission.
+
+        Fault-free the loop runs exactly once: one chunk train, then
+        delivery.  Under a fault schedule go-back-N is approximated at
+        message granularity: a lost or corrupted chunk stops the
+        attempt, the transmitter stalls for the QP's ACK timeout
+        (``4.096us * 2**timeout``), and the whole message retransmits —
+        preserving the RC in-order guarantee the MPI mapping relies on.
+        ``retry_cnt`` exhaustion completes the WR with ``RETRY_EXC_ERR``
+        and kills the QP; RNR NAKs back off for the responder's RNR
+        timer and burn ``rnr_retry`` (7 = retry forever, per the IB
+        spec).
+        """
+        env = self.env
+        faults = self.fabric.faults
+        counters = self.fabric.counters
+        retry_budget = qp.effective_retry_cnt
+        rnr_budget = qp.effective_rnr_retry
+        ingress = remote.ingress_for(qp)
+        retransmit = False
+        while True:
+            if qp.state is QPState.ERROR:
+                self._flush_wr(qp, wr)
+                return
+            if retransmit:
+                counters.inc("ib.retransmits")
+                self.trace.record(env.now, "fault.retransmit", self.node_id,
+                                  qp=qp.qp_num, wr_id=wr.wr_id)
+            retransmit = True
+            latency = self.fabric.latency(self.node_id, remote.node_id)
+            arrival = yield from self._chunk_train(qp, remote, ingress,
+                                                   nbytes, latency)
+            if faults is None:
+                break
+            lost = arrival is None
+            if not lost and wr.opcode.consumes_recv_wr:
+                dest_qp = remote.qps.get(qp.dest_qp_num)
+                if (dest_qp is None
+                        or dest_qp.state not in (QPState.RTR, QPState.RTS)):
+                    # Dead responder: no ACK ever comes; timeout path.
+                    lost = True
+                elif (faults.rnr_forced(remote.node_id, dest_qp.qp_num,
+                                        env.now)
+                      or not dest_qp.rq):
+                    # Receiver not ready: the responder NAKs, the
+                    # requester backs off for the advertised RNR timer
+                    # and retransmits the message.
+                    counters.inc("ib.rnr_naks")
+                    self.trace.record(env.now, "fault.rnr_nak", self.node_id,
+                                      qp=qp.qp_num, wr_id=wr.wr_id)
+                    if rnr_budget != 7:  # 7 = infinite, per IB spec
+                        if rnr_budget == 0:
+                            self._complete_error(
+                                qp, wr, WCStatus.RNR_RETRY_EXC_ERR)
+                            return
+                        rnr_budget -= 1
+                    nak_back = max(0.0, arrival + latency - env.now)
+                    yield nak_back + self.config.nic.rnr_timer
+                    continue
+            if not lost:
+                break
+            if retry_budget == 0:
+                self._complete_error(qp, wr, WCStatus.RETRY_EXC_ERR)
+                return
+            retry_budget -= 1
+            yield qp.ack_timeout
         self._schedule_delivery(qp, wr, payload, nbytes, remote,
                                 arrival, ack_latency=latency)
 
@@ -200,9 +315,6 @@ class NIC:
         only when the fabric topology is routed; latency-only fabrics
         never reach this path.
         """
-        env = self.env
-        wires = self.wires
-        trace = self.trace
         route = self.fabric.route_links(self.node_id, remote.node_id)
         if not route:
             # Same-leaf pair: no shared fabric link beyond the endpoint
@@ -210,26 +322,11 @@ class NIC:
             yield from self._transmit_wire(qp, wr, payload, nbytes, remote)
             return
         latency = self.fabric.latency(self.node_id, remote.node_id)
-        egress = self.egress_for(qp)
         ingress = remote.ingress_for(qp)
-        chunks = wires.chunks(nbytes)
-        state = {"pending": len(chunks)}
-        for chunk in chunks:
-            if env._now < qp.next_inject_time:
-                yield qp.next_inject_time - env._now
-            grant = egress.request()
-            yield grant
-            start = env._now
-            occupancy = wires.occupancy(chunk)
-            yield occupancy
-            egress.release(grant)
-            qp.next_inject_time = start + wires.spacing(chunk)
-            self.bytes_transmitted += chunk
-            if trace.enabled:
-                trace.record(start, "ib.chunk", self.node_id,
-                             qp=qp.qp_num, nbytes=chunk,
-                             occupancy=occupancy)
-            env.process(self._forward_chunk(
+        state = {"pending": len(self.wires.chunks(nbytes))}
+        yield from self._chunk_train(
+            qp, remote, ingress, nbytes, latency,
+            forward=lambda occupancy, chunk: self._forward_chunk(
                 qp, wr, payload, nbytes, remote, route, occupancy, chunk,
                 latency, ingress, state))
 
@@ -274,232 +371,102 @@ class NIC:
         self._schedule_delivery(qp, wr, payload, nbytes, remote, arrival,
                                 ack_latency=link.loopback_latency)
 
-    # -- fault-aware send path (entered only with a schedule installed) ----
+    def _execute_read(self, qp: QueuePair, wr: SendWR, nbytes: int,
+                      remote: "NIC"):
+        """RDMA READ: request travels out, data streams back.
 
-    def _transmit_faulty(self, qp: QueuePair, wr: SendWR, payload,
-                         nbytes: int, remote: "NIC"):
-        """Fault-aware WQE transmission: stall gate plus retry machinery."""
-        faults = self.fabric.faults
-        until = faults.stall_until(self.node_id, self.env.now)
-        if until > self.env.now:
-            self.fabric.counters.inc("fault.nic_stalls")
-            self.trace.record(self.env.now, "fault.nic_stall", self.node_id,
-                              qp=qp.qp_num, until=until)
-            yield until - self.env.now
-        if qp.state is QPState.ERROR:
-            self._flush_wr(qp, wr)
-        elif wr.opcode is Opcode.RDMA_READ:
-            yield from self._execute_read_faulty(qp, wr, nbytes, remote)
-        elif remote is self:
-            # Loopback never touches the wire; only stalls apply.
-            yield from self._transmit_loopback(qp, wr, payload, nbytes,
-                                               remote)
-        else:
-            yield from self._transmit_wire_faulty(qp, wr, payload, nbytes,
-                                                  remote)
-
-    def _transmit_wire_faulty(self, qp: QueuePair, wr: SendWR, payload,
-                              nbytes: int, remote: "NIC"):
-        """Wire transmission with loss, NAKs, and RC retransmission.
-
-        Go-back-N is approximated at message granularity: a lost or
-        corrupted chunk stops the attempt, the transmitter stalls for
-        the QP's ACK timeout (``4.096us * 2**timeout``), and the whole
-        message retransmits — preserving the RC in-order guarantee the
-        MPI mapping relies on.  ``retry_cnt`` exhaustion completes the
-        WR with ``RETRY_EXC_ERR`` and kills the QP; RNR NAKs back off
-        for the responder's RNR timer and burn ``rnr_retry`` (7 =
-        retry forever, per the IB spec).
+        The responder's NIC sources the bytes with no responder CPU;
+        response data is paced by the *responder-side* QP (the connected
+        peer), shares the responder's egress wire, and serializes into
+        this NIC's ingress.  Reads keep same-QP ordering: the
+        transmitter stays on this WQE until the response completes, as
+        RC read semantics require for following operations.  Fault-free
+        the loop runs exactly once; under a fault schedule a lost
+        request packet, a lost response chunk or a dead responder costs
+        one ACK timeout and the whole read retries (``retry_cnt``).
         """
-        from repro.faults.schedule import CHUNK_OK
-
         cfg = self.config.nic
         env = self.env
         faults = self.fabric.faults
-        counters = self.fabric.counters
         retry_budget = qp.effective_retry_cnt
-        rnr_budget = qp.effective_rnr_retry
-        egress = self.egress_for(qp)
-        ingress = remote.ingress_for(qp)
-        first_attempt = True
+        retransmit = False
         while True:
             if qp.state is QPState.ERROR:
                 self._flush_wr(qp, wr)
                 return
-            if not first_attempt:
-                counters.inc("ib.retransmits")
+            if retransmit:
+                self.fabric.counters.inc("ib.retransmits")
                 self.trace.record(env.now, "fault.retransmit", self.node_id,
                                   qp=qp.qp_num, wr_id=wr.wr_id)
-            first_attempt = False
-            latency = self.fabric.latency(self.node_id, remote.node_id)
-            arrival = env.now
-            lost = False
-            wires = self.wires
-            for chunk in wires.chunks(nbytes):
-                if env.now < qp.next_inject_time:
-                    yield qp.next_inject_time - env.now
-                grant = egress.request()
-                yield grant
-                start = env.now
-                occupancy = wires.occupancy(chunk)
-                yield occupancy
-                egress.release(grant)
-                qp.next_inject_time = start + wires.spacing(chunk)
-                self.bytes_transmitted += chunk
-                self.trace.record(start, "ib.chunk", self.node_id,
-                                  qp=qp.qp_num, nbytes=chunk,
-                                  occupancy=occupancy)
-                if faults.chunk_outcome(self.node_id, remote.node_id,
-                                        start) is not CHUNK_OK:
-                    # The responder drops everything after the missing
-                    # PSN; stop wasting wire time on the rest.
-                    lost = True
-                    break
-                extra = faults.latency_extra(self.node_id, remote.node_id,
-                                             start)
-                arrival = ingress.admit(start, occupancy,
-                                        latency + extra, chunk)
-            if not lost and wr.opcode.consumes_recv_wr:
-                dest_qp = remote.qps.get(qp.dest_qp_num)
-                if (dest_qp is None
-                        or dest_qp.state not in (QPState.RTR, QPState.RTS)):
-                    # Dead responder: no ACK ever comes; timeout path.
-                    lost = True
-                elif (faults.rnr_forced(remote.node_id, dest_qp.qp_num,
-                                        env.now)
-                      or not dest_qp.rq):
-                    # Receiver not ready: the responder NAKs, the
-                    # requester backs off for the advertised RNR timer
-                    # and retransmits the message.
-                    counters.inc("ib.rnr_naks")
-                    self.trace.record(env.now, "fault.rnr_nak", self.node_id,
-                                      qp=qp.qp_num, wr_id=wr.wr_id)
-                    if rnr_budget != 7:  # 7 = infinite, per IB spec
-                        if rnr_budget == 0:
-                            self._complete_error(
-                                qp, wr, WCStatus.RNR_RETRY_EXC_ERR)
-                            return
-                        rnr_budget -= 1
-                    nak_back = max(0.0, arrival + latency - env.now)
-                    yield nak_back + cfg.rnr_timer
-                    continue
-            if lost:
-                if retry_budget == 0:
-                    self._complete_error(qp, wr, WCStatus.RETRY_EXC_ERR)
-                    return
-                retry_budget -= 1
-                yield qp.ack_timeout
-                continue
-            self._schedule_delivery(qp, wr, payload, nbytes, remote,
-                                    arrival, ack_latency=latency)
-            return
-
-    def _execute_read_faulty(self, qp: QueuePair, wr: SendWR, nbytes: int,
-                             remote: "NIC"):
-        """RDMA READ with loss on the response stream and RC retries."""
-        from repro.faults.schedule import CHUNK_OK
-
-        cfg = self.config.nic
-        env = self.env
-        faults = self.fabric.faults
-        counters = self.fabric.counters
-        retry_budget = qp.effective_retry_cnt
-        first_attempt = True
-        while True:
-            if qp.state is QPState.ERROR:
-                self._flush_wr(qp, wr)
-                return
-            if not first_attempt:
-                counters.inc("ib.retransmits")
-                self.trace.record(env.now, "fault.retransmit", self.node_id,
-                                  qp=qp.qp_num, wr_id=wr.wr_id)
-            first_attempt = False
+            retransmit = True
             if remote is self:
-                yield from self._execute_read(qp, wr, nbytes, remote)
-                return
+                # Loopback read: a host-memory copy.
+                yield (nbytes / self.config.host.memcpy_rate
+                       + self.config.link.loopback_latency)
+                break
             latency = self.fabric.latency(self.node_id, remote.node_id)
-            lost = False
             # Request packet out through our egress.
             egress = self.egress_for(qp)
             grant = egress.request()
             yield grant
             yield cfg.t_pkt
             egress.release(grant)
-            if faults.chunk_outcome(self.node_id, remote.node_id,
-                                    env.now) is not CHUNK_OK:
-                lost = True
-            else:
-                extra = faults.latency_extra(self.node_id, remote.node_id,
-                                             env.now)
+            lost = (faults is not None and faults.chunk_outcome(
+                self.node_id, remote.node_id, env.now) is not CHUNK_OK)
+            if not lost:
+                extra = (0.0 if faults is None else faults.latency_extra(
+                    self.node_id, remote.node_id, env.now))
+                # Flight plus responder WQE handling.
                 yield latency + extra + cfg.t_wqe
                 responder_qp = remote.qps.get(qp.dest_qp_num)
-                if (responder_qp is None or responder_qp.state
-                        not in (QPState.RTR, QPState.RTS)):
-                    lost = True
-                else:
-                    arrival = env.now
-                    resp_egress = remote.egress_for(responder_qp)
-                    ingress = self.ingress_for(qp)
-                    wires = self.wires
-                    for chunk in wires.chunks(nbytes):
-                        if env.now < responder_qp.next_inject_time:
-                            yield responder_qp.next_inject_time - env.now
-                        grant = resp_egress.request()
-                        yield grant
-                        start = env.now
-                        occupancy = wires.occupancy(chunk)
-                        yield occupancy
-                        resp_egress.release(grant)
-                        responder_qp.next_inject_time = (
-                            start + wires.spacing(chunk))
-                        remote.bytes_transmitted += chunk
-                        if faults.chunk_outcome(remote.node_id, self.node_id,
-                                                start) is not CHUNK_OK:
-                            lost = True
-                            break
-                        extra = faults.latency_extra(
-                            remote.node_id, self.node_id, start)
-                        arrival = ingress.admit(start, occupancy,
-                                                latency + extra, chunk)
-                    if not lost and arrival > env.now:
-                        yield arrival - env.now
-            if lost:
-                if retry_budget == 0:
-                    self._complete_error(qp, wr, WCStatus.RETRY_EXC_ERR)
-                    return
-                retry_budget -= 1
-                yield qp.ack_timeout
+                if responder_qp is None and faults is None:
+                    raise ProtectionError(
+                        f"no QP {qp.dest_qp_num} on node {remote.node_id}")
+                # Under faults a dead responder never answers: timeout path.
+                lost = faults is not None and (
+                    responder_qp is None or responder_qp.state
+                    not in (QPState.RTR, QPState.RTS))
+            if not lost:
+                arrival = yield from remote._chunk_train(
+                    responder_qp, self, self.ingress_for(qp), nbytes, latency)
+                lost = arrival is None
+                if not lost and arrival > env._now:
+                    yield arrival - env._now
+            if not lost:
+                break
+            if retry_budget == 0:
+                self._complete_error(qp, wr, WCStatus.RETRY_EXC_ERR)
+                return
+            retry_budget -= 1
+            yield qp.ack_timeout
+        # Source the bytes from the responder's memory and scatter them
+        # into the local sink list.
+        payload = None
+        if nbytes > 0:
+            responder_qp = remote.qps.get(qp.dest_qp_num)
+            mr = responder_qp.pd.find_mr_by_rkey(wr.rkey)
+            mr.check_remote_read(wr.remote_addr, nbytes, wr.rkey)
+            payload = mr.buffer.read(mr.local_offset(wr.remote_addr), nbytes)
+        cursor = 0
+        for sge in wr.sg_list:
+            if sge.length == 0:
                 continue
-            # Response complete: source the bytes and scatter locally,
-            # exactly as the fault-free read does.
-            payload = None
-            if nbytes > 0:
-                responder_qp = remote.qps.get(qp.dest_qp_num)
-                mr = responder_qp.pd.find_mr_by_rkey(wr.rkey)
-                mr.check_remote_read(wr.remote_addr, nbytes, wr.rkey)
-                payload = mr.buffer.read(
-                    mr.local_offset(wr.remote_addr), nbytes)
-            cursor = 0
-            for sge in wr.sg_list:
-                if sge.length == 0:
-                    continue
-                sink = qp.pd.find_mr_by_lkey(sge.lkey)
-                piece = (payload[cursor : cursor + sge.length]
-                         if payload is not None else None)
-                sink.buffer.write(sink.local_offset(sge.addr), piece)
-                cursor += sge.length
-            qp.release_rdma_slot()
-            if wr.signaled:
-                yield cfg.t_cqe
-                qp.send_cq.push(WorkCompletion(
-                    wr_id=wr.wr_id,
-                    status=WCStatus.SUCCESS,
-                    opcode=WCOpcode.RDMA_READ,
-                    qp_num=qp.qp_num,
-                    byte_len=nbytes,
-                    completed_at=env.now,
-                ))
-            return
+            sink = qp.pd.find_mr_by_lkey(sge.lkey)
+            piece = (payload[cursor : cursor + sge.length]
+                     if payload is not None else None)
+            sink.buffer.write(sink.local_offset(sge.addr), piece)
+            cursor += sge.length
+        qp.release_rdma_slot()
+        if wr.signaled:
+            yield cfg.t_cqe
+            qp.send_cq.push(WorkCompletion(
+                wr_id=wr.wr_id,
+                status=WCStatus.SUCCESS,
+                opcode=WCOpcode.RDMA_READ,
+                qp_num=qp.qp_num,
+                byte_len=nbytes,
+                completed_at=env.now,
+            ))
 
     def _complete_error(self, qp: QueuePair, wr: SendWR,
                         status: WCStatus) -> None:
@@ -531,90 +498,9 @@ class NIC:
             qp.send_cq.push(WorkCompletion(
                 wr_id=wr.wr_id,
                 status=WCStatus.WR_FLUSH_ERR,
-                opcode=WCOpcode.RDMA_WRITE if wr.opcode.is_rdma
-                else WCOpcode.SEND,
+                opcode=wr.opcode.wc_opcode,
                 qp_num=qp.qp_num,
                 completed_at=self.env.now,
-            ))
-
-    def _execute_read(self, qp: QueuePair, wr: SendWR, nbytes: int,
-                      remote: "NIC"):
-        """RDMA READ: request travels out, data streams back.
-
-        The responder's NIC sources the bytes with no responder CPU;
-        response data is paced by the *responder-side* QP (the connected
-        peer), shares the responder's egress wire, and serializes into
-        this NIC's ingress.  Reads keep same-QP ordering: the
-        transmitter stays on this WQE until the response completes, as
-        RC read semantics require for following operations.
-        """
-        cfg = self.config.nic
-        env = self.env
-        if remote is self:
-            # Loopback read: a host-memory copy.
-            yield (nbytes / self.config.host.memcpy_rate
-                   + self.config.link.loopback_latency)
-            arrival = env.now
-        else:
-            latency = self.fabric.latency(self.node_id, remote.node_id)
-            # Request packet out through our egress.
-            egress = self.egress_for(qp)
-            grant = egress.request()
-            yield grant
-            yield cfg.t_pkt
-            egress.release(grant)
-            # Flight plus responder WQE handling.
-            yield latency + cfg.t_wqe
-            responder_qp = remote.qps.get(qp.dest_qp_num)
-            if responder_qp is None:
-                raise ProtectionError(
-                    f"no QP {qp.dest_qp_num} on node {remote.node_id}")
-            arrival = env.now
-            resp_egress = remote.egress_for(responder_qp)
-            ingress = self.ingress_for(qp)
-            wires = self.wires
-            for chunk in wires.chunks(nbytes):
-                if env._now < responder_qp.next_inject_time:
-                    yield responder_qp.next_inject_time - env._now
-                grant = resp_egress.request()
-                yield grant
-                start = env._now
-                occupancy = wires.occupancy(chunk)
-                yield occupancy
-                resp_egress.release(grant)
-                responder_qp.next_inject_time = (
-                    start + wires.spacing(chunk))
-                remote.bytes_transmitted += chunk
-                arrival = ingress.admit(start, occupancy, latency, chunk)
-            if arrival > env._now:
-                yield arrival - env._now
-        # Source the bytes from the responder's memory and scatter them
-        # into the local sink list.
-        payload = None
-        if nbytes > 0:
-            responder_qp = remote.qps.get(qp.dest_qp_num)
-            mr = responder_qp.pd.find_mr_by_rkey(wr.rkey)
-            mr.check_remote_read(wr.remote_addr, nbytes, wr.rkey)
-            payload = mr.buffer.read(mr.local_offset(wr.remote_addr), nbytes)
-        cursor = 0
-        for sge in wr.sg_list:
-            if sge.length == 0:
-                continue
-            sink = qp.pd.find_mr_by_lkey(sge.lkey)
-            piece = (payload[cursor : cursor + sge.length]
-                     if payload is not None else None)
-            sink.buffer.write(sink.local_offset(sge.addr), piece)
-            cursor += sge.length
-        qp.release_rdma_slot()
-        if wr.signaled:
-            yield cfg.t_cqe
-            qp.send_cq.push(WorkCompletion(
-                wr_id=wr.wr_id,
-                status=WCStatus.SUCCESS,
-                opcode=WCOpcode.RDMA_READ,
-                qp_num=qp.qp_num,
-                byte_len=nbytes,
-                completed_at=env.now,
             ))
 
     def _gather(self, qp: QueuePair, wr: SendWR) -> Optional[np.ndarray]:
@@ -672,9 +558,7 @@ class NIC:
             qp.send_cq.push(WorkCompletion(
                 wr_id=wr.wr_id,
                 status=WCStatus.SUCCESS,
-                opcode=WCOpcode.RDMA_WRITE if wr.opcode in
-                (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM)
-                else WCOpcode.SEND,
+                opcode=wr.opcode.wc_opcode,
                 qp_num=qp.qp_num,
                 byte_len=nbytes,
                 completed_at=env.now,

@@ -6,7 +6,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.errors import QPOverflowError, QPStateError
-from repro.ib.constants import QP_TRANSITIONS, Opcode, QPState
+from repro.ib.constants import QP_TRANSITIONS, QPState
 from repro.ib.wr import RecvWR, SendWR
 from repro.sim.resources import Store
 

@@ -8,12 +8,10 @@ examples and for 1:1 traceability to Section IV-A.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.ib.constants import ACCESS_LOCAL, Opcode
+from repro.ib.constants import ACCESS_LOCAL
 from repro.ib.cq import CompletionQueue
 from repro.ib.device import Context
-from repro.ib.fabric import Fabric, NodeAddress
+from repro.ib.fabric import Fabric
 from repro.ib.mr import MemoryRegion
 from repro.ib.pd import ProtectionDomain
 from repro.ib.qp import QueuePair

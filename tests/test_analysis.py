@@ -99,3 +99,23 @@ def test_empty_trace_degenerates_gracefully():
     assert stats.utilization == 0.0
     assert stats.effective_bandwidth == 0.0
     assert latency_percentiles(trace) == {50: 0.0, 90: 0.0, 99: 0.0}
+
+
+def test_read_response_chunks_count_on_the_responder():
+    """A rendezvous GET's data is the *responder's* egress traffic."""
+    from repro.sim import Environment
+    from tests.test_ib.test_rdma_read import make_read_pair, post_read
+
+    nbytes = 1 * MiB
+    assert nbytes > NIAGARA.nic.wire_chunk
+    pair, _, _, src_mr, dst_mr = make_read_pair(
+        Environment(), nbytes, backed=False,
+        config=NIAGARA.with_changes(trace_enabled=True))
+    post_read(pair, src_mr, dst_mr, nbytes)
+    pair.env.run()
+    responder = pair.fabric.nic_at(0)
+    stats = wire_stats(pair.fabric.trace, node_id=0)
+    assert stats.bytes_on_wire == responder.bytes_transmitted == nbytes
+    assert stats.n_chunks == nbytes // NIAGARA.nic.wire_chunk
+    # The requester put only the header-sized request on its wire.
+    assert wire_stats(pair.fabric.trace, node_id=1).bytes_on_wire == 0

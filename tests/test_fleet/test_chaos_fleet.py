@@ -55,3 +55,38 @@ def test_fleet_campaign_with_spine_flap():
         assert outcome.report.leaks == []
         # The deterministic spine flap rides on the generated schedule.
         assert outcome.report.meta["spine_flap"]
+
+
+def routed_chunks(monkeypatch, schedule):
+    """Chunks carried by the fabric's LinkQueues over one fleet run."""
+    from repro.fleet import chaos
+
+    clusters = []
+
+    class RecordingCluster(chaos.Cluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clusters.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chaos, "Cluster", RecordingCluster)
+        report = run_fleet_workload(schedule, seed=1)
+    assert report.completed
+    [cluster] = clusters
+    stats = cluster.fabric.link_stats(report.duration)
+    return sum(link["chunks"] for link in stats.values())
+
+
+def test_fault_schedule_bypasses_the_routed_links(monkeypatch):
+    """Pin: with a schedule installed no LinkQueue carries a chunk.
+
+    The NIC models loss and retransmission on the end-to-end wire only
+    (the one commented condition in ``NIC._qp_transmitter``), so under
+    faults the tenants do *not* contend for the spine.  Composing loss
+    with hop-by-hop forwarding is a follow-up that must flip the first
+    assertion on purpose.
+    """
+    from repro.faults import FaultSchedule
+
+    assert routed_chunks(monkeypatch, FaultSchedule()) == 0
+    assert routed_chunks(monkeypatch, None) > 0

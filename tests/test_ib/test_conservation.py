@@ -1,13 +1,10 @@
 """Conservation and accounting invariants across random traffic."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ib import verbs
-from repro.ib.constants import ACCESS_LOCAL, ACCESS_REMOTE_WRITE, Opcode
+from repro.ib.constants import Opcode
 from repro.ib.wr import SGE, RecvWR, SendWR
-from repro.mem import Buffer
 from repro.sim import Environment
 from tests.test_ib.conftest import Pair
 

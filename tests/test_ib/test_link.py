@@ -62,7 +62,7 @@ def test_ingress_port_serializes():
 
 def test_ingress_port_idle_passthrough():
     port = IngressPort()
-    t1 = port.admit(0.0, 1e-6, 1e-6, 10)
+    port.admit(0.0, 1e-6, 1e-6, 10)
     # A much later chunk is not delayed by long-gone traffic.
     t2 = port.admit(1.0, 1e-6, 1e-6, 10)
     assert t2 == pytest.approx(1.0 + 2e-6)

@@ -173,7 +173,6 @@ def test_rnr_when_no_recv_posted(pair):
 
 def test_per_qp_ordering_preserved(pair):
     """Messages on one QP are delivered in post order."""
-    order = []
     for i in range(8):
         pair.qp1.post_recv(RecvWR(wr_id=i))
     for i in range(8):

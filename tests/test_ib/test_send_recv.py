@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtectionError, QPStateError
-from repro.ib import verbs
 from repro.ib.constants import Opcode, QPState, WCOpcode, WCStatus
 from repro.ib.wr import SGE, RecvWR, SendWR
-from repro.mem import Buffer
 from tests.test_ib.conftest import Pair
 
 

@@ -119,7 +119,6 @@ def test_latency_override(env):
 
 def test_loopback_faster_than_wire(env):
     """Same-node transfers skip the wire."""
-    fabric = Fabric_single = None
     from repro.ib.fabric import Fabric
 
     fabric = Fabric(env)

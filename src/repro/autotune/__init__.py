@@ -20,7 +20,7 @@ from repro.autotune.aggregator import (
 )
 from repro.autotune.controller import AutotuneController, RoundRecord
 from repro.autotune.observe import ArrivalTracker, IterationObservation
-from repro.autotune.plan_policy import PlanMutationPolicy, plan_to_choice
+from repro.autotune.plan_policy import PlanMutationPolicy
 from repro.autotune.policy import (
     BanditPolicy,
     DeltaTrackerPolicy,
@@ -43,7 +43,6 @@ __all__ = [
     "PlanStore",
     "Policy",
     "PolicyBuilder",
-    "plan_to_choice",
     "RoundRecord",
     "StaticPolicy",
     "TuningStore",

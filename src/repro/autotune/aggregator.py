@@ -3,9 +3,9 @@
 :class:`AdaptiveAggregator` satisfies the same
 :class:`~repro.core.aggregators.Aggregator` interface as the paper's
 open-loop strategies, so it plugs into ``Psend_init`` unchanged.  Its
-plan *provisions* — QPs are built for the largest candidate arm — and
-attaches an :class:`~repro.autotune.controller.AutotuneController`
-that the native module consults at the top of every round.
+``provision`` sizes QPs for the largest candidate arm and hands the
+native module an :class:`~repro.autotune.controller.AutotuneController`
+to consult at the top of every round.
 
 :func:`build_autotuner` is the JSON-safe factory shared by the ``exp``
 descriptor vocabulary, the benchmarks, and the CLI: a plain parameter
@@ -14,10 +14,11 @@ dict in, a ready aggregator out.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Optional
 
 from repro.config import ClusterConfig
-from repro.core.aggregators import AggregationPlan, Aggregator, _qps_for
+from repro.core.aggregators import Aggregator, PlanChoice, _qps_for
 from repro.errors import ConfigError
 from repro.units import ms
 
@@ -26,7 +27,6 @@ from repro.autotune.observe import ArrivalTracker
 from repro.autotune.policy import (
     BanditPolicy,
     DeltaTrackerPolicy,
-    PlanChoice,
     Policy,
     StaticPolicy,
     candidate_plans,
@@ -54,6 +54,9 @@ class AdaptiveAggregator(Aggregator):
         self.controller: Optional[AutotuneController] = None
 
     def plan(self, n_user, partition_size, config):
+        return self.provision(n_user, partition_size, config)[0]
+
+    def provision(self, n_user, partition_size, config):
         policy = self.policy_builder(n_user, partition_size, config)
         arms = policy.candidates()
         if not arms:
@@ -86,12 +89,7 @@ class AdaptiveAggregator(Aggregator):
         if pinned is not None:
             n_qps = max(n_qps, pinned.n_qps)
         first = pinned if pinned is not None else arms[0]
-        return AggregationPlan(
-            n_transport=first.n_transport,
-            n_qps=n_qps,
-            timer_delta=first.delta,
-            controller=controller,
-        )
+        return replace(first, n_qps=n_qps), controller
 
     def describe(self):
         if self.controller is not None:
@@ -106,6 +104,24 @@ def _seed_params(p: dict):
 
         return NIAGARA_LOGGP
     return None
+
+
+def _model_layout(p: dict, n_user: int, partition_size: int,
+                  config: ClusterConfig, delta=None) -> PlanChoice:
+    """The PLogGP-predicted layout a δ-tracker or mutation walk starts
+    from when the caller names no explicit one."""
+    from repro.model.ploggp import optimal_transport_partitions
+
+    model = _seed_params(p)
+    if model is None:
+        raise ConfigError(
+            f"{p['policy']} needs an explicit starting plan or seed_model")
+    t = optimal_transport_partitions(
+        model, n_user * partition_size, n_user=n_user,
+        delay=p.get("delay", ms(4)),
+        max_transport=p.get("max_transport", 32))
+    t = min(t, n_user)
+    return PlanChoice(t, _qps_for(t, n_user, config), delta=delta)
 
 
 def build_autotuner(params: Optional[dict] = None,
@@ -161,20 +177,8 @@ def build_autotuner(params: Optional[dict] = None,
             if base is not None:
                 base_choice = PlanChoice.from_dict(base)
             else:
-                from repro.model.ploggp import optimal_transport_partitions
-
-                seed = _seed_params(p)
-                if seed is None:
-                    raise ConfigError(
-                        "delta_tracker needs a base plan or seed_model")
-                t = optimal_transport_partitions(
-                    seed, n_user * partition_size, n_user=n_user,
-                    delay=p.get("delay", ms(4)),
-                    max_transport=p.get("max_transport", 32))
-                t = min(t, n_user)
-                base_choice = PlanChoice(
-                    n_transport=t, n_qps=_qps_for(t, n_user, config),
-                    delta=p["delta"])
+                base_choice = _model_layout(p, n_user, partition_size,
+                                            config, delta=p["delta"])
             return DeltaTrackerPolicy(
                 base_choice, quantile=p.get("quantile", 0.95),
                 margin=p.get("margin", 1.25), alpha=p.get("alpha", 0.5),
@@ -186,7 +190,7 @@ def build_autotuner(params: Optional[dict] = None,
             return StaticPolicy(PlanChoice.from_dict(p["choice"]))
     elif name == "plan_mutation":
         def builder(n_user, partition_size, config):
-            from repro.plan import leaf_plan, parse
+            from repro.plan import parse
 
             from repro.autotune.plan_policy import PlanMutationPolicy
 
@@ -194,18 +198,8 @@ def build_autotuner(params: Optional[dict] = None,
             if seed_text is not None:
                 seed_plan = parse(seed_text)
             else:
-                from repro.model.ploggp import optimal_transport_partitions
-
-                model = _seed_params(p)
-                if model is None:
-                    raise ConfigError(
-                        "plan_mutation needs a seed_plan or seed_model")
-                t = optimal_transport_partitions(
-                    model, n_user * partition_size, n_user=n_user,
-                    delay=p.get("delay", ms(4)),
-                    max_transport=p.get("max_transport", 32))
-                t = min(t, n_user)
-                seed_plan = leaf_plan(t, _qps_for(t, n_user, config))
+                seed_plan = _model_layout(p, n_user, partition_size,
+                                          config).plan
             return PlanMutationPolicy(
                 seed_plan, n_user=n_user, config=config,
                 deltas=tuple(p.get("deltas", [])),

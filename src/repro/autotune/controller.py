@@ -119,7 +119,7 @@ class AutotuneController:
         meta["rounds_observed"] = sum(
             1 for r in self.history if r.completion_time is not None)
         meta["policy"] = self.policy.describe()
-        plan_ir = self.policy.best_plan_ir()
+        plan_ir = best.plan
         meta["plan_ir"] = plan_ir.text
         meta["plan_digest"] = plan_ir.digest
         self.store.put(self.store_key, best, meta=meta)

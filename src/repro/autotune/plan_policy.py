@@ -10,44 +10,28 @@ in the neighbourhood of what is already winning instead of sweeping a
 fixed cross product, and the set of plans it may ever try is exactly
 the reachable region of the rewrite graph.
 
-The policy still speaks :class:`~repro.autotune.policy.PlanChoice` to
-the controller/module (a leaf plan and a choice triple are
-bijective), but its identity is IR-native: frontier membership,
-crediting and the tuning-store key all go through plan digests.
+The frontier is a set of :class:`~repro.core.aggregators.PlanChoice`
+arms — a leaf plan and a choice are the same value — and each
+member's plan digest is computed once, when it joins; ties between
+equal costs and the tuning-store key go through those digests.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from dataclasses import replace
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.config import ClusterConfig
+from repro.core.aggregators import PlanChoice, _qps_for
 from repro.errors import ConfigError
-from repro.plan import Aggregate, Partition, Plan, QPPool, choice_plan
+from repro.plan import Plan
 from repro.plan.mutate import neighbors
 
-from repro.autotune.policy import PlanChoice, Policy
+from repro.autotune.policy import ArmPolicy
 
 
-def plan_to_choice(plan: Plan) -> PlanChoice:
-    """The 3-knob choice a leaf plan denotes (inverse of
-    :func:`repro.plan.choice_plan`)."""
-    part = plan.first(Partition)
-    if part is None:
-        raise ConfigError(
-            f"not a leaf plan (no partition op): {plan.digest}")
-    pool = plan.first(QPPool)
-    agg = plan.first(Aggregate)
-    return PlanChoice(
-        n_transport=part.n,
-        n_qps=pool.n if pool is not None else 1,
-        delta=agg.delta if agg is not None else None)
-
-
-class PlanMutationPolicy(Policy):
+class PlanMutationPolicy(ArmPolicy):
     """Epsilon-greedy search over the plan-rewrite graph.
 
     Rounds proceed in three regimes:
@@ -85,20 +69,13 @@ class PlanMutationPolicy(Policy):
                  max_frontier: int = 32,
                  min_confident_plays: int = 2,
                  window: Optional[int] = None):
-        from repro.core.aggregators import _qps_for
-
-        if not (0 <= epsilon <= 1):
-            raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
-        if not (0 < decay <= 1):
-            raise ConfigError(f"decay must be in (0, 1], got {decay}")
+        super().__init__(epsilon, decay, seed, min_confident_plays, window)
         if expand_after < 1:
             raise ConfigError(
                 f"expand_after must be >= 1, got {expand_after}")
         if max_frontier < 2:
             raise ConfigError(
                 f"max_frontier must be >= 2, got {max_frontier}")
-        if window is not None and window < 1:
-            raise ConfigError(f"window must be >= 1, got {window}")
         self.n_user = n_user
         self.config = config
         self.deltas = tuple(deltas)
@@ -106,123 +83,57 @@ class PlanMutationPolicy(Policy):
         #: provisions this many QPs, so no rewrite can outgrow them.
         self.qp_cap = qp_cap if qp_cap is not None \
             else _qps_for(n_user, n_user, config)
-        self.epsilon = epsilon
-        self.decay = decay
         self.expand_after = expand_after
         self.max_frontier = max_frontier
-        self.min_confident_plays = min_confident_plays
-        self.window = window
-        self._rng = np.random.default_rng(seed)
-        self._steps = 0
-        #: digest -> Plan, in insertion order (the search frontier).
-        self._frontier: dict[str, Plan] = {}
-        self._plays: dict[str, int] = {}
-        self._mean_cost: dict[str, float] = {}
-        self._recent: dict[str, deque] = {}
-        self._expanded: set[str] = set()
-        # Canonicalize: frontier identity is the digest of the bare
-        # 3-knob leaf form, the same form observe() derives from the
-        # round's PlanChoice — so crediting always finds its plan.
-        seed_plan = choice_plan(plan_to_choice(seed_plan))
-        self._seed_digest = seed_plan.digest
-        self._add(seed_plan)
+        self._expanded: set[PlanChoice] = set()
+        # Canonicalize: frontier identity is the bare leaf form, the
+        # same value observe() is handed back as the round's
+        # PlanChoice — so crediting always finds its plan.
+        self._seed = PlanChoice.from_plan(seed_plan)
+        self._add(self._seed)
         # Provisioning envelope: make the reachable maximum (widest
         # partition fan-out, QP ceiling) a real frontier member, so
         # candidates() — which sizes the aggregator's QP pool — covers
         # every plan the mutation walk can reach.
-        self._add(self._envelope(seed_plan))
+        n_max = 1 << (n_user.bit_length() - 1)
+        self._add(replace(self._seed, n_transport=n_max,
+                          n_qps=max(1, min(self.qp_cap, n_max))))
 
     # -- frontier plumbing ---------------------------------------------
 
-    def _add(self, plan: Plan) -> None:
-        if plan.digest in self._frontier:
+    def _add(self, choice: PlanChoice) -> None:
+        if choice in self._plays or len(self._plays) >= self.max_frontier:
             return
-        if len(self._frontier) >= self.max_frontier:
-            return
-        plan_to_choice(plan).validate_for(self.n_user)
-        self._frontier[plan.digest] = plan
-        self._plays[plan.digest] = 0
-        self._mean_cost[plan.digest] = 0.0
-        if self.window is not None:
-            self._recent[plan.digest] = deque(maxlen=self.window)
+        choice.validate_for(self.n_user)
+        self._add_arm(choice, rank=choice.plan.digest)
 
-    def _envelope(self, seed_plan: Plan) -> Plan:
-        choice = plan_to_choice(seed_plan)
-        n_max = 1 << (self.n_user.bit_length() - 1)
-        return choice_plan(PlanChoice(
-            n_transport=n_max,
-            n_qps=max(1, min(self.qp_cap, n_max)),
-            delta=choice.delta))
+    def _expand(self, choice: PlanChoice) -> None:
+        self._expanded.add(choice)
+        for cand in neighbors(choice.plan, self.n_user, self.config,
+                              deltas=self.deltas, qp_cap=self.qp_cap):
+            self._add(PlanChoice.from_plan(cand))
 
-    def _best_digest(self) -> str:
-        played = [(self._mean_cost[d], d) for d in self._frontier
-                  if self._plays[d]]
-        if not played:
-            return self._seed_digest
-        return min(played)[1]
-
-    def _expand(self, digest: str) -> None:
-        self._expanded.add(digest)
-        for cand in neighbors(self._frontier[digest], self.n_user,
-                              self.config, deltas=self.deltas,
-                              qp_cap=self.qp_cap):
-            self._add(cand)
+    def _room_to_expand(self, best: PlanChoice) -> bool:
+        return (best not in self._expanded
+                and len(self._plays) < self.max_frontier)
 
     # -- Policy interface ----------------------------------------------
 
-    def candidates(self) -> list[PlanChoice]:
-        return [plan_to_choice(p) for p in self._frontier.values()]
-
     def frontier(self) -> list[Plan]:
-        """The current frontier plans, in insertion order."""
-        return list(self._frontier.values())
+        """The current frontier as plans, in insertion order."""
+        return [choice.plan for choice in self._plays]
 
     def choose(self, round_no: int) -> PlanChoice:
-        best = self._best_digest()
+        best = self.best()
         if (self._plays[best] >= self.expand_after
-                and best not in self._expanded
-                and len(self._frontier) < self.max_frontier):
+                and self._room_to_expand(best)):
             self._expand(best)
-        for digest, plays in self._plays.items():
-            if plays == 0:
-                return plan_to_choice(self._frontier[digest])
-        self._steps += 1
-        eps = self.epsilon * self.decay ** self._steps
-        if self._rng.random() < eps:
-            digests = list(self._frontier)
-            pick = digests[int(self._rng.integers(len(digests)))]
-            return plan_to_choice(self._frontier[pick])
-        return plan_to_choice(self._frontier[best])
-
-    def observe(self, choice, obs, tracker):
-        digest = choice_plan(choice).digest
-        if digest not in self._frontier:
-            return  # a pinned/foreign choice; nothing to credit
-        self._plays[digest] += 1
-        if self.window is not None:
-            recent = self._recent[digest]
-            recent.append(obs.completion_time)
-            self._mean_cost[digest] = sum(recent) / len(recent)
-        else:
-            n = self._plays[digest]
-            self._mean_cost[digest] += \
-                (obs.completion_time - self._mean_cost[digest]) / n
-
-    def best(self) -> PlanChoice:
-        return plan_to_choice(self._frontier[self._best_digest()])
-
-    def best_plan_ir(self) -> Plan:
-        return self._frontier[self._best_digest()]
+        return self._unplayed() or self._explore() or best
 
     @property
     def confident(self) -> bool:
-        if any(p == 0 for p in self._plays.values()):
-            return False
-        best = self._best_digest()
-        if best not in self._expanded \
-                and len(self._frontier) < self.max_frontier:
-            return False
-        return self._plays[best] >= self.min_confident_plays
+        # An unexpanded incumbent still has neighbours nobody tried.
+        return not self._room_to_expand(self.best()) and super().confident
 
     def plan_space_digest(self) -> str:
         """Identity of the reachable rewrite space (seed + move set).
@@ -232,20 +143,13 @@ class PlanMutationPolicy(Policy):
         the δ move set, and the QP ceiling.
         """
         spec = "|".join([
-            "mutation", self._seed_digest, str(self.qp_cap),
+            "mutation", self._rank[self._seed], str(self.qp_cap),
             ",".join("none" if d is None else repr(float(d))
                      for d in self.deltas),
         ])
         return hashlib.sha256(spec.encode()).hexdigest()[:16]
 
-    def mean_cost(self, choice: PlanChoice) -> Optional[float]:
-        """Observed mean completion time of ``choice`` (None if unplayed)."""
-        digest = choice_plan(choice).digest
-        if self._plays.get(digest):
-            return self._mean_cost[digest]
-        return None
-
     def describe(self) -> str:
         played = sum(1 for p in self._plays.values() if p)
-        return (f"plan-mutation({played}/{len(self._frontier)} plans "
+        return (f"plan-mutation({played}/{len(self._plays)} plans "
                 f"played, {len(self._expanded)} expanded)")

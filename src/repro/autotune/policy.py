@@ -1,10 +1,10 @@
 """Tuning policies: how the controller picks the next round's plan.
 
 A :class:`Policy` maps the observation stream to a
-:class:`PlanChoice` — the ``(n_transport, n_qps, δ)`` triple applied to
-the next round.  Three implementations span the design space the paper
-left open (Section IV-D, "an online auto-tuning approach could be
-used"):
+:class:`~repro.core.aggregators.PlanChoice` — the ``(n_transport,
+n_qps, δ)`` triple applied to the next round.  Three implementations
+span the design space the paper left open (Section IV-D, "an online
+auto-tuning approach could be used"):
 
 * :class:`StaticPolicy` — one fixed choice; wraps the paper's
   open-loop aggregators so the controller machinery can be validated
@@ -23,53 +23,18 @@ from __future__ import annotations
 import abc
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
 from repro.config import ClusterConfig
-from repro.core.aggregators import _qps_for
+from repro.core.aggregators import PlanChoice, _qps_for
 from repro.errors import ConfigError, TuningError
 from repro.model.ploggp import ParamsLike, optimal_transport_partitions
 from repro.units import is_power_of_two, powers_of_two
 
 from repro.autotune.observe import ArrivalTracker, IterationObservation
-
-
-@dataclass(frozen=True)
-class PlanChoice:
-    """One point in the tuning space (a round-applicable plan)."""
-
-    n_transport: int
-    n_qps: int
-    #: δ-timer value; None = plain (non-timer) path.
-    delta: Optional[float] = None
-
-    def __post_init__(self):
-        if not is_power_of_two(self.n_transport):
-            raise ConfigError(
-                f"n_transport must be a power of two, got {self.n_transport}")
-        if self.n_qps < 1:
-            raise ConfigError(f"need at least one QP, got {self.n_qps}")
-        if self.delta is not None and self.delta < 0:
-            raise ConfigError(f"negative delta: {self.delta}")
-
-    def validate_for(self, n_user: int) -> None:
-        if self.n_transport > n_user:
-            raise TuningError(
-                f"choice n_transport {self.n_transport} exceeds "
-                f"n_user {n_user}")
-
-    def as_dict(self) -> dict:
-        return {"n_transport": self.n_transport, "n_qps": self.n_qps,
-                "delta": self.delta}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlanChoice":
-        return cls(n_transport=int(d["n_transport"]),
-                   n_qps=int(d["n_qps"]),
-                   delta=None if d.get("delta") is None else float(d["delta"]))
 
 
 class Policy(abc.ABC):
@@ -96,12 +61,6 @@ class Policy(abc.ABC):
         """True once :meth:`best` is worth persisting."""
         return False
 
-    def best_plan_ir(self):
-        """:meth:`best` as a :class:`repro.plan.Plan` (IR leaf form)."""
-        from repro.plan import choice_plan
-
-        return choice_plan(self.best())
-
     def plan_space_digest(self) -> str:
         """Content digest of the plan space this policy searches.
 
@@ -114,9 +73,7 @@ class Policy(abc.ABC):
         """
         import hashlib
 
-        from repro.plan import choice_plan
-
-        digests = sorted(choice_plan(c).digest for c in self.candidates())
+        digests = sorted(c.plan.digest for c in self.candidates())
         return hashlib.sha256(
             "\n".join(digests).encode()).hexdigest()[:16]
 
@@ -152,10 +109,11 @@ class DeltaTrackerPolicy(Policy):
 
     Transport layout stays at ``base``; after each round δ moves toward
     ``margin x spread_quantile(quantile)`` with EWMA smoothing
-    ``alpha``, clamped to ``[min_delta, max_delta]``.  Where the
-    existing :class:`~repro.core.aggregators.AdaptiveDelta` smooths the
-    per-round spread itself, this policy steers on a windowed quantile,
-    so one quiet round cannot collapse δ below the recurring skew.
+    ``alpha``, clamped to ``[min_delta, max_delta]``.  Steering on a
+    windowed quantile means one quiet round cannot collapse δ below
+    the recurring skew; a tracker window of one with ``quantile=1``
+    degenerates to smoothing each round's own spread (the
+    ``["adaptive", p]`` experiment descriptor).
     """
 
     def __init__(self, base: PlanChoice, quantile: float = 0.95,
@@ -188,20 +146,22 @@ class DeltaTrackerPolicy(Policy):
         return [self.base]
 
     def choose(self, round_no):
-        return PlanChoice(n_transport=self.base.n_transport,
-                          n_qps=self.base.n_qps, delta=self._delta)
+        return self.best()
 
     def observe(self, choice, obs, tracker):
         self._rounds += 1
-        if not tracker.ready:
+        # With the laggard set aside, two partitions leave a pack of
+        # one: its spread is 0 by construction, not by measurement, and
+        # would walk δ down to min_delta.
+        if (not tracker.ready
+                or len(obs.pready_times) - tracker.laggards < 2):
             return
         target = self.margin * tracker.spread_quantile(self.quantile)
         blended = (1 - self.alpha) * self._delta + self.alpha * target
         self._delta = min(max(blended, self.min_delta), self.max_delta)
 
     def best(self):
-        return PlanChoice(n_transport=self.base.n_transport,
-                          n_qps=self.base.n_qps, delta=self._delta)
+        return replace(self.base, delta=self._delta)
 
     @property
     def confident(self):
@@ -212,7 +172,97 @@ class DeltaTrackerPolicy(Policy):
                 f"delta={self._delta:.3e})")
 
 
-class BanditPolicy(Policy):
+class ArmPolicy(Policy):
+    """Base of the policies that score a set of arms by observed cost.
+
+    The one copy of what :class:`BanditPolicy` and
+    :class:`~repro.autotune.plan_policy.PlanMutationPolicy` share:
+    per-arm plays, the cost estimate, the decaying-ε draw and the
+    confidence rule.  Arms are :class:`PlanChoice` values in insertion
+    order; each joins with a ``rank`` that breaks ties among equal mean
+    costs (the bandit ranks by arm index, the mutation walk by plan
+    digest).  ``window`` switches an arm's estimate from the all-time
+    running mean to the mean of its last ``window`` costs.
+    """
+
+    def __init__(self, epsilon: float, decay: float, seed: int,
+                 min_confident_plays: int, window: Optional[int]):
+        if not (0 <= epsilon <= 1):
+            raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
+        if not (0 < decay <= 1):
+            raise ConfigError(f"decay must be in (0, 1], got {decay}")
+        if window is not None and window < 1:
+            raise ConfigError(f"window must be >= 1, got {window}")
+        self.epsilon = epsilon
+        self.decay = decay
+        self.min_confident_plays = min_confident_plays
+        self.window = window
+        self._rng = np.random.default_rng(seed)
+        self._steps = 0
+        self._rank: dict[PlanChoice, Hashable] = {}
+        self._plays: dict[PlanChoice, int] = {}
+        self._mean_cost: dict[PlanChoice, float] = {}
+        self._recent: dict[PlanChoice, deque] = {}
+
+    def _add_arm(self, arm: PlanChoice, rank: Hashable) -> None:
+        self._rank[arm] = rank
+        self._plays[arm] = 0
+        self._mean_cost[arm] = 0.0
+        if self.window is not None:
+            self._recent[arm] = deque(maxlen=self.window)
+
+    def _unplayed(self) -> Optional[PlanChoice]:
+        """The first arm (insertion order) still owed its first play."""
+        for arm, plays in self._plays.items():
+            if plays == 0:
+                return arm
+        return None
+
+    def _explore(self) -> Optional[PlanChoice]:
+        """With probability ``epsilon x decay^t``, a uniform arm draw."""
+        self._steps += 1
+        if self._rng.random() < self.epsilon * self.decay ** self._steps:
+            arms = list(self._plays)
+            return arms[int(self._rng.integers(len(arms)))]
+        return None
+
+    def candidates(self):
+        return list(self._plays)
+
+    def observe(self, choice, obs, tracker):
+        if choice not in self._plays:
+            return  # a pinned/foreign choice; nothing to credit
+        self._plays[choice] += 1
+        if self.window is not None:
+            recent = self._recent[choice]
+            recent.append(obs.completion_time)
+            self._mean_cost[choice] = sum(recent) / len(recent)
+        else:
+            self._mean_cost[choice] += (
+                obs.completion_time - self._mean_cost[choice]
+            ) / self._plays[choice]
+
+    def best(self):
+        """The played arm of lowest mean cost (the first arm before
+        any play)."""
+        played = [arm for arm, plays in self._plays.items() if plays]
+        if not played:
+            return next(iter(self._plays))
+        return min(played,
+                   key=lambda arm: (self._mean_cost[arm], self._rank[arm]))
+
+    @property
+    def confident(self):
+        if self._unplayed() is not None:
+            return False
+        return self._plays[self.best()] >= self.min_confident_plays
+
+    def mean_cost(self, choice: PlanChoice) -> Optional[float]:
+        """Observed mean completion time of ``choice`` (None if unplayed)."""
+        return self._mean_cost[choice] if self._plays.get(choice) else None
+
+
+class BanditPolicy(ArmPolicy):
     """Multi-armed bandit over a candidate plan set.
 
     ``mode="epsilon"`` plays every arm once, then exploits the lowest
@@ -244,96 +294,35 @@ class BanditPolicy(Policy):
             raise ConfigError("BanditPolicy needs at least one arm")
         if len(set(arms)) != len(arms):
             raise ConfigError("duplicate bandit arms")
-        if not (0 <= epsilon <= 1):
-            raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
-        if not (0 < decay <= 1):
-            raise ConfigError(f"decay must be in (0, 1], got {decay}")
         if mode not in ("epsilon", "ucb"):
             raise ConfigError(f"unknown bandit mode: {mode!r}")
-        if window is not None and window < 1:
-            raise ConfigError(f"window must be >= 1, got {window}")
-        self.arms = arms
-        self.epsilon = epsilon
-        self.decay = decay
+        super().__init__(epsilon, decay, seed, min_confident_plays, window)
         self.mode = mode
         self.exploration = exploration
-        self.min_confident_plays = min_confident_plays
-        self.window = window
-        self._rng = np.random.default_rng(seed)
-        self._plays = [0] * len(arms)
-        self._mean_cost = [0.0] * len(arms)
-        self._recent = ([deque(maxlen=window) for _ in arms]
-                        if window is not None else None)
-        self._steps = 0
-
-    def candidates(self):
-        return list(self.arms)
-
-    def _best_index(self) -> int:
-        played = [(self._mean_cost[i], i)
-                  for i in range(len(self.arms)) if self._plays[i]]
-        if not played:
-            return 0
-        return min(played)[1]
+        for index, arm in enumerate(arms):
+            self._add_arm(arm, rank=index)
 
     def choose(self, round_no):
         # Initial sweep: every arm gets one pull before any exploitation.
-        for i, plays in enumerate(self._plays):
-            if plays == 0:
-                return self.arms[i]
-        self._steps += 1
+        arm = self._unplayed()
+        if arm is not None:
+            return arm
         if self.mode == "ucb":
-            total = sum(self._plays)
-            scale = sum(
-                c * p for c, p in zip(self._mean_cost, self._plays)) / total
-            best = min(
-                range(len(self.arms)),
-                key=lambda i: (
-                    self._mean_cost[i]
-                    - self.exploration * scale
-                    * math.sqrt(2 * math.log(total) / self._plays[i]),
-                    i,
+            plays, mean = self._plays, self._mean_cost
+            total = sum(plays.values())
+            scale = sum(mean[a] * plays[a] for a in plays) / total
+            return min(
+                plays,
+                key=lambda a: (
+                    mean[a] - self.exploration * scale
+                    * math.sqrt(2 * math.log(total) / plays[a]),
+                    self._rank[a],
                 ))
-            return self.arms[best]
-        eps = self.epsilon * self.decay ** self._steps
-        if self._rng.random() < eps:
-            return self.arms[int(self._rng.integers(len(self.arms)))]
-        return self.arms[self._best_index()]
-
-    def observe(self, choice, obs, tracker):
-        try:
-            i = self.arms.index(choice)
-        except ValueError:
-            return  # a pinned/foreign choice; nothing to credit
-        self._plays[i] += 1
-        if self._recent is not None:
-            self._recent[i].append(obs.completion_time)
-            self._mean_cost[i] = sum(self._recent[i]) / len(self._recent[i])
-        else:
-            n = self._plays[i]
-            self._mean_cost[i] += \
-                (obs.completion_time - self._mean_cost[i]) / n
-
-    def best(self):
-        return self.arms[self._best_index()]
-
-    @property
-    def confident(self):
-        if any(p == 0 for p in self._plays):
-            return False
-        return self._plays[self._best_index()] >= self.min_confident_plays
-
-    def mean_cost(self, choice: PlanChoice) -> Optional[float]:
-        """Observed mean completion time of ``choice`` (None if unplayed)."""
-        try:
-            i = self.arms.index(choice)
-        except ValueError:
-            return None
-        return self._mean_cost[i] if self._plays[i] else None
+        return self._explore() or self.best()
 
     def describe(self):
-        played = sum(1 for p in self._plays if p)
-        return (f"bandit({self.mode}, {played}/{len(self.arms)} arms "
+        played = sum(1 for p in self._plays.values() if p)
+        return (f"bandit({self.mode}, {played}/{len(self._plays)} arms "
                 f"played)")
 
 

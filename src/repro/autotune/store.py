@@ -11,9 +11,10 @@ one converged run at a time.
 The store is deliberately dumb: one process, one directory, no
 versions.  The serving layer (:mod:`repro.serve`) shards many of these
 directories behind a cache and adds versioned concurrent-writer
-safety; anything written there stays readable here (the shard files
-use this module's schema), which is what keeps service-served plans
-bit-identical to direct store reads.
+safety; each of its shards *is* a :class:`TuningStore` (entry files go
+through :meth:`TuningStore.load` / :meth:`TuningStore.write` there
+too), which is what keeps service-served plans bit-identical to direct
+store reads.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ def entry_digest(key: dict) -> str:
     return hashlib.sha256(canonical(key).encode()).hexdigest()[:24]
 
 
-#: Backwards-compatible private alias (pre-serve callers).
-_digest = entry_digest
-
-
 class TuningStore:
     """Content-addressed on-disk store of learned plans."""
 
@@ -88,7 +85,7 @@ class TuningStore:
     def _path(self, key: dict) -> Path:
         return self.root / f"{entry_digest(key)}.json"
 
-    def _load(self, path: Path) -> Optional[dict]:
+    def load(self, path: Path) -> Optional[dict]:
         """Parse one entry file; None (and count) when corrupt.
 
         A *missing* file is a plain miss, not corruption — only a file
@@ -113,7 +110,7 @@ class TuningStore:
 
     def get(self, key: dict) -> Optional[PlanChoice]:
         """The stored plan for ``key``, or None (missing/corrupt)."""
-        payload = self._load(self._path(key))
+        payload = self.load(self._path(key))
         if payload is None:
             return None
         try:
@@ -128,12 +125,16 @@ class TuningStore:
             meta: Optional[dict] = None) -> Path:
         """Persist ``choice`` under ``key`` (atomic replace)."""
         path = self._path(key)
-        payload = {
-            "schema": SCHEMA,
-            "key": key,
-            "plan": choice.as_dict(),
-            "meta": meta or {},
-        }
+        self.write(path, key, choice, meta or {})
+        return path
+
+    def write(self, path: Path, key: dict, choice: PlanChoice, meta: dict,
+              **extra) -> None:
+        """Land one entry file at ``path``: readers see the old file or
+        the new one, never a torn write.  ``extra`` admits the fields a
+        layer above adds to the schema (the serving layer's version)."""
+        payload = {"schema": SCHEMA, "key": key, "plan": choice.as_dict(),
+                   "meta": meta, **extra}
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
@@ -146,7 +147,10 @@ class TuningStore:
             except OSError:
                 pass
             raise
-        return path
+
+    def digests(self) -> list[str]:
+        """Digests on disk (cheap: sorted file stems, no parse)."""
+        return sorted(p.stem for p in self.root.glob("*.json"))
 
     def entries(self) -> list[dict]:
         """Every readable entry's full payload (sorted by digest).
@@ -156,8 +160,8 @@ class TuningStore:
         entry count is needed.
         """
         out = []
-        for path in sorted(self.root.glob("*.json")):
-            payload = self._load(path)
+        for digest in self.digests():
+            payload = self.load(self.root / f"{digest}.json")
             if payload is not None:
                 out.append(payload)
         return out

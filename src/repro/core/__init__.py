@@ -9,13 +9,11 @@ aggregation strategies of Sections IV-B/C/D live in
 
 from repro.core.immediate import encode_immediate, decode_immediate
 from repro.core.aggregators import (
-    AdaptiveDelta,
-    AdaptiveTimerAggregator,
-    AggregationPlan,
     Aggregator,
     FixedAggregation,
     NoAggregation,
     PLogGPAggregator,
+    PlanChoice,
     TimerPLogGPAggregator,
 )
 from repro.core.module import NativeVerbsModule, NativeSpec
@@ -25,13 +23,11 @@ from repro.core.delta import estimate_min_delta, min_delta_table
 __all__ = [
     "encode_immediate",
     "decode_immediate",
-    "AdaptiveDelta",
-    "AdaptiveTimerAggregator",
-    "AggregationPlan",
     "Aggregator",
     "FixedAggregation",
     "NoAggregation",
     "PLogGPAggregator",
+    "PlanChoice",
     "TimerPLogGPAggregator",
     "NativeVerbsModule",
     "NativeSpec",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.config import ClusterConfig
@@ -24,54 +24,24 @@ from repro.units import is_power_of_two
 
 
 @dataclass(frozen=True)
-class AdaptiveDelta:
-    """Online δ auto-tuning parameters (paper Section IV-D names this
-    as future work: "An online auto-tuning approach could be used").
+class PlanChoice:
+    """The one plan type: transport partitions, QPs and the timer δ.
 
-    After each round the non-laggard arrival spread is measured and the
-    next round's δ moves toward ``margin x spread`` with exponential
-    smoothing ``alpha``, clamped to [min_delta, max_delta].
+    An aggregator produces one per request (``Psend_init``), a tuning
+    policy one per round, the tuning store persists them, and the IR
+    leaf form ``partition + qp_pool [+ aggregate]`` is the same value
+    as text (:attr:`plan` / :meth:`from_plan` are inverses).
     """
-
-    alpha: float = 0.5
-    margin: float = 1.25
-    min_delta: float = 1e-6
-    max_delta: float = 1e-3
-
-    def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
-        if not (0 < self.min_delta <= self.max_delta):
-            raise ConfigError("need 0 < min_delta <= max_delta")
-
-    def update(self, current: float, observed_spread: float) -> float:
-        """Next round's δ given this round's non-laggard spread."""
-        target = self.margin * observed_spread
-        blended = (1 - self.alpha) * current + self.alpha * target
-        return min(max(blended, self.min_delta), self.max_delta)
-
-
-@dataclass(frozen=True)
-class AggregationPlan:
-    """The per-request decision an aggregator produces."""
 
     n_transport: int
     n_qps: int
     #: Arm the δ-timer path with this value (None = plain PLogGP path).
-    timer_delta: Optional[float] = None
-    #: Online δ auto-tuning (requires timer_delta as the initial value).
-    adaptive: Optional[AdaptiveDelta] = None
+    delta: Optional[float] = None
     #: Ablation: flush non-contiguous arrivals as ONE multi-SGE WR into
     #: a receive-side staging buffer (the alternative the paper
     #: considered and rejected in Section IV-D — it needs staging and
     #: out-of-band layout information at the receiver).
     scatter_gather: bool = False
-    #: Closed-loop controller (repro.autotune).  When set, the module
-    #: re-plans (n_transport, n_qps <= provisioned, delta) each round;
-    #: None keeps every paper aggregator on the static single-plan path.
-    controller: Optional[object] = None
 
     def __post_init__(self):
         if not is_power_of_two(self.n_transport):
@@ -80,15 +50,58 @@ class AggregationPlan:
                 f"got {self.n_transport}")
         if self.n_qps < 1:
             raise ConfigError(f"need at least one QP, got {self.n_qps}")
-        if self.timer_delta is not None and self.timer_delta < 0:
-            raise ConfigError(f"negative timer delta: {self.timer_delta}")
-        if self.adaptive is not None and self.timer_delta is None:
-            raise ConfigError("adaptive delta requires a timer_delta seed")
+        if self.delta is not None and self.delta < 0:
+            raise ConfigError(f"negative timer delta: {self.delta}")
 
+    def validate_for(self, n_user: int) -> None:
+        if self.n_transport > n_user:
+            raise TuningError(
+                f"choice n_transport {self.n_transport} exceeds "
+                f"n_user {n_user}")
 
-def _clamp_transport(n_transport: int, n_user: int) -> int:
-    """Fall back to the user's request when the plan exceeds it."""
-    return min(n_transport, n_user)
+    def as_dict(self) -> dict:
+        """The stored form; ``scatter_gather`` appears only when set, so
+        entries written before the field existed stay byte-identical."""
+        d = {"n_transport": self.n_transport, "n_qps": self.n_qps,
+             "delta": self.delta}
+        if self.scatter_gather:
+            d["scatter_gather"] = True
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PlanChoice":
+        return cls(n_transport=int(d["n_transport"]),
+                   n_qps=int(d["n_qps"]),
+                   delta=(None if d.get("delta") is None
+                          else float(d["delta"])),
+                   scatter_gather=bool(d.get("scatter_gather", False)))
+
+    # The plan IR is imported inside the two views: repro.plan lowers
+    # onto this module, so neither may need the other at import time.
+
+    @property
+    def plan(self):
+        """This choice as a :class:`repro.plan.Plan` (IR leaf form)."""
+        from repro.plan.build import leaf_plan
+
+        return leaf_plan(self.n_transport, self.n_qps, delta=self.delta,
+                         scatter_gather=self.scatter_gather)
+
+    @classmethod
+    def from_plan(cls, plan) -> "PlanChoice":
+        """The choice a leaf plan denotes (inverse of :attr:`plan`)."""
+        from repro.plan.ir import Aggregate, Partition, QPPool
+
+        part = plan.first(Partition)
+        if part is None:
+            raise ConfigError(
+                f"not a leaf plan (no partition op): {plan.digest}")
+        pool = plan.first(QPPool)
+        agg = plan.first(Aggregate)
+        return cls(n_transport=part.n,
+                   n_qps=pool.n if pool is not None else 1,
+                   delta=agg.delta if agg is not None else None,
+                   scatter_gather=agg.sg if agg is not None else False)
 
 
 def _qps_for(n_transport: int, max_concurrent_wrs: int,
@@ -104,8 +117,19 @@ class Aggregator(abc.ABC):
 
     @abc.abstractmethod
     def plan(self, n_user: int, partition_size: int,
-             config: ClusterConfig) -> AggregationPlan:
+             config: ClusterConfig) -> PlanChoice:
         """Decide transport partitions / QPs for one request."""
+
+    def provision(self, n_user: int, partition_size: int, config: ClusterConfig
+                  ) -> tuple[PlanChoice, Optional[object]]:
+        """The plan to build resources for, and who re-plans each round.
+
+        The second element is the closed-loop controller
+        (:mod:`repro.autotune`) the module consults at the top of every
+        round; None — every paper aggregator — keeps the module on the
+        static single-plan path.
+        """
+        return self.plan(n_user, partition_size, config), None
 
     def describe(self) -> str:
         return type(self).__name__
@@ -117,26 +141,17 @@ class FixedAggregation(Aggregator):
     def __init__(self, n_transport: int, n_qps: int,
                  timer_delta: Optional[float] = None,
                  scatter_gather: bool = False):
-        if not is_power_of_two(n_transport):
-            raise ConfigError(
-                f"n_transport must be a power of two, got {n_transport}")
-        if n_qps < 1:
-            raise ConfigError(f"n_qps must be >= 1, got {n_qps}")
-        self.n_transport = n_transport
-        self.n_qps = n_qps
-        self.timer_delta = timer_delta
-        self.scatter_gather = scatter_gather
+        self.choice = PlanChoice(n_transport, n_qps, delta=timer_delta,
+                                 scatter_gather=scatter_gather)
 
     def plan(self, n_user, partition_size, config):
-        return AggregationPlan(
-            n_transport=_clamp_transport(self.n_transport, n_user),
-            n_qps=self.n_qps,
-            timer_delta=self.timer_delta,
-            scatter_gather=self.scatter_gather,
-        )
+        # No disaggregation: fall back to the user's count when the
+        # explicit one exceeds it.
+        return replace(self.choice,
+                       n_transport=min(self.choice.n_transport, n_user))
 
     def describe(self):
-        return f"fixed(T={self.n_transport}, QP={self.n_qps})"
+        return f"fixed(T={self.choice.n_transport}, QP={self.choice.n_qps})"
 
 
 class NoAggregation(Aggregator):
@@ -150,7 +165,7 @@ class NoAggregation(Aggregator):
     def plan(self, n_user, partition_size, config):
         n_qps = self.n_qps if self.n_qps is not None else _qps_for(
             n_user, n_user, config)
-        return AggregationPlan(n_transport=n_user, n_qps=n_qps)
+        return PlanChoice(n_transport=n_user, n_qps=n_qps)
 
     def describe(self):
         return "none"
@@ -168,7 +183,7 @@ class PLogGPAggregator(Aggregator):
         if delay < 0:
             raise ConfigError(f"negative delay: {delay}")
         if max_transport < 1:
-            raise ConfigError(f"max_transport must be >= 1")
+            raise ConfigError("max_transport must be >= 1")
         self.params = params
         self.delay = delay
         self.max_transport = max_transport
@@ -178,8 +193,8 @@ class PLogGPAggregator(Aggregator):
         n_transport = optimal_transport_partitions(
             self.params, total, n_user=n_user, delay=self.delay,
             max_transport=self.max_transport)
-        n_transport = _clamp_transport(n_transport, n_user)
-        return AggregationPlan(
+        n_transport = min(n_transport, n_user)
+        return PlanChoice(
             n_transport=n_transport,
             n_qps=_qps_for(n_transport, n_transport, config),
         )
@@ -210,44 +225,9 @@ class TimerPLogGPAggregator(PLogGPAggregator):
     def plan(self, n_user, partition_size, config):
         base = super().plan(n_user, partition_size, config)
         delta = self.delta if self.delta is not None else config.part.timer_delta
-        return AggregationPlan(
-            n_transport=base.n_transport,
-            n_qps=_qps_for(base.n_transport, n_user, config),
-            timer_delta=delta,
-            scatter_gather=self.scatter_gather,
-        )
+        return replace(
+            base, n_qps=_qps_for(base.n_transport, n_user, config),
+            delta=delta, scatter_gather=self.scatter_gather)
 
     def describe(self):
         return f"timer-ploggp(delta={self.delta})"
-
-
-class AdaptiveTimerAggregator(TimerPLogGPAggregator):
-    """Timer aggregation with online δ auto-tuning.
-
-    Implements the direction the paper flags as future work in
-    Section IV-D: instead of a fixed δ, each round's non-laggard
-    arrival spread feeds back into the next round's δ, so the timer
-    stays just wide enough to cover the natural thread skew without
-    adding artificial delay.
-    """
-
-    def __init__(self, params: Union[LogGPParams, LogGPTable],
-                 delay: float, initial_delta: float,
-                 adaptive: Optional["AdaptiveDelta"] = None,
-                 max_transport: int = 32):
-        super().__init__(params, delay, delta=initial_delta,
-                         max_transport=max_transport)
-        self.adaptive = adaptive if adaptive is not None else AdaptiveDelta()
-
-    def plan(self, n_user, partition_size, config):
-        base = super().plan(n_user, partition_size, config)
-        return AggregationPlan(
-            n_transport=base.n_transport,
-            n_qps=base.n_qps,
-            timer_delta=base.timer_delta,
-            adaptive=self.adaptive,
-        )
-
-    def describe(self):
-        return (f"adaptive-timer(seed={self.delta}, "
-                f"alpha={self.adaptive.alpha})")

@@ -8,7 +8,7 @@ first and last (non-laggard) thread to arrive."
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

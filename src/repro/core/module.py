@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.aggregators import AggregationPlan, Aggregator
+from repro.core.aggregators import Aggregator, PlanChoice
 from repro.core.immediate import decode_immediate, encode_immediate
 from repro.engine import (
     CreditManager,
@@ -60,7 +60,13 @@ class NativeVerbsModule(PartitionedModule):
         self.aggregator = aggregator
         self.sender: "MPIProcess" = send_req.process
         self.receiver: "MPIProcess" = recv_req.process
-        self.plan: Optional[AggregationPlan] = None
+        #: What setup() provisioned for (QPs, staging); fixed per request.
+        self.plan: Optional[PlanChoice] = None
+        #: This round's plan.  Without a controller it *is* ``plan`` —
+        #: set once in setup() and never replaced, so every read below
+        #: is bit-identical to reading ``plan`` directly; with one,
+        #: _sync_round() replaces it at the top of each round.
+        self._round_plan: Optional[PlanChoice] = None
         self.group_size = 0
         # set up in setup(): one rail per NIC port, plus flat QP lists
         # in creation order for introspection and the recovery walk.
@@ -91,20 +97,12 @@ class NativeVerbsModule(PartitionedModule):
         # receiver's Start grants a credit that reaches the sender one
         # fabric latency later; posts issued before it are deferred.
         self._credit = CreditManager(self.env, self._flush_deferred)
-        # adaptive-delta state
-        self.current_delta: Optional[float] = None
         self._round_pready_times: Optional[list] = None
         #: δ used each round (diagnostics for the auto-tuner).
         self.delta_history: list[float] = []
-        # Closed-loop tuning (repro.autotune).  The round-active values
-        # shadow the plan: without a controller they are set once from
-        # the plan in setup() and never change, so every read below is
-        # bit-identical to reading the plan directly; with a controller
-        # _sync_round() retargets them at the top of each round.
+        # Closed-loop tuning (repro.autotune): the controller, and the
+        # per-round marks its observations are measured from.
         self._controller = None
-        self._active_n_transport = 0
-        self._active_n_qps = 1
-        self._active_delta: Optional[float] = None
         self._planned_round: Optional[int] = None
         self._round_t0 = 0.0
         self._round_send_done = 0.0
@@ -137,17 +135,14 @@ class NativeVerbsModule(PartitionedModule):
 
     def setup(self, send_req, recv_req) -> None:
         config = self.cluster.config
-        self.plan = self.aggregator.plan(
+        self.plan, self._controller = self.aggregator.provision(
             send_req.n_partitions, send_req.partition_size, config)
+        self._round_plan = self.plan
         if send_req.n_partitions % self.plan.n_transport != 0:
             raise PartitionError(
                 f"{self.plan.n_transport} transport partitions do not divide "
                 f"{send_req.n_partitions} user partitions")
         self.group_size = send_req.n_partitions // self.plan.n_transport
-        self._controller = self.plan.controller
-        self._active_n_transport = self.plan.n_transport
-        self._active_n_qps = self.plan.n_qps
-        self._active_delta = self.plan.timer_delta
         if self._controller is not None:
             # QPs are provisioned for the largest arm; every arm must
             # also produce an aligned grouping of this request.
@@ -212,8 +207,8 @@ class NativeVerbsModule(PartitionedModule):
         Idempotent per round — ``start_send`` and ``start_recv`` both
         call it and whichever runs first does the work.  Feeds the
         previous round's observation to the controller, then applies
-        its choice for this round to the round-active values.  Pure
-        attribute bookkeeping: no yields, no virtual time.
+        its choice as this round's plan.  Pure attribute bookkeeping:
+        no yields, no virtual time.
         """
         if round_no == self._planned_round:
             return
@@ -247,11 +242,8 @@ class NativeVerbsModule(PartitionedModule):
         # queued units were grouped under the previous round's plan.
         hold = self._tracker.recovering or bool(self._tracker.replay)
         choice = self._controller.plan_for_round(round_no, hold=hold)
-        self._active_n_transport = choice.n_transport
-        self._active_n_qps = choice.n_qps
-        self._active_delta = choice.delta
+        self._round_plan = choice
         self.group_size = self.send_req.n_partitions // choice.n_transport
-        self.current_delta = choice.delta
         self._planned_round = round_no
         self._round_t0 = self.env.now
         self._counter_snapshot = counters.snapshot()
@@ -263,29 +255,17 @@ class NativeVerbsModule(PartitionedModule):
         host = self.sender.config.host
         if self._controller is not None:
             self._sync_round(req.round)
-            if self._active_delta is not None:
-                self.delta_history.append(self.current_delta)
-        elif self.plan.timer_delta is not None:
-            if self.current_delta is None:
-                self.current_delta = self.plan.timer_delta
-            elif (self.plan.adaptive is not None
-                  and self._round_pready_times is not None
-                  and n > 2):
-                # Feed last round's non-laggard spread into the tuner.
-                from repro.core.delta import estimate_min_delta
-
-                spread = estimate_min_delta([self._round_pready_times])
-                self.current_delta = self.plan.adaptive.update(
-                    self.current_delta, spread)
-            self.delta_history.append(self.current_delta)
+        active = self._round_plan
+        if active.delta is not None:
+            self.delta_history.append(active.delta)
         self._round_pready_times = [0.0] * n
         self._arrived = np.zeros(n, dtype=bool)
         self._sent = np.zeros(n, dtype=bool)
-        self._flushed = np.zeros(self._active_n_transport, dtype=bool)
+        self._flushed = np.zeros(active.n_transport, dtype=bool)
         atomic_cost = self.sender.software_cost(host.t_atomic)
         self._counters = [
             AtomicCounter(self.env, access_cost=atomic_cost)
-            for _ in range(self._active_n_transport)
+            for _ in range(active.n_transport)
         ]
         self._ready_count = 0
         self._posted = 0
@@ -304,7 +284,8 @@ class NativeVerbsModule(PartitionedModule):
         Shared by ``MPI_Start`` and channel recovery (a reconnected QP
         comes back with whatever survived the flush re-armed here).
         """
-        per_group_max = self.group_size if self._active_delta is not None else 1
+        active = self._round_plan
+        per_group_max = self.group_size if active.delta is not None else 1
         if self.cluster.fabric.faults is not None:
             # A degraded sender may downgrade any group to
             # per-partition sends; stock for that worst case so
@@ -312,8 +293,8 @@ class NativeVerbsModule(PartitionedModule):
             per_group_max = self.group_size
         n_rails = len(self.recv_rails)
         targets = [[0] * self.plan.n_qps for _ in range(n_rails)]
-        for g in range(self._active_n_transport):
-            targets[g % n_rails][g % self._active_n_qps] += per_group_max
+        for g in range(active.n_transport):
+            targets[g % n_rails][g % active.n_qps] += per_group_max
         for rail, rail_targets in zip(self.recv_rails, targets):
             for qp, target in zip(rail, rail_targets):
                 restock(qp, target, lambda: next(_wrid))
@@ -347,7 +328,7 @@ class NativeVerbsModule(PartitionedModule):
         self._round_pready_times[partition] = self.env.now
         self._ready_count += 1
         count = yield from self._counters[group].add_and_fetch(1)
-        if self._active_delta is None:
+        if self._round_plan.delta is None:
             if count == self.group_size:
                 yield from self._post_range(
                     group * self.group_size, self.group_size)
@@ -369,8 +350,7 @@ class NativeVerbsModule(PartitionedModule):
 
     def _timer_wait(self, group: int):
         cfg = self.cluster.config.part
-        delta = (self.current_delta if self.current_delta is not None
-                 else self._active_delta)
+        delta = self._round_plan.delta
         waited = 0.0
         while waited < delta:
             step = min(cfg.timer_poll, delta - waited)
@@ -483,7 +463,7 @@ class NativeVerbsModule(PartitionedModule):
             yield self.sender.software_cost(self.sender.config.host.t_post)
             group = start // self.group_size
             rail = self.send_rails[group % len(self.send_rails)]
-            qp = yield from rail.acquire(group % self._active_n_qps)
+            qp = yield from rail.acquire(group % self._round_plan.n_qps)
             if qp.state is not QPState.RTS:
                 # The channel died under us (wait_rdma_slot fires
                 # immediately on an ERROR QP).  Park the range: channel
@@ -537,7 +517,7 @@ class NativeVerbsModule(PartitionedModule):
             yield self.sender.software_cost(
                 host.t_post + 50e-9 * len(runs))
             rail = self.send_rails[group % len(self.send_rails)]
-            qp = yield from rail.acquire(group % self._active_n_qps)
+            qp = yield from rail.acquire(group % self._round_plan.n_qps)
             if qp.state is not QPState.RTS:
                 if not self._recovery_enabled:
                     from repro.errors import ChannelDownError
@@ -669,7 +649,7 @@ class NativeVerbsModule(PartitionedModule):
         start, _ = unit
         group = start // self.group_size
         rail = self.send_rails[group % len(self.send_rails)]
-        return rail.peek(group % self._active_n_qps).state is QPState.RTS
+        return rail.peek(group % self._round_plan.n_qps).state is QPState.RTS
 
     def _replay_unit(self, unit):
         start, count = unit

@@ -15,7 +15,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.aggregators import AggregationPlan, Aggregator, _qps_for
+from repro.core.aggregators import Aggregator, PlanChoice, _qps_for
 from repro.errors import TuningError
 from repro.units import is_power_of_two, powers_of_two
 
@@ -78,7 +78,7 @@ class TuningTableAggregator(Aggregator):
         n_transport, n_qps = self.table.lookup(
             n_user, n_user * partition_size)
         n_transport = min(n_transport, n_user)
-        return AggregationPlan(n_transport=n_transport, n_qps=n_qps)
+        return PlanChoice(n_transport=n_transport, n_qps=n_qps)
 
     def describe(self):
         return f"tuning-table({len(self.table)} entries)"

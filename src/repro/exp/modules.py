@@ -10,8 +10,8 @@ The descriptor vocabulary:
 ``["ploggp", p]``        :class:`PLogGPAggregator` (``delay`` seconds)
 ``["timer", p]``         :class:`TimerPLogGPAggregator` (``delay``,
                          ``delta``, optional ``scatter_gather``)
-``["adaptive", p]``      :class:`AdaptiveTimerAggregator` with an
-                         :class:`AdaptiveDelta` tuner
+``["adaptive", p]``      online δ: the ``delta_tracker`` autotuner on a
+                         window of one (each round's own spread)
 ``["fixed", p]``         :class:`FixedAggregation` (``n_transport``,
                          ``n_qps``)
 ``["noagg", p]``         :class:`NoAggregation` (optional ``n_qps``)
@@ -65,8 +65,6 @@ def build_module(desc: Optional[Sequence[Any]]):
     if desc is None:
         return None
     from repro.core import (
-        AdaptiveDelta,
-        AdaptiveTimerAggregator,
         FixedAggregation,
         NoAggregation,
         PLogGPAggregator,
@@ -88,14 +86,13 @@ def build_module(desc: Optional[Sequence[Any]]):
             delta=params["delta"],
             scatter_gather=params.get("scatter_gather", False))
     if name == "adaptive":
-        return AdaptiveTimerAggregator(
-            NIAGARA_LOGGP,
-            delay=params.get("delay", ms(4)),
-            initial_delta=params["initial_delta"],
-            adaptive=AdaptiveDelta(
-                alpha=params["alpha"], margin=params["margin"],
-                min_delta=params["min_delta"],
-                max_delta=params["max_delta"]))
+        # An autotune descriptor by another name: the δ-tracker at a
+        # window of one and the top quantile, so δ follows each round's
+        # own non-laggard spread (alpha/margin/min/max pass through).
+        name, params = "autotune", {
+            **params, "policy": "delta_tracker",
+            "delta": params["initial_delta"], "quantile": 1.0,
+            "tracker_window": 1, "warm_rounds": 1}
     if name == "fixed":
         return FixedAggregation(params["n_transport"], params["n_qps"])
     if name == "noagg":

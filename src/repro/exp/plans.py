@@ -4,7 +4,7 @@
 experiment into the communication plan the transport engine would run
 it with: module descriptors are rebuilt
 (:func:`repro.exp.modules.build_module`), aggregators are asked for
-their ``AggregationPlan`` at the point's workload shape, and the
+their ``PlanChoice`` at the point's workload shape, and the
 result goes through :func:`repro.plan.module_plan`.  Plans print
 canonically, so the rendered text is stable across runs and doubles
 as a golden in CI — a change anywhere in the module → plan → lowering

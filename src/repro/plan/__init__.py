@@ -12,8 +12,6 @@ the add-a-pass walkthrough.  Quick tour::
 """
 
 from repro.plan.build import (
-    aggregation_plan,
-    choice_plan,
     default_ladder_plan,
     leaf_plan,
     module_plan,
@@ -62,9 +60,8 @@ __all__ = [
     "Partition", "QPPool", "Aggregate", "Stripe", "Tree",
     "Persist", "Channel", "Native", "Send", "Edge", "Fallback",
     # parse / build
-    "parse", "leaf_plan", "choice_plan", "aggregation_plan",
-    "default_ladder_plan", "substitute_native", "spec_to_plan",
-    "module_plan",
+    "parse", "leaf_plan", "default_ladder_plan", "substitute_native",
+    "spec_to_plan", "module_plan",
     # passes
     "PassContext", "PassPipeline", "RewritePass", "rewrite_plans",
     "Legalize", "MaterializeSends", "SplitOversizedWRs",

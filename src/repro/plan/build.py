@@ -1,10 +1,11 @@
 """Constructors bridging the existing decision objects and the IR.
 
-Everything here is a pure translation: a 3-knob choice, an
-``AggregationPlan``, or a ``ModuleSpec`` tree in; a :class:`Plan`
-out (or back).  The translations are inverses where that is
-meaningful — ``spec_to_plan(lower(p)) == p`` for lowered leaf plans —
-so the IR can wrap the current system without changing any decision.
+Everything here is a pure translation: the three knobs or a
+``ModuleSpec`` tree in; a :class:`Plan` out.  The leaf form is one
+value with two spellings — ``PlanChoice.plan`` / ``PlanChoice.from_plan``
+(:mod:`repro.core.aggregators`) are inverses — and
+``spec_to_plan(lower(p)) == p`` for lowered leaf plans, so the IR can
+wrap the current system without changing any decision.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.plan.ir import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.aggregators import AggregationPlan, Aggregator
+    from repro.core.aggregators import Aggregator
     from repro.mpi.modules import ModuleSpec
 
 
@@ -37,19 +38,6 @@ def leaf_plan(n_transport: int, n_qps: int,
     if delta is not None or scatter_gather:
         ops.append(Aggregate(delta=delta, sg=scatter_gather))
     return Plan(tuple(ops))
-
-
-def choice_plan(choice) -> Plan:
-    """Plan for an autotune ``PlanChoice`` (duck-typed: 3 knobs)."""
-    return leaf_plan(choice.n_transport, choice.n_qps,
-                     delta=choice.delta)
-
-
-def aggregation_plan(agg: "AggregationPlan") -> Plan:
-    """Plan for a resolved per-request ``AggregationPlan``."""
-    return leaf_plan(agg.n_transport, agg.n_qps,
-                     delta=agg.timer_delta,
-                     scatter_gather=agg.scatter_gather)
 
 
 def default_ladder_plan(strategy: Optional[str] = None) -> Plan:
@@ -124,9 +112,7 @@ def spec_to_plan(spec: "ModuleSpec") -> Plan:
     if isinstance(spec, NativeSpec):
         agg = spec.aggregator
         if isinstance(agg, FixedAggregation):
-            return leaf_plan(agg.n_transport, agg.n_qps,
-                             delta=agg.timer_delta,
-                             scatter_gather=agg.scatter_gather)
+            return agg.choice.plan
         return Plan((Native(strategy=_strategy_name(agg)),))
     raise PlanError(f"no plan form for module spec {spec.name!r}")
 
@@ -149,7 +135,7 @@ def module_plan(module, n_user: int, partition_size: int,
 
     ``module`` follows the ``repro.coll`` convention: ``None`` means
     the persist baseline, an ``Aggregator`` is asked for its
-    ``AggregationPlan`` at this workload, and a ``ModuleSpec``
+    ``PlanChoice`` at this workload, and a ``ModuleSpec``
     recovers through :func:`spec_to_plan`.
     """
     from repro.core.aggregators import Aggregator
@@ -158,8 +144,7 @@ def module_plan(module, n_user: int, partition_size: int,
     if module is None:
         return Plan((Persist(),))
     if isinstance(module, Aggregator):
-        return aggregation_plan(
-            module.plan(n_user, partition_size, config))
+        return module.plan(n_user, partition_size, config).plan
     if isinstance(module, ModuleSpec):
         return spec_to_plan(module)
     raise PlanError(f"cannot derive a plan from {module!r}")

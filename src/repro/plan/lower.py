@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.config import ClusterConfig
 from repro.plan.ir import (
-    Aggregate,
     Channel,
     Fallback,
     Native,
@@ -42,7 +41,6 @@ from repro.plan.ir import (
     Persist,
     Plan,
     PlanError,
-    QPPool,
 )
 from repro.plan.passes import PassContext, lowering_pipeline
 
@@ -85,24 +83,18 @@ def _emit(plan: Plan) -> "ModuleSpec":
             "preferred transport first (repro.plan.build."
             "substitute_native)")
 
-    part = plan.first(Partition)
-    if part is None:
+    if plan.first(Partition) is None:
         raise PlanError(
             f"cannot lower plan starting with {head.name!r}: "
             f"expected fallback/persist/channel or a partition(n) leaf")
 
-    from repro.core.aggregators import FixedAggregation
+    from repro.core.aggregators import FixedAggregation, PlanChoice
     from repro.core.module import NativeSpec
 
-    pool = plan.first(QPPool)
-    agg = plan.first(Aggregate)
-    aggregator = FixedAggregation(
-        n_transport=part.n,
-        n_qps=pool.n if pool is not None else 1,
-        timer_delta=agg.delta if agg is not None else None,
-        scatter_gather=agg.sg if agg is not None else False,
-    )
-    return NativeSpec(aggregator)
+    choice = PlanChoice.from_plan(plan)
+    return NativeSpec(FixedAggregation(
+        choice.n_transport, choice.n_qps, timer_delta=choice.delta,
+        scatter_gather=choice.scatter_gather))
 
 
 def lower_edges(plan: Plan, config: Optional[ClusterConfig] = None,

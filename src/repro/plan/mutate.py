@@ -27,15 +27,12 @@ def neighbors(plan: Plan, n_user: int, config: ClusterConfig,
               deltas: Iterable[Optional[float]] = (),
               qp_cap: Optional[int] = None) -> list[Plan]:
     """Single-step mutations of a leaf plan, legalized and deduped."""
-    from repro.core.aggregators import _qps_for
+    from repro.core.aggregators import PlanChoice, _qps_for
 
-    part = plan.first(Partition)
-    if part is None:
+    if plan.first(Partition) is None:
         return []
-    pool = plan.first(QPPool)
-    agg = plan.first(Aggregate)
-    n_qps = pool.n if pool is not None else 1
-    delta = agg.delta if agg is not None else None
+    here = PlanChoice.from_plan(plan)
+    n, n_qps, delta = here.n_transport, here.n_qps, here.delta
 
     candidates: list[Plan] = []
 
@@ -57,34 +54,36 @@ def neighbors(plan: Plan, n_user: int, config: ClusterConfig,
                     continue
                 op = replace(op, delta=new_delta)
             ops.append(op)
-        if pool is None and qps != n_qps:
+        # Knobs the plan left implicit (one QP, no timer) grow an op.
+        kept = {type(op) for op in ops}
+        if QPPool not in kept and qps != 1:
             ops.append(QPPool(n=qps))
-        if agg is None and new_delta is not None:
+        if Aggregate not in kept and new_delta is not None:
             ops.append(Aggregate(delta=new_delta))
         candidates.append(Plan(tuple(ops)))
 
     # Partition moves (stay on powers of two; legalize re-rounds the
     # n_user clamp if it lands off-grid).
-    _variant(part.n * 2, n_qps, delta)
-    if part.n > 1:
-        _variant(part.n // 2, n_qps, delta)
+    _variant(n * 2, n_qps, delta)
+    if n > 1:
+        _variant(n // 2, n_qps, delta)
 
     # QP-pool moves: halve/double plus the two concurrency caps the
     # model-seeded grid uses.
     qp_moves = {n_qps * 2, max(1, n_qps // 2),
-                _qps_for(part.n, part.n, config),
-                _qps_for(part.n, n_user, config)}
+                _qps_for(n, n, config),
+                _qps_for(n, n_user, config)}
     for qps in sorted(qp_moves):
         if qps != n_qps:
-            _variant(part.n, qps, delta)
+            _variant(n, qps, delta)
 
     # δ moves: toggle to each candidate value, and rescale a live δ.
     for candidate in deltas:
         if candidate != delta:
-            _variant(part.n, n_qps, candidate)
+            _variant(n, n_qps, candidate)
     if delta is not None:
-        _variant(part.n, n_qps, delta * 2)
-        _variant(part.n, n_qps, delta / 2)
+        _variant(n, n_qps, delta * 2)
+        _variant(n, n_qps, delta / 2)
 
     legalize = Legalize()
     ctx = PassContext(config=config, n_user=n_user)

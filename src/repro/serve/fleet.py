@@ -85,7 +85,7 @@ def run_served_tenants(root: str,
     # of the shard directory holding the entry.
     audit_client = ServeClient(LocalTransport(service))
     served = audit_client.get(store_key)
-    shard_dir = service.store.shard_root(service.store.shard_of(store_key))
+    shard_dir = service.store.shards[service.store.shard_of(store_key)].root
     direct = TuningStore(shard_dir).get(store_key)
     bit_identical = (served is not None and direct is not None
                      and served.as_dict() == direct.as_dict())

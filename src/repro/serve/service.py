@@ -110,13 +110,13 @@ class TuningService:
         """
         if self.max_entries_per_shard <= 0:
             return
-        while self.store.count_shard(index) > self.max_entries_per_shard:
+        shard = self.store.shards[index]
+        while shard.count() > self.max_entries_per_shard:
             candidates = []
-            shard = self.store.shard_root(index)
-            for digest in self.store.shard_digests(index):
+            for digest in shard.digests():
                 if digest == keep:
                     continue
-                payload = self.store._load(shard / f"{digest}.json")
+                payload = shard.load(shard.root / f"{digest}.json")
                 meta = (payload or {}).get("meta") or {}
                 confidence = int(meta.get("rounds_observed", 0) or 0)
                 recency = self._last_access.get(digest, 0)
@@ -124,7 +124,7 @@ class TuningService:
             if not candidates:
                 return
             _, _, victim = min(candidates)
-            if self.store._delete_path(shard / f"{victim}.json"):
+            if self.store._delete_path(shard.root / f"{victim}.json"):
                 self.evicted_entries += 1
             self.cache.invalidate(victim)
             self._last_access.pop(victim, None)
@@ -176,8 +176,7 @@ class TuningService:
 
     def stats(self) -> dict:
         with self._lock:
-            shard_counts = [self.store.count_shard(i)
-                            for i in range(self.store.n_shards)]
+            shard_counts = [shard.count() for shard in self.store.shards]
             return {
                 "root": str(self.store.root),
                 "n_shards": self.store.n_shards,

@@ -3,10 +3,10 @@
 Entries are routed to a shard by a prefix of their content digest
 (:func:`repro.autotune.store.entry_digest`), so the shard of a key is a
 pure function of the key — any process, thread, or service replica
-computes the same route with no coordination.  Each shard directory is
-a plain :class:`~repro.autotune.TuningStore` layout (same schema, same
-file naming), which keeps two properties the rest of the repo depends
-on:
+computes the same route with no coordination.  Each shard *is* a
+:class:`~repro.autotune.TuningStore` (this module reads, writes and
+enumerates entry files only through it), which keeps two properties
+the rest of the repo depends on:
 
 * a service-served plan is **bit-identical** to what a direct
   ``TuningStore(shard_dir).get(key)`` returns (goldens unchanged);
@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from repro.autotune.policy import PlanChoice
-from repro.autotune.store import SCHEMA, entry_digest
+from repro.autotune.store import TuningStore, entry_digest
 from repro.errors import ConfigError, ReproError
 
 try:  # POSIX advisory locks; the CI and dev containers are Linux.
@@ -100,8 +100,10 @@ class ShardedStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.n_shards = self._pin_manifest(n_shards)
-        #: Corrupt or alien-schema files seen by this handle's reads.
-        self.corrupt_entries = 0
+        #: One flat store per shard; all entry-file I/O goes through it
+        #: (and bad files are counted on it).
+        self.shards = [TuningStore(self.root / f"shard-{i:02d}")
+                       for i in range(self.n_shards)]
         #: Compare-and-swap rejections served by this handle.
         self.conflicts = 0
         #: Successful commits through this handle.
@@ -117,22 +119,32 @@ class ShardedStore:
         the first opener wins and later mismatches are hard errors.
         """
         path = self.root / MANIFEST
-        try:
-            manifest = json.loads(path.read_text())
-        except FileNotFoundError:
-            manifest = None
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"unreadable shard manifest {path}: {exc}")
-        if manifest is None:
+        while True:
+            try:
+                manifest = json.loads(path.read_text())
+                break
+            except FileNotFoundError:
+                pass
+            except (OSError, ValueError) as exc:
+                raise ConfigError(
+                    f"unreadable shard manifest {path}: {exc}")
             pinned = (n_shards if n_shards is not None
                       else self.DEFAULT_SHARDS)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump({"schema": MANIFEST_SCHEMA,
-                           "n_shards": pinned}, fh)
-                fh.write("\n")
-            os.replace(tmp, path)
-            return pinned
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    json.dump({"schema": MANIFEST_SCHEMA,
+                               "n_shards": pinned}, fh)
+                    fh.write("\n")
+                # link, not replace: it refuses to overwrite, so of two
+                # openers racing on a fresh root exactly one creates
+                # the manifest and the other verifies against it.
+                os.link(tmp, path)
+                return pinned
+            except FileExistsError:
+                pass
+            finally:
+                os.unlink(tmp)
         if manifest.get("schema") != MANIFEST_SCHEMA:
             raise ConfigError(
                 f"{path} is not a serve-store manifest "
@@ -151,52 +163,54 @@ class ShardedStore:
     def shard_of_digest(self, digest: str) -> int:
         return int(digest[:8], 16) % self.n_shards
 
-    def shard_root(self, index: int) -> Path:
-        """The shard directory (a plain TuningStore layout), created."""
-        path = self.root / f"shard-{index:02d}"
-        path.mkdir(parents=True, exist_ok=True)
-        return path
+    def _locate(self, key: dict) -> tuple[TuningStore, Path]:
+        digest = entry_digest(key)
+        shard = self.shards[self.shard_of_digest(digest)]
+        return shard, shard.root / f"{digest}.json"
 
     def path_for(self, key: dict) -> Path:
-        digest = entry_digest(key)
-        return self.shard_root(self.shard_of_digest(digest)) \
-            / f"{digest}.json"
+        return self._locate(key)[1]
+
+    @property
+    def corrupt_entries(self) -> int:
+        """Corrupt or alien-schema files seen by this handle's reads."""
+        return sum(shard.corrupt_entries for shard in self.shards)
 
     @contextmanager
     def _entry_lock(self, path: Path):
-        """Per-entry advisory write lock (readers stay lock-free)."""
+        """Per-entry advisory write lock (readers stay lock-free).
+
+        Deleting an entry unlinks its lock file, so a writer that
+        opened the file just before may be granted the lock on an
+        inode no path names any more while the next writer locks a
+        fresh file — two holders.  The lock is therefore held only
+        once the grant is on the inode the path *still* names;
+        otherwise reopen and queue again.
+        """
         lock_path = path.with_suffix(".lock")
-        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            if fcntl is not None:
+        while True:
+            fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+            try:
+                if fcntl is None:
+                    break
                 fcntl.flock(fd, fcntl.LOCK_EX)
+                if os.path.samestat(os.fstat(fd), os.stat(lock_path)):
+                    break
+            except FileNotFoundError:
+                pass  # unlinked under us, nothing recreated it yet
+            except BaseException:
+                os.close(fd)
+                raise
+            os.close(fd)
+        try:
             yield
         finally:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
+            os.close(fd)  # closing the description drops the flock
 
     # -- reads ----------------------------------------------------------
 
-    def _load(self, path: Path) -> Optional[dict]:
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.corrupt_entries += 1
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            self.corrupt_entries += 1
-            return None
-        if payload.get("schema") != SCHEMA:
-            self.corrupt_entries += 1
-            return None
-        return payload
-
-    def _entry(self, payload: dict) -> Optional[ServedEntry]:
+    def _entry(self, shard: TuningStore,
+               payload: dict) -> Optional[ServedEntry]:
         try:
             return ServedEntry(
                 key=payload["key"],
@@ -204,15 +218,16 @@ class ShardedStore:
                 version=int(payload.get("version", 1)),
                 meta=payload.get("meta") or {})
         except (KeyError, TypeError, ValueError, ReproError):
-            self.corrupt_entries += 1
+            shard.corrupt_entries += 1
             return None
 
     def read(self, key: dict) -> Optional[ServedEntry]:
         """The current versioned entry for ``key`` (None = miss)."""
-        payload = self._load(self.path_for(key))
+        shard, path = self._locate(key)
+        payload = shard.load(path)
         if payload is None:
             return None
-        return self._entry(payload)
+        return self._entry(shard, payload)
 
     def get(self, key: dict) -> Optional[PlanChoice]:
         """TuningStore-compatible read (plan only)."""
@@ -220,28 +235,6 @@ class ShardedStore:
         return entry.choice if entry is not None else None
 
     # -- writes ---------------------------------------------------------
-
-    def _write(self, path: Path, key: dict, choice: PlanChoice,
-               meta: dict, version: int) -> None:
-        payload = {
-            "schema": SCHEMA,
-            "key": key,
-            "plan": choice.as_dict(),
-            "meta": meta,
-            "version": version,
-        }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def commit(self, key: dict, choice: PlanChoice,
                meta: Optional[dict] = None,
@@ -255,10 +248,11 @@ class ShardedStore:
         written and the current entry is returned with
         ``committed=False``.
         """
-        path = self.path_for(key)
+        shard, path = self._locate(key)
         with self._entry_lock(path):
-            payload = self._load(path)
-            current = self._entry(payload) if payload is not None else None
+            payload = shard.load(path)
+            current = (self._entry(shard, payload)
+                       if payload is not None else None)
             current_version = current.version if current is not None else 0
             if (expect_version is not None
                     and current_version != expect_version):
@@ -273,7 +267,8 @@ class ShardedStore:
             entry = ServedEntry(key=key, choice=choice,
                                 version=current_version + 1,
                                 meta=dict(meta or {}))
-            self._write(path, key, choice, entry.meta, entry.version)
+            shard.write(path, key, choice, entry.meta,
+                        version=entry.version)
             self.commits += 1
             return CommitResult(entry=entry, committed=True)
 
@@ -294,41 +289,31 @@ class ShardedStore:
                 existed = True
             except FileNotFoundError:
                 existed = False
-        try:
-            os.unlink(path.with_suffix(".lock"))
-        except FileNotFoundError:
-            pass
+            # Still holding the lock: whoever is queued on this inode
+            # finds the path no longer names it and retries.
+            try:
+                os.unlink(path.with_suffix(".lock"))
+            except FileNotFoundError:
+                pass
         return existed
 
     # -- enumeration ----------------------------------------------------
 
-    def shard_digests(self, index: int) -> list[str]:
-        """Digests stored in one shard (cheap: file names, no parse)."""
-        return sorted(p.stem for p in self.shard_root(index).glob("*.json"))
-
-    def count_shard(self, index: int) -> int:
-        return sum(1 for _ in self.shard_root(index).glob("*.json"))
-
     def count(self) -> int:
         """Total entries across shards (cheap, no parse)."""
-        return sum(self.count_shard(i) for i in range(self.n_shards))
+        return sum(shard.count() for shard in self.shards)
 
     def entries(self) -> list[dict]:
         """Every readable entry payload, shard-major, digest order."""
-        out = []
-        for i in range(self.n_shards):
-            for digest in self.shard_digests(i):
-                payload = self._load(self.shard_root(i)
-                                     / f"{digest}.json")
-                if payload is not None:
-                    out.append(payload)
-        return out
+        return [payload for shard in self.shards
+                for payload in shard.entries()]
 
     def iter_entries(self) -> Iterator[ServedEntry]:
-        for payload in self.entries():
-            entry = self._entry(payload)
-            if entry is not None:
-                yield entry
+        for shard in self.shards:
+            for payload in shard.entries():
+                entry = self._entry(shard, payload)
+                if entry is not None:
+                    yield entry
 
     def purge_plan_space(self, plan_space_digest: str) -> int:
         """Delete every entry keyed to one ``plan_space`` digest.
@@ -339,11 +324,10 @@ class ShardedStore:
         looked up again.  Returns the number of entries removed.
         """
         removed = 0
-        for i in range(self.n_shards):
-            shard = self.shard_root(i)
-            for digest in self.shard_digests(i):
-                path = shard / f"{digest}.json"
-                payload = self._load(path)
+        for shard in self.shards:
+            for digest in shard.digests():
+                path = shard.root / f"{digest}.json"
+                payload = shard.load(path)
                 if payload is None:
                     continue
                 key = payload.get("key") or {}

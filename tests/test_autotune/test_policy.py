@@ -35,8 +35,13 @@ def test_plan_choice_validation():
 
 
 def test_plan_choice_dict_round_trip():
-    for choice in (PlanChoice(8, 2, us(35)), PlanChoice(4, 1)):
+    for choice in (PlanChoice(8, 2, us(35)), PlanChoice(4, 1),
+                   PlanChoice(1, 1, us(5), scatter_gather=True)):
         assert PlanChoice.from_dict(choice.as_dict()) == choice
+    # The flag is written only when set: entries stored before it
+    # existed stay byte-identical.
+    assert PlanChoice(4, 1).as_dict() == {
+        "n_transport": 4, "n_qps": 1, "delta": None}
 
 
 def test_static_policy_is_constant_and_confident():
@@ -58,8 +63,9 @@ def test_delta_tracker_moves_toward_observed_spread():
     policy = DeltaTrackerPolicy(base, margin=1.0, alpha=1.0,
                                 max_delta=us(3000))
     tracker = ArrivalTracker()
-    tracker.observe([0.0, 10e-6, 20e-6, 4e-3])  # laggard excluded
-    policy.observe(policy.choose(0), obs(0, 1.0), tracker)
+    pready = [0.0, 10e-6, 20e-6, 4e-3]  # laggard excluded
+    tracker.observe(pready)
+    policy.observe(policy.choose(0), obs(0, 1.0, pready), tracker)
     assert policy.choose(1).delta == pytest.approx(20e-6)
     # Layout never moves, only delta.
     assert policy.choose(1).n_transport == base.n_transport
@@ -74,11 +80,11 @@ def test_delta_tracker_clamps_and_warms_up():
     tracker = ArrivalTracker()
     # Non-laggard spread of 1ms (the 2ms laggard is dropped) -> clamp high.
     tracker.observe([0.0, 1e-3, 2e-3])
-    policy.observe(policy.choose(0), obs(0, 1.0), tracker)
+    policy.observe(policy.choose(0), obs(0, 1.0, [0.0, 1e-3, 2e-3]), tracker)
     assert policy.choose(1).delta == pytest.approx(us(200))
     assert not policy.confident
     tracker.observe([0.0, 0.0, 0.0])  # zero spread -> clamp low
-    policy.observe(policy.choose(1), obs(1, 1.0), tracker)
+    policy.observe(policy.choose(1), obs(1, 1.0, [0.0, 0.0, 0.0]), tracker)
     assert policy.choose(2).delta >= us(10)
     assert policy.confident
 
@@ -128,7 +134,7 @@ def test_bandit_ucb_revisits_underplayed_arms():
         policy.observe(choice, obs(r, 1.0 if choice == arms[0] else 1.01),
                        ArrivalTracker())
     # A large exploration bonus keeps both arms in play.
-    assert all(p > 1 for p in policy._plays)
+    assert all(policy._plays[arm] > 1 for arm in arms)
 
 
 def test_bandit_confidence_requires_full_sweep():
@@ -146,7 +152,8 @@ def test_bandit_ignores_foreign_choice():
     arms = [PlanChoice(1, 1)]
     policy = BanditPolicy(arms)
     policy.observe(PlanChoice(32, 4), obs(0, 1.0), ArrivalTracker())
-    assert policy._plays == [0]
+    assert policy.mean_cost(arms[0]) is None
+    assert policy.mean_cost(PlanChoice(32, 4)) is None
 
 
 def test_bandit_validation():

@@ -17,6 +17,7 @@ if __package__ in (None, ""):
 from tests.test_bench.test_golden import (
     GOLDEN_DIR,
     encode,
+    run_ext_ablations_mini,
     run_ext_stencil_mini,
     run_fig14_mini,
 )
@@ -38,6 +39,7 @@ def main() -> None:
         "fig08_mini.json": run_fig8([4, 32], SIZES_FAST, FAST_PTP, 3),
         "fig14_mini.json": run_fig14_mini(),
         "ext_stencil_mini.json": run_ext_stencil_mini(),
+        "ext_ablations_mini.json": run_ext_ablations_mini(),
     }
     for name, result in goldens.items():
         path = GOLDEN_DIR / name

@@ -95,6 +95,18 @@ def run_ext_stencil_mini():
     return out
 
 
+def run_ext_ablations_mini():
+    """The six ``ext_ablations`` fast points: timer, timer+SG, persist,
+    two fixed δ and the ``["adaptive", p]`` descriptor (online δ)."""
+    from repro.exp import get_experiment
+    from repro.exp.profiles import get_profile
+    from repro.exp.runner import Runner
+
+    spec = get_experiment("ext_ablations").build(get_profile("fast"))
+    results = Runner(jobs=1, cache=None).run(spec.points)
+    return {f"{pt.kind} {pt.key}": res for pt, res in results.items()}
+
+
 def test_fig14_mini_sweep_matches_golden():
     result = encode(run_fig14_mini())
     assert json.loads(json.dumps(result)) == load("fig14_mini.json")
@@ -103,3 +115,8 @@ def test_fig14_mini_sweep_matches_golden():
 def test_ext_stencil_mini_matches_golden():
     result = encode(run_ext_stencil_mini())
     assert json.loads(json.dumps(result)) == load("ext_stencil_mini.json")
+
+
+def test_ext_ablations_mini_matches_golden():
+    result = encode(run_ext_ablations_mini())
+    assert json.loads(json.dumps(result)) == load("ext_ablations_mini.json")

@@ -4,10 +4,10 @@ import pytest
 
 from repro.config import NIAGARA
 from repro.core import (
-    AggregationPlan,
     FixedAggregation,
     NoAggregation,
     PLogGPAggregator,
+    PlanChoice,
     TimerPLogGPAggregator,
 )
 from repro.errors import ConfigError
@@ -17,18 +17,18 @@ from repro.units import KiB, MiB, ms, us
 
 def test_plan_validation():
     with pytest.raises(ConfigError):
-        AggregationPlan(n_transport=3, n_qps=1)
+        PlanChoice(n_transport=3, n_qps=1)
     with pytest.raises(ConfigError):
-        AggregationPlan(n_transport=4, n_qps=0)
+        PlanChoice(n_transport=4, n_qps=0)
     with pytest.raises(ConfigError):
-        AggregationPlan(n_transport=4, n_qps=1, timer_delta=-1.0)
+        PlanChoice(n_transport=4, n_qps=1, delta=-1.0)
 
 
 def test_fixed_aggregation_passthrough():
     plan = FixedAggregation(8, 4).plan(32, 1 * KiB, NIAGARA)
     assert plan.n_transport == 8
     assert plan.n_qps == 4
-    assert plan.timer_delta is None
+    assert plan.delta is None
 
 
 def test_fixed_aggregation_clamped_to_user_count():
@@ -86,13 +86,13 @@ def test_ploggp_validation():
 def test_timer_plan_arms_delta():
     agg = TimerPLogGPAggregator(NIAGARA_LOGGP, delay=ms(4), delta=us(35))
     plan = agg.plan(32, 256 * KiB, NIAGARA)
-    assert plan.timer_delta == pytest.approx(us(35))
+    assert plan.delta == pytest.approx(us(35))
 
 
 def test_timer_default_delta_from_config():
     agg = TimerPLogGPAggregator(NIAGARA_LOGGP, delay=ms(4))
     plan = agg.plan(32, 256 * KiB, NIAGARA)
-    assert plan.timer_delta == pytest.approx(NIAGARA.part.timer_delta)
+    assert plan.delta == pytest.approx(NIAGARA.part.timer_delta)
 
 
 def test_timer_qps_sized_for_worst_case():

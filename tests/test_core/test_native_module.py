@@ -2,7 +2,6 @@
 semantics, timer dynamics."""
 
 import numpy as np
-import pytest
 
 from repro.core import FixedAggregation, NativeSpec
 from repro.mem import PartitionedBuffer

@@ -1,9 +1,8 @@
 """Tests for the scatter/gather flush ablation (rejected in Section IV-D)."""
 
 import numpy as np
-import pytest
 
-from repro.core import FixedAggregation, NativeSpec, TimerPLogGPAggregator
+from repro.core import FixedAggregation, TimerPLogGPAggregator
 from repro.model.tables import NIAGARA_LOGGP
 from repro.units import KiB, ms, us
 from tests.test_core.test_native_module import run_with_arrivals

@@ -11,7 +11,6 @@ from repro.plan import (
     Native,
     Partition,
     Persist,
-    Plan,
     PlanError,
     QPPool,
     Send,

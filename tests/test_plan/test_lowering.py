@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.pair import run_partitioned_pair
 from repro.config import NIAGARA
-from repro.core import FixedAggregation, PLogGPAggregator
+from repro.core import FixedAggregation, PLogGPAggregator, PlanChoice
 from repro.core.module import NativeSpec
 from repro.model.tables import NIAGARA_LOGGP
 from repro.mpi.channel_module import ChannelSpec
@@ -49,9 +49,8 @@ def test_lower_leaf_with_delta_and_sg():
     spec = lower(leaf_plan(8, 2, delta=3.5e-05, scatter_gather=True))
     agg = spec.aggregator
     assert isinstance(agg, FixedAggregation)
-    assert (agg.n_transport, agg.n_qps) == (8, 2)
-    assert agg.timer_delta == 3.5e-05
-    assert agg.scatter_gather
+    assert agg.choice == PlanChoice(8, 2, delta=3.5e-05,
+                                    scatter_gather=True)
 
 
 def test_lower_baselines_and_ladder():
@@ -97,7 +96,7 @@ def test_lower_edges_memoizes_and_falls_back_to_default():
     resolve = lower_edges(p, config=NIAGARA)
     assert resolve(1) is resolve(2)  # digest-memoized shared spec
     default = resolve(99)
-    assert default.aggregator.n_transport == 8
+    assert default.aggregator.choice.n_transport == 8
     assert resolve(98) is default
 
 
@@ -106,7 +105,7 @@ def test_lower_edges_without_default_rejects_unknown_neighbor():
 
     p = Plan((Edge(neighbor=1, body=leaf_plan(4, 2)),))
     resolve = lower_edges(p)
-    assert resolve(1).aggregator.n_transport == 4
+    assert resolve(1).aggregator.choice.n_transport == 4
     with pytest.raises(PlanError):
         resolve(2)
 
@@ -126,6 +125,6 @@ def test_module_plan_covers_the_coll_module_vocabulary():
 
 def test_legalization_happens_before_emission():
     spec = lower(leaf_plan(12, 64), config=NIAGARA)
-    agg = spec.aggregator
-    assert agg.n_transport == 8  # rounded down to a power of two
-    assert agg.n_qps <= min(8, NIAGARA.nic.max_qps)
+    choice = spec.aggregator.choice
+    assert choice.n_transport == 8  # rounded down to a power of two
+    assert choice.n_qps <= min(8, NIAGARA.nic.max_qps)

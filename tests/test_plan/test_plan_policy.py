@@ -1,14 +1,15 @@
 """PlanMutationPolicy: IR-native search that rides the controller."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.autotune import PlanChoice, PlanMutationPolicy, plan_to_choice
+from repro.autotune import PlanChoice, PlanMutationPolicy
 from repro.autotune.observe import IterationObservation
 from repro.bench.autotune import run_autotuned_pair
 from repro.config import NIAGARA
 from repro.errors import ConfigError
-from repro.plan import choice_plan, leaf_plan, plan
-from repro.plan import Persist
+from repro.plan import Persist, leaf_plan, parse, plan
 
 N_USER = 16
 TOTAL = 1 << 20
@@ -25,12 +26,23 @@ def _policy(**kwargs) -> PlanMutationPolicy:
     return PlanMutationPolicy(leaf_plan(4, 2), **defaults)
 
 
-def test_plan_to_choice_is_inverse_of_choice_plan():
-    for choice in (PlanChoice(8, 2), PlanChoice(1, 1),
-                   PlanChoice(4, 2, delta=3.5e-05)):
-        assert plan_to_choice(choice_plan(choice)) == choice
+@given(n_transport=st.integers(0, 16).map(lambda e: 1 << e),
+       n_qps=st.integers(1, 4096),
+       delta=st.none() | st.floats(min_value=0.0, allow_nan=False,
+                                   allow_infinity=False),
+       sg=st.booleans())
+def test_choice_and_leaf_plan_are_one_value(n_transport, n_qps, delta, sg):
+    """Every legal (transport partitions, QPs, δ, sg) survives
+    choice -> plan -> text -> plan -> choice, digest unchanged."""
+    choice = PlanChoice(n_transport, n_qps, delta, scatter_gather=sg)
+    reparsed = parse(choice.plan.text)
+    assert PlanChoice.from_plan(reparsed) == choice
+    assert reparsed.digest == choice.plan.digest
+
+
+def test_from_plan_rejects_non_leaf_plans():
     with pytest.raises(ConfigError):
-        plan_to_choice(plan(Persist()))
+        PlanChoice.from_plan(plan(Persist()))
 
 
 def test_frontier_starts_with_seed_and_provisioning_envelope():
@@ -49,7 +61,7 @@ def test_unplayed_frontier_is_swept_before_exploitation():
     seen = []
     for rnd in range(len(policy.frontier())):
         choice = policy.choose(rnd)
-        seen.append(choice_plan(choice).digest)
+        seen.append(choice.plan.digest)
         policy.observe(choice, _obs(1.0 + rnd, rnd), None)
     assert seen == [p.digest for p in policy.frontier()[:len(seen)]]
 
@@ -77,7 +89,6 @@ def test_converges_to_planted_optimum_and_reports_confident():
             break
     assert policy.confident
     assert policy.best() == target
-    assert policy.best_plan_ir() == choice_plan(target)
     assert policy.describe().startswith("plan-mutation(")
 
 

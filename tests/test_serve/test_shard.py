@@ -1,6 +1,7 @@
 """Sharded backend: routing, versions, CAS, TuningStore compatibility."""
 
 import json
+import os
 
 import pytest
 
@@ -71,7 +72,7 @@ def test_cas_on_absent_entry_expects_zero(tmp_path):
 def test_shard_dir_reads_as_plain_tuning_store(tmp_path):
     store = ShardedStore(tmp_path, n_shards=4)
     store.put(key(), choice(8), meta={"rounds_observed": 5})
-    shard_dir = store.shard_root(store.shard_of(key()))
+    shard_dir = store.shards[store.shard_of(key())].root
     direct = TuningStore(shard_dir).get(key())
     assert direct is not None
     assert direct.as_dict() == store.get(key()).as_dict()
@@ -96,7 +97,7 @@ def test_delete_and_counts(tmp_path):
     for i in range(6):
         store.put(key(i), choice())
     assert store.count() == 6 == len(store)
-    assert sum(store.count_shard(i) for i in range(2)) == 6
+    assert sum(shard.count() for shard in store.shards) == 6
     assert store.delete(key(0))
     assert not store.delete(key(0))
     assert store.count() == 5
@@ -122,3 +123,74 @@ def test_entries_enumeration(tmp_path):
     assert all(p["version"] == 1 for p in payloads)
     served = list(store.iter_entries())
     assert {e.meta["i"] for e in served} == set(range(5))
+
+
+def race_a_second_opener(monkeypatch, root, n_shards):
+    """Between the next opener's "no manifest" read and its write,
+    another process opens ``root`` with its own geometry."""
+    import pathlib
+
+    real_read_text = pathlib.Path.read_text
+    raced = []
+
+    def read_text(path, *args, **kwargs):
+        try:
+            return real_read_text(path, *args, **kwargs)
+        except FileNotFoundError:
+            if path.name == "serve.json" and not raced:
+                raced.append(True)
+                ShardedStore(root, n_shards=n_shards)
+            raise
+
+    monkeypatch.setattr(pathlib.Path, "read_text", read_text)
+
+
+def test_first_opener_wins_the_manifest_race(tmp_path, monkeypatch):
+    """Two openers of a fresh root both read "no manifest"; exactly one
+    may create it, and the other must verify against the winner."""
+    race_a_second_opener(monkeypatch, tmp_path, n_shards=4)
+    with pytest.raises(ConfigError):
+        ShardedStore(tmp_path, n_shards=8)
+    assert ShardedStore(tmp_path).n_shards == 4
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_manifest_race_loser_adopts_the_pinned_count(tmp_path, monkeypatch):
+    race_a_second_opener(monkeypatch, tmp_path, n_shards=4)
+    assert ShardedStore(tmp_path).n_shards == 4
+
+
+def test_entry_lock_survives_a_concurrent_delete(tmp_path, monkeypatch):
+    """A writer that opened the lock file just before a delete unlinked
+    it must not end up holding a lock nobody else can see."""
+    import fcntl
+
+    from repro.serve import shard as shard_mod
+
+    store = ShardedStore(tmp_path, n_shards=2)
+    store.commit(key(), choice(4))
+    path = store.path_for(key())
+    real_flock = fcntl.flock
+    raced = []
+
+    def flock(fd, op):
+        if not raced:
+            # The writer has opened the lock file and is about to
+            # block in flock(); an evicting process deletes the entry
+            # (and its lock file) first.
+            raced.append(True)
+            assert ShardedStore(tmp_path).delete(key())
+        return real_flock(fd, op)
+
+    monkeypatch.setattr(shard_mod.fcntl, "flock", flock)
+    with store._entry_lock(path):
+        # Whoever opens the lock path now must find it taken.
+        probe = os.open(path.with_suffix(".lock"), os.O_CREAT | os.O_RDWR)
+        try:
+            with pytest.raises(BlockingIOError):
+                real_flock(probe, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(probe)
+    # Deleting leaves no lock file behind.
+    store.delete(key())
+    assert not path.with_suffix(".lock").exists()

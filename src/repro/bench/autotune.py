@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from repro.bench.pair import PairBenchResult, run_partitioned_pair
-from repro.config import ClusterConfig, NIAGARA
-from repro.core.module import NativeSpec
+from repro.config import ClusterConfig
+from repro.mem.buffer import partition_size_of
 from repro.runtime import SingleThreadDelay
 
 from repro.autotune import AdaptiveAggregator, TuningStore, build_autotuner
@@ -89,18 +89,13 @@ def run_autotuned_pair(
     round — but only measured rounds enter the aggregate statistics,
     matching the pair harness convention.
     """
-    config = config if config is not None else NIAGARA
-    partition_size = total_bytes // n_user
-    if partition_size * n_user != total_bytes:
-        raise ValueError(
-            f"total {total_bytes}B not divisible by {n_user} partitions")
     agg = aggregator if aggregator is not None else build_autotuner(
         autotune_params, store=store)
     noise = SingleThreadDelay(noise_fraction) if noise_fraction > 0 else None
     result = run_partitioned_pair(
-        lambda: NativeSpec(agg),
+        agg,
         n_user=n_user,
-        partition_size=partition_size,
+        partition_size=partition_size_of(total_bytes, n_user),
         compute=compute,
         noise=noise,
         iterations=iterations,

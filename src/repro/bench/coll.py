@@ -14,17 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from repro.config import ClusterConfig, NIAGARA
+from repro.config import ClusterConfig
 from repro.mem.buffer import PartitionedBuffer
 from repro.mpi.cluster import Cluster
 from repro.runtime import ComputePhase, SingleThreadDelay, WorkerTeam
-from repro.sim.sync import SimBarrier
+from repro.runtime.rounds import RoundTimes, spawn_rounds
 
 
 @dataclass
-class PcollResult:
+class PcollResult(RoundTimes):
     """Tree-collective benchmark outcome."""
 
     world: int
@@ -33,15 +31,6 @@ class PcollResult:
     partition_size: int
     compute: float
     times: list[float] = field(default_factory=list)
-
-    @property
-    def mean_time(self) -> float:
-        return float(np.mean(self.times))
-
-    @property
-    def mean_comm_time(self) -> float:
-        """Iteration time minus the (parallel) compute phase."""
-        return float(np.mean([t - self.compute for t in self.times]))
 
 
 def run_pallreduce(
@@ -58,7 +47,6 @@ def run_pallreduce(
     topology=None,
 ) -> PcollResult:
     """Time partitioned allreduce rounds (None = part_persist edges)."""
-    config = config if config is not None else NIAGARA
     n_partitions = n_threads if n_partitions is None else n_partitions
     if n_partitions % n_threads:
         raise ValueError(
@@ -67,39 +55,28 @@ def run_pallreduce(
     per_thread = n_partitions // n_threads
     cluster = Cluster(n_nodes=world, config=config, topology=topology)
     procs = cluster.ranks(world)
-    barrier = SimBarrier(cluster.env, parties=world)
-    total_rounds = warmup + iterations
-    round_start = [0.0] * total_rounds
-    finish = np.zeros((total_rounds, world))
     phase = ComputePhase(compute=compute,
                          noise=SingleThreadDelay(noise_fraction))
 
-    def rank_program(proc):
+    def setup(rank, proc):
         buf = PartitionedBuffer(n_partitions, partition_size, backed=False)
         coll = proc.pallreduce_init(buf, world, module_for=module)
-        team = WorkerTeam(proc.env, n_threads,
-                          cluster.rngs.stream(f"noise.rank{proc.rank}"),
-                          cores=config.host.cores_per_node)
+        team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rank}")
 
         def body(tid):
             for p in range(tid * per_thread, (tid + 1) * per_thread):
                 yield from proc.pcoll_pready(coll, p)
 
-        for it in range(total_rounds):
-            yield barrier.wait()
-            if proc.rank == 0:
-                round_start[it] = proc.env.now
+        def one_round(it):
             yield from proc.pcoll_start(coll)
             yield team.run_round(phase, lambda tid: body(tid))
             yield from proc.pcoll_wait(coll)
-            finish[it, proc.rank] = proc.env.now
 
-    for proc in procs:
-        cluster.spawn(rank_program(proc))
+        return one_round
+
+    clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
     cluster.run()
-    result = PcollResult(
+    return PcollResult(
         world=world, n_threads=n_threads, n_partitions=n_partitions,
-        partition_size=partition_size, compute=compute)
-    for it in range(warmup, total_rounds):
-        result.times.append(float(finish[it].max() - round_start[it]))
-    return result
+        partition_size=partition_size, compute=compute,
+        times=clock.times())

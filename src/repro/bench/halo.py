@@ -14,23 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-import numpy as np
-
-from repro.bench.overhead import _spec_factory
-from repro.config import ClusterConfig, NIAGARA
+from repro.coll.plans import spec_for
+from repro.config import ClusterConfig
 from repro.core.aggregators import Aggregator
-from repro.mem.buffer import PartitionedBuffer
+from repro.mem.buffer import PartitionedBuffer, partition_size_of
 from repro.mpi.cluster import Cluster
 from repro.mpi.modules import ModuleSpec
 from repro.runtime import ComputePhase, SingleThreadDelay, WorkerTeam
-from repro.sim.sync import SimBarrier
+from repro.runtime.rounds import RoundTimes, spawn_rounds
 
 _DIRECTIONS = ("up", "down", "left", "right")
 _OPPOSITE = {"up": "down", "down": "up", "left": "right", "right": "left"}
 
 
 @dataclass
-class HaloResult:
+class HaloResult(RoundTimes):
     """Halo benchmark outcome."""
 
     grid: tuple[int, int]
@@ -39,15 +37,6 @@ class HaloResult:
     compute: float
     noise_fraction: float
     times: list[float] = field(default_factory=list)
-
-    @property
-    def mean_time(self) -> float:
-        return float(np.mean(self.times))
-
-    @property
-    def mean_comm_time(self) -> float:
-        """Iteration time minus the (parallel) compute phase."""
-        return float(np.mean([t - self.compute for t in self.times]))
 
 
 def run_halo(
@@ -63,23 +52,13 @@ def run_halo(
     topology=None,
 ) -> HaloResult:
     """Run the halo pattern (None module = part_persist baseline)."""
-    config = config if config is not None else NIAGARA
     px, py = grid
     if px < 1 or py < 1:
         raise ValueError(f"bad grid {grid}")
-    partition_size = face_bytes // n_threads
-    if partition_size * n_threads != face_bytes:
-        raise ValueError(
-            f"face of {face_bytes}B not divisible by {n_threads} threads")
-    spec_factory = _spec_factory(module)
+    partition_size = partition_size_of(face_bytes, n_threads)
     n_ranks = px * py
     cluster = Cluster(n_nodes=n_ranks, config=config, topology=topology)
     procs = cluster.ranks(n_ranks)
-    cores = config.host.cores_per_node
-    barrier = SimBarrier(cluster.env, parties=n_ranks)
-    total_rounds = warmup + iterations
-    round_start = [0.0] * total_rounds
-    finish = np.zeros((total_rounds, n_ranks))
     phase = ComputePhase(compute=compute,
                          noise=SingleThreadDelay(noise_fraction))
 
@@ -98,8 +77,8 @@ def run_halo(
             out["right"] = rank_id(i, j + 1)
         return out
 
-    def rank_program(proc, i: int, j: int):
-        rid = rank_id(i, j)
+    def setup(rid: int, proc):
+        i, j = divmod(rid, py)
         sends, recvs = {}, {}
         for direction, peer in neighbours(i, j).items():
             tag = _DIRECTIONS.index(direction)
@@ -108,24 +87,19 @@ def run_halo(
             recv_face = PartitionedBuffer(n_threads, partition_size,
                                           backed=False)
             sends[direction] = proc.psend_init(
-                send_face, dest=peer, tag=tag, module=spec_factory())
+                send_face, dest=peer, tag=tag, module=spec_for(module))
             recvs[direction] = proc.precv_init(
                 recv_face, source=peer,
                 tag=_DIRECTIONS.index(_OPPOSITE[direction]),
-                module=spec_factory())
-        team = WorkerTeam(proc.env, n_threads,
-                          cluster.rngs.stream(f"noise.rank{rid}"),
-                          cores=cores)
+                module=spec_for(module))
+        team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rid}")
         send_reqs = list(sends.values())
 
         def body(tid):
             for req in send_reqs:
                 yield from proc.pready(req, tid)
 
-        for it in range(total_rounds):
-            yield barrier.wait()
-            if rid == 0:
-                round_start[it] = proc.env.now
+        def one_round(it):
             for req in list(recvs.values()) + send_reqs:
                 yield from proc.start(req)
             yield team.run_round(phase, lambda tid: body(tid))
@@ -133,19 +107,16 @@ def run_halo(
                 yield from proc.wait_partitioned(req)
             for req in recvs.values():
                 yield from proc.wait_partitioned(req)
-            finish[it, rid] = proc.env.now
 
-    for i in range(px):
-        for j in range(py):
-            cluster.spawn(rank_program(procs[rank_id(i, j)], i, j))
+        return one_round
+
+    clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
     cluster.run()
-    result = HaloResult(
+    return HaloResult(
         grid=grid,
         n_threads=n_threads,
         face_bytes=face_bytes,
         compute=compute,
         noise_fraction=noise_fraction,
+        times=clock.times(),
     )
-    for it in range(warmup, total_rounds):
-        result.times.append(float(finish[it].max() - round_start[it]))
-    return result

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from repro.bench.pair import PairBenchResult, run_partitioned_pair
-from repro.config import ClusterConfig, NIAGARA
+from repro.config import ClusterConfig
 from repro.core.aggregators import Aggregator
-from repro.core.module import NativeSpec
+from repro.mem.buffer import partition_size_of
 from repro.mpi.modules import ModuleSpec
-from repro.mpi.persist_module import PersistSpec
 
 
 @dataclass
@@ -33,17 +32,6 @@ class OverheadResult:
         return self.total_bytes // self.n_user
 
 
-def _spec_factory(module: Union[Aggregator, ModuleSpec, Callable[[], ModuleSpec], None]):
-    """Accept an aggregator, a spec, a factory, or None (baseline)."""
-    if module is None:
-        return PersistSpec
-    if isinstance(module, Aggregator):
-        return lambda: NativeSpec(module)
-    if isinstance(module, ModuleSpec):
-        return lambda: module
-    return module
-
-
 def run_overhead(
     module: Union[Aggregator, ModuleSpec, Callable[[], ModuleSpec], None],
     n_user: int,
@@ -54,17 +42,10 @@ def run_overhead(
     backed: bool = False,
 ) -> OverheadResult:
     """One overhead point: ``module`` (None = part_persist baseline)."""
-    config = config if config is not None else NIAGARA
-    partition_size = total_bytes // n_user
-    if partition_size * n_user != total_bytes:
-        raise ValueError(
-            f"total {total_bytes}B not divisible by {n_user} partitions")
-    if partition_size < 1:
-        raise ValueError("partition size below one byte")
     result = run_partitioned_pair(
-        _spec_factory(module),
+        module,
         n_user=n_user,
-        partition_size=partition_size,
+        partition_size=partition_size_of(total_bytes, n_user),
         compute=0.0,
         iterations=iterations,
         warmup=warmup,

@@ -1,13 +1,15 @@
 """The two-process partitioned micro-benchmark harness.
 
 Both the overhead benchmark (Section V-B) and the perceived-bandwidth
-benchmark (Section V-C) are instances of the same loop, modelled on the
-public micro-benchmarks of [14] the paper modified:
+benchmark (Section V-C) are instances of the same round, modelled on
+the public micro-benchmarks of [14] the paper modified and timed by the
+shared loop in :mod:`repro.runtime.rounds` (barrier, release stamp,
+finish stamps, warm-up dropped):
 
 * one user partition per thread;
-* per iteration: barrier, ``MPI_Start`` both sides, sender threads
-  compute (plus injected noise) and ``MPI_Pready`` their partition,
-  both sides ``MPI_Wait``;
+* per round: ``MPI_Start`` both sides, sender threads compute (plus
+  injected noise) and ``MPI_Pready`` their partition, both sides
+  ``MPI_Wait``;
 * 10 warm-up / 100 measured iterations for point-to-point runs (the
   defaults here are smaller; benchmarks pass the paper's counts).
 """
@@ -19,12 +21,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.coll.plans import spec_for
 from repro.config import ClusterConfig, NIAGARA
 from repro.mem.buffer import PartitionedBuffer
 from repro.mpi.cluster import Cluster
 from repro.mpi.modules import ModuleSpec
 from repro.runtime import ComputePhase, NoNoise, NoiseModel, WorkerTeam
-from repro.sim.sync import SimBarrier
+from repro.runtime.rounds import RoundTimes, spawn_rounds
 
 
 @dataclass
@@ -56,7 +59,7 @@ class IterationRecord:
 
 
 @dataclass
-class PairBenchResult:
+class PairBenchResult(RoundTimes):
     """All measured iterations of one configuration."""
 
     n_user: int
@@ -71,14 +74,8 @@ class PairBenchResult:
     counters: dict = field(default_factory=dict)
 
     @property
-    def mean_time(self) -> float:
-        return float(np.mean([it.elapsed for it in self.iterations]))
-
-    @property
-    def mean_comm_time(self) -> float:
-        """Mean iteration time with the compute phase subtracted."""
-        return float(np.mean(
-            [it.elapsed - self.compute for it in self.iterations]))
+    def times(self) -> list[float]:
+        return [it.elapsed for it in self.iterations]
 
     @property
     def mean_perceived_bandwidth(self) -> float:
@@ -107,8 +104,9 @@ def run_partitioned_pair(
 ) -> PairBenchResult:
     """Run one (module, workload) configuration end to end.
 
-    ``spec_factory`` is called once per side so each gets its own spec
-    object.  With ``backed=True`` real bytes move and are verified.
+    ``spec_factory`` — anything :func:`repro.coll.spec_for` accepts — is
+    resolved once per side so each gets its own spec object.  With
+    ``backed=True`` real bytes move and are verified.
     ``fault_schedule`` (a :class:`repro.faults.FaultSchedule`) arms
     deterministic fault injection on the pair's fabric.
     """
@@ -119,8 +117,7 @@ def run_partitioned_pair(
     if fault_schedule is not None:
         cluster.fabric.install_faults(fault_schedule)
     sender_proc, receiver_proc = cluster.ranks(2)
-    cores = config.host.cores_per_node
-    if n_user > cores:
+    if n_user > config.host.cores_per_node:
         sender_proc.sw_multiplier = config.host.oversubscription_penalty
     sbuf = PartitionedBuffer(n_user, partition_size, backed=backed)
     rbuf = PartitionedBuffer(n_user, partition_size, backed=backed)
@@ -128,47 +125,48 @@ def run_partitioned_pair(
         sbuf.fill_pattern(seed=config.seed)
     noise = noise if noise is not None else NoNoise()
     phase = ComputePhase(compute=compute, noise=noise)
-    barrier = SimBarrier(cluster.env, parties=2)
-    total_rounds = warmup + iterations
-    result = PairBenchResult(
+    records = [IterationRecord() for _ in range(warmup + iterations)]
+    reqs = []
+
+    def setup(index, proc):
+        if index == 0:
+            req = proc.psend_init(sbuf, dest=1, tag=0,
+                                  module=spec_for(spec_factory))
+            team = WorkerTeam.on(cluster, n_user, "noise.sender")
+        else:
+            req = proc.precv_init(rbuf, source=0, tag=0,
+                                  module=spec_for(spec_factory))
+        reqs.append(req)
+
+        def one_round(it):
+            yield from proc.start(req)
+            if index == 0:
+                yield team.run_round(
+                    phase, lambda tid: proc.pready(req, tid))
+            yield from proc.wait_partitioned(req)
+            if index == 0:
+                records[it].pready_times = list(req.pready_times)
+            else:
+                records[it].arrival_times = list(req.arrival_times)
+
+        return one_round
+
+    clock = spawn_rounds(cluster, [sender_proc, receiver_proc],
+                         iterations, warmup, setup)
+    cluster.run()
+    if backed and not np.array_equal(rbuf.data, sbuf.data):
+        raise AssertionError("receive buffer does not match send buffer")
+    for rec, t0, done in zip(records, clock.start.tolist(),
+                             clock.finish.tolist()):
+        rec.t0, (rec.t_send_done, rec.t_recv_done) = t0, done
+    module = reqs[0].module
+    return PairBenchResult(
         n_user=n_user,
         partition_size=partition_size,
         total_bytes=n_user * partition_size,
         compute=compute,
+        iterations=records[warmup:],
+        wrs_posted=getattr(module, "total_wrs_posted", None),
+        timer_flushes=getattr(module, "timer_flushes", None),
+        counters=cluster.fabric.counters.as_dict(),
     )
-    records = [IterationRecord() for _ in range(total_rounds)]
-
-    def sender(proc):
-        req = proc.psend_init(sbuf, dest=1, tag=0, module=spec_factory())
-        team = WorkerTeam(proc.env, n_user,
-                          cluster.rngs.stream("noise.sender"), cores=cores)
-        for it in range(total_rounds):
-            yield barrier.wait()
-            records[it].t0 = proc.env.now
-            yield from proc.start(req)
-            yield team.run_round(
-                phase, lambda tid: proc.pready(req, tid))
-            yield from proc.wait_partitioned(req)
-            records[it].t_send_done = proc.env.now
-            records[it].pready_times = list(req.pready_times)
-        if hasattr(req.module, "total_wrs_posted"):
-            result.wrs_posted = req.module.total_wrs_posted
-            result.timer_flushes = req.module.timer_flushes
-
-    def receiver(proc):
-        req = proc.precv_init(rbuf, source=0, tag=0, module=spec_factory())
-        for it in range(total_rounds):
-            yield barrier.wait()
-            yield from proc.start(req)
-            yield from proc.wait_partitioned(req)
-            records[it].t_recv_done = proc.env.now
-            records[it].arrival_times = list(req.arrival_times)
-
-    cluster.spawn(sender(sender_proc))
-    cluster.spawn(receiver(receiver_proc))
-    cluster.run()
-    if backed and not np.array_equal(rbuf.data, sbuf.data):
-        raise AssertionError("receive buffer does not match send buffer")
-    result.iterations = records[warmup:]
-    result.counters = cluster.fabric.counters.as_dict()
-    return result

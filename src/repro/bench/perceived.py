@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from repro.bench.overhead import _spec_factory
 from repro.bench.pair import PairBenchResult, run_partitioned_pair
 from repro.config import ClusterConfig, NIAGARA
 from repro.core.aggregators import Aggregator
+from repro.mem.buffer import partition_size_of
 from repro.mpi.modules import ModuleSpec
 from repro.runtime import SingleThreadDelay
 
@@ -64,15 +64,10 @@ def run_perceived_bandwidth(
     arrival patterns for Figs. 10-12); ``fault_schedule`` arms
     deterministic fault injection for the run.
     """
-    config = config if config is not None else NIAGARA
-    partition_size = total_bytes // n_user
-    if partition_size * n_user != total_bytes:
-        raise ValueError(
-            f"total {total_bytes}B not divisible by {n_user} partitions")
     result = run_partitioned_pair(
-        _spec_factory(module),
+        module,
         n_user=n_user,
-        partition_size=partition_size,
+        partition_size=partition_size_of(total_bytes, n_user),
         compute=compute,
         noise=SingleThreadDelay(noise_fraction, fixed_victim=fixed_victim),
         iterations=iterations,

@@ -16,23 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-import numpy as np
-
-from repro.bench.overhead import _spec_factory
-from repro.config import ClusterConfig, NIAGARA
+from repro.coll.plans import spec_for
+from repro.config import ClusterConfig
 from repro.core.aggregators import Aggregator
-from repro.mem.buffer import PartitionedBuffer
+from repro.mem.buffer import PartitionedBuffer, partition_size_of
 from repro.mpi.cluster import Cluster
 from repro.mpi.modules import ModuleSpec
 from repro.runtime import ComputePhase, SingleThreadDelay, WorkerTeam
-from repro.sim.sync import SimBarrier
+from repro.runtime.rounds import RoundTimes, spawn_rounds
 
 _TAG_RIGHT = 0
 _TAG_DOWN = 1
 
 
 @dataclass
-class SweepResult:
+class SweepResult(RoundTimes):
     """Sweep benchmark outcome."""
 
     grid: tuple[int, int]
@@ -45,18 +43,9 @@ class SweepResult:
 
     @property
     def critical_path_compute(self) -> float:
+        """The wavefront's compute chain (Fig. 14 subtracts it)."""
         px, py = self.grid
         return (px + py - 1) * self.compute
-
-    @property
-    def mean_time(self) -> float:
-        return float(np.mean(self.times))
-
-    @property
-    def mean_comm_time(self) -> float:
-        """Iteration time minus critical-path compute (Fig. 14's metric)."""
-        return float(np.mean(
-            [t - self.critical_path_compute for t in self.times]))
 
 
 def run_sweep(
@@ -71,70 +60,50 @@ def run_sweep(
     config: Optional[ClusterConfig] = None,
 ) -> SweepResult:
     """Run the sweep pattern (None module = part_persist baseline)."""
-    config = config if config is not None else NIAGARA
     px, py = grid
     if px < 1 or py < 1:
         raise ValueError(f"bad grid {grid}")
-    partition_size = total_bytes // n_threads
-    if partition_size * n_threads != total_bytes:
-        raise ValueError(
-            f"total {total_bytes}B not divisible by {n_threads} threads")
-    spec_factory = _spec_factory(module)
+    partition_size = partition_size_of(total_bytes, n_threads)
     n_ranks = px * py
     cluster = Cluster(n_nodes=n_ranks, config=config)
     procs = cluster.ranks(n_ranks)
-    cores = config.host.cores_per_node
-    barrier = SimBarrier(cluster.env, parties=n_ranks)
-    total_rounds = warmup + iterations
-    # Per-round: barrier release time and each rank's finish time.
-    round_start = [0.0] * total_rounds
-    finish = np.zeros((total_rounds, n_ranks))
     phase = ComputePhase(compute=compute, noise=SingleThreadDelay(noise_fraction))
 
     def rank_id(i: int, j: int) -> int:
         return i * py + j
 
-    def rank_program(proc, i: int, j: int):
-        rid = rank_id(i, j)
+    def setup(rid: int, proc):
+        i, j = divmod(rid, py)
         sends = {}
         recvs = {}
-        bufs = []
         if j + 1 < py:
             buf = PartitionedBuffer(n_threads, partition_size, backed=False)
-            bufs.append(buf)
             sends["right"] = proc.psend_init(
                 buf, dest=rank_id(i, j + 1), tag=_TAG_RIGHT,
-                module=spec_factory())
+                module=spec_for(module))
         if i + 1 < px:
             buf = PartitionedBuffer(n_threads, partition_size, backed=False)
-            bufs.append(buf)
             sends["down"] = proc.psend_init(
                 buf, dest=rank_id(i + 1, j), tag=_TAG_DOWN,
-                module=spec_factory())
+                module=spec_for(module))
         if j - 1 >= 0:
             buf = PartitionedBuffer(n_threads, partition_size, backed=False)
-            bufs.append(buf)
             recvs["left"] = proc.precv_init(
                 buf, source=rank_id(i, j - 1), tag=_TAG_RIGHT,
-                module=spec_factory())
+                module=spec_for(module))
         if i - 1 >= 0:
             buf = PartitionedBuffer(n_threads, partition_size, backed=False)
-            bufs.append(buf)
             recvs["up"] = proc.precv_init(
                 buf, source=rank_id(i - 1, j), tag=_TAG_DOWN,
-                module=spec_factory())
-        team = WorkerTeam(proc.env, n_threads,
-                          cluster.rngs.stream(f"noise.rank{rid}"), cores=cores)
+                module=spec_for(module))
+        team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rid}")
         send_reqs = list(sends.values())
 
         def body(tid):
             for req in send_reqs:
                 yield from proc.pready(req, tid)
 
-        for it in range(total_rounds):
-            yield barrier.wait()
-            if rid == 0:
-                round_start[it] = proc.env.now
+        def one_round(it):
             for req in list(recvs.values()) + send_reqs:
                 yield from proc.start(req)
             # Wavefront dependency: wait for inbound halves.
@@ -143,19 +112,16 @@ def run_sweep(
             yield team.run_round(phase, lambda tid: body(tid))
             for req in send_reqs:
                 yield from proc.wait_partitioned(req)
-            finish[it, rid] = proc.env.now
 
-    for i in range(px):
-        for j in range(py):
-            cluster.spawn(rank_program(procs[rank_id(i, j)], i, j))
+        return one_round
+
+    clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
     cluster.run()
-    result = SweepResult(
+    return SweepResult(
         grid=grid,
         n_threads=n_threads,
         total_bytes=total_bytes,
         compute=compute,
         noise_fraction=noise_fraction,
+        times=clock.times(),
     )
-    for it in range(warmup, total_rounds):
-        result.times.append(float(finish[it].max() - round_start[it]))
-    return result

@@ -28,7 +28,7 @@ from repro.config import NIAGARA, ClusterConfig
 from repro.mem.buffer import PartitionedBuffer
 from repro.mpi.cluster import Cluster
 from repro.runtime import ComputePhase, SingleThreadDelay, WorkerTeam
-from repro.sim.sync import SimBarrier
+from repro.runtime.rounds import spawn_rounds
 from repro.units import KiB, ms, us
 
 
@@ -165,7 +165,8 @@ def _tree_driver(name, init, world, schedule, seed, module, ladder,
                  config, iterations, warmup, root_fills_only,
                  expected_for, n_partitions=4, partition_size=4 * KiB,
                  n_threads=2) -> RunReport:
-    """Shared Start..Wait loop for the tree-collective workloads.
+    """What one round of a tree-collective workload does, run on the
+    shared loop of :mod:`repro.runtime.rounds`.
 
     ``init(proc, buf, module_for)`` builds the collective;
     ``expected_for(scratch, it, rank)`` returns the array ``buf`` must
@@ -177,24 +178,17 @@ def _tree_driver(name, init, world, schedule, seed, module, ladder,
     if schedule is not None:
         cluster.fabric.install_faults(schedule)
     procs = cluster.ranks(world)
-    barrier = SimBarrier(cluster.env, parties=world)
-    total = warmup + iterations
     per_thread = n_partitions // n_threads
     phase = ComputePhase(compute=2e-4, noise=SingleThreadDelay(0.01))
     module_for = resolve_module(module, ladder)
     scratch = PartitionedBuffer(n_partitions, partition_size, backed=True)
-    start = [0.0] * total
-    finish = np.zeros((total, world))
-    state = {"integrity": 0, "done": 0, "colls": []}
+    state = {"integrity": 0, "colls": []}
 
-    def rank_program(proc):
-        rank = proc.rank
+    def setup(rank, proc):
         buf = PartitionedBuffer(n_partitions, partition_size, backed=True)
         coll = init(proc, buf, module_for)
         state["colls"].append(coll)
-        team = WorkerTeam(proc.env, n_threads,
-                          cluster.rngs.stream(f"noise.rank{rank}"),
-                          cores=cfg.host.cores_per_node)
+        team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rank}")
         contributes = (rank == 0) if root_fills_only else True
 
         def body(tid):
@@ -204,10 +198,7 @@ def _tree_driver(name, init, world, schedule, seed, module, ladder,
             else:
                 yield 0.0
 
-        for it in range(total):
-            yield barrier.wait()
-            if rank == 0:
-                start[it] = proc.env.now
+        def one_round(it):
             if contributes:
                 buf.fill_pattern(_fill_seed(it, rank, world))
             yield from proc.pcoll_start(coll)
@@ -215,17 +206,13 @@ def _tree_driver(name, init, world, schedule, seed, module, ladder,
             yield from proc.pcoll_wait(coll)
             if not np.array_equal(buf.data, expected_for(scratch, it, rank)):
                 state["integrity"] += 1
-            finish[it, rank] = proc.env.now
-        state["done"] += 1
 
-    for proc in procs:
-        cluster.spawn(rank_program(proc))
+        return one_round
+
+    clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
     cluster.run()
-    completed = state["done"] == world
-    duration = 0.0
-    if completed:
-        duration = float(sum(finish[it].max() - start[it]
-                             for it in range(warmup, total)))
+    completed = clock.done == world
+    duration = float(sum(clock.times())) if completed else 0.0
     return RunReport(
         workload=name, completed=completed, duration=duration,
         integrity_failures=state["integrity"],

@@ -45,6 +45,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.errors import ConfigError
 from repro.units import KiB, MiB, GiB, fmt_bytes, fmt_time, ms, us
 
 
@@ -61,14 +62,20 @@ def parse_sizes(text: str) -> list[int]:
     return [parse_size(part) for part in text.split(",") if part.strip()]
 
 
-def parse_grid(text: str) -> tuple[int, int]:
-    px, _, py = text.partition("x")
-    return int(px), int(py)
-
-
 def parse_dims(text: str) -> tuple[int, ...]:
-    """'2x2x2' -> (2, 2, 2)."""
-    return tuple(int(part) for part in text.split("x") if part)
+    """'2x2x2' -> (2, 2, 2); an argparse ``type=`` (bad text is usage)."""
+    try:
+        return tuple(int(part) for part in text.split("x") if part)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}") from None
+
+
+def parse_grid(text: str) -> tuple[int, int]:
+    """'4x8' -> (4, 8): the 2-D case of :func:`parse_dims`."""
+    dims = parse_dims(text)
+    if len(dims) != 2:
+        raise argparse.ArgumentTypeError(f"bad 2-D grid {text!r}")
+    return dims
 
 
 def _aggregator(name: str, delay: float, delta: float):
@@ -181,7 +188,7 @@ def cmd_sweep(args) -> int:
     from repro.bench.reporting import format_speedup_series
     from repro.bench.sweep import run_sweep
 
-    grid = parse_grid(args.grid)
+    grid = args.grid
     designs = {
         "ploggp": _aggregator("ploggp", ms(args.delay_ms), 0),
         "timer": _aggregator("timer", ms(args.delay_ms), us(args.delta_us)),
@@ -217,7 +224,7 @@ def cmd_stencil(args) -> int:
     from repro.bench.reporting import format_table
     from repro.coll import per_edge_autotuners, run_stencil
 
-    grid = parse_dims(args.grid)
+    grid = args.grid
     faces = parse_sizes(args.faces)
     kwargs = dict(
         grid=grid, n_threads=args.threads, n_partitions=args.partitions,
@@ -743,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_perceived)
 
     p = sub.add_parser("sweep", help="Sweep3D pattern (Fig. 14)")
-    p.add_argument("--grid", default="4x4")
+    p.add_argument("--grid", type=parse_grid, default="4x4")
     p.add_argument("--threads", type=int, default=16)
     p.add_argument("--sizes", default="256KiB,1MiB")
     p.add_argument("--compute-ms", type=float, default=1.0)
@@ -754,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "stencil",
         help="partitioned neighbor-alltoall halo exchange (repro.coll)")
-    p.add_argument("--grid", default="2x2",
+    p.add_argument("--grid", type=parse_dims, default="2x2",
                    help="rank grid, e.g. 4x4 or 2x2x2")
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--partitions", type=int, default=32,
@@ -980,9 +987,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: standard
         # CLI etiquette is to exit quietly.

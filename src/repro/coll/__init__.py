@@ -18,6 +18,8 @@ Members:
 * :class:`Pbcast` / :class:`Pallreduce` — partitioned broadcast and
   allreduce over binomial trees, forwarding partitions down/up the
   tree as they become ready;
+* :func:`spec_for` — the one ``None | Aggregator | ModuleSpec | Plan |
+  factory -> ModuleSpec`` resolver every driver's ``module`` goes through;
 * :func:`edge_modules` / :func:`per_edge_autotuners` /
   :func:`ladder_modules` — per-edge transport-plan resolution (the
   last wraps each edge in a graceful-degradation ladder);
@@ -32,7 +34,8 @@ so applications stay written against the rank-local MPI surface.
 
 from repro.coll.base import PartitionedCollective
 from repro.coll.neighbor import PneighborAlltoall
-from repro.coll.plans import edge_modules, ladder_modules, per_edge_autotuners
+from repro.coll.plans import (edge_modules, ladder_modules,
+                              per_edge_autotuners, spec_for)
 from repro.coll.stencil import StencilResult, run_stencil
 from repro.coll.tree import Pallreduce, Pbcast
 
@@ -44,6 +47,7 @@ __all__ = [
     "edge_modules",
     "ladder_modules",
     "per_edge_autotuners",
+    "spec_for",
     "StencilResult",
     "run_stencil",
 ]

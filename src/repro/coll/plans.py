@@ -38,30 +38,32 @@ from typing import Callable, Optional
 
 from repro.core.aggregators import Aggregator
 from repro.mpi.modules import ModuleSpec
-from repro.plan import Edge, Fallback, Native, Plan
-from repro.plan import lower as lower_plan
-from repro.plan import lower_edges
 
 #: Canonical resolver: neighbor rank -> module spec for that edge.
 EdgeModules = Callable[[int], ModuleSpec]
 
 
-def _spec_for(module) -> ModuleSpec:
-    """One concrete ModuleSpec from a plan/aggregator/spec/factory/None."""
+def spec_for(module) -> ModuleSpec:
+    """One concrete ModuleSpec from a plan/aggregator/spec/factory/None
+    (the resolver behind every driver's ``module`` argument)."""
     if module is None:
         from repro.mpi.persist_module import PersistSpec
 
         return PersistSpec()
-    if isinstance(module, Plan):
-        return lower_plan(module)
     if isinstance(module, Aggregator):
         from repro.core.module import NativeSpec
 
         return NativeSpec(module)
     if isinstance(module, ModuleSpec):
         return module
+    # Only plans and factories get this far, so the drivers' common
+    # inputs never import the plan IR.
+    from repro.plan import Plan, lower
+
+    if isinstance(module, Plan):
+        return lower(module)
     if callable(module):
-        return _spec_for(module())
+        return spec_for(module())
     raise TypeError(
         f"cannot resolve {module!r} into a partitioned transport module")
 
@@ -80,13 +82,15 @@ def _takes_neighbor(fn) -> bool:
 
 def edge_modules(module_for) -> EdgeModules:
     """Normalize ``module_for`` into a per-neighbor spec resolver."""
+    from repro.plan import Edge, Plan, lower_edges
+
     if isinstance(module_for, Plan) and module_for.find(Edge):
         return lower_edges(module_for)
     if (callable(module_for) and not isinstance(module_for, Aggregator)
             and not isinstance(module_for, (ModuleSpec, Plan))
             and _takes_neighbor(module_for)):
-        return lambda neighbor: _spec_for(module_for(neighbor))
-    return lambda neighbor: _spec_for(module_for)
+        return lambda neighbor: spec_for(module_for(neighbor))
+    return lambda neighbor: spec_for(module_for)
 
 
 def ladder_modules(module_for=None, rungs=None) -> EdgeModules:
@@ -101,13 +105,14 @@ def ladder_modules(module_for=None, rungs=None) -> EdgeModules:
     override the full chain instead.
     """
     from repro.mpi.ladder import LadderSpec
-    from repro.plan import default_ladder_plan
+    from repro.plan import Fallback, Native, default_ladder_plan
+    from repro.plan import lower as lower_plan
 
     if rungs is not None:
         if callable(rungs):
             return lambda neighbor: LadderSpec(
-                [_spec_for(r) for r in rungs(neighbor)])
-        specs = [_spec_for(r) for r in rungs]
+                [spec_for(r) for r in rungs(neighbor)])
+        specs = [spec_for(r) for r in rungs]
         return lambda neighbor: LadderSpec(specs)
     resolve = edge_modules(module_for)
     ladder = default_ladder_plan()

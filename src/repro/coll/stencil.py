@@ -19,15 +19,15 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.config import ClusterConfig, NIAGARA
-from repro.mem.buffer import PartitionedBuffer
+from repro.config import ClusterConfig
+from repro.mem.buffer import PartitionedBuffer, partition_size_of
 from repro.mpi.cluster import Cluster
 from repro.runtime import ComputePhase, SingleThreadDelay, WorkerTeam
-from repro.sim.sync import SimBarrier
+from repro.runtime.rounds import RoundTimes, spawn_rounds
 
 
 @dataclass
-class StencilResult:
+class StencilResult(RoundTimes):
     """Stencil run outcome with per-edge diagnostics."""
 
     grid: tuple[int, ...]
@@ -46,15 +46,6 @@ class StencilResult:
     integrity_failures: int = 0
     #: Fabric counters after the run (fault/recovery accounting).
     counters: dict = field(default_factory=dict)
-
-    @property
-    def mean_time(self) -> float:
-        return float(np.mean(self.times))
-
-    @property
-    def mean_comm_time(self) -> float:
-        """Iteration time minus the (parallel) compute phase."""
-        return float(np.mean([t - self.compute for t in self.times]))
 
 
 def _axes_of(grid: tuple[int, ...],
@@ -100,7 +91,6 @@ def run_stencil(
     iteration (the exactly-once check the fault tests lean on);
     ``faults`` installs a :class:`~repro.faults.FaultSchedule`.
     """
-    config = config if config is not None else NIAGARA
     sizes = _axes_of(tuple(grid), face_bytes)
     ndim = len(grid)
     n_partitions = n_threads if n_partitions is None else n_partitions
@@ -108,23 +98,15 @@ def run_stencil(
         raise ValueError(
             f"{n_partitions} partitions not divisible by "
             f"{n_threads} threads")
-    part_sizes = []
-    for axis, nbytes in enumerate(sizes):
-        if nbytes % n_partitions:
-            raise ValueError(
-                f"axis-{axis} face of {nbytes}B not divisible into "
-                f"{n_partitions} partitions")
-        part_sizes.append(nbytes // n_partitions)
+    part_sizes = [partition_size_of(nbytes, n_partitions)
+                  for nbytes in sizes]
 
     n_ranks = int(np.prod(grid))
     cluster = Cluster(n_nodes=n_ranks, config=config, topology=topology)
     if faults is not None:
         cluster.fabric.install_faults(faults)
     procs = cluster.ranks(n_ranks)
-    barrier = SimBarrier(cluster.env, parties=n_ranks)
-    total_rounds = warmup + iterations
-    round_start = [0.0] * total_rounds
-    finish = np.zeros((total_rounds, n_ranks))
+    colls = []
     phase = ComputePhase(compute=compute,
                          noise=SingleThreadDelay(noise_fraction))
     per_thread = n_partitions // n_threads
@@ -160,9 +142,8 @@ def run_stencil(
     def fill_seed(it: int, src: int, dst: int) -> int:
         return ((it * n_ranks + src) * n_ranks + dst) % (1 << 31)
 
-    def rank_program(proc, coord: tuple[int, ...]):
-        rid = rank_id(coord)
-        axes = neighbor_axes(coord)
+    def setup(rid: int, proc):
+        axes = neighbor_axes(coord_of(rid))
         send_bufs, recv_bufs = {}, {}
         for nbr, axis in axes.items():
             send_bufs[nbr] = PartitionedBuffer(
@@ -172,18 +153,14 @@ def run_stencil(
         module_for = planner(proc, dict(axes)) if planner else module
         coll = proc.pneighbor_alltoall_init(send_bufs, recv_bufs,
                                             module_for)
-        team = WorkerTeam(proc.env, n_threads,
-                          cluster.rngs.stream(f"noise.rank{rid}"),
-                          cores=config.host.cores_per_node)
+        colls.append(coll)
+        team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rid}")
 
         def body(tid):
             for p in range(tid * per_thread, (tid + 1) * per_thread):
                 yield from proc.pcoll_pready(coll, p)
 
-        for it in range(total_rounds):
-            yield barrier.wait()
-            if rid == 0:
-                round_start[it] = proc.env.now
+        def one_round(it):
             if backed:
                 for nbr, buf in send_bufs.items():
                     buf.fill_pattern(fill_seed(it, rid, nbr))
@@ -196,18 +173,18 @@ def run_stencil(
                         0, buf.nbytes, fill_seed(it, nbr, rid))
                     if not np.array_equal(buf.data, expect):
                         result.integrity_failures += 1
-            finish[it, rid] = proc.env.now
+
+        return one_round
+
+    clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
+    cluster.run()
+    for rid, coll in enumerate(colls):
         result.edge_stats[rid] = coll.edge_stats()
         result.plans[rid] = {
             nbr: req.module_spec.aggregator.describe()
             for nbr, req in coll.sends.items()
             if getattr(req.module_spec, "aggregator", None) is not None
         }
-
-    for rid in range(n_ranks):
-        cluster.spawn(rank_program(procs[rid], coord_of(rid)))
-    cluster.run()
     result.counters = cluster.fabric.counters.as_dict()
-    for it in range(warmup, total_rounds):
-        result.times.append(float(finish[it].max() - round_start[it]))
+    result.times = clock.times()
     return result

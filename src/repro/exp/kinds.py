@@ -176,13 +176,12 @@ def _arrival_profile(p: dict) -> dict:
 
 @kind("min_delta")
 def _min_delta(p: dict) -> dict:
-    from repro.bench.overhead import _spec_factory
     from repro.bench.pair import run_partitioned_pair
     from repro.core import estimate_min_delta
     from repro.runtime import SingleThreadDelay
 
     result = run_partitioned_pair(
-        _spec_factory(build_module(p["module"])), n_user=p["n_user"],
+        build_module(p["module"]), n_user=p["n_user"],
         partition_size=p["total_bytes"] // p["n_user"],
         compute=p["compute"], noise=SingleThreadDelay(p["noise_fraction"]),
         iterations=p["iterations"], warmup=p["warmup"], config=_config(p))

@@ -31,7 +31,7 @@ from repro.chaos.invariants import RunReport
 from repro.mem.buffer import PartitionedBuffer
 from repro.mpi.cluster import Cluster
 from repro.runtime import ComputePhase, SingleThreadDelay, WorkerTeam
-from repro.sim.sync import SimBarrier
+from repro.runtime.rounds import spawn_rounds
 from repro.units import KiB, us
 
 #: Tenant name -> (sender node, receiver node).  Both pairs cross the
@@ -70,9 +70,9 @@ def run_fleet_workload(schedule, seed, module="native", ladder=False,
     resolver = edge_modules(resolve_module(module, ladder))
 
     n_partitions, partition_size = 4, 4 * KiB
-    total = warmup + iterations
     phase = ComputePhase(compute=us(150), noise=SingleThreadDelay(0.01))
-    state = {"done": 0, "integrity": 0}
+    state = {"integrity": 0}
+    clocks = []
     tenants = list(TENANT_NODES)
     procs = {}
     for name in tenants:
@@ -82,46 +82,41 @@ def run_fleet_workload(schedule, seed, module="native", ladder=False,
 
     def tenant_program(name, index, tag):
         src, dst = procs[name]
-        barrier = SimBarrier(cluster.env, parties=2)
         sbuf = PartitionedBuffer(n_partitions, partition_size, backed=True)
         rbuf = PartitionedBuffer(n_partitions, partition_size, backed=True)
 
-        def sender(proc):
-            req = proc.psend_init(sbuf, dest=dst.rank, tag=tag,
-                                  module=resolver(dst.rank))
-            team = WorkerTeam(proc.env, n_partitions,
-                              cluster.rngs.stream(f"noise.{name}"),
-                              cores=cfg.host.cores_per_node)
-            for it in range(total):
-                yield barrier.wait()
-                sbuf.fill_pattern(_fill_seed(it, index))
-                yield from proc.start(req)
-                yield team.run_round(
-                    phase, lambda tid: proc.pready(req, tid))
-                yield from proc.wait_partitioned(req)
-            state["done"] += 1
+        def setup(r, proc):
+            if r == 0:
+                req = proc.psend_init(sbuf, dest=dst.rank, tag=tag,
+                                      module=resolver(dst.rank))
+                team = WorkerTeam.on(cluster, n_partitions, f"noise.{name}")
+            else:
+                req = proc.precv_init(rbuf, source=src.rank, tag=tag,
+                                      module=resolver(src.rank))
 
-        def receiver(proc):
-            req = proc.precv_init(rbuf, source=src.rank, tag=tag,
-                                  module=resolver(src.rank))
-            for it in range(total):
-                yield barrier.wait()
+            def one_round(it):
+                if r == 0:
+                    sbuf.fill_pattern(_fill_seed(it, index))
                 yield from proc.start(req)
+                if r == 0:
+                    yield team.run_round(
+                        phase, lambda tid: proc.pready(req, tid))
                 yield from proc.wait_partitioned(req)
-                expected = rbuf.expected_pattern(
-                    0, rbuf.nbytes, _fill_seed(it, index))
-                if not np.array_equal(rbuf.data, expected):
+                if r == 1 and not np.array_equal(
+                        rbuf.data, rbuf.expected_pattern(
+                            0, rbuf.nbytes, _fill_seed(it, index))):
                     state["integrity"] += 1
-            state["done"] += 1
 
-        cluster.spawn(sender(src))
-        cluster.spawn(receiver(dst))
+            return one_round
+
+        clocks.append(spawn_rounds(cluster, (src, dst), iterations, warmup,
+                                   setup))
 
     for index, name in enumerate(tenants):
         tenant_program(name, index, tag=index * 1000)
     cluster.run()
 
-    completed = state["done"] == 2 * len(tenants)
+    completed = all(clock.done == 2 for clock in clocks)
     tenant_nodes = {n for pair in TENANT_NODES.values() for n in pair}
     leaks = []
     tenant_bytes = {}

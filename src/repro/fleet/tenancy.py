@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
+from repro.coll.plans import spec_for
 from repro.config import ClusterConfig, NIAGARA
 from repro.errors import ConfigError
 from repro.fleet.profile import FleetProfile, collect_tenant_views
@@ -29,26 +28,10 @@ from repro.fleet.traffic import offered_load
 from repro.mem.buffer import Buffer, PartitionedBuffer
 from repro.mpi.cluster import Cluster
 from repro.runtime import ComputePhase, NoNoise, WorkerTeam
-from repro.sim.sync import SimBarrier
+from repro.runtime.rounds import spawn_rounds
 
 #: Tag space reserved per job (channels + one tag per traffic event).
 TAG_STRIDE = 100_000
-
-
-def _spec_factory(module):
-    """Module instance -> per-request ModuleSpec factory (None = persist)."""
-    from repro.core.aggregators import Aggregator
-    from repro.core.module import NativeSpec
-    from repro.mpi.modules import ModuleSpec
-    from repro.mpi.persist_module import PersistSpec
-
-    if module is None:
-        return PersistSpec
-    if isinstance(module, Aggregator):
-        return lambda: NativeSpec(module)
-    if isinstance(module, ModuleSpec):
-        return lambda: module
-    return module
 
 
 def _binomial_children(rank: int, world: int) -> list[int]:
@@ -113,7 +96,9 @@ class TenantScheduler:
 
                 self._modules[job.name] = build_module(
                     module_descriptor(job.module))
-        self._records: dict[str, dict] = {}
+        #: Per job: its :class:`~repro.runtime.RoundClock` (traffic
+        #: tenants: a delivered/events count dict).
+        self._records: dict = {}
         #: Per-round hooks ``fn(job_name, round_no)`` fired at each
         #: job barrier release (drives neighbor arrival/departure).
         self.round_hooks: list = []
@@ -121,143 +106,111 @@ class TenantScheduler:
     # -- drivers ----------------------------------------------------------
 
     def _team_for(self, job: JobSpec, rank: int) -> WorkerTeam:
-        return WorkerTeam(
-            self.cluster.env, job.n_partitions,
-            self.cluster.rngs.stream(f"noise.{job.name}.rank{rank}"),
-            cores=self.config.host.cores_per_node)
+        return WorkerTeam.on(self.cluster, job.n_partitions,
+                             f"noise.{job.name}.rank{rank}")
 
-    def _fire_hooks(self, job_name: str, round_no: int) -> None:
-        for hook in self.round_hooks:
-            hook(job_name, round_no)
+    def _spawn_rounds(self, job: JobSpec, setup) -> None:
+        """Run ``job`` on the shared round loop; its clock is the record."""
+        def fire_hooks(round_no):
+            for hook in self.round_hooks:
+                hook(job.name, round_no)
+
+        self._records[job.name] = spawn_rounds(
+            self.cluster, self.procs[job.name], job.iterations, job.warmup,
+            setup, fire_hooks)
 
     def _drive_pair(self, job: JobSpec, tag_base: int) -> None:
         procs = self.procs[job.name]
         if len(procs) != 2:
             raise ConfigError(f"pair job {job.name} needs exactly 2 ranks")
-        env = self.cluster.env
-        factory = _spec_factory(self._modules[job.name])
-        barrier = SimBarrier(env, parties=2)
-        total = job.warmup + job.iterations
-        start = np.zeros(total)
-        finish = np.zeros((total, 2))
-        rec = self._records[job.name] = {
-            "start": start, "finish": finish, "done": 0}
-        sbuf = PartitionedBuffer(job.n_partitions, job.partition_size,
-                                 backed=False)
-        rbuf = PartitionedBuffer(job.n_partitions, job.partition_size,
-                                 backed=False)
+        module = self._modules[job.name]
         phase = ComputePhase(compute=job.compute, noise=NoNoise())
 
-        def sender(proc, peer_rank):
-            req = proc.psend_init(sbuf, dest=peer_rank, tag=tag_base,
-                                  module=factory())
-            team = self._team_for(job, 0)
-            for it in range(total):
-                yield barrier.wait()
-                start[it] = env.now
-                self._fire_hooks(job.name, it)
-                yield from proc.start(req)
-                yield team.run_round(phase, lambda tid: proc.pready(req, tid))
-                yield from proc.wait_partitioned(req)
-                finish[it, 0] = env.now
-            rec["done"] += 1
+        def setup(r, proc):
+            buf = PartitionedBuffer(job.n_partitions, job.partition_size,
+                                    backed=False)
+            peer = procs[1 - r].rank
+            if r == 0:
+                req = proc.psend_init(buf, dest=peer, tag=tag_base,
+                                      module=spec_for(module))
+                team = self._team_for(job, 0)
+            else:
+                req = proc.precv_init(buf, source=peer, tag=tag_base,
+                                      module=spec_for(module))
 
-        def receiver(proc, peer_rank):
-            req = proc.precv_init(rbuf, source=peer_rank, tag=tag_base,
-                                  module=factory())
-            for it in range(total):
-                yield barrier.wait()
+            def one_round(it):
                 yield from proc.start(req)
+                if r == 0:
+                    yield team.run_round(
+                        phase, lambda tid: proc.pready(req, tid))
                 yield from proc.wait_partitioned(req)
-                finish[it, 1] = env.now
-            rec["done"] += 1
 
-        self.cluster.spawn(sender(procs[0], procs[1].rank))
-        self.cluster.spawn(receiver(procs[1], procs[0].rank))
+            return one_round
+
+        self._spawn_rounds(job, setup)
 
     def _drive_halo(self, job: JobSpec, tag_base: int) -> None:
         """Bidirectional ring halo: every rank exchanges with both
         neighbors every iteration (the 1-D stencil pattern)."""
         procs = self.procs[job.name]
         world = len(procs)
-        env = self.cluster.env
-        factory = _spec_factory(self._modules[job.name])
-        barrier = SimBarrier(env, parties=world)
-        total = job.warmup + job.iterations
-        start = np.zeros(total)
-        finish = np.zeros((total, world))
-        rec = self._records[job.name] = {
-            "start": start, "finish": finish, "done": 0}
+        module = self._modules[job.name]
         phase = ComputePhase(compute=job.compute, noise=NoNoise())
 
-        def rank_program(r):
-            proc = procs[r]
+        def setup(r, proc):
             right, left = (r + 1) % world, (r - 1) % world
             mk = lambda: PartitionedBuffer(  # noqa: E731
                 job.n_partitions, job.partition_size, backed=False)
             # Tags: +0 clockwise (to right), +1 counter-clockwise.
             send_r = proc.psend_init(mk(), dest=procs[right].rank,
-                                     tag=tag_base, module=factory())
+                                     tag=tag_base, module=spec_for(module))
             send_l = proc.psend_init(mk(), dest=procs[left].rank,
-                                     tag=tag_base + 1, module=factory())
+                                     tag=tag_base + 1,
+                                     module=spec_for(module))
             recv_l = proc.precv_init(mk(), source=procs[left].rank,
-                                     tag=tag_base, module=factory())
+                                     tag=tag_base, module=spec_for(module))
             recv_r = proc.precv_init(mk(), source=procs[right].rank,
-                                     tag=tag_base + 1, module=factory())
+                                     tag=tag_base + 1,
+                                     module=spec_for(module))
             team = self._team_for(job, r)
 
             def body(tid):
                 yield from proc.pready(send_r, tid)
                 yield from proc.pready(send_l, tid)
 
-            for it in range(total):
-                yield barrier.wait()
-                if r == 0:
-                    start[it] = env.now
-                    self._fire_hooks(job.name, it)
+            def one_round(it):
                 for req in (recv_l, recv_r, send_r, send_l):
                     yield from proc.start(req)
                 yield team.run_round(phase, body)
                 for req in (send_r, send_l, recv_l, recv_r):
                     yield from proc.wait_partitioned(req)
-                finish[it, r] = env.now
-            rec["done"] += 1
 
-        for r in range(world):
-            self.cluster.spawn(rank_program(r))
+            return one_round
+
+        self._spawn_rounds(job, setup)
 
     def _drive_tree(self, job: JobSpec, tag_base: int) -> None:
         """Binomial fan-in reduce: leaves push up, parents forward after
         every child arrives (the pallreduce up-sweep)."""
         procs = self.procs[job.name]
         world = len(procs)
-        env = self.cluster.env
-        factory = _spec_factory(self._modules[job.name])
-        barrier = SimBarrier(env, parties=world)
-        total = job.warmup + job.iterations
-        start = np.zeros(total)
-        finish = np.zeros((total, world))
-        rec = self._records[job.name] = {
-            "start": start, "finish": finish, "done": 0}
+        module = self._modules[job.name]
         phase = ComputePhase(compute=job.compute, noise=NoNoise())
         mk = lambda: PartitionedBuffer(  # noqa: E731
             job.n_partitions, job.partition_size, backed=False)
 
-        def rank_program(r):
-            proc = procs[r]
+        def setup(r, proc):
             up = None
             if r > 0:
                 up = proc.psend_init(mk(), dest=procs[_binomial_parent(r)].rank,
-                                     tag=tag_base + r, module=factory())
+                                     tag=tag_base + r,
+                                     module=spec_for(module))
             down = [proc.precv_init(mk(), source=procs[c].rank,
-                                    tag=tag_base + c, module=factory())
+                                    tag=tag_base + c, module=spec_for(module))
                     for c in _binomial_children(r, world)]
             team = self._team_for(job, r)
-            for it in range(total):
-                yield barrier.wait()
-                if r == 0:
-                    start[it] = env.now
-                    self._fire_hooks(job.name, it)
+
+            def one_round(it):
                 for req in down:
                     yield from proc.start(req)
                 if up is not None:
@@ -268,11 +221,10 @@ class TenantScheduler:
                     yield team.run_round(
                         phase, lambda tid: proc.pready(up, tid))
                     yield from proc.wait_partitioned(up)
-                finish[it, r] = env.now
-            rec["done"] += 1
 
-        for r in range(world):
-            self.cluster.spawn(rank_program(r))
+            return one_round
+
+        self._spawn_rounds(job, setup)
 
     def _drive_traffic(self, job: JobSpec, tag_base: int) -> None:
         """Replay the seeded offered load through real sends."""
@@ -333,16 +285,11 @@ class TenantScheduler:
                 records[job.name] = {"iterations": [],
                                      "total_time": makespan}
                 continue
-            world = len(self.procs[job.name])
-            if rec["done"] != (2 if job.kind == "pair" else world):
+            if rec.done != len(self.procs[job.name]):
                 raise AssertionError(f"job {job.name} did not complete")
-            start, finish = rec["start"], rec["finish"]
-            elapsed = [float(finish[it].max() - start[it])
-                       for it in range(job.warmup,
-                                       job.warmup + job.iterations)]
             records[job.name] = {
-                "iterations": elapsed,
-                "total_time": float(finish.max() - start[0]),
+                "iterations": rec.times(),
+                "total_time": float(rec.finish.max() - rec.start[0]),
             }
         profile = FleetProfile(
             makespan=makespan,

@@ -91,6 +91,15 @@ class Buffer:
         return f"<Buffer {self.nbytes}B {kind} @ {self.addr:#x}>"
 
 
+def partition_size_of(total_bytes: int, n_partitions: int) -> int:
+    """Bytes per partition when ``total_bytes`` splits evenly, else raises."""
+    size, rest = divmod(total_bytes, n_partitions)
+    if rest or size < 1:
+        raise ValueError(f"total {total_bytes}B not divisible by "
+                         f"{n_partitions} partitions")
+    return size
+
+
 class PartitionedBuffer(Buffer):
     """A buffer divided into ``n_partitions`` equal user partitions.
 

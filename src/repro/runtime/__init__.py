@@ -1,4 +1,4 @@
-"""Simulated application runtime: worker threads and noise models."""
+"""Simulated application runtime: worker threads, noise models, the round loop."""
 
 from repro.runtime.noise import (
     NoiseModel,
@@ -7,6 +7,7 @@ from repro.runtime.noise import (
     GaussianNoise,
     UniformNoise,
 )
+from repro.runtime.rounds import RoundClock, RoundTimes, spawn_rounds
 from repro.runtime.threadmodel import WorkerTeam, ComputePhase
 
 __all__ = [
@@ -17,4 +18,7 @@ __all__ = [
     "UniformNoise",
     "WorkerTeam",
     "ComputePhase",
+    "RoundClock",
+    "RoundTimes",
+    "spawn_rounds",
 ]

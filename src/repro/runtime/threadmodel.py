@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.runtime.noise import NoiseModel, NoNoise
+from repro.runtime.noise import NoiseModel
 from repro.sim.core import Environment
 from repro.sim.process import Process
 
@@ -57,6 +57,12 @@ class WorkerTeam:
         self.rng = rng
         self.cores = cores
         self._round = 0
+
+    @classmethod
+    def on(cls, cluster, n_threads: int, stream: str) -> "WorkerTeam":
+        """A team on one of ``cluster``'s nodes, drawing from ``stream``."""
+        return cls(cluster.env, n_threads, cluster.rngs.stream(stream),
+                   cores=cluster.config.host.cores_per_node)
 
     @property
     def oversubscribed(self) -> bool:

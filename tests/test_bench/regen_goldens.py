@@ -14,9 +14,10 @@ import sys
 if __package__ in (None, ""):
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
 
-from tests.test_bench.test_golden import (
+from tests.test_bench.test_golden import (  # noqa: E402
     GOLDEN_DIR,
     encode,
+    run_drivers_mini,
     run_ext_ablations_mini,
     run_ext_stencil_mini,
     run_fig14_mini,
@@ -40,6 +41,7 @@ def main() -> None:
         "fig14_mini.json": run_fig14_mini(),
         "ext_stencil_mini.json": run_ext_stencil_mini(),
         "ext_ablations_mini.json": run_ext_ablations_mini(),
+        "drivers_mini.json": run_drivers_mini(),
     }
     for name, result in goldens.items():
         path = GOLDEN_DIR / name

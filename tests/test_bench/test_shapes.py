@@ -4,8 +4,6 @@ These are the reproduction's acceptance tests — each asserts a
 direction or ordering the paper reports, at reduced iteration counts.
 """
 
-import pytest
-
 from repro.bench import (
     overhead_speedup_series,
     run_overhead,
@@ -13,7 +11,6 @@ from repro.bench import (
 )
 from repro.bench.perceived import single_thread_line
 from repro.core import (
-    FixedAggregation,
     NoAggregation,
     PLogGPAggregator,
     TimerPLogGPAggregator,

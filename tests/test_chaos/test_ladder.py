@@ -103,7 +103,9 @@ def test_dead_edge_aborts_without_the_ladder():
 
 @pytest.mark.faults
 def test_dead_edge_degrades_and_completes_with_the_ladder():
-    spec = lambda: LadderSpec([native_rung(), PersistSpec(), ChannelSpec()])
+    def spec():
+        return LadderSpec([native_rung(), PersistSpec(), ChannelSpec()])
+
     schedule = FaultSchedule()
     rounds = 6
     cluster, outcome = run_dead_edge(spec, schedule, ladder_config(),
@@ -129,7 +131,9 @@ def test_dead_edge_degrades_and_completes_with_the_ladder():
 def test_recovered_edge_is_promoted_back_after_probation():
     """Short probation + finite fault: the edge demotes, serves clean
     rounds on the fallback, then walks back up to the native rung."""
-    spec = lambda: LadderSpec([native_rung(), PersistSpec(), ChannelSpec()])
+    def spec():
+        return LadderSpec([native_rung(), PersistSpec(), ChannelSpec()])
+
     schedule = FaultSchedule()
     cluster, outcome = run_dead_edge(
         spec, schedule, ladder_config(threshold=3, probation=2), rounds=8)
@@ -152,7 +156,9 @@ def test_quarantine_counts_faulted_rounds():
     recovery windows instead of folding them into the policy."""
     from repro.autotune import build_autotuner
 
-    spec = lambda: NativeSpec(build_autotuner({"counts": [1, 2]}))
+    def spec():
+        return NativeSpec(build_autotuner({"counts": [1, 2]}))
+
 
     schedule = FaultSchedule().link_flap(0, 1, start=us(100),
                                          duration=us(300))

@@ -23,6 +23,33 @@ def test_parse_grid():
     assert parse_grid("4x8") == (4, 8)
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid", "4x4x4"],
+    ["sweep", "--grid", "4"],
+    ["sweep", "--grid", "axb"],
+    ["stencil", "--grid", "2xq"],
+])
+def test_bad_grid_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--grid" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--iterations", "0"],
+    ["--iterations", "2", "--warmup", "-1"],
+])
+def test_round_counts_are_validated_as_usage_errors(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["overhead", "--sizes", "64KiB"] + flags)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be >=" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_table1_command(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out
@@ -102,9 +129,12 @@ def test_fleet_profile_command(capsys):
     assert "busiest links:" in out
 
 
-def test_fleet_profile_rejects_unknown_job_kind():
-    with pytest.raises(Exception):
+def test_fleet_profile_rejects_unknown_job_kind(capsys):
+    # A ConfigError is a usage error (exit 2), not a traceback.
+    with pytest.raises(SystemExit) as exc:
         main(["fleet", "profile", "--jobs", "bogus:2"])
+    assert exc.value.code == 2
+    assert "unknown job kind" in capsys.readouterr().err
 
 
 def test_fleet_retune_exits_by_adaptation(capsys):

@@ -23,6 +23,7 @@ testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -222,19 +223,32 @@ class UCXConfig:
     #: multi-path lets large transfers reach full line rate.
     n_lanes: int = 2
 
+    @cached_property
+    def _tiers(self) -> tuple:
+        """The four protocol tiers, smallest first: constants of the
+        config, built once (``protocol_for`` runs four times per
+        baseline message)."""
+        return (
+            ProtocolCosts("inline", self.t_inline, self.gap_inline,
+                          self.rx_inline),
+            ProtocolCosts("eager-bcopy", self.t_eager_bcopy, self.gap_bcopy,
+                          self.rx_bcopy, copies=True),
+            ProtocolCosts("eager-zcopy", self.t_eager_zcopy, self.gap_zcopy,
+                          self.rx_zcopy),
+            ProtocolCosts("rndv", self.t_rndv, self.gap_rndv, self.rx_rndv,
+                          rendezvous=True),
+        )
+
     def protocol_for(self, nbytes: int) -> ProtocolCosts:
         """The protocol tier UCX selects for a message of ``nbytes``."""
+        inline, bcopy, zcopy, rndv = self._tiers
         if nbytes <= self.inline_max:
-            return ProtocolCosts("inline", self.t_inline, self.gap_inline,
-                                 self.rx_inline)
+            return inline
         if nbytes <= self.eager_bcopy_max:
-            return ProtocolCosts("eager-bcopy", self.t_eager_bcopy,
-                                 self.gap_bcopy, self.rx_bcopy, copies=True)
+            return bcopy
         if nbytes <= self.eager_zcopy_max:
-            return ProtocolCosts("eager-zcopy", self.t_eager_zcopy,
-                                 self.gap_zcopy, self.rx_zcopy)
-        return ProtocolCosts("rndv", self.t_rndv, self.gap_rndv,
-                             self.rx_rndv, rendezvous=True)
+            return zcopy
+        return rndv
 
     def validate(self) -> None:
         if not (0 < self.inline_max <= self.eager_bcopy_max

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
+from repro.errors import EpochDeadlineError
 from repro.sim.core import Environment
 from repro.sim.sync import Notify, SimLock
 from repro.units import us
@@ -118,8 +119,6 @@ class ProgressEngine:
         t_poll_miss = self.t_poll_miss
         while not predicate():
             if deadline is not None and env._now >= deadline:
-                from repro.errors import EpochDeadlineError
-
                 raise EpochDeadlineError(
                     f"epoch overran its deadline waiting for {describe or 'completion'}")
             # One progress pass, inlined from :meth:`progress_once` (this

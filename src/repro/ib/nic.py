@@ -66,7 +66,13 @@ class NIC:
         Each QP gets a two-stage pipeline: WQE fetch/parse (``t_wqe``
         per entry) feeding an in-order transmit stage, so WQE processing
         overlaps the previous message's wire time — as the hardware
-        pipelines them.
+        pipelines them.  The two hand-offs differ on purpose.
+        ``post_send`` wakes an idle fetch stage through the event queue:
+        every WR posted in one instant counts in ``sq_depth`` and sits in
+        the SQ (where ``to_error`` flushes it) until the engine picks it
+        up, later in that instant.  The fetch stage resumes an idle
+        transmit stage in place (:meth:`Store.hand_off`): nothing
+        observes the gap between the two.
         """
         if len(self.qps) >= self.config.nic.max_qps:
             raise ProtectionError("QP limit exceeded on NIC")
@@ -100,8 +106,10 @@ class NIC:
     def _qp_fetcher(self, qp: QueuePair):
         """Stage 1: fetch/parse WQEs (pipelines with transmission)."""
         cfg = self.config.nic
+        sq = qp.sq
+        trace = self.trace
         while True:
-            wr: SendWR = yield qp.sq.get()
+            wr: SendWR = sq.pop() if sq.items else (yield sq.get())
             qp.sq_depth -= 1
             if qp.state is QPState.ERROR:
                 self._flush_wr(qp, wr)
@@ -113,10 +121,11 @@ class NIC:
             # is a scatter sink, so there is nothing to gather here.
             payload = (None if wr.opcode is Opcode.RDMA_READ
                        else self._gather(qp, wr))
-            self.trace.record(self.env.now, "ib.wqe_start", self.node_id,
-                              qp=qp.qp_num, wr_id=wr.wr_id,
-                              nbytes=wr.total_length)
-            yield qp._txq.put((wr, payload))
+            if trace.enabled:
+                trace.record(self.env.now, "ib.wqe_start", self.node_id,
+                             qp=qp.qp_num, wr_id=wr.wr_id,
+                             nbytes=wr.total_length)
+            qp._txq.hand_off((wr, payload))
 
     def _qp_transmitter(self, qp: QueuePair):
         """Stage 2: in-order transmission of one QP's messages.
@@ -127,8 +136,9 @@ class NIC:
         """
         env = self.env
         fabric = self.fabric
+        txq = qp._txq
         while True:
-            wr, payload = yield qp._txq.get()
+            wr, payload = txq.pop() if txq.items else (yield txq.get())
             if qp.state is QPState.ERROR:
                 self._flush_wr(qp, wr)
                 continue
@@ -196,8 +206,9 @@ class NIC:
             # QP tops out at qp_rate; gaps are usable by other QPs.
             if env._now < qp.next_inject_time:
                 yield qp.next_inject_time - env._now
-            grant = egress.request()
-            yield grant
+            grant = egress.claim()
+            if grant.callbacks is not None:
+                yield grant  # busy port: wait for the hand-off
             start = env._now
             occupancy = wires.occupancy(chunk)
             yield occupancy
@@ -346,8 +357,9 @@ class NIC:
         arbitration = self.fabric.link_arbitration
         for link in route:
             requested = env._now
-            grant = link.resource.request()
-            yield grant
+            grant = link.resource.claim()
+            if grant.callbacks is not None:
+                yield grant
             if arbitration and env._now > requested:
                 yield arbitration
             yield occupancy
@@ -407,8 +419,9 @@ class NIC:
             latency = self.fabric.latency(self.node_id, remote.node_id)
             # Request packet out through our egress.
             egress = self.egress_for(qp)
-            grant = egress.request()
-            yield grant
+            grant = egress.claim()
+            if grant.callbacks is not None:
+                yield grant
             yield cfg.t_pkt
             egress.release(grant)
             lost = (faults is not None and faults.chunk_outcome(
@@ -583,8 +596,10 @@ class NIC:
             mr = dest_qp.pd.find_mr_by_rkey(wr.rkey)
             mr.check_remote_write(wr.remote_addr, nbytes, wr.rkey)
             mr.buffer.write(mr.local_offset(wr.remote_addr), payload)
-        self.trace.record(self.env.now, "ib.deliver", self.node_id,
-                          qp=dest_qp.qp_num, wr_id=wr.wr_id, nbytes=nbytes)
+        if self.trace.enabled:
+            self.trace.record(self.env.now, "ib.deliver", self.node_id,
+                              qp=dest_qp.qp_num, wr_id=wr.wr_id,
+                              nbytes=nbytes)
         if wr.opcode.consumes_recv_wr:
             recv_wr = dest_qp.consume_recv()
             if wr.opcode in (Opcode.SEND, Opcode.SEND_WITH_IMM):

@@ -63,7 +63,7 @@ class QueuePair:
         self.sq_depth = 0
         #: Events waiting for an outstanding-RDMA slot to free (software
         #: flow control in the MPI layer parks here).
-        self._slot_waiters: list = []
+        self._slot_waiters: Deque = deque()
         #: Per-QP injection rate limiter state (virtual time).
         self.next_inject_time = 0.0
         #: RC reliability attributes (``IBV_QP_RETRY_CNT`` /
@@ -134,7 +134,7 @@ class QueuePair:
                     completed_at=now,
                 ))
         self.outstanding_rdma = 0
-        waiters, self._slot_waiters = self._slot_waiters, []
+        waiters, self._slot_waiters = self._slot_waiters, deque()
         for ev in waiters:
             if not ev.triggered:
                 ev.succeed(None)
@@ -175,7 +175,7 @@ class QueuePair:
         self.sq_depth += 1
         self.posted_sends += 1
         self.bytes_sent += wr.total_length
-        self.sq.put(wr)
+        self.sq.push(wr)
 
     def post_recv(self, wr: RecvWR) -> None:
         """Enqueue a receive WR (``ibv_post_recv``)."""
@@ -211,7 +211,7 @@ class QueuePair:
     def notify_slot_free(self) -> None:
         """NIC side: an ACK freed a slot; wake one waiter."""
         while self._slot_waiters and self.has_rdma_slot():
-            self._slot_waiters.pop(0).succeed(None)
+            self._slot_waiters.popleft().succeed(None)
 
     def release_rdma_slot(self) -> None:
         """Return one outstanding-RDMA credit and wake a parked waiter.

@@ -49,7 +49,7 @@ class SendWR:
     """
 
     __slots__ = ("wr_id", "opcode", "sg_list", "remote_addr", "rkey",
-                 "imm_data", "signaled")
+                 "imm_data", "signaled", "total_length")
 
     def __init__(self, wr_id: int, opcode: Opcode, sg_list: Sequence[SGE],
                  remote_addr: int = 0, rkey: int = 0,
@@ -71,11 +71,9 @@ class SendWR:
         self.imm_data = imm_data
         #: Request a completion on the sender CQ when done.
         self.signaled = signaled
-
-    @property
-    def total_length(self) -> int:
-        """Total bytes named by the gather list."""
-        return sum(sge.length for sge in self.sg_list)
+        #: Total bytes named by the gather list (summed once: the list
+        #: is fixed at construction and this is read three times per WR).
+        self.total_length = sum([sge.length for sge in sg_list])
 
     def __repr__(self) -> str:
         return (f"SendWR(wr_id={self.wr_id}, opcode={self.opcode}, "

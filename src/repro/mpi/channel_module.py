@@ -79,7 +79,7 @@ class ChannelModule(PartitionedModule):
         sender = self.sender
         ucx = sender.config.ucx
         proto = ucx.protocol_for(req.partition_size)
-        yield self.worker_lock.acquire()
+        yield from self.worker_lock.hold()
         try:
             yield sender.software_cost(
                 proto.t_send + sender.config.host.t_atomic)

@@ -70,7 +70,7 @@ class MsgKind(enum.Enum):
     PART_ATS = "part-ats"       # persist-module ack-to-sender after get
 
 
-@dataclass
+@dataclass(slots=True)
 class Header:
     """Out-of-band message header (bytes accounted as HEADER_BYTES)."""
 
@@ -85,7 +85,7 @@ class Header:
     ring_offset: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _PumpItem:
     """One message handed to the channel pump."""
 
@@ -168,8 +168,13 @@ class Channel:
     # -- sender API ---------------------------------------------------------
 
     def submit(self, item: _PumpItem) -> None:
-        """Hand a message to the pump (non-blocking, FIFO)."""
-        self._pump_queue.put(item)
+        """Hand a message to the pump (non-blocking, FIFO).
+
+        An idle pump takes it inside this call — its protocol CPU, gap
+        and flow-control waits start now, with no wake event in between
+        — so callers submit last, with their own bookkeeping done.
+        """
+        self._pump_queue.hand_off(item)
 
     def alloc_ring(self, nbytes: int) -> int:
         """Allocate ring space for an eager payload (sender-owned head)."""
@@ -187,9 +192,11 @@ class Channel:
         """Serialize sends: protocol CPU, injection gap, flow control."""
         env = self.env
         ucx = self.src.config.ucx
+        queue = self._pump_queue
         next_send = 0.0
         while True:
-            item: _PumpItem = yield self._pump_queue.get()
+            item: _PumpItem = (queue.pop() if queue.items
+                               else (yield queue.get()))
             if item.cpu_cost > 0:
                 yield item.cpu_cost
             if env.now < next_send:
@@ -271,7 +278,9 @@ class Channel:
         return fixed
 
     def _resubmit(self, item: _PumpItem):
-        self.submit(item)
+        # Through the queue, not in place: the replay drain must finish
+        # before the pump looks at any QP's state again.
+        self._pump_queue.push(item)
         return
         yield  # pragma: no cover - generator protocol
 

@@ -132,7 +132,7 @@ class PersistModule(PartitionedModule):
         # The UCX worker lock: held while the protocol code runs.  The
         # acquisition itself costs a contended cache-line transfer,
         # like the native module's arrival atomics.
-        yield self.worker_lock.acquire()
+        yield from self.worker_lock.hold()
         try:
             cost = proto.t_send + sender.config.host.t_atomic
             if proto.copies:

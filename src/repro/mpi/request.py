@@ -203,6 +203,8 @@ class PrecvRequest(PartitionedRequest):
         super().__init__(process, buf, source, tag, module_name)
         #: Arrival flags per user partition, this round.
         self.arrived = np.zeros(self.n_partitions, dtype=bool)
+        #: How many flags are set (``all_arrived`` without a reduction).
+        self._n_arrived = 0
         #: Arrival times per user partition (measurements).
         self.arrival_times: list[Optional[float]] = [None] * self.n_partitions
 
@@ -212,14 +214,25 @@ class PrecvRequest(PartitionedRequest):
                 f"arrival range [{start}, {start + count}) outside "
                 f"[0, {self.n_partitions})")
         now = self.process.env.now
-        self.arrived[start : start + count] = True
+        arrived = self.arrived
+        if count == 1:
+            # The per-message case: no slice, no reduction.
+            fresh = not arrived[start]
+            arrived[start] = True
+        else:
+            span = arrived[start : start + count]
+            fresh = count - int(np.count_nonzero(span))
+            span[:] = True
+        # A replayed range may overlap flags already set: count new ones.
+        self._n_arrived += fresh
         for i in range(start, start + count):
             self.arrival_times[i] = now
 
     @property
     def all_arrived(self) -> bool:
-        return bool(self.arrived.all())
+        return self._n_arrived == self.n_partitions
 
     def reset_round_stats(self) -> None:
         self.arrived[:] = False
+        self._n_arrived = 0
         self.arrival_times = [None] * self.n_partitions

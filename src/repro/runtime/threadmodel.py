@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.runtime.noise import NoiseModel
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Event
 from repro.sim.process import Process
 
 
@@ -73,13 +73,14 @@ class WorkerTeam:
         self,
         phase: ComputePhase,
         body: Callable[[int], object],
-    ) -> Process:
+    ) -> Event:
         """One parallel region: compute then per-thread body.
 
         ``body(thread_id)`` must return a generator (the thread's
-        communication actions, e.g. ``pready``).  Returns a process that
-        finishes when every thread has; its value is the list of
-        per-thread finish times.
+        communication actions, e.g. ``pready``).  Returns an event that
+        fires when every thread has finished — the last one trips it —
+        with the list of per-thread finish times as its value; a thread
+        that raises fails it with that exception.
         """
         delays = phase.noise.delays(
             self.n_threads, phase.compute, self._round, self.rng)
@@ -91,22 +92,28 @@ class WorkerTeam:
                 self.rng.normal(0.0, scale, size=self.n_threads))
         self._round += 1
         env = self.env
+        done = Event(env)
+        finish = [0.0] * self.n_threads
+        running = self.n_threads
 
         def worker(tid: int, extra: float):
-            total = phase.compute + extra
-            if total > 0:
-                yield total
-            result = body(tid)
-            if result is not None:
-                yield from result
-            return env.now
+            nonlocal running
+            try:
+                total = phase.compute + extra
+                if total > 0:
+                    yield total
+                result = body(tid)
+                if result is not None:
+                    yield from result
+            except Exception as exc:
+                if not done.triggered:
+                    done.fail(exc)
+                return
+            finish[tid] = env.now
+            running -= 1
+            if not running:
+                done.succeed(finish)
 
-        def team(env):
-            workers = [
-                env.process(worker(tid, float(delays[tid])))
-                for tid in range(self.n_threads)
-            ]
-            results = yield env.all_of(workers)
-            return [results[w] for w in workers]
-
-        return env.process(team(env))
+        for tid, extra in enumerate(delays.tolist()):
+            Process(env, worker(tid, extra))
+        return done

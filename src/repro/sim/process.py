@@ -22,7 +22,8 @@ class Process(Event):
     generator returns (value = return value) or raises (failure).
     """
 
-    __slots__ = ("_generator", "_send", "_throw", "_target", "name")
+    __slots__ = ("_generator", "_send", "_throw", "_target", "name",
+                 "_sleep", "_sleep_callbacks")
 
     def __init__(self, env: Environment, generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -33,6 +34,11 @@ class Process(Event):
         self._throw = generator.throw
         #: The event this process is currently waiting on (None if ready).
         self._target: Optional[Event] = None
+        #: This process's own sleep wake and the one-callback list it is
+        #: re-armed with for every bare-number sleep (a process sleeps on
+        #: at most one at a time); both made at the first sleep.
+        self._sleep: Optional[_Wake] = None
+        self._sleep_callbacks: Optional[list] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off at the current time, ahead of normal events.  Bootstrap
         # wakeups are kernel-internal and recycled through the wake pool.
@@ -84,18 +90,28 @@ class Process(Event):
             # Stale wakeup: an interrupt arrived while we waited on some
             # target; unhook from that target so its eventual firing does
             # not resume us twice.
-            cbs = target.callbacks
-            if cbs is not None:
-                try:
-                    cbs.remove(self._resume)
-                except ValueError:
-                    pass
+            if target is self._sleep:
+                # The interrupted sleep's timer stays queued and will
+                # fire: retire the wake (with no callbacks) so a later
+                # sleep cannot be cut short by it.
+                self._sleep = None
+                target.callbacks = []
+            else:
+                cbs = target.callbacks
+                if cbs is not None:
+                    try:
+                        cbs.remove(self._resume)
+                    except ValueError:
+                        pass
         self._target = None
         env = self.env
+        # Restored, not cleared, on the way out: ``Store.hand_off`` resumes
+        # a consumer in place, inside the producer's own step.
+        outer = env.active_process
         env.active_process = self
         ok = event._ok
         value = event._value
-        if type(event) is _Wake:
+        if type(event) is _Wake and event is not self._sleep:
             # Kernel-internal wakeup: nothing else holds a reference once
             # its outcome is read, so recycle it.
             env._wake_pool.append(event)
@@ -107,14 +123,29 @@ class Process(Event):
                 event._defused = True
                 result = self._throw(value)
         except StopIteration as stop:
-            env.active_process = None
-            self.succeed(stop.value, priority=PRIORITY_URGENT)
+            env.active_process = outer
+            # Drop the self-reference (list -> bound method -> process) so
+            # a finished process is freed by refcount, not left to the GC.
+            self._sleep_callbacks = None
+            if self.callbacks:
+                self.succeed(stop.value, priority=PRIORITY_URGENT)
+            else:
+                # Nobody waits on this process: finish in place.  The
+                # completion event would dispatch to no one, and a later
+                # ``yield process`` takes the already-processed path.
+                # (Failures below are always scheduled, so one nobody
+                # waited on still aborts the run.)
+                self._ok = True
+                self._value = stop.value
+                self._processed = True
+                self.callbacks = None
             return
         except BaseException as exc:
-            env.active_process = None
+            env.active_process = outer
+            self._sleep_callbacks = None
             self.fail(exc, priority=PRIORITY_URGENT)
             return
-        env.active_process = None
+        env.active_process = outer
         cls = type(result)
         if cls is float or cls is int:
             # Sleep protocol: a bare non-negative number yields a pure
@@ -125,17 +156,15 @@ class Process(Event):
             # nothing.
             if result < 0.0:
                 raise SimTimeError(f"negative sleep delay: {result}")
-            pool = env._wake_pool
-            if pool:
-                wake = pool.pop()
-                wake._processed = False
-                wake._defused = False
-                wake.callbacks = [self._resume]
+            wake = self._sleep
+            if wake is None:
+                wake = self._sleep = _Wake(env)
+                wake._ok = True
+                wake._value = None
+                self._sleep_callbacks = [self._resume]
             else:
-                wake = _Wake(env)
-                wake.callbacks.append(self._resume)
-            wake._ok = True
-            wake._value = None
+                wake._processed = False
+            wake.callbacks = self._sleep_callbacks
             now = env._now
             when = now + result
             if when > now:

@@ -72,6 +72,34 @@ class Resource:
             self._enqueue(req)
         return req
 
+    def claim(self, priority: int = 0) -> Request:
+        """Claim a slot, taking a free one in place.
+
+        A free slot is granted without touching the event queue: the
+        returned request is already *processed*
+        (``req.callbacks is None``) and the caller carries on.  Only a
+        busy resource hands back a live event to wait on, exactly as
+        :meth:`request` would::
+
+            req = res.claim()
+            if req.callbacks is not None:     # busy: wait for the hand-off
+                yield req
+            ...
+            res.release(req)
+
+        Yielding an in-place grant anyway is legal (the process resumes
+        at once); it just pays the event this method exists to save.
+        """
+        if len(self._users) >= self.capacity:
+            return self.request(priority)
+        req = Request(self, priority)
+        self._users.add(req)
+        req._ok = True
+        req._value = req
+        req._processed = True
+        req.callbacks = None
+        return req
+
     def _enqueue(self, req: Request) -> None:
         self._waiting.append(req)
 
@@ -171,6 +199,46 @@ class Store:
             self._putters.append((ev, item))
         return ev
 
+    def push(self, item: Any) -> None:
+        """Deposit ``item`` with no event: for producers that never wait.
+
+        Same hand-off as :meth:`put` — the oldest parked getter gets the
+        item, else it queues — minus the put event nobody would yield.
+        The store must have room (an unbounded one always does).
+        """
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        elif len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            raise SimulationError("push() on a full Store; yield put() instead")
+
+    def hand_off(self, item: Any) -> None:
+        """Deposit ``item``, resuming a parked consumer *in place*.
+
+        :meth:`push` wakes a parked getter through the event queue: one
+        dispatch whose only effect is to resume the consumer at the same
+        ``(time, priority)`` the producer is already running at.  This
+        hands the item over as a direct call instead — the consumer's
+        next step runs inside this one, up to its next ``yield``, and
+        then the producer carries on.  No virtual time passes either
+        way.  The producer must therefore call it with its own state
+        settled (as the last thing it does with ``item``), and the
+        consumer must not need to observe anything the producer does
+        afterwards at this timestamp.  With nobody parked it is
+        :meth:`push`.
+        """
+        if not self._getters:
+            self.push(item)
+            return
+        getter = self._getters.popleft()
+        getter._ok = True
+        getter._value = item
+        getter._processed = True
+        callbacks, getter.callbacks = getter.callbacks, None
+        for callback in callbacks:
+            callback(getter)
+
     def drain(self) -> list:
         """Remove and return every queued item (no waiter interaction).
 
@@ -186,15 +254,26 @@ class Store:
         self.items.clear()
         return out
 
+    def pop(self) -> Any:
+        """Withdraw the oldest item in place; the store must hold one.
+
+        The event-free half of :meth:`get`, for a consumer that checks
+        ``store.items`` first and parks only on an empty store::
+
+            item = store.pop() if store.items else (yield store.get())
+        """
+        item = self.items.popleft()
+        if self._putters:
+            putter, queued = self._putters.popleft()
+            self.items.append(queued)
+            putter.succeed(None)
+        return item
+
     def get(self) -> Event:
         """Withdraw the oldest item; returned event fires with the item."""
         ev = Event(self.env)
         if self.items:
-            ev.succeed(self.items.popleft())
-            if self._putters:
-                putter, item = self._putters.popleft()
-                self.items.append(item)
-                putter.succeed(None)
+            ev.succeed(self.pop())
         else:
             self._getters.append(ev)
         return ev

@@ -20,13 +20,15 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event, _PENDING
+from repro.sim.core import Environment, Event, Timeout, _PENDING
 
 
 class SimLock:
     """A mutex for simulated processes.
 
     ``acquire`` returns an event that fires when the lock is granted;
+    ``hold`` is the same acquisition as a process body that takes a free
+    lock in place (no event) and parks only when contended;
     ``try_acquire`` is the non-blocking variant used by the paper's
     ``MPI_Parrived`` path ("tries to acquire a lock; ... otherwise it
     just returns").
@@ -38,7 +40,9 @@ class SimLock:
         self.env = env
         self._locked = False
         self._waiting: Deque[Event] = deque()
-        #: Number of times the lock was found busy (contention statistic).
+        #: Number of acquisition attempts that found the lock busy: each
+        #: contended ``acquire``/``hold`` counts once (when it queues, not
+        #: again at the hand-off), each failed ``try_acquire`` once.
         self.contended_count = 0
 
     @property
@@ -60,8 +64,26 @@ class SimLock:
             self._waiting.append(ev)
         return ev
 
+    def hold(self):
+        """Blockingly claim the lock as a process body; yields only if busy.
+
+        ``yield from lock.hold()`` is ``yield lock.acquire()`` without
+        the grant event of an uncontended acquisition: a free lock is
+        taken in place and the caller carries on at the same virtual
+        time; a busy one queues behind the holder on a hand-off event,
+        FIFO with ``acquire`` waiters.
+        """
+        if self._locked:
+            yield self.acquire()
+        else:
+            self._locked = True
+
     def try_acquire(self) -> bool:
-        """Claim the lock iff free; returns whether it was claimed."""
+        """Claim the lock iff free; returns whether it was claimed.
+
+        A failed probe adds one to :attr:`contended_count`; the caller
+        does not queue, so nothing else is counted for it later.
+        """
         if self._locked:
             self.contended_count += 1
             return False
@@ -142,7 +164,7 @@ class AtomicCounter:
 
     def add_and_fetch(self, delta: int = 1):
         """Atomically add ``delta``; yields, returns the new value."""
-        yield self._lock.acquire()
+        yield from self._lock.hold()
         try:
             if self.access_cost > 0:
                 yield self.access_cost
@@ -154,7 +176,7 @@ class AtomicCounter:
 
     def fetch(self):
         """Atomic read with the same serialization cost as a write."""
-        yield self._lock.acquire()
+        yield from self._lock.hold()
         try:
             if self.access_cost > 0:
                 yield self.access_cost
@@ -164,84 +186,79 @@ class AtomicCounter:
             self._lock.release()
 
 
-class _Race(Event):
-    """First-of-two race event: a lean stand-in for :class:`AnyOf`.
+class _Park(Event):
+    """One parked :meth:`Notify.wait`: the event the waiter yields.
 
-    :meth:`Notify.wait` is the engine's hottest composite-event site and
-    never reads the condition's value dict, so the full ``Condition``
-    machinery (constituent list, fired-value dict, evaluate callable) is
-    dead weight there.  ``_win`` mirrors ``Condition._check`` exactly —
-    first constituent to process triggers the race at the current time
-    with normal priority, later ones no-op — so the scheduled event
-    sequence is identical to the ``AnyOf`` it replaces.
+    ``set`` succeeds it directly; a fallback :class:`Timeout` calls
+    :meth:`_expire`, which wakes the waiter and drops the park from the
+    latch unless a set got there first.
     """
 
-    __slots__ = ()
+    __slots__ = ("_parked",)
 
-    def _win(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defuse()
-            self.fail(event._value)
+    def _expire(self, _timer: Event) -> None:
+        if self._value is _PENDING:
+            self._parked.remove(self)
+            self.succeed(None)
 
 
 class Notify:
     """An edge-triggered wakeup latch (the progress engine's *kick*).
 
-    ``set`` arms the latch and wakes anything parked on the current
-    :meth:`wait` event; repeated sets before a consume coalesce into
-    one wakeup, matching completion-channel semantics.  A consumer that
-    finds the latch ``pending`` calls :meth:`consume` to re-arm it and
-    re-checks its condition — this check-consume-recheck discipline is
-    what makes a set landing *between* a predicate check and the park
-    impossible to lose.
+    ``set`` arms the latch and wakes everything parked in :meth:`wait`;
+    repeated sets before a consume coalesce into one wakeup, matching
+    completion-channel semantics.  A consumer that finds the latch
+    ``pending`` calls :meth:`consume` to re-arm it and re-checks its
+    condition — this check-consume-recheck discipline is what makes a
+    set landing *between* a predicate check and the park impossible to
+    lose.
     """
 
-    __slots__ = ("env", "_event", "set_count")
+    __slots__ = ("env", "_pending", "_parked", "set_count")
 
     def __init__(self, env: Environment):
         self.env = env
-        self._event = Event(env)
+        self._pending = False
+        #: Live parks, oldest first; a park leaves when it is woken or
+        #: when its fallback expires.
+        self._parked: list[_Park] = []
         #: Total sets that armed the latch (coalesced sets not counted).
         self.set_count = 0
 
     @property
     def pending(self) -> bool:
         """Whether a set has landed since the last :meth:`consume`."""
-        return self._event.triggered
+        return self._pending
 
     def set(self) -> None:
-        """Arm the latch, waking the current wait event (idempotent)."""
-        if not self._event.triggered:
-            self._event.succeed(None)
+        """Arm the latch, waking every parked waiter (idempotent)."""
+        if not self._pending:
+            self._pending = True
             self.set_count += 1
+            for park in self._parked:
+                park.succeed(None)
+            self._parked.clear()
 
     def consume(self) -> None:
         """Re-arm after observing a pending set (edge-triggered reset)."""
-        self._event = Event(self.env)
+        self._pending = False
 
     def wait(self, fallback: Optional[float] = None) -> Event:
         """Event firing on the next set (or after ``fallback`` seconds).
 
-        The returned event references the *current* latch generation:
-        a set that landed before this call fires it immediately, so a
-        parker can never sleep through a wakeup it has not consumed.
+        A set that landed before this call and has not been consumed
+        fires it immediately, so a parker can never sleep through a
+        wakeup it has not consumed.
         """
-        if fallback is None:
-            return self._event
-        latch = self._event
-        timer = self.env.timeout(fallback)
-        race = _Race(self.env)
-        if latch.callbacks is None:
-            # Latch generation already processed: win immediately.
-            race._win(latch)
-        else:
-            latch.callbacks.append(race._win)
-        timer.callbacks.append(race._win)
-        return race
+        park = _Park(self.env)
+        if self._pending:
+            park.succeed(None)
+            return park
+        park._parked = self._parked
+        self._parked.append(park)
+        if fallback is not None:
+            Timeout(self.env, fallback).callbacks.append(park._expire)
+        return park
 
 
 class SimBarrier:

@@ -69,6 +69,19 @@ def test_protocol_properties():
     assert not ucx.protocol_for(64).rendezvous
 
 
+def test_protocol_tiers_are_constants_of_the_config():
+    # protocol_for runs four times per baseline message: the tier objects
+    # are built once per config, and a changed config gets its own.
+    ucx = NIAGARA.ucx
+    assert ucx.protocol_for(64) is ucx.protocol_for(100)
+    assert ucx.protocol_for(1 << 20) is ucx.protocol_for(1 << 24)
+    slower = dataclasses.replace(ucx, t_rndv=2 * ucx.t_rndv)
+    assert slower.protocol_for(1 << 20).t_send == 2 * ucx.t_rndv
+    assert ucx.protocol_for(1 << 20).t_send == ucx.t_rndv
+    assert slower == dataclasses.replace(ucx, t_rndv=2 * ucx.t_rndv)
+    assert hash(ucx) == hash(dataclasses.replace(ucx))
+
+
 def test_ucx_validation():
     with pytest.raises(ConfigError):
         dataclasses.replace(

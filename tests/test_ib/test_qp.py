@@ -157,6 +157,32 @@ def test_empty_sg_list_rejected():
         SendWR(wr_id=1, opcode=Opcode.RDMA_WRITE, sg_list=[])
 
 
+def test_total_length_sums_the_gather_list_once(pair):
+    sges = [SGE(pair.send_mr.addr, 8, pair.send_mr.lkey),
+            SGE(pair.send_mr.addr + 8, 0, pair.send_mr.lkey),
+            SGE(pair.send_mr.addr + 8, 24, pair.send_mr.lkey)]
+    wr = SendWR(wr_id=1, opcode=Opcode.RDMA_WRITE, sg_list=sges,
+                remote_addr=pair.recv_mr.addr, rkey=pair.recv_mr.rkey)
+    assert wr.total_length == 32
+    pair.qp0.post_send(wr)
+    assert pair.qp0.bytes_sent == 32
+
+
+def test_slot_waiters_wake_oldest_first(pair):
+    limit = pair.qp0.nic.config.nic.max_outstanding_rdma
+    pair.qp0.outstanding_rdma = limit
+    woken = []
+    for tag in range(3):
+        pair.qp0.wait_rdma_slot().callbacks.append(
+            lambda _event, tag=tag: woken.append(tag))
+    pair.qp0.notify_slot_free()          # still full: nobody wakes
+    pair.env.run()
+    assert woken == []
+    pair.qp0.release_rdma_slot()
+    pair.env.run()
+    assert woken == [0, 1, 2]
+
+
 def test_qp_numbers_unique(pair):
     qps = [verbs.ibv_create_qp(pair.ctx0, pair.pd0, pair.cq0, pair.cq0)
            for _ in range(10)]

@@ -91,6 +91,26 @@ def test_precv_arrival_tracking(proc):
     assert all(t is not None for t in req.arrival_times)
 
 
+def test_precv_all_arrived_counts_each_flag_once(proc):
+    # all_arrived reads a count, not a reduction over the flags: a
+    # replayed range overlapping flags already set must not count twice,
+    # and a reset must zero the count with the flags.
+    req = PrecvRequest(proc, PartitionedBuffer(6, 256), source=0, tag=0,
+                       module_name="m")
+    req.mark_arrived(1, 1)
+    req.mark_arrived(1, 1)                 # duplicate single
+    req.mark_arrived(0, 4)                 # overlaps partition 1
+    req.mark_arrived(2, 3)                 # overlaps 2 and 3
+    assert not req.all_arrived
+    assert int(req.arrived.sum()) == 5
+    req.mark_arrived(5, 1)
+    assert req.all_arrived and bool(req.arrived.all())
+    req.reset_round_stats()
+    assert not req.all_arrived
+    req.mark_arrived(0, 6)
+    assert req.all_arrived
+
+
 def test_precv_arrival_range_validated(proc):
     req = PrecvRequest(proc, PartitionedBuffer(4, 256), source=0, tag=0,
                        module_name="m")

@@ -179,6 +179,34 @@ def test_stale_timeout_does_not_double_resume():
     assert env.now == 21.0
 
 
+def test_stale_bare_sleep_does_not_cut_the_next_sleep_short():
+    """A process re-arms one wake object for all its bare-number sleeps;
+    an interrupted sleep's timer is still queued, so that wake must be
+    retired or it would end the *next* sleep at t=10."""
+    env = Environment()
+    wakeups = []
+
+    def sleeper(env):
+        try:
+            yield 10.0
+            wakeups.append(("timeout", env.now))
+        except Interrupt:
+            wakeups.append(("interrupt", env.now))
+        yield 20.0  # outlives the stale timer at t=10
+        wakeups.append(("second", env.now))
+        yield 5.0
+        wakeups.append(("third", env.now))
+
+    def interrupter(env, victim):
+        yield 1.0
+        victim.interrupt()
+
+    victim = env.process(sleeper(env))
+    env.process(interrupter(env, victim))
+    env.run()
+    assert wakeups == [("interrupt", 1.0), ("second", 21.0), ("third", 26.0)]
+
+
 def test_yielding_non_event_fails_process():
     env = Environment()
 

@@ -187,3 +187,57 @@ def test_store_invalid_capacity():
     env = Environment()
     with pytest.raises(ValueError):
         Store(env, capacity=0)
+
+
+def test_claim_takes_a_free_slot_without_an_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    first = res.claim()
+    assert first.processed and first.callbacks is None and first.value is first
+    assert res.count == 1
+    second = res.claim()                  # busy: a live event, queued FIFO
+    assert not second.triggered and res.queue_length == 1
+    env.run()                             # nothing was scheduled for `first`
+    assert env.now == 0.0 and not second.triggered
+    res.release(first)
+    assert second.triggered and res.count == 1
+    res.release(second)
+    assert res.count == 0
+
+
+def test_priority_resource_claim_queues_by_priority():
+    env = Environment()
+    res = PriorityResource(env, capacity=1)
+    holder = res.claim()
+    low, high = res.claim(priority=5), res.claim(priority=1)
+    res.release(holder)
+    assert high.triggered and not low.triggered
+
+
+def test_store_push_and_pop_are_event_free():
+    env = Environment()
+    store = Store(env)
+    store.push("a")
+    store.push("b")
+    assert store.pop() == "a" and len(store) == 1
+    got = store.get()
+    waiting = store.get()
+    store.push("c")                       # wakes the parked getter (evented)
+    assert got.value == "b" and waiting.value == "c"
+    assert not waiting.processed
+    env.run()
+    assert waiting.processed
+
+
+def test_store_push_on_a_full_store_raises_and_pop_admits_a_putter():
+    env = Environment()
+    store = Store(env, capacity=1)
+    store.push("a")
+    with pytest.raises(SimulationError):
+        store.push("b")
+    with pytest.raises(SimulationError):
+        store.hand_off("b")
+    parked = store.put("b")
+    assert not parked.triggered
+    assert store.pop() == "a"
+    assert parked.triggered and list(store.items) == ["b"]

@@ -25,7 +25,7 @@ from repro.sim.sync import (
     SimBarrier,
     SimLock,
     SimSemaphore,
-    _Race,
+    _Park,
 )
 
 
@@ -51,7 +51,9 @@ def _instances():
     yield AtomicCounter(env)
     yield Notify(env)
     yield SimBarrier(env, parties=1)
-    yield _Race(env)
+    # _Park replaced _Race when Notify stopped racing a latch against a
+    # timer: the parked event is the one the waiter yields.
+    yield _Park(env)
     yield sge
     yield SendWR(wr_id=1, opcode=Opcode.RDMA_WRITE, sg_list=[sge])
     yield RecvWR(wr_id=2)

@@ -1,9 +1,16 @@
-"""Tests for SimLock / SimSemaphore / AtomicCounter / SimBarrier."""
+"""Tests for SimLock / SimSemaphore / AtomicCounter / SimBarrier / Notify."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AtomicCounter, Environment, SimBarrier, SimLock, SimSemaphore
+from repro.sim import (
+    AtomicCounter,
+    Environment,
+    Notify,
+    SimBarrier,
+    SimLock,
+    SimSemaphore,
+)
 
 
 def test_lock_mutual_exclusion():
@@ -72,6 +79,53 @@ def test_lock_contention_counted():
     for _ in range(4):
         env.process(worker(env, lock))
     env.run()
+    assert lock.contended_count == 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_contended_count_is_one_per_contended_acquisition(n):
+    """N simultaneous acquirers of a free lock: the first takes it in
+    place, the other N - 1 queue — each counted once, when it queues,
+    and not again when the lock is handed to it."""
+    env = Environment()
+    lock = SimLock(env)
+    order = []
+
+    def worker(env, tag):
+        yield from lock.hold()
+        order.append((tag, env.now))
+        yield env.timeout(1.0)
+        lock.release()
+
+    for tag in range(n):
+        env.process(worker(env, tag))
+    env.run()
+    assert lock.contended_count == n - 1
+    assert order == [(tag, float(tag)) for tag in range(n)]  # FIFO hand-off
+    assert not lock.locked
+
+
+def test_hold_and_acquire_waiters_share_one_fifo():
+    env = Environment()
+    lock = SimLock(env)
+    order = []
+
+    def evented(env, tag):
+        yield lock.acquire()
+        order.append(tag)
+        yield env.timeout(1.0)
+        lock.release()
+
+    def inplace(env, tag):
+        yield from lock.hold()
+        order.append(tag)
+        yield env.timeout(1.0)
+        lock.release()
+
+    for tag, body in enumerate([evented, inplace, evented, inplace]):
+        env.process(body(env, tag))
+    env.run()
+    assert order == [0, 1, 2, 3]
     assert lock.contended_count == 3
 
 
@@ -190,3 +244,76 @@ def test_barrier_parties_validation():
     env = Environment()
     with pytest.raises(ValueError):
         SimBarrier(env, parties=0)
+
+
+# -- Notify: the progress engine's park/kick latch -------------------------
+
+
+def test_notify_set_wakes_every_parked_waiter_once():
+    env = Environment()
+    notify = Notify(env)
+    woken = []
+
+    def waiter(env, tag):
+        yield notify.wait(1.0)
+        woken.append((tag, env.now))
+
+    def kicker(env):
+        yield env.timeout(0.25)
+        notify.set()
+        notify.set()  # coalesces: still one wakeup, one count
+
+    for tag in range(3):
+        env.process(waiter(env, tag))
+    env.process(kicker(env))
+    env.run()
+    assert woken == [(0, 0.25), (1, 0.25), (2, 0.25)]
+    assert notify.set_count == 1 and notify.pending
+    notify.consume()
+    assert not notify.pending
+
+
+def test_notify_wait_after_unconsumed_set_fires_immediately():
+    env = Environment()
+    notify = Notify(env)
+    notify.set()
+    seen = []
+
+    def waiter(env):
+        yield notify.wait(5.0)
+        seen.append(env.now)
+
+    env.process(waiter(env))
+    env.run(until=1.0)
+    assert seen == [0.0]
+
+
+def test_notify_drops_a_park_when_its_fallback_expires():
+    """A rank idling through a long compute phase parks and times out
+    over and over.  Each expired park must leave the latch: at most the
+    live one stays parked, and the eventual set wakes exactly it."""
+    env = Environment()
+    notify = Notify(env)
+    wakeups = []
+
+    def idler(env):
+        for _ in range(1000):
+            yield notify.wait(1e-4)
+            wakeups.append(env.now)
+            assert len(notify._parked) == 0
+        yield notify.wait(1.0)      # the live waiter
+        wakeups.append(env.now)
+
+    def kicker(env):
+        yield env.timeout(0.5)
+        assert len(notify._parked) == 1
+        notify.set()
+        assert len(notify._parked) == 0
+
+    env.process(idler(env))
+    env.process(kicker(env))
+    env.run()
+    assert len(wakeups) == 1001
+    assert wakeups[999] == pytest.approx(0.1)
+    assert wakeups[1000] == 0.5      # woken by the set, not its fallback
+    assert notify.set_count == 1

@@ -20,9 +20,9 @@ store reads.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Optional, Protocol, Union, runtime_checkable
 
@@ -30,6 +30,18 @@ from repro.autotune.policy import PlanChoice
 from repro.errors import ReproError
 
 SCHEMA = "repro-autotune-store/v1"
+
+#: The one entry-file encoder: its text is, byte for byte, what
+#: ``json.dump(payload, fh, indent=2, sort_keys=True)`` streams.
+_encode_entry = json.JSONEncoder(indent=2, sort_keys=True).encode
+#: Entry files are a few hundred bytes; one read of this size takes a
+#: whole one (a read that fills it is followed by more).
+_READ_BYTES = 4096
+#: Process-wide sequence for temp-file names; with the pid and
+#: ``O_EXCL`` it keeps unlocked writers off each other's temp files.
+_temp_seq = itertools.count()
+#: ``repro.exp.spec.canonical``, resolved by the first digest.
+_canonical = None
 
 
 @runtime_checkable
@@ -65,10 +77,12 @@ def workload_key(n_user: int, message_size: int,
 
 def entry_digest(key: dict) -> str:
     """Content address of a tuning key (the entry's file stem)."""
-    # Late import: repro.exp imports benchmarks which import core, and
-    # core.aggregators is imported by this package's policy module.
-    from repro.exp.spec import canonical
-    return hashlib.sha256(canonical(key).encode()).hexdigest()[:24]
+    global _canonical
+    if _canonical is None:
+        # Late import: repro.exp imports benchmarks which import core, and
+        # core.aggregators is imported by this package's policy module.
+        from repro.exp.spec import canonical as _canonical
+    return hashlib.sha256(_canonical(key).encode()).hexdigest()[:24]
 
 
 class TuningStore:
@@ -77,6 +91,7 @@ class TuningStore:
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._dir = str(self.root)
         #: Corrupt or alien-schema files seen by reads of this handle
         #: (cumulative).  Surfaced by ``repro-bench autotune`` so store
         #: rot is visible instead of silently reading as "never tuned".
@@ -85,25 +100,34 @@ class TuningStore:
     def _path(self, key: dict) -> Path:
         return self.root / f"{entry_digest(key)}.json"
 
-    def load(self, path: Path) -> Optional[dict]:
+    def load(self, path: Union[str, Path]) -> Optional[dict]:
         """Parse one entry file; None (and count) when corrupt.
 
         A *missing* file is a plain miss, not corruption — only a file
         that exists but cannot be read as a schema-valid entry counts.
         """
         try:
-            text = path.read_text()
+            fd = os.open(path, os.O_RDONLY)
         except FileNotFoundError:
             return None
         except OSError:
             self.corrupt_entries += 1
             return None
         try:
-            payload = json.loads(text)
-        except ValueError:
+            data = os.read(fd, _READ_BYTES)
+            if len(data) == _READ_BYTES:
+                chunks = [data]
+                while chunk := os.read(fd, 16 * _READ_BYTES):
+                    chunks.append(chunk)
+                data = b"".join(chunks)
+            # ValueError covers bad JSON and bytes that are not UTF-8.
+            payload = json.loads(data.decode())
+        except (OSError, ValueError):
             self.corrupt_entries += 1
             return None
-        if payload.get("schema") != SCHEMA:
+        finally:
+            os.close(fd)
+        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
             self.corrupt_entries += 1
             return None
         return payload
@@ -128,18 +152,21 @@ class TuningStore:
         self.write(path, key, choice, meta or {})
         return path
 
-    def write(self, path: Path, key: dict, choice: PlanChoice, meta: dict,
-              **extra) -> None:
+    def write(self, path: Union[str, Path], key: dict, choice: PlanChoice,
+              meta: dict, **extra) -> None:
         """Land one entry file at ``path``: readers see the old file or
         the new one, never a torn write.  ``extra`` admits the fields a
         layer above adds to the schema (the serving layer's version)."""
         payload = {"schema": SCHEMA, "key": key, "plan": choice.as_dict(),
                    "meta": meta, **extra}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        data = (_encode_entry(payload) + "\n").encode()
+        fd, tmp = self._open_temp()
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -147,6 +174,20 @@ class TuningStore:
             except OSError:
                 pass
             raise
+
+    def _open_temp(self) -> tuple[int, str]:
+        """A new, exclusively created temp file beside the entries
+        (``os.replace`` must not cross a file system), owner-only like
+        ``tempfile.mkstemp``'s.  A name that is taken (another pid
+        namespace on a shared volume, or a crashed writer's leftover)
+        is skipped, never reused."""
+        while True:
+            tmp = f"{self._dir}/{os.getpid()}-{next(_temp_seq)}.tmp"
+            try:
+                return os.open(
+                    tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), tmp
+            except FileExistsError:
+                pass
 
     def digests(self) -> list[str]:
         """Digests on disk (cheap: sorted file stems, no parse)."""

@@ -19,18 +19,36 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
+
+#: The one canonical encoder (``json.dumps`` builds one per call).
+#: ``_jsonable`` hands it a freshly built tree, so there is no cycle
+#: for it to look for.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           check_circular=False).encode
 
 
 def canonical(params: Mapping[str, Any]) -> str:
     """Order-insensitive canonical JSON encoding of a parameter map."""
-    return json.dumps(_jsonable(params), sort_keys=True,
-                      separators=(",", ":"))
+    return _encode(_jsonable(params))
 
 
 def _jsonable(value: Any) -> Any:
     """Normalize tuples to lists so equal specs encode equally."""
+    # Exact-type fast paths: a plan-service key is a flat dict of
+    # scalars and every request canonicalises one.  Anything else
+    # (subclasses, other mappings, rejects) takes the general chain
+    # below, which alone defines the result.
+    kind = type(value)
+    if (kind is str or kind is int or kind is float or kind is bool
+            or value is None):
+        return value
+    if kind is dict:
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [_jsonable(v) for v in value]
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -14,11 +14,34 @@ by ``MPI_Psend_init`` / ``MPI_Precv_init``.
 
 from __future__ import annotations
 
+import mmap
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import PartitionError, ProtectionError
+from repro.units import KiB
+
+#: Backed buffers of at least this size are their own anonymous mapping
+#: instead of a heap block.  It is glibc's *initial* mmap threshold,
+#: which the allocator raises (up to 32 MiB) the first time a mapped
+#: block is freed; from then on a 4 MiB endpoint ring is carved from
+#: recycled heap, zero-filled by hand and so resident in full whether
+#: or not it is ever touched, and the process's peak RSS depends on
+#: what happened to be freed earlier (docs/PERF.md §3).  A mapping of
+#: our own is zero pages on demand every time, and returns them when
+#: the buffer is dropped.
+MAP_BYTES = 128 * KiB
+
+
+def _zeroed(nbytes: int) -> np.ndarray:
+    """``nbytes`` writable zero bytes."""
+    if nbytes < MAP_BYTES:
+        return np.zeros(nbytes, dtype=np.uint8)
+    # ACCESS_COPY: private to this process like the heap block it
+    # replaces (the default anonymous mapping is shared across fork).
+    return np.frombuffer(mmap.mmap(-1, nbytes, access=mmap.ACCESS_COPY),
+                         dtype=np.uint8)
 
 
 class Buffer:
@@ -35,7 +58,7 @@ class Buffer:
         Buffer._next_addr += self.nbytes + 0x1000
         self._data: Optional[np.ndarray] = None
         if backed:
-            self._data = np.zeros(self.nbytes, dtype=np.uint8)
+            self._data = _zeroed(self.nbytes)
             if fill is not None:
                 self._data[:] = fill
 

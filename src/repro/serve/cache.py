@@ -24,6 +24,8 @@ from repro.serve.shard import ServedEntry
 
 #: Sentinel stored for cached misses (negative entries).
 _NEGATIVE = None
+#: What one probe returns for a digest the cache does not hold.
+_ABSENT = object()
 
 
 class PlanCache:
@@ -65,10 +67,10 @@ class PlanCache:
         backend and :meth:`fill` the answer).
         """
         self.tick += 1
-        if digest not in self._entries:
+        value = self._entries.get(digest, _ABSENT)
+        if value is _ABSENT:
             self.misses += 1
             return "miss", None
-        value = self._entries[digest]
         if value is _NEGATIVE:
             born = self._negative_born.get(digest, self.tick)
             if self.tick - born > self.negative_ttl:

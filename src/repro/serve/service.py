@@ -68,7 +68,7 @@ class TuningService:
                 return entry
             if state == "negative":
                 return None
-            entry = self.store.read(key)
+            entry = self.store._read(digest)
             self.cache.fill(digest, entry)
             return entry
 
@@ -86,8 +86,8 @@ class TuningService:
         with self._lock:
             self.commit_requests += 1
             self._touch(digest)
-            result = self.store.commit(key, choice, meta=meta,
-                                       expect_version=expect_version)
+            result = self.store._commit(digest, key, choice, meta,
+                                        expect_version)
             # Cache the authoritative entry either way: on conflict it
             # is the winner the client should refresh against.
             if result.entry.version > 0:

@@ -50,7 +50,7 @@ MANIFEST = "serve.json"
 MANIFEST_SCHEMA = "repro-serve-store/v1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServedEntry:
     """One versioned entry as the backend returned it."""
 
@@ -64,7 +64,7 @@ class ServedEntry:
                 "version": self.version, "meta": dict(self.meta)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitResult:
     """Outcome of one commit attempt.
 
@@ -104,6 +104,9 @@ class ShardedStore:
         #: (and bad files are counted on it).
         self.shards = [TuningStore(self.root / f"shard-{i:02d}")
                        for i in range(self.n_shards)]
+        #: (shard, its directory as a string) by shard index: a request
+        #: builds its entry path with one format, no ``Path`` arithmetic.
+        self._routes = [(shard, str(shard.root)) for shard in self.shards]
         #: Compare-and-swap rejections served by this handle.
         self.conflicts = 0
         #: Successful commits through this handle.
@@ -163,13 +166,15 @@ class ShardedStore:
     def shard_of_digest(self, digest: str) -> int:
         return int(digest[:8], 16) % self.n_shards
 
-    def _locate(self, key: dict) -> tuple[TuningStore, Path]:
-        digest = entry_digest(key)
-        shard = self.shards[self.shard_of_digest(digest)]
-        return shard, shard.root / f"{digest}.json"
+    def _locate(self, digest: str) -> tuple[TuningStore, str]:
+        """The shard and entry-file path of a key's digest.  Everything
+        below the public methods is addressed by digest, so a request
+        canonicalises and hashes its key once."""
+        shard, directory = self._routes[self.shard_of_digest(digest)]
+        return shard, f"{directory}/{digest}.json"
 
     def path_for(self, key: dict) -> Path:
-        return self._locate(key)[1]
+        return Path(self._locate(entry_digest(key))[1])
 
     @property
     def corrupt_entries(self) -> int:
@@ -177,7 +182,7 @@ class ShardedStore:
         return sum(shard.corrupt_entries for shard in self.shards)
 
     @contextmanager
-    def _entry_lock(self, path: Path):
+    def _entry_lock(self, path: Union[str, Path]):
         """Per-entry advisory write lock (readers stay lock-free).
 
         Deleting an entry unlinks its lock file, so a writer that
@@ -187,7 +192,7 @@ class ShardedStore:
         once the grant is on the inode the path *still* names;
         otherwise reopen and queue again.
         """
-        lock_path = path.with_suffix(".lock")
+        lock_path = os.path.splitext(path)[0] + ".lock"
         while True:
             fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
             try:
@@ -223,7 +228,10 @@ class ShardedStore:
 
     def read(self, key: dict) -> Optional[ServedEntry]:
         """The current versioned entry for ``key`` (None = miss)."""
-        shard, path = self._locate(key)
+        return self._read(entry_digest(key))
+
+    def _read(self, digest: str) -> Optional[ServedEntry]:
+        shard, path = self._locate(digest)
         payload = shard.load(path)
         if payload is None:
             return None
@@ -248,7 +256,13 @@ class ShardedStore:
         written and the current entry is returned with
         ``committed=False``.
         """
-        shard, path = self._locate(key)
+        return self._commit(entry_digest(key), key, choice, meta,
+                            expect_version)
+
+    def _commit(self, digest: str, key: dict, choice: PlanChoice,
+                meta: Optional[dict],
+                expect_version: Optional[int]) -> CommitResult:
+        shard, path = self._locate(digest)
         with self._entry_lock(path):
             payload = shard.load(path)
             current = (self._entry(shard, payload)
@@ -275,14 +289,15 @@ class ShardedStore:
     def put(self, key: dict, choice: PlanChoice,
             meta: Optional[dict] = None) -> Path:
         """TuningStore-compatible confident write."""
-        self.commit(key, choice, meta=meta)
-        return self.path_for(key)
+        digest = entry_digest(key)
+        self._commit(digest, key, choice, meta, None)
+        return Path(self._locate(digest)[1])
 
     def delete(self, key: dict) -> bool:
         """Remove ``key``'s entry (and its lock file); True if it existed."""
-        return self._delete_path(self.path_for(key))
+        return self._delete_path(self._locate(entry_digest(key))[1])
 
-    def _delete_path(self, path: Path) -> bool:
+    def _delete_path(self, path: Union[str, Path]) -> bool:
         with self._entry_lock(path):
             try:
                 os.unlink(path)
@@ -292,7 +307,7 @@ class ShardedStore:
             # Still holding the lock: whoever is queued on this inode
             # finds the path no longer names it and retries.
             try:
-                os.unlink(path.with_suffix(".lock"))
+                os.unlink(os.path.splitext(path)[0] + ".lock")
             except FileNotFoundError:
                 pass
         return existed

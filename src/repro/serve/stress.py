@@ -11,7 +11,8 @@ exercised by real *processes*, not threads.  This module is both:
   launches N such writers against one store root, reads the contested
   entry continuously while they run (counting torn reads: a file that
   exists but fails to parse or schema-check), and audits the end
-  state.
+  state.  It exits 1 when either invariant below is broken, so CI can
+  gate on it.
 
 Invariants audited (the acceptance criteria of ISSUE 10):
 
@@ -82,16 +83,13 @@ def writer_main(root: str, n_shards: int, writer: int, n_puts: int,
 def _audit_read(path: Path) -> Optional[bool]:
     """One raw read of the contested file: None=absent, True=clean."""
     try:
-        text = path.read_text()
+        payload = json.loads(path.read_text())
     except FileNotFoundError:
         return None
-    except OSError:
+    except (OSError, ValueError):  # ValueError: bad JSON or not UTF-8
         return False
-    try:
-        payload = json.loads(text)
-    except ValueError:
-        return False
-    return payload.get("schema") == SCHEMA and "version" in payload
+    return (isinstance(payload, dict) and payload.get("schema") == SCHEMA
+            and "version" in payload)
 
 
 def run_multiwriter_stress(root: str, n_writers: int = 4,
@@ -186,6 +184,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     json.dump(report, sys.stdout,
               indent=None if args.writer is not None else 2)
     sys.stdout.write("\n")
+    if args.writer is None and (report["lost_updates"]
+                                or report["torn_reads"]):
+        return 1
     return 0
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +195,77 @@ def test_entry_lock_survives_a_concurrent_delete(tmp_path, monkeypatch):
     # Deleting leaves no lock file behind.
     store.delete(key())
     assert not path.with_suffix(".lock").exists()
+
+
+#: Rotten files that used to crash the read instead of being counted.
+ROTTEN = [b"\xff\xfe\x00garbage\x80", b"[1, 2]\n", b"null\n", b"{ torn"]
+
+
+@pytest.mark.parametrize("rot", ROTTEN)
+def test_rotten_entry_is_a_counted_miss_for_read_and_commit(tmp_path, rot):
+    store = ShardedStore(tmp_path, n_shards=2)
+    store.put(key(), choice(4))
+    store.put(key(), choice(8))
+    store.path_for(key()).write_bytes(rot)
+    assert store.read(key()) is None
+    assert store.get(key()) is None
+    assert store.corrupt_entries == 2
+    assert list(store.iter_entries()) == []
+    assert store.corrupt_entries == 3
+    # A CAS against the rot sees "absent" (version 0) and may heal it.
+    stale = store.commit(key(), choice(16), expect_version=2)
+    assert stale.conflict and stale.entry.version == 0
+    healed = store.commit(key(), choice(16), expect_version=0)
+    assert healed.committed and healed.entry.version == 1
+    assert store.corrupt_entries == 5
+    assert store.read(key()).choice == choice(16)
+
+
+def test_warm_import_skips_rotten_entries(tmp_path):
+    from repro.serve import TuningService
+
+    flat = TuningStore(tmp_path / "flat")
+    flat.put(key(0), choice(4))
+    for i, rot in enumerate(ROTTEN):
+        (flat.root / f"{i:024x}.json").write_bytes(rot)
+    service = TuningService(tmp_path / "served", n_shards=2)
+    assert service.warm(flat.root) == 1
+    assert service.get(key(0)).choice == choice(4)
+
+
+# -- identity pins (cut from the code before the request-budget rewrite) ----
+
+def test_path_for_is_a_path_under_the_keys_shard(tmp_path):
+    store = ShardedStore(tmp_path, n_shards=4)
+    path = store.path_for(key())
+    assert isinstance(path, Path)
+    assert path == (tmp_path / f"shard-{store.shard_of(key()):02d}"
+                    / f"{entry_digest(key())}.json")
+    assert store.put(key(), choice()) == path
+    assert isinstance(store.put(key(), choice()), Path)
+
+
+def test_shard_entry_bytes_match_a_plain_tuning_store(tmp_path):
+    """A shard is a TuningStore: the served entry is the flat store's
+    file plus a ``version`` field, byte for byte."""
+    store = ShardedStore(tmp_path / "served", n_shards=4)
+    meta = {"rounds_observed": 5, "policy": "bandit"}
+    store.commit(key(), choice(4), meta=meta)
+    store.commit(key(), PlanChoice(8, 2, delta=3.5e-05), meta=meta)
+    served = store.path_for(key())
+    flat = TuningStore(tmp_path / "flat")
+    flat.write(tmp_path / "flat" / served.name, key(),
+               PlanChoice(8, 2, delta=3.5e-05), meta, version=2)
+    assert served.read_bytes() == (tmp_path / "flat" / served.name).read_bytes()
+    payload = {"schema": "repro-autotune-store/v1", "key": key(),
+               "plan": {"n_transport": 8, "n_qps": 2, "delta": 3.5e-05},
+               "meta": meta, "version": 2}
+    assert served.read_text() == json.dumps(payload, indent=2,
+                                            sort_keys=True) + "\n"
+    direct = TuningStore(served.parent)
+    assert direct.entries() == [payload]
+    assert direct.get(key()) == store.get(key()) == PlanChoice(
+        8, 2, delta=3.5e-05)
+    # Only the entry and its lock file live in the shard.
+    assert sorted(os.listdir(served.parent)) == [
+        served.stem + ".json", served.stem + ".lock"]

@@ -29,7 +29,12 @@ from repro.autotune.policy import (
     StaticPolicy,
     candidate_plans,
 )
-from repro.autotune.store import PlanStore, TuningStore, workload_key
+from repro.autotune.store import (
+    PlanStore,
+    TuningStore,
+    WorkloadKey,
+    workload_key,
+)
 
 __all__ = [
     "AdaptiveAggregator",
@@ -46,6 +51,7 @@ __all__ = [
     "RoundRecord",
     "StaticPolicy",
     "TuningStore",
+    "WorkloadKey",
     "build_autotuner",
     "candidate_plans",
     "workload_key",

@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import os
+from math import isfinite
 from pathlib import Path
 from typing import Optional, Protocol, Union, runtime_checkable
 
@@ -31,9 +32,11 @@ from repro.errors import ReproError
 
 SCHEMA = "repro-autotune-store/v1"
 
-#: The one entry-file encoder: its text is, byte for byte, what
-#: ``json.dump(payload, fh, indent=2, sort_keys=True)`` streams.
-_encode_entry = json.JSONEncoder(indent=2, sort_keys=True).encode
+#: ``json``'s own encoder for the entry format.  CPython's C encoder has
+#: no ``indent``, so this one runs as nested Python generators; it
+#: defines the text and takes whatever :func:`_encode_entry` hands it.
+_json_indent2 = json.JSONEncoder(indent=2, sort_keys=True).encode
+_escape = json.encoder.encode_basestring_ascii
 #: Entry files are a few hundred bytes; one read of this size takes a
 #: whole one (a read that fills it is followed by more).
 _READ_BYTES = 4096
@@ -61,28 +64,107 @@ class PlanStore(Protocol):
             meta: Optional[dict] = None): ...
 
 
+class WorkloadKey(dict):
+    """A tuning key as a value: a ``dict`` no mutator works on, which
+    computes its content address once and keeps it.
+
+    It reads as the dict it equals — ``==``, ``json``, ``dict(key)``,
+    ``{**key}`` and ``copy()`` (the last three give plain, mutable
+    dicts).  The freeze is one level deep, so :func:`entry_digest`
+    remembers the address only of a key whose values are all scalars.
+    """
+
+    __slots__ = ("_digest",)
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("a WorkloadKey is immutable; build the changed key "
+                        "with workload_key() or from dict(key)")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    update = pop = popitem = setdefault = clear = _immutable
+
+    def __reduce__(self):
+        # The default reconstructs a dict subclass item by item through
+        # ``__setitem__``; this goes through the constructor.
+        return WorkloadKey, (dict(self),)
+
+
 def workload_key(n_user: int, message_size: int,
-                 config_tag: str = "", **extra) -> dict:
+                 config_tag: str = "", **extra) -> WorkloadKey:
     """The canonical identity of a tuning entry.
 
     ``config_tag`` distinguishes clusters (use the config name or a
     hash); ``extra`` admits workload dimensions a caller cares about
     (compute phase, noise profile, ...).
     """
-    key = {"n_user": int(n_user), "message_size": int(message_size),
-           "config": config_tag}
-    key.update(extra)
-    return key
+    return WorkloadKey({"n_user": int(n_user),
+                        "message_size": int(message_size),
+                        "config": config_tag, **extra})
 
 
 def entry_digest(key: dict) -> str:
-    """Content address of a tuning key (the entry's file stem)."""
+    """Content address of a tuning key (the entry's file stem).
+
+    A :class:`WorkloadKey` is hashed once; a plain dict is the caller's
+    to mutate, so it is canonicalised and hashed on every call.
+    """
+    frozen = type(key) is WorkloadKey
+    if frozen:
+        try:
+            return key._digest
+        except AttributeError:
+            pass
     global _canonical
     if _canonical is None:
         # Late import: repro.exp imports benchmarks which import core, and
         # core.aggregators is imported by this package's policy module.
         from repro.exp.spec import canonical as _canonical
-    return hashlib.sha256(_canonical(key).encode()).hexdigest()[:24]
+    digest = hashlib.sha256(_canonical(key).encode()).hexdigest()[:24]
+    # A container value stays mutable inside the frozen key.
+    if frozen and _ATOMS.keys() >= set(map(type, key.values())):
+        key._digest = digest
+    return digest
+
+
+def _float_text(value: float) -> str:
+    return float.__repr__(value) if isfinite(value) else _json_indent2(value)
+
+
+#: Scalar texts by exact type (``json`` spells them the same way).
+_ATOMS = {str: _escape, int: int.__repr__, float: _float_text,
+          bool: {True: "true", False: "false"}.__getitem__,
+          type(None): lambda _: "null"}
+
+
+def _encode_entry(value, pad: str = "\n") -> str:
+    """The one entry-file encoder: byte for byte the text of
+    ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    Dicts with ``str`` keys and scalars, by exact type, are written
+    here; anything else (lists, other keys, subclasses) is ``json``'s,
+    re-indented to its depth — ``pad`` is the line break at the
+    enclosing depth, and JSON has no raw newline inside a string.
+    """
+    kind = type(value)
+    if kind is dict or kind is WorkloadKey:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        lines = []
+        for k in sorted(value):
+            if type(k) is not str:
+                break  # json's to stringify, and so the whole dict
+            v = value[k]
+            atom = _ATOMS.get(type(v))
+            lines.append(
+                f"{_escape(k)}: {atom(v) if atom else _encode_entry(v, inner)}")
+        else:
+            return "{" + inner + ("," + inner).join(lines) + pad + "}"
+    else:
+        atom = _ATOMS.get(kind)
+        if atom is not None:
+            return atom(value)
+    return _json_indent2(value).replace("\n", pad)
 
 
 class TuningStore:

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.units import KiB, MiB, us, ns
+from repro.units import KiB, us, ns
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ from repro.bench.reporting import (
     format_table,
 )
 from repro.exp.profiles import (
-    FAST,
-    PAPER,
     PERCEIVED_COMPUTE,
     PERCEIVED_NOISE,
     Profile,

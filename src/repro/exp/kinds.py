@@ -13,7 +13,7 @@ Each kind returns a flat JSON-safe metrics dict.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from repro.exp.modules import build_config, build_module, build_topology
 

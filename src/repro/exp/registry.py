@@ -11,7 +11,7 @@ The registry is what ``repro-bench bench list|run`` and the thin
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 from repro.exp.profiles import Profile
 from repro.exp.spec import Scenario

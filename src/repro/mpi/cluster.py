@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.config import ClusterConfig, NIAGARA
 from repro.errors import MatchingError

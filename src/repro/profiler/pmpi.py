@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from repro.mpi.process import MPIProcess
-    from repro.mpi.request import PartitionedRequest
 
 
 @dataclass

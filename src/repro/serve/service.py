@@ -17,8 +17,9 @@ the policies a shared backend needs:
 * **warm import** — bulk-load an existing flat ``TuningStore``
   directory (or another sharded root) so a new service starts hot.
 
-Access recency is logical (a tick per request), not wall-clock, so
-eviction order is deterministic under seeded replay.
+Access recency is logical (a tick per request that found or wrote an
+entry), not wall-clock, so eviction order is deterministic under
+seeded replay.
 """
 
 from __future__ import annotations
@@ -47,7 +48,10 @@ class TuningService:
         #: 0 = unbounded; otherwise evict to stay at or under this.
         self.max_entries_per_shard = max_entries_per_shard
         self._lock = threading.RLock()
-        #: digest → logical tick of last get/commit (eviction recency).
+        #: digest → logical tick of the last get/commit that found or
+        #: wrote its entry (eviction recency).  Kept only while the
+        #: shard bound is on — eviction is its one reader — and an
+        #: absent key never gets a slot, so a miss storm cannot grow it.
         self._last_access: dict[str, int] = {}
         self._tick = 0
         self.gets = 0
@@ -62,14 +66,14 @@ class TuningService:
         digest = entry_digest(key)
         with self._lock:
             self.gets += 1
-            self._touch(digest)
             state, entry = self.cache.lookup(digest)
-            if state == "hit":
-                return entry
             if state == "negative":
                 return None
-            entry = self.store._read(digest)
-            self.cache.fill(digest, entry)
+            if state == "miss":
+                entry = self.store._read(digest)
+                self.cache.fill(digest, entry)
+            if entry is not None:
+                self._touch(digest)
             return entry
 
     def get_plan(self, key: dict) -> Optional[PlanChoice]:
@@ -85,21 +89,23 @@ class TuningService:
         digest = entry_digest(key)
         with self._lock:
             self.commit_requests += 1
-            self._touch(digest)
             result = self.store._commit(digest, key, choice, meta,
                                         expect_version)
             # Cache the authoritative entry either way: on conflict it
             # is the winner the client should refresh against.
             if result.entry.version > 0:
                 self.cache.fill(digest, result.entry)
+                self._touch(digest)
             if result.committed:
                 self._bound_shard(self.store.shard_of_digest(digest),
                                   keep=digest)
             return result
 
     def _touch(self, digest: str) -> None:
-        self._tick += 1
-        self._last_access[digest] = self._tick
+        """Note that a request found or wrote ``digest``'s entry."""
+        if self.max_entries_per_shard > 0:
+            self._tick += 1
+            self._last_access[digest] = self._tick
 
     def _bound_shard(self, index: int, keep: str) -> None:
         """Evict from one shard until it respects the bound.

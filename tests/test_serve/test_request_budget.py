@@ -165,6 +165,57 @@ def test_store_handle_requests_digest_once(tmp_path, monkeypatch):
     assert spend.of(lambda: store.delete(key(0))) == (1, 0, 1, 0)
 
 
+def _one_of_each(service, flat, k):
+    """Every kind of request that digests a key, all on ``k``."""
+    store = service.store
+    return [
+        lambda: service.commit(k, PlanChoice(4, 1)),
+        lambda: service.get(k),                       # cache hit
+        lambda: service.cache.clear(),
+        lambda: service.get(k),                       # miss, backend read
+        lambda: service.commit(k, PlanChoice(8, 1), expect_version=1),
+        lambda: service.commit(k, PlanChoice(2, 1), expect_version=7),
+        lambda: store.read(k),
+        lambda: store.put(k, PlanChoice(2, 2)),
+        lambda: store.path_for(k),
+        lambda: store.delete(k),
+        lambda: flat.put(k, PlanChoice(4, 2)),
+        lambda: flat.get(k),
+    ]
+
+
+def test_a_workload_key_is_digested_once_for_all_its_requests(
+        service, tmp_path, monkeypatch):
+    flat = TuningStore(tmp_path / "flat")
+    k = key(5)
+    spend = Spend(monkeypatch)
+    total = sum(spend.of(request)[0]
+                for request in _one_of_each(service, flat, k))
+    assert total == 1
+    # A second handle on the same key value still pays nothing.
+    assert spend.of(lambda: ShardedStore(service.store.root).read(k))[0] == 0
+    # An equal key built again is another object: one more, once.
+    again = key(5)
+    assert [spend.of(lambda: service.get(again))[0] for _ in range(3)] == [
+        1, 0, 0]
+
+
+def test_a_plain_dict_is_digested_by_every_request(service, tmp_path,
+                                                   monkeypatch):
+    """docs/SERVE.md's rule 5 floor: a mutable dict is never remembered,
+    so a caller that changes it between requests reaches the new entry."""
+    flat = TuningStore(tmp_path / "flat")
+    k = dict(key(5))
+    spend = Spend(monkeypatch)
+    requests = _one_of_each(service, flat, k)
+    spent = [spend.of(request)[0] for request in requests]
+    assert spent == [0 if i == 2 else 1 for i in range(len(requests))]
+    service.commit(k, PlanChoice(4, 1))
+    k["config"] = "cfg6"
+    assert service.get(k) is None
+    assert service.get(key(5)).choice == PlanChoice(4, 1)
+
+
 # -- the model ---------------------------------------------------------------
 
 PLANS = st.builds(PlanChoice,

@@ -63,6 +63,24 @@ def test_eviction_breaks_confidence_ties_by_recency(tmp_path):
     assert svc.get(key(0)) is not None
 
 
+def test_a_miss_storm_leaves_no_recency_slots(tmp_path):
+    """Recency is kept for entries, and only for eviction to read: a
+    client probing absent keys must not grow the service."""
+    unbounded = TuningService(tmp_path / "u", n_shards=2, negative_ttl=4)
+    bounded = TuningService(tmp_path / "b", n_shards=2, negative_ttl=4,
+                            max_entries_per_shard=2)
+    for svc in (unbounded, bounded):
+        for i in range(3):
+            svc.commit(key(i), choice(), meta={"rounds_observed": i})
+        for i in range(10_000):
+            assert svc.get(key(100 + i)) is None
+        svc.get(key(1))
+        # A CAS on an absent key conflicts at version 0: no entry either.
+        assert svc.commit(key(7), choice(), expect_version=3).conflict
+    assert len(unbounded._last_access) == 0
+    assert 0 < len(bounded._last_access) <= bounded.store.count() <= 4
+
+
 def test_plan_space_invalidation(tmp_path):
     svc = TuningService(tmp_path, n_shards=2)
     svc.commit(key(0), choice())

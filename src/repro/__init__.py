@@ -46,13 +46,11 @@ from repro.core import (
 from repro.model import LogGPParams, LogGPTable
 from repro.runtime import (
     ComputePhase,
-    GaussianNoise,
     NoNoise,
     SingleThreadDelay,
     UniformNoise,
     WorkerTeam,
 )
-from repro.profiler import PMPIProfiler
 
 __version__ = "1.0.0"
 
@@ -82,8 +80,6 @@ __all__ = [
     "ComputePhase",
     "NoNoise",
     "SingleThreadDelay",
-    "GaussianNoise",
     "UniformNoise",
-    "PMPIProfiler",
     "__version__",
 ]

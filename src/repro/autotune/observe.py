@@ -60,17 +60,6 @@ class IterationObservation:
         return max(self.pready_times) - min(self.pready_times)
 
 
-def _sorted_gaps(times: Sequence[float]) -> list[float]:
-    """Consecutive inter-arrival gaps after sorting.
-
-    Sorting first makes the statistics insensitive to thread racing:
-    ``Pready`` timestamps arrive in whatever order the workers finish,
-    which is not partition order.
-    """
-    srt = sorted(times)
-    return [b - a for a, b in zip(srt, srt[1:])]
-
-
 def _quantile(values: Sequence[float], q: float) -> float:
     """Nearest-rank quantile without numpy (tiny windows, hot path)."""
     if not values:

@@ -42,6 +42,7 @@ run`` additionally writes versioned JSON artifacts.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -544,11 +545,18 @@ def _warn_corrupt(store) -> None:
               file=sys.stderr)
 
 
+def _existing_store(root: str) -> str:
+    """``root``, which must exist: reading never creates a store."""
+    if not os.path.isdir(root):
+        raise ConfigError(f"no store at {root}")
+    return root
+
+
 def cmd_autotune_show(args) -> int:
     from repro.autotune import TuningStore
     from repro.bench.reporting import format_table
 
-    store = TuningStore(args.store)
+    store = TuningStore(_existing_store(args.store))
     entries = store.entries()
     if not entries:
         print(f"store {store.root} is empty")
@@ -577,7 +585,7 @@ def cmd_serve_stats(args) -> int:
     from repro.bench.reporting import format_table
     from repro.serve import TuningService
 
-    service = TuningService(args.root)
+    service = TuningService(_existing_store(args.root))
     stats = service.stats()
     rows = [
         ["root", stats["root"]],
@@ -697,8 +705,10 @@ def cmd_plan_diff(args) -> int:
 def cmd_bench_compare(args) -> int:
     from repro.exp import compare_results, load_result
 
-    new = load_result(args.new)
-    baseline = load_result(args.baseline)
+    try:
+        new, baseline = load_result(args.new), load_result(args.baseline)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"no result file at {exc.filename}") from None
     if new.get("experiment") != baseline.get("experiment"):
         print(f"warning: comparing {new.get('experiment')!r} against "
               f"baseline {baseline.get('experiment')!r}", file=sys.stderr)
@@ -996,8 +1006,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: standard
         # CLI etiquette is to exit quietly.
-        import os
-
         try:
             sys.stdout.close()
         except Exception:

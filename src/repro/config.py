@@ -281,11 +281,6 @@ class PartitionedConfig:
     #: Back-off before a failed channel attempts its RESET -> INIT ->
     #: RTR -> RTS reconnect walk (models the out-of-band re-exchange).
     reconnect_delay: float = us(500)
-    #: While a channel is degraded, downgrade aggregated posts toward
-    #: per-partition sends (persistent-style) so each retransmission
-    #: unit stays small.  Disable to keep the aggregation plan fixed
-    #: across failures.
-    degrade_on_fault: bool = True
     #: Consecutive per-edge failure events (retry exhaustions, deadline
     #: misses) that trip the edge's circuit breaker when a degradation
     #: ladder wraps the transport (:class:`repro.mpi.ladder.LadderSpec`).
@@ -379,91 +374,3 @@ class ClusterConfig:
 #: Default calibration: Niagara-like EDR / ConnectX-5 / Skylake platform.
 NIAGARA = ClusterConfig()
 
-
-#: Environment knobs -> (section, field, parser).  The paper notes that
-#: transport partitions are invisible to users "other than any
-#: environment variables we create for fine-tuning of our library"
-#: (Section IV-A); these are those variables.
-_ENV_KNOBS = {
-    "REPRO_TIMER_DELTA_US": ("part", "timer_delta", lambda v: float(v) * 1e-6),
-    "REPRO_TIMER_POLL_US": ("part", "timer_poll", lambda v: float(v) * 1e-6),
-    "REPRO_DEFAULT_QPS": ("part", "default_qps", int),
-    "REPRO_LINE_RATE_GIBPS": ("nic", "line_rate",
-                              lambda v: float(v) * 1024**3),
-    "REPRO_QP_RATE_FRACTION": ("nic", "_qp_fraction", float),
-    "REPRO_MTU": ("nic", "mtu", int),
-    "REPRO_NIC_PORTS": ("nic", "n_ports", int),
-    "REPRO_IDLE_FALLBACK_US": ("engine", "idle_fallback",
-                               lambda v: float(v) * 1e-6),
-    "REPRO_POLL_BATCH": ("engine", "poll_batch", int),
-    "REPRO_WIRE_CHUNK": ("nic", "wire_chunk", int),
-    "REPRO_RETRY_CNT": ("nic", "retry_cnt", int),
-    "REPRO_RNR_RETRY": ("nic", "rnr_retry", int),
-    "REPRO_QP_TIMEOUT": ("nic", "qp_timeout", int),
-    "REPRO_RECONNECT_DELAY_US": ("part", "reconnect_delay",
-                                 lambda v: float(v) * 1e-6),
-    "REPRO_BREAKER_THRESHOLD": ("part", "breaker_threshold", int),
-    "REPRO_BREAKER_PROBATION": ("part", "breaker_probation", int),
-    "REPRO_WATCHDOG_DEADLINE_US": ("part", "watchdog_deadline",
-                                   lambda v: float(v) * 1e-6),
-    "REPRO_EPOCH_DEADLINE_US": ("part", "epoch_deadline",
-                                lambda v: float(v) * 1e-6),
-    "REPRO_LINK_LATENCY_US": ("link", "latency", lambda v: float(v) * 1e-6),
-    "REPRO_CORES_PER_NODE": ("host", "cores_per_node", int),
-    "REPRO_SEED": (None, "seed", int),
-    "REPRO_TRACE": (None, "trace_enabled",
-                    lambda v: v.lower() in ("1", "true", "yes")),
-}
-
-
-def config_from_env(base: ClusterConfig = NIAGARA,
-                    environ: Optional[dict] = None) -> ClusterConfig:
-    """A :class:`ClusterConfig` with ``REPRO_*`` overrides applied.
-
-    ``environ`` defaults to ``os.environ``; pass a dict in tests.
-    ``REPRO_QP_RATE_FRACTION`` scales ``qp_rate`` relative to the
-    (possibly overridden) line rate.  Unknown ``REPRO_`` variables are
-    ignored; malformed values raise :class:`~repro.errors.ConfigError`.
-    """
-    import os
-
-    env = environ if environ is not None else os.environ
-    sections: dict = {"nic": {}, "link": {}, "host": {}, "part": {},
-                      "engine": {}}
-    top: dict = {}
-    qp_fraction = None
-    for name, (section, fieldname, parse) in _ENV_KNOBS.items():
-        raw = env.get(name)
-        if raw is None:
-            continue
-        try:
-            value = parse(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}={raw!r}: {exc}") from exc
-        if fieldname == "_qp_fraction":
-            qp_fraction = value
-        elif section is None:
-            top[fieldname] = value
-        else:
-            sections[section][fieldname] = value
-    if sections["nic"] or qp_fraction is not None:
-        nic_fields = dict(sections["nic"])
-        line_rate = nic_fields.get("line_rate", base.nic.line_rate)
-        if qp_fraction is not None:
-            nic_fields["qp_rate"] = qp_fraction * line_rate
-        elif "line_rate" in nic_fields:
-            # Keep the calibrated qp/line ratio under a new line rate.
-            ratio = base.nic.qp_rate / base.nic.line_rate
-            nic_fields.setdefault("qp_rate", ratio * line_rate)
-        top["nic"] = replace(base.nic, **nic_fields)
-    if sections["link"]:
-        top["link"] = replace(base.link, **sections["link"])
-    if sections["host"]:
-        top["host"] = replace(base.host, **sections["host"])
-    if sections["part"]:
-        top["part"] = replace(base.part, **sections["part"])
-    if sections["engine"]:
-        top["engine"] = replace(base.engine, **sections["engine"])
-    config = base.with_changes(**top) if top else base
-    config.validate()
-    return config

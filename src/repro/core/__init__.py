@@ -18,7 +18,7 @@ from repro.core.aggregators import (
 )
 from repro.core.module import NativeVerbsModule, NativeSpec
 from repro.core.tuning_table import TuningTableAggregator, TuningTable
-from repro.core.delta import estimate_min_delta, min_delta_table
+from repro.core.delta import estimate_min_delta
 
 __all__ = [
     "encode_immediate",
@@ -34,5 +34,4 @@ __all__ = [
     "TuningTableAggregator",
     "TuningTable",
     "estimate_min_delta",
-    "min_delta_table",
 ]

@@ -56,15 +56,3 @@ def min_delta_per_round(rounds: Sequence[Sequence[float]],
         out.append(float(srt[-1] - srt[0]) if len(srt) > 1 else 0.0)
     return out
 
-
-def min_delta_table(profiles: dict[tuple[int, int], Sequence[Sequence[float]]],
-                    laggards_per_round: int = 1) -> dict[tuple[int, int], float]:
-    """Fig. 12's table: {(message size, n partitions): minimum δ}.
-
-    ``profiles`` maps (message_size, n_partitions) to rounds of arrival
-    data (as collected by :mod:`repro.profiler`).
-    """
-    return {
-        key: estimate_min_delta(rounds, laggards_per_round)
-        for key, rounds in profiles.items()
-    }

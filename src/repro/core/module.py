@@ -425,8 +425,7 @@ class NativeVerbsModule(PartitionedModule):
         if not self._credit.ready(self.send_req.round):
             self._credit.defer((start, count))
             return
-        if (self._degraded and count > 1
-                and self.cluster.config.part.degrade_on_fault):
+        if self._degraded and count > 1:
             self.cluster.fabric.counters.inc("mpi.degraded_posts", count)
             for p in range(start, start + count):
                 yield from self._issue_wr(p, 1)
@@ -587,8 +586,7 @@ class NativeVerbsModule(PartitionedModule):
     def _note_fault(self) -> None:
         """Record a channel fault and kick the recovery process once."""
         self._fault_in_round = True
-        if self.cluster.config.part.degrade_on_fault:
-            self._degraded = True
+        self._degraded = True
         if self.ladder is not None:
             self.ladder.note_failure("retry_exhausted", module=self)
         self._tracker.kick()

@@ -162,10 +162,10 @@ class ChannelDownError(FailureContext, MPIError):
 class EpochDeadlineError(FailureContext, MPIError):
     """A Start..Wait epoch overran its configured deadline.
 
-    Raised from :meth:`repro.engine.ProgressEngine.wait_until` when the
-    chaos watchdog layer arms ``PartitionedConfig.epoch_deadline`` — a
-    hung edge surfaces as a typed, localizable error instead of
-    spinning the progress engine forever.
+    Raised from :meth:`repro.engine.ProgressEngine.wait_until` when a run
+    sets ``PartitionedConfig.epoch_deadline`` (``wait_partitioned`` bounds
+    its wait by it) — a hung edge surfaces as a typed, localizable error
+    instead of spinning the progress engine forever.
     """
 
 

@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
+from repro.errors import ConfigError
 from repro.exp.cache import ResultCache
 from repro.exp.fingerprint import code_fingerprint
 from repro.exp.profiles import (
@@ -79,12 +80,22 @@ __all__ = [
 DEFAULT_CACHE_DIR = os.path.join("results", ".cache")
 
 
+def positive_int(text: str) -> int:
+    """``text`` as a count >= 1 (an argparse ``type=``: else a usage error)."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
 def default_jobs() -> int:
     """Worker count when none is given: ``REPRO_BENCH_JOBS`` or 1."""
+    raw = os.environ.get("REPRO_BENCH_JOBS", "1")
     try:
-        return max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
+        return positive_int(raw)
     except ValueError:
-        return 1
+        raise ConfigError(f"REPRO_BENCH_JOBS must be a positive integer, "
+                          f"got {raw!r}") from None
 
 
 def run_spec(spec: ExperimentSpec, jobs: Optional[int] = None,
@@ -153,7 +164,7 @@ def add_run_options(parser: argparse.ArgumentParser,
     parser.add_argument("--profile", choices=sorted(PROFILES),
                         default=default_profile,
                         help="workload preset (default: %(default)s)")
-    parser.add_argument("--jobs", "-j", type=int, default=None,
+    parser.add_argument("--jobs", "-j", type=positive_int, default=None,
                         help="worker processes (default: "
                              "$REPRO_BENCH_JOBS or 1)")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,

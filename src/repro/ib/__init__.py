@@ -20,7 +20,7 @@ from repro.ib.mr import MemoryRegion
 from repro.ib.cq import CompletionQueue
 from repro.ib.qp import QueuePair
 from repro.ib.wr import SGE, SendWR, RecvWR, WorkCompletion
-from repro.ib.fabric import Fabric, NodeAddress
+from repro.ib.fabric import Fabric
 from repro.ib import verbs
 
 __all__ = [
@@ -40,6 +40,5 @@ __all__ = [
     "RecvWR",
     "WorkCompletion",
     "Fabric",
-    "NodeAddress",
     "verbs",
 ]

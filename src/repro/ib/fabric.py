@@ -8,7 +8,6 @@ topology experiments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import ClusterConfig, NIAGARA
@@ -16,14 +15,6 @@ from repro.errors import ConfigError
 from repro.ib.nic import NIC
 from repro.sim.core import Environment
 from repro.sim.monitor import Counters, Trace
-
-
-@dataclass(frozen=True)
-class NodeAddress:
-    """Identifies an endpoint for QP exchange: node plus QP number."""
-
-    node_id: int
-    qp_num: int
 
 
 class Fabric:

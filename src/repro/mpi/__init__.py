@@ -26,7 +26,7 @@ from repro.mpi.request import (
     PrecvRequest,
 )
 from repro.engine.progress import ProgressEngine
-from repro.mpi.collectives import allreduce, barrier, bcast, reduce
+from repro.mpi.collectives import barrier
 
 __all__ = [
     "Cluster",
@@ -39,7 +39,4 @@ __all__ = [
     "PrecvRequest",
     "ProgressEngine",
     "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
 ]

@@ -31,8 +31,8 @@ past that round — its CQs stay bound to the completion router, which
 has no unbind, but the retired checks no-op.
 
 Everything is visible: ``chaos.*`` counters for every transition,
-``transitions`` for the full state-machine history, and ``rung_name``
-/ ``level`` for the PMPI profiler.
+``transitions`` for the full state-machine history, and ``level``
+(``rungs[level]`` is the active rung's spec).
 """
 
 from __future__ import annotations
@@ -87,11 +87,6 @@ class LadderModule(PartitionedModule):
         if inner is None:
             raise AttributeError(name)
         return getattr(inner, name)
-
-    @property
-    def rung_name(self) -> str:
-        """The active rung's module name (profiler-visible)."""
-        return self.rungs[self.level].name
 
     @property
     def blocks_completion(self) -> bool:

@@ -264,7 +264,6 @@ class PersistModule(PartitionedModule):
 
     def handle_inbound(self, process: "MPIProcess", header: Header, payload):
         """Dispatch PART_* messages on either side's progress engine."""
-        env = self.env
         ucx = process.config.ucx
         _module, partition = header.ref
         if header.kind is MsgKind.PART_DATA:

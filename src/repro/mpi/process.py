@@ -262,7 +262,6 @@ class MPIProcess:
         yield  # pragma: no cover - generator protocol
 
     def _handle_inbound(self, header: Header):
-        env = self.env
         ucx = self.config.ucx
         kind = header.kind
         if kind is MsgKind.EAGER:

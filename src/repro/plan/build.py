@@ -45,46 +45,14 @@ def default_ladder_plan(strategy: Optional[str] = None) -> Plan:
 
     ``native() -> persist() -> channel()`` — the exact rung chain
     ``repro.coll.plans.ladder_modules`` has always built; the
-    ``native()`` slot is the caller's preferred transport
-    (:func:`substitute_native`).
+    ``native()`` slot is the caller's preferred transport, which
+    ``ladder_modules`` substitutes.
     """
     return Plan((Fallback(rungs=(
         Plan((Native(strategy=strategy),)),
         Plan((Persist(),)),
         Plan((Channel(),)),
     )),))
-
-
-def substitute_native(plan: Plan, replacement: Plan) -> Plan:
-    """Replace every ``native()`` slot with ``replacement``'s ops.
-
-    A rung that becomes identical to an existing sibling rung after
-    substitution is dropped (substituting ``persist()`` into the
-    default ladder yields ``persist -> channel``, not
-    ``persist -> persist -> channel`` — matching what
-    ``ladder_modules`` always did for a persist top rung).
-    """
-    from repro.plan.passes import rewrite_plans
-
-    def _sub(p: Plan) -> Plan:
-        ops = []
-        for op in p.ops:
-            if isinstance(op, Native):
-                ops.extend(replacement.ops)
-            elif isinstance(op, Fallback):
-                rungs = []
-                digests = set()
-                for rung in op.rungs:
-                    if rung.digest in digests:
-                        continue
-                    digests.add(rung.digest)
-                    rungs.append(rung)
-                ops.append(Fallback(rungs=tuple(rungs)))
-            else:
-                ops.append(op)
-        return Plan(tuple(ops))
-
-    return rewrite_plans(plan, _sub)
 
 
 def spec_to_plan(spec: "ModuleSpec") -> Plan:

@@ -6,32 +6,28 @@ transport partitions, how many QPs, whether the δ-timer path is
 armed, how edges of a collective differ, and which fallback rungs a
 degradation ladder carries — without saying *how* the transport
 engine realizes it.  Before this IR existed the same decisions lived
-as imperative side effects in four places (``coll`` per-edge specs,
-``autotune`` candidate arms, ``mpi.ladder`` rung lists and the
-engine's rail schedule); a plan makes them one printable, diffable,
-hashable artifact:
+as imperative side effects in three places (``coll`` per-edge specs,
+``autotune`` candidate arms and ``mpi.ladder`` rung lists); a plan
+makes them one printable, diffable, hashable artifact:
 
 * :attr:`Plan.text` is the canonical textual form — printing is
   deterministic, and ``parse(plan.text)`` reproduces an equal plan
   (print → parse → print is a fixed point, guarded by tests);
 * :attr:`Plan.digest` is a content digest of the text, the identity
-  used by the tuning store, pass traces and hoisting;
-* :mod:`repro.plan.passes` rewrites plans (fuse, split, hoist,
-  legalize) and :mod:`repro.plan.lower` emits the per-edge
-  ``ModuleSpec`` configuration the transport engine already consumes.
+  used by the tuning store and lowering's spec memo;
+* :mod:`repro.plan.passes` legalizes plans and :mod:`repro.plan.lower`
+  emits the per-edge ``ModuleSpec`` configuration the transport engine
+  already consumes.
 
 Op vocabulary (see ``docs/PLAN_IR.md`` for the full reference)::
 
     partition(n=8)            # 8 transport partitions
     qp_pool(n=2)              # QPs provisioned for the request
     aggregate(delta=3.5e-05)  # arm the δ-timer flush path
-    stripe(rails=2)           # stripe transport groups across rails
-    tree(kind=binomial, root=0)
     edge(neighbor=3) { ... }  # per-edge subplan of a collective
     fallback { rung { ... } rung { persist() } }
     persist() / channel()     # baseline transports
     native()                  # placeholder: the caller's preferred rung
-    send(offset=0, nbytes=65536)  # one materialized WR
 """
 
 from __future__ import annotations
@@ -148,33 +144,6 @@ class Aggregate(PlanOp):
 
 
 @dataclass(frozen=True)
-class Stripe(PlanOp):
-    """Stripe transport groups across ``rails`` NIC ports."""
-
-    rails: int
-    name: ClassVar[str] = "stripe"
-
-    def validate(self):
-        _require(isinstance(self.rails, int) and self.rails >= 1,
-                 f"stripe rails must be a positive int, got {self.rails!r}")
-
-
-@dataclass(frozen=True)
-class Tree(PlanOp):
-    """Collective tree shape (binomial broadcast/reduction)."""
-
-    kind: str = "binomial"
-    root: int = 0
-    name: ClassVar[str] = "tree"
-
-    def validate(self):
-        _require(isinstance(self.kind, str) and self.kind.isidentifier(),
-                 f"tree kind must be an identifier, got {self.kind!r}")
-        _require(isinstance(self.root, int) and self.root >= 0,
-                 f"tree root must be a non-negative int, got {self.root!r}")
-
-
-@dataclass(frozen=True)
 class Persist(PlanOp):
     """The ``part_persist`` baseline transport."""
 
@@ -206,21 +175,6 @@ class Native(PlanOp):
                   and self.strategy.isidentifier()),
                  f"native strategy must be an identifier, "
                  f"got {self.strategy!r}")
-
-
-@dataclass(frozen=True)
-class Send(PlanOp):
-    """One materialized WR covering ``[offset, offset + nbytes)``."""
-
-    offset: int
-    nbytes: int
-    name: ClassVar[str] = "send"
-
-    def validate(self):
-        _require(isinstance(self.offset, int) and self.offset >= 0,
-                 f"send offset must be >= 0, got {self.offset!r}")
-        _require(isinstance(self.nbytes, int) and self.nbytes >= 1,
-                 f"send nbytes must be >= 1, got {self.nbytes!r}")
 
 
 # ------------------------------------------------------------- region ops
@@ -319,10 +273,6 @@ class Plan:
         """The non-``edge`` top-level ops as a plan (None if empty)."""
         rest = tuple(op for op in self.ops if not isinstance(op, Edge))
         return Plan(rest) if rest else None
-
-    def payload_bytes(self) -> int:
-        """Total bytes of the top-level materialized ``send`` ops."""
-        return sum(op.nbytes for op in self.find(Send))
 
 
 def plan(*ops: PlanOp) -> Plan:

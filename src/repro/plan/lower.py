@@ -1,14 +1,14 @@
 """Lowering: plan IR → the ``ModuleSpec`` objects the engine consumes.
 
-``lower()`` is deliberately thin.  It runs the legalize pipeline and
-then pattern-matches the plan's leading op:
+``lower()`` is deliberately thin.  It runs ``Legalize`` and then
+pattern-matches the plan's leading op:
 
 * ``fallback { rung {...} ... }``  → ``LadderSpec`` over the lowered
   rungs (the per-edge degradation ladder);
 * ``persist()`` / ``channel()``    → the corresponding baseline spec;
 * ``native()``                     → error: the placeholder must be
-  substituted (see :func:`repro.plan.build.substitute_native`)
-  before lowering;
+  replaced by the preferred transport before lowering (as
+  :func:`repro.coll.plans.ladder_modules` does);
 * otherwise ``partition(n)`` [+ ``qp_pool`` + ``aggregate``] →
   ``NativeSpec(FixedAggregation(n, qps, δ))``.
 
@@ -19,10 +19,6 @@ the benchmarks always constructed, so timing is bit-identical
 (``tests/test_plan/test_lowering.py`` and the golden suite both
 check this).
 
-``stripe``/``tree``/``send`` ops are annotations for other layers
-(the rail scheduler reads ``NICConfig.n_ports``, collectives own the
-tree shape, sends are the analysis form) and lower to nothing here.
-
 Imports of the module-spec classes are deferred into the functions:
 ``repro.plan`` must stay importable from every layer without pulling
 the transport stack (and its import cycles) in at module scope.
@@ -30,9 +26,8 @@ the transport stack (and its import cycles) in at module scope.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
-from repro.config import ClusterConfig
 from repro.plan.ir import (
     Channel,
     Fallback,
@@ -48,13 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.modules import ModuleSpec
 
 
-def lower(plan: Plan, config: Optional[ClusterConfig] = None,
-          n_user: Optional[int] = None,
-          partition_size: Optional[int] = None) -> "ModuleSpec":
+def lower(plan: Plan) -> "ModuleSpec":
     """Legalize ``plan`` and emit the module spec it describes."""
-    ctx = PassContext(config=config, n_user=n_user,
-                      partition_size=partition_size)
-    return _emit(lowering_pipeline().run(plan, ctx))
+    return _emit(lowering_pipeline().run(plan, PassContext()))
 
 
 def _emit(plan: Plan) -> "ModuleSpec":
@@ -80,8 +71,7 @@ def _emit(plan: Plan) -> "ModuleSpec":
     if isinstance(head, Native):
         raise PlanError(
             "cannot lower a native() placeholder — substitute the "
-            "preferred transport first (repro.plan.build."
-            "substitute_native)")
+            "preferred transport first")
 
     if plan.first(Partition) is None:
         raise PlanError(
@@ -97,22 +87,15 @@ def _emit(plan: Plan) -> "ModuleSpec":
         scatter_gather=choice.scatter_gather))
 
 
-def lower_edges(plan: Plan, config: Optional[ClusterConfig] = None,
-                n_user: Optional[int] = None,
-                partition_size: Optional[int] = None,
-                ) -> Callable[[int], "ModuleSpec"]:
+def lower_edges(plan: Plan) -> Callable[[int], "ModuleSpec"]:
     """Lower a multi-edge plan into a ``neighbor -> ModuleSpec`` map.
 
     Top-level ``edge(neighbor=k) { ... }`` bodies lower per neighbor;
     the remaining top-level ops form the default body any other
     neighbor resolves to.  Specs are memoized by body digest, so
-    edges sharing a subtree (after
-    :class:`~repro.plan.passes.HoistCommonSubtrees`, or simply by
-    being written identically) share one spec object.
+    edges written identically share one spec object.
     """
-    ctx = PassContext(config=config, n_user=n_user,
-                      partition_size=partition_size)
-    legal = lowering_pipeline().run(plan, ctx)
+    legal = lowering_pipeline().run(plan, PassContext())
     cache: dict[str, "ModuleSpec"] = {}
 
     def _lower_body(body: Plan) -> "ModuleSpec":

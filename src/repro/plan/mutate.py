@@ -86,7 +86,7 @@ def neighbors(plan: Plan, n_user: int, config: ClusterConfig,
         _variant(n, n_qps, delta / 2)
 
     legalize = Legalize()
-    ctx = PassContext(config=config, n_user=n_user)
+    ctx = PassContext(config=config)
     seen = {plan.digest}
     out = []
     for candidate in candidates:

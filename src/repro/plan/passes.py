@@ -1,66 +1,36 @@
-"""Rewrite passes over plans, and the pipeline that sequences them.
+"""The one rewrite pass over plans: :class:`Legalize`.
 
-A :class:`RewritePass` maps plan → plan; :class:`PassPipeline` runs a
-sequence of them and records a digest trace so a transformation is
-auditable after the fact (``pipeline.trace`` after ``run``).  All
-passes share two invariants, guarded by
-``tests/test_plan/test_passes.py``:
-
-* **byte preservation** — the total materialized payload bytes per
-  edge (:meth:`Plan.payload_bytes`) never change;
-* **idempotence on legal plans** — running a pass twice equals
-  running it once, and :class:`Legalize` is the identity on a plan
-  that already respects the limits (this is what keeps the golden
-  benchmarks bit-identical when the hot path lowers through it).
-
-The default pipelines:
-
-* :func:`lowering_pipeline` — just ``Legalize``; what
-  :func:`repro.plan.lower.lower` runs before emitting module specs.
-* :func:`analysis_pipeline` — ``MaterializeSends`` →
-  ``SplitOversizedWRs`` → ``FuseAdjacentSends`` →
-  ``HoistCommonSubtrees`` → ``Legalize``; the WR-level view used for
-  inspection and the plan-diff tooling.
+``Legalize`` clamps a plan's knobs to NIC/fabric limits and is the
+identity on a plan that already respects them (guarded by
+``tests/test_plan/test_passes.py``) — which is what keeps the golden
+benchmarks bit-identical when the hot path lowers through it.
+:func:`repro.plan.lower.lower` runs it before emitting module specs and
+:func:`repro.plan.mutate.neighbors` legalizes every candidate with it;
+a new rewrite belongs in ``Legalize``.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro.config import ClusterConfig
-from repro.plan.ir import (
-    Edge,
-    Fallback,
-    Partition,
-    Plan,
-    PlanOp,
-    QPPool,
-    Send,
-    Stripe,
-)
-
-#: IB RC upper bound on a single WR's message length (2 GiB).
-MAX_WR_BYTES = 2 ** 31
+from repro.plan.ir import Edge, Fallback, Partition, Plan, QPPool
 
 
 @dataclass(frozen=True)
 class PassContext:
-    """Everything a pass may consult; plans themselves stay pure."""
+    """Everything a pass may consult; plans themselves stay pure.
+
+    ``Legalize`` reads only ``config``; ``n_user`` and ``partition_size``
+    stay because perfbench's plan probe builds its context with them.
+    """
 
     config: Optional[ClusterConfig] = None
     #: User-requested partition count (None = unknown at rewrite time).
     n_user: Optional[int] = None
     #: Bytes per user partition (None = unknown at rewrite time).
     partition_size: Optional[int] = None
-    max_wr_bytes: int = MAX_WR_BYTES
-
-    @property
-    def total_bytes(self) -> Optional[int]:
-        if self.n_user is None or self.partition_size is None:
-            return None
-        return self.n_user * self.partition_size
 
 
 def rewrite_plans(plan: Plan,
@@ -78,41 +48,7 @@ def rewrite_plans(plan: Plan,
     return fn(Plan(tuple(ops)))
 
 
-class RewritePass(abc.ABC):
-    """One plan → plan transformation."""
-
-    #: Stable name used in pipeline traces.
-    name: str = ""
-
-    @abc.abstractmethod
-    def run(self, plan: Plan, ctx: PassContext) -> Plan:
-        """Return the rewritten plan (may be ``plan`` unchanged)."""
-
-
-@dataclass
-class PassPipeline:
-    """Sequence passes; keep a digest trace of what each one did."""
-
-    passes: tuple[RewritePass, ...]
-    #: ``(pass name, digest before, digest after)`` per executed pass.
-    trace: list[tuple[str, str, str]] = field(default_factory=list)
-
-    def run(self, plan: Plan, ctx: PassContext) -> Plan:
-        self.trace = []
-        for p in self.passes:
-            before = plan.digest
-            plan = p.run(plan, ctx)
-            self.trace.append((p.name, before, plan.digest))
-        return plan
-
-    def describe(self) -> str:
-        return " -> ".join(p.name for p in self.passes)
-
-
-# ------------------------------------------------------------------ passes
-
-
-class Legalize(RewritePass):
+class Legalize:
     """Clamp knobs to NIC/fabric limits; identity on legal plans.
 
     * ``partition.n`` is rounded down to a power of two (the
@@ -122,13 +58,10 @@ class Legalize(RewritePass):
       aggregator directly);
     * ``qp_pool.n`` is capped by the partition count (one WR chain
       per transport partition — more QPs than partitions can never
-      be selected) and by ``NICConfig.max_qps``;
-    * ``stripe.rails`` is capped by ``NICConfig.n_ports``.
+      be selected) and by ``NICConfig.max_qps``.
     """
 
-    name = "legalize"
-
-    def run(self, plan, ctx):
+    def run(self, plan: Plan, ctx: PassContext) -> Plan:
         return rewrite_plans(plan, lambda p: self._one(p, ctx))
 
     def _one(self, plan: Plan, ctx: PassContext) -> Plan:
@@ -148,165 +81,18 @@ class Legalize(RewritePass):
                     cap = min(cap, ctx.config.nic.max_qps)
                 if cap != op.n:
                     op = replace(op, n=max(1, cap))
-            elif isinstance(op, Stripe) and ctx.config is not None:
-                rails = min(op.rails, ctx.config.nic.n_ports)
-                if rails != op.rails:
-                    op = replace(op, rails=rails)
             ops.append(op)
         return Plan(tuple(ops))
 
 
-class MaterializeSends(RewritePass):
-    """Expand ``partition(n)`` into its n contiguous ``send`` WRs.
-
-    Needs ``ctx.total_bytes``; a no-op when the workload size is
-    unknown or the plan already carries sends.  The transport chunk
-    for ``partition(n)`` over B bytes is ``B // n`` with the
-    remainder folded into the last send (mirroring the engine's
-    partition math), so total bytes are preserved exactly.
-    """
-
-    name = "materialize-sends"
-
-    def run(self, plan, ctx):
-        if ctx.total_bytes is None:
-            return plan
-        return rewrite_plans(plan, lambda p: self._one(p, ctx))
-
-    def _one(self, plan: Plan, ctx: PassContext) -> Plan:
-        part = plan.first(Partition)
-        total = ctx.total_bytes
-        if part is None or total <= 0 or plan.first(Send) is not None:
-            return plan
-        n = min(part.n, total)
-        chunk = total // n
-        sends = []
-        offset = 0
-        for i in range(n):
-            nbytes = total - offset if i == n - 1 else chunk
-            sends.append(Send(offset=offset, nbytes=nbytes))
-            offset += nbytes
-        return Plan(plan.ops + tuple(sends))
-
-
-class SplitOversizedWRs(RewritePass):
-    """Split sends larger than the per-WR cap into legal chunks."""
-
-    name = "split-oversized-wrs"
-
-    def run(self, plan, ctx):
-        return rewrite_plans(plan, lambda p: self._one(p, ctx))
-
-    def _one(self, plan: Plan, ctx: PassContext) -> Plan:
-        cap = ctx.max_wr_bytes
-        ops = []
-        for op in plan.ops:
-            if isinstance(op, Send) and op.nbytes > cap:
-                offset, left = op.offset, op.nbytes
-                while left > 0:
-                    nbytes = min(left, cap)
-                    ops.append(Send(offset=offset, nbytes=nbytes))
-                    offset += nbytes
-                    left -= nbytes
-            else:
-                ops.append(op)
-        return Plan(tuple(ops))
-
-
-class FuseAdjacentSends(RewritePass):
-    """Merge contiguous sends while they fit under the per-WR cap.
-
-    This is the IR form of δ-aggregation's coalescing: two WRs whose
-    byte ranges touch become one.  Non-adjacent sends (holes) are
-    left alone — that is exactly the case the δ-timer path exists
-    for at runtime.
-    """
-
-    name = "fuse-adjacent-sends"
-
-    def run(self, plan, ctx):
-        return rewrite_plans(plan, lambda p: self._one(p, ctx))
-
-    def _one(self, plan: Plan, ctx: PassContext) -> Plan:
-        cap = ctx.max_wr_bytes
-        ops: list[PlanOp] = []
-        for op in plan.ops:
-            prev = ops[-1] if ops else None
-            if (isinstance(op, Send) and isinstance(prev, Send)
-                    and prev.offset + prev.nbytes == op.offset
-                    and prev.nbytes + op.nbytes <= cap):
-                ops[-1] = Send(offset=prev.offset,
-                               nbytes=prev.nbytes + op.nbytes)
-            else:
-                ops.append(op)
-        return Plan(tuple(ops))
-
-
-class HoistCommonSubtrees(RewritePass):
-    """Deduplicate structurally identical subplans across edges.
-
-    Two rewrites, both semantics-preserving under
-    :func:`repro.plan.lower.lower_edges`:
-
-    * when **every** edge carries the same body and the plan has no
-      default body, the edges collapse into that body as the default
-      (any neighbor resolves to it, so the per-edge listing was pure
-      repetition);
-    * otherwise, equal-digest edge bodies are interned to one shared
-      ``Plan`` object, so lowering memoizes them into one shared
-      ``ModuleSpec`` instead of one per edge.
-    """
-
-    name = "hoist-common-subtrees"
-
-    def run(self, plan, ctx):
-        return rewrite_plans(plan, self._one)
-
-    def _one(self, plan: Plan) -> Plan:
-        edges = plan.find(Edge)
-        if len(edges) < 2:
-            return plan
-        digests = {e.body.digest for e in edges}
-        if len(digests) == 1 and plan.default_body() is None:
-            return edges[0].body
-        interned: dict[str, Plan] = {}
-        ops = []
-        for op in plan.ops:
-            if isinstance(op, Edge):
-                body = interned.setdefault(op.body.digest, op.body)
-                if body is not op.body:
-                    op = replace(op, body=body)
-            ops.append(op)
-        return Plan(tuple(ops))
-
-
-def lowering_pipeline() -> PassPipeline:
-    """The hot-path pipeline run by ``lower()``: legalize only."""
-    return PassPipeline((Legalize(),))
-
-
-def analysis_pipeline() -> PassPipeline:
-    """The WR-level view: materialize, split, fuse, hoist, legalize."""
-    return PassPipeline((
-        MaterializeSends(),
-        SplitOversizedWRs(),
-        FuseAdjacentSends(),
-        HoistCommonSubtrees(),
-        Legalize(),
-    ))
+def lowering_pipeline() -> Legalize:
+    """The pass ``lower()`` runs: ``Legalize``."""
+    return Legalize()
 
 
 __all__ = [
-    "MAX_WR_BYTES",
     "PassContext",
-    "PassPipeline",
-    "RewritePass",
     "rewrite_plans",
     "Legalize",
-    "MaterializeSends",
-    "SplitOversizedWRs",
-    "FuseAdjacentSends",
-    "HoistCommonSubtrees",
     "lowering_pipeline",
-    "analysis_pipeline",
 ]

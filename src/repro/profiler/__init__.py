@@ -1,14 +1,11 @@
-"""The MPI Partitioned profiler (paper Section V-A, footnote 1).
+"""Arrival-pattern reports (paper Section V-A, Figs. 10-12).
 
-A PMPI-style interposition layer: :class:`~repro.profiler.pmpi.PMPIProfiler`
-wraps a process's partitioned entry points and records when the program
-reaches ``MPI_Start`` and each ``MPI_Pready``.  The reports in
-:mod:`repro.profiler.report` turn those records into the paper's
-arrival-pattern visualizations (Figs. 10-11) and the minimum-δ
-estimates (Fig. 12).
+Every partitioned request stamps the time the program reaches each
+``MPI_Pready`` (``PartitionedRequest.pready_times``) — what the paper's
+PMPI profiler records — and :mod:`repro.profiler.report` turns those
+rounds into the arrival profiles of Figs. 10-11.
 """
 
-from repro.profiler.pmpi import CollectiveRound, PMPIProfiler, ProfiledRound
 from repro.profiler.report import (
     ArrivalProfile,
     arrival_profile,
@@ -16,9 +13,6 @@ from repro.profiler.report import (
 )
 
 __all__ = [
-    "CollectiveRound",
-    "PMPIProfiler",
-    "ProfiledRound",
     "ArrivalProfile",
     "arrival_profile",
     "early_bird_fraction",

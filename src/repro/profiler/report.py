@@ -48,8 +48,9 @@ def arrival_profile(rounds: list[list[float]], partition_size: int,
                     config: ClusterConfig | None = None) -> ArrivalProfile:
     """Aggregate profiled rounds into a Fig. 10/11 profile.
 
-    ``rounds`` holds per-round Pready times relative to Start (from
-    :meth:`repro.profiler.PMPIProfiler.arrival_rounds`).  Arrivals are
+    ``rounds`` holds per-round Pready times relative to the round's
+    origin (:meth:`repro.bench.pair.PairBenchResult.arrival_rounds`,
+    rebased on each round's first arrival).  Arrivals are
     sorted per round before averaging so the rotating noise victim does
     not smear the laggard.
     """

@@ -4,7 +4,6 @@ from repro.runtime.noise import (
     NoiseModel,
     NoNoise,
     SingleThreadDelay,
-    GaussianNoise,
     UniformNoise,
 )
 from repro.runtime.rounds import RoundClock, RoundTimes, spawn_rounds
@@ -14,7 +13,6 @@ __all__ = [
     "NoiseModel",
     "NoNoise",
     "SingleThreadDelay",
-    "GaussianNoise",
     "UniformNoise",
     "WorkerTeam",
     "ComputePhase",

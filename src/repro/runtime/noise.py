@@ -65,23 +65,6 @@ class SingleThreadDelay(NoiseModel):
         return f"single-thread-delay({self.fraction:.0%})"
 
 
-class GaussianNoise(NoiseModel):
-    """Every thread delayed by ``|N(0, fraction * compute)|``."""
-
-    def __init__(self, fraction: float):
-        if fraction < 0:
-            raise ValueError(f"negative noise fraction: {fraction}")
-        self.fraction = fraction
-
-    def delays(self, n_threads, compute, round_index, rng):
-        if self.fraction == 0:
-            return np.zeros(n_threads)
-        return np.abs(rng.normal(0.0, self.fraction * compute, size=n_threads))
-
-    def describe(self) -> str:
-        return f"gaussian({self.fraction:.0%})"
-
-
 class UniformNoise(NoiseModel):
     """Every thread delayed by ``U(0, fraction * compute)``."""
 

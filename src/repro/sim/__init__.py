@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 A small, deterministic, generator-based simulator in the style of SimPy,
-written from scratch so the package has no dependency beyond numpy/scipy.
+written from scratch so the package has no dependency beyond numpy.
 Simulated processes are Python generators that yield :class:`Event`
 objects; the :class:`Environment` advances virtual time and resumes
 processes when their events fire.
@@ -35,8 +35,8 @@ from repro.sim.core import (
 )
 from repro.sim.process import Process
 from repro.sim.events import AllOf, AnyOf, Condition
-from repro.sim.resources import Resource, Store, PriorityResource
-from repro.sim.sync import SimLock, SimSemaphore, AtomicCounter, SimBarrier, Notify
+from repro.sim.resources import Resource, Store
+from repro.sim.sync import SimLock, AtomicCounter, SimBarrier, Notify
 from repro.sim.rng import RngStreams
 from repro.sim.monitor import Counters, Trace, TraceRecord
 
@@ -49,10 +49,8 @@ __all__ = [
     "AnyOf",
     "Condition",
     "Resource",
-    "PriorityResource",
     "Store",
     "SimLock",
-    "SimSemaphore",
     "SimBarrier",
     "AtomicCounter",
     "Notify",

@@ -8,8 +8,7 @@ engines, the serializing wire, and bounded queues all sit on top of
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment, Event
@@ -23,12 +22,11 @@ class Request(Event):
     process via ``with``-style helpers in caller code).
     """
 
-    __slots__ = ("resource", "priority", "_key")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
 
 
 class Resource:
@@ -62,17 +60,17 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiting)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event fires when granted."""
-        req = Request(self, priority)
+        req = Request(self)
         if len(self._users) < self.capacity:
             self._users.add(req)
             req.succeed(req)
         else:
-            self._enqueue(req)
+            self._waiting.append(req)
         return req
 
-    def claim(self, priority: int = 0) -> Request:
+    def claim(self) -> Request:
         """Claim a slot, taking a free one in place.
 
         A free slot is granted without touching the event queue: the
@@ -91,20 +89,14 @@ class Resource:
         at once); it just pays the event this method exists to save.
         """
         if len(self._users) >= self.capacity:
-            return self.request(priority)
-        req = Request(self, priority)
+            return self.request()
+        req = Request(self)
         self._users.add(req)
         req._ok = True
         req._value = req
         req._processed = True
         req.callbacks = None
         return req
-
-    def _enqueue(self, req: Request) -> None:
-        self._waiting.append(req)
-
-    def _dequeue(self) -> Optional[Request]:
-        return self._waiting.popleft() if self._waiting else None
 
     def release(self, req: Request) -> None:
         """Return a previously granted slot and wake the next waiter."""
@@ -116,49 +108,8 @@ class Resource:
             return
         else:
             raise SimulationError("release() of a request that holds no slot")
-        nxt = self._dequeue()
-        if nxt is not None:
-            self._users.add(nxt)
-            nxt.succeed(nxt)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose waiters are served lowest-priority-first.
-
-    Ties are FIFO (stable by insertion sequence).
-    """
-
-    __slots__ = ("_counter", "_heap")
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._counter = 0
-        self._heap: list[tuple[int, int, Request]] = []
-
-    def _enqueue(self, req: Request) -> None:
-        heappush(self._heap, (req.priority, self._counter, req))
-        self._counter += 1
-
-    def _dequeue(self) -> Optional[Request]:
-        while self._heap:
-            _, _, req = heappop(self._heap)
-            return req
-        return None
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
-
-    def release(self, req: Request) -> None:
-        if req in self._users:
-            self._users.remove(req)
-        else:
-            # Cancel from heap lazily.
-            self._heap = [entry for entry in self._heap if entry[2] is not req]
-            heapify(self._heap)
-            return
-        nxt = self._dequeue()
-        if nxt is not None:
+        if self._waiting:
+            nxt = self._waiting.popleft()
             self._users.add(nxt)
             nxt.succeed(nxt)
 

@@ -101,38 +101,6 @@ class SimLock:
             self._locked = False
 
 
-class SimSemaphore:
-    """A counting semaphore for simulated processes."""
-
-    __slots__ = ("env", "_value", "_waiting")
-
-    def __init__(self, env: Environment, value: int = 1):
-        if value < 0:
-            raise ValueError(f"semaphore value must be >= 0, got {value}")
-        self.env = env
-        self._value = value
-        self._waiting: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> Event:
-        ev = Event(self.env)
-        if self._value > 0:
-            self._value -= 1
-            ev.succeed(None)
-        else:
-            self._waiting.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._waiting:
-            self._waiting.popleft().succeed(None)
-        else:
-            self._value += 1
-
-
 class AtomicCounter:
     """A contended atomic integer with a per-access time cost.
 

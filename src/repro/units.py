@@ -14,22 +14,6 @@ KiB: int = 1024
 MiB: int = 1024 * KiB
 GiB: int = 1024 * MiB
 
-
-def kib(n: float) -> int:
-    """``n`` kibibytes as an integer byte count."""
-    return int(n * KiB)
-
-
-def mib(n: float) -> int:
-    """``n`` mebibytes as an integer byte count."""
-    return int(n * MiB)
-
-
-def gib(n: float) -> int:
-    """``n`` gibibytes as an integer byte count."""
-    return int(n * GiB)
-
-
 # -- time -------------------------------------------------------------------
 
 SECOND: float = 1.0

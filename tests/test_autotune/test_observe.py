@@ -3,7 +3,7 @@
 import pytest
 
 from repro.autotune import ArrivalTracker, IterationObservation
-from repro.autotune.observe import _quantile, _sorted_gaps
+from repro.autotune.observe import _quantile
 from repro.errors import ConfigError
 
 
@@ -18,12 +18,6 @@ def test_observation_spread_degenerate():
     single = IterationObservation(
         round=0, completion_time=1.0, pready_times=(3.0,))
     assert single.spread == 0.0
-
-
-def test_sorted_gaps_handles_non_monotone():
-    # Pready timestamps arrive in thread-finish order, not sorted.
-    assert _sorted_gaps([5e-6, 0.0, 2e-6]) == [
-        pytest.approx(2e-6), pytest.approx(3e-6)]
 
 
 def test_quantile_nearest_rank():

@@ -121,7 +121,7 @@ def test_dead_edge_degrades_and_completes_with_the_ladder():
     assert c.get("chaos.rescued_partitions") >= 1
     module = outcome["send_req"].module
     assert module.level > 0
-    assert module.rung_name in ("part_persist", "channels")
+    assert module.rungs[module.level].name in ("part_persist", "channels")
     assert module.transitions and \
         module.transitions[0]["kind"] == "demote"
     assert module.breaker.state == "half_open"
@@ -147,7 +147,7 @@ def test_recovered_edge_is_promoted_back_after_probation():
     assert kinds.index("demote") < kinds.index("promote")
     # Promotion re-created the rung on fresh QPs: back at the top.
     assert module.level == 0
-    assert module.rung_name == "native_verbs"
+    assert module.rungs[module.level].name == "native_verbs"
 
 
 @pytest.mark.faults

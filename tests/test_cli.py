@@ -148,6 +148,7 @@ def test_fleet_retune_exits_by_adaptation(capsys):
 
 
 def test_serve_stats_on_empty_store(capsys, tmp_path):
+    (tmp_path / "empty").mkdir()
     assert main(["serve", "stats", "--root", str(tmp_path / "empty")]) == 0
     out = capsys.readouterr().out
     assert "entries" in out
@@ -189,3 +190,16 @@ def test_autotune_show_warns_on_corrupt_entries(capsys, tmp_path):
     assert main(["autotune", "show", "--store", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert "corrupt" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "stats", "--root"],
+    ["autotune", "show", "--store"],
+])
+def test_read_only_commands_create_no_store(argv, capsys, tmp_path):
+    typo = tmp_path / "typo"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(typo)])
+    assert exc.value.code == 2
+    assert f"no store at {typo}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import estimate_min_delta, min_delta_table
+from repro.core import estimate_min_delta
 from repro.core.delta import min_delta_per_round
 from repro.errors import ConfigError
 
@@ -81,16 +81,6 @@ def test_per_round_diagnostics():
     rounds = [[0.0, 3e-6, 1e-3], [0.0, 7e-6, 1e-3]]
     assert min_delta_per_round(rounds) == [
         pytest.approx(3e-6), pytest.approx(7e-6)]
-
-
-def test_table_building():
-    profiles = {
-        (1024, 4): [[0.0, 1e-6, 2e-6, 1e-3]],
-        (2048, 4): [[0.0, 2e-6, 4e-6, 1e-3]],
-    }
-    table = min_delta_table(profiles)
-    assert table[(1024, 4)] == pytest.approx(2e-6)
-    assert table[(2048, 4)] == pytest.approx(4e-6)
 
 
 @given(

@@ -78,3 +78,40 @@ def test_bench_compare_gates_on_regression(tmp_path, capsys):
         json.dumps(dict(doc, series=worse)), encoding="utf-8")
     assert main(["bench", "compare", str(regressed), str(artifact)]) == 1
     assert "REGRESSION" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "four"])
+def test_bad_job_count_is_a_usage_error(jobs, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "run", "table1", "--profile", "fast", "--jobs", jobs,
+              "--no-store", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "four"])
+def test_bad_repro_bench_jobs_is_a_usage_error(jobs, monkeypatch, tmp_path,
+                                               capsys):
+    monkeypatch.setenv("REPRO_BENCH_JOBS", jobs)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "run", "table1", "--profile", "fast", "--no-store",
+              "--no-cache", "--quiet"])
+    assert exc.value.code == 2
+    assert "REPRO_BENCH_JOBS" in capsys.readouterr().err
+
+
+def test_default_jobs_reads_repro_bench_jobs(monkeypatch):
+    from repro.exp import default_jobs
+
+    monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
+    assert default_jobs() == 1
+    monkeypatch.setenv("REPRO_BENCH_JOBS", "3")
+    assert default_jobs() == 3
+
+
+def test_bench_compare_names_a_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "compare", str(missing), str(tmp_path / "base.json")])
+    assert exc.value.code == 2
+    assert f"no result file at {missing}" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import NIAGARA
 from repro.errors import ConfigError
-from repro.ib.fabric import Fabric, NodeAddress
+from repro.ib.fabric import Fabric
 from repro.sim import Environment
 
 
@@ -98,10 +98,3 @@ def test_set_latency_override_composes_with_topology():
     assert fabric.latency(0, 4) == 9e-6       # override wins
     assert fabric.latency(4, 0) == 9e-6       # both directions
     assert fabric.latency(0, 1) == topo.latency(0, 1)  # others untouched
-
-
-def test_node_address_value_object():
-    a = NodeAddress(node_id=1, qp_num=42)
-    b = NodeAddress(node_id=1, qp_num=42)
-    assert a == b
-    assert hash(a) == hash(b)

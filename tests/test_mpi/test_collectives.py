@@ -1,17 +1,12 @@
-"""Tests for the collective operations."""
+"""Tests for the barrier and the binomial-tree helpers."""
 
-import numpy as np
 import pytest
 
-from repro.errors import MPIError
 from repro.mpi import Cluster
 from repro.mpi.collectives import (
     _binomial_children,
     _binomial_parent,
-    allreduce,
     barrier,
-    bcast,
-    reduce,
 )
 
 
@@ -93,67 +88,3 @@ def test_barrier_repeated():
 
     run_collective(world, program)
 
-
-# ---------------------------------------------------------------------------
-# bcast / reduce / allreduce
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("world", [2, 3, 4, 5, 6, 7, 8])
-def test_bcast_delivers_roots_data(world):
-    payload = np.arange(256, dtype=np.int64)
-
-    def program(proc):
-        data = payload.copy() if proc.rank == 1 else np.zeros(256, np.int64)
-        result = yield from bcast(proc, world, data, root=1)
-        return result.copy()
-
-    results = run_collective(world, program)
-    for rank, (value, _) in results.items():
-        assert np.array_equal(value, payload), f"rank {rank}"
-
-
-@pytest.mark.parametrize("world", [2, 3, 5, 7, 8])
-def test_reduce_sums_at_root(world):
-    def program(proc):
-        data = np.full(64, proc.rank + 1, dtype=np.int64)
-        result = yield from reduce(proc, world, data, op=np.add, root=0)
-        return result.copy()
-
-    results = run_collective(world, program)
-    expected = sum(range(1, world + 1))
-    assert np.all(results[0][0] == expected)
-
-
-def test_reduce_with_max_op():
-    world = 4
-
-    def program(proc):
-        data = np.array([proc.rank * 10], dtype=np.int64)
-        result = yield from reduce(proc, world, data, op=np.maximum, root=0)
-        return result.copy()
-
-    results = run_collective(world, program)
-    assert results[0][0][0] == 30
-
-
-@pytest.mark.parametrize("world", [2, 3, 4, 5, 7])
-def test_allreduce_everyone_gets_total(world):
-    def program(proc):
-        data = np.full(32, proc.rank + 1, dtype=np.float64)
-        result = yield from allreduce(proc, world, data)
-        return result.copy()
-
-    results = run_collective(world, program)
-    expected = sum(range(1, world + 1))
-    for rank, (value, _) in results.items():
-        assert np.allclose(value, expected), f"rank {rank}"
-
-
-def test_bcast_bad_root_rejected():
-    def program(proc):
-        with pytest.raises(MPIError):
-            yield from bcast(proc, 2, np.zeros(4), root=5)
-        return None
-
-    run_collective(2, program)

@@ -1,6 +1,5 @@
 """Tests for the UCX-like endpoint: protocol tiers, lanes, pacing."""
 
-import numpy as np
 import pytest
 
 from repro.config import NIAGARA

@@ -1,13 +1,12 @@
 """Unit tests for the part_persist baseline module internals."""
 
 import numpy as np
-import pytest
 
 from repro.config import NIAGARA
 from repro.mem import PartitionedBuffer
 from repro.mpi import Cluster
 from repro.mpi.persist_module import PersistSpec
-from repro.units import KiB, MiB, ms
+from repro.units import KiB, MiB
 
 
 def run_persist(n_parts, psize, rounds=1, pready_stagger=0.0,

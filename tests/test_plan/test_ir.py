@@ -13,9 +13,6 @@ from repro.plan import (
     Persist,
     PlanError,
     QPPool,
-    Send,
-    Stripe,
-    Tree,
     parse,
     plan,
 )
@@ -25,12 +22,9 @@ OP_PLANS = {
     "partition": plan(Partition(n=8)),
     "qp_pool": plan(QPPool(n=2)),
     "aggregate": plan(Aggregate(delta=3.5e-05, sg=True)),
-    "stripe": plan(Stripe(rails=2)),
-    "tree": plan(Tree(kind="knomial", root=3)),
     "persist": plan(Persist()),
     "channel": plan(Channel()),
     "native": plan(Native(strategy="ploggp")),
-    "send": plan(Send(offset=4096, nbytes=65536)),
     "edge": plan(Edge(neighbor=1, body=plan(Persist()))),
     "fallback": plan(Fallback(rungs=(
         plan(Partition(n=4), QPPool(n=2)),
@@ -43,7 +37,6 @@ NESTED = plan(
     Partition(n=8),
     QPPool(n=2),
     Aggregate(delta=3.5e-05),
-    Stripe(rails=2),
     Edge(neighbor=1, body=plan(Partition(n=4), QPPool(n=1))),
     Edge(neighbor=2, body=plan(Fallback(rungs=(
         plan(Native(strategy="ploggp")),
@@ -75,7 +68,6 @@ def test_round_trip_nested_plan():
 
 
 def test_default_attrs_are_not_printed():
-    assert plan(Tree()).text == "plan {\n  tree()\n}"
     assert plan(Aggregate()).text == "plan {\n  aggregate()\n}"
     assert plan(Native()).text == "plan {\n  native()\n}"
     assert "sg" not in plan(Aggregate(delta=1e-6)).text
@@ -113,7 +105,7 @@ def test_op_validation():
     with pytest.raises(PlanError):
         plan(QPPool(n=-1))
     with pytest.raises(PlanError):
-        plan(Send(offset=0, nbytes=0))
+        plan(Edge(neighbor=-1, body=plan(Persist())))
     with pytest.raises(PlanError):
         plan(Aggregate(delta=-1.0))
     with pytest.raises(PlanError):
@@ -133,9 +125,7 @@ def test_edges_and_default_body():
              Edge(neighbor=1, body=plan(Channel()))).edges()
 
 
-def test_payload_bytes_and_walk():
-    p = plan(Send(offset=0, nbytes=100), Send(offset=100, nbytes=28))
-    assert p.payload_bytes() == 128
+def test_walk_visits_nested_ops():
     names = [op.name for op in NESTED.walk()]
     assert names.count("edge") == 2
     assert "fallback" in names and "native" in names

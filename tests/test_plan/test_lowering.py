@@ -12,6 +12,7 @@ from repro.mpi.ladder import LadderSpec
 from repro.mpi.persist_module import PersistSpec
 from repro.plan import (
     Channel,
+    Fallback,
     Native,
     Persist,
     Plan,
@@ -21,14 +22,23 @@ from repro.plan import (
     lower,
     lower_edges,
     module_plan,
+    parse,
     plan,
     spec_to_plan,
-    substitute_native,
 )
 
 N_USER = 16
 TOTAL = 1 << 20
 ITER = dict(iterations=6, warmup=2)
+
+
+def _ladder(n_transport: int, n_qps: int) -> Plan:
+    """The default ladder with a leaf plan in its ``native()`` slot."""
+    return parse(f"""plan {{ fallback {{
+        rung {{ partition(n={n_transport}) qp_pool(n={n_qps}) }}
+        rung {{ persist() }}
+        rung {{ channel() }}
+    }} }}""")
 
 
 def test_lowered_leaf_plan_matches_fixed_aggregation_bit_for_bit():
@@ -38,8 +48,7 @@ def test_lowered_leaf_plan_matches_fixed_aggregation_bit_for_bit():
         lambda: NativeSpec(FixedAggregation(8, 2)),
         n_user=N_USER, partition_size=TOTAL // N_USER, **ITER)
     lowered = run_partitioned_pair(
-        lambda: lower(leaf_plan(8, 2), config=NIAGARA,
-                      n_user=N_USER, partition_size=TOTAL // N_USER),
+        lambda: lower(leaf_plan(8, 2)),
         n_user=N_USER, partition_size=TOTAL // N_USER, **ITER)
     assert lowered.mean_time.hex() == baseline.mean_time.hex()
     assert lowered.wrs_posted == baseline.wrs_posted
@@ -56,7 +65,10 @@ def test_lower_leaf_with_delta_and_sg():
 def test_lower_baselines_and_ladder():
     assert isinstance(lower(plan(Persist())), PersistSpec)
     assert isinstance(lower(plan(Channel())), ChannelSpec)
-    ladder = substitute_native(default_ladder_plan(), leaf_plan(4, 2))
+    ladder = _ladder(4, 2)
+    default = default_ladder_plan()
+    assert ladder.first(Fallback).rungs[1:] == \
+        default.first(Fallback).rungs[1:]
     spec = lower(ladder)
     assert isinstance(spec, LadderSpec)
     assert [r.name for r in spec.rungs] == [
@@ -73,7 +85,7 @@ def test_lower_rejects_native_placeholder_and_empty_plan():
 def test_spec_to_plan_round_trips_lowered_plans():
     for p in (leaf_plan(8, 2), leaf_plan(4, 1, delta=1e-5),
               plan(Persist()), plan(Channel()),
-              substitute_native(default_ladder_plan(), leaf_plan(4, 2))):
+              _ladder(4, 2)):
         assert spec_to_plan(lower(p)) == p
 
 
@@ -81,7 +93,7 @@ def test_ladder_spec_plan_expresses_rungs_as_fallback_legs():
     spec = LadderSpec([NativeSpec(FixedAggregation(8, 2)),
                        PersistSpec(), ChannelSpec()])
     p = spec.plan()
-    assert p == substitute_native(default_ladder_plan(), leaf_plan(8, 2))
+    assert p == _ladder(8, 2)
     assert spec_to_plan(lower(p)) == p
 
 
@@ -93,7 +105,7 @@ def test_lower_edges_memoizes_and_falls_back_to_default():
         Edge(neighbor=1, body=leaf_plan(4, 2)),
         Edge(neighbor=2, body=leaf_plan(4, 2)),
     ))
-    resolve = lower_edges(p, config=NIAGARA)
+    resolve = lower_edges(p)
     assert resolve(1) is resolve(2)  # digest-memoized shared spec
     default = resolve(99)
     assert default.aggregator.choice.n_transport == 8
@@ -124,7 +136,7 @@ def test_module_plan_covers_the_coll_module_vocabulary():
 
 
 def test_legalization_happens_before_emission():
-    spec = lower(leaf_plan(12, 64), config=NIAGARA)
+    spec = lower(leaf_plan(12, 64))
     choice = spec.aggregator.choice
     assert choice.n_transport == 8  # rounded down to a power of two
     assert choice.n_qps <= min(8, NIAGARA.nic.max_qps)

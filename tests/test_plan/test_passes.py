@@ -1,4 +1,4 @@
-"""Pass invariants: byte preservation, idempotence, legalize identity."""
+"""Legalize invariants: idempotence, identity on legal plans, clamping."""
 
 import random
 
@@ -7,50 +7,29 @@ import pytest
 from repro.config import NIAGARA
 from repro.plan import (
     Edge,
-    FuseAdjacentSends,
-    HoistCommonSubtrees,
+    Fallback,
     Legalize,
-    MaterializeSends,
     Partition,
     PassContext,
     Persist,
     Plan,
     QPPool,
-    Send,
-    SplitOversizedWRs,
-    Stripe,
-    analysis_pipeline,
     leaf_plan,
     lowering_pipeline,
     plan,
 )
 
-ALL_PASSES = (MaterializeSends(), SplitOversizedWRs(),
-              FuseAdjacentSends(), HoistCommonSubtrees(), Legalize())
-
-
-def _edge_payloads(p: Plan) -> dict:
-    """Materialized bytes per edge (None key = the default body)."""
-    out = {None: (p.default_body() or Plan()).payload_bytes()}
-    for neighbor, body in p.edges().items():
-        out[neighbor] = body.payload_bytes()
-    return out
+PASSES = (Legalize(),)
 
 
 def _random_plan(rng: random.Random) -> Plan:
-    """A random materialized multi-edge plan (property-test input)."""
+    """A random multi-edge plan with illegal knobs (property-test input)."""
     def body():
-        total = rng.choice([1 << 12, 1 << 16, (1 << 20) + 17, 3 * 5 * 7])
-        n = rng.choice([1, 2, 4, 8])
-        ops = [Partition(n=rng.choice([1, 2, 3, 4, 8, 12, 32])),
-               QPPool(n=rng.choice([1, 2, 4, 64]))]
-        offset = 0
-        chunk = max(1, total // n)
-        while offset < total:
-            nbytes = min(chunk, total - offset)
-            ops.append(Send(offset=offset, nbytes=nbytes))
-            offset += nbytes
-        return Plan(tuple(ops))
+        leaf = Plan((Partition(n=rng.choice([1, 2, 3, 4, 8, 12, 32])),
+                     QPPool(n=rng.choice([1, 2, 4, 64]))))
+        if rng.random() < 0.3:
+            return Plan((Fallback(rungs=(leaf, plan(Persist()))),))
+        return leaf
 
     shared = body()
     ops = []
@@ -61,30 +40,22 @@ def _random_plan(rng: random.Random) -> Plan:
 
 
 @pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("p", ALL_PASSES, ids=lambda p: p.name)
-def test_every_pass_preserves_payload_bytes_per_edge(p, seed):
-    rng = random.Random(seed)
-    before = _random_plan(rng)
-    ctx = PassContext(config=NIAGARA, n_user=8, partition_size=1 << 13,
-                      max_wr_bytes=rng.choice([1 << 12, 1 << 14, 1 << 31]))
-    after = p.run(before, ctx)
-    assert _edge_payloads(after) == _edge_payloads(before)
-
-
-@pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("p", ALL_PASSES, ids=lambda p: p.name)
+@pytest.mark.parametrize("p", PASSES, ids=lambda p: type(p).__name__.lower())
 def test_every_pass_is_idempotent(p, seed):
     rng = random.Random(1000 + seed)
-    ctx = PassContext(config=NIAGARA, n_user=8, partition_size=1 << 13,
-                      max_wr_bytes=1 << 14)
+    ctx = PassContext(config=NIAGARA, n_user=8, partition_size=1 << 13)
     once = p.run(_random_plan(rng), ctx)
     assert p.run(once, ctx).digest == once.digest
 
 
-def test_analysis_pipeline_preserves_bytes_end_to_end():
-    ctx = PassContext(config=NIAGARA, n_user=16, partition_size=1 << 14)
-    out = analysis_pipeline().run(leaf_plan(8, 2), ctx)
-    assert out.payload_bytes() == ctx.total_bytes
+@pytest.mark.parametrize("seed", range(4))
+def test_legalize_keeps_every_edge_and_rung(seed):
+    before = _random_plan(random.Random(seed))
+    after = Legalize().run(before, PassContext(config=NIAGARA))
+    assert set(after.edges()) == set(before.edges())
+    for neighbor, body in before.edges().items():
+        assert [op.name for op in after.edges()[neighbor].walk()] == \
+            [op.name for op in body.walk()]
 
 
 def test_legalize_is_identity_on_legal_plans():
@@ -96,77 +67,16 @@ def test_legalize_is_identity_on_legal_plans():
 
 def test_legalize_clamps_illegal_knobs():
     ctx = PassContext(config=NIAGARA)
-    out = Legalize().run(
-        plan(Partition(n=12), QPPool(n=64),
-             Stripe(rails=NIAGARA.nic.n_ports + 7)), ctx)
+    out = Legalize().run(plan(Partition(n=12), QPPool(n=64)), ctx)
     assert out.first(Partition).n == 8  # round down to a power of two
     assert out.first(QPPool).n <= min(8, NIAGARA.nic.max_qps)
-    assert out.first(Stripe).rails == NIAGARA.nic.n_ports
 
 
 def test_lowering_pipeline_is_legalize_only():
+    # The context perfbench's plan probe builds; the probe's call
+    # shape is why PassContext keeps n_user and partition_size.
+    ctx = PassContext(config=NIAGARA, n_user=32, partition_size=1 << 16)
     pipe = lowering_pipeline()
-    assert pipe.describe() == "legalize"
-
-
-def test_materialize_sends_chunks_cover_payload_exactly():
-    ctx = PassContext(n_user=8, partition_size=1000)  # 8000, not pow2-even
-    out = MaterializeSends().run(leaf_plan(3, 1), ctx)
-    sends = out.find(Send)
-    assert len(sends) == 3
-    assert sends[0].offset == 0
-    for prev, cur in zip(sends, sends[1:]):
-        assert cur.offset == prev.offset + prev.nbytes  # contiguous
-    assert out.payload_bytes() == 8000
-
-
-def test_split_then_fuse_round_trips_a_contiguous_send():
-    ctx = PassContext(max_wr_bytes=1 << 10)
-    big = plan(Send(offset=0, nbytes=(1 << 12) + 3))
-    split = SplitOversizedWRs().run(big, ctx)
-    assert all(s.nbytes <= 1 << 10 for s in split.find(Send))
-    assert split.payload_bytes() == big.payload_bytes()
-    fused = FuseAdjacentSends().run(split, PassContext())
-    assert fused == big
-
-
-def test_fuse_respects_cap_and_holes():
-    cap = PassContext(max_wr_bytes=100)
-    touching = plan(Send(offset=0, nbytes=60), Send(offset=60, nbytes=60))
-    assert len(FuseAdjacentSends().run(touching, cap).find(Send)) == 2
-    hole = plan(Send(offset=0, nbytes=10), Send(offset=20, nbytes=10))
-    assert len(FuseAdjacentSends().run(hole, cap).find(Send)) == 2
-
-
-def test_hoist_collapses_identical_edges():
-    body = leaf_plan(4, 2)
-    p = Plan(tuple(Edge(neighbor=i, body=leaf_plan(4, 2))
-                   for i in range(3)))
-    out = HoistCommonSubtrees().run(p, PassContext())
-    assert not out.find(Edge)
-    assert out.digest == body.digest
-
-
-def test_hoist_interns_equal_bodies_without_collapsing():
-    p = Plan((Edge(neighbor=0, body=leaf_plan(4, 2)),
-              Edge(neighbor=1, body=leaf_plan(4, 2)),
-              Edge(neighbor=2, body=leaf_plan(8, 2))))
-    out = HoistCommonSubtrees().run(p, PassContext())
-    edges = out.edges()
-    assert set(edges) == {0, 1, 2}
-    assert edges[0] is edges[1]  # shared object -> shared lowering
-    assert edges[2].digest != edges[0].digest
-
-
-def test_pipeline_trace_records_digests():
-    ctx = PassContext(config=NIAGARA, n_user=8, partition_size=1 << 12)
-    pipe = analysis_pipeline()
-    start = leaf_plan(4, 2)
-    out = pipe.run(start, ctx)
-    assert [t[0] for t in pipe.trace] == [
-        "materialize-sends", "split-oversized-wrs", "fuse-adjacent-sends",
-        "hoist-common-subtrees", "legalize"]
-    assert pipe.trace[0][1] == start.digest
-    assert pipe.trace[-1][2] == out.digest
-    for (_, _, after), (_, before, _) in zip(pipe.trace, pipe.trace[1:]):
-        assert after == before
+    assert isinstance(pipe, Legalize)
+    p = plan(Partition(n=12), QPPool(n=2))
+    assert pipe.run(p, ctx) == Legalize().run(p, ctx)

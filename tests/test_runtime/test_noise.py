@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime import GaussianNoise, NoNoise, SingleThreadDelay, UniformNoise
+from repro.runtime import NoNoise, SingleThreadDelay, UniformNoise
 
 
 def rng():
@@ -44,15 +44,9 @@ def test_single_thread_delay_zero_fraction():
 
 
 def test_negative_fraction_rejected():
-    for cls in (SingleThreadDelay, GaussianNoise, UniformNoise):
+    for cls in (SingleThreadDelay, UniformNoise):
         with pytest.raises(ValueError):
             cls(-0.1)
-
-
-def test_gaussian_noise_all_threads_nonnegative():
-    d = GaussianNoise(0.04).delays(64, 0.1, 0, rng())
-    assert np.all(d >= 0)
-    assert np.count_nonzero(d) > 32
 
 
 def test_uniform_noise_bounded():

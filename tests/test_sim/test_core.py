@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimTimeError, SimulationError
-from repro.sim import Environment, Event
+from repro.sim import Environment
 
 
 def test_initial_time_is_zero():

@@ -1,7 +1,5 @@
 """Property-based invariants of the DES kernel."""
 
-import heapq
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -1,9 +1,9 @@
-"""Tests for Resource / PriorityResource / Store."""
+"""Tests for Resource / Store."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_capacity_one_serializes():
@@ -85,31 +85,6 @@ def test_capacity_must_be_positive():
     env = Environment()
     with pytest.raises(ValueError):
         Resource(env, capacity=0)
-
-
-def test_priority_resource_serves_lowest_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env, res):
-        req = res.request()
-        yield req
-        yield env.timeout(5.0)
-        res.release(req)
-
-    def claimant(env, res, prio, tag, delay):
-        yield env.timeout(delay)
-        req = res.request(priority=prio)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    env.process(holder(env, res))
-    env.process(claimant(env, res, 5, "low", 1.0))
-    env.process(claimant(env, res, 1, "high", 2.0))
-    env.run()
-    assert order == ["high", "low"]
 
 
 def test_store_fifo_order():
@@ -203,15 +178,6 @@ def test_claim_takes_a_free_slot_without_an_event():
     assert second.triggered and res.count == 1
     res.release(second)
     assert res.count == 0
-
-
-def test_priority_resource_claim_queues_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    holder = res.claim()
-    low, high = res.claim(priority=5), res.claim(priority=1)
-    res.release(holder)
-    assert high.triggered and not low.triggered
 
 
 def test_store_push_and_pop_are_event_free():

@@ -18,13 +18,12 @@ from repro.sim.core import Environment, Event, Timeout, _Wake
 from repro.sim.events import AllOf, AnyOf, Condition
 from repro.sim.process import Process
 from repro.sim.profile import EventTypeStats, KernelProfile
-from repro.sim.resources import PriorityResource, Request, Resource, Store
+from repro.sim.resources import Request, Resource, Store
 from repro.sim.sync import (
     AtomicCounter,
     Notify,
     SimBarrier,
     SimLock,
-    SimSemaphore,
     _Park,
 )
 
@@ -44,10 +43,8 @@ def _instances():
     yield AnyOf(env, [env.event()])
     yield resource
     yield resource.request()
-    yield PriorityResource(env, capacity=1)
     yield Store(env)
     yield SimLock(env)
-    yield SimSemaphore(env, value=1)
     yield AtomicCounter(env)
     yield Notify(env)
     yield SimBarrier(env, parties=1)

@@ -1,4 +1,4 @@
-"""Tests for SimLock / SimSemaphore / AtomicCounter / SimBarrier / Notify."""
+"""Tests for SimLock / AtomicCounter / SimBarrier / Notify."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.sim import (
     Notify,
     SimBarrier,
     SimLock,
-    SimSemaphore,
 )
 
 
@@ -127,30 +126,6 @@ def test_hold_and_acquire_waiters_share_one_fifo():
     env.run()
     assert order == [0, 1, 2, 3]
     assert lock.contended_count == 3
-
-
-def test_semaphore_counts():
-    env = Environment()
-    sem = SimSemaphore(env, value=2)
-    entered = []
-
-    def worker(env, sem, tag):
-        yield sem.acquire()
-        entered.append((tag, env.now))
-        yield env.timeout(1.0)
-        sem.release()
-
-    for tag in range(4):
-        env.process(worker(env, sem, tag))
-    env.run()
-    times = [t for _, t in entered]
-    assert times == [0.0, 0.0, 1.0, 1.0]
-
-
-def test_semaphore_negative_value_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        SimSemaphore(env, value=-1)
 
 
 def test_atomic_counter_serializes_with_cost():

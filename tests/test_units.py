@@ -10,10 +10,7 @@ from repro.units import (
     fmt_bytes,
     fmt_rate,
     fmt_time,
-    gib,
     is_power_of_two,
-    kib,
-    mib,
     ms,
     next_power_of_two,
     ns,
@@ -26,13 +23,6 @@ def test_byte_constants():
     assert KiB == 1024
     assert MiB == 1024 * KiB
     assert GiB == 1024 * MiB
-
-
-def test_byte_helpers():
-    assert kib(4) == 4096
-    assert mib(2) == 2 * MiB
-    assert gib(1) == GiB
-    assert kib(1.5) == 1536
 
 
 def test_time_helpers():

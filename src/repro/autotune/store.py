@@ -29,6 +29,7 @@ from typing import Optional, Protocol, Union, runtime_checkable
 
 from repro.autotune.policy import PlanChoice
 from repro.errors import ReproError
+from repro.exp.spec import canonical
 
 SCHEMA = "repro-autotune-store/v1"
 
@@ -43,8 +44,6 @@ _READ_BYTES = 4096
 #: Process-wide sequence for temp-file names; with the pid and
 #: ``O_EXCL`` it keeps unlocked writers off each other's temp files.
 _temp_seq = itertools.count()
-#: ``repro.exp.spec.canonical``, resolved by the first digest.
-_canonical = None
 
 
 @runtime_checkable
@@ -114,12 +113,7 @@ def entry_digest(key: dict) -> str:
             return key._digest
         except AttributeError:
             pass
-    global _canonical
-    if _canonical is None:
-        # Late import: repro.exp imports benchmarks which import core, and
-        # core.aggregators is imported by this package's policy module.
-        from repro.exp.spec import canonical as _canonical
-    digest = hashlib.sha256(_canonical(key).encode()).hexdigest()[:24]
+    digest = hashlib.sha256(canonical(key).encode()).hexdigest()[:24]
     # A container value stays mutable inside the frozen key.
     if frozen and _ATOMS.keys() >= set(map(type, key.values())):
         key._digest = digest

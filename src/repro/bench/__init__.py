@@ -12,15 +12,22 @@
   (allreduce over binomial trees of partitioned pairs);
 * :mod:`repro.bench.reporting` — table/series formatting for the
   figure-regeneration scripts in ``benchmarks/``.
+
+Every name below resolves on first use (:mod:`repro.lazy`), so a
+point-to-point run loads ``pair`` and ``overhead`` and nothing else.
 """
 
-from repro.bench.pair import PairBenchResult, IterationRecord, run_partitioned_pair
-from repro.bench.overhead import OverheadResult, run_overhead, overhead_speedup_series
-from repro.bench.perceived import PerceivedResult, run_perceived_bandwidth
-from repro.bench.sweep import SweepResult, run_sweep
-from repro.bench.halo import HaloResult, run_halo
-from repro.bench.coll import PcollResult, run_pallreduce
-from repro.bench.reporting import format_table, format_speedup_series
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "pair": ("PairBenchResult", "IterationRecord", "run_partitioned_pair"),
+    "overhead": ("OverheadResult", "run_overhead", "overhead_speedup_series"),
+    "perceived": ("PerceivedResult", "run_perceived_bandwidth"),
+    "sweep": ("SweepResult", "run_sweep"),
+    "halo": ("HaloResult", "run_halo"),
+    "coll": ("PcollResult", "run_pallreduce"),
+    "reporting": ("format_table", "format_speedup_series"),
+})
 
 __all__ = [
     "PairBenchResult",

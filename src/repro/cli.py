@@ -51,16 +51,41 @@ from repro.units import KiB, MiB, GiB, fmt_bytes, fmt_time, ms, us
 
 
 def parse_size(text: str) -> int:
-    """'64KiB' -> 65536."""
+    """'64KiB' -> 65536; an argparse ``type=`` (bad text is usage)."""
     text = text.strip()
-    for suffix, mult in (("GiB", GiB), ("MiB", MiB), ("KiB", KiB), ("B", 1)):
-        if text.endswith(suffix):
-            return int(float(text[: -len(suffix)]) * mult)
-    return int(text)
+    try:
+        for suffix, mult in (("GiB", GiB), ("MiB", MiB), ("KiB", KiB),
+                             ("B", 1)):
+            if text.endswith(suffix):
+                size = int(float(text[: -len(suffix)]) * mult)
+                break
+        else:
+            size = int(text)
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"bad size {text!r}") from None
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"size must be >= 1B, got {text!r}")
+    return size
 
 
 def parse_sizes(text: str) -> list[int]:
-    return [parse_size(part) for part in text.split(",") if part.strip()]
+    """'4KiB,1MiB' -> [4096, 1048576]; an argparse ``type=``."""
+    sizes = [parse_size(part) for part in text.split(",") if part.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"no sizes in {text!r}")
+    return sizes
+
+
+def _split_evenly(sizes: Sequence[int], parts: int) -> None:
+    """Every size must split into ``parts`` equal partitions: checked
+    before anything is simulated, so a bad pair is a usage error."""
+    from repro.mem.buffer import partition_size_of
+
+    for size in sizes:
+        try:
+            partition_size_of(size, parts)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
@@ -114,7 +139,7 @@ def cmd_model(args) -> int:
     from repro.model.tables import NIAGARA_LOGGP
 
     counts = [1, 2, 4, 8, 16, 32]
-    sizes = parse_sizes(args.sizes)
+    sizes = args.sizes
     curves = {
         n: model_curve(NIAGARA_LOGGP, sizes, n_transport=n, n_user=n,
                        delay=ms(args.delay_ms))
@@ -132,9 +157,10 @@ def cmd_overhead(args) -> int:
     from repro.bench.overhead import overhead_speedup_series
     from repro.bench.reporting import format_speedup_series
 
+    _split_evenly(args.sizes, args.n_user)
     agg = _aggregator(args.aggregator, ms(args.delay_ms), us(args.delta_us))
     speedups = overhead_speedup_series(
-        agg, n_user=args.n_user, sizes=parse_sizes(args.sizes),
+        agg, n_user=args.n_user, sizes=args.sizes,
         iterations=args.iterations, warmup=args.warmup)
     print(f"overhead speedup over part_persist, {args.n_user} partitions")
     if args.chart:
@@ -155,13 +181,14 @@ def cmd_perceived(args) -> int:
     )
     from repro.bench.reporting import format_bandwidth_series
 
+    _split_evenly(args.sizes, args.n_user)
     designs = {
         "persist": None,
         "ploggp": _aggregator("ploggp", ms(args.delay_ms), 0),
         "timer": _aggregator("timer", ms(args.delay_ms), us(args.delta_us)),
     }
     series = {name: {} for name in designs}
-    for size in parse_sizes(args.sizes):
+    for size in args.sizes:
         for name, module in designs.items():
             series[name][size] = run_perceived_bandwidth(
                 module, n_user=args.n_user, total_bytes=size,
@@ -173,7 +200,7 @@ def cmd_perceived(args) -> int:
     if args.chart:
         from repro.viz import bar_chart
 
-        for size in parse_sizes(args.sizes):
+        for size in args.sizes:
             print(f"\n{fmt_bytes(size)}:")
             print(bar_chart(
                 {name: round(series[name][size] / 2**30, 1)
@@ -190,12 +217,13 @@ def cmd_sweep(args) -> int:
     from repro.bench.sweep import run_sweep
 
     grid = args.grid
+    _split_evenly(args.sizes, args.threads)
     designs = {
         "ploggp": _aggregator("ploggp", ms(args.delay_ms), 0),
         "timer": _aggregator("timer", ms(args.delay_ms), us(args.delta_us)),
     }
     series = {name: {} for name in designs}
-    for size in parse_sizes(args.sizes):
+    for size in args.sizes:
         base = run_sweep(None, grid=grid, n_threads=args.threads,
                          total_bytes=size, compute=ms(args.compute_ms),
                          noise_fraction=args.noise,
@@ -214,7 +242,7 @@ def cmd_sweep(args) -> int:
 
         print(grouped_bars({
             fmt_bytes(size): {name: series[name][size] for name in series}
-            for size in parse_sizes(args.sizes)
+            for size in args.sizes
         }))
     else:
         print(format_speedup_series(series))
@@ -226,7 +254,11 @@ def cmd_stencil(args) -> int:
     from repro.coll import per_edge_autotuners, run_stencil
 
     grid = args.grid
-    faces = parse_sizes(args.faces)
+    faces = args.faces
+    if args.partitions % args.threads:
+        raise ConfigError(f"{args.partitions} partitions not divisible by "
+                          f"{args.threads} threads")
+    _split_evenly(faces, args.partitions)
     kwargs = dict(
         grid=grid, n_threads=args.threads, n_partitions=args.partitions,
         face_bytes=(faces[0] if len(faces) == 1 else tuple(faces)),
@@ -269,8 +301,7 @@ def cmd_netgauge(args) -> int:
     from repro.bench.reporting import format_table
     from repro.model.netgauge import measure_loggp
 
-    table = measure_loggp(sizes=parse_sizes(args.sizes),
-                          rounds=args.iterations)
+    table = measure_loggp(sizes=args.sizes, rounds=args.iterations)
     rows = []
     for size in table.sizes:
         p = table.lookup(size)
@@ -285,9 +316,10 @@ def cmd_tuning_table(args) -> int:
     from repro.bench.reporting import format_table
     from repro.core.tuning_table import build_tuning_table
 
+    _split_evenly(args.sizes, args.n_user)
     table = build_tuning_table(
         n_user_counts=[args.n_user],
-        message_sizes=parse_sizes(args.sizes),
+        message_sizes=args.sizes,
         iterations=args.iterations,
         warmup=args.warmup)
     rows = []
@@ -370,7 +402,7 @@ def cmd_fleet_rank(args) -> int:
             res = run_contended_pair(
                 module=module, level=level,
                 n_partitions=args.partitions,
-                partition_size=parse_size(args.partition_size),
+                partition_size=args.partition_size,
                 iterations=args.iterations, warmup=args.warmup,
                 seed=args.seed)
             cells[name] = res["mean_time"]
@@ -379,7 +411,8 @@ def cmd_fleet_rank(args) -> int:
         rows.append([level, *(fmt_time(cells[n]) for n, _ in designs),
                      best, f"{spine:.0%}"])
     print(f"partitioned-pair ranking vs spine contention "
-          f"({args.partitions}x{args.partition_size} per iteration)")
+          f"({args.partitions}x{fmt_bytes(args.partition_size)} per "
+          f"iteration)")
     print(format_table(
         ["bg tenants", *(n for n, _ in designs), "best", "spine util"],
         rows))
@@ -402,7 +435,7 @@ def cmd_fleet_profile(args) -> int:
         jobs.append(JobSpec(
             name=f"{kind}{i}", kind=kind, n_ranks=int(ranks or 2),
             n_partitions=args.partitions,
-            partition_size=parse_size(args.partition_size),
+            partition_size=args.partition_size,
             iterations=args.iterations, warmup=args.warmup))
     jobs += background_jobs(args.background, seed=args.seed + 1)
     profile = run_fleet_with_slowdowns(jobs, placement=args.placement,
@@ -503,6 +536,7 @@ def cmd_autotune_tune(args) -> int:
     from repro.bench.autotune import run_autotuned_pair
     from repro.bench.reporting import format_table
 
+    _split_evenly(args.sizes, args.n_user)
     store = TuningStore(args.store)
     params = {"policy": args.policy, "config_tag": args.config_tag}
     if args.policy == "bandit":
@@ -511,7 +545,7 @@ def cmd_autotune_tune(args) -> int:
     else:
         params["delta"] = us(args.delta_us)
     rows = []
-    for size in parse_sizes(args.sizes):
+    for size in args.sizes:
         res = run_autotuned_pair(
             params, n_user=args.n_user, total_bytes=size,
             compute=ms(args.compute_ms), noise_fraction=args.noise,
@@ -646,11 +680,7 @@ def cmd_bench_run(args) -> int:
     from repro.exp import experiment_names, run_from_options
 
     names = args.experiments or experiment_names()
-    unknown = sorted(set(names) - set(experiment_names()))
-    if unknown:
-        known = ", ".join(experiment_names())
-        raise SystemExit(
-            f"unknown experiment(s): {', '.join(unknown)} (have: {known})")
+    _check_experiments(*names)
     progress = None if args.quiet else (
         lambda msg: print(f"  {msg}", file=sys.stderr))
     for name in names:
@@ -676,7 +706,7 @@ def _check_experiments(*names) -> None:
     unknown = sorted(set(names) - set(experiment_names()))
     if unknown:
         known = ", ".join(experiment_names())
-        raise SystemExit(
+        raise ConfigError(
             f"unknown experiment(s): {', '.join(unknown)} (have: {known})")
 
 
@@ -722,6 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-bench",
         description="MPI Partitioned aggregation reproduction experiments",
     )
+    from repro.exp import add_run_options, positive_int
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, compute_default=0.0):
@@ -738,13 +770,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("model", help="PLogGP model curves (Fig. 3)")
-    p.add_argument("--sizes", default="16KiB,256KiB,4MiB,64MiB,256MiB")
+    p.add_argument("--sizes", type=parse_sizes,
+                   default="16KiB,256KiB,4MiB,64MiB,256MiB")
     p.add_argument("--delay-ms", type=float, default=4.0)
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("overhead", help="overhead benchmark (Figs. 6-8)")
-    p.add_argument("--n-user", type=int, default=32)
-    p.add_argument("--sizes", default="4KiB,64KiB,512KiB,4MiB")
+    p.add_argument("--n-user", type=positive_int, default=32)
+    p.add_argument("--sizes", type=parse_sizes,
+                   default="4KiB,64KiB,512KiB,4MiB")
     p.add_argument("--aggregator", default="ploggp",
                    choices=["ploggp", "timer", "none"])
     common(p)
@@ -752,8 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perceived",
                        help="perceived bandwidth (Figs. 9, 13)")
-    p.add_argument("--n-user", type=int, default=32)
-    p.add_argument("--sizes", default="8MiB,32MiB")
+    p.add_argument("--n-user", type=positive_int, default=32)
+    p.add_argument("--sizes", type=parse_sizes, default="8MiB,32MiB")
     p.add_argument("--compute-ms", type=float, default=100.0)
     p.add_argument("--noise", type=float, default=0.04)
     common(p)
@@ -761,8 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Sweep3D pattern (Fig. 14)")
     p.add_argument("--grid", type=parse_grid, default="4x4")
-    p.add_argument("--threads", type=int, default=16)
-    p.add_argument("--sizes", default="256KiB,1MiB")
+    p.add_argument("--threads", type=positive_int, default=16)
+    p.add_argument("--sizes", type=parse_sizes, default="256KiB,1MiB")
     p.add_argument("--compute-ms", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=0.01)
     common(p)
@@ -773,10 +807,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="partitioned neighbor-alltoall halo exchange (repro.coll)")
     p.add_argument("--grid", type=parse_dims, default="2x2",
                    help="rank grid, e.g. 4x4 or 2x2x2")
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--partitions", type=int, default=32,
+    p.add_argument("--threads", type=positive_int, default=4)
+    p.add_argument("--partitions", type=positive_int, default=32,
                    help="partitions per face")
-    p.add_argument("--faces", default="64KiB",
+    p.add_argument("--faces", type=parse_sizes, default="64KiB",
                    help="face size, or one size per axis (comma list)")
     p.add_argument("--compute-ms", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=0.01)
@@ -791,14 +825,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("netgauge",
                        help="measure LogGP parameters on the fabric")
-    p.add_argument("--sizes", default="256B,4KiB,64KiB,1MiB")
+    p.add_argument("--sizes", type=parse_sizes, default="256B,4KiB,64KiB,1MiB")
     p.add_argument("--iterations", type=int, default=10)
     p.set_defaults(func=cmd_netgauge)
 
     p = sub.add_parser("tuning-table",
                        help="brute-force search (Section IV-B)")
-    p.add_argument("--n-user", type=int, default=16)
-    p.add_argument("--sizes", default="64KiB,1MiB")
+    p.add_argument("--n-user", type=positive_int, default=16)
+    p.add_argument("--sizes", type=parse_sizes, default="64KiB,1MiB")
     common(p)
     p.set_defaults(func=cmd_tuning_table)
 
@@ -834,8 +868,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transports", default="4,8,16",
                    help="fixed-aggregation transport counts to rank")
     p.add_argument("--qps", type=int, default=2)
-    p.add_argument("--partitions", type=int, default=16)
-    p.add_argument("--partition-size", default="64KiB")
+    p.add_argument("--partitions", type=positive_int, default=16)
+    p.add_argument("--partition-size", type=parse_size,
+                   default="64KiB")
     p.add_argument("--iterations", type=int, default=6)
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
@@ -850,8 +885,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="permutation-traffic tenants to add")
     p.add_argument("--placement", default="spread",
                    choices=["packed", "spread", "random"])
-    p.add_argument("--partitions", type=int, default=16)
-    p.add_argument("--partition-size", default="64KiB")
+    p.add_argument("--partitions", type=positive_int, default=16)
+    p.add_argument("--partition-size", type=parse_size,
+                   default="64KiB")
     p.add_argument("--iterations", type=int, default=6)
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
@@ -884,8 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
         "tune", help="learn plans for workloads, persist them to a store")
     p.add_argument("--store", default="results/autotune-store",
                    help="tuning store directory (default: %(default)s)")
-    p.add_argument("--n-user", type=int, default=32)
-    p.add_argument("--sizes", default="256KiB,2MiB,8MiB")
+    p.add_argument("--n-user", type=positive_int, default=32)
+    p.add_argument("--sizes", type=parse_sizes, default="256KiB,2MiB,8MiB")
     p.add_argument("--policy", default="bandit",
                    choices=["bandit", "delta_tracker"])
     p.add_argument("--config-tag", default="niagara",
@@ -977,8 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run experiments, write JSON artifacts")
     p.add_argument("experiments", nargs="*", metavar="EXPERIMENT",
                    help="experiment names (default: all registered)")
-    from repro.exp import add_run_options
-
     add_run_options(p)
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-point progress on stderr")

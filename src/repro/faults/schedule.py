@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.ib.constants import CHUNK_CORRUPT, CHUNK_LOST, CHUNK_OK
 from repro.sim.monitor import Counters
 from repro.sim.rng import RngStreams
 
@@ -212,12 +213,6 @@ class FaultSchedule:
     def empty(self) -> bool:
         return not (self.flaps or self.spikes or self.stalls
                     or self.rnr_windows or self.chunk_faults)
-
-
-#: Chunk outcomes returned by :meth:`FaultInjector.chunk_outcome`.
-CHUNK_OK = "ok"
-CHUNK_LOST = "lost"
-CHUNK_CORRUPT = "corrupt"
 
 
 class FaultInjector:

@@ -91,3 +91,9 @@ class WCOpcode(enum.Enum):
 ACCESS_LOCAL: int = 0x1
 ACCESS_REMOTE_WRITE: int = 0x2
 ACCESS_REMOTE_READ: int = 0x4
+
+#: Wire-chunk outcomes: what :meth:`repro.faults.FaultInjector.chunk_outcome`
+#: returns and the NIC tests with ``is``.
+CHUNK_OK = "ok"
+CHUNK_LOST = "lost"
+CHUNK_CORRUPT = "corrupt"

@@ -16,8 +16,7 @@ import numpy as np
 
 from repro.config import ClusterConfig
 from repro.errors import ProtectionError
-from repro.faults.schedule import CHUNK_OK
-from repro.ib.constants import Opcode, QPState, WCOpcode, WCStatus
+from repro.ib.constants import CHUNK_OK, Opcode, QPState, WCOpcode, WCStatus
 from repro.ib.link import IngressPort, wire_table
 from repro.ib.qp import QueuePair
 from repro.ib.wr import SendWR, WorkCompletion

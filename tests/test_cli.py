@@ -50,6 +50,41 @@ def test_round_counts_are_validated_as_usage_errors(flags, capsys):
     assert "nan" not in captured.out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["overhead", "--n-user", "0"], "--n-user"),
+    (["perceived", "--n-user", "-4"], "--n-user"),
+    (["tuning-table", "--n-user", "0"], "--n-user"),
+    (["autotune", "tune", "--n-user", "0"], "--n-user"),
+    (["sweep", "--threads", "0"], "--threads"),
+    (["stencil", "--threads", "0"], "--threads"),
+    (["stencil", "--partitions", "0"], "--partitions"),
+    (["fleet", "rank", "--partitions", "0"], "--partitions"),
+    (["overhead", "--sizes", "4x"], "bad size '4x'"),
+    (["sweep", "--sizes", "1MiB,zz"], "bad size 'zz'"),
+    (["model", "--sizes", "0"], "size must be >= 1B"),
+    (["netgauge", "--sizes", ","], "no sizes"),
+    (["stencil", "--faces", "64KiB,q"], "--faces"),
+    (["fleet", "profile", "--partition-size", "4x"], "--partition-size"),
+    (["overhead", "--n-user", "3", "--sizes", "4096"],
+     "not divisible by 3 partitions"),
+    (["perceived", "--n-user", "3", "--sizes", "4MiB"], "not divisible"),
+    (["tuning-table", "--n-user", "3", "--sizes", "4MiB"], "not divisible"),
+    (["sweep", "--threads", "3", "--sizes", "64KiB"], "not divisible"),
+    (["stencil", "--threads", "3"], "not divisible by 3 threads"),
+    (["stencil", "--threads", "3", "--partitions", "3"], "not divisible"),
+    (["bench", "run", "nope"], "unknown experiment(s): nope"),
+    (["plan", "show", "nope"], "unknown experiment(s): nope"),
+    (["plan", "diff", "fig08", "nope"], "unknown experiment(s): nope"),
+])
+def test_bad_flags_are_usage_errors(argv, message, capsys):
+    # A bad count, size or name is argparse's exit 2, raised before
+    # anything is simulated: never a traceback, never exit 1.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_table1_command(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out

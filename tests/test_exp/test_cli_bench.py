@@ -22,9 +22,11 @@ def test_bench_list_points_adds_counts(capsys):
     assert "paper pts" in out
 
 
-def test_bench_run_unknown_experiment_rejected():
-    with pytest.raises(SystemExit, match="unknown experiment"):
+def test_bench_run_unknown_experiment_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["bench", "run", "nope", "--no-store", "--no-cache"])
+    assert exc.value.code == 2
+    assert "unknown experiment(s): nope" in capsys.readouterr().err
 
 
 def test_bench_run_writes_artifacts_and_caches(tmp_path, capsys):

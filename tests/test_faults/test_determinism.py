@@ -15,7 +15,6 @@ Two guarantees anchor the subsystem:
 import pytest
 
 from repro.bench.pair import run_partitioned_pair
-from repro.bench.perceived import run_perceived_bandwidth
 from repro.faults import FaultSchedule
 from repro.mpi.persist_module import PersistSpec
 from repro.units import KiB, MiB, us

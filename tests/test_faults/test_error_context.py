@@ -64,7 +64,8 @@ def test_unknown_context_fields_are_rejected():
 def test_exhaustion_error_localizes_the_failed_edge():
     sched = (FaultSchedule(allow_reconnect=False)
              .link_flap(0, 1, start=us(50), duration=1.0))
-    spec = lambda: NativeSpec(FixedAggregation(2, 1))
+    def spec():
+        return NativeSpec(FixedAggregation(2, 1))
     with pytest.raises(RetryExhaustedError) as excinfo:
         run_faulty_roundtrip(spec, sched, config=recovery_config())
     ctx = excinfo.value.context

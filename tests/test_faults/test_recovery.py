@@ -119,7 +119,8 @@ def test_reconnect_walks_back_to_rts(env):
 def test_retry_exhaustion_surfaces_error_when_reconnect_disabled():
     sched = (FaultSchedule(allow_reconnect=False)
              .link_flap(0, 1, start=us(50), duration=1.0))
-    spec = lambda: NativeSpec(FixedAggregation(2, 1))
+    def spec():
+        return NativeSpec(FixedAggregation(2, 1))
     with pytest.raises(RetryExhaustedError):
         run_faulty_roundtrip(spec, sched, config=recovery_config())
 
@@ -127,7 +128,8 @@ def test_retry_exhaustion_surfaces_error_when_reconnect_disabled():
 def test_retry_exhaustion_leaves_qp_error_with_queues_drained():
     sched = (FaultSchedule(allow_reconnect=False)
              .link_flap(0, 1, start=us(50), duration=1.0))
-    spec = lambda: NativeSpec(FixedAggregation(2, 1))
+    def spec():
+        return NativeSpec(FixedAggregation(2, 1))
     cluster = Cluster(n_nodes=2, config=recovery_config())
     cluster.fabric.install_faults(sched)
     s_proc, r_proc = cluster.ranks(2)
@@ -170,7 +172,8 @@ def test_native_module_survives_mid_round_flap():
     """A flap mid-transfer: retries exhaust, the QP dies, the module
     reconnects once and replays; the payload still lands exactly once."""
     sched = FaultSchedule().link_flap(0, 1, start=us(100), duration=us(300))
-    spec = lambda: NativeSpec(FixedAggregation(2, 1))
+    def spec():
+        return NativeSpec(FixedAggregation(2, 1))
     cluster, outcome = run_faulty_roundtrip(
         spec, sched, config=recovery_config(reconnect_delay=us(500)))
     c = cluster.fabric.counters
@@ -229,7 +232,8 @@ def test_timer_flush_racing_qp_failure():
     """A delta-timer flush posting into a QP that fails mid-round must
     neither duplicate nor drop partitions once the channel recovers."""
     sched = FaultSchedule().link_flap(0, 1, start=us(100), duration=us(300))
-    spec = lambda: NativeSpec(FixedAggregation(4, 1, timer_delta=us(30)))
+    def spec():
+        return NativeSpec(FixedAggregation(4, 1, timer_delta=us(30)))
     cluster, _ = run_faulty_roundtrip(
         spec, sched, config=recovery_config(reconnect_delay=us(500)),
         rounds=2)
@@ -242,7 +246,8 @@ def test_degraded_posts_after_fault():
     """After a mid-round fault the aggregator downgrades toward
     per-partition sends for the following round, then re-arms."""
     sched = FaultSchedule().link_flap(0, 1, start=us(100), duration=us(300))
-    spec = lambda: NativeSpec(FixedAggregation(2, 1))
+    def spec():
+        return NativeSpec(FixedAggregation(2, 1))
     cluster, _ = run_faulty_roundtrip(
         spec, sched, config=recovery_config(reconnect_delay=us(500)),
         rounds=3)

@@ -47,14 +47,13 @@ class Spend:
     def __init__(self, monkeypatch):
         self.canonical = self.entry_opens = 0
         self.lock_opens = self.replaces = 0
-        entry_digest(key())  # resolve the lazily imported encoder
-        real_canonical = store_mod._canonical
+        real_canonical = store_mod.canonical
 
         def canonical(params):
             self.canonical += 1
             return real_canonical(params)
 
-        monkeypatch.setattr(store_mod, "_canonical", canonical)
+        monkeypatch.setattr(store_mod, "canonical", canonical)
         # Every way of opening a file, so going back to open() or
         # Path.read_text() cannot hide an extra read.
         for module, name in ((os, "open"), (io, "open"),

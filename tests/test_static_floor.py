@@ -70,6 +70,21 @@ def _dunder_all(tree: ast.Module) -> list:
     return names
 
 
+def _binds_getattr(node: ast.stmt) -> bool:
+    """A PEP 562 lazy name map (``__getattr__, __dir__ = lazy_exports(…)``)."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(sub, ast.Name) and sub.id == "__getattr__"
+        for target in node.targets for sub in ast.walk(target))
+
+
+def _lazy_names(tree: ast.Module) -> set:
+    """The names a lazy map exports: the strings of its dict's values."""
+    return {sub.value for node in tree.body if _binds_getattr(node)
+            for table in ast.walk(node.value) if isinstance(table, ast.Dict)
+            for value in table.values for sub in ast.walk(value)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
+
+
 def _defined_names(tree: ast.Module) -> set:
     """Names bound at module level, inside ``if``/``try`` included."""
     defined = set()
@@ -108,7 +123,7 @@ def _findings(path: Path, root: Path = SRC.parent) -> list:
     star = any(isinstance(n, ast.ImportFrom) and n.names[0].name == "*"
                for n in tree.body)
     if not star:
-        defined = _defined_names(tree)
+        defined = _defined_names(tree) | _lazy_names(tree)
         found += [f"{where}: __all__ names {name!r}, which is not defined"
                   for name in _dunder_all(tree) if name not in defined]
 
@@ -159,6 +174,10 @@ def test_no_unused_import_bad_all_mutable_default_or_bare_except():
     ("def f(x=(), y=None, z=frozenset()): ...\n", []),
     ("try:\n    pass\nexcept:\n    pass\n", ["bare except"]),
     ("try:\n    pass\nexcept BaseException:\n    raise\n", []),
+    ("__getattr__, __dir__ = lazy_exports(__name__, {'mod': ('f',)})\n"
+     "__all__ = ['f']\n", []),
+    ("__getattr__, __dir__ = lazy_exports(__name__, {'mod': ('f',)})\n"
+     "__all__ = ['mod']\n", ["__all__ names 'mod'"]),
 ])
 def test_the_pass_finds_what_it_claims_to(tmp_path, source, expected):
     path = tmp_path / "mod.py"
@@ -228,9 +247,10 @@ def _decorator_name(node: ast.expr):
         getattr(node, "id", None)
 
 
-def _reads(node: ast.AST):
+def _reads(node: ast.AST, strings: bool = True):
     """Every name ``node`` reads: loads, attribute names, imported
-    names and identifier-shaped strings (``getattr``/registry keys)."""
+    names and (unless ``strings`` is false) identifier-shaped strings
+    (``getattr``/registry keys)."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
@@ -238,8 +258,8 @@ def _reads(node: ast.AST):
             yield sub.attr
         elif isinstance(sub, ast.ImportFrom):
             yield from (alias.name for alias in sub.names)
-        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-              and sub.value.isidentifier()):
+        elif (strings and isinstance(sub, ast.Constant)
+              and isinstance(sub.value, str) and sub.value.isidentifier()):
             yield sub.value
 
 
@@ -249,9 +269,9 @@ def _unreached(src: Path, callers) -> tuple[set, set]:
 
     A definition is reached when a caller tree, module-level code or
     the body of a *reached* definition reads its name — its own body
-    does not count, nor do a package ``__init__``'s imports or any
-    ``__all__``.  Iterating to a fixpoint makes code that only dead
-    code uses dead too.
+    does not count, nor do a package ``__init__``'s imports, the names
+    of its lazy map or any ``__all__``.  Iterating to a fixpoint makes
+    code that only dead code uses dead too.
     """
     defs = {}          # key -> name
     reached = set()
@@ -272,7 +292,11 @@ def _unreached(src: Path, callers) -> tuple[set, set]:
                 if any(_decorator_name(d) not in PLAIN_DECORATORS
                        for d in stmt.decorator_list):
                     reached.add(owner)  # registered: found by lookup
-            reads += [(owner, name) for name in _reads(stmt)]
+            # A lazy map's strings are an export list too; the call
+            # that builds it is still a read.
+            lazy = init and _binds_getattr(stmt)
+            reads += [(owner, name)
+                      for name in _reads(stmt, strings=not lazy)]
     for caller in callers:
         for path in sorted(caller.rglob("*.py")):
             if "tests" not in path.relative_to(caller).parts:
@@ -314,6 +338,11 @@ def test_every_definition_is_reached_or_kept():
 
 
 _REGISTRY = "def kind(name):\n    return lambda fn: fn\n"
+_LAZY = "def lazy_exports(package, exports): ...\n"
+_LAZY_INIT = ("from lazy import lazy_exports\n"
+              "__getattr__, __dir__ = lazy_exports(__name__, "
+              "{'mod': ('exported',)})\n"
+              "__all__ = ['exported']\n")
 
 
 @pytest.mark.parametrize("files, keep, expected", [
@@ -351,6 +380,13 @@ _REGISTRY = "def kind(name):\n    return lambda fn: fn\n"
      ["KEEP names mod:live, which is reached"]),
     ({"mod.py": "X = 1\n"}, {"mod:gone": "fake: x"},
      ["KEEP names mod:gone, which no longer exists"]),
+    ({"lazy.py": _LAZY, "pkg/__init__.py": _LAZY_INIT,
+      "pkg/mod.py": "def exported(): ...\n"},
+     {}, ["pkg.mod:exported: nothing"]),
+    ({"lazy.py": _LAZY, "pkg/__init__.py": _LAZY_INIT,
+      "pkg/mod.py": "def exported(): ...\n",
+      "benchmarks/use.py": "from repro.pkg import exported\nexported()\n"},
+     {}, []),
 ])
 def test_the_audit_finds_what_it_claims_to(tmp_path, files, keep, expected):
     src = tmp_path / "src" / "repro"

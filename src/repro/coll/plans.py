@@ -1,4 +1,4 @@
-"""Per-edge transport-plan resolution, lowered through the plan IR.
+"""Per-edge transport-plan resolution.
 
 Every edge of a partitioned collective is its own matched pair, so
 every edge can run its own aggregation plan.  :func:`edge_modules`
@@ -12,8 +12,7 @@ Accepted inputs:
 
 * ``None`` — the ``part_persist`` baseline on every edge;
 * a :class:`repro.plan.Plan` — lowered through
-  :func:`repro.plan.lower`; a plan with top-level ``edge`` ops
-  resolves per neighbor (non-edge ops are the default body);
+  :func:`repro.plan.lower`;
 * an :class:`~repro.core.aggregators.Aggregator` — the native module
   with that (shared) aggregator on every edge; static aggregators are
   stateless so sharing is safe, and each matched pair still computes
@@ -24,11 +23,8 @@ Accepted inputs:
   — full per-edge control (:func:`per_edge_autotuners` builds the
   common case: one independent autotune controller per neighbor).
 
-Since the plan-IR refactor, the canonical degradation ladder is not
-hand-assembled here: :func:`ladder_modules` instantiates
-:func:`repro.plan.default_ladder_plan` and substitutes the preferred
-transport into the ``native()`` slot, so ``repro-bench plan show``
-prints exactly the ladder the collective will run.
+:func:`ladder_modules` wraps each edge's spec in the canonical
+degradation ladder (preferred → ``part_persist`` → channels).
 """
 
 from __future__ import annotations
@@ -82,51 +78,31 @@ def _takes_neighbor(fn) -> bool:
 
 def edge_modules(module_for) -> EdgeModules:
     """Normalize ``module_for`` into a per-neighbor spec resolver."""
-    from repro.plan import Edge, Plan, lower_edges
-
-    if isinstance(module_for, Plan) and module_for.find(Edge):
-        return lower_edges(module_for)
-    if (callable(module_for) and not isinstance(module_for, Aggregator)
-            and not isinstance(module_for, (ModuleSpec, Plan))
-            and _takes_neighbor(module_for)):
+    if callable(module_for) and _takes_neighbor(module_for):
         return lambda neighbor: spec_for(module_for(neighbor))
     return lambda neighbor: spec_for(module_for)
 
 
-def ladder_modules(module_for=None, rungs=None) -> EdgeModules:
+def ladder_modules(module_for=None) -> EdgeModules:
     """Wrap every edge's transport in a graceful-degradation ladder.
 
     ``module_for`` (any shape :func:`edge_modules` accepts) names the
-    preferred rung, substituted into the ``native()`` slot of
-    :func:`repro.plan.default_ladder_plan` — so a tripped edge
-    degrades native → persist → channels, and a rung that would
-    duplicate an earlier one (a persist top) is folded away.  Pass
-    ``rungs`` (a per-neighbor callable or a list of specs/plans) to
-    override the full chain instead.
+    preferred rung, so a tripped edge degrades native → persist →
+    channels; a rung that would duplicate an earlier one (a persist
+    top) is folded away.  Every edge gets fresh baseline rungs.
     """
+    from repro.mpi.channel_module import ChannelSpec
     from repro.mpi.ladder import LadderSpec
-    from repro.plan import Fallback, Native, default_ladder_plan
-    from repro.plan import lower as lower_plan
+    from repro.mpi.persist_module import PersistSpec
 
-    if rungs is not None:
-        if callable(rungs):
-            return lambda neighbor: LadderSpec(
-                [spec_for(r) for r in rungs(neighbor)])
-        specs = [spec_for(r) for r in rungs]
-        return lambda neighbor: LadderSpec(specs)
     resolve = edge_modules(module_for)
-    ladder = default_ladder_plan()
 
     def build(neighbor: int) -> ModuleSpec:
-        top = resolve(neighbor)
         chain, names = [], set()
-        for rung in ladder.first(Fallback).rungs:
-            spec = top if rung.first(Native) is not None \
-                else lower_plan(rung)
-            if spec.name in names:
-                continue
-            names.add(spec.name)
-            chain.append(spec)
+        for spec in (resolve(neighbor), PersistSpec(), ChannelSpec()):
+            if spec.name not in names:
+                names.add(spec.name)
+                chain.append(spec)
         return LadderSpec(chain)
 
     return build

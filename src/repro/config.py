@@ -320,7 +320,7 @@ class PartitionedConfig:
 class EngineConfig:
     """Tunables of the transport engine (:mod:`repro.engine`)."""
 
-    #: Fallback park time while a progress wait has no kick pending —
+    #: Backstop park time while a progress wait has no kick pending —
     #: guards against a missing notification path ever deadlocking a
     #: wait.  Completion queues kick the engine on every push, so this
     #: only bounds the rare conditions with no notification hook;

@@ -89,12 +89,16 @@ class PlanChoice:
 
     @classmethod
     def from_plan(cls, plan) -> "PlanChoice":
-        """The choice a leaf plan denotes (inverse of :attr:`plan`)."""
-        from repro.plan.ir import Aggregate, Partition, QPPool
+        """The choice a leaf plan denotes (inverse of :attr:`plan`).
+
+        A :class:`~repro.plan.ir.Plan` holds each op kind at most once
+        and ``persist()`` only alone, so the first op of a kind is the
+        only one."""
+        from repro.plan.ir import Aggregate, Partition, PlanError, QPPool
 
         part = plan.first(Partition)
         if part is None:
-            raise ConfigError(
+            raise PlanError(
                 f"not a leaf plan (no partition op): {plan.digest}")
         pool = plan.first(QPPool)
         agg = plan.first(Aggregate)

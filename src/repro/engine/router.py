@@ -60,7 +60,6 @@ class CompletionRouter:
         the hook where transports check round-completion conditions.
         """
         t_poll_hit = self.host.t_poll_hit
-        env = self.env
         batch = self.batch
         # Duck-typed CQs (test doubles) without an entries deque just
         # skip the fast path and always run the full poller.

@@ -201,7 +201,7 @@ class LadderModule(PartitionedModule):
         self.level = new_level
         self.inner = self._create(new_level)
         if new_level > 0:
-            # Fallback rung: clean rounds now count toward promotion.
+            # A lower rung: clean rounds now count toward promotion.
             self.breaker.begin_probation()
         else:
             self.breaker.reset()
@@ -310,10 +310,3 @@ class LadderSpec(ModuleSpec):
 
     def create(self, cluster, send_req, recv_req):
         return LadderModule(cluster, send_req, recv_req, self.rungs)
-
-    def plan(self):
-        """This ladder as one ``fallback`` plan (rungs become legs)."""
-        from repro.plan import Fallback, Plan, spec_to_plan
-
-        return Plan((Fallback(rungs=tuple(
-            spec_to_plan(rung) for rung in self.rungs)),))

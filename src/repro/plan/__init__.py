@@ -11,19 +11,10 @@ Quick tour::
     spec = lower(p)           # NativeSpec(FixedAggregation(8, 2, δ))
 """
 
-from repro.plan.build import (
-    default_ladder_plan,
-    leaf_plan,
-    module_plan,
-    spec_to_plan,
-)
+from repro.plan.build import leaf_plan, module_plan
 from repro.plan.ir import (
     OPS,
     Aggregate,
-    Channel,
-    Edge,
-    Fallback,
-    Native,
     Partition,
     Persist,
     Plan,
@@ -32,26 +23,19 @@ from repro.plan.ir import (
     QPPool,
     plan,
 )
-from repro.plan.lower import lower, lower_edges
+from repro.plan.lower import lower
 from repro.plan.mutate import neighbors
 from repro.plan.parse import parse
-from repro.plan.passes import (
-    Legalize,
-    PassContext,
-    lowering_pipeline,
-    rewrite_plans,
-)
+from repro.plan.passes import Legalize, PassContext, lowering_pipeline
 
 __all__ = [
     # ir
     "Plan", "PlanOp", "PlanError", "OPS", "plan",
-    "Partition", "QPPool", "Aggregate",
-    "Persist", "Channel", "Native", "Edge", "Fallback",
+    "Partition", "QPPool", "Aggregate", "Persist",
     # parse / build
-    "parse", "leaf_plan", "default_ladder_plan",
-    "spec_to_plan", "module_plan",
+    "parse", "leaf_plan", "module_plan",
     # passes
-    "PassContext", "rewrite_plans", "Legalize", "lowering_pipeline",
+    "PassContext", "Legalize", "lowering_pipeline",
     # lower / mutate
-    "lower", "lower_edges", "neighbors",
+    "lower", "neighbors",
 ]

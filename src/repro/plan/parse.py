@@ -5,25 +5,24 @@ emits (plus insignificant whitespace variations) and rebuilds the
 :class:`~repro.plan.ir.Plan`.  Grammar::
 
     plan    := "plan" "{" op* "}"
-    op      := NAME attrs? block?
+    op      := NAME attrs?
     attrs   := "(" [ kv ("," kv)* ] ")"
     kv      := NAME "=" value
-    value   := INT | FLOAT | "none" | "true" | "false" | NAME
-    block   := "{" (op* | rung+) "}"
-    rung    := "rung" "{" op* "}"
+    value   := INT | FLOAT | "none" | "true" | "false"
 
 Op names resolve through :data:`repro.plan.ir.OPS`; unknown ops,
 unknown attributes and malformed values raise
-:class:`~repro.plan.ir.PlanError` with line/column context.
+:class:`~repro.plan.ir.PlanError` with line/column context, and so does
+a plan whose ops contradict each other (:class:`~repro.plan.ir.Plan`
+checks that on construction).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
 
-from repro.plan.ir import OPS, Fallback, Plan, PlanError, PlanOp
+from repro.plan.ir import OPS, Plan, PlanError, PlanOp
 
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
@@ -33,6 +32,8 @@ _TOKEN = re.compile(r"""
   | (?P<name>[A-Za-z_]\w*)
   | (?P<punct>[(){}=,])
 """, re.VERBOSE)
+
+_KEYWORDS = {"none": None, "true": True, "false": False}
 
 
 @dataclass(frozen=True)
@@ -98,18 +99,14 @@ class _Parser:
 
     def parse(self) -> Plan:
         self.expect("plan")
-        plan = self.block()
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(tok, "expected end of input")
-        return plan
-
-    def block(self) -> Plan:
         self.expect("{")
         ops = []
         while self.peek().text != "}":
             ops.append(self.op())
         self.expect("}")
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.fail(tok, "expected end of input")
         return Plan(tuple(ops))
 
     def op(self) -> PlanOp:
@@ -120,8 +117,6 @@ class _Parser:
         if cls is None:
             self.fail(tok, f"unknown plan op {tok.text!r}")
         kwargs = self.attrs() if self.peek().text == "(" else {}
-        if self.peek().text == "{":
-            kwargs.update(self.region_body(cls, tok))
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -149,37 +144,9 @@ class _Parser:
             return int(tok.text)
         if tok.kind == "float":
             return float(tok.text)
-        if tok.kind == "name":
-            if tok.text == "none":
-                return None
-            if tok.text == "true":
-                return True
-            if tok.text == "false":
-                return False
-            return tok.text
+        if tok.kind == "name" and tok.text in _KEYWORDS:
+            return _KEYWORDS[tok.text]
         self.fail(tok, "expected a value")
-
-    def region_body(self, cls: type[PlanOp],
-                    at: _Token) -> dict[str, object]:
-        if issubclass(cls, Fallback):
-            self.expect("{")
-            rungs = []
-            while self.peek().text != "}":
-                self.expect("rung")
-                rungs.append(self.block())
-            self.expect("}")
-            return {"rungs": tuple(rungs)}
-        field = _plan_field(cls)
-        if field is None:
-            self.fail(at, f"op {cls.name!r} takes no body")
-        return {field: self.block()}
-
-
-def _plan_field(cls: type[PlanOp]) -> Optional[str]:
-    for f in fields(cls):
-        if f.type in ("Plan", "\"Plan\"", "'Plan'"):
-            return f.name
-    return None
 
 
 def parse(text: str) -> Plan:

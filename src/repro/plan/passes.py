@@ -12,10 +12,10 @@ a new rewrite belongs in ``Legalize``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.config import ClusterConfig
-from repro.plan.ir import Edge, Fallback, Partition, Plan, QPPool
+from repro.plan.ir import Partition, Plan, QPPool
 
 
 @dataclass(frozen=True)
@@ -33,21 +33,6 @@ class PassContext:
     partition_size: Optional[int] = None
 
 
-def rewrite_plans(plan: Plan,
-                  fn: Callable[[Plan], Plan]) -> Plan:
-    """Apply ``fn`` to every (sub)plan bottom-up, children first."""
-    ops = []
-    for op in plan.ops:
-        if isinstance(op, Edge):
-            ops.append(replace(op, body=rewrite_plans(op.body, fn)))
-        elif isinstance(op, Fallback):
-            ops.append(replace(op, rungs=tuple(
-                rewrite_plans(rung, fn) for rung in op.rungs)))
-        else:
-            ops.append(op)
-    return fn(Plan(tuple(ops)))
-
-
 class Legalize:
     """Clamp knobs to NIC/fabric limits; identity on legal plans.
 
@@ -62,9 +47,6 @@ class Legalize:
     """
 
     def run(self, plan: Plan, ctx: PassContext) -> Plan:
-        return rewrite_plans(plan, lambda p: self._one(p, ctx))
-
-    def _one(self, plan: Plan, ctx: PassContext) -> Plan:
         n_partition = None
         part = plan.first(Partition)
         if part is not None:
@@ -92,7 +74,6 @@ def lowering_pipeline() -> Legalize:
 
 __all__ = [
     "PassContext",
-    "rewrite_plans",
     "Legalize",
     "lowering_pipeline",
 ]

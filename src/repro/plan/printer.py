@@ -3,18 +3,15 @@
 The printed form is the plan's identity: :attr:`Plan.digest` hashes
 exactly this text, so the printer must be deterministic and must be a
 fixed point under ``print → parse → print`` (guarded by
-``tests/test_plan/test_roundtrip.py``).  Rules:
+``tests/test_plan/test_ir.py``; ``tests/test_plan/test_identity.py``
+pins the text and digest of every leaf shape).  Rules:
 
-* one op per line, two-space indent per nesting level;
+* ``plan {``, then one op per line indented two spaces, then ``}``;
 * attributes in dataclass field order, ``key=value``, with
   default-valued attributes omitted;
 * values: ints verbatim, floats via ``repr`` (shortest round-trip
-  form), ``none`` / ``true`` / ``false`` keywords, strings as bare
-  identifiers;
-* a leaf op with no printed attributes still gets ``()`` so every op
-  line is unambiguous (``persist()``);
-* region bodies open ``{`` on the op line; ``fallback`` bodies print
-  as ``rung { ... }`` elements.
+  form), ``none`` / ``true`` / ``false`` keywords;
+* an op with no printed attributes still gets ``()`` (``persist()``).
 """
 
 from __future__ import annotations
@@ -24,9 +21,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.plan.ir import Plan, PlanOp
-
-#: Identifiers the parser treats as literals, not strings.
-RESERVED = {"none", "true", "false", "plan", "rung"}
 
 
 def format_value(value: object) -> str:
@@ -41,10 +35,6 @@ def format_value(value: object) -> str:
         return str(value)
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, str):
-        if not value.isidentifier() or value in RESERVED:
-            raise ValueError(f"not a printable identifier: {value!r}")
-        return value
     raise ValueError(f"unprintable plan attribute: {value!r}")
 
 
@@ -63,45 +53,10 @@ def _printed_attrs(op: "PlanOp") -> list[str]:
     return out
 
 
-def _print_op(op: "PlanOp", indent: int, lines: list[str]) -> None:
-    from repro.plan.ir import Fallback
-
-    pad = "  " * indent
-    attrs = _printed_attrs(op)
-    head = f"{pad}{op.name}({', '.join(attrs)})" if attrs else \
-        f"{pad}{op.name}()"
-    bodies = op.bodies()
-    if not bodies:
-        lines.append(head)
-        return
-    # Region op: drop the "()" when there are no attrs — the block
-    # disambiguates the line (`fallback {`, `edge(neighbor=3) {`).
-    if not attrs:
-        head = f"{pad}{op.name}"
-    lines.append(head + " {")
-    wrap = "rung" if isinstance(op, Fallback) else None
-    for body in bodies:
-        _print_body(body, indent + 1, lines, wrap)
-    lines.append(pad + "}")
-
-
-def _print_body(body: "Plan", indent: int, lines: list[str],
-                wrap: str | None) -> None:
-    pad = "  " * indent
-    if wrap is None:
-        for op in body.ops:
-            _print_op(op, indent, lines)
-        return
-    lines.append(f"{pad}{wrap} {{")
-    for op in body.ops:
-        _print_op(op, indent + 1, lines)
-    lines.append(pad + "}")
-
-
 def print_plan(plan: "Plan") -> str:
     """The canonical multi-line text of ``plan`` (no trailing newline)."""
     lines = ["plan {"]
     for op in plan.ops:
-        _print_op(op, 1, lines)
+        lines.append(f"  {op.name}({', '.join(_printed_attrs(op))})")
     lines.append("}")
     return "\n".join(lines)

@@ -1,7 +1,5 @@
 """Tests for trace-based analysis."""
 
-import pytest
-
 from repro.analysis import (
     chunk_timeline,
     idle_gaps,
@@ -14,7 +12,7 @@ from repro.core import FixedAggregation, NativeSpec
 from repro.mem import PartitionedBuffer
 from repro.mpi import Cluster
 from repro.sim.monitor import Trace
-from repro.units import KiB, MiB
+from repro.units import MiB
 
 
 def traced_transfer(total_bytes=4 * MiB, n_parts=8, pready_stagger=0.0):
@@ -23,7 +21,8 @@ def traced_transfer(total_bytes=4 * MiB, n_parts=8, pready_stagger=0.0):
     s_proc, r_proc = cluster.ranks(2)
     sbuf = PartitionedBuffer(n_parts, total_bytes // n_parts, backed=False)
     rbuf = PartitionedBuffer(n_parts, total_bytes // n_parts, backed=False)
-    spec = lambda: NativeSpec(FixedAggregation(n_parts, 2))
+    def spec():
+        return NativeSpec(FixedAggregation(n_parts, 2))
 
     def sender(proc):
         req = proc.psend_init(sbuf, dest=1, tag=0, module=spec())

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.coll import edge_modules, per_edge_autotuners
+from repro.coll import edge_modules, ladder_modules, per_edge_autotuners
 from repro.core import PLogGPAggregator
 from repro.core.module import NativeSpec
 from repro.model.tables import NIAGARA_LOGGP
+from repro.mpi.channel_module import ChannelSpec
+from repro.mpi.ladder import LadderSpec
 from repro.mpi.persist_module import PersistSpec
 from repro.units import ms
 
@@ -64,6 +66,41 @@ def test_garbage_module_raises():
     resolve = edge_modules(object())
     with pytest.raises(TypeError):
         resolve(0)
+
+
+def _rung_names(spec):
+    assert isinstance(spec, LadderSpec)
+    return [rung.name for rung in spec.rungs]
+
+
+def test_ladder_over_persist_folds_the_duplicate_top():
+    build = ladder_modules(None)
+    assert _rung_names(build(0)) == ["part_persist", "channels"]
+
+
+def test_ladder_over_an_aggregator_prepends_native():
+    agg = PLogGPAggregator(NIAGARA_LOGGP, delay=ms(4))
+    ladder = ladder_modules(agg)(2)
+    assert _rung_names(ladder) == ["native_verbs", "part_persist",
+                                   "channels"]
+    top = ladder.rungs[0]
+    assert isinstance(top, NativeSpec) and top.aggregator is agg
+
+
+def test_ladder_per_neighbor_callable_mixes_rungs():
+    agg = PLogGPAggregator(NIAGARA_LOGGP, delay=ms(4))
+    build = ladder_modules(lambda neighbor: agg if neighbor % 2 else None)
+    assert _rung_names(build(1)) == ["native_verbs", "part_persist",
+                                     "channels"]
+    assert _rung_names(build(2)) == ["part_persist", "channels"]
+
+
+def test_ladder_baseline_rungs_are_fresh_per_edge():
+    build = ladder_modules(None)
+    a, b = build(0), build(0)
+    assert all(x is not y for x, y in zip(a.rungs, b.rungs))
+    assert isinstance(a.rungs[0], PersistSpec)
+    assert isinstance(a.rungs[1], ChannelSpec)
 
 
 def test_per_edge_autotuners_are_independent():

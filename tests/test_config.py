@@ -4,15 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import (
-    ClusterConfig,
-    HostConfig,
-    LinkConfig,
-    NICConfig,
-    NIAGARA,
-    PartitionedConfig,
-    UCXConfig,
-)
+from repro.config import LinkConfig, NIAGARA
 from repro.errors import ConfigError
 from repro.units import KiB
 

@@ -45,7 +45,7 @@ def test_walk_fixes_only_dead_pairs(fake_reconnect):
     assert fixed == {"b", "c"}
     assert len(fake_reconnect) == 2
     assert all(qp.state is QPState.RTS
-               for _, l, r in pairs for qp in (l, r))
+               for _, local, remote in pairs for qp in (local, remote))
 
 
 def test_walk_tolerates_missing_remote(fake_reconnect):
@@ -59,7 +59,7 @@ def test_walk_on_fixed_hook(fake_reconnect):
     qp_l, qp_r = FakeQP(QPState.ERROR), FakeQP()
     hooked = []
     reconnect_walk([("t", qp_l, qp_r)],
-                   on_fixed=lambda tok, l, r: hooked.append((tok, l, r)))
+                   on_fixed=lambda tok, a, b: hooked.append((tok, a, b)))
     assert hooked == [("t", qp_l, qp_r)]
 
 

@@ -117,8 +117,10 @@ def test_random_workloads_native(n_parts, psize_exp, n_transport_log,
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_timer_deltas(delta_us, order_seed):
-    spec = lambda: NativeSpec(TimerPLogGPAggregator(
-        NIAGARA_LOGGP, delay=ms(4), delta=delta_us * 1e-6))
+    def spec():
+        return NativeSpec(TimerPLogGPAggregator(
+            NIAGARA_LOGGP, delay=ms(4), delta=delta_us * 1e-6))
+
     drive(spec, n_parts=8, psize=8 * KiB, rounds=2,
           order_seed=order_seed, compute=ms(0.1), noise=0.1)
 

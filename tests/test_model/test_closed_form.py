@@ -14,7 +14,7 @@ from repro.model.closed_form import (
 )
 from repro.model.loggp import LogGPParams
 from repro.model.tables import NIAGARA_LOGGP, TABLE1_PAPER
-from repro.units import KiB, MiB, next_power_of_two, us
+from repro.units import KiB, MiB, us
 
 
 PARAM_STRATEGY = st.builds(

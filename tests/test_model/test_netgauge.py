@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import NIAGARA
 from repro.model.netgauge import measure_loggp
-from repro.units import KiB, MiB
+from repro.units import KiB
 
 
 @pytest.fixture(scope="module")

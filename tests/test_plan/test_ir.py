@@ -5,10 +5,6 @@ import pytest
 from repro.plan import (
     OPS,
     Aggregate,
-    Channel,
-    Edge,
-    Fallback,
-    Native,
     Partition,
     Persist,
     PlanError,
@@ -23,27 +19,7 @@ OP_PLANS = {
     "qp_pool": plan(QPPool(n=2)),
     "aggregate": plan(Aggregate(delta=3.5e-05, sg=True)),
     "persist": plan(Persist()),
-    "channel": plan(Channel()),
-    "native": plan(Native(strategy="ploggp")),
-    "edge": plan(Edge(neighbor=1, body=plan(Persist()))),
-    "fallback": plan(Fallback(rungs=(
-        plan(Partition(n=4), QPPool(n=2)),
-        plan(Persist()),
-        plan(Channel()),
-    ))),
 }
-
-NESTED = plan(
-    Partition(n=8),
-    QPPool(n=2),
-    Aggregate(delta=3.5e-05),
-    Edge(neighbor=1, body=plan(Partition(n=4), QPPool(n=1))),
-    Edge(neighbor=2, body=plan(Fallback(rungs=(
-        plan(Native(strategy="ploggp")),
-        plan(Persist()),
-        plan(Channel()),
-    )))),
-)
 
 
 def test_every_registered_op_is_covered():
@@ -61,15 +37,9 @@ def test_round_trip_is_fixed_point_per_op(name):
     assert parse(q.text) == q
 
 
-def test_round_trip_nested_plan():
-    q = parse(NESTED.text)
-    assert q == NESTED
-    assert q.digest == NESTED.digest
-
-
 def test_default_attrs_are_not_printed():
     assert plan(Aggregate()).text == "plan {\n  aggregate()\n}"
-    assert plan(Native()).text == "plan {\n  native()\n}"
+    assert plan(Persist()).text == "plan {\n  persist()\n}"
     assert "sg" not in plan(Aggregate(delta=1e-6)).text
 
 
@@ -97,6 +67,10 @@ def test_parse_rejects_garbage():
         parse("partition(n=8)")  # missing plan { } wrapper
     with pytest.raises(PlanError):
         parse("plan { partition(n=8)")  # unclosed block
+    with pytest.raises(PlanError):
+        parse("plan { partition(n=eight) }")  # bare names are not values
+    with pytest.raises(PlanError):
+        parse("plan { persist { partition(n=8) } }")  # no nested blocks
 
 
 def test_op_validation():
@@ -105,27 +79,8 @@ def test_op_validation():
     with pytest.raises(PlanError):
         plan(QPPool(n=-1))
     with pytest.raises(PlanError):
-        plan(Edge(neighbor=-1, body=plan(Persist())))
-    with pytest.raises(PlanError):
         plan(Aggregate(delta=-1.0))
     with pytest.raises(PlanError):
-        plan(Fallback(rungs=()))
-
-
-def test_edges_and_default_body():
-    edges = NESTED.edges()
-    assert set(edges) == {1, 2}
-    assert edges[1].first(Partition).n == 4
-    default = NESTED.default_body()
-    assert default is not None
-    assert default.first(Partition).n == 8
-    assert not default.find(Edge)
+        plan(Partition(n=8), Partition(n=2))
     with pytest.raises(PlanError):
-        plan(Edge(neighbor=1, body=plan(Persist())),
-             Edge(neighbor=1, body=plan(Channel()))).edges()
-
-
-def test_walk_visits_nested_ops():
-    names = [op.name for op in NESTED.walk()]
-    assert names.count("edge") == 2
-    assert "fallback" in names and "native" in names
+        plan(Partition(n=8), Persist())

@@ -6,8 +6,7 @@ import pytest
 
 from repro.config import NIAGARA
 from repro.plan import (
-    Edge,
-    Fallback,
+    Aggregate,
     Legalize,
     Partition,
     PassContext,
@@ -23,19 +22,12 @@ PASSES = (Legalize(),)
 
 
 def _random_plan(rng: random.Random) -> Plan:
-    """A random multi-edge plan with illegal knobs (property-test input)."""
-    def body():
-        leaf = Plan((Partition(n=rng.choice([1, 2, 3, 4, 8, 12, 32])),
-                     QPPool(n=rng.choice([1, 2, 4, 64]))))
-        if rng.random() < 0.3:
-            return Plan((Fallback(rungs=(leaf, plan(Persist()))),))
-        return leaf
-
-    shared = body()
-    ops = []
-    for neighbor in range(rng.randint(2, 5)):
-        ops.append(Edge(neighbor=neighbor,
-                        body=shared if rng.random() < 0.5 else body()))
+    """A random leaf plan with illegal knobs (property-test input)."""
+    ops = [Partition(n=rng.choice([1, 2, 3, 4, 8, 12, 32])),
+           QPPool(n=rng.choice([1, 2, 4, 64]))]
+    if rng.random() < 0.5:
+        ops.append(Aggregate(delta=rng.choice([None, 3.5e-05])))
+    rng.shuffle(ops)
     return Plan(tuple(ops))
 
 
@@ -49,13 +41,10 @@ def test_every_pass_is_idempotent(p, seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_legalize_keeps_every_edge_and_rung(seed):
+def test_legalize_keeps_every_op(seed):
     before = _random_plan(random.Random(seed))
     after = Legalize().run(before, PassContext(config=NIAGARA))
-    assert set(after.edges()) == set(before.edges())
-    for neighbor, body in before.edges().items():
-        assert [op.name for op in after.edges()[neighbor].walk()] == \
-            [op.name for op in body.walk()]
+    assert [op.name for op in after.ops] == [op.name for op in before.ops]
 
 
 def test_legalize_is_identity_on_legal_plans():

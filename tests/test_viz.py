@@ -1,7 +1,5 @@
 """Tests for terminal visualization."""
 
-import pytest
-
 from repro.viz import bar_chart, grouped_bars, timeline
 
 

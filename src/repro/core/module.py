@@ -325,7 +325,7 @@ class NativeVerbsModule(PartitionedModule):
         """Atomic arrival marking plus group-completion posting."""
         group = partition // self.group_size
         self._arrived[partition] = True
-        self._round_pready_times[partition] = self.env.now
+        self._round_pready_times[partition] = self.env._now
         self._ready_count += 1
         count = yield from self._counters[group].add_and_fetch(1)
         if self._round_plan.delta is None:

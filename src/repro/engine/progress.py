@@ -17,7 +17,7 @@ virtual-time semantics, thousands of times fewer events.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sized
 
 from repro.errors import EpochDeadlineError
 from repro.sim.core import Environment
@@ -47,30 +47,37 @@ class ProgressEngine:
         self.t_poll_miss = t_poll_miss
         self.idle_fallback = idle_fallback
         self.lock = SimLock(env)
-        self._pollers: list[tuple[Poller, "Callable | None"]] = []
+        self._pollers: list[tuple[Poller, Sized | None,
+                                  Callable[[], None] | None]] = []
         self._notify = Notify(env)
         # statistics
         self.passes = 0
         self.events_handled = 0
 
-    def register(self, poller: Poller, quick: "Callable | None" = None) -> None:
+    def register(self, poller: Poller, pending: Sized | None = None,
+                 on_idle: Callable[[], None] | None = None) -> None:
         """Add a transport poller (a generator function returning a count).
 
-        ``quick``, if given, is a plain callable tried first on every
-        pass: it returns an int to settle the pass without instantiating
-        the generator (the no-pending-work fast path, including any idle
-        side effects), or ``None`` to fall through to ``poller()``.  It
-        must be event-free — a pass settled by ``quick`` yields nothing.
+        ``pending``, if given, is the container of the poller's work (a
+        completion queue's entries), tested on every pass: while it is
+        empty the pass skips the poller without instantiating the
+        generator and calls ``on_idle()`` instead (the hook the poller
+        runs after draining), which must be event-free.  Without it the
+        poller runs on every pass.
         """
-        self._pollers.append((poller, quick))
+        self._pollers.append((poller, pending, on_idle))
 
     def kick(self) -> None:
         """Wake any process parked in :meth:`wait_until` (CQ push hook)."""
         self._notify.set()
 
     def watch_cq(self, cq) -> None:
-        """Arrange for pushes on ``cq`` to kick this engine."""
-        cq.on_push.append(lambda wc: self.kick())
+        """Arrange for pushes on ``cq`` to kick this engine.
+
+        The latch's ``set`` is bound directly: a push is one call, not a
+        trip through :meth:`kick`.
+        """
+        cq.on_push.append(self._notify.set)
 
     def progress_once(self):
         """One progress pass; yields, returns events handled (0 if lock busy).
@@ -86,12 +93,11 @@ class ProgressEngine:
             return 0
         try:
             handled = 0
-            for poller, quick in self._pollers:
-                if quick is not None:
-                    settled = quick()
-                    if settled is not None:
-                        handled += settled
-                        continue
+            for poller, pending, on_idle in self._pollers:
+                if pending is not None and not pending:
+                    if on_idle is not None:
+                        on_idle()
+                    continue
                 handled += yield from poller()
             if handled == 0:
                 yield self.t_poll_miss
@@ -117,7 +123,11 @@ class ProgressEngine:
         notify = self._notify
         pollers = self._pollers
         t_poll_miss = self.t_poll_miss
-        while not predicate():
+        # The predicate is re-tested only where it can have changed:
+        # after a pass and after a park, never twice with no yield between.
+        if predicate():
+            return
+        while True:
             if deadline is not None and env._now >= deadline:
                 raise EpochDeadlineError(
                     f"epoch overran its deadline waiting for {describe or 'completion'}")
@@ -131,12 +141,11 @@ class ProgressEngine:
             else:
                 try:
                     handled = 0
-                    for poller, quick in pollers:
-                        if quick is not None:
-                            settled = quick()
-                            if settled is not None:
-                                handled += settled
-                                continue
+                    for poller, pending, on_idle in pollers:
+                        if pending is not None and not pending:
+                            if on_idle is not None:
+                                on_idle()
+                            continue
                         handled += yield from poller()
                     if handled == 0:
                         yield t_poll_miss
@@ -145,7 +154,7 @@ class ProgressEngine:
                 finally:
                     lock.release()
             if predicate():
-                break
+                return
             if handled == 0:
                 if notify.pending:
                     # A completion landed since the last park — it may
@@ -158,6 +167,8 @@ class ProgressEngine:
                 if deadline is not None:
                     park = min(park, max(deadline - env._now, 0.0))
                 yield notify.wait(park)
+                if predicate():
+                    return
 
     def __repr__(self) -> str:
         return (f"<ProgressEngine pollers={len(self._pollers)} "

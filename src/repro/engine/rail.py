@@ -77,7 +77,7 @@ class Rail:
         RTS and route to recovery, exactly as the inlined loops did.
         """
         qp = self.select(key)
-        while not qp.has_rdma_slot():
+        while qp.outstanding_rdma >= qp.max_outstanding_rdma:
             yield qp.wait_rdma_slot()
         return qp
 

@@ -61,22 +61,6 @@ class CompletionRouter:
         """
         t_poll_hit = self.host.t_poll_hit
         batch = self.batch
-        # Duck-typed CQs (test doubles) without an entries deque just
-        # skip the fast path and always run the full poller.
-        entries = getattr(cq, "_entries", None)
-
-        if entries is None:
-            quick = None
-        else:
-            def quick():
-                # Nothing to poll: settle the pass without instantiating
-                # the poller generator.  Mirrors the generator's
-                # empty-CQ run (no yields, idle hook still fires).
-                if entries:
-                    return None
-                if on_idle is not None:
-                    on_idle()
-                return 0
 
         def poller():
             handled = 0
@@ -93,7 +77,11 @@ class CompletionRouter:
                 on_idle()
             return handled
 
-        self.engine.register(poller, quick)
+        # An empty CQ settles a pass without instantiating the poller:
+        # the engine tests the entry deque and runs only the idle hook,
+        # which is all the generator's empty run would do.  Duck-typed
+        # CQs (test doubles) without one always run the full poller.
+        self.engine.register(poller, getattr(cq, "_entries", None), on_idle)
         self.engine.watch_cq(cq)
         self.bindings += 1
 
@@ -115,10 +103,11 @@ class CompletionRouter:
         """Consume the failure entry for ``wr_id`` (None if absent)."""
         return self._on_failure.pop(wr_id, None)
 
-    def discard(self, wr_id: int) -> None:
-        """Drop both routing entries for ``wr_id`` (completion landed)."""
-        self._on_success.pop(wr_id, None)
+    def discard(self, wr_id: int):
+        """Drop both routing entries for ``wr_id`` (completion landed);
+        returns its success callback (None if absent)."""
         self._on_failure.pop(wr_id, None)
+        return self._on_success.pop(wr_id, None)
 
     def sweep_failures(self, predicate) -> list:
         """Remove and return failure entries matching ``predicate``.

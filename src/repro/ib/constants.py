@@ -6,7 +6,12 @@ import enum
 
 
 class Opcode(enum.Enum):
-    """Send work-request opcodes (subset used by the paper's design)."""
+    """Send work-request opcodes (subset used by the paper's design).
+
+    Every member carries the four flags below as plain attributes, set
+    once from the opcode sets at the end of this module: they are read
+    several times per WR, and a property would be a call each time.
+    """
 
     RDMA_WRITE = "IBV_WR_RDMA_WRITE"
     RDMA_WRITE_WITH_IMM = "IBV_WR_RDMA_WRITE_WITH_IMM"
@@ -14,36 +19,14 @@ class Opcode(enum.Enum):
     SEND = "IBV_WR_SEND"
     SEND_WITH_IMM = "IBV_WR_SEND_WITH_IMM"
 
-    @property
-    def has_immediate(self) -> bool:
-        return self in (Opcode.RDMA_WRITE_WITH_IMM, Opcode.SEND_WITH_IMM)
-
-    @property
-    def consumes_recv_wr(self) -> bool:
-        """Whether the remote side consumes an RQ entry for this opcode."""
-        return self in (
-            Opcode.RDMA_WRITE_WITH_IMM,
-            Opcode.SEND,
-            Opcode.SEND_WITH_IMM,
-        )
-
-    @property
-    def is_rdma(self) -> bool:
-        """Counts toward the outstanding-RDMA-WR hardware limit."""
-        return self in (
-            Opcode.RDMA_WRITE,
-            Opcode.RDMA_WRITE_WITH_IMM,
-            Opcode.RDMA_READ,
-        )
-
-    @property
-    def wc_opcode(self) -> "WCOpcode":
-        """The sender-side completion opcode this WR produces."""
-        if self is Opcode.RDMA_READ:
-            return WCOpcode.RDMA_READ
-        if self in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
-            return WCOpcode.RDMA_WRITE
-        return WCOpcode.SEND
+    #: The WR carries ``imm_data`` (``*_WITH_IMM``).
+    has_immediate: bool
+    #: The remote side consumes an RQ entry for this opcode.
+    consumes_recv_wr: bool
+    #: Counts toward the outstanding-RDMA-WR hardware limit.
+    is_rdma: bool
+    #: The sender-side completion opcode this WR produces.
+    wc_opcode: "WCOpcode"
 
 
 class QPState(enum.Enum):
@@ -85,6 +68,22 @@ class WCOpcode(enum.Enum):
     SEND = "IBV_WC_SEND"
     RECV = "IBV_WC_RECV"
     RECV_RDMA_WITH_IMM = "IBV_WC_RECV_RDMA_WITH_IMM"
+
+
+_IMMEDIATE = frozenset({Opcode.RDMA_WRITE_WITH_IMM, Opcode.SEND_WITH_IMM})
+_CONSUMES_RECV_WR = frozenset(
+    {Opcode.RDMA_WRITE_WITH_IMM, Opcode.SEND, Opcode.SEND_WITH_IMM})
+_RDMA = frozenset(
+    {Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM, Opcode.RDMA_READ})
+
+for _op in Opcode:
+    _op.has_immediate = _op in _IMMEDIATE
+    _op.consumes_recv_wr = _op in _CONSUMES_RECV_WR
+    _op.is_rdma = _op in _RDMA
+    _op.wc_opcode = (WCOpcode.RDMA_READ if _op is Opcode.RDMA_READ
+                     else WCOpcode.RDMA_WRITE if _op.is_rdma
+                     else WCOpcode.SEND)
+del _op
 
 
 #: Access flag bits for memory registration.

@@ -29,10 +29,11 @@ class CompletionQueue:
         self.handle = CompletionQueue._next_handle
         CompletionQueue._next_handle += 1
         self._entries: Deque[WorkCompletion] = deque()
-        #: Callbacks invoked on every push — the simulated analogue of a
-        #: completion-channel notification; progress engines hook these
-        #: to wake instead of spin-polling across long idle stretches.
-        self.on_push: list[Callable[[WorkCompletion], None]] = []
+        #: Callbacks invoked, with no argument, on every push — the
+        #: simulated analogue of a completion-channel notification, which
+        #: carries no completion either; progress engines hook their kick
+        #: latch here to wake instead of spin-polling idle stretches.
+        self.on_push: list[Callable[[], None]] = []
         #: Total completions ever pushed (statistic).
         self.total_completions = 0
         #: Completions dropped because the CQ overflowed (a serious
@@ -50,7 +51,7 @@ class CompletionQueue:
         self._entries.append(wc)
         self.total_completions += 1
         for callback in self.on_push:
-            callback(wc)
+            callback()
 
     def poll(self, max_entries: int = 1) -> list[WorkCompletion]:
         """Host-side: pop up to ``max_entries`` completions (``ibv_poll_cq``)."""

@@ -65,35 +65,33 @@ class WireTimeTable:
     NIC built from it.
     """
 
-    __slots__ = ("cfg", "_occupancy", "_spacing", "_chunks")
+    __slots__ = ("cfg", "_slots", "_trains")
 
     def __init__(self, cfg: NICConfig):
         self.cfg = cfg
-        self._occupancy: dict[int, float] = {}
-        self._spacing: dict[int, float] = {}
-        self._chunks: dict[int, tuple[int, ...]] = {}
+        #: chunk bytes -> (chunk bytes, occupancy, spacing).
+        self._slots: dict[int, tuple[int, float, float]] = {}
+        #: transmission bytes -> its train of slots.
+        self._trains: dict[int, tuple[tuple[int, float, float], ...]] = {}
 
-    def occupancy(self, nbytes: int) -> float:
-        """Memoized :func:`chunk_occupancy` for this config."""
-        value = self._occupancy.get(nbytes)
-        if value is None:
-            value = self._occupancy[nbytes] = chunk_occupancy(nbytes, self.cfg)
-        return value
-
-    def spacing(self, nbytes: int) -> float:
-        """Memoized :func:`injection_spacing` for this config."""
-        value = self._spacing.get(nbytes)
-        if value is None:
-            value = self._spacing[nbytes] = injection_spacing(nbytes, self.cfg)
-        return value
-
-    def chunks(self, nbytes: int) -> tuple[int, ...]:
-        """Memoized chunk decomposition (see :func:`iter_chunks`)."""
-        seq = self._chunks.get(nbytes)
-        if seq is None:
-            seq = self._chunks[nbytes] = tuple(
-                iter_chunks(nbytes, self.cfg.wire_chunk))
-        return seq
+    def train(self, nbytes: int) -> tuple[tuple[int, float, float], ...]:
+        """The chunks of an ``nbytes`` transmission (:func:`iter_chunks`),
+        each as ``(bytes, occupancy, spacing)``: :func:`chunk_occupancy`
+        and :func:`injection_spacing` of that chunk.  One lookup per WR
+        gives the chunk loop everything it needs."""
+        train = self._trains.get(nbytes)
+        if train is None:
+            slots = self._slots
+            cfg = self.cfg
+            train = []
+            for chunk in iter_chunks(nbytes, cfg.wire_chunk):
+                slot = slots.get(chunk)
+                if slot is None:
+                    slot = slots[chunk] = (chunk, chunk_occupancy(chunk, cfg),
+                                           injection_spacing(chunk, cfg))
+                train.append(slot)
+            train = self._trains[nbytes] = tuple(train)
+        return train
 
 
 _WIRE_TABLES: dict[NICConfig, WireTimeTable] = {}

@@ -27,27 +27,23 @@ class MemoryRegion:
         self.rkey: int = next(_key_counter)
         self.addr: int = buffer.addr
         self.length: int = buffer.nbytes
-        self._valid = True
-
-    @property
-    def valid(self) -> bool:
-        return self._valid
+        #: One past the last address: an access ``[addr, addr + length)``
+        #: is inside iff ``addr >= self.addr and addr + length <= end``.
+        self.end: int = self.addr + self.length
+        #: False once deregistered; every access check reads it.
+        self.valid = True
 
     def deregister(self) -> None:
         """Invalidate the region (``ibv_dereg_mr``)."""
-        self._valid = False
-
-    def contains(self, addr: int, length: int) -> bool:
-        """Whether [addr, addr+length) lies inside this region."""
-        return self.addr <= addr and addr + length <= self.addr + self.length
+        self.valid = False
 
     def check_local(self, addr: int, length: int, lkey: int) -> None:
         """Validate a local (gather) access."""
-        if not self._valid:
+        if not self.valid:
             raise ProtectionError("access through deregistered MR")
         if lkey != self.lkey:
             raise ProtectionError(f"bad lkey {lkey:#x} (expected {self.lkey:#x})")
-        if not self.contains(addr, length):
+        if addr < self.addr or addr + length > self.end:
             raise ProtectionError(
                 f"local access [{addr:#x}, +{length}) outside MR "
                 f"[{self.addr:#x}, +{self.length})"
@@ -55,13 +51,13 @@ class MemoryRegion:
 
     def check_remote_write(self, addr: int, length: int, rkey: int) -> None:
         """Validate an inbound RDMA write."""
-        if not self._valid:
+        if not self.valid:
             raise ProtectionError("remote access through deregistered MR")
         if rkey != self.rkey:
             raise ProtectionError(f"bad rkey {rkey:#x} (expected {self.rkey:#x})")
         if not (self.access & ACCESS_REMOTE_WRITE):
             raise ProtectionError("MR not registered for remote write")
-        if not self.contains(addr, length):
+        if addr < self.addr or addr + length > self.end:
             raise ProtectionError(
                 f"remote write [{addr:#x}, +{length}) outside MR "
                 f"[{self.addr:#x}, +{self.length})"
@@ -69,21 +65,17 @@ class MemoryRegion:
 
     def check_remote_read(self, addr: int, length: int, rkey: int) -> None:
         """Validate an inbound RDMA read (the responder side)."""
-        if not self._valid:
+        if not self.valid:
             raise ProtectionError("remote access through deregistered MR")
         if rkey != self.rkey:
             raise ProtectionError(f"bad rkey {rkey:#x} (expected {self.rkey:#x})")
         if not (self.access & ACCESS_REMOTE_READ):
             raise ProtectionError("MR not registered for remote read")
-        if not self.contains(addr, length):
+        if addr < self.addr or addr + length > self.end:
             raise ProtectionError(
                 f"remote read [{addr:#x}, +{length}) outside MR "
                 f"[{self.addr:#x}, +{self.length})"
             )
-
-    def local_offset(self, addr: int) -> int:
-        """Buffer-relative offset of virtual address ``addr``."""
-        return addr - self.addr
 
     def __repr__(self) -> str:
         return f"<MR lkey={self.lkey:#x} rkey={self.rkey:#x} {self.length}B>"

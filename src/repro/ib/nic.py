@@ -20,7 +20,7 @@ from repro.ib.constants import CHUNK_OK, Opcode, QPState, WCOpcode, WCStatus
 from repro.ib.link import IngressPort, wire_table
 from repro.ib.qp import QueuePair
 from repro.ib.wr import SendWR, WorkCompletion
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Timeout
 from repro.sim.monitor import Trace
 from repro.sim.resources import Resource, Store
 
@@ -76,6 +76,8 @@ class NIC:
         if len(self.qps) >= self.config.nic.max_qps:
             raise ProtectionError("QP limit exceeded on NIC")
         qp.nic = self
+        qp.max_outstanding_rdma = self.config.nic.max_outstanding_rdma
+        qp.egress = self.ports[qp.port % len(self.ports)]
         qp.sq = Store(self.env)
         qp._txq = Store(self.env)
         self.qps[qp.qp_num] = qp
@@ -86,10 +88,6 @@ class NIC:
         return next(self._qp_numbers)
 
     # -- port selection -----------------------------------------------------
-
-    def egress_for(self, qp: QueuePair) -> Resource:
-        """The egress serializer of the port ``qp`` is bound to."""
-        return self.ports[qp.port % len(self.ports)]
 
     def ingress_for(self, qp: QueuePair) -> IngressPort:
         """The ingress pipe ``qp``'s traffic lands on at this NIC.
@@ -195,12 +193,11 @@ class NIC:
         Returns the last chunk's arrival time at ``dest``.
         """
         env = self.env
-        wires = self.wires
         trace = self.trace
         faults = self.fabric.faults
-        egress = self.egress_for(qp)
+        egress = qp.egress
         arrival = env._now
-        for chunk in wires.chunks(nbytes):
+        for chunk, occupancy, spacing in self.wires.train(nbytes):
             # Per-QP injection rate limit: spaces chunk starts so a lone
             # QP tops out at qp_rate; gaps are usable by other QPs.
             if env._now < qp.next_inject_time:
@@ -209,10 +206,9 @@ class NIC:
             if grant.callbacks is not None:
                 yield grant  # busy port: wait for the hand-off
             start = env._now
-            occupancy = wires.occupancy(chunk)
             yield occupancy
             egress.release(grant)
-            qp.next_inject_time = start + wires.spacing(chunk)
+            qp.next_inject_time = start + spacing
             self.bytes_transmitted += chunk
             if trace.enabled:
                 trace.record(start, "ib.chunk", self.node_id,
@@ -252,8 +248,10 @@ class NIC:
         env = self.env
         faults = self.fabric.faults
         counters = self.fabric.counters
-        retry_budget = qp.effective_retry_cnt
-        rnr_budget = qp.effective_rnr_retry
+        if faults is not None:
+            # Fault-free the loop runs once and never reads them.
+            retry_budget = qp.effective_retry_cnt
+            rnr_budget = qp.effective_rnr_retry
         ingress = remote.ingress_for(qp)
         retransmit = False
         while True:
@@ -333,7 +331,7 @@ class NIC:
             return
         latency = self.fabric.latency(self.node_id, remote.node_id)
         ingress = remote.ingress_for(qp)
-        state = {"pending": len(self.wires.chunks(nbytes))}
+        state = {"pending": len(self.wires.train(nbytes))}
         yield from self._chunk_train(
             qp, remote, ingress, nbytes, latency,
             forward=lambda occupancy, chunk: self._forward_chunk(
@@ -399,7 +397,8 @@ class NIC:
         cfg = self.config.nic
         env = self.env
         faults = self.fabric.faults
-        retry_budget = qp.effective_retry_cnt
+        if faults is not None:
+            retry_budget = qp.effective_retry_cnt
         retransmit = False
         while True:
             if qp.state is QPState.ERROR:
@@ -417,7 +416,7 @@ class NIC:
                 break
             latency = self.fabric.latency(self.node_id, remote.node_id)
             # Request packet out through our egress.
-            egress = self.egress_for(qp)
+            egress = qp.egress
             grant = egress.claim()
             if grant.callbacks is not None:
                 yield grant
@@ -458,7 +457,7 @@ class NIC:
             responder_qp = remote.qps.get(qp.dest_qp_num)
             mr = responder_qp.pd.find_mr_by_rkey(wr.rkey)
             mr.check_remote_read(wr.remote_addr, nbytes, wr.rkey)
-            payload = mr.buffer.read(mr.local_offset(wr.remote_addr), nbytes)
+            payload = mr.buffer.read(wr.remote_addr - mr.addr, nbytes)
         cursor = 0
         for sge in wr.sg_list:
             if sge.length == 0:
@@ -466,7 +465,7 @@ class NIC:
             sink = qp.pd.find_mr_by_lkey(sge.lkey)
             piece = (payload[cursor : cursor + sge.length]
                      if payload is not None else None)
-            sink.buffer.write(sink.local_offset(sge.addr), piece)
+            sink.buffer.write(sge.addr - sink.addr, piece)
             cursor += sge.length
         qp.release_rdma_slot()
         if wr.signaled:
@@ -477,7 +476,7 @@ class NIC:
                 opcode=WCOpcode.RDMA_READ,
                 qp_num=qp.qp_num,
                 byte_len=nbytes,
-                completed_at=env.now,
+                completed_at=env._now,
             ))
 
     def _complete_error(self, qp: QueuePair, wr: SendWR,
@@ -522,7 +521,7 @@ class NIC:
             if sge.length == 0:
                 continue
             mr = qp.pd.find_mr_by_lkey(sge.lkey)
-            view = mr.buffer.read(mr.local_offset(sge.addr), sge.length)
+            view = mr.buffer.read(sge.addr - mr.addr, sge.length)
             if view is None:
                 return None
             pieces.append(view)
@@ -558,13 +557,13 @@ class NIC:
             remote._deliver(qp, wr, payload, nbytes)
             # ACK returns to the sender; outstanding slot frees and the
             # sender-side completion (if signaled) is generated.
-            env.timeout(ack_latency).callbacks.append(on_ack)
+            Timeout(env, ack_latency).callbacks.append(on_ack)
 
         def on_ack(_event):
             if wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
                 qp.release_rdma_slot()
             if wr.signaled:
-                env.timeout(self.config.nic.t_cqe).callbacks.append(on_cqe)
+                Timeout(env, self.config.nic.t_cqe).callbacks.append(on_cqe)
 
         def on_cqe(_event):
             qp.send_cq.push(WorkCompletion(
@@ -573,10 +572,10 @@ class NIC:
                 opcode=wr.opcode.wc_opcode,
                 qp_num=qp.qp_num,
                 byte_len=nbytes,
-                completed_at=env.now,
+                completed_at=env._now,
             ))
 
-        env.timeout(max(0.0, arrival - env.now)).callbacks.append(on_arrival)
+        Timeout(env, max(0.0, arrival - env._now)).callbacks.append(on_arrival)
 
     def _deliver(self, src_qp: QueuePair, wr: SendWR, payload, nbytes: int) -> None:
         """Inbound message: place data, consume RQ entry, raise CQE."""
@@ -594,7 +593,7 @@ class NIC:
         if wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM) and nbytes > 0:
             mr = dest_qp.pd.find_mr_by_rkey(wr.rkey)
             mr.check_remote_write(wr.remote_addr, nbytes, wr.rkey)
-            mr.buffer.write(mr.local_offset(wr.remote_addr), payload)
+            mr.buffer.write(wr.remote_addr - mr.addr, payload)
         if self.trace.enabled:
             self.trace.record(self.env.now, "ib.deliver", self.node_id,
                               qp=dest_qp.qp_num, wr_id=wr.wr_id,
@@ -618,12 +617,12 @@ class NIC:
                     qp_num=dest_qp.qp_num,
                     byte_len=nbytes,
                     imm_data=wr.imm_data,
-                    completed_at=env.now,
+                    completed_at=env._now,
                 ))
 
             # Plain timer callback: the CQE raise is a single fixed wait,
             # no process machinery needed.
-            env.timeout(cfg.t_cqe).callbacks.append(on_cqe)
+            Timeout(env, cfg.t_cqe).callbacks.append(on_cqe)
 
     def _scatter_into_recv(self, dest_qp: QueuePair, recv_wr, payload,
                            nbytes: int) -> None:
@@ -644,7 +643,7 @@ class NIC:
             mr = dest_qp.pd.find_mr_by_lkey(sge.lkey)
             piece = (payload[cursor : cursor + take]
                      if payload is not None else None)
-            mr.buffer.write(mr.local_offset(sge.addr), piece)
+            mr.buffer.write(sge.addr - mr.addr, piece)
             cursor += take
             remaining -= take
 

@@ -26,26 +26,32 @@ class ProtectionDomain:
         self.context = context
         self.handle = ProtectionDomain._next_handle
         ProtectionDomain._next_handle += 1
-        self.mrs: list[MemoryRegion] = []
         self.qps: list = []
+        # The registered MRs, by each key.  Keys are unique across every
+        # PD (one global counter), so a per-WR lookup is one dict probe.
+        self._by_lkey: dict[int, MemoryRegion] = {}
+        self._by_rkey: dict[int, MemoryRegion] = {}
 
     def reg_mr(self, buffer: Buffer, access: int = ACCESS_LOCAL) -> MemoryRegion:
         """Register ``buffer``, returning the MR (``ibv_reg_mr``)."""
         mr = MemoryRegion(self, buffer, access)
-        self.mrs.append(mr)
+        self._by_lkey[mr.lkey] = mr
+        self._by_rkey[mr.rkey] = mr
         return mr
 
     def find_mr_by_lkey(self, lkey: int) -> MemoryRegion:
-        for mr in self.mrs:
-            if mr.lkey == lkey and mr.valid:
-                return mr
-        raise ProtectionError(f"no valid MR with lkey {lkey:#x} in PD {self.handle}")
+        mr = self._by_lkey.get(lkey)
+        if mr is None or not mr.valid:
+            raise ProtectionError(
+                f"no valid MR with lkey {lkey:#x} in PD {self.handle}")
+        return mr
 
     def find_mr_by_rkey(self, rkey: int) -> MemoryRegion:
-        for mr in self.mrs:
-            if mr.rkey == rkey and mr.valid:
-                return mr
-        raise ProtectionError(f"no valid MR with rkey {rkey:#x} in PD {self.handle}")
+        mr = self._by_rkey.get(rkey)
+        if mr is None or not mr.valid:
+            raise ProtectionError(
+                f"no valid MR with rkey {rkey:#x} in PD {self.handle}")
+        return mr
 
     def __repr__(self) -> str:
-        return f"<PD handle={self.handle} mrs={len(self.mrs)} qps={len(self.qps)}>"
+        return f"<PD handle={self.handle} mrs={len(self._by_lkey)} qps={len(self.qps)}>"

@@ -52,13 +52,18 @@ class QueuePair:
         #: Destination set when connected: (node_id, remote qp_num).
         self.dest_node: Optional[int] = None
         self.dest_qp_num: Optional[int] = None
-        #: The NIC this QP is registered with (set by the NIC).
+        #: The NIC this QP is registered with, and the egress serializer
+        #: of its port there (both set by the NIC).
         self.nic = None
+        self.egress = None
         #: Send queue drained by the NIC's per-QP sender process.
         self.sq: Optional[Store] = None
         self.rq: Deque[RecvWR] = deque()
         #: RDMA WRs posted but not yet acknowledged.
         self.outstanding_rdma = 0
+        #: The NIC's cap on :attr:`outstanding_rdma` (set by the NIC the
+        #: QP is registered with; 16 on ConnectX-5).
+        self.max_outstanding_rdma = 0
         #: WRs sitting in the SQ not yet picked up by the engine.
         self.sq_depth = 0
         #: Events waiting for an outstanding-RDMA slot to free (software
@@ -156,14 +161,12 @@ class QueuePair:
                 f"send queue full on QP {self.qp_num} "
                 f"({self.sq_depth}/{self.max_send_wr})"
             )
-        if wr.opcode.is_rdma:
-            limit = self.nic.config.nic.max_outstanding_rdma
-            if self.outstanding_rdma >= limit:
-                raise QPOverflowError(
-                    f"QP {self.qp_num}: {self.outstanding_rdma} outstanding RDMA "
-                    f"WRs, hardware limit is {limit}"
-                )
-            self.outstanding_rdma += 1
+        is_rdma = wr.opcode.is_rdma
+        if is_rdma and self.outstanding_rdma >= self.max_outstanding_rdma:
+            raise QPOverflowError(
+                f"QP {self.qp_num}: {self.outstanding_rdma} outstanding RDMA "
+                f"WRs, hardware limit is {self.max_outstanding_rdma}"
+            )
         # Validate the local list (gather source, or scatter sink for
         # reads) against this PD's MRs now, as the hardware would fault
         # on WQE processing.
@@ -172,6 +175,10 @@ class QueuePair:
                 continue
             mr = self.pd.find_mr_by_lkey(sge.lkey)
             mr.check_local(sge.addr, sge.length, sge.lkey)
+        # Only an accepted post takes an outstanding-RDMA credit: one
+        # rejected above must not leak a slot.
+        if is_rdma:
+            self.outstanding_rdma += 1
         self.sq_depth += 1
         self.posted_sends += 1
         self.bytes_sent += wr.total_length
@@ -189,8 +196,12 @@ class QueuePair:
         self.posted_recvs += 1
 
     def has_rdma_slot(self) -> bool:
-        """Whether another RDMA WR may be posted right now."""
-        return self.outstanding_rdma < self.nic.config.nic.max_outstanding_rdma
+        """Whether another RDMA WR may be posted right now.
+
+        Per-message loops test ``outstanding_rdma < max_outstanding_rdma``
+        themselves rather than paying a call for it.
+        """
+        return self.outstanding_rdma < self.max_outstanding_rdma
 
     def wait_rdma_slot(self):
         """Event that fires when an outstanding-RDMA slot frees.
@@ -210,8 +221,9 @@ class QueuePair:
 
     def notify_slot_free(self) -> None:
         """NIC side: an ACK freed a slot; wake one waiter."""
-        while self._slot_waiters and self.has_rdma_slot():
-            self._slot_waiters.popleft().succeed(None)
+        waiters = self._slot_waiters
+        while waiters and self.outstanding_rdma < self.max_outstanding_rdma:
+            waiters.popleft().succeed(None)
 
     def release_rdma_slot(self) -> None:
         """Return one outstanding-RDMA credit and wake a parked waiter.

@@ -73,7 +73,10 @@ class SendWR:
         self.signaled = signaled
         #: Total bytes named by the gather list (summed once: the list
         #: is fixed at construction and this is read three times per WR).
-        self.total_length = sum([sge.length for sge in sg_list])
+        total = 0
+        for sge in sg_list:
+            total += sge.length
+        self.total_length = total
 
     def __repr__(self) -> str:
         return (f"SendWR(wr_id={self.wr_id}, opcode={self.opcode}, "
@@ -103,7 +106,7 @@ class RecvWR:
 class WorkCompletion:
     """A completion queue entry (``ibv_wc``)."""
 
-    __slots__ = ("wr_id", "status", "opcode", "qp_num", "byte_len",
+    __slots__ = ("wr_id", "status", "ok", "opcode", "qp_num", "byte_len",
                  "imm_data", "completed_at")
 
     def __init__(self, wr_id: int, status: WCStatus, opcode: WCOpcode,
@@ -111,16 +114,14 @@ class WorkCompletion:
                  imm_data: Optional[int] = None, completed_at: float = 0.0):
         self.wr_id = wr_id
         self.status = status
+        #: ``status is SUCCESS``, decided once: every poller reads it.
+        self.ok = status is WCStatus.SUCCESS
         self.opcode = opcode
         self.qp_num = qp_num
         self.byte_len = byte_len
         self.imm_data = imm_data
         #: Virtual time the completion was placed on the CQ.
         self.completed_at = completed_at
-
-    @property
-    def ok(self) -> bool:
-        return self.status is WCStatus.SUCCESS
 
     def require_success(self) -> "WorkCompletion":
         """Return self, raising CompletionError on failure status."""

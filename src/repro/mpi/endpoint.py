@@ -199,8 +199,8 @@ class Channel:
                                else (yield queue.get()))
             if item.cpu_cost > 0:
                 yield item.cpu_cost
-            if env.now < next_send:
-                yield next_send - env.now
+            if env._now < next_send:
+                yield next_send - env._now
             header = item.header
             # Bulk payloads stripe across data lanes; eager traffic
             # stays ordered on lane 0; header-only control messages get
@@ -212,7 +212,7 @@ class Channel:
             else:
                 qp = self.src_qps[0]
             # Software flow control against the 16-outstanding limit.
-            while not qp.has_rdma_slot():
+            while qp.outstanding_rdma >= qp.max_outstanding_rdma:
                 yield qp.wait_rdma_slot()
             if qp.state is not QPState.RTS:
                 # Channel failure mid-stream (wait_rdma_slot fires
@@ -247,8 +247,8 @@ class Channel:
             ))
             # Header bytes ride in front of the payload on the wire;
             # their serialization is folded into the injection gap.
-            next_send = env.now + max(item.gap,
-                                      HEADER_BYTES / self.src.config.nic.line_rate)
+            next_send = env._now + max(item.gap,
+                                       HEADER_BYTES / self.src.config.nic.line_rate)
             self.messages_sent += 1
             self.bytes_sent += wire_bytes
 

@@ -55,6 +55,9 @@ class PersistModule(PartitionedModule):
         self.send_mr = None
         #: UCX worker lock: per-partition posts serialize on this.
         self.worker_lock = SimLock(self.env)
+        #: The UCX protocol tier of every partition message: the size is
+        #: fixed per request, so the tier is resolved once, here.
+        self._proto = cluster.config.ucx.protocol_for(send_req.partition_size)
         # Round credit (remote buffer readiness): partition messages for
         # round N only go on the wire once the receiver's Start for
         # round N has been seen — the internal-matching gate real
@@ -126,9 +129,7 @@ class PersistModule(PartitionedModule):
     def pready(self, req, partition: int):
         """Per-partition internal isend (in the calling thread)."""
         sender = self.sender
-        ucx = sender.config.ucx
-        size = req.partition_size
-        proto = ucx.protocol_for(size)
+        proto = self._proto
         # The UCX worker lock: held while the protocol code runs.  The
         # acquisition itself costs a contended cache-line transfer,
         # like the native module's arrival atomics.
@@ -136,7 +137,7 @@ class PersistModule(PartitionedModule):
         try:
             cost = proto.t_send + sender.config.host.t_atomic
             if proto.copies:
-                cost += size / sender.config.host.memcpy_rate
+                cost += req.partition_size / sender.config.host.memcpy_rate
             yield sender.software_cost(cost)
             self._readied += 1
             if not self._credit.ready(req.round):
@@ -153,13 +154,23 @@ class PersistModule(PartitionedModule):
         yield from sender.engine.progress_once()
 
     def _dispatch(self, partition: int) -> None:
-        """Put one readied partition on the wire (eager or RTS)."""
+        """Put one readied partition on the wire: eager data written
+        straight into the receive buffer, or a rendezvous RTS."""
         req = self.send_req
         size = req.partition_size
-        ucx = self.sender.config.ucx
-        proto = ucx.protocol_for(size)
-        if not proto.rendezvous:
-            self._submit_data(partition)
+        if not self._proto.rendezvous:
+            offset = req.buf.partition_offset(partition)
+            header = Header(
+                kind=MsgKind.PART_DATA, seq=make_seq(),
+                sender=self.sender.rank, tag=req.tag, nbytes=size,
+                ref=(self, partition))
+            self.channel.submit(_PumpItem(
+                header=header,
+                gather=(self.send_mr.addr + offset, size, self.send_mr.lkey),
+                target=(self.recv_mr.addr + offset, self.recv_mr.rkey),
+                cpu_cost=0.0,
+                gap=self._proto.gap,
+                on_sent=self._on_partition_acked))
         else:
             # Rendezvous: RTS now; the receiver's progress engine
             # answers with an RDMA READ of the partition.
@@ -169,25 +180,7 @@ class PersistModule(PartitionedModule):
                 nbytes=size, ref=(self, partition))
             self.channel.submit(_PumpItem(
                 header=header, gather=None, target=None, cpu_cost=0.0,
-                gap=ucx.gap_inline))
-
-    def _submit_data(self, partition: int) -> None:
-        """Queue the partition's payload write into the receive buffer."""
-        req = self.send_req
-        size = req.partition_size
-        offset = req.buf.partition_offset(partition)
-        proto = self.sender.config.ucx.protocol_for(size)
-        header = Header(
-            kind=MsgKind.PART_DATA, seq=make_seq(),
-            sender=self.sender.rank, tag=req.tag, nbytes=size,
-            ref=(self, partition))
-        self.channel.submit(_PumpItem(
-            header=header,
-            gather=(self.send_mr.addr + offset, size, self.send_mr.lkey),
-            target=(self.recv_mr.addr + offset, self.recv_mr.rkey),
-            cpu_cost=0.0,
-            gap=proto.gap,
-            on_sent=self._on_partition_acked))
+                gap=self.sender.config.ucx.gap_inline))
 
     def _issue_read(self, partition: int):
         """Receiver-driven get: RDMA READ the partition into place."""
@@ -267,8 +260,7 @@ class PersistModule(PartitionedModule):
         ucx = process.config.ucx
         _module, partition = header.ref
         if header.kind is MsgKind.PART_DATA:
-            proto = ucx.protocol_for(header.nbytes)
-            yield proto.t_recv
+            yield self._proto.t_recv
             self.recv_req.mark_arrived(partition, 1)
             if self.recv_req.all_arrived:
                 self.recv_req.mark_complete()

@@ -30,6 +30,10 @@ from repro.mpi.request import (
 if TYPE_CHECKING:
     from repro.mpi.cluster import Cluster
 
+#: Header kinds a partitioned module handles itself (a tuple: identity
+#: tests, where a set would hash the enum member in Python).
+_PART_KINDS = (MsgKind.PART_DATA, MsgKind.PART_RTS, MsgKind.PART_ATS)
+
 
 class MPIProcess:
     """A simulated MPI process (one rank, one node in these experiments)."""
@@ -206,10 +210,14 @@ class MPIProcess:
                 raise MPIError(f"no header for seq {wc.imm_data}")
             # Replenish the consumed RQ entry.
             self.ib.nic.qps[wc.qp_num].post_recv(RecvWR(wr_id=0))
-            yield from self._handle_inbound(header)
+            if header.kind in _PART_KINDS:
+                # A partitioned module's own traffic: straight to it.
+                module, payload = header.ref
+                yield from module.handle_inbound(self, header, payload)
+            else:
+                yield from self._handle_inbound(header)
         else:
-            callback = self.router.pop_success(wc.wr_id)
-            self.router.pop_failure(wc.wr_id)
+            callback = self.router.discard(wc.wr_id)
             if callback is not None:
                 result = callback(wc)
                 if result is not None and hasattr(result, "send"):
@@ -306,10 +314,7 @@ class MPIProcess:
         elif kind is MsgKind.RNDV_DATA:
             yield ucx.rx_rndv
             header.ref.mark_complete()
-        elif kind in (MsgKind.PART_DATA, MsgKind.PART_RTS, MsgKind.PART_ATS):
-            module, payload = header.ref
-            yield from module.handle_inbound(self, header, payload)
-        else:  # pragma: no cover - all kinds handled above
+        else:  # pragma: no cover - all kinds handled here or above
             raise MPIError(f"unhandled message kind {kind}")
 
     # -- blocking conveniences (generators) ---------------------------------
@@ -408,13 +413,18 @@ class MPIProcess:
             yield from req.module.start_recv(req)
 
     def pready(self, req: PsendRequest, partition: int):
-        """``MPI_Pready``: mark a partition ready; yields (thread context)."""
+        """``MPI_Pready``: mark a partition ready (thread context).
+
+        Checks and stamps the call now, then returns the module's own
+        generator for the caller to ``yield from``: no facade frame sits
+        between the calling thread and the module while it waits.
+        """
         req.require_active("Pready")
         req.check_partition(partition)
         if not isinstance(req, PsendRequest):
             raise RequestError("Pready is only valid on Psend requests")
         req.record_pready(partition)
-        yield from req.module.pready(req, partition)
+        return req.module.pready(req, partition)
 
     def parrived(self, req: PrecvRequest, partition: int):
         """``MPI_Parrived``: yields, returns arrival of one partition.
@@ -431,19 +441,20 @@ class MPIProcess:
         return bool(req.arrived[partition])
 
     def wait_partitioned(self, req):
-        """``MPI_Wait`` on a partitioned request; yields.
+        """``MPI_Wait`` on a partitioned request; ``yield from`` it.
 
-        With ``part.epoch_deadline`` configured the wait is bounded:
-        an epoch still incomplete after that much virtual time raises
-        :class:`~repro.errors.EpochDeadlineError` instead of hanging.
+        Returns the progress engine's wait generator itself, with the
+        deadline fixed now.  With ``part.epoch_deadline`` configured the
+        wait is bounded: an epoch still incomplete after that much
+        virtual time raises :class:`~repro.errors.EpochDeadlineError`
+        instead of hanging.
         """
         deadline = self.config.part.epoch_deadline
         if deadline is not None:
             deadline = self.env.now + deadline
-        yield from self.engine.wait_until(
+        return self.engine.wait_until(
             lambda: req.done, deadline=deadline,
             describe=f"partitioned {req.kind} round {req.round}")
-        return req
 
     # ------------------------------------------------------------------
     # MPI Partitioned collectives (repro.coll facade)

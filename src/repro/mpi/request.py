@@ -24,21 +24,20 @@ class Request:
     def __init__(self, process: "MPIProcess"):
         self.process = process
         self.request_id = next(_request_ids)
-        self._complete = False
+        #: Whether the request completed (read it; ``mark_complete``
+        #: sets it).  A plain attribute: every progress pass of an
+        #: ``MPI_Wait`` tests it.
+        self.done = False
         #: Virtual time of completion (for measurements).
         self.completed_at: Optional[float] = None
 
-    @property
-    def done(self) -> bool:
-        return self._complete
-
     def mark_complete(self) -> None:
-        if not self._complete:
-            self._complete = True
-            self.completed_at = self.process.env.now
+        if not self.done:
+            self.done = True
+            self.completed_at = self.process.env._now
 
     def __repr__(self) -> str:
-        state = "done" if self._complete else "pending"
+        state = "done" if self.done else "pending"
         return f"<{type(self).__name__} #{self.request_id} {state}>"
 
 
@@ -92,6 +91,10 @@ class PersistentP2PRequest(Request):
         # Never started -> trivially complete (MPI semantics: Wait on an
         # inactive persistent request returns immediately).
         return self._inner is None or self._inner.done
+
+    @done.setter
+    def done(self, value):
+        pass  # completion lives on the inner request
 
     def start(self) -> None:
         """(Re)activate: launch this round's transfer (non-blocking)."""
@@ -163,14 +166,14 @@ class PartitionedRequest(Request):
 
     def mark_complete(self) -> None:
         # Persistent requests go COMPLETE, not terminal: Start re-arms.
-        if not self._complete:
-            self._complete = True
-            self.completed_at = self.process.env.now
+        if not self.done:
+            self.done = True
+            self.completed_at = self.process.env._now
             self.state = PartitionedState.COMPLETE
 
     def rearm(self) -> None:
         """Reset completion for the next round (called by Start)."""
-        self._complete = False
+        self.done = False
         self.completed_at = None
         self.state = PartitionedState.ACTIVE
         self.round += 1
@@ -188,7 +191,7 @@ class PsendRequest(PartitionedRequest):
         self.pready_times: list[Optional[float]] = [None] * self.n_partitions
 
     def record_pready(self, index: int) -> None:
-        self.pready_times[index] = self.process.env.now
+        self.pready_times[index] = self.process.env._now
 
     def reset_round_stats(self) -> None:
         self.pready_times = [None] * self.n_partitions
@@ -213,7 +216,7 @@ class PrecvRequest(PartitionedRequest):
             raise PartitionError(
                 f"arrival range [{start}, {start + count}) outside "
                 f"[0, {self.n_partitions})")
-        now = self.process.env.now
+        now = self.process.env._now
         arrived = self.arrived
         if count == 1:
             # The per-message case: no slice, no reduction.

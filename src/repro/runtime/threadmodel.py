@@ -109,7 +109,7 @@ class WorkerTeam:
                 if not done.triggered:
                     done.fail(exc)
                 return
-            finish[tid] = env.now
+            finish[tid] = env._now
             running -= 1
             if not running:
                 done.succeed(finish)

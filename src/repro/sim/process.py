@@ -7,7 +7,7 @@ from typing import Any, Generator, Optional
 
 from repro.errors import Interrupt, ProcessError
 from repro.errors import SimTimeError
-from repro.sim.core import Environment, Event, PRIORITY_URGENT, _Wake
+from repro.sim.core import Environment, Event, PRIORITY_URGENT, _PENDING, _Wake
 
 
 class Process(Event):
@@ -28,7 +28,13 @@ class Process(Event):
     def __init__(self, env: Environment, generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise ProcessError(f"process body must be a generator, got {generator!r}")
-        super().__init__(env)
+        # Event.__init__, inlined (one process per worker thread per round).
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._processed = False
+        self._defused = False
         self._generator = generator
         self._send = generator.send
         self._throw = generator.throw

@@ -11,7 +11,7 @@ from collections import deque
 from typing import Any, Deque
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event
+from repro.sim.core import Environment, Event, _PENDING
 
 
 class Request(Event):
@@ -25,7 +25,13 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # Event.__init__, inlined: one request per wire chunk claimed.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._processed = False
+        self._defused = False
         self.resource = resource
 
 

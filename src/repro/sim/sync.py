@@ -27,8 +27,9 @@ class SimLock:
     """A mutex for simulated processes.
 
     ``acquire`` returns an event that fires when the lock is granted;
-    ``hold`` is the same acquisition as a process body that takes a free
-    lock in place (no event) and parks only when contended;
+    ``hold`` is the same acquisition for ``yield from`` that takes a
+    free lock in place (no event, no generator) and parks only when
+    contended;
     ``try_acquire`` is the non-blocking variant used by the paper's
     ``MPI_Parrived`` path ("tries to acquire a lock; ... otherwise it
     just returns").
@@ -64,19 +65,21 @@ class SimLock:
             self._waiting.append(ev)
         return ev
 
-    def hold(self):
-        """Blockingly claim the lock as a process body; yields only if busy.
+    def hold(self) -> tuple:
+        """Blockingly claim the lock; ``yield from`` the result.
 
         ``yield from lock.hold()`` is ``yield lock.acquire()`` without
         the grant event of an uncontended acquisition: a free lock is
-        taken in place and the caller carries on at the same virtual
-        time; a busy one queues behind the holder on a hand-off event,
-        FIFO with ``acquire`` waiters.
+        taken in place and an empty tuple comes back, so the caller
+        carries on at the same virtual time; a busy one queues behind
+        the holder and the tuple holds the hand-off event to wait on,
+        FIFO with ``acquire`` waiters.  A tuple rather than a generator:
+        nothing is left suspended between the caller and the kernel.
         """
         if self._locked:
-            yield self.acquire()
-        else:
-            self._locked = True
+            return (self.acquire(),)
+        self._locked = True
+        return ()
 
     def try_acquire(self) -> bool:
         """Claim the lock iff free; returns whether it was claimed.
@@ -182,26 +185,23 @@ class Notify:
     lose.
     """
 
-    __slots__ = ("env", "_pending", "_parked", "set_count")
+    __slots__ = ("env", "pending", "_parked", "set_count")
 
     def __init__(self, env: Environment):
         self.env = env
-        self._pending = False
+        #: Whether a set has landed since the last :meth:`consume`
+        #: (read it; only ``set`` and ``consume`` write it).
+        self.pending = False
         #: Live parks, oldest first; a park leaves when it is woken or
         #: when its fallback expires.
         self._parked: list[_Park] = []
         #: Total sets that armed the latch (coalesced sets not counted).
         self.set_count = 0
 
-    @property
-    def pending(self) -> bool:
-        """Whether a set has landed since the last :meth:`consume`."""
-        return self._pending
-
     def set(self) -> None:
         """Arm the latch, waking every parked waiter (idempotent)."""
-        if not self._pending:
-            self._pending = True
+        if not self.pending:
+            self.pending = True
             self.set_count += 1
             for park in self._parked:
                 park.succeed(None)
@@ -209,7 +209,7 @@ class Notify:
 
     def consume(self) -> None:
         """Re-arm after observing a pending set (edge-triggered reset)."""
-        self._pending = False
+        self.pending = False
 
     def wait(self, fallback: Optional[float] = None) -> Event:
         """Event firing on the next set (or after ``fallback`` seconds).
@@ -219,7 +219,7 @@ class Notify:
         wakeup it has not consumed.
         """
         park = _Park(self.env)
-        if self._pending:
+        if self.pending:
             park.succeed(None)
             return park
         park._parked = self._parked

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import PLogGPAggregator
-from repro.errors import MPIError
+from repro.errors import MPIError, PartitionError, RequestError
 from repro.mem import PartitionedBuffer
 from repro.model.tables import NIAGARA_LOGGP
 from repro.mpi import Cluster
@@ -90,6 +90,29 @@ def test_pready_to_unknown_neighbor_raises():
         list(coll.pready(0, neighbor=5))
     with pytest.raises(MPIError, match="no inbound edge"):
         list(coll.parrived(5, 0))
+
+
+@pytest.mark.parametrize("started, error", [(False, RequestError),
+                                            (True, PartitionError)])
+def test_pready_errors_surface_through_the_collective(started, error):
+    """The collective's ``yield from process.pready(...)`` raises the
+    facade's errors: an inactive edge request, a partition out of range."""
+    cluster = Cluster(n_nodes=2)
+    raised = []
+
+    def program(proc):
+        send_bufs, recv_bufs = make_bufs([1 - proc.rank], backed=False)
+        coll = proc.pneighbor_alltoall_init(send_bufs, recv_bufs, None)
+        if started:
+            yield from proc.pcoll_start(coll)
+        if proc.rank == 0:
+            with pytest.raises(error):
+                yield from proc.pcoll_pready(coll, N_PARTS if started else 0)
+            raised.append(error)
+
+    runs = [cluster.spawn(program(proc)) for proc in cluster.ranks(2)]
+    cluster.run(until=runs[0])
+    assert raised == [error]
 
 
 def test_edge_stats_cover_every_neighbor():

@@ -51,7 +51,7 @@ class FakeCQ:
     def push(self, wc):
         self.wcs.append(wc)
         for hook in self.on_push:
-            hook(wc)
+            hook()
 
     def poll(self, n):
         out, self.wcs = self.wcs[:n], self.wcs[n:]

@@ -12,11 +12,9 @@ from repro.ib.fabric import Fabric
 class FakeQP:
     def __init__(self, name, slots=1):
         self.name = name
-        self.slots = slots
+        self.outstanding_rdma = 0
+        self.max_outstanding_rdma = slots
         self.state = QPState.RTS
-
-    def has_rdma_slot(self):
-        return self.slots > 0
 
     def wait_rdma_slot(self):  # pragma: no cover - not reached in tests
         raise AssertionError("should not wait with a free slot")

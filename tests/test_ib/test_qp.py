@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import QPOverflowError, QPStateError
+from repro.errors import ProtectionError, QPOverflowError, QPStateError
 from repro.ib import verbs
 from repro.ib.constants import Opcode, QPState
 from repro.ib.wr import SGE, RecvWR, SendWR
@@ -93,6 +93,31 @@ def test_outstanding_slots_freed_after_ack(pair):
     pair.qp1.post_recv(RecvWR(wr_id=100))
     pair.qp0.post_send(make_write(pair, wr_id=100))
     pair.env.run()
+
+
+@pytest.mark.parametrize("bad", ["lkey", "range"])
+def test_rejected_post_takes_no_rdma_slot(pair, bad):
+    """A post that fails local validation leaves the outstanding-RDMA
+    count alone: sixteen rejected posts must not exhaust the QP."""
+    limit = pair.fabric.config.nic.max_outstanding_rdma
+    mr = pair.send_mr
+    sge = (SGE(mr.addr, 64, 0) if bad == "lkey"   # keys start at 0x1000
+           else SGE(mr.addr + mr.length - 8, 64, mr.lkey))
+    for i in range(limit):
+        with pytest.raises(ProtectionError):
+            pair.qp0.post_send(SendWR(
+                wr_id=i, opcode=Opcode.RDMA_WRITE_WITH_IMM, sg_list=[sge],
+                remote_addr=pair.recv_mr.addr, rkey=pair.recv_mr.rkey,
+                imm_data=0))
+    assert pair.qp0.outstanding_rdma == 0
+    assert pair.qp0.sq_depth == 0
+    assert pair.qp0.has_rdma_slot()
+    # The QP still carries a full window of good writes.
+    for i in range(limit):
+        pair.qp1.post_recv(RecvWR(wr_id=i))
+        pair.qp0.post_send(make_write(pair, wr_id=i))
+    pair.env.run()
+    assert pair.qp0.outstanding_rdma == 0
 
 
 def test_send_queue_depth_limit(env):

@@ -1,15 +1,24 @@
 """Tests for the MPI Partitioned API: lifecycle, semantics, errors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.config import NIAGARA
 from repro.core import FixedAggregation, NativeSpec
-from repro.errors import MatchingError, PartitionError, RequestError
+from repro.errors import (
+    EpochDeadlineError,
+    MatchingError,
+    PartitionError,
+    RequestError,
+)
 from repro.mem import PartitionedBuffer
 from repro.mpi import Cluster
 from repro.mpi.persist_module import PersistSpec
 from repro.mpi.request import PartitionedState
-from repro.units import KiB
+from repro.runtime import ComputePhase, NoNoise, WorkerTeam
+from repro.units import KiB, us
 
 ALL_SPECS = [
     ("persist", PersistSpec),
@@ -139,6 +148,69 @@ def test_pready_bad_partition_rejected():
     cluster.spawn(sender(s_proc))
     cluster.spawn(receiver(r_proc))
     cluster.run()
+
+
+@pytest.mark.parametrize("started, error", [(False, RequestError),
+                                            (True, PartitionError)])
+def test_pready_errors_fail_the_worker_team_round(started, error):
+    """``MPI_Pready`` checks its request when called, so a bad Pready
+    in a worker thread fails ``WorkerTeam.run_round``'s event, which
+    raises in the rank that yielded it."""
+    cluster = Cluster(n_nodes=2)
+    s_proc, r_proc = cluster.ranks(2)
+    sbuf = PartitionedBuffer(4, 256, backed=False)
+    rbuf = PartitionedBuffer(4, 256, backed=False)
+    team = WorkerTeam.on(cluster, 4, "noise.sender")
+    phase = ComputePhase(compute=1e-6, noise=NoNoise())
+    raised = []
+
+    def sender(proc):
+        req = proc.psend_init(sbuf, dest=1, tag=0, module=PersistSpec())
+        if started:
+            yield from proc.start(req)
+        # Thread 3 readies partition 4 of 4 (out of range once started).
+        with pytest.raises(error):
+            yield team.run_round(phase, lambda tid: proc.pready(req, tid + 1))
+        raised.append(error)
+
+    def receiver(proc):
+        req = proc.precv_init(rbuf, source=0, tag=0, module=PersistSpec())
+        if started:
+            yield from proc.start(req)
+
+    p = cluster.spawn(sender(s_proc))
+    cluster.spawn(receiver(r_proc))
+    cluster.run(until=p)
+    assert raised == [error]
+
+
+def test_wait_partitioned_epoch_deadline_raises():
+    """With ``part.epoch_deadline`` set, a wait on a round that cannot
+    finish raises after that much virtual time instead of hanging."""
+    config = NIAGARA.with_changes(
+        part=replace(NIAGARA.part, epoch_deadline=us(50)))
+    cluster = Cluster(n_nodes=2, config=config)
+    s_proc, r_proc = cluster.ranks(2)
+    sbuf = PartitionedBuffer(4, 256, backed=False)
+    rbuf = PartitionedBuffer(4, 256, backed=False)
+    waited = []
+
+    def sender(proc):
+        req = proc.psend_init(sbuf, dest=1, tag=0, module=PersistSpec())
+        yield from proc.start(req)   # and never readies a partition
+
+    def receiver(proc):
+        req = proc.precv_init(rbuf, source=0, tag=0, module=PersistSpec())
+        yield from proc.start(req)
+        t0 = proc.env.now
+        with pytest.raises(EpochDeadlineError, match="partitioned recv round 1"):
+            yield from proc.wait_partitioned(req)
+        waited.append(proc.env.now - t0)
+
+    cluster.spawn(sender(s_proc))
+    p = cluster.spawn(receiver(r_proc))
+    cluster.run(until=p)
+    assert waited == [pytest.approx(us(50), abs=us(1))]
 
 
 def test_double_start_rejected():

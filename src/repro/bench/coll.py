@@ -53,30 +53,31 @@ def run_pallreduce(
             f"{n_partitions} partitions not divisible by "
             f"{n_threads} threads")
     per_thread = n_partitions // n_threads
-    cluster = Cluster(n_nodes=world, config=config, topology=topology)
-    procs = cluster.ranks(world)
-    phase = ComputePhase(compute=compute,
-                         noise=SingleThreadDelay(noise_fraction))
+    with Cluster(n_nodes=world, config=config,
+                 topology=topology) as cluster:
+        procs = cluster.ranks(world)
+        phase = ComputePhase(compute=compute,
+                             noise=SingleThreadDelay(noise_fraction))
 
-    def setup(rank, proc):
-        buf = PartitionedBuffer(n_partitions, partition_size, backed=False)
-        coll = proc.pallreduce_init(buf, world, module_for=module)
-        team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rank}")
+        def setup(rank, proc):
+            buf = PartitionedBuffer(n_partitions, partition_size, backed=False)
+            coll = proc.pallreduce_init(buf, world, module_for=module)
+            team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rank}")
 
-        def body(tid):
-            for p in range(tid * per_thread, (tid + 1) * per_thread):
-                yield from proc.pcoll_pready(coll, p)
+            def body(tid):
+                for p in range(tid * per_thread, (tid + 1) * per_thread):
+                    yield from proc.pcoll_pready(coll, p)
 
-        def one_round(it):
-            yield from proc.pcoll_start(coll)
-            yield team.run_round(phase, lambda tid: body(tid))
-            yield from proc.pcoll_wait(coll)
+            def one_round(it):
+                yield from proc.pcoll_start(coll)
+                yield team.run_round(phase, lambda tid: body(tid))
+                yield from proc.pcoll_wait(coll)
 
-        return one_round
+            return one_round
 
-    clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
-    cluster.run()
-    return PcollResult(
-        world=world, n_threads=n_threads, n_partitions=n_partitions,
-        partition_size=partition_size, compute=compute,
-        times=clock.times())
+        clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
+        cluster.run()
+        return PcollResult(
+            world=world, n_threads=n_threads, n_partitions=n_partitions,
+            partition_size=partition_size, compute=compute,
+            times=clock.times())

@@ -57,66 +57,67 @@ def run_halo(
         raise ValueError(f"bad grid {grid}")
     partition_size = partition_size_of(face_bytes, n_threads)
     n_ranks = px * py
-    cluster = Cluster(n_nodes=n_ranks, config=config, topology=topology)
-    procs = cluster.ranks(n_ranks)
-    phase = ComputePhase(compute=compute,
-                         noise=SingleThreadDelay(noise_fraction))
+    with Cluster(n_nodes=n_ranks, config=config,
+                 topology=topology) as cluster:
+        procs = cluster.ranks(n_ranks)
+        phase = ComputePhase(compute=compute,
+                             noise=SingleThreadDelay(noise_fraction))
 
-    def rank_id(i: int, j: int) -> int:
-        return i * py + j
+        def rank_id(i: int, j: int) -> int:
+            return i * py + j
 
-    def neighbours(i: int, j: int) -> dict[str, int]:
-        out = {}
-        if i > 0:
-            out["up"] = rank_id(i - 1, j)
-        if i < px - 1:
-            out["down"] = rank_id(i + 1, j)
-        if j > 0:
-            out["left"] = rank_id(i, j - 1)
-        if j < py - 1:
-            out["right"] = rank_id(i, j + 1)
-        return out
+        def neighbours(i: int, j: int) -> dict[str, int]:
+            out = {}
+            if i > 0:
+                out["up"] = rank_id(i - 1, j)
+            if i < px - 1:
+                out["down"] = rank_id(i + 1, j)
+            if j > 0:
+                out["left"] = rank_id(i, j - 1)
+            if j < py - 1:
+                out["right"] = rank_id(i, j + 1)
+            return out
 
-    def setup(rid: int, proc):
-        i, j = divmod(rid, py)
-        sends, recvs = {}, {}
-        for direction, peer in neighbours(i, j).items():
-            tag = _DIRECTIONS.index(direction)
-            send_face = PartitionedBuffer(n_threads, partition_size,
-                                          backed=False)
-            recv_face = PartitionedBuffer(n_threads, partition_size,
-                                          backed=False)
-            sends[direction] = proc.psend_init(
-                send_face, dest=peer, tag=tag, module=spec_for(module))
-            recvs[direction] = proc.precv_init(
-                recv_face, source=peer,
-                tag=_DIRECTIONS.index(_OPPOSITE[direction]),
-                module=spec_for(module))
-        team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rid}")
-        send_reqs = list(sends.values())
+        def setup(rid: int, proc):
+            i, j = divmod(rid, py)
+            sends, recvs = {}, {}
+            for direction, peer in neighbours(i, j).items():
+                tag = _DIRECTIONS.index(direction)
+                send_face = PartitionedBuffer(n_threads, partition_size,
+                                              backed=False)
+                recv_face = PartitionedBuffer(n_threads, partition_size,
+                                              backed=False)
+                sends[direction] = proc.psend_init(
+                    send_face, dest=peer, tag=tag, module=spec_for(module))
+                recvs[direction] = proc.precv_init(
+                    recv_face, source=peer,
+                    tag=_DIRECTIONS.index(_OPPOSITE[direction]),
+                    module=spec_for(module))
+            team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rid}")
+            send_reqs = list(sends.values())
 
-        def body(tid):
-            for req in send_reqs:
-                yield from proc.pready(req, tid)
+            def body(tid):
+                for req in send_reqs:
+                    yield from proc.pready(req, tid)
 
-        def one_round(it):
-            for req in list(recvs.values()) + send_reqs:
-                yield from proc.start(req)
-            yield team.run_round(phase, lambda tid: body(tid))
-            for req in send_reqs:
-                yield from proc.wait_partitioned(req)
-            for req in recvs.values():
-                yield from proc.wait_partitioned(req)
+            def one_round(it):
+                for req in list(recvs.values()) + send_reqs:
+                    yield from proc.start(req)
+                yield team.run_round(phase, lambda tid: body(tid))
+                for req in send_reqs:
+                    yield from proc.wait_partitioned(req)
+                for req in recvs.values():
+                    yield from proc.wait_partitioned(req)
 
-        return one_round
+            return one_round
 
-    clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
-    cluster.run()
-    return HaloResult(
-        grid=grid,
-        n_threads=n_threads,
-        face_bytes=face_bytes,
-        compute=compute,
-        noise_fraction=noise_fraction,
-        times=clock.times(),
-    )
+        clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
+        cluster.run()
+        return HaloResult(
+            grid=grid,
+            n_threads=n_threads,
+            face_bytes=face_bytes,
+            compute=compute,
+            noise_fraction=noise_fraction,
+            times=clock.times(),
+        )

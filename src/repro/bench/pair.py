@@ -113,60 +113,60 @@ def run_partitioned_pair(
     config = config if config is not None else NIAGARA
     if seed is not None:
         config = config.with_changes(seed=seed)
-    cluster = Cluster(n_nodes=2, config=config)
-    if fault_schedule is not None:
-        cluster.fabric.install_faults(fault_schedule)
-    sender_proc, receiver_proc = cluster.ranks(2)
-    if n_user > config.host.cores_per_node:
-        sender_proc.sw_multiplier = config.host.oversubscription_penalty
-    sbuf = PartitionedBuffer(n_user, partition_size, backed=backed)
-    rbuf = PartitionedBuffer(n_user, partition_size, backed=backed)
-    if backed:
-        sbuf.fill_pattern(seed=config.seed)
-    noise = noise if noise is not None else NoNoise()
-    phase = ComputePhase(compute=compute, noise=noise)
-    records = [IterationRecord() for _ in range(warmup + iterations)]
-    reqs = []
+    with Cluster(n_nodes=2, config=config) as cluster:
+        if fault_schedule is not None:
+            cluster.fabric.install_faults(fault_schedule)
+        sender_proc, receiver_proc = cluster.ranks(2)
+        if n_user > config.host.cores_per_node:
+            sender_proc.sw_multiplier = config.host.oversubscription_penalty
+        sbuf = PartitionedBuffer(n_user, partition_size, backed=backed)
+        rbuf = PartitionedBuffer(n_user, partition_size, backed=backed)
+        if backed:
+            sbuf.fill_pattern(seed=config.seed)
+        noise = noise if noise is not None else NoNoise()
+        phase = ComputePhase(compute=compute, noise=noise)
+        records = [IterationRecord() for _ in range(warmup + iterations)]
+        reqs = []
 
-    def setup(index, proc):
-        if index == 0:
-            req = proc.psend_init(sbuf, dest=1, tag=0,
-                                  module=spec_for(spec_factory))
-            team = WorkerTeam.on(cluster, n_user, "noise.sender")
-        else:
-            req = proc.precv_init(rbuf, source=0, tag=0,
-                                  module=spec_for(spec_factory))
-        reqs.append(req)
-
-        def one_round(it):
-            yield from proc.start(req)
+        def setup(index, proc):
             if index == 0:
-                yield team.run_round(
-                    phase, lambda tid: proc.pready(req, tid))
-            yield from proc.wait_partitioned(req)
-            if index == 0:
-                records[it].pready_times = list(req.pready_times)
+                req = proc.psend_init(sbuf, dest=1, tag=0,
+                                      module=spec_for(spec_factory))
+                team = WorkerTeam.on(cluster, n_user, "noise.sender")
             else:
-                records[it].arrival_times = list(req.arrival_times)
+                req = proc.precv_init(rbuf, source=0, tag=0,
+                                      module=spec_for(spec_factory))
+            reqs.append(req)
 
-        return one_round
+            def one_round(it):
+                yield from proc.start(req)
+                if index == 0:
+                    yield team.run_round(
+                        phase, lambda tid: proc.pready(req, tid))
+                yield from proc.wait_partitioned(req)
+                if index == 0:
+                    records[it].pready_times = list(req.pready_times)
+                else:
+                    records[it].arrival_times = list(req.arrival_times)
 
-    clock = spawn_rounds(cluster, [sender_proc, receiver_proc],
-                         iterations, warmup, setup)
-    cluster.run()
-    if backed and not np.array_equal(rbuf.data, sbuf.data):
-        raise AssertionError("receive buffer does not match send buffer")
-    for rec, t0, done in zip(records, clock.start.tolist(),
-                             clock.finish.tolist()):
-        rec.t0, (rec.t_send_done, rec.t_recv_done) = t0, done
-    module = reqs[0].module
-    return PairBenchResult(
-        n_user=n_user,
-        partition_size=partition_size,
-        total_bytes=n_user * partition_size,
-        compute=compute,
-        iterations=records[warmup:],
-        wrs_posted=getattr(module, "total_wrs_posted", None),
-        timer_flushes=getattr(module, "timer_flushes", None),
-        counters=cluster.fabric.counters.as_dict(),
-    )
+            return one_round
+
+        clock = spawn_rounds(cluster, [sender_proc, receiver_proc],
+                             iterations, warmup, setup)
+        cluster.run()
+        if backed and not np.array_equal(rbuf.data, sbuf.data):
+            raise AssertionError("receive buffer does not match send buffer")
+        for rec, t0, done in zip(records, clock.start.tolist(),
+                                 clock.finish.tolist()):
+            rec.t0, (rec.t_send_done, rec.t_recv_done) = t0, done
+        module = reqs[0].module
+        return PairBenchResult(
+            n_user=n_user,
+            partition_size=partition_size,
+            total_bytes=n_user * partition_size,
+            compute=compute,
+            iterations=records[warmup:],
+            wrs_posted=getattr(module, "total_wrs_posted", None),
+            timer_flushes=getattr(module, "timer_flushes", None),
+            counters=cluster.fabric.counters.as_dict(),
+        )

@@ -65,63 +65,63 @@ def run_sweep(
         raise ValueError(f"bad grid {grid}")
     partition_size = partition_size_of(total_bytes, n_threads)
     n_ranks = px * py
-    cluster = Cluster(n_nodes=n_ranks, config=config)
-    procs = cluster.ranks(n_ranks)
-    phase = ComputePhase(compute=compute, noise=SingleThreadDelay(noise_fraction))
+    with Cluster(n_nodes=n_ranks, config=config) as cluster:
+        procs = cluster.ranks(n_ranks)
+        phase = ComputePhase(compute=compute, noise=SingleThreadDelay(noise_fraction))
 
-    def rank_id(i: int, j: int) -> int:
-        return i * py + j
+        def rank_id(i: int, j: int) -> int:
+            return i * py + j
 
-    def setup(rid: int, proc):
-        i, j = divmod(rid, py)
-        sends = {}
-        recvs = {}
-        if j + 1 < py:
-            buf = PartitionedBuffer(n_threads, partition_size, backed=False)
-            sends["right"] = proc.psend_init(
-                buf, dest=rank_id(i, j + 1), tag=_TAG_RIGHT,
-                module=spec_for(module))
-        if i + 1 < px:
-            buf = PartitionedBuffer(n_threads, partition_size, backed=False)
-            sends["down"] = proc.psend_init(
-                buf, dest=rank_id(i + 1, j), tag=_TAG_DOWN,
-                module=spec_for(module))
-        if j - 1 >= 0:
-            buf = PartitionedBuffer(n_threads, partition_size, backed=False)
-            recvs["left"] = proc.precv_init(
-                buf, source=rank_id(i, j - 1), tag=_TAG_RIGHT,
-                module=spec_for(module))
-        if i - 1 >= 0:
-            buf = PartitionedBuffer(n_threads, partition_size, backed=False)
-            recvs["up"] = proc.precv_init(
-                buf, source=rank_id(i - 1, j), tag=_TAG_DOWN,
-                module=spec_for(module))
-        team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rid}")
-        send_reqs = list(sends.values())
+        def setup(rid: int, proc):
+            i, j = divmod(rid, py)
+            sends = {}
+            recvs = {}
+            if j + 1 < py:
+                buf = PartitionedBuffer(n_threads, partition_size, backed=False)
+                sends["right"] = proc.psend_init(
+                    buf, dest=rank_id(i, j + 1), tag=_TAG_RIGHT,
+                    module=spec_for(module))
+            if i + 1 < px:
+                buf = PartitionedBuffer(n_threads, partition_size, backed=False)
+                sends["down"] = proc.psend_init(
+                    buf, dest=rank_id(i + 1, j), tag=_TAG_DOWN,
+                    module=spec_for(module))
+            if j - 1 >= 0:
+                buf = PartitionedBuffer(n_threads, partition_size, backed=False)
+                recvs["left"] = proc.precv_init(
+                    buf, source=rank_id(i, j - 1), tag=_TAG_RIGHT,
+                    module=spec_for(module))
+            if i - 1 >= 0:
+                buf = PartitionedBuffer(n_threads, partition_size, backed=False)
+                recvs["up"] = proc.precv_init(
+                    buf, source=rank_id(i - 1, j), tag=_TAG_DOWN,
+                    module=spec_for(module))
+            team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rid}")
+            send_reqs = list(sends.values())
 
-        def body(tid):
-            for req in send_reqs:
-                yield from proc.pready(req, tid)
+            def body(tid):
+                for req in send_reqs:
+                    yield from proc.pready(req, tid)
 
-        def one_round(it):
-            for req in list(recvs.values()) + send_reqs:
-                yield from proc.start(req)
-            # Wavefront dependency: wait for inbound halves.
-            for req in recvs.values():
-                yield from proc.wait_partitioned(req)
-            yield team.run_round(phase, lambda tid: body(tid))
-            for req in send_reqs:
-                yield from proc.wait_partitioned(req)
+            def one_round(it):
+                for req in list(recvs.values()) + send_reqs:
+                    yield from proc.start(req)
+                # Wavefront dependency: wait for inbound halves.
+                for req in recvs.values():
+                    yield from proc.wait_partitioned(req)
+                yield team.run_round(phase, lambda tid: body(tid))
+                for req in send_reqs:
+                    yield from proc.wait_partitioned(req)
 
-        return one_round
+            return one_round
 
-    clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
-    cluster.run()
-    return SweepResult(
-        grid=grid,
-        n_threads=n_threads,
-        total_bytes=total_bytes,
-        compute=compute,
-        noise_fraction=noise_fraction,
-        times=clock.times(),
-    )
+        clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
+        cluster.run()
+        return SweepResult(
+            grid=grid,
+            n_threads=n_threads,
+            total_bytes=total_bytes,
+            compute=compute,
+            noise_fraction=noise_fraction,
+            times=clock.times(),
+        )

@@ -174,51 +174,51 @@ def _tree_driver(name, init, world, schedule, seed, module, ladder,
     ``expected_pattern`` calls).
     """
     cfg = chaos_config(seed, config)
-    cluster = Cluster(n_nodes=world, config=cfg)
-    if schedule is not None:
-        cluster.fabric.install_faults(schedule)
-    procs = cluster.ranks(world)
-    per_thread = n_partitions // n_threads
-    phase = ComputePhase(compute=2e-4, noise=SingleThreadDelay(0.01))
-    module_for = resolve_module(module, ladder)
-    scratch = PartitionedBuffer(n_partitions, partition_size, backed=True)
-    state = {"integrity": 0, "colls": []}
+    with Cluster(n_nodes=world, config=cfg) as cluster:
+        if schedule is not None:
+            cluster.fabric.install_faults(schedule)
+        procs = cluster.ranks(world)
+        per_thread = n_partitions // n_threads
+        phase = ComputePhase(compute=2e-4, noise=SingleThreadDelay(0.01))
+        module_for = resolve_module(module, ladder)
+        scratch = PartitionedBuffer(n_partitions, partition_size, backed=True)
+        state = {"integrity": 0, "colls": []}
 
-    def setup(rank, proc):
-        buf = PartitionedBuffer(n_partitions, partition_size, backed=True)
-        coll = init(proc, buf, module_for)
-        state["colls"].append(coll)
-        team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rank}")
-        contributes = (rank == 0) if root_fills_only else True
+        def setup(rank, proc):
+            buf = PartitionedBuffer(n_partitions, partition_size, backed=True)
+            coll = init(proc, buf, module_for)
+            state["colls"].append(coll)
+            team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rank}")
+            contributes = (rank == 0) if root_fills_only else True
 
-        def body(tid):
-            if contributes:
-                for p in range(tid * per_thread, (tid + 1) * per_thread):
-                    yield from proc.pcoll_pready(coll, p)
-            else:
-                yield 0.0
+            def body(tid):
+                if contributes:
+                    for p in range(tid * per_thread, (tid + 1) * per_thread):
+                        yield from proc.pcoll_pready(coll, p)
+                else:
+                    yield 0.0
 
-        def one_round(it):
-            if contributes:
-                buf.fill_pattern(_fill_seed(it, rank, world))
-            yield from proc.pcoll_start(coll)
-            yield team.run_round(phase, lambda tid: body(tid))
-            yield from proc.pcoll_wait(coll)
-            if not np.array_equal(buf.data, expected_for(scratch, it, rank)):
-                state["integrity"] += 1
+            def one_round(it):
+                if contributes:
+                    buf.fill_pattern(_fill_seed(it, rank, world))
+                yield from proc.pcoll_start(coll)
+                yield team.run_round(phase, lambda tid: body(tid))
+                yield from proc.pcoll_wait(coll)
+                if not np.array_equal(buf.data, expected_for(scratch, it, rank)):
+                    state["integrity"] += 1
 
-        return one_round
+            return one_round
 
-    clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
-    cluster.run()
-    completed = clock.done == world
-    duration = float(sum(clock.times())) if completed else 0.0
-    return RunReport(
-        workload=name, completed=completed, duration=duration,
-        integrity_failures=state["integrity"],
-        counters=cluster.fabric.counters.as_dict(),
-        leaks=collect_leaks(state["colls"]) if completed else [],
-        meta={"world": world, "iterations": iterations})
+        clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
+        cluster.run()
+        completed = clock.done == world
+        duration = float(sum(clock.times())) if completed else 0.0
+        return RunReport(
+            workload=name, completed=completed, duration=duration,
+            integrity_failures=state["integrity"],
+            counters=cluster.fabric.counters.as_dict(),
+            leaks=collect_leaks(state["colls"]) if completed else [],
+            meta={"world": world, "iterations": iterations})
 
 
 @workload("pallreduce", n_nodes=5)

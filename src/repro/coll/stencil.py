@@ -102,89 +102,90 @@ def run_stencil(
                   for nbytes in sizes]
 
     n_ranks = int(np.prod(grid))
-    cluster = Cluster(n_nodes=n_ranks, config=config, topology=topology)
-    if faults is not None:
-        cluster.fabric.install_faults(faults)
-    procs = cluster.ranks(n_ranks)
-    colls = []
-    phase = ComputePhase(compute=compute,
-                         noise=SingleThreadDelay(noise_fraction))
-    per_thread = n_partitions // n_threads
-    result = StencilResult(
-        grid=tuple(grid), n_threads=n_threads, n_partitions=n_partitions,
-        face_bytes=sizes, compute=compute, noise_fraction=noise_fraction)
+    with Cluster(n_nodes=n_ranks, config=config,
+                 topology=topology) as cluster:
+        if faults is not None:
+            cluster.fabric.install_faults(faults)
+        procs = cluster.ranks(n_ranks)
+        colls = []
+        phase = ComputePhase(compute=compute,
+                             noise=SingleThreadDelay(noise_fraction))
+        per_thread = n_partitions // n_threads
+        result = StencilResult(
+            grid=tuple(grid), n_threads=n_threads, n_partitions=n_partitions,
+            face_bytes=sizes, compute=compute, noise_fraction=noise_fraction)
 
-    def rank_id(coord: tuple[int, ...]) -> int:
-        rid = 0
-        for axis in range(ndim):
-            rid = rid * grid[axis] + coord[axis]
-        return rid
+        def rank_id(coord: tuple[int, ...]) -> int:
+            rid = 0
+            for axis in range(ndim):
+                rid = rid * grid[axis] + coord[axis]
+            return rid
 
-    def coord_of(rid: int) -> tuple[int, ...]:
-        coord = []
-        for axis in reversed(range(ndim)):
-            coord.append(rid % grid[axis])
-            rid //= grid[axis]
-        return tuple(reversed(coord))
+        def coord_of(rid: int) -> tuple[int, ...]:
+            coord = []
+            for axis in reversed(range(ndim)):
+                coord.append(rid % grid[axis])
+                rid //= grid[axis]
+            return tuple(reversed(coord))
 
-    def neighbor_axes(coord: tuple[int, ...]) -> dict[int, int]:
-        """Neighbor rank -> axis of the shared face (non-periodic)."""
-        out = {}
-        for axis in range(ndim):
-            for step in (-1, +1):
-                c = coord[axis] + step
-                if 0 <= c < grid[axis]:
-                    nbr = list(coord)
-                    nbr[axis] = c
-                    out[rank_id(tuple(nbr))] = axis
-        return out
+        def neighbor_axes(coord: tuple[int, ...]) -> dict[int, int]:
+            """Neighbor rank -> axis of the shared face (non-periodic)."""
+            out = {}
+            for axis in range(ndim):
+                for step in (-1, +1):
+                    c = coord[axis] + step
+                    if 0 <= c < grid[axis]:
+                        nbr = list(coord)
+                        nbr[axis] = c
+                        out[rank_id(tuple(nbr))] = axis
+            return out
 
-    def fill_seed(it: int, src: int, dst: int) -> int:
-        return ((it * n_ranks + src) * n_ranks + dst) % (1 << 31)
+        def fill_seed(it: int, src: int, dst: int) -> int:
+            return ((it * n_ranks + src) * n_ranks + dst) % (1 << 31)
 
-    def setup(rid: int, proc):
-        axes = neighbor_axes(coord_of(rid))
-        send_bufs, recv_bufs = {}, {}
-        for nbr, axis in axes.items():
-            send_bufs[nbr] = PartitionedBuffer(
-                n_partitions, part_sizes[axis], backed=backed)
-            recv_bufs[nbr] = PartitionedBuffer(
-                n_partitions, part_sizes[axis], backed=backed)
-        module_for = planner(proc, dict(axes)) if planner else module
-        coll = proc.pneighbor_alltoall_init(send_bufs, recv_bufs,
-                                            module_for)
-        colls.append(coll)
-        team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rid}")
+        def setup(rid: int, proc):
+            axes = neighbor_axes(coord_of(rid))
+            send_bufs, recv_bufs = {}, {}
+            for nbr, axis in axes.items():
+                send_bufs[nbr] = PartitionedBuffer(
+                    n_partitions, part_sizes[axis], backed=backed)
+                recv_bufs[nbr] = PartitionedBuffer(
+                    n_partitions, part_sizes[axis], backed=backed)
+            module_for = planner(proc, dict(axes)) if planner else module
+            coll = proc.pneighbor_alltoall_init(send_bufs, recv_bufs,
+                                                module_for)
+            colls.append(coll)
+            team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rid}")
 
-        def body(tid):
-            for p in range(tid * per_thread, (tid + 1) * per_thread):
-                yield from proc.pcoll_pready(coll, p)
+            def body(tid):
+                for p in range(tid * per_thread, (tid + 1) * per_thread):
+                    yield from proc.pcoll_pready(coll, p)
 
-        def one_round(it):
-            if backed:
-                for nbr, buf in send_bufs.items():
-                    buf.fill_pattern(fill_seed(it, rid, nbr))
-            yield from proc.pcoll_start(coll)
-            yield team.run_round(phase, lambda tid: body(tid))
-            yield from proc.pcoll_wait(coll)
-            if backed:
-                for nbr, buf in recv_bufs.items():
-                    expect = buf.expected_pattern(
-                        0, buf.nbytes, fill_seed(it, nbr, rid))
-                    if not np.array_equal(buf.data, expect):
-                        result.integrity_failures += 1
+            def one_round(it):
+                if backed:
+                    for nbr, buf in send_bufs.items():
+                        buf.fill_pattern(fill_seed(it, rid, nbr))
+                yield from proc.pcoll_start(coll)
+                yield team.run_round(phase, lambda tid: body(tid))
+                yield from proc.pcoll_wait(coll)
+                if backed:
+                    for nbr, buf in recv_bufs.items():
+                        expect = buf.expected_pattern(
+                            0, buf.nbytes, fill_seed(it, nbr, rid))
+                        if not np.array_equal(buf.data, expect):
+                            result.integrity_failures += 1
 
-        return one_round
+            return one_round
 
-    clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
-    cluster.run()
-    for rid, coll in enumerate(colls):
-        result.edge_stats[rid] = coll.edge_stats()
-        result.plans[rid] = {
-            nbr: req.module_spec.aggregator.describe()
-            for nbr, req in coll.sends.items()
-            if getattr(req.module_spec, "aggregator", None) is not None
-        }
-    result.counters = cluster.fabric.counters.as_dict()
-    result.times = clock.times()
-    return result
+        clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
+        cluster.run()
+        for rid, coll in enumerate(colls):
+            result.edge_stats[rid] = coll.edge_stats()
+            result.plans[rid] = {
+                nbr: req.module_spec.aggregator.describe()
+                for nbr, req in coll.sends.items()
+                if getattr(req.module_spec, "aggregator", None) is not None
+            }
+        result.counters = cluster.fabric.counters.as_dict()
+        result.times = clock.times()
+        return result

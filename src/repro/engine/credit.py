@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.ib.wr import RecvWR
+from repro.ib.wr import ANON_RECV, RecvWR
 
 
 def restock(qp, target: int, wr_id_factory: Callable[[], int] = None) -> None:
@@ -26,11 +26,11 @@ def restock(qp, target: int, wr_id_factory: Callable[[], int] = None) -> None:
     Shared by ``MPI_Start`` pre-posting and channel recovery (a
     reconnected QP comes back with whatever survived the flush re-armed
     here).  ``wr_id_factory`` supplies receive wr_ids; the default posts
-    anonymous (wr_id 0) entries as the p2p channels do.
+    the shared anonymous entry (wr_id 0) as the p2p channels do.
     """
     while len(qp.rq) < target:
-        wr_id = wr_id_factory() if wr_id_factory is not None else 0
-        qp.post_recv(RecvWR(wr_id=wr_id))
+        qp.post_recv(ANON_RECV if wr_id_factory is None
+                     else RecvWR(wr_id=wr_id_factory()))
 
 
 class CreditManager:

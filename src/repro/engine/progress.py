@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sized
 
 from repro.errors import EpochDeadlineError
 from repro.sim.core import Environment
-from repro.sim.sync import Notify, SimLock
+from repro.sim.sync import Notify
 from repro.units import us
 
 #: Default fallback park time while waiting with no kick (guards against
@@ -46,13 +46,18 @@ class ProgressEngine:
         self.env = env
         self.t_poll_miss = t_poll_miss
         self.idle_fallback = idle_fallback
-        self.lock = SimLock(env)
+        #: The progress lock.  A flag, not a :class:`SimLock`: it is only
+        #: ever tried (a busy engine is never waited on), so there is no
+        #: queue to keep.
+        self._busy = False
         self._pollers: list[tuple[Poller, Sized | None,
                                   Callable[[], None] | None]] = []
         self._notify = Notify(env)
         # statistics
         self.passes = 0
         self.events_handled = 0
+        #: Passes skipped because another thread held the lock.
+        self.lock_misses = 0
 
     def register(self, poller: Poller, pending: Sized | None = None,
                  on_idle: Callable[[], None] | None = None) -> None:
@@ -88,9 +93,11 @@ class ProgressEngine:
         thread spin-polling ``Parrived`` against a busy engine cannot
         livelock the simulation.
         """
-        if not self.lock.try_acquire():
+        if self._busy:
+            self.lock_misses += 1
             yield self.t_poll_miss
             return 0
+        self._busy = True
         try:
             handled = 0
             for poller, pending, on_idle in self._pollers:
@@ -105,7 +112,7 @@ class ProgressEngine:
             self.events_handled += handled
             return handled
         finally:
-            self.lock.release()
+            self._busy = False
 
     def wait_until(self, predicate: Callable[[], bool],
                    deadline: "float | None" = None, describe: str = ""):
@@ -119,7 +126,6 @@ class ProgressEngine:
         names the waited-on work in that error.
         """
         env = self.env
-        lock = self.lock
         notify = self._notify
         pollers = self._pollers
         t_poll_miss = self.t_poll_miss
@@ -135,10 +141,12 @@ class ProgressEngine:
             # loop is the single hottest generator in the engine; the
             # nested-generator hop per iteration is measurable).  The
             # yielded event sequence must stay identical to the method's.
-            if not lock.try_acquire():
+            if self._busy:
+                self.lock_misses += 1
                 yield t_poll_miss
                 handled = 0
             else:
+                self._busy = True
                 try:
                     handled = 0
                     for poller, pending, on_idle in pollers:
@@ -152,7 +160,7 @@ class ProgressEngine:
                     self.passes += 1
                     self.events_handled += handled
                 finally:
-                    lock.release()
+                    self._busy = False
             if predicate():
                 return
             if handled == 0:
@@ -169,6 +177,11 @@ class ProgressEngine:
                 yield notify.wait(park)
                 if predicate():
                     return
+
+    def close(self) -> None:
+        """Drop the pollers: they hold their transports, which hold this
+        engine."""
+        self._pollers.clear()
 
     def __repr__(self) -> str:
         return (f"<ProgressEngine pollers={len(self._pollers)} "

@@ -125,6 +125,11 @@ class CompletionRouter:
                 swept.append(entry)
         return swept
 
+    def close(self) -> None:
+        """Drop every routing entry (their callbacks hold the rank)."""
+        self._on_success.clear()
+        self._on_failure.clear()
+
     def __repr__(self) -> str:
         return (f"<CompletionRouter bindings={self.bindings} "
                 f"inflight={len(self._on_failure)}>")

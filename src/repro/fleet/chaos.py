@@ -63,84 +63,84 @@ def run_fleet_workload(schedule, seed, module="native", ladder=False,
                                duration=SPINE_FLAP_DURATION)
     cfg = chaos_config(seed, config)
     topology = default_topology()
-    cluster = Cluster(n_nodes=topology.n_nodes, config=cfg,
-                      topology=topology)
-    if schedule is not None:
-        cluster.fabric.install_faults(schedule)
-    resolver = edge_modules(resolve_module(module, ladder))
+    with Cluster(n_nodes=topology.n_nodes, config=cfg,
+                 topology=topology) as cluster:
+        if schedule is not None:
+            cluster.fabric.install_faults(schedule)
+        resolver = edge_modules(resolve_module(module, ladder))
 
-    n_partitions, partition_size = 4, 4 * KiB
-    phase = ComputePhase(compute=us(150), noise=SingleThreadDelay(0.01))
-    state = {"integrity": 0}
-    clocks = []
-    tenants = list(TENANT_NODES)
-    procs = {}
-    for name in tenants:
-        src_node, dst_node = TENANT_NODES[name]
-        procs[name] = (cluster.add_process(node_id=src_node),
-                       cluster.add_process(node_id=dst_node))
+        n_partitions, partition_size = 4, 4 * KiB
+        phase = ComputePhase(compute=us(150), noise=SingleThreadDelay(0.01))
+        state = {"integrity": 0}
+        clocks = []
+        tenants = list(TENANT_NODES)
+        procs = {}
+        for name in tenants:
+            src_node, dst_node = TENANT_NODES[name]
+            procs[name] = (cluster.add_process(node_id=src_node),
+                           cluster.add_process(node_id=dst_node))
 
-    def tenant_program(name, index, tag):
-        src, dst = procs[name]
-        sbuf = PartitionedBuffer(n_partitions, partition_size, backed=True)
-        rbuf = PartitionedBuffer(n_partitions, partition_size, backed=True)
+        def tenant_program(name, index, tag):
+            src, dst = procs[name]
+            sbuf = PartitionedBuffer(n_partitions, partition_size, backed=True)
+            rbuf = PartitionedBuffer(n_partitions, partition_size, backed=True)
 
-        def setup(r, proc):
-            if r == 0:
-                req = proc.psend_init(sbuf, dest=dst.rank, tag=tag,
-                                      module=resolver(dst.rank))
-                team = WorkerTeam.on(cluster, n_partitions, f"noise.{name}")
-            else:
-                req = proc.precv_init(rbuf, source=src.rank, tag=tag,
-                                      module=resolver(src.rank))
-
-            def one_round(it):
+            def setup(r, proc):
                 if r == 0:
-                    sbuf.fill_pattern(_fill_seed(it, index))
-                yield from proc.start(req)
-                if r == 0:
-                    yield team.run_round(
-                        phase, lambda tid: proc.pready(req, tid))
-                yield from proc.wait_partitioned(req)
-                if r == 1 and not np.array_equal(
-                        rbuf.data, rbuf.expected_pattern(
-                            0, rbuf.nbytes, _fill_seed(it, index))):
-                    state["integrity"] += 1
+                    req = proc.psend_init(sbuf, dest=dst.rank, tag=tag,
+                                          module=resolver(dst.rank))
+                    team = WorkerTeam.on(cluster, n_partitions, f"noise.{name}")
+                else:
+                    req = proc.precv_init(rbuf, source=src.rank, tag=tag,
+                                          module=resolver(src.rank))
 
-            return one_round
+                def one_round(it):
+                    if r == 0:
+                        sbuf.fill_pattern(_fill_seed(it, index))
+                    yield from proc.start(req)
+                    if r == 0:
+                        yield team.run_round(
+                            phase, lambda tid: proc.pready(req, tid))
+                    yield from proc.wait_partitioned(req)
+                    if r == 1 and not np.array_equal(
+                            rbuf.data, rbuf.expected_pattern(
+                                0, rbuf.nbytes, _fill_seed(it, index))):
+                        state["integrity"] += 1
 
-        clocks.append(spawn_rounds(cluster, (src, dst), iterations, warmup,
-                                   setup))
+                return one_round
 
-    for index, name in enumerate(tenants):
-        tenant_program(name, index, tag=index * 1000)
-    cluster.run()
+            clocks.append(spawn_rounds(cluster, (src, dst), iterations, warmup,
+                                       setup))
 
-    completed = all(clock.done == 2 for clock in clocks)
-    tenant_nodes = {n for pair in TENANT_NODES.values() for n in pair}
-    leaks = []
-    tenant_bytes = {}
-    for name in tenants:
-        tenant_bytes[name] = sum(
-            cluster.fabric.nic_at(n).bytes_transmitted
-            for n in TENANT_NODES[name])
-    for node in range(topology.n_nodes):
-        if node in tenant_nodes:
-            continue
-        nic = cluster.fabric.nic_at(node)
-        if nic.bytes_transmitted or nic.messages_delivered:
-            leaks.append(
-                f"cross-tenant leakage: idle node {node} carried "
-                f"{nic.bytes_transmitted}B / "
-                f"{nic.messages_delivered} messages")
-    return RunReport(
-        workload="fleet", completed=completed,
-        duration=float(cluster.env.now) if completed else 0.0,
-        integrity_failures=state["integrity"],
-        counters=cluster.fabric.counters.as_dict(),
-        leaks=leaks,
-        meta={"tenants": {name: list(TENANT_NODES[name])
-                          for name in tenants},
-              "tenant_bytes": tenant_bytes,
-              "spine_flap": [SPINE_FLAP_START, SPINE_FLAP_DURATION],
-              "iterations": iterations})
+        for index, name in enumerate(tenants):
+            tenant_program(name, index, tag=index * 1000)
+        cluster.run()
+
+        completed = all(clock.done == 2 for clock in clocks)
+        tenant_nodes = {n for pair in TENANT_NODES.values() for n in pair}
+        leaks = []
+        tenant_bytes = {}
+        for name in tenants:
+            tenant_bytes[name] = sum(
+                cluster.fabric.nic_at(n).bytes_transmitted
+                for n in TENANT_NODES[name])
+        for node in range(topology.n_nodes):
+            if node in tenant_nodes:
+                continue
+            nic = cluster.fabric.nic_at(node)
+            if nic.bytes_transmitted or nic.messages_delivered:
+                leaks.append(
+                    f"cross-tenant leakage: idle node {node} carried "
+                    f"{nic.bytes_transmitted}B / "
+                    f"{nic.messages_delivered} messages")
+        return RunReport(
+            workload="fleet", completed=completed,
+            duration=float(cluster.env.now) if completed else 0.0,
+            integrity_failures=state["integrity"],
+            counters=cluster.fabric.counters.as_dict(),
+            leaks=leaks,
+            meta={"tenants": {name: list(TENANT_NODES[name])
+                              for name in tenants},
+                  "tenant_bytes": tenant_bytes,
+                  "spine_flap": [SPINE_FLAP_START, SPINE_FLAP_DURATION],
+                  "iterations": iterations})

@@ -281,8 +281,9 @@ def run_reconvergence(autotune_params: dict,
                 scheduler.cluster.spawn(
                     stream(tx, rx_proc, TAG_STRIDE * (91 + loop)))
                 loop += 1
-    scheduler.launch()
-    scheduler.cluster.run()
+    with scheduler.cluster:
+        scheduler.launch()
+        scheduler.cluster.run()
 
     controller = agg.controller
     rounds = controller.round_plans() if controller is not None else []

@@ -271,37 +271,38 @@ class TenantScheduler:
 
     def run(self) -> FleetProfile:
         """Launch all tenants, run to completion, roll up the profile."""
-        self.launch()
-        self.cluster.run()
-        makespan = self.cluster.env.now
-        records = {}
-        for job in self.jobs:
-            rec = self._records[job.name]
-            if job.kind == "traffic":
-                if rec["delivered"] != rec["events"]:
-                    raise AssertionError(
-                        f"traffic job {job.name}: {rec['delivered']}/"
-                        f"{rec['events']} flows delivered")
-                records[job.name] = {"iterations": [],
-                                     "total_time": makespan}
-                continue
-            if rec.done != len(self.procs[job.name]):
-                raise AssertionError(f"job {job.name} did not complete")
-            records[job.name] = {
-                "iterations": rec.times(),
-                "total_time": float(rec.finish.max() - rec.start[0]),
-            }
-        profile = FleetProfile(
-            makespan=makespan,
-            links=self.cluster.fabric.link_stats(makespan),
-            tenants=collect_tenant_views(
-                self.cluster, self.jobs, self.placement, records),
-            meta={
-                "topology": self.topology.describe(),
-                "placement": self.placement_policy,
-                "seed": self.seed,
-                "n_jobs": len(self.jobs),
-                "placement_map": {name: list(nodes) for name, nodes
-                                  in self.placement.items()},
-            })
+        with self.cluster:
+            self.launch()
+            self.cluster.run()
+            makespan = self.cluster.env.now
+            records = {}
+            for job in self.jobs:
+                rec = self._records[job.name]
+                if job.kind == "traffic":
+                    if rec["delivered"] != rec["events"]:
+                        raise AssertionError(
+                            f"traffic job {job.name}: {rec['delivered']}/"
+                            f"{rec['events']} flows delivered")
+                    records[job.name] = {"iterations": [],
+                                         "total_time": makespan}
+                    continue
+                if rec.done != len(self.procs[job.name]):
+                    raise AssertionError(f"job {job.name} did not complete")
+                records[job.name] = {
+                    "iterations": rec.times(),
+                    "total_time": float(rec.finish.max() - rec.start[0]),
+                }
+            profile = FleetProfile(
+                makespan=makespan,
+                links=self.cluster.fabric.link_stats(makespan),
+                tenants=collect_tenant_views(
+                    self.cluster, self.jobs, self.placement, records),
+                meta={
+                    "topology": self.topology.describe(),
+                    "placement": self.placement_policy,
+                    "seed": self.seed,
+                    "n_jobs": len(self.jobs),
+                    "placement_map": {name: list(nodes) for name, nodes
+                                      in self.placement.items()},
+                })
         return profile

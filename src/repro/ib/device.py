@@ -24,20 +24,14 @@ class Context:
         self.fabric = fabric
         self.node_id = node_id
         self.nic: "NIC" = fabric.nic_at(node_id)
-        self.pds: list[ProtectionDomain] = []
-        self.cqs: list[CompletionQueue] = []
 
     def alloc_pd(self) -> ProtectionDomain:
         """``ibv_alloc_pd``."""
-        pd = ProtectionDomain(self)
-        self.pds.append(pd)
-        return pd
+        return ProtectionDomain(self)
 
     def create_cq(self, capacity: int = 4096) -> CompletionQueue:
         """``ibv_create_cq``."""
-        cq = CompletionQueue(self, capacity)
-        self.cqs.append(cq)
-        return cq
+        return CompletionQueue(self, capacity)
 
     def create_qp(
         self,

@@ -135,5 +135,11 @@ class Fabric:
             return self.topology.latency(src, dst)
         return self.config.link.latency
 
+    def close(self) -> None:
+        """Drop the NIC and QP tables, whose entries point back here."""
+        for nic in self._nics.values():
+            nic.qps.clear()
+        self._nics.clear()
+
     def __repr__(self) -> str:
         return f"<Fabric nodes={self.n_nodes}>"

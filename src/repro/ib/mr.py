@@ -19,8 +19,7 @@ class MemoryRegion:
     must present for RDMA access.
     """
 
-    def __init__(self, pd, buffer: Buffer, access: int = ACCESS_LOCAL):
-        self.pd = pd
+    def __init__(self, buffer: Buffer, access: int = ACCESS_LOCAL):
         self.buffer = buffer
         self.access = access
         self.lkey: int = next(_key_counter)

@@ -26,7 +26,6 @@ class ProtectionDomain:
         self.context = context
         self.handle = ProtectionDomain._next_handle
         ProtectionDomain._next_handle += 1
-        self.qps: list = []
         # The registered MRs, by each key.  Keys are unique across every
         # PD (one global counter), so a per-WR lookup is one dict probe.
         self._by_lkey: dict[int, MemoryRegion] = {}
@@ -34,7 +33,7 @@ class ProtectionDomain:
 
     def reg_mr(self, buffer: Buffer, access: int = ACCESS_LOCAL) -> MemoryRegion:
         """Register ``buffer``, returning the MR (``ibv_reg_mr``)."""
-        mr = MemoryRegion(self, buffer, access)
+        mr = MemoryRegion(buffer, access)
         self._by_lkey[mr.lkey] = mr
         self._by_rkey[mr.rkey] = mr
         return mr
@@ -54,4 +53,4 @@ class ProtectionDomain:
         return mr
 
     def __repr__(self) -> str:
-        return f"<PD handle={self.handle} mrs={len(self._by_lkey)} qps={len(self.qps)}>"
+        return f"<PD handle={self.handle} mrs={len(self._by_lkey)}>"

@@ -67,8 +67,9 @@ class QueuePair:
         #: WRs sitting in the SQ not yet picked up by the engine.
         self.sq_depth = 0
         #: Events waiting for an outstanding-RDMA slot to free (software
-        #: flow control in the MPI layer parks here).
-        self._slot_waiters: Deque = deque()
+        #: flow control in the MPI layer parks here).  A list: rarely
+        #: more than one, and an empty deque costs 760 bytes per QP.
+        self._slot_waiters: list = []
         #: Per-QP injection rate limiter state (virtual time).
         self.next_inject_time = 0.0
         #: RC reliability attributes (``IBV_QP_RETRY_CNT`` /
@@ -82,7 +83,6 @@ class QueuePair:
         self.posted_sends = 0
         self.posted_recvs = 0
         self.bytes_sent = 0
-        pd.qps.append(self)
 
     # -- state machine ----------------------------------------------------
 
@@ -139,7 +139,7 @@ class QueuePair:
                     completed_at=now,
                 ))
         self.outstanding_rdma = 0
-        waiters, self._slot_waiters = self._slot_waiters, deque()
+        waiters, self._slot_waiters = self._slot_waiters, []
         for ev in waiters:
             if not ev.triggered:
                 ev.succeed(None)
@@ -223,7 +223,7 @@ class QueuePair:
         """NIC side: an ACK freed a slot; wake one waiter."""
         waiters = self._slot_waiters
         while waiters and self.outstanding_rdma < self.max_outstanding_rdma:
-            waiters.popleft().succeed(None)
+            waiters.pop(0).succeed(None)
 
     def release_rdma_slot(self) -> None:
         """Return one outstanding-RDMA credit and wake a parked waiter.

@@ -103,6 +103,12 @@ class RecvWR:
         return f"RecvWR(wr_id={self.wr_id}, sges={len(self.sg_list)})"
 
 
+#: The anonymous receive (wr_id 0, no scatter list) the p2p channels
+#: stock their receive queues with.  Nothing writes a posted receive,
+#: so one instance serves every post.
+ANON_RECV = RecvWR(wr_id=0)
+
+
 class WorkCompletion:
     """A completion queue entry (``ibv_wc``)."""
 

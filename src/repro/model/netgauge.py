@@ -124,17 +124,17 @@ def measure_loggp(
     """Measure a per-size LogGP table through the simulated MPI path."""
     sizes = list(sizes) if sizes is not None else list(DEFAULT_SIZES)
     config = config if config is not None else NIAGARA
-    cluster = Cluster(n_nodes=2, config=config)
-    a, b = cluster.ranks(2)
-    entries: dict[int, LogGPParams] = {}
-    for s in sizes:
-        t1 = _pingpong(cluster, a, b, s, rounds) / 2
-        t2 = _pingpong(cluster, a, b, 2 * s, rounds) / 2
-        G = max((t2 - t1) / s, 1e-15)
-        g = _stream_gap(cluster, a, b, s, burst)
-        o_r = _drain_cost(cluster, a, b, s, burst)
-        wire = s * G
-        o_s = max(g - wire, 1e-9)
-        L = max(t1 - o_s - o_r - wire, 1e-9)
-        entries[s] = LogGPParams(L=L, o_s=o_s, o_r=o_r, g=g, G=G)
+    with Cluster(n_nodes=2, config=config) as cluster:
+        a, b = cluster.ranks(2)
+        entries: dict[int, LogGPParams] = {}
+        for s in sizes:
+            t1 = _pingpong(cluster, a, b, s, rounds) / 2
+            t2 = _pingpong(cluster, a, b, 2 * s, rounds) / 2
+            G = max((t2 - t1) / s, 1e-15)
+            g = _stream_gap(cluster, a, b, s, burst)
+            o_r = _drain_cost(cluster, a, b, s, burst)
+            wire = s * G
+            o_s = max(g - wire, 1e-9)
+            L = max(t1 - o_s - o_r - wire, 1e-9)
+            entries[s] = LogGPParams(L=L, o_s=o_s, o_r=o_r, g=g, G=G)
     return LogGPTable(entries)

@@ -23,9 +23,10 @@ SETUP_DELAY = us(50)
 class Cluster:
     """A set of MPI processes on a simulated fabric.
 
-    >>> cluster = Cluster(n_nodes=2)
-    >>> rank0, rank1 = cluster.ranks(2)
-    >>> # drive programs with cluster.spawn(...) and cluster.run()
+    >>> with Cluster(n_nodes=2) as cluster:
+    ...     rank0, rank1 = cluster.ranks(2)
+    ...     # drive programs with cluster.spawn(...) and cluster.run(),
+    ...     # then read the results before the block ends
     """
 
     def __init__(self, n_nodes: int, config: Optional[ClusterConfig] = None,
@@ -40,6 +41,9 @@ class Cluster:
             self.fabric.add_node(node)
         self.rngs = RngStreams(self.config.seed)
         self.processes: list[MPIProcess] = []
+        #: Every partitioned module built on this cluster, ladder rungs
+        #: included (each registers itself); :meth:`close` empties them.
+        self.modules: list = []
         self._pending_partitioned: dict[tuple, deque] = {}
 
     # -- topology ------------------------------------------------------------
@@ -76,6 +80,31 @@ class Cluster:
     def run(self, until=None):
         """Advance the simulation (see :meth:`repro.sim.Environment.run`)."""
         return self.env.run(until=until)
+
+    def close(self) -> None:
+        """``MPI_Finalize``: free the simulation once its results are read.
+
+        Shuts the environment down (every daemon closed, the queue
+        dropped, nothing dispatched), then has each owner drop the
+        tables that point back at it.  A finished cluster is otherwise
+        one big reference cycle that waits for a full collection; after
+        this it is freed by reference counting as soon as the caller
+        lets go of it.  A closed cluster refuses to :meth:`run`.
+        """
+        self.env.close()
+        for module in self.modules:
+            module.close()
+        for proc in self.processes:
+            proc.close()
+        self.modules.clear()
+        self.processes.clear()
+        self.fabric.close()
+
+    def __enter__(self) -> "Cluster":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- partitioned matching -----------------------------------------------------
 

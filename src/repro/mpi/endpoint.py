@@ -36,7 +36,7 @@ import numpy as np
 from repro.engine import Rail, RailPolicy, ReplayTracker, reconnect_walk, restock
 from repro.errors import MPIError
 from repro.ib.constants import ACCESS_LOCAL, ACCESS_REMOTE_WRITE, Opcode, QPState
-from repro.ib.wr import SGE, RecvWR, SendWR
+from repro.ib.wr import ANON_RECV, SGE, SendWR
 from repro.mem.buffer import Buffer
 from repro.sim.resources import Store
 from repro.units import KiB
@@ -135,7 +135,7 @@ class Channel:
             # (matching the 16-outstanding sender budget plus slack)
             # suffices and channel setup stays cheap.
             for _ in range(_RQ_PRESTOCK):
-                dqp.post_recv(RecvWR(wr_id=0))
+                dqp.post_recv(ANON_RECV)
             self.src_qps.append(sqp)
             self.dst_qps.append(dqp)
         self.ctrl_qp = self.src_qps[-1]
@@ -283,6 +283,11 @@ class Channel:
         self._pump_queue.push(item)
         return
         yield  # pragma: no cover - generator protocol
+
+    def close(self) -> None:
+        """Drop the replay tracker, whose recovery hooks are this
+        channel's own methods."""
+        self._tracker = None
 
 
 def make_seq() -> int:

@@ -48,6 +48,7 @@ class PartitionedModule(abc.ABC):
         self.send_req = send_req
         self.recv_req = recv_req
         self.env = cluster.env
+        cluster.modules.append(self)
         #: Set by :class:`repro.mpi.ladder.LadderModule` when this
         #: module runs as a ladder rung: failure events report to
         #: ``ladder.note_failure`` and completion defers to the
@@ -58,6 +59,15 @@ class PartitionedModule(abc.ABC):
         #: sides reach the boundary at different times), then its
         #: completion hooks go inert once the request advances past it.
         self.retired_after = None
+
+    def close(self) -> None:
+        """Forget everything (:meth:`Cluster.close`); the module is inert.
+
+        Its requests, credit gate, replay tracker and ladder all hold
+        the module or its bound methods, and it holds them: emptying it
+        cuts every one of those cycles at once.
+        """
+        self.__dict__.clear()
 
     def _retired_for(self, req) -> bool:
         """Whether this module no longer owns ``req``'s current round."""

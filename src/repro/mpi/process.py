@@ -9,7 +9,7 @@ import numpy as np
 from repro.errors import MatchingError, MPIError, RequestError
 from repro.ib.constants import ACCESS_LOCAL, ACCESS_REMOTE_WRITE
 from repro.ib.device import Context
-from repro.ib.wr import RecvWR
+from repro.ib.wr import ANON_RECV
 from repro.mem.buffer import Buffer, PartitionedBuffer
 from repro.mpi.endpoint import (
     Channel,
@@ -101,6 +101,15 @@ class MPIProcess:
             chan = Channel(self, peer)
             self._channels_out[dest] = chan
         return chan
+
+    def close(self) -> None:
+        """Drop the tables whose entries point back at this rank."""
+        for chan in self._channels_out.values():
+            chan.close()
+        self._channels_out.clear()
+        self._inbound_headers.clear()
+        self.router.close()
+        self.engine.close()
 
     def _register(self, buf: Buffer, remote_write: bool = False):
         """Register (and cache) an MR for a user buffer."""
@@ -209,7 +218,7 @@ class MPIProcess:
             if header is None:
                 raise MPIError(f"no header for seq {wc.imm_data}")
             # Replenish the consumed RQ entry.
-            self.ib.nic.qps[wc.qp_num].post_recv(RecvWR(wr_id=0))
+            self.ib.nic.qps[wc.qp_num].post_recv(ANON_RECV)
             if header.kind in _PART_KINDS:
                 # A partitioned module's own traffic: straight to it.
                 module, payload = header.ref

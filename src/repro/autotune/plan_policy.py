@@ -119,10 +119,6 @@ class PlanMutationPolicy(ArmPolicy):
 
     # -- Policy interface ----------------------------------------------
 
-    def frontier(self) -> list[Plan]:
-        """The current frontier as plans, in insertion order."""
-        return [choice.plan for choice in self._plays]
-
     def choose(self, round_no: int) -> PlanChoice:
         best = self.best()
         if (self._plays[best] >= self.expand_after

@@ -257,10 +257,6 @@ class ArmPolicy(Policy):
             return False
         return self._plays[self.best()] >= self.min_confident_plays
 
-    def mean_cost(self, choice: PlanChoice) -> Optional[float]:
-        """Observed mean completion time of ``choice`` (None if unplayed)."""
-        return self._mean_cost[choice] if self._plays.get(choice) else None
-
 
 class BanditPolicy(ArmPolicy):
     """Multi-armed bandit over a candidate plan set.

@@ -89,11 +89,16 @@ def _split_evenly(sizes: Sequence[int], parts: int) -> None:
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
-    """'2x2x2' -> (2, 2, 2); an argparse ``type=`` (bad text is usage)."""
+    """'2x2x2' -> (2, 2, 2): a 2-D or 3-D rank grid of positive extents;
+    an argparse ``type=`` (bad text is usage)."""
     try:
-        return tuple(int(part) for part in text.split("x") if part)
+        dims = tuple(int(part) for part in text.split("x") if part)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}") from None
+        dims = ()
+    if len(dims) not in (2, 3) or min(dims) < 1:
+        raise argparse.ArgumentTypeError(
+            f"bad grid {text!r} (want 2-D or 3-D, e.g. 4x4 or 2x2x2)")
+    return dims
 
 
 def parse_grid(text: str) -> tuple[int, int]:
@@ -102,6 +107,26 @@ def parse_grid(text: str) -> tuple[int, int]:
     if len(dims) != 2:
         raise argparse.ArgumentTypeError(f"bad 2-D grid {text!r}")
     return dims
+
+
+def parse_counts(text: str) -> list[int]:
+    """'0,1,2' -> [0, 1, 2]: non-negative counts; an argparse ``type=``."""
+    try:
+        counts = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        counts = [-1]
+    if not counts or min(counts) < 0:
+        raise argparse.ArgumentTypeError(
+            f"bad counts {text!r} (want non-negative integers)")
+    return counts
+
+
+def non_negative_float(text: str) -> float:
+    """``text`` as a float >= 0; an argparse ``type=``."""
+    value = float(text)
+    if not value >= 0:
+        raise ValueError(f"must be >= 0, got {text}")
+    return value
 
 
 def _aggregator(name: str, delay: float, delta: float):
@@ -392,10 +417,9 @@ def cmd_fleet_rank(args) -> int:
     from repro.bench.reporting import format_table
     from repro.fleet import run_contended_pair
 
-    levels = [int(part) for part in args.levels.split(",") if part.strip()]
     designs = _fleet_designs(args.transports, args.qps)
     rows = []
-    for level in levels:
+    for level in args.levels:
         cells = {}
         spine = 0.0
         for name, module in designs:
@@ -432,8 +456,13 @@ def cmd_fleet_profile(args) -> int:
                              for spec in args.jobs.split(",")
                              if spec.strip()):
         kind, _, ranks = part.partition(":")
+        try:
+            n_ranks = int(ranks or 2)
+        except ValueError:
+            raise ConfigError(f"bad --jobs entry {part!r} "
+                              f"(want kind:ranks)") from None
         jobs.append(JobSpec(
-            name=f"{kind}{i}", kind=kind, n_ranks=int(ranks or 2),
+            name=f"{kind}{i}", kind=kind, n_ranks=n_ranks,
             n_partitions=args.partitions,
             partition_size=args.partition_size,
             iterations=args.iterations, warmup=args.warmup))
@@ -641,6 +670,7 @@ def cmd_serve_stats(args) -> int:
 def cmd_serve_warm(args) -> int:
     from repro.serve import TuningService
 
+    _existing_store(args.source)
     service = TuningService(args.root)
     imported = service.warm(args.source)
     total = service.store.count()
@@ -739,6 +769,8 @@ def cmd_bench_compare(args) -> int:
         new, baseline = load_result(args.new), load_result(args.baseline)
     except FileNotFoundError as exc:
         raise ConfigError(f"no result file at {exc.filename}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if new.get("experiment") != baseline.get("experiment"):
         print(f"warning: comparing {new.get('experiment')!r} against "
               f"baseline {baseline.get('experiment')!r}", file=sys.stderr)
@@ -752,7 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-bench",
         description="MPI Partitioned aggregation reproduction experiments",
     )
-    from repro.exp import add_run_options, positive_int
+    from repro.exp import PROFILES, add_run_options, positive_int
+
+    profiles = sorted(PROFILES)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -826,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("netgauge",
                        help="measure LogGP parameters on the fabric")
     p.add_argument("--sizes", type=parse_sizes, default="256B,4KiB,64KiB,1MiB")
-    p.add_argument("--iterations", type=int, default=10)
+    p.add_argument("--iterations", type=positive_int, default=10)
     p.set_defaults(func=cmd_netgauge)
 
     p = sub.add_parser("tuning-table",
@@ -840,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="seeded chaos campaign with invariant checks")
     p.add_argument("--workloads", default="ext_stencil,pallreduce",
                    help="comma list of registered workloads")
-    p.add_argument("--runs", type=int, default=20)
+    p.add_argument("--runs", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=0,
                    help="campaign root seed (each run derives its own)")
     p.add_argument("--kinds", default=",".join(
@@ -863,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = fleet_sub.add_parser(
         "rank", help="transport-design ranking vs spine contention")
-    p.add_argument("--levels", default="0,1,2",
+    p.add_argument("--levels", type=parse_counts, default="0,1,2",
                    help="comma list of background-tenant counts")
     p.add_argument("--transports", default="4,8,16",
                    help="fixed-aggregation transport counts to rank")
@@ -963,8 +997,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = serve_sub.add_parser(
         "bench", help="seeded synthetic client traffic (Zipf keys, "
                       "mixed get/commit, bursty arrivals)")
-    p.add_argument("--clients", type=int, default=400)
-    p.add_argument("--requests", type=int, default=4000)
+    p.add_argument("--clients", type=positive_int, default=400)
+    p.add_argument("--requests", type=positive_int, default=4000)
     p.add_argument("--keys", type=int, default=64)
     p.add_argument("--zipf", type=float, default=1.1,
                    help="Zipf exponent of the key popularity "
@@ -984,7 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
         "show", help="print the plan each sweep point lowers to")
     p.add_argument("experiment", metavar="EXPERIMENT",
                    help="registered experiment name")
-    p.add_argument("--profile", default="fast",
+    p.add_argument("--profile", default="fast", choices=profiles,
                    help="sweep profile (default: %(default)s)")
     p.set_defaults(func=cmd_plan_show)
 
@@ -994,9 +1028,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("baseline", metavar="BASELINE", nargs="?", default=None,
                    help="baseline experiment (default: EXPERIMENT itself, "
                         "for cross-profile diffs)")
-    p.add_argument("--profile", default="fast",
+    p.add_argument("--profile", default="fast", choices=profiles,
                    help="profile for EXPERIMENT (default: %(default)s)")
-    p.add_argument("--baseline-profile", default=None,
+    p.add_argument("--baseline-profile", default=None, choices=profiles,
                    help="profile for BASELINE (default: --profile)")
     p.set_defaults(func=cmd_plan_diff)
 
@@ -1022,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="diff two result artifacts, flag regressions")
     p.add_argument("new", help="candidate artifact (BENCH_*.json)")
     p.add_argument("baseline", help="baseline artifact to compare against")
-    p.add_argument("--threshold", type=float, default=0.10,
+    p.add_argument("--threshold", type=non_negative_float, default=0.10,
                    help="relative change tolerated before a value counts "
                         "as regressed (default: %(default)s)")
     p.set_defaults(func=cmd_bench_compare)

@@ -136,18 +136,6 @@ class PartitionedCollective:
             stats[nbr] = entry
         return stats
 
-    def controllers(self) -> dict:
-        """Per-edge attached autotune controllers (edges without one
-        are omitted)."""
-        out = {}
-        for nbr, req in self.sends.items():
-            spec = getattr(req, "module_spec", None)
-            agg = getattr(spec, "aggregator", None)
-            controller = getattr(agg, "controller", None)
-            if controller is not None:
-                out[nbr] = controller
-        return out
-
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} rank={self.process.rank} "
                 f"epoch={self.epoch} neighbors={self.neighbors} "

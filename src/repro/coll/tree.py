@@ -1,7 +1,6 @@
 """Partitioned broadcast and allreduce over binomial trees.
 
-Both collectives reuse the binomial topology helpers of the classic
-(blocking) collectives in :mod:`repro.mpi.collectives`, but move data
+Both collectives build a binomial tree over the ranks and move data
 through persistent per-edge partitioned pairs: a partition flows down
 (or up) the tree as soon as it is ready, edge by edge, without waiting
 for its siblings.  Interior ranks run a per-round *forwarder* process
@@ -20,10 +19,30 @@ from repro.coll.base import PartitionedCollective
 from repro.coll.plans import edge_modules
 from repro.errors import MPIError, PartitionError
 from repro.mem.buffer import PartitionedBuffer
-from repro.mpi.collectives import _binomial_children, _binomial_parent
 
 if TYPE_CHECKING:
     from repro.mpi.process import MPIProcess
+
+
+def _binomial_children(rank: int, root: int, world: int) -> list[int]:
+    """Children of ``rank`` in a binomial tree rooted at ``root``."""
+    virtual = (rank - root) % world
+    children = []
+    mask = 1
+    while mask < world:
+        if virtual & (mask - 1) == 0 and virtual | mask < world and not virtual & mask:
+            children.append(((virtual | mask) + root) % world)
+        mask <<= 1
+    return children
+
+
+def _binomial_parent(rank: int, root: int, world: int) -> Optional[int]:
+    virtual = (rank - root) % world
+    if virtual == 0:
+        return None
+    # Clear the lowest set bit.
+    parent_virtual = virtual & (virtual - 1)
+    return (parent_virtual + root) % world
 
 
 def _sum_inplace(dst: np.ndarray, src: np.ndarray) -> None:

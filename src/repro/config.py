@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
 
 from repro.errors import ConfigError
 from repro.units import KiB, us, ns
@@ -57,8 +56,6 @@ class NICConfig:
     t_cqe: float = ns(150)
     #: Hardware limit on concurrently outstanding RDMA WRs per QP.
     max_outstanding_rdma: int = 16
-    #: Total QPs supported (262,144 on ConnectX-5 per the paper).
-    max_qps: int = 262_144
     #: Chunk size at which large WQEs timeshare the wire.  Large
     #: transmissions are broken into chunks so concurrent QPs interleave
     #: (approximates per-packet VL arbitration without per-packet events).
@@ -268,12 +265,8 @@ class UCXConfig:
 class PartitionedConfig:
     """Tunables of the native-verbs partitioned module (Section IV)."""
 
-    #: Default number of QPs when no aggregator overrides it.
-    default_qps: int = 2
     #: delta for the timer-based aggregator, seconds (Section IV-D).
     timer_delta: float = us(35)
-    #: Timer poll interval while a first-arriver sleeps on its flag.
-    timer_poll: float = us(2)
     #: Per-WR receiver-side completion handling cost in the native
     #: module (cheaper than the UCX per-message path: no matching,
     #: no protocol dispatch — decode the immediate, set flags).
@@ -281,61 +274,14 @@ class PartitionedConfig:
     #: Back-off before a failed channel attempts its RESET -> INIT ->
     #: RTR -> RTS reconnect walk (models the out-of-band re-exchange).
     reconnect_delay: float = us(500)
-    #: Consecutive per-edge failure events (retry exhaustions, deadline
-    #: misses) that trip the edge's circuit breaker when a degradation
-    #: ladder wraps the transport (:class:`repro.mpi.ladder.LadderSpec`).
-    breaker_threshold: int = 3
-    #: Clean rounds an edge must complete on a fallback rung before the
-    #: ladder probes a promotion back toward the preferred transport.
-    breaker_probation: int = 4
-    #: Per-edge round deadline for the ladder's progress watchdog,
-    #: seconds; a round finishing later counts as a breaker failure
-    #: event.  ``None`` (the default) disables the watchdog entirely.
-    watchdog_deadline: Optional[float] = None
-    #: Wall deadline for one Start..Wait epoch (``wait_partitioned``),
-    #: virtual seconds; overrunning it raises
-    #: :class:`~repro.errors.EpochDeadlineError`.  ``None`` = off.
-    epoch_deadline: Optional[float] = None
 
     def validate(self) -> None:
-        if self.default_qps < 1:
-            raise ConfigError("default_qps must be >= 1")
-        if self.timer_delta < 0 or self.timer_poll <= 0:
-            raise ConfigError("timer settings invalid")
+        if self.timer_delta < 0:
+            raise ConfigError("timer_delta must be non-negative")
         if self.t_rx_wr < 0:
             raise ConfigError("t_rx_wr must be non-negative")
         if self.reconnect_delay < 0:
             raise ConfigError("reconnect_delay must be non-negative")
-        if self.breaker_threshold < 1:
-            raise ConfigError("breaker_threshold must be >= 1")
-        if self.breaker_probation < 1:
-            raise ConfigError("breaker_probation must be >= 1")
-        if self.watchdog_deadline is not None and self.watchdog_deadline <= 0:
-            raise ConfigError("watchdog_deadline must be positive or None")
-        if self.epoch_deadline is not None and self.epoch_deadline <= 0:
-            raise ConfigError("epoch_deadline must be positive or None")
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Tunables of the transport engine (:mod:`repro.engine`)."""
-
-    #: Backstop park time while a progress wait has no kick pending —
-    #: guards against a missing notification path ever deadlocking a
-    #: wait.  Completion queues kick the engine on every push, so this
-    #: only bounds the rare conditions with no notification hook;
-    #: keeping it long keeps idle waits cheap.
-    idle_fallback: float = us(100)
-    #: Completions drained per ``ibv_poll_cq`` batch in the router's
-    #: canonical polling loop.
-    poll_batch: int = 16
-
-    def validate(self) -> None:
-        if self.idle_fallback <= 0:
-            raise ConfigError(
-                f"idle_fallback must be positive, got {self.idle_fallback}")
-        if self.poll_batch < 1:
-            raise ConfigError("poll_batch must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -347,7 +293,6 @@ class ClusterConfig:
     host: HostConfig = field(default_factory=HostConfig)
     ucx: UCXConfig = field(default_factory=UCXConfig)
     part: PartitionedConfig = field(default_factory=PartitionedConfig)
-    engine: EngineConfig = field(default_factory=EngineConfig)
     #: Root seed for all random streams.
     seed: int = 1
     #: Collect trace records (disable for large benchmark runs).
@@ -362,7 +307,6 @@ class ClusterConfig:
         self.host.validate()
         self.ucx.validate()
         self.part.validate()
-        self.engine.validate()
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 

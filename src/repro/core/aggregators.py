@@ -22,6 +22,10 @@ from repro.model.loggp import LogGPParams, LogGPTable
 from repro.model.ploggp import optimal_transport_partitions
 from repro.units import is_power_of_two
 
+#: QPs a plan gets when its in-flight WRs do not need more (and it has
+#: at least that many transport partitions).
+DEFAULT_QPS = 2
+
 
 @dataclass(frozen=True)
 class PlanChoice:
@@ -113,7 +117,7 @@ def _qps_for(n_transport: int, max_concurrent_wrs: int,
     """QPs so worst-case in-flight WRs respect the 16-per-QP limit."""
     limit = config.nic.max_outstanding_rdma
     needed = math.ceil(max_concurrent_wrs / limit)
-    return max(1, min(n_transport, config.part.default_qps), needed)
+    return max(1, min(n_transport, DEFAULT_QPS), needed)
 
 
 class Aggregator(abc.ABC):

@@ -45,11 +45,16 @@ from repro.ib.constants import (
 from repro.ib.wr import SGE, SendWR
 from repro.mpi.modules import ModuleSpec, PartitionedModule
 from repro.sim.sync import AtomicCounter
+from repro.units import us
 
 if TYPE_CHECKING:
     from repro.mpi.process import MPIProcess
 
 _wrid = itertools.count(1 << 32)  # distinct from the endpoint namespace
+
+#: How often a first arriver sleeping on a δ-timer checks its group's
+#: flag (Section IV-D).
+TIMER_POLL = us(2)
 
 
 class NativeVerbsModule(PartitionedModule):
@@ -186,16 +191,6 @@ class NativeVerbsModule(PartitionedModule):
             self.send_cq, self._on_send_wc, on_idle=self._check_send_complete)
         self.receiver.router.bind(
             self.recv_cq, self._on_recv_wc, on_idle=self._check_recv_complete)
-
-    # -- compat: round-credit state now lives on the CreditManager ------
-
-    @property
-    def _armed_round(self) -> int:
-        return self._credit.armed_round
-
-    @property
-    def _deferred(self) -> list:
-        return self._credit.deferred
 
     # ------------------------------------------------------------------
     # round management
@@ -349,11 +344,10 @@ class NativeVerbsModule(PartitionedModule):
                 yield from self._timer_wait(group)
 
     def _timer_wait(self, group: int):
-        cfg = self.cluster.config.part
         delta = self._round_plan.delta
         waited = 0.0
         while waited < delta:
-            step = min(cfg.timer_poll, delta - waited)
+            step = min(TIMER_POLL, delta - waited)
             yield step
             waited += step
             if self._counters[group].value >= self.group_size:

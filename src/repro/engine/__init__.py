@@ -16,9 +16,8 @@ The engine owns what every transport used to reimplement privately:
   deferred backlogs, and receive-queue restocking;
 * :class:`~repro.engine.rail.Rail` — ordered QP sets with striped or
   round-robin scheduling; one rail per NIC port;
-* :class:`~repro.engine.watchdog.CircuitBreaker` /
-  :class:`~repro.engine.watchdog.EdgeWatchdog` — per-edge failure
-  accounting and round deadlines for the graceful-degradation ladder.
+* :class:`~repro.engine.watchdog.CircuitBreaker` — per-edge failure
+  accounting for the graceful-degradation ladder.
 
 A new transport module composes these and contributes only policy:
 what to post, when, and what counts as round completion.
@@ -29,13 +28,12 @@ from repro.engine.progress import ProgressEngine
 from repro.engine.rail import Rail, RailPolicy, build_rails
 from repro.engine.replay import ReplayTracker, reconnect_walk
 from repro.engine.router import CompletionRouter
-from repro.engine.watchdog import CircuitBreaker, EdgeWatchdog
+from repro.engine.watchdog import CircuitBreaker
 
 __all__ = [
     "CircuitBreaker",
     "CompletionRouter",
     "CreditManager",
-    "EdgeWatchdog",
     "ProgressEngine",
     "Rail",
     "RailPolicy",

@@ -19,18 +19,16 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sized
 
-from repro.errors import EpochDeadlineError
 from repro.sim.core import Environment
 from repro.sim.sync import Notify
 from repro.units import us
 
-#: Default fallback park time while waiting with no kick (guards against
-#: a missing notification path ever deadlocking a wait).  Completion
+#: Fallback park time while waiting with no kick (guards against a
+#: missing notification path ever deadlocking a wait).  Completion
 #: queues kick the engine on every push, so this only bounds the rare
 #: conditions with no notification hook; keeping it long keeps idle
 #: waits cheap (one wakeup per 100 us instead of per 10 us).
-#: Overridable per cluster via ``EngineConfig.idle_fallback``.
-_IDLE_FALLBACK = us(100)
+IDLE_FALLBACK = us(100)
 
 Poller = Callable[[], Iterable]  # generator function returning int
 
@@ -38,14 +36,9 @@ Poller = Callable[[], Iterable]  # generator function returning int
 class ProgressEngine:
     """Polls all registered transports under a single lock."""
 
-    def __init__(self, env: Environment, t_poll_miss: float,
-                 idle_fallback: float = _IDLE_FALLBACK):
-        if idle_fallback <= 0:
-            raise ValueError(
-                f"idle_fallback must be positive, got {idle_fallback}")
+    def __init__(self, env: Environment, t_poll_miss: float):
         self.env = env
         self.t_poll_miss = t_poll_miss
-        self.idle_fallback = idle_fallback
         #: The progress lock.  A flag, not a :class:`SimLock`: it is only
         #: ever tried (a busy engine is never waited on), so there is no
         #: queue to keep.
@@ -114,18 +107,11 @@ class ProgressEngine:
         finally:
             self._busy = False
 
-    def wait_until(self, predicate: Callable[[], bool],
-                   deadline: "float | None" = None, describe: str = ""):
+    def wait_until(self, predicate: Callable[[], bool]):
         """Progress until ``predicate()`` holds; yields (``MPI_Wait`` core).
 
         Idle stretches park on the kick latch rather than spinning.
-        With a ``deadline`` (absolute virtual time), an epoch that is
-        still incomplete at that time raises
-        :class:`~repro.errors.EpochDeadlineError` instead of waiting
-        forever — the chaos layer's bound on a hung edge.  ``describe``
-        names the waited-on work in that error.
         """
-        env = self.env
         notify = self._notify
         pollers = self._pollers
         t_poll_miss = self.t_poll_miss
@@ -134,9 +120,6 @@ class ProgressEngine:
         if predicate():
             return
         while True:
-            if deadline is not None and env._now >= deadline:
-                raise EpochDeadlineError(
-                    f"epoch overran its deadline waiting for {describe or 'completion'}")
             # One progress pass, inlined from :meth:`progress_once` (this
             # loop is the single hottest generator in the engine; the
             # nested-generator hop per iteration is measurable).  The
@@ -171,10 +154,7 @@ class ProgressEngine:
                     # rather than parking past real work.
                     notify.consume()
                     continue
-                park = self.idle_fallback
-                if deadline is not None:
-                    park = min(park, max(deadline - env._now, 0.0))
-                yield notify.wait(park)
+                yield notify.wait(IDLE_FALLBACK)
                 if predicate():
                     return
 

@@ -21,6 +21,9 @@ from typing import Any, Callable, Iterable, Optional
 
 WCHandler = Callable[..., Iterable]  # generator function of one WC
 
+#: Completions drained per ``ibv_poll_cq`` call.
+POLL_BATCH = 16
+
 
 class CompletionRouter:
     """Single registration point for CQ polling and WC dispatch.
@@ -31,13 +34,10 @@ class CompletionRouter:
     process.
     """
 
-    def __init__(self, engine, host_config, batch: int = 16):
-        if batch < 1:
-            raise ValueError(f"poll batch must be >= 1, got {batch}")
+    def __init__(self, engine, host_config):
         self.engine = engine
         self.env = engine.env
         self.host = host_config
-        self.batch = batch
         #: wr_id -> callback fired with the WC on success (one-shot).
         self._on_success: dict[int, Any] = {}
         #: wr_id -> opaque failure-routing entry, removed on success.
@@ -60,7 +60,7 @@ class CompletionRouter:
         the hook where transports check round-completion conditions.
         """
         t_poll_hit = self.host.t_poll_hit
-        batch = self.batch
+        batch = POLL_BATCH
 
         def poller():
             handled = 0

@@ -1,27 +1,17 @@
-"""Per-edge deadline watchdogs and circuit breakers (chaos layer).
+"""Per-edge circuit breakers (chaos layer).
 
-Two pure state machines, deliberately free of simulation events so the
-off path costs nothing:
-
-* :class:`CircuitBreaker` — the classic three-state breaker.  Failure
-  events (retry exhaustions, deadline misses) accumulate; ``threshold``
-  *consecutive* failures trip the breaker OPEN, which the degradation
-  ladder maps to "demote this edge one rung".  On a fallback rung the
-  breaker runs HALF_OPEN: ``probation`` consecutive clean rounds close
-  it again, which the ladder maps to "probe a promotion".
-* :class:`EdgeWatchdog` — per-round deadline bookkeeping.  ``arm`` at
-  the round boundary, ``expired`` at the next one; a late round counts
-  as a breaker failure event even when no QP ever died (hung-but-alive
-  edges degrade too, not only loudly failing ones).
-
-Both are owned by :class:`repro.mpi.ladder.LadderModule`; the epoch
-deadline (the third watchdog of the chaos design) lives on
-:meth:`repro.engine.progress.ProgressEngine.wait_until` directly.
+:class:`CircuitBreaker` is the classic three-state breaker, a pure
+state machine free of simulation events so the off path costs nothing.
+Failure events (retry exhaustions) accumulate; ``threshold``
+*consecutive* failures trip the breaker OPEN, which the degradation
+ladder (:class:`repro.mpi.ladder.LadderModule`, its owner) maps to
+"demote this edge one rung".  On a fallback rung the breaker runs
+HALF_OPEN: ``probation`` consecutive clean rounds close it again, which
+the ladder maps to "probe a promotion".  The serve client
+(:mod:`repro.serve.client`) trips one on failed calls.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 #: Breaker states.
 CLOSED = "closed"
@@ -93,37 +83,3 @@ class CircuitBreaker:
     def __repr__(self) -> str:
         return (f"<CircuitBreaker {self.state} failures={self.failures}"
                 f"/{self.threshold} trips={self.trips}>")
-
-
-class EdgeWatchdog:
-    """Per-round progress deadline for one edge (pure bookkeeping).
-
-    ``deadline=None`` disables the watchdog: ``expired`` is always
-    False and nothing is ever recorded — the zero-overhead off path.
-    """
-
-    def __init__(self, deadline: Optional[float]):
-        if deadline is not None and deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
-        self.deadline = deadline
-        self._armed_at: Optional[float] = None
-        #: Rounds that overran the deadline over this watchdog's life.
-        self.misses = 0
-
-    def arm(self, now: float) -> None:
-        """Start timing a round at virtual time ``now``."""
-        if self.deadline is not None:
-            self._armed_at = now
-
-    def expired(self, now: float) -> bool:
-        """Whether the armed round overran; counts and disarms if so."""
-        if self.deadline is None or self._armed_at is None:
-            return False
-        late = (now - self._armed_at) > self.deadline
-        self._armed_at = None
-        if late:
-            self.misses += 1
-        return late
-
-    def __repr__(self) -> str:
-        return f"<EdgeWatchdog deadline={self.deadline} misses={self.misses}>"

@@ -75,18 +75,6 @@ class ProcessError(SimulationError):
     """Raised when a simulated process is used incorrectly."""
 
 
-class Interrupt(SimulationError):
-    """Raised inside a simulated process that was interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # ---------------------------------------------------------------------------
 # InfiniBand verbs errors
 # ---------------------------------------------------------------------------
@@ -156,16 +144,6 @@ class ChannelDownError(FailureContext, MPIError):
     Raised when an operation needs a QP that sits in ERROR (or RESET)
     and no recovery path is armed to bring it back to RTS.  Carries the
     structured :class:`FailureContext` fields (edge, epoch, partitions).
-    """
-
-
-class EpochDeadlineError(FailureContext, MPIError):
-    """A Start..Wait epoch overran its configured deadline.
-
-    Raised from :meth:`repro.engine.ProgressEngine.wait_until` when a run
-    sets ``PartitionedConfig.epoch_deadline`` (``wait_partitioned`` bounds
-    its wait by it) — a hung edge surfaces as a typed, localizable error
-    instead of spinning the progress engine forever.
     """
 
 

@@ -136,7 +136,6 @@ _CONFIG_SECTIONS = {
     "host": "HostConfig",
     "ucx": "UCXConfig",
     "part": "PartitionedConfig",
-    "engine": "EngineConfig",
 }
 
 

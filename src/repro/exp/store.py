@@ -79,7 +79,13 @@ class ResultStore:
 def load_result(path: os.PathLike | str) -> dict:
     """Load and sanity-check one result artifact."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError:
+            raise ValueError(f"{path}: not a JSON artifact") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a {RESULT_SCHEMA} artifact "
+                         f"(a JSON {type(doc).__name__}, not an object)")
     if doc.get("schema") != RESULT_SCHEMA:
         raise ValueError(
             f"{path}: not a {RESULT_SCHEMA} artifact "

@@ -187,11 +187,6 @@ class FaultSchedule:
         self.spikes.append(LatencySpike(src, dst, start, duration, extra))
         return self
 
-    def nic_stall(self, node: int, start: float,
-                  duration: float) -> "FaultSchedule":
-        self.stalls.append(NICStall(node, start, duration))
-        return self
-
     def rnr_window(self, node: int, start: float, duration: float,
                    qp_num: Optional[int] = None) -> "FaultSchedule":
         self.rnr_windows.append(RNRWindow(node, start, duration, qp_num))
@@ -201,12 +196,6 @@ class FaultSchedule:
                    dst: Optional[int] = None) -> "FaultSchedule":
         self.chunk_faults.append(
             ChunkFaults(loss=probability, src=src, dst=dst))
-        return self
-
-    def chunk_corruption(self, probability: float, src: Optional[int] = None,
-                         dst: Optional[int] = None) -> "FaultSchedule":
-        self.chunk_faults.append(
-            ChunkFaults(corruption=probability, src=src, dst=dst))
         return self
 
     @property
@@ -247,19 +236,6 @@ class FaultInjector:
     def link_down(self, src: int, dst: int, t: float) -> bool:
         """Whether the wire between ``src`` and ``dst`` is flapped at ``t``."""
         return any(f.covers(src, dst, t) for f in self.schedule.flaps)
-
-    def link_up_at(self, src: int, dst: int, t: float) -> float:
-        """Earliest time >= ``t`` with no flap covering the link."""
-        up = t
-        # Flaps may chain; iterate until no window covers the candidate.
-        moved = True
-        while moved:
-            moved = False
-            for f in self.schedule.flaps:
-                if f.covers(src, dst, up):
-                    up = f.start + f.duration
-                    moved = True
-        return up
 
     def latency_extra(self, src: int, dst: int, t: float) -> float:
         """Additional one-way latency on ``src -> dst`` at time ``t``."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.coll.plans import spec_for
+from repro.coll.tree import _binomial_children, _binomial_parent
 from repro.config import ClusterConfig, NIAGARA
 from repro.errors import ConfigError
 from repro.fleet.profile import FleetProfile, collect_tenant_views
@@ -32,24 +33,6 @@ from repro.runtime.rounds import spawn_rounds
 
 #: Tag space reserved per job (channels + one tag per traffic event).
 TAG_STRIDE = 100_000
-
-
-def _binomial_children(rank: int, world: int) -> list[int]:
-    """Children of ``rank`` in the binomial fan-in tree rooted at 0."""
-    children = []
-    k = 0
-    while rank % (1 << (k + 1)) == 0:
-        child = rank + (1 << k)
-        if child >= world:
-            break
-        children.append(child)
-        k += 1
-    return children
-
-
-def _binomial_parent(rank: int) -> int:
-    """Parent of ``rank`` (> 0): clear the lowest set bit."""
-    return rank & (rank - 1)
 
 
 class TenantScheduler:
@@ -202,12 +185,13 @@ class TenantScheduler:
         def setup(r, proc):
             up = None
             if r > 0:
-                up = proc.psend_init(mk(), dest=procs[_binomial_parent(r)].rank,
+                parent = procs[_binomial_parent(r, 0, world)]
+                up = proc.psend_init(mk(), dest=parent.rank,
                                      tag=tag_base + r,
                                      module=spec_for(module))
             down = [proc.precv_init(mk(), source=procs[c].rank,
                                     tag=tag_base + c, module=spec_for(module))
-                    for c in _binomial_children(r, world)]
+                    for c in _binomial_children(r, 0, world)]
             team = self._team_for(job, r)
 
             def one_round(it):

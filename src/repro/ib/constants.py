@@ -86,6 +86,9 @@ for _op in Opcode:
 del _op
 
 
+#: Total QPs one HCA supports (262,144 on ConnectX-5 per the paper).
+MAX_QPS = 262_144
+
 #: Access flag bits for memory registration.
 ACCESS_LOCAL: int = 0x1
 ACCESS_REMOTE_WRITE: int = 0x2

@@ -2,8 +2,7 @@
 
 The paper's platform is a Dragonfly+ EDR fabric with full bisection
 bandwidth at the scales evaluated; we model it as a non-blocking
-crossbar with uniform latency (per-pair overrides available for
-topology experiments).
+crossbar with uniform latency, or per-pair latency from a topology.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class Fabric:
                           for key in topology.link_keys()}
             self.link_arbitration = getattr(topology, "arbitration", 0.0)
         self._nics: dict[int, NIC] = {}
-        self._latency_overrides: dict[tuple[int, int], float] = {}
         #: Fault/retry/reconnect counters; always present, cheap to bump.
         self.counters = Counters()
         #: Installed :class:`repro.faults.FaultInjector`, or None.  The
@@ -90,16 +88,6 @@ class Fabric:
     def n_nodes(self) -> int:
         return len(self._nics)
 
-    def set_latency(self, a: int, b: int, latency: float) -> None:
-        """Override propagation latency for the (a, b) pair, both ways."""
-        if latency < 0:
-            raise ConfigError(f"negative latency: {latency}")
-        for node in (a, b):
-            if node not in self._nics:
-                raise ConfigError(f"no node {node} in fabric")
-        self._latency_overrides[(a, b)] = latency
-        self._latency_overrides[(b, a)] = latency
-
     def route_links(self, src: int, dst: int) -> tuple:
         """Link queues the (src, dst) path crosses, in hop order.
 
@@ -123,14 +111,11 @@ class Fabric:
     def latency(self, src: int, dst: int) -> float:
         """One-way propagation latency between two nodes.
 
-        Resolution order: loopback, explicit pair override, topology
-        model, uniform link default.
+        Resolution order: loopback, topology model, uniform link
+        default.
         """
         if src == dst:
             return self.config.link.loopback_latency
-        override = self._latency_overrides.get((src, dst))
-        if override is not None:
-            return override
         if self.topology is not None:
             return self.topology.latency(src, dst)
         return self.config.link.latency

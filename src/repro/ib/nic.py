@@ -16,7 +16,8 @@ import numpy as np
 
 from repro.config import ClusterConfig
 from repro.errors import ProtectionError
-from repro.ib.constants import CHUNK_OK, Opcode, QPState, WCOpcode, WCStatus
+from repro.ib.constants import (
+    CHUNK_OK, MAX_QPS, Opcode, QPState, WCOpcode, WCStatus)
 from repro.ib.link import IngressPort, wire_table
 from repro.ib.qp import QueuePair
 from repro.ib.wr import SendWR, WorkCompletion
@@ -73,7 +74,7 @@ class NIC:
         transmit stage in place (:meth:`Store.hand_off`): nothing
         observes the gap between the two.
         """
-        if len(self.qps) >= self.config.nic.max_qps:
+        if len(self.qps) >= MAX_QPS:
             raise ProtectionError("QP limit exceeded on NIC")
         qp.nic = self
         qp.max_outstanding_rdma = self.config.nic.max_outstanding_rdma

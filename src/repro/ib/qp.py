@@ -144,10 +144,6 @@ class QueuePair:
             if not ev.triggered:
                 ev.succeed(None)
 
-    @property
-    def connected(self) -> bool:
-        return self.dest_node is not None
-
     # -- posting ------------------------------------------------------------
 
     def post_send(self, wr: SendWR) -> None:

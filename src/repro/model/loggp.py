@@ -44,11 +44,6 @@ class LogGPParams:
             return float("inf")
         return 1.0 / self.G
 
-    def scaled(self, factor: float) -> "LogGPParams":
-        """All overheads (not G, not L) scaled by ``factor``."""
-        return LogGPParams(self.L, self.o_s * factor, self.o_r * factor,
-                           self.g * factor, self.G)
-
 
 def ptp_time(p: LogGPParams, nbytes: int) -> float:
     """LogGP time for one point-to-point message of ``nbytes``.
@@ -89,11 +84,6 @@ class LogGPTable:
                 raise ConfigError(f"table keys must be positive sizes, got {size}")
         self._sizes = sorted(entries)
         self._entries = dict(entries)
-
-    @classmethod
-    def constant(cls, params: LogGPParams) -> "LogGPTable":
-        """A table that returns ``params`` for every size."""
-        return cls({1: params})
 
     def lookup(self, nbytes: int) -> LogGPParams:
         """Parameters applicable to a message of ``nbytes``."""

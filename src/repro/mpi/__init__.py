@@ -20,23 +20,19 @@ from repro.mpi.process import MPIProcess
 from repro.mpi.request import (
     Request,
     P2PRequest,
-    PersistentP2PRequest,
     PartitionedRequest,
     PsendRequest,
     PrecvRequest,
 )
 from repro.engine.progress import ProgressEngine
-from repro.mpi.collectives import barrier
 
 __all__ = [
     "Cluster",
     "MPIProcess",
     "Request",
     "P2PRequest",
-    "PersistentP2PRequest",
     "PartitionedRequest",
     "PsendRequest",
     "PrecvRequest",
     "ProgressEngine",
-    "barrier",
 ]

@@ -67,10 +67,6 @@ class Cluster:
                                 f"{len(self.processes)})")
         return self.processes[rank]
 
-    @property
-    def world_size(self) -> int:
-        return len(self.processes)
-
     # -- execution --------------------------------------------------------------
 
     def spawn(self, generator):

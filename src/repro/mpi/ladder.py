@@ -7,20 +7,20 @@ the list when its current transport keeps failing and back *up* after
 a probation of clean rounds:
 
 * every rung-level failure event (send-WR retry exhaustion, read-rail
-  replay, watchdog deadline miss) feeds a per-edge
-  :class:`~repro.engine.watchdog.CircuitBreaker`; ``threshold``
-  consecutive events trip it and schedule a **demotion** one rung down
-  at the next round boundary;
+  replay) feeds a per-edge
+  :class:`~repro.engine.watchdog.CircuitBreaker`;
+  :data:`BREAKER_THRESHOLD` consecutive events trip it and schedule a
+  **demotion** one rung down at the next round boundary;
 * a tripped *native* rung additionally gets a **mid-round takeover**:
   the rung's :class:`~repro.engine.replay.ReplayTracker` diverts every
   replay-bound unit to a per-partition rescue path over the shared p2p
   channel (the one transport that needs no dedicated QPs), so the
   in-flight round still completes instead of hammering a dead path;
 * on a fallback rung the breaker runs HALF_OPEN:
-  ``probation`` consecutive clean rounds re-close it, which schedules
-  a **promotion** one rung up — a still-dead path fails probation and
-  drops right back, so a permanently dead edge settles at the highest
-  rung that works.
+  :data:`BREAKER_PROBATION` consecutive clean rounds re-close it, which
+  schedules a **promotion** one rung up — a still-dead path fails
+  probation and drops right back, so a permanently dead edge settles
+  at the highest rung that works.
 
 Rung swaps happen only at round boundaries (both sides' ``MPI_Start``
 funnel through :meth:`LadderModule._sync_ladder`).  The two sides
@@ -39,13 +39,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.engine import CircuitBreaker, EdgeWatchdog
+from repro.engine import CircuitBreaker
 from repro.ib.constants import QPState
 from repro.mpi.endpoint import Header, MsgKind, _PumpItem, make_seq
 from repro.mpi.modules import ModuleSpec, PartitionedModule
 
 if TYPE_CHECKING:
     from repro.mpi.process import MPIProcess
+
+#: Consecutive failure events on an edge that trip its breaker.
+BREAKER_THRESHOLD = 3
+#: Clean rounds an edge completes on a fallback rung before the ladder
+#: probes a promotion back toward the preferred transport.
+BREAKER_PROBATION = 4
 
 
 class LadderModule(PartitionedModule):
@@ -56,10 +62,7 @@ class LadderModule(PartitionedModule):
         self.rungs = list(rungs)
         self.sender: "MPIProcess" = send_req.process
         self.receiver: "MPIProcess" = recv_req.process
-        part = cluster.config.part
-        self.breaker = CircuitBreaker(part.breaker_threshold,
-                                      part.breaker_probation)
-        self.watchdog = EdgeWatchdog(part.watchdog_deadline)
+        self.breaker = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_PROBATION)
         #: Current rung index (0 = preferred transport).
         self.level = 0
         #: The active rung's module instance.
@@ -117,17 +120,12 @@ class LadderModule(PartitionedModule):
     def _sync_ladder(self, round_no: int) -> None:
         """Round-boundary bookkeeping (idempotent per round).
 
-        Evaluates last round's watchdog, feeds the breaker a clean
-        round, applies any pending rung switch, re-arms the watchdog.
-        Whichever side's ``MPI_Start`` runs first does the work.
+        Feeds the breaker a clean round and applies any pending rung
+        switch.  Whichever side's ``MPI_Start`` runs first does the work.
         """
         if round_no == self._synced_round:
             return
-        counters = self.cluster.fabric.counters
         if self._synced_round is not None:
-            if self.watchdog.expired(self.env.now):
-                counters.inc("chaos.deadline_misses")
-                self._record_failure(takeover=False)
             if not self._fault_this_round:
                 closed = self.breaker.record_success()
                 if (closed and self.level > 0
@@ -140,7 +138,6 @@ class LadderModule(PartitionedModule):
         self._pending_level = None
         self._fault_this_round = False
         self._synced_round = round_no
-        self.watchdog.arm(self.env.now)
 
     def start_send(self, req):
         self._sync_ladder(req.round)
@@ -163,20 +160,16 @@ class LadderModule(PartitionedModule):
         describe the rung we already walked away from, and must not
         poison the new rung's probation.
         """
-        self.cluster.fabric.counters.inc("chaos.edge_failures")
+        counters = self.cluster.fabric.counters
+        counters.inc("chaos.edge_failures")
         if module is not None and module is not self.inner:
             return
-        self._record_failure(takeover=True)
-
-    def _record_failure(self, takeover: bool) -> None:
         self._fault_this_round = True
-        counters = self.cluster.fabric.counters
         if self.breaker.record_failure():
             counters.inc("chaos.breaker_trips")
             if self.level + 1 < len(self.rungs):
                 self._pending_level = self.level + 1
-                if takeover:
-                    self._begin_takeover()
+                self._begin_takeover()
 
     def _switch(self, new_level: int, round_no: int) -> None:
         counters = self.cluster.fabric.counters

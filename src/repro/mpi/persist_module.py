@@ -68,14 +68,6 @@ class PersistModule(PartitionedModule):
         self._acked = 0
         self._readied = 0
 
-    @property
-    def _armed_round(self) -> int:
-        return self._credit.armed_round
-
-    @property
-    def _deferred(self) -> list:
-        return self._credit.deferred
-
     # -- setup ------------------------------------------------------------
 
     def setup(self, send_req, recv_req) -> None:

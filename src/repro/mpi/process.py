@@ -47,19 +47,16 @@ class MPIProcess:
         self.ib = Context(cluster.fabric, node_id)
         self.p2p_pd = self.ib.alloc_pd()
         self.p2p_cq = self.ib.create_cq(capacity=1 << 20)
-        self.engine = ProgressEngine(
-            self.env, self.config.host.t_poll_miss,
-            idle_fallback=self.config.engine.idle_fallback)
+        self.engine = ProgressEngine(self.env, self.config.host.t_poll_miss)
         #: Completion router: CQ polling plus per-wr_id dispatch.  The
         #: shared p2p CQ binds here; partitioned modules bind their own
         #: CQs in setup, in registration order.
-        self.router = CompletionRouter(self.engine, self.config.host,
-                                       batch=self.config.engine.poll_batch)
+        self.router = CompletionRouter(self.engine, self.config.host)
         self.router.bind(self.p2p_cq, self._on_p2p_wc)
         #: Software-cost multiplier (>1 when threads oversubscribe cores).
         self.sw_multiplier = 1.0
         #: Per-collective epoch counters (tag namespacing across
-        #: repeated/concurrent collectives; see repro.mpi.collectives).
+        #: repeated/concurrent collectives; see repro.coll.base).
         self._coll_epochs: dict[str, int] = {}
         # transport state
         self._channels_out: dict[int, Channel] = {}
@@ -82,12 +79,11 @@ class MPIProcess:
     def next_coll_epoch(self, name: str) -> int:
         """Next tag-namespacing epoch for the collective ``name``.
 
-        Every collective implementation (the token/binomial helpers in
-        :mod:`repro.mpi.collectives` and the partitioned collectives in
-        :mod:`repro.coll`) draws its per-instance epoch here, so
-        repeated and concurrent collectives of the same name never
-        cross-match as long as all ranks issue them in the same order —
-        the standard MPI collective-ordering requirement.
+        Every partitioned collective (:mod:`repro.coll`) draws its
+        per-instance epoch here, so repeated and concurrent collectives
+        of the same name never cross-match as long as all ranks issue
+        them in the same order — the standard MPI collective-ordering
+        requirement.
         """
         epoch = self._coll_epochs.get(name, 0) + 1
         self._coll_epochs[name] = epoch
@@ -337,11 +333,6 @@ class MPIProcess:
         """Progress until every request completes; yields."""
         yield from self.engine.wait_until(lambda: all(r.done for r in reqs))
 
-    def test(self, req):
-        """One progress pass; yields, returns ``req.done`` (``MPI_Test``)."""
-        yield from self.engine.progress_once()
-        return req.done
-
     def send(self, buf: Buffer, dest: int, tag: int, **kw):
         req = self.isend(buf, dest, tag, **kw)
         yield from self.wait(req)
@@ -349,39 +340,6 @@ class MPIProcess:
     def recv(self, buf: Buffer, source: int, tag: int, **kw):
         req = self.irecv(buf, source, tag, **kw)
         yield from self.wait(req)
-
-    # -- classic persistent point-to-point -----------------------------------
-
-    def send_init(self, buf: Buffer, dest: int, tag: int,
-                  nbytes: Optional[int] = None, offset: int = 0):
-        """``MPI_Send_init``: a reusable send request (non-blocking)."""
-        from repro.mpi.request import PersistentP2PRequest
-
-        nbytes = buf.nbytes - offset if nbytes is None else nbytes
-        if nbytes < 0 or offset < 0 or offset + nbytes > buf.nbytes:
-            raise MPIError(f"send range [{offset}, +{nbytes}) outside buffer")
-        return PersistentP2PRequest(self, "send", buf, nbytes, dest, tag,
-                                    offset)
-
-    def recv_init(self, buf: Buffer, source: int, tag: int,
-                  nbytes: Optional[int] = None, offset: int = 0):
-        """``MPI_Recv_init``: a reusable receive request (non-blocking)."""
-        from repro.mpi.request import PersistentP2PRequest
-
-        nbytes = buf.nbytes - offset if nbytes is None else nbytes
-        if nbytes < 0 or offset < 0 or offset + nbytes > buf.nbytes:
-            raise MPIError(f"recv range [{offset}, +{nbytes}) outside buffer")
-        return PersistentP2PRequest(self, "recv", buf, nbytes, source, tag,
-                                    offset)
-
-    def start_p2p(self, req) -> None:
-        """``MPI_Start`` for a classic persistent request (non-blocking)."""
-        req.start()
-
-    def startall(self, reqs) -> None:
-        """``MPI_Startall``: activate several persistent requests."""
-        for req in reqs:
-            req.start()
 
     # ------------------------------------------------------------------
     # MPI Partitioned
@@ -452,18 +410,9 @@ class MPIProcess:
     def wait_partitioned(self, req):
         """``MPI_Wait`` on a partitioned request; ``yield from`` it.
 
-        Returns the progress engine's wait generator itself, with the
-        deadline fixed now.  With ``part.epoch_deadline`` configured the
-        wait is bounded: an epoch still incomplete after that much
-        virtual time raises :class:`~repro.errors.EpochDeadlineError`
-        instead of hanging.
+        Returns the progress engine's wait generator itself.
         """
-        deadline = self.config.part.epoch_deadline
-        if deadline is not None:
-            deadline = self.env.now + deadline
-        return self.engine.wait_until(
-            lambda: req.done, deadline=deadline,
-            describe=f"partitioned {req.kind} round {req.round}")
+        return self.engine.wait_until(lambda: req.done)
 
     # ------------------------------------------------------------------
     # MPI Partitioned collectives (repro.coll facade)
@@ -510,11 +459,6 @@ class MPIProcess:
         neighbor by naming it.
         """
         yield from coll.pready(partition, neighbor=neighbor)
-
-    def pcoll_parrived(self, coll, neighbor, partition: int):
-        """``MPI_Parrived`` on one inbound edge of a collective; yields."""
-        result = yield from coll.parrived(neighbor, partition)
-        return result
 
     def pcoll_wait(self, coll):
         """``MPI_Wait`` on a partitioned collective; yields."""

@@ -58,67 +58,6 @@ class P2PRequest(Request):
         self.staged: Optional[np.ndarray] = None
 
 
-class PersistentP2PRequest(Request):
-    """A classic persistent point-to-point request (``MPI_Send_init`` /
-    ``MPI_Recv_init``).
-
-    Holds the communication arguments; each ``MPI_Start`` launches a
-    fresh internal transfer, and completion/``MPI_Wait`` applies to the
-    current round.  Partitioned communication historically grew out of
-    this API (the paper's ref. [26]).
-    """
-
-    def __init__(self, process: "MPIProcess", kind: str, buf: Buffer,
-                 nbytes: int, peer: int, tag: int, offset: int = 0):
-        super().__init__(process)
-        if kind not in ("send", "recv"):
-            raise RequestError(f"bad persistent request kind: {kind}")
-        self.kind = kind
-        self.buf = buf
-        self.nbytes = nbytes
-        self.peer = peer
-        self.tag = tag
-        self.offset = offset
-        self._inner: Optional[P2PRequest] = None
-        self.rounds_started = 0
-
-    @property
-    def active(self) -> bool:
-        return self._inner is not None and not self._inner.done
-
-    @property
-    def done(self) -> bool:
-        # Never started -> trivially complete (MPI semantics: Wait on an
-        # inactive persistent request returns immediately).
-        return self._inner is None or self._inner.done
-
-    @done.setter
-    def done(self, value):
-        pass  # completion lives on the inner request
-
-    def start(self) -> None:
-        """(Re)activate: launch this round's transfer (non-blocking)."""
-        if self.active:
-            raise RequestError("Start on an active persistent request")
-        if self.kind == "send":
-            self._inner = self.process.isend(
-                self.buf, dest=self.peer, tag=self.tag,
-                nbytes=self.nbytes, offset=self.offset)
-        else:
-            self._inner = self.process.irecv(
-                self.buf, source=self.peer, tag=self.tag,
-                nbytes=self.nbytes, offset=self.offset)
-        self.rounds_started += 1
-
-    @property
-    def completed_at(self):
-        return self._inner.completed_at if self._inner else None
-
-    @completed_at.setter
-    def completed_at(self, value):
-        pass  # completion time lives on the inner request
-
-
 class PartitionedState(enum.Enum):
     """Lifecycle of a partitioned request."""
 

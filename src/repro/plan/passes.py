@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.config import ClusterConfig
+from repro.ib.constants import MAX_QPS
 from repro.plan.ir import Partition, Plan, QPPool
 
 
@@ -22,8 +23,9 @@ from repro.plan.ir import Partition, Plan, QPPool
 class PassContext:
     """Everything a pass may consult; plans themselves stay pure.
 
-    ``Legalize`` reads only ``config``; ``n_user`` and ``partition_size``
-    stay because perfbench's plan probe builds its context with them.
+    ``Legalize`` reads none of it (the QP cap is the HCA's constant
+    ``MAX_QPS``); the fields stay because perfbench's plan probe builds
+    its context with them.
     """
 
     config: Optional[ClusterConfig] = None
@@ -43,7 +45,7 @@ class Legalize:
       aggregator directly);
     * ``qp_pool.n`` is capped by the partition count (one WR chain
       per transport partition — more QPs than partitions can never
-      be selected) and by ``NICConfig.max_qps``.
+      be selected) and by the HCA's QP limit (``MAX_QPS``).
     """
 
     def run(self, plan: Plan, ctx: PassContext) -> Plan:
@@ -59,8 +61,7 @@ class Legalize:
                 cap = op.n
                 if n_partition is not None:
                     cap = min(cap, n_partition)
-                if ctx.config is not None:
-                    cap = min(cap, ctx.config.nic.max_qps)
+                cap = min(cap, MAX_QPS)
                 if cap != op.n:
                     op = replace(op, n=max(1, cap))
             ops.append(op)

@@ -56,7 +56,6 @@ class TuningService:
         self._tick = 0
         self.gets = 0
         self.commit_requests = 0
-        self.invalidations = 0
         self.evicted_entries = 0
 
     # -- reads ----------------------------------------------------------
@@ -75,10 +74,6 @@ class TuningService:
             if entry is not None:
                 self._touch(digest)
             return entry
-
-    def get_plan(self, key: dict) -> Optional[PlanChoice]:
-        entry = self.get(key)
-        return entry.choice if entry is not None else None
 
     # -- writes ---------------------------------------------------------
 
@@ -137,17 +132,6 @@ class TuningService:
 
     # -- maintenance ----------------------------------------------------
 
-    def invalidate_plan_space(self, plan_space_digest: str) -> int:
-        """Drop every entry tuned against one plan-space digest."""
-        with self._lock:
-            removed = self.store.purge_plan_space(plan_space_digest)
-            # Any of the purged digests may be cached; a targeted
-            # invalidation would need digest→key reverse mapping, so a
-            # full drop is the simple correct move for a rare event.
-            self.cache.clear()
-            self.invalidations += removed
-            return removed
-
     def warm(self, source_root: Union[str, Path]) -> int:
         """Bulk-import entries from a flat store or sharded root.
 
@@ -195,6 +179,5 @@ class TuningService:
                 "conflicts": self.store.conflicts,
                 "corrupt_entries": self.store.corrupt_entries,
                 "evicted_entries": self.evicted_entries,
-                "invalidations": self.invalidations,
                 "cache": self.cache.stats(),
             }

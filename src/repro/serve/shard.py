@@ -34,7 +34,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from repro.autotune.policy import PlanChoice
 from repro.autotune.store import TuningStore, entry_digest
@@ -75,10 +75,6 @@ class CommitResult:
 
     entry: ServedEntry
     committed: bool
-
-    @property
-    def conflict(self) -> bool:
-        return not self.committed
 
 
 class ShardedStore:
@@ -293,10 +289,6 @@ class ShardedStore:
         self._commit(digest, key, choice, meta, None)
         return Path(self._locate(digest)[1])
 
-    def delete(self, key: dict) -> bool:
-        """Remove ``key``'s entry (and its lock file); True if it existed."""
-        return self._delete_path(self._locate(entry_digest(key))[1])
-
     def _delete_path(self, path: Union[str, Path]) -> bool:
         with self._entry_lock(path):
             try:
@@ -322,34 +314,6 @@ class ShardedStore:
         """Every readable entry payload, shard-major, digest order."""
         return [payload for shard in self.shards
                 for payload in shard.entries()]
-
-    def iter_entries(self) -> Iterator[ServedEntry]:
-        for shard in self.shards:
-            for payload in shard.entries():
-                entry = self._entry(shard, payload)
-                if entry is not None:
-                    yield entry
-
-    def purge_plan_space(self, plan_space_digest: str) -> int:
-        """Delete every entry keyed to one ``plan_space`` digest.
-
-        The plan-IR digest of the searched plan space (PR7) is part of
-        every autotune store key; when a policy's space changes, its
-        old digest identifies exactly the entries that can never be
-        looked up again.  Returns the number of entries removed.
-        """
-        removed = 0
-        for shard in self.shards:
-            for digest in shard.digests():
-                path = shard.root / f"{digest}.json"
-                payload = shard.load(path)
-                if payload is None:
-                    continue
-                key = payload.get("key") or {}
-                if key.get("plan_space") == plan_space_digest:
-                    if self._delete_path(path):
-                        removed += 1
-        return removed
 
     def __len__(self) -> int:
         return self.count()

@@ -34,7 +34,7 @@ from repro.sim.core import (
     PRIORITY_NORMAL,
 )
 from repro.sim.process import Process
-from repro.sim.events import AllOf, AnyOf, Condition
+from repro.sim.events import AllOf, Condition
 from repro.sim.resources import Resource, Store
 from repro.sim.sync import SimLock, AtomicCounter, SimBarrier, Notify
 from repro.sim.rng import RngStreams
@@ -46,7 +46,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Condition",
     "Resource",
     "Store",

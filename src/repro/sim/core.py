@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable, Optional
 from repro.errors import SimTimeError, SimulationError
 
 #: Priority for events that must fire before ordinary ones at the same time
-#: (used internally for process initialization and interrupts).
+#: (used internally for process initialization and completion).
 PRIORITY_URGENT: int = 0
 #: Default priority for ordinary events.
 PRIORITY_NORMAL: int = 1
@@ -143,16 +143,6 @@ class Event:
             env._push_rare(self, priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (triggered) event.
-
-        Useful as a callback: ``other.callbacks.append(this.trigger)``.
-        """
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     def __repr__(self) -> str:
         state = (
             "processed" if self._processed
@@ -167,8 +157,8 @@ class Timeout(Event):
 
     Timeouts are triggered at construction; yielding one suspends the
     process for ``delay`` units of virtual time.  Construction is fully
-    inlined (no ``super().__init__`` / ``_schedule`` hops): timeouts are
-    the single most-allocated event type on the hot path.
+    inlined (no ``super().__init__`` hop): timeouts are the single
+    most-allocated event type on the hot path.
     """
 
     __slots__ = ("delay",)
@@ -261,12 +251,6 @@ class Environment:
 
         return AllOf(self, list(events))
 
-    def any_of(self, events: Iterable[Event]) -> "Event":
-        """Event that fires when at least one event in ``events`` has fired."""
-        from repro.sim.events import AnyOf
-
-        return AnyOf(self, list(events))
-
     # -- scheduling ------------------------------------------------------------
 
     def _push_rare(self, event: Event, priority: int) -> None:
@@ -275,67 +259,11 @@ class Environment:
         self._seq = seq + 1
         heappush(self._cur_rare, (priority, seq, event))
 
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise SimTimeError(f"cannot schedule in the past (delay={delay})")
-        when = self._now + delay
-        if when > self._now:
-            seq = self._seq
-            self._seq = seq + 1
-            heappush(self._heap, (when, priority, seq, event))
-        elif priority == 1:
-            self._cur_normal.append(event)
-        elif priority == 0:
-            self._cur_urgent.append(event)
-        else:
-            self._push_rare(event, priority)
-
-    def _open_batch(self) -> None:
-        """Advance to the next scheduled time and stage its events.
-
-        Drains every heap entry at the new timestamp into the batch
-        deques in ``(priority, seq)`` order.  Entries staged here always
-        precede (by ``seq``) anything appended while the batch runs.
-        """
-        heap = self._heap
-        when = heap[0][0]
-        self._now = when
-        urgent, normal = self._cur_urgent, self._cur_normal
-        while heap and heap[0][0] == when:
-            entry = heappop(heap)
-            priority = entry[1]
-            if priority == 1:
-                normal.append(entry[3])
-            elif priority == 0:
-                urgent.append(entry[3])
-            else:
-                heappush(self._cur_rare, (priority, entry[2], entry[3]))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._cur_urgent or self._cur_normal or self._cur_rare:
             return self._now
         return self._heap[0][0] if self._heap else _INF
-
-    def step(self) -> None:
-        """Process exactly one event from the queue."""
-        if not (self._cur_urgent or self._cur_normal or self._cur_rare):
-            if not self._heap:
-                raise SimulationError("step() on an empty event queue")
-            self._open_batch()
-        if self._cur_urgent:
-            event = self._cur_urgent.popleft()
-        elif self._cur_normal:
-            event = self._cur_normal.popleft()
-        else:
-            event = heappop(self._cur_rare)[2]
-        callbacks, event.callbacks = event.callbacks, None
-        event._processed = True
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # A failure nobody waited on: surface it rather than losing it.
-            raise event._value
 
     def _drain(self, stop=(), deadline: float = _INF) -> None:
         """The dispatch loop: consume batches until a bound is hit.

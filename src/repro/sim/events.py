@@ -1,4 +1,4 @@
-"""Composite events: wait for all / any of a set of events."""
+"""Composite events: wait for all of a set of events."""
 
 from __future__ import annotations
 
@@ -56,10 +56,6 @@ def _all_fired(evs: Sequence[Event], n: int) -> bool:
     return n == len(evs)
 
 
-def _any_fired(evs: Sequence[Event], n: int) -> bool:
-    return n >= 1
-
-
 class AllOf(Condition):
     """Fires when every constituent event has fired successfully."""
 
@@ -68,13 +64,3 @@ class AllOf(Condition):
     def __init__(self, env: Environment, events: Sequence[Event]):
         super().__init__(env, _all_fired, events)
 
-
-class AnyOf(Condition):
-    """Fires when at least one constituent event has fired successfully."""
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment, events: Sequence[Event]):
-        if not events:
-            raise ValueError("AnyOf needs at least one event")
-        super().__init__(env, _any_fired, events)

@@ -108,10 +108,6 @@ class Trace:
         self.records.clear()
         self.dropped = 0
 
-    def categories(self) -> set[str]:
-        """Distinct categories present in the trace."""
-        return {rec.category for rec in self.records}
-
 
 class Counters:
     """Named monotonic counters for rare events (faults, retries).

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
-from repro.errors import Interrupt, ProcessError
+from repro.errors import ProcessError
 from repro.errors import SimTimeError
 from repro.sim.core import Environment, Event, PRIORITY_URGENT, _PENDING, _Wake
 
@@ -64,52 +64,10 @@ class Process(Event):
             bootstrap.callbacks.append(self._resume)
         env._cur_urgent.append(bootstrap)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`~repro.errors.Interrupt` into the process.
-
-        The process stops waiting on its current target and must handle
-        (or propagate) the interrupt.  Interrupting a finished process is
-        an error; interrupting a process that is itself waiting on another
-        process is allowed.
-        """
-        if not self.is_alive:
-            raise ProcessError(f"cannot interrupt finished process {self.name!r}")
-        if self.env.active_process is self:
-            raise ProcessError("a process cannot interrupt itself")
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env._cur_urgent.append(interrupt_event)
-
     # -- internal -------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        target = self._target
-        if target is not None and event is not target:
-            # Stale wakeup: an interrupt arrived while we waited on some
-            # target; unhook from that target so its eventual firing does
-            # not resume us twice.
-            if target is self._sleep:
-                # The interrupted sleep's timer stays queued and will
-                # fire: retire the wake (with no callbacks) so a later
-                # sleep cannot be cut short by it.
-                self._sleep = None
-                target.callbacks = []
-            else:
-                cbs = target.callbacks
-                if cbs is not None:
-                    try:
-                        cbs.remove(self._resume)
-                    except ValueError:
-                        pass
         self._target = None
         env = self.env
         # Restored, not cleared, on the way out: ``Store.hand_off`` resumes

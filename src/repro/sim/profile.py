@@ -106,14 +106,10 @@ class KernelProfile:
         env._profile = profile
         return profile
 
-    @staticmethod
-    def detach(env) -> None:
-        env._profile = None
-
     def dispatch(self, now: float, event, callbacks) -> None:
         """Run ``callbacks`` for ``event``, recording count and elapsed time.
 
-        Called from ``Environment._drain``/``step`` in place of the raw
+        Called from ``Environment._drain`` in place of the raw
         callback loop; must preserve its semantics exactly (callbacks run
         in order; exceptions propagate).
         """

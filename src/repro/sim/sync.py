@@ -32,10 +32,7 @@ class SimLock:
     ``acquire`` returns an event that fires when the lock is granted;
     ``hold`` is the same acquisition for ``yield from`` that takes a
     free lock in place (no event, no generator) and parks only when
-    contended;
-    ``try_acquire`` is the non-blocking variant, the discipline of the
-    paper's ``MPI_Parrived`` ("tries to acquire a lock; ... otherwise it
-    just returns").
+    contended.
     """
 
     __slots__ = ("env", "_locked", "_waiting", "contended_count")
@@ -46,12 +43,8 @@ class SimLock:
         self._waiting: Deque[Event] = deque()
         #: Number of acquisition attempts that found the lock busy: each
         #: contended ``acquire``/``hold`` counts once (when it queues, not
-        #: again at the hand-off), each failed ``try_acquire`` once.
+        #: again at the hand-off).
         self.contended_count = 0
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
 
     @property
     def queue_length(self) -> int:
@@ -83,18 +76,6 @@ class SimLock:
             return (self.acquire(),)
         self._locked = True
         return ()
-
-    def try_acquire(self) -> bool:
-        """Claim the lock iff free; returns whether it was claimed.
-
-        A failed probe adds one to :attr:`contended_count`; the caller
-        does not queue, so nothing else is counted for it later.
-        """
-        if self._locked:
-            self.contended_count += 1
-            return False
-        self._locked = True
-        return True
 
     def release(self) -> None:
         """Release; hands the lock to the oldest waiter if any."""
@@ -143,17 +124,6 @@ class AtomicCounter:
             if self.access_cost > 0:
                 yield self.access_cost
             self._value += delta
-            self.access_count += 1
-            return self._value
-        finally:
-            self._lock.release()
-
-    def fetch(self):
-        """Atomic read with the same serialization cost as a write."""
-        yield from self._lock.hold()
-        try:
-            if self.access_cost > 0:
-                yield self.access_cost
             self.access_count += 1
             return self._value
         finally:

@@ -1,18 +1,16 @@
 """Terminal visualization: unicode charts for experiment results.
 
 Pure-text renderings used by the CLI (``--chart``) and examples; no
-plotting dependency.  Three forms:
+plotting dependency.  Two forms:
 
 * :func:`bar_chart` — horizontal bars for one series;
 * :func:`grouped_bars` — several named series side by side (the shape
-  of the paper's speedup figures);
-* :func:`timeline` — wire-occupancy strips from trace chunk data
-  (the Fig. 10/11 arrival-window picture, in one terminal row).
+  of the paper's speedup figures).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 _BLOCKS = " ▏▎▍▌▋▊▉█"
 
@@ -85,36 +83,3 @@ def grouped_bars(series: Mapping[str, Mapping[str, float]],
                 f"|{bar:<{width}}| {value:.2f}{unit}")
         lines.append("")
     return "\n".join(lines).rstrip()
-
-
-def timeline(intervals: Sequence[tuple[float, float]],
-             t_end: Optional[float] = None, width: int = 72,
-             marker: Optional[float] = None) -> str:
-    """One-row occupancy strip: █ busy, · idle, ▼ marker position.
-
-    ``intervals`` are (start, end) busy spans (e.g. from
-    :func:`repro.analysis.chunk_timeline`); ``marker`` places an event
-    (the laggard's arrival) above the strip.
-    """
-    if not intervals and t_end is None:
-        return "(no data)"
-    t_max = t_end if t_end is not None else max(e for _, e in intervals)
-    if t_max <= 0:
-        t_max = 1.0
-    cells = [0.0] * width
-    for start, end in intervals:
-        first = int(start / t_max * width)
-        last = int(end / t_max * width)
-        for i in range(max(0, first), min(width, last + 1)):
-            lo = max(start, i * t_max / width)
-            hi = min(end, (i + 1) * t_max / width)
-            cells[i] += max(0.0, hi - lo) / (t_max / width)
-    strip = "".join(
-        "█" if c > 0.66 else ("▓" if c > 0.33 else ("░" if c > 0.01 else "·"))
-        for c in cells)
-    lines = []
-    if marker is not None and 0 <= marker <= t_max:
-        pos = min(width - 1, int(marker / t_max * width))
-        lines.append(" " * pos + "▼")
-    lines.append(strip)
-    return "\n".join(lines)

@@ -52,13 +52,6 @@ def test_wire_stats_accounts_all_bytes():
     assert 0 < stats.utilization <= 1.0
 
 
-def test_effective_bandwidth_bounded_by_line_rate():
-    trace, _ = traced_transfer(total_bytes=16 * MiB)
-    stats = wire_stats(trace, node_id=0)
-    assert stats.effective_bandwidth <= NIAGARA.nic.line_rate * 1.01
-    assert stats.effective_bandwidth > NIAGARA.nic.line_rate * 0.3
-
-
 def test_timeline_is_sorted_and_non_overlapping():
     trace, _ = traced_transfer()
     timeline = chunk_timeline(trace, node_id=0)
@@ -96,7 +89,6 @@ def test_empty_trace_degenerates_gracefully():
     trace = Trace()
     stats = wire_stats(trace, node_id=0)
     assert stats.utilization == 0.0
-    assert stats.effective_bandwidth == 0.0
     assert latency_percentiles(trace) == {50: 0.0, 90: 0.0, 99: 0.0}
 
 

@@ -152,8 +152,8 @@ def test_bandit_ignores_foreign_choice():
     arms = [PlanChoice(1, 1)]
     policy = BanditPolicy(arms)
     policy.observe(PlanChoice(32, 4), obs(0, 1.0), ArrivalTracker())
-    assert policy.mean_cost(arms[0]) is None
-    assert policy.mean_cost(PlanChoice(32, 4)) is None
+    assert policy.candidates() == arms
+    assert policy.describe() == "bandit(epsilon, 0/1 arms played)"
 
 
 def test_bandit_validation():

@@ -75,5 +75,5 @@ def test_versioned_cas_rejects_stale_writers(tmp_path):
     store.commit(KEY, PlanChoice(8, 1))
     stale = store.commit(KEY, PlanChoice(16, 1),
                          expect_version=first.entry.version)
-    assert stale.conflict
+    assert not stale.committed
     assert store.read(KEY).choice == PlanChoice(8, 1)

@@ -233,7 +233,7 @@ def _script(root):
         elif op < 0.95:
             flat.put(k, plan, meta)
         else:
-            service.store.delete(k)
+            service.store._delete_path(service.store.path_for(k))
             service.cache.invalidate(entry_digest(k))
     return service
 

@@ -9,7 +9,7 @@ from repro.chaos import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from repro.faults import FaultSchedule
+from repro.faults import ChunkFaults, FaultSchedule, NICStall
 
 
 def rng(seed=0):
@@ -89,13 +89,13 @@ def test_unknown_kind_and_bad_args_are_rejected():
 
 
 def test_schedule_round_trips_through_dict():
-    sched = (FaultSchedule(allow_reconnect=False)
+    sched = (FaultSchedule(allow_reconnect=False,
+                           stalls=[NICStall(0, start=1e-4, duration=1e-4)])
              .link_flap(0, 1, start=1e-3, duration=2e-3)
              .latency_spike(1, 2, start=2e-3, duration=1e-3, extra=5e-6)
-             .nic_stall(0, start=1e-4, duration=1e-4)
              .rnr_window(2, start=5e-4, duration=1e-4, qp_num=17)
-             .chunk_loss(1e-4, src=0, dst=1)
-             .chunk_corruption(1e-5))
+             .chunk_loss(1e-4, src=0, dst=1))
+    sched.chunk_faults.append(ChunkFaults(corruption=1e-5))
     rebuilt = schedule_from_dict(schedule_to_dict(sched))
     assert schedule_to_dict(rebuilt) == schedule_to_dict(sched)
     assert rebuilt.allow_reconnect is False

@@ -14,6 +14,7 @@ from repro.faults.schedule import RNRWindow
 from repro.mem import PartitionedBuffer
 from repro.mpi import Cluster
 from repro.mpi.channel_module import ChannelSpec
+from repro.mpi import ladder
 from repro.mpi.ladder import LadderSpec
 from repro.mpi.persist_module import PersistSpec
 from repro.units import KiB, us
@@ -22,13 +23,11 @@ N_PARTS = 4
 PSIZE = 64 * KiB
 
 
-def ladder_config(threshold=3, probation=100):
-    """Tight retry budgets; probation long enough to stay demoted."""
+def ladder_config():
+    """Tight retry budgets."""
     return NIAGARA.with_changes(
         nic=replace(NIAGARA.nic, retry_cnt=1, rnr_retry=1, qp_timeout=1),
-        part=replace(NIAGARA.part, reconnect_delay=us(500),
-                     breaker_threshold=threshold,
-                     breaker_probation=probation),
+        part=replace(NIAGARA.part, reconnect_delay=us(500)),
     )
 
 
@@ -102,7 +101,10 @@ def test_dead_edge_aborts_without_the_ladder():
 
 
 @pytest.mark.faults
-def test_dead_edge_degrades_and_completes_with_the_ladder():
+def test_dead_edge_degrades_and_completes_with_the_ladder(monkeypatch):
+    # A probation long enough to stay demoted.
+    monkeypatch.setattr(ladder, "BREAKER_PROBATION", 100)
+
     def spec():
         return LadderSpec([native_rung(), PersistSpec(), ChannelSpec()])
 
@@ -128,15 +130,17 @@ def test_dead_edge_degrades_and_completes_with_the_ladder():
 
 
 @pytest.mark.faults
-def test_recovered_edge_is_promoted_back_after_probation():
+def test_recovered_edge_is_promoted_back_after_probation(monkeypatch):
     """Short probation + finite fault: the edge demotes, serves clean
     rounds on the fallback, then walks back up to the native rung."""
+    monkeypatch.setattr(ladder, "BREAKER_PROBATION", 2)
+
     def spec():
         return LadderSpec([native_rung(), PersistSpec(), ChannelSpec()])
 
     schedule = FaultSchedule()
     cluster, outcome = run_dead_edge(
-        spec, schedule, ladder_config(threshold=3, probation=2), rounds=8)
+        spec, schedule, ladder_config(), rounds=8)
     assert outcome["rounds_ok"] == 8
     c = cluster.fabric.counters
     assert c.get("chaos.ladder_demotions") >= 1

@@ -75,6 +75,21 @@ def test_round_counts_are_validated_as_usage_errors(flags, capsys):
     (["bench", "run", "nope"], "unknown experiment(s): nope"),
     (["plan", "show", "nope"], "unknown experiment(s): nope"),
     (["plan", "diff", "fig08", "nope"], "unknown experiment(s): nope"),
+    (["stencil", "--grid", "4"], "bad grid '4'"),
+    (["stencil", "--grid", "2x2x2x2"], "bad grid '2x2x2x2'"),
+    (["sweep", "--grid", "0x2"], "bad grid '0x2'"),
+    (["fleet", "rank", "--levels", "a"], "bad counts 'a'"),
+    (["fleet", "rank", "--levels", "-1"], "bad counts '-1'"),
+    (["fleet", "profile", "--jobs", "pair:x"], "bad --jobs entry 'pair:x'"),
+    (["chaos", "--runs", "0"], "--runs"),
+    (["serve", "bench", "--clients", "0"], "--clients"),
+    (["serve", "bench", "--requests", "0"], "--requests"),
+    (["netgauge", "--iterations", "0"], "--iterations"),
+    (["plan", "show", "fig08", "--profile", "nope"], "--profile"),
+    (["plan", "diff", "fig08", "--baseline-profile", "nope"],
+     "--baseline-profile"),
+    (["bench", "compare", "new.json", "old.json", "--threshold", "-0.1"],
+     "--threshold"),
 ])
 def test_bad_flags_are_usage_errors(argv, message, capsys):
     # A bad count, size or name is argparse's exit 2, raised before
@@ -230,6 +245,7 @@ def test_autotune_show_warns_on_corrupt_entries(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["serve", "stats", "--root"],
     ["autotune", "show", "--store"],
+    ["serve", "warm", "--source"],
 ])
 def test_read_only_commands_create_no_store(argv, capsys, tmp_path):
     typo = tmp_path / "typo"

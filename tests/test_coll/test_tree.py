@@ -6,6 +6,7 @@ import pytest
 from repro.errors import MPIError, PartitionError
 from repro.mem import PartitionedBuffer
 from repro.mpi import Cluster
+from repro.coll.tree import _binomial_children, _binomial_parent
 
 N_PARTS = 4
 PART_SIZE = 256
@@ -83,11 +84,11 @@ def test_pbcast_parrived_tracks_pipeline():
                 yield proc.env.timeout(20e-6)
                 yield from proc.pcoll_pready(coll, p)
         else:
-            arrived = yield from proc.pcoll_parrived(coll, None, N_PARTS - 1)
+            arrived = yield from coll.parrived(None, N_PARTS - 1)
             seen.append(arrived)
         yield from proc.pcoll_wait(coll)
         if proc.rank == 1:
-            arrived = yield from proc.pcoll_parrived(coll, None, N_PARTS - 1)
+            arrived = yield from coll.parrived(None, N_PARTS - 1)
             seen.append(arrived)
 
     run_world(2, program)
@@ -184,3 +185,21 @@ def test_pallreduce_inactive_wait_returns():
 
     run_world(1, program)
     assert done == [0.0]
+
+
+def test_binomial_tree_consistency():
+    """parent(child) == rank, for every rank/root/world combination."""
+    for world in (1, 2, 3, 4, 5, 8, 13):
+        for root in range(world):
+            seen = set()
+            for rank in range(world):
+                for child in _binomial_children(rank, root, world):
+                    assert _binomial_parent(child, root, world) == rank
+                    assert child not in seen
+                    seen.add(child)
+            # every non-root rank is exactly one rank's child
+            assert seen == {r for r in range(world) if r != root}
+
+
+def test_binomial_root_has_no_parent():
+    assert _binomial_parent(3, 3, 8) is None

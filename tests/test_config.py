@@ -84,9 +84,9 @@ def test_ucx_validation():
 
 def test_partitioned_validation():
     with pytest.raises(ConfigError):
-        dataclasses.replace(NIAGARA.part, default_qps=0).validate()
+        dataclasses.replace(NIAGARA.part, timer_delta=-1.0).validate()
     with pytest.raises(ConfigError):
-        dataclasses.replace(NIAGARA.part, timer_poll=0).validate()
+        dataclasses.replace(NIAGARA.part, t_rx_wr=-1.0).validate()
 
 
 def test_cluster_validation_cascades():

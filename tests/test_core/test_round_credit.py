@@ -133,6 +133,6 @@ def test_credit_defers_then_flushes():
     cluster.spawn(receiver(r_proc))
     cluster.run()
     module = holder["req"].module
-    assert module._armed_round >= 2
-    assert not module._deferred
+    assert module._credit.armed_round >= 2
+    assert not module._credit.deferred
     assert module.total_wrs_posted == 8  # 4 per round, none doubled

@@ -1,15 +1,13 @@
-"""Regression tests: the wait_until/kick race and the fallback knob.
+"""Regression tests: the wait_until/kick race and the idle fallback.
 
 A kick that lands between a waiter's predicate check and its park must
 not be lost: before the edge-triggered latch, the waiter would sleep
-the whole idle fallback (100 us by default) past work that was already
+the whole idle fallback (100 us) past work that was already
 done — the race these tests pin down.
 """
 
-import pytest
-
-from repro.config import ClusterConfig, ConfigError, EngineConfig
 from repro.engine import ProgressEngine
+from repro.engine.progress import IDLE_FALLBACK
 from repro.units import ns, us
 
 
@@ -63,7 +61,7 @@ def test_kick_during_progress_pass_is_not_lost(env):
 
 def test_unkicked_wait_uses_idle_fallback(env):
     """Without a kick, the waiter wakes on the fallback cadence."""
-    engine = ProgressEngine(env, t_poll_miss=ns(50), idle_fallback=us(7))
+    engine = ProgressEngine(env, t_poll_miss=ns(50))
     flag = [False]
 
     def waiter(env):
@@ -77,35 +75,9 @@ def test_unkicked_wait_uses_idle_fallback(env):
     p = env.process(waiter(env))
     env.process(setter(env))
     env.run()
-    assert us(7) <= p.value < us(8)
+    assert IDLE_FALLBACK <= p.value < IDLE_FALLBACK + us(1)
 
 
 # -- the fallback knob ------------------------------------------------------
 
 
-def test_idle_fallback_must_be_positive(env):
-    with pytest.raises(ValueError):
-        ProgressEngine(env, t_poll_miss=ns(50), idle_fallback=0)
-    with pytest.raises(ValueError):
-        ProgressEngine(env, t_poll_miss=ns(50), idle_fallback=-us(1))
-
-
-def test_engine_config_validates():
-    with pytest.raises(ConfigError):
-        EngineConfig(idle_fallback=0).validate()
-    with pytest.raises(ConfigError):
-        EngineConfig(poll_batch=0).validate()
-    EngineConfig().validate()
-
-
-def test_cluster_config_carries_engine_knobs():
-    from dataclasses import replace
-
-    cfg = ClusterConfig()
-    assert cfg.engine.idle_fallback == pytest.approx(us(100))
-    assert cfg.engine.poll_batch == 16
-    tuned = replace(cfg, engine=EngineConfig(idle_fallback=us(10)))
-    tuned.validate()
-    assert tuned.engine.idle_fallback == pytest.approx(us(10))
-    with pytest.raises(ConfigError):
-        replace(cfg, engine=EngineConfig(idle_fallback=-1.0)).validate()

@@ -3,20 +3,15 @@
 import pytest
 
 from repro.engine import CompletionRouter, ProgressEngine
+from repro.engine.router import POLL_BATCH
 from repro.units import ns
 
 from tests.test_engine.conftest import FakeCQ, FakeHost, FakeWC
 
 
-def make_router(env, batch=16):
+def make_router(env):
     engine = ProgressEngine(env, t_poll_miss=ns(50))
-    return engine, CompletionRouter(engine, FakeHost(), batch=batch)
-
-
-def test_batch_must_be_positive(env):
-    engine = ProgressEngine(env, t_poll_miss=ns(50))
-    with pytest.raises(ValueError):
-        CompletionRouter(engine, FakeHost(), batch=0)
+    return engine, CompletionRouter(engine, FakeHost())
 
 
 def test_bind_polls_and_dispatches(env):
@@ -61,7 +56,7 @@ def test_cq_push_kicks_engine(env):
 
 
 def test_batch_larger_than_queue_drains_in_laps(env):
-    engine, router = make_router(env, batch=2)
+    engine, router = make_router(env)
     cq = FakeCQ()
     seen = []
 
@@ -71,7 +66,7 @@ def test_batch_larger_than_queue_drains_in_laps(env):
         yield
 
     router.bind(cq, on_wc)
-    for wr_id in range(5):
+    for wr_id in range(2 * POLL_BATCH + 1):
         cq.push(FakeWC(wr_id))
 
     def prog(env):
@@ -79,8 +74,8 @@ def test_batch_larger_than_queue_drains_in_laps(env):
 
     p = env.process(prog(env))
     env.run()
-    assert p.value == 5
-    assert seen == [0, 1, 2, 3, 4]
+    assert p.value == 2 * POLL_BATCH + 1
+    assert seen == list(range(2 * POLL_BATCH + 1))
 
 
 def test_keyed_dispatch_is_one_shot(env):

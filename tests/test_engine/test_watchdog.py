@@ -1,11 +1,8 @@
-"""Circuit-breaker, edge-watchdog, and epoch-deadline state machines."""
+"""The circuit-breaker state machine."""
 
 import pytest
 
-from repro.engine import ProgressEngine
-from repro.engine.watchdog import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, EdgeWatchdog
-from repro.errors import EpochDeadlineError
-from repro.units import ns, us
+from repro.engine.watchdog import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 
 
 # -- CircuitBreaker ----------------------------------------------------
@@ -72,76 +69,3 @@ def test_breaker_rejects_bad_knobs():
         CircuitBreaker(threshold=0)
     with pytest.raises(ValueError):
         CircuitBreaker(threshold=1, probation=0)
-
-
-# -- EdgeWatchdog ------------------------------------------------------
-
-
-def test_disabled_watchdog_never_expires():
-    w = EdgeWatchdog(deadline=None)
-    w.arm(0.0)
-    assert not w.expired(1e9)
-    assert w.misses == 0
-
-
-def test_late_round_counts_a_miss_and_disarms():
-    w = EdgeWatchdog(deadline=us(100))
-    w.arm(0.0)
-    assert w.expired(us(150))
-    assert w.misses == 1
-    # Disarmed: the same overrun is not double-counted.
-    assert not w.expired(us(300))
-
-
-def test_on_time_round_is_clean():
-    w = EdgeWatchdog(deadline=us(100))
-    w.arm(us(10))
-    assert not w.expired(us(100))
-    assert w.misses == 0
-
-
-def test_unarmed_watchdog_never_expires():
-    w = EdgeWatchdog(deadline=us(100))
-    assert not w.expired(us(500))
-
-
-def test_watchdog_rejects_bad_deadline():
-    with pytest.raises(ValueError):
-        EdgeWatchdog(deadline=0.0)
-
-
-# -- wait_until epoch deadline -----------------------------------------
-
-
-def test_wait_until_raises_on_deadline(env):
-    engine = ProgressEngine(env, t_poll_miss=ns(50))
-
-    def waiter(env):
-        yield from engine.wait_until(lambda: False, deadline=us(20),
-                                     describe="partition 3 of epoch 2")
-
-    env.process(waiter(env))
-    with pytest.raises(EpochDeadlineError) as excinfo:
-        env.run()
-    assert "partition 3 of epoch 2" in str(excinfo.value)
-    # The waiter parked toward the deadline instead of overshooting it.
-    assert env.now == pytest.approx(us(20), abs=us(1))
-
-
-def test_wait_until_deadline_is_not_raised_when_work_completes(env):
-    engine = ProgressEngine(env, t_poll_miss=ns(50))
-    flag = [False]
-
-    def waiter(env):
-        yield from engine.wait_until(lambda: flag[0], deadline=us(500))
-        return env.now
-
-    def finisher(env):
-        yield env.timeout(us(30))
-        flag[0] = True
-        engine.kick()
-
-    p = env.process(waiter(env))
-    env.process(finisher(env))
-    env.run()
-    assert p.value < us(500)

@@ -111,6 +111,20 @@ def test_default_jobs_reads_repro_bench_jobs(monkeypatch):
     assert default_jobs() == 3
 
 
+@pytest.mark.parametrize("body, message", [
+    ("{ not json", "not a JSON artifact"),
+    ("[1, 2]", "a JSON list, not an object"),
+])
+def test_bench_compare_rejects_a_non_artifact(tmp_path, capsys, body,
+                                              message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(body)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "compare", str(bad), str(bad)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bench_compare_names_a_missing_file(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,6 @@ import pytest
 from repro.core import FixedAggregation, NativeSpec
 from repro.errors import (
     ChannelDownError,
-    EpochDeadlineError,
     MPIError,
     RetryExhaustedError,
     TransportError,
@@ -49,7 +48,6 @@ def test_plain_message_construction_still_works():
     err = ChannelDownError("just a message")
     assert err.context == {}
     assert str(err) == "just a message"
-    assert EpochDeadlineError().context == {}
 
 
 def test_unknown_context_fields_are_rejected():

@@ -8,7 +8,7 @@ import pytest
 from repro.config import NIAGARA
 from repro.core import FixedAggregation, NativeSpec
 from repro.errors import RetryExhaustedError
-from repro.faults import FaultSchedule
+from repro.faults import FaultSchedule, NICStall
 from repro.ib import verbs
 from repro.ib.constants import QPState, WCStatus
 from repro.ib.wr import RecvWR
@@ -217,7 +217,7 @@ def test_rnr_window_backs_off_and_completes():
 
 
 def test_nic_stall_delays_but_completes():
-    sched = FaultSchedule().nic_stall(0, start=us(50), duration=us(200))
+    sched = FaultSchedule(stalls=[NICStall(0, start=us(50), duration=us(200))])
     cluster, outcome = run_faulty_roundtrip(
         lambda: NativeSpec(FixedAggregation(2, 1)), sched)
     assert cluster.fabric.counters.get("fault.nic_stalls") > 0

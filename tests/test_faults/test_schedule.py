@@ -7,8 +7,10 @@ from repro.faults import (
     CHUNK_CORRUPT,
     CHUNK_LOST,
     CHUNK_OK,
+    ChunkFaults,
     FaultInjector,
     FaultSchedule,
+    NICStall,
 )
 from repro.sim.rng import RngStreams
 
@@ -27,7 +29,7 @@ def test_negative_window_start_rejected():
 
 def test_zero_duration_rejected():
     with pytest.raises(ConfigError):
-        FaultSchedule().nic_stall(0, start=1.0, duration=0.0)
+        NICStall(0, start=1.0, duration=0.0)
 
 
 def test_negative_latency_spike_rejected():
@@ -40,7 +42,7 @@ def test_loss_probability_outside_unit_interval_rejected():
     with pytest.raises(ConfigError):
         FaultSchedule().chunk_loss(1.5)
     with pytest.raises(ConfigError):
-        FaultSchedule().chunk_corruption(-0.1)
+        ChunkFaults(corruption=-0.1)
 
 
 def test_empty_schedule_reports_empty():
@@ -61,15 +63,6 @@ def test_link_flap_covers_both_directions():
     assert not inj.link_down(0, 2, 1.2)  # other links untouched
 
 
-def test_link_up_at_chains_overlapping_flaps():
-    sched = (FaultSchedule()
-             .link_flap(0, 1, start=1.0, duration=1.0)
-             .link_flap(0, 1, start=1.8, duration=1.0))
-    inj = make_injector(sched)
-    assert inj.link_up_at(0, 1, 1.5) == pytest.approx(2.8)
-    assert inj.link_up_at(0, 1, 3.0) == pytest.approx(3.0)
-
-
 def test_latency_spikes_sum():
     sched = (FaultSchedule()
              .latency_spike(0, 1, start=0.0, duration=2.0, extra=1e-6)
@@ -81,9 +74,8 @@ def test_latency_spikes_sum():
 
 
 def test_nic_stall_until_chains():
-    sched = (FaultSchedule()
-             .nic_stall(3, start=1.0, duration=1.0)
-             .nic_stall(3, start=1.5, duration=1.0))
+    sched = FaultSchedule(stalls=[NICStall(3, start=1.0, duration=1.0),
+                                  NICStall(3, start=1.5, duration=1.0)])
     inj = make_injector(sched)
     assert inj.stall_until(3, 1.2) == pytest.approx(2.5)
     assert inj.stall_until(3, 3.0) == pytest.approx(3.0)
@@ -129,7 +121,8 @@ def test_chunk_streams_are_per_directed_link():
 
 
 def test_corruption_counted_separately():
-    inj = make_injector(FaultSchedule().chunk_corruption(1.0))
+    inj = make_injector(FaultSchedule(
+        chunk_faults=[ChunkFaults(corruption=1.0)]))
     assert inj.chunk_outcome(0, 1, 0.0) is CHUNK_CORRUPT
     assert inj.counters.get("fault.chunks_corrupted") == 1
     assert inj.counters.get("fault.chunks_lost") == 0

@@ -1,5 +1,7 @@
 """Timing-model tests: rates, latency, QP concurrency, contention."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import NIAGARA
@@ -111,8 +113,8 @@ def test_latency_override(env):
     pair = Pair(env, backed=False)
     t_near = completion_time(env, pair, 8)
     env2 = Environment()
-    pair2 = Pair(env2, backed=False)
-    pair2.fabric.set_latency(0, 1, 50e-6)
+    far = replace(NIAGARA, link=replace(NIAGARA.link, latency=50e-6))
+    pair2 = Pair(env2, config=far, backed=False)
     t_far = completion_time(env2, pair2, 8)
     assert t_far > t_near + 40e-6
 

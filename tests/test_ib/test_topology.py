@@ -59,10 +59,8 @@ def test_fabric_uses_topology():
     assert fabric.latency(0, 1) == us(0.3)
     assert fabric.latency(0, 2) == us(0.6)
     assert fabric.latency(0, 4) == us(1.0)
-    # Loopback and explicit overrides still win.
+    # Loopback still wins.
     assert fabric.latency(3, 3) == fabric.config.link.loopback_latency
-    fabric.set_latency(0, 4, us(5))
-    assert fabric.latency(0, 4) == us(5)
 
 
 def test_topology_changes_end_to_end_latency():

@@ -62,15 +62,6 @@ def test_back_to_back_invalid_count():
         back_to_back_time(PARAMS, 100, 0)
 
 
-def test_scaled_multiplies_overheads_only():
-    p = PARAMS.scaled(2.0)
-    assert p.o_s == PARAMS.o_s * 2
-    assert p.o_r == PARAMS.o_r * 2
-    assert p.g == PARAMS.g * 2
-    assert p.L == PARAMS.L
-    assert p.G == PARAMS.G
-
-
 def test_table_lookup_floors_to_key():
     small = LogGPParams(L=1, o_s=1, o_r=1, g=1, G=1)
     big = LogGPParams(L=2, o_s=2, o_r=2, g=2, G=2)
@@ -89,7 +80,8 @@ def test_table_lookup_below_smallest_uses_smallest():
 
 
 def test_table_constant():
-    table = LogGPTable.constant(PARAMS)
+    """A one-entry table answers every size with that entry."""
+    table = LogGPTable({1: PARAMS})
     assert table.lookup(1) is PARAMS
     assert table.lookup(10**12) is PARAMS
 
@@ -102,6 +94,6 @@ def test_table_validation():
 
 
 def test_table_negative_lookup_rejected():
-    table = LogGPTable.constant(PARAMS)
+    table = LogGPTable({1: PARAMS})
     with pytest.raises(ValueError):
         table.lookup(-1)

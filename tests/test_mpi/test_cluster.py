@@ -33,9 +33,9 @@ def test_process_by_rank_bounds():
 
 def test_world_size():
     cluster = Cluster(n_nodes=3)
-    assert cluster.world_size == 0
+    assert len(cluster.processes) == 0
     cluster.ranks(3)
-    assert cluster.world_size == 3
+    assert len(cluster.processes) == 3
 
 
 def test_invalid_config_rejected_at_construction():

@@ -1,14 +1,10 @@
 """Tests for the MPI Partitioned API: lifecycle, semantics, errors."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.config import NIAGARA
 from repro.core import FixedAggregation, NativeSpec
 from repro.errors import (
-    EpochDeadlineError,
     MatchingError,
     PartitionError,
     RequestError,
@@ -18,7 +14,7 @@ from repro.mpi import Cluster
 from repro.mpi.persist_module import PersistSpec
 from repro.mpi.request import PartitionedState
 from repro.runtime import ComputePhase, NoNoise, WorkerTeam
-from repro.units import KiB, us
+from repro.units import KiB
 
 ALL_SPECS = [
     ("persist", PersistSpec),
@@ -182,35 +178,6 @@ def test_pready_errors_fail_the_worker_team_round(started, error):
     cluster.spawn(receiver(r_proc))
     cluster.run(until=p)
     assert raised == [error]
-
-
-def test_wait_partitioned_epoch_deadline_raises():
-    """With ``part.epoch_deadline`` set, a wait on a round that cannot
-    finish raises after that much virtual time instead of hanging."""
-    config = NIAGARA.with_changes(
-        part=replace(NIAGARA.part, epoch_deadline=us(50)))
-    cluster = Cluster(n_nodes=2, config=config)
-    s_proc, r_proc = cluster.ranks(2)
-    sbuf = PartitionedBuffer(4, 256, backed=False)
-    rbuf = PartitionedBuffer(4, 256, backed=False)
-    waited = []
-
-    def sender(proc):
-        req = proc.psend_init(sbuf, dest=1, tag=0, module=PersistSpec())
-        yield from proc.start(req)   # and never readies a partition
-
-    def receiver(proc):
-        req = proc.precv_init(rbuf, source=0, tag=0, module=PersistSpec())
-        yield from proc.start(req)
-        t0 = proc.env.now
-        with pytest.raises(EpochDeadlineError, match="partitioned recv round 1"):
-            yield from proc.wait_partitioned(req)
-        waited.append(proc.env.now - t0)
-
-    cluster.spawn(sender(s_proc))
-    p = cluster.spawn(receiver(r_proc))
-    cluster.run(until=p)
-    assert waited == [pytest.approx(us(50), abs=us(1))]
 
 
 def test_double_start_rejected():

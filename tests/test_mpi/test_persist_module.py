@@ -81,7 +81,7 @@ def test_round_credit_defers_early_senders():
     sender would otherwise overwrite the receive buffer before the
     receiver re-arms)."""
     holder = run_persist(16, 1 * KiB, rounds=5)
-    assert holder["send"].module._armed_round >= 5
+    assert holder["send"].module._credit.armed_round >= 5
 
 
 def test_mixed_rounds_with_stagger():

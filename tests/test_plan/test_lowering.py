@@ -7,6 +7,7 @@ from repro.bench.pair import run_partitioned_pair
 from repro.config import NIAGARA
 from repro.core import FixedAggregation, PLogGPAggregator, PlanChoice
 from repro.core.module import NativeSpec
+from repro.ib.constants import MAX_QPS
 from repro.model.tables import NIAGARA_LOGGP
 from repro.mpi.persist_module import PersistSpec
 from repro.plan import (
@@ -101,4 +102,4 @@ def test_legalization_happens_before_emission():
     spec = lower(leaf_plan(12, 64))
     choice = spec.aggregator.choice
     assert choice.n_transport == 8  # rounded down to a power of two
-    assert choice.n_qps <= min(8, NIAGARA.nic.max_qps)
+    assert choice.n_qps <= min(8, MAX_QPS)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.config import NIAGARA
+from repro.ib.constants import MAX_QPS
 from repro.plan import (
     Aggregate,
     Legalize,
@@ -58,7 +59,7 @@ def test_legalize_clamps_illegal_knobs():
     ctx = PassContext(config=NIAGARA)
     out = Legalize().run(plan(Partition(n=12), QPPool(n=64)), ctx)
     assert out.first(Partition).n == 8  # round down to a power of two
-    assert out.first(QPPool).n <= min(8, NIAGARA.nic.max_qps)
+    assert out.first(QPPool).n <= min(8, MAX_QPS)
 
 
 def test_lowering_pipeline_is_legalize_only():

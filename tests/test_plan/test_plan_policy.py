@@ -47,9 +47,8 @@ def test_from_plan_rejects_non_leaf_plans():
 
 def test_frontier_starts_with_seed_and_provisioning_envelope():
     policy = _policy()
-    frontier = policy.frontier()
-    assert frontier[0] == leaf_plan(4, 2)
     choices = policy.candidates()
+    assert choices[0].plan == leaf_plan(4, 2)
     # The envelope covers the widest reachable layout, so the
     # aggregator provisions QPs once for the whole walk.
     assert max(c.n_transport for c in choices) == 16
@@ -59,22 +58,22 @@ def test_frontier_starts_with_seed_and_provisioning_envelope():
 def test_unplayed_frontier_is_swept_before_exploitation():
     policy = _policy()
     seen = []
-    for rnd in range(len(policy.frontier())):
+    for rnd in range(len(policy.candidates())):
         choice = policy.choose(rnd)
         seen.append(choice.plan.digest)
         policy.observe(choice, _obs(1.0 + rnd, rnd), None)
-    assert seen == [p.digest for p in policy.frontier()[:len(seen)]]
+    assert seen == [c.plan.digest for c in policy.candidates()[:len(seen)]]
 
 
 def test_expansion_grows_frontier_around_the_incumbent():
     policy = _policy(expand_after=2)
-    before = len(policy.frontier())
+    before = len(policy.candidates())
     for rnd in range(8):
         choice = policy.choose(rnd)
         # Plant plan (4, 2) as the winner.
         cost = 0.5 if choice == PlanChoice(4, 2) else 2.0
         policy.observe(choice, _obs(cost, rnd), None)
-    assert len(policy.frontier()) > before
+    assert len(policy.candidates()) > before
     assert policy.best() == PlanChoice(4, 2)
 
 
@@ -95,7 +94,8 @@ def test_converges_to_planted_optimum_and_reports_confident():
 def test_foreign_choice_is_ignored_not_credited():
     policy = _policy()
     policy.observe(PlanChoice(1, 1), _obs(0.01), None)  # not in frontier
-    assert all(policy.mean_cost(c) is None for c in policy.candidates())
+    assert PlanChoice(1, 1) not in policy.candidates()
+    assert policy.describe().startswith("plan-mutation(0/")
 
 
 def test_plan_space_digest_identifies_the_search_space():

@@ -169,6 +169,6 @@ def test_close_unhooks_and_finalizes_without_dispatching():
     env.close()
     assert log == [("finally", 1.0)]
     assert env.now == 1.0 and env.peek() == float("inf")
-    assert gate.callbacks == [] and proc.callbacks == [] and proc.is_alive
+    assert gate.callbacks == [] and proc.callbacks == [] and not proc.triggered
     with pytest.raises(SimulationError):
         env.run()

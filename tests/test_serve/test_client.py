@@ -104,7 +104,7 @@ def test_versioned_commit_passes_cas_through(tmp_path):
     first = client.commit(key(), choice(4))
     assert first.committed and first.entry.version == 1
     stale = client.commit(key(), choice(8), expect_version=0)
-    assert stale is not None and stale.conflict
+    assert stale is not None and not stale.committed
     fresh = client.commit(key(), choice(8),
                           expect_version=first.entry.version)
     assert fresh.committed and fresh.entry.version == 2

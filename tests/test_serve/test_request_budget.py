@@ -144,12 +144,12 @@ def test_cas_conflict_budget(service, monkeypatch):
     results = []
     spent = spend.of(lambda: results.append(
         service.commit(key(0), PlanChoice(8, 1), expect_version=7)))
-    assert results[0].conflict
+    assert not results[0].committed
     assert within(spent, (1, 1, 1, 0)), spent
     assert spent[1:3] == (1, 1)
     spent = spend.of(lambda: results.append(
         service.commit(key(2), PlanChoice(8, 1), expect_version=1)))
-    assert results[1].conflict and results[1].entry.version == 0
+    assert not results[1].committed and results[1].entry.version == 0
     assert within(spent, (1, 1, 1, 0)), spent
 
 
@@ -161,7 +161,6 @@ def test_store_handle_requests_digest_once(tmp_path, monkeypatch):
         1, 1, 1, 1)
     assert spend.of(lambda: store.read(key(0))) == (1, 1, 0, 0)
     assert spend.of(lambda: store.path_for(key(0))) == (1, 0, 0, 0)
-    assert spend.of(lambda: store.delete(key(0))) == (1, 0, 1, 0)
 
 
 def _one_of_each(service, flat, k):
@@ -177,7 +176,6 @@ def _one_of_each(service, flat, k):
         lambda: store.read(k),
         lambda: store.put(k, PlanChoice(2, 2)),
         lambda: store.path_for(k),
-        lambda: store.delete(k),
         lambda: flat.put(k, PlanChoice(4, 2)),
         lambda: flat.get(k),
     ]
@@ -274,7 +272,7 @@ class ServiceModel(RuleBasedStateMachine):
         before = self._expect(k)
         version = before[2] if before else 0
         result = self.service.commit(k, plan, expect_version=version)
-        assert result.committed and not result.conflict
+        assert result.committed
         assert result.entry.version == version + 1
         self.model[entry_digest(k)] = (k, plan, version + 1)
 
@@ -287,7 +285,7 @@ class ServiceModel(RuleBasedStateMachine):
         on_disk = path.read_bytes() if path.exists() else None
         result = self.service.commit(k, plan,
                                      expect_version=version + behind)
-        assert result.conflict and not result.committed
+        assert not result.committed
         assert result.entry.version == version
         if before is not None:
             assert result.entry.choice == before[1]
@@ -304,18 +302,10 @@ class ServiceModel(RuleBasedStateMachine):
         digest = data.draw(st.sampled_from(sorted(self.model)))
         k = self.model.pop(digest)[0]
         handle = self.other or self.service.store
-        assert handle.delete(k)
-        assert not handle.delete(k)
+        path = handle.path_for(k)
+        assert handle._delete_path(path)
+        assert not handle._delete_path(path)
         self.service.cache.invalidate(digest)
-
-    @rule(space=st.sampled_from(SPACES))
-    def invalidate_plan_space(self, space):
-        doomed = [d for d, (k, _, _) in self.model.items()
-                  if k["plan_space"] == space]
-        assert self.service.invalidate_plan_space(space) == len(doomed)
-        for digest in doomed:
-            # Purged means not served, cached a moment ago or not.
-            assert self.service.get(self.model.pop(digest)[0]) is None
 
     @rule()
     def reopen_second_handle(self):

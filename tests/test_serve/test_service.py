@@ -76,20 +76,9 @@ def test_a_miss_storm_leaves_no_recency_slots(tmp_path):
             assert svc.get(key(100 + i)) is None
         svc.get(key(1))
         # A CAS on an absent key conflicts at version 0: no entry either.
-        assert svc.commit(key(7), choice(), expect_version=3).conflict
+        assert not svc.commit(key(7), choice(), expect_version=3).committed
     assert len(unbounded._last_access) == 0
     assert 0 < len(bounded._last_access) <= bounded.store.count() <= 4
-
-
-def test_plan_space_invalidation(tmp_path):
-    svc = TuningService(tmp_path, n_shards=2)
-    svc.commit(key(0), choice())
-    svc.commit(key(1), choice())
-    other = key(0, space="space-2")
-    svc.commit(other, choice(8))
-    assert svc.invalidate_plan_space("space-1") == 2
-    assert svc.get(key(0)) is None
-    assert svc.get(other).choice == choice(8)
 
 
 def test_warm_import_from_flat_store(tmp_path):

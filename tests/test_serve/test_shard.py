@@ -53,7 +53,7 @@ def test_cas_rejects_stale_accepts_current(tmp_path):
     store.commit(key(), choice(4))
     store.commit(key(), choice(8))
     stale = store.commit(key(), choice(16), expect_version=1)
-    assert stale.conflict and not stale.committed
+    assert not stale.committed
     # The loser gets the winning entry back, untouched on disk.
     assert stale.entry.version == 2
     assert store.read(key()).choice == choice(8)
@@ -65,7 +65,7 @@ def test_cas_rejects_stale_accepts_current(tmp_path):
 def test_cas_on_absent_entry_expects_zero(tmp_path):
     store = ShardedStore(tmp_path, n_shards=4)
     missed = store.commit(key(), choice(), expect_version=3)
-    assert missed.conflict and missed.entry.version == 0
+    assert not missed.committed and missed.entry.version == 0
     landed = store.commit(key(), choice(), expect_version=0)
     assert landed.committed and landed.entry.version == 1
 
@@ -99,20 +99,10 @@ def test_delete_and_counts(tmp_path):
         store.put(key(i), choice())
     assert store.count() == 6 == len(store)
     assert sum(shard.count() for shard in store.shards) == 6
-    assert store.delete(key(0))
-    assert not store.delete(key(0))
+    path = store.path_for(key(0))
+    assert store._delete_path(path)
+    assert not store._delete_path(path)
     assert store.count() == 5
-
-
-def test_purge_plan_space(tmp_path):
-    store = ShardedStore(tmp_path, n_shards=2)
-    for i in range(4):
-        store.put(key(i), choice())
-    other = workload_key(64, 64 * 4096, "cfg", plan_space="space-2")
-    store.put(other, choice())
-    assert store.purge_plan_space("space-1") == 4
-    assert store.count() == 1
-    assert store.get(other) is not None
 
 
 def test_entries_enumeration(tmp_path):
@@ -122,8 +112,7 @@ def test_entries_enumeration(tmp_path):
     payloads = store.entries()
     assert len(payloads) == 5
     assert all(p["version"] == 1 for p in payloads)
-    served = list(store.iter_entries())
-    assert {e.meta["i"] for e in served} == set(range(5))
+    assert {p["meta"]["i"] for p in payloads} == set(range(5))
 
 
 def race_a_second_opener(monkeypatch, root, n_shards):
@@ -180,7 +169,7 @@ def test_entry_lock_survives_a_concurrent_delete(tmp_path, monkeypatch):
             # block in flock(); an evicting process deletes the entry
             # (and its lock file) first.
             raced.append(True)
-            assert ShardedStore(tmp_path).delete(key())
+            assert ShardedStore(tmp_path)._delete_path(path)
         return real_flock(fd, op)
 
     monkeypatch.setattr(shard_mod.fcntl, "flock", flock)
@@ -193,7 +182,7 @@ def test_entry_lock_survives_a_concurrent_delete(tmp_path, monkeypatch):
         finally:
             os.close(probe)
     # Deleting leaves no lock file behind.
-    store.delete(key())
+    store._delete_path(path)
     assert not path.with_suffix(".lock").exists()
 
 
@@ -210,14 +199,12 @@ def test_rotten_entry_is_a_counted_miss_for_read_and_commit(tmp_path, rot):
     assert store.read(key()) is None
     assert store.get(key()) is None
     assert store.corrupt_entries == 2
-    assert list(store.iter_entries()) == []
-    assert store.corrupt_entries == 3
     # A CAS against the rot sees "absent" (version 0) and may heal it.
     stale = store.commit(key(), choice(16), expect_version=2)
-    assert stale.conflict and stale.entry.version == 0
+    assert not stale.committed and stale.entry.version == 0
     healed = store.commit(key(), choice(16), expect_version=0)
     assert healed.committed and healed.entry.version == 1
-    assert store.corrupt_entries == 5
+    assert store.corrupt_entries == 4
     assert store.read(key()).choice == choice(16)
 
 

@@ -240,12 +240,6 @@ def test_peek_empty_queue_is_inf():
     assert env.peek() == float("inf")
 
 
-def test_step_on_empty_queue_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
-
-
 def test_determinism_same_model_same_trace():
     def build_and_run():
         env = Environment()

@@ -1,8 +1,8 @@
-"""Tests for composite events (AllOf / AnyOf / Condition)."""
+"""Tests for composite events (AllOf / Condition)."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment
+from repro.sim import AllOf, Environment
 
 
 def test_all_of_waits_for_every_event():
@@ -19,20 +19,6 @@ def test_all_of_waits_for_every_event():
     assert p.value == (3.0, ["a", "b"])
 
 
-def test_any_of_fires_on_first():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(3.0, value="slow")
-        results = yield env.any_of([t1, t2])
-        return (env.now, list(results.values()))
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == (1.0, ["fast"])
-
-
 def test_all_of_empty_fires_immediately():
     env = Environment()
 
@@ -43,12 +29,6 @@ def test_all_of_empty_fires_immediately():
     p = env.process(proc(env))
     env.run()
     assert p.value == 0.0
-
-
-def test_any_of_empty_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        AnyOf(env, [])
 
 
 def test_all_of_with_already_fired_events():

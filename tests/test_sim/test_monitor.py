@@ -51,14 +51,6 @@ def test_filter_by_predicate():
     assert len(heavy) == 1
 
 
-def test_categories():
-    trace = Trace()
-    trace.record(1.0, "a")
-    trace.record(2.0, "b")
-    trace.record(3.0, "a")
-    assert trace.categories() == {"a", "b"}
-
-
 def test_clear():
     trace = Trace()
     trace.record(1.0, "x")

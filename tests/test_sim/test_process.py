@@ -1,8 +1,8 @@
-"""Tests for Process: lifecycle, interruption, composition."""
+"""Tests for Process: lifecycle and composition."""
 
 import pytest
 
-from repro.errors import Interrupt, ProcessError
+from repro.errors import ProcessError
 from repro.sim import Environment
 
 
@@ -25,11 +25,11 @@ def test_process_is_alive_until_done():
         yield env.timeout(2.0)
 
     p = env.process(proc(env))
-    assert p.is_alive
+    assert not p.triggered
     env.run(until=1.0)
-    assert p.is_alive
+    assert not p.triggered
     env.run()
-    assert not p.is_alive
+    assert p.triggered
 
 
 def test_waiting_on_another_process():
@@ -82,129 +82,6 @@ def test_process_exception_propagates_to_waiter():
     p = env.process(parent(env))
     env.run()
     assert p.value == "caught: child failed"
-
-
-def test_interrupt_wakes_sleeping_process():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-            log.append("overslept")
-        except Interrupt as intr:
-            log.append(("interrupted", env.now, intr.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [("interrupted", 2.0, "wake up")]
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            pass
-        yield env.timeout(1.0)
-        return env.now
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert victim.value == 3.0
-
-
-def test_interrupt_finished_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    def late(env, target):
-        yield env.timeout(5.0)
-        with pytest.raises(ProcessError):
-            target.interrupt()
-
-    target = env.process(quick(env))
-    env.process(late(env, target))
-    env.run()
-
-
-def test_self_interrupt_raises():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(0.0)
-        with pytest.raises(ProcessError):
-            handle.interrupt()
-
-    handle = env.process(proc(env))
-    env.run()
-
-
-def test_stale_timeout_does_not_double_resume():
-    """After an interrupt, the original timeout firing must be ignored."""
-    env = Environment()
-    wakeups = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(10.0)
-            wakeups.append("timeout")
-        except Interrupt:
-            wakeups.append("interrupt")
-        yield env.timeout(20.0)  # outlives the stale timeout at t=10
-        wakeups.append("second")
-
-    def interrupter(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert wakeups == ["interrupt", "second"]
-    assert env.now == 21.0
-
-
-def test_stale_bare_sleep_does_not_cut_the_next_sleep_short():
-    """A process re-arms one wake object for all its bare-number sleeps;
-    an interrupted sleep's timer is still queued, so that wake must be
-    retired or it would end the *next* sleep at t=10."""
-    env = Environment()
-    wakeups = []
-
-    def sleeper(env):
-        try:
-            yield 10.0
-            wakeups.append(("timeout", env.now))
-        except Interrupt:
-            wakeups.append(("interrupt", env.now))
-        yield 20.0  # outlives the stale timer at t=10
-        wakeups.append(("second", env.now))
-        yield 5.0
-        wakeups.append(("third", env.now))
-
-    def interrupter(env, victim):
-        yield 1.0
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert wakeups == [("interrupt", 1.0), ("second", 21.0), ("third", 26.0)]
 
 
 def test_yielding_non_event_fails_process():

@@ -112,14 +112,3 @@ def test_profile_does_not_change_virtual_time():
 
     assert prof_ticks == plain_ticks
     assert prof_env.now == plain_env.now
-
-
-def test_detach_restores_raw_dispatch():
-    env = Environment()
-    prof = KernelProfile.attach(env)
-    KernelProfile.detach(env)
-    ticks = []
-    _workload(env, ticks)
-    env.run()
-    assert prof.events == 0
-    assert len(ticks) == 20

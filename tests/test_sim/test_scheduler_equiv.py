@@ -28,6 +28,23 @@ from repro.sim.sync import SimLock
 _counter = itertools.count()
 
 
+def _schedule(env, event, priority, delay=0.0):
+    """Queue a triggered ``event`` the way the kernel's own paths do:
+    a current-time event into the batch deques (or the rare-priority
+    heap), a future one into the ``(time, priority, seq)`` heap."""
+    when = env._now + delay
+    if when > env._now:
+        seq = env._seq
+        env._seq = seq + 1
+        heapq.heappush(env._heap, (when, priority, seq, event))
+    elif priority == PRIORITY_NORMAL:
+        env._cur_normal.append(event)
+    elif priority == PRIORITY_URGENT:
+        env._cur_urgent.append(event)
+    else:
+        env._push_rare(event, priority)
+
+
 def _observed_event(env, ops, priority, delay):
     """Schedule a bare succeeded event, logging schedule + dispatch ops.
 
@@ -42,7 +59,7 @@ def _observed_event(env, ops, priority, delay):
     key = (env._now + delay, priority, next(_counter))
     ops.append(("sched", key))
     event.callbacks.append(lambda _e: ops.append(("disp", key)))
-    env._schedule(event, priority, delay)
+    _schedule(env, event, priority, delay)
     return event
 
 
@@ -133,12 +150,12 @@ def test_urgent_preempts_pending_normals_in_same_timestep():
         urgent = Event(env)
         urgent._ok = True
         urgent.callbacks.append(lambda _e: order.append("urgent"))
-        env._schedule(urgent, PRIORITY_URGENT)
+        _schedule(env, urgent, PRIORITY_URGENT)
 
     first.callbacks.append(first_cb)
     second.callbacks.append(lambda _e: order.append("second"))
-    env._schedule(first, PRIORITY_NORMAL)
-    env._schedule(second, PRIORITY_NORMAL)
+    _schedule(env, first, PRIORITY_NORMAL)
+    _schedule(env, second, PRIORITY_NORMAL)
     env.run()
     assert order == ["first", "urgent", "second"]
 
@@ -444,7 +461,7 @@ def test_unobserved_process_completion_matches_the_dispatched_one(seed):
                 trace.append((name, env.now))
             # Joining a child that finished unobserved long ago still works.
             yield 1e-3
-            assert not late.is_alive
+            assert late.triggered
             trace.append((name, env.now, (yield late)))
 
         for name in range(4):

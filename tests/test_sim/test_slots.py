@@ -15,7 +15,7 @@ from repro.ib.constants import Opcode, WCOpcode, WCStatus
 from repro.ib.link import IngressPort, WireTimeTable
 from repro.ib.wr import SGE, RecvWR, SendWR, WorkCompletion
 from repro.sim.core import Environment, Event, Timeout, _Wake
-from repro.sim.events import AllOf, AnyOf, Condition
+from repro.sim.events import AllOf, Condition
 from repro.sim.process import Process
 from repro.sim.profile import EventTypeStats, KernelProfile
 from repro.sim.resources import Request, Resource, Store
@@ -40,7 +40,6 @@ def _instances():
 
     yield env.process(_body(env))
     yield AllOf(env, [env.event()])
-    yield AnyOf(env, [env.event()])
     yield resource
     yield resource.request()
     yield Store(env)

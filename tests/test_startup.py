@@ -111,7 +111,7 @@ def test_import_repro_bench_stays_small():
                  "print(json.dumps(sorted(sys.modules)))")
     loaded = [name for name in out
               if name == "repro" or name.startswith("repro.")]
-    assert len(loaded) <= 60, loaded
+    assert len(loaded) <= 58, loaded
 
 
 # -- lazy exports are the same exports ----------------------------------------

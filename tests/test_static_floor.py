@@ -6,8 +6,10 @@ its module uses, an ``__all__`` entry the module does not define, a
 mutable default argument and a bare ``except`` fail tier-1.
 
 The reachability audit below is the fourth check: a top-level
-definition that nothing but tests reaches fails too, unless ``KEEP``
-names it with a reason.
+definition, method or property that nothing but tests reaches fails
+too, unless ``KEEP`` names it with a reason.  The fifth is its field
+half: a config field that only tests set fails, unless
+``MODEL_FIELDS`` lists it as a calibrated cost.
 """
 
 import ast
@@ -195,8 +197,9 @@ CALLERS = ("perfbench", "benchmarks", "examples")
 #: Decorators that wrap a definition without registering it anywhere;
 #: any other decorator (``@kind``, ``@register``, ``@workload``, ...)
 #: makes the definition reachable by lookup.
-PLAIN_DECORATORS = {"property", "staticmethod", "classmethod", "dataclass",
-                    "cached_property", "contextmanager", "abstractmethod"}
+PLAIN_DECORATORS = {"property", "setter", "staticmethod", "classmethod",
+                    "dataclass", "cached_property", "contextmanager",
+                    "abstractmethod", "lru_cache", "runtime_checkable"}
 #: The four reasons an unreached definition may stay, as the first word
 #: of its KEEP entry: a closed form or generator a test checks the
 #: simulator against; a test double; the reader of a file the CLI
@@ -247,83 +250,273 @@ def _decorator_name(node: ast.expr):
         getattr(node, "id", None)
 
 
-def _reads(node: ast.AST, strings: bool = True):
-    """Every name ``node`` reads: loads, attribute names, imported
-    names and (unless ``strings`` is false) identifier-shaped strings
-    (``getattr``/registry keys)."""
-    for sub in ast.walk(node):
+def _key_module(dotted: str) -> str:
+    """An imported module's key form: ``repro.mpi.x`` is ``mpi.x``."""
+    return dotted if dotted == "repro" else dotted.removeprefix("repro.")
+
+
+def _bindings(tree: ast.Module, module: str) -> dict:
+    """``name -> (module, attr)`` for every import in a file, one inside
+    a function included (``attr`` is None for ``import a.b``), and for
+    the names of a package's lazy map."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                target = alias.name if alias.asname else name
+                bound[name] = (_key_module(target), None)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (
+                    _key_module(node.module), alias.name)
+    for stmt in tree.body:
+        if _binds_getattr(stmt):
+            for table in ast.walk(stmt.value):
+                if isinstance(table, ast.Dict):
+                    for sub, names in zip(table.keys, table.values):
+                        for name in ast.walk(names):
+                            if isinstance(name, ast.Constant):
+                                bound[name.value] = (
+                                    f"{module}.{sub.value}", name.value)
+    return bound
+
+
+def _resolve(scopes: dict, module: str, name: str, seen=()):
+    """What ``name`` means at the top of ``module``: ``("def", key)``
+    for a top-level definition, ``("mod", module)`` for a src module,
+    or None (a local, a builtin, a variable, another package)."""
+    if module not in scopes or (module, name) in seen:
+        return None
+    defs, bound = scopes[module]
+    if name in defs:
+        return ("def", f"{module}:{name}")
+    if name not in bound:
+        return None
+    target, attr = bound[name]
+    if attr is None:
+        return ("mod", target) if target in scopes else None
+    return _attribute(scopes, target, attr, seen + ((module, name),))
+
+
+def _attribute(scopes: dict, module: str, attr: str, seen=()):
+    """What ``module.attr`` means: a name the module binds, else a
+    submodule."""
+    target = _resolve(scopes, module, attr, seen)
+    sub = attr if module == "repro" else f"{module}.{attr}"
+    return target or (("mod", sub) if sub in scopes else None)
+
+
+def _reads(node: ast.AST, scopes: dict, module: str, strings: bool = True):
+    """What ``node`` reads in ``module``: ``("key", key)`` for a name or
+    a module's attribute chain resolved through its import binding to
+    a top-level definition, and ``("spell", name)`` for any other
+    attribute and (unless ``strings`` is false) an identifier-shaped
+    string (``getattr``/registry keys), which match by spelling."""
+    stack = [node]
+    while stack:
+        sub = stack.pop()
         if isinstance(sub, ast.Name):
-            yield sub.id
+            target = _resolve(scopes, module, sub.id)
+            if target and target[0] == "def":
+                yield ("key", target[1])
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.ImportFrom):
-            yield from (alias.name for alias in sub.names)
-        elif (strings and isinstance(sub, ast.Constant)
-              and isinstance(sub.value, str) and sub.value.isidentifier()):
-            yield sub.value
+            chain = []
+            while isinstance(sub, ast.Attribute):
+                chain.append(sub.attr)
+                sub = sub.value
+            target = None
+            if isinstance(sub, ast.Name):
+                target = _resolve(scopes, module, sub.id)
+            else:
+                stack.append(sub)
+            while target and target[0] == "mod" and chain:
+                target = _attribute(scopes, target[1], chain.pop())
+            if target and target[0] == "def":
+                yield ("key", target[1])
+            yield from (("spell", attr) for attr in chain)
+        elif isinstance(sub, ast.Constant):
+            if strings and isinstance(sub.value, str) \
+                    and sub.value.isidentifier():
+                yield ("spell", sub.value)
+        elif not isinstance(sub, (ast.Import, ast.ImportFrom)):
+            stack.extend(ast.iter_child_nodes(sub))
 
 
-def _unreached(src: Path, callers) -> tuple[set, set]:
-    """(every top-level definition, the unreached ones) as
-    ``"module:name"`` keys, ``module`` relative to ``src``.
+def _span(node: ast.AST) -> int:
+    first = min([d.lineno for d in node.decorator_list] + [node.lineno])
+    return node.end_lineno - first + 1
 
-    A definition is reached when a caller tree, module-level code or
-    the body of a *reached* definition reads its name — its own body
-    does not count, nor do a package ``__init__``'s imports, the names
-    of its lazy map or any ``__all__``.  Iterating to a fixpoint makes
-    code that only dead code uses dead too.
-    """
-    defs = {}          # key -> name
-    reached = set()
-    reads = []         # (owning definition's key or None, name)
-    for path in sorted(src.rglob("*.py")):
-        parts = path.relative_to(src).with_suffix("").parts
-        module = ".".join(p for p in parts if p != "__init__") or "repro"
-        init = path.name == "__init__.py"
-        for stmt in ast.parse(path.read_text()).body:
-            if _assigns_all(stmt) or (
-                    init and isinstance(stmt, (ast.Import, ast.ImportFrom))):
-                continue  # an export list reaches nothing
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                owner = f"{module}:{stmt.name}"
-                defs[owner] = stmt.name
-                if any(_decorator_name(d) not in PLAIN_DECORATORS
-                       for d in stmt.decorator_list):
-                    reached.add(owner)  # registered: found by lookup
-            # A lazy map's strings are an export list too; the call
-            # that builds it is still a read.
-            lazy = init and _binds_getattr(stmt)
-            reads += [(owner, name)
-                      for name in _reads(stmt, strings=not lazy)]
+
+def _registered(node: ast.AST) -> bool:
+    return any(_decorator_name(d) not in PLAIN_DECORATORS
+               for d in node.decorator_list)
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _caller_paths(callers):
     for caller in callers:
         for path in sorted(caller.rglob("*.py")):
             if "tests" not in path.relative_to(caller).parts:
-                reads += [(None, name)
-                          for name in _reads(ast.parse(path.read_text()))]
+                yield path
 
-    grew = True
-    while grew:
-        live = {}
-        for owner, name in reads:
-            if owner is None or owner in reached:
-                live.setdefault(name, set()).add(owner)
-        grown = {key for key, name in defs.items() if key not in reached
-                 and live.get(name, set()) - {key}}
-        reached |= grown
-        grew = bool(grown)
-    return set(defs), set(defs) - reached
+
+def _definitions(src: Path, callers):
+    """The audit's graph over ``src`` and the caller trees.
+
+    Returns ``defs`` (key -> [name, class key or None, lines, exempt]),
+    the registered keys and the reads as (owning key or None, target).
+    A key is ``"module:name"`` for a top-level definition and
+    ``"module:Class.method"`` for a method or property; a dunder or a
+    registered method is exempt, reached with its class.
+    """
+    files = {}
+    for path in sorted(src.rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        module = ".".join(p for p in parts if p != "__init__") or "repro"
+        files[module] = (path, _parse(path))
+    for path in _caller_paths(callers):
+        files[f"<{path}>"] = (path, _parse(path))
+    scopes = {module: ({stmt.name for stmt in tree.body
+                        if isinstance(stmt, _DEFS)}, _bindings(tree, module))
+              for module, (path, tree) in files.items()}
+
+    defs, registered, reads = {}, set(), []
+
+    def add(key, name, cls, node, exempt):
+        entry = defs.setdefault(key, [name, cls, 0, exempt])
+        entry[2] += _span(node)  # a property and its setter share a key
+
+    for module, (path, tree) in files.items():
+        if module.startswith("<"):  # a caller: every import is a use
+            reads += [(None, r) for r in _reads(tree, scopes, module)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    for alias in node.names:
+                        target = _attribute(scopes, _key_module(node.module),
+                                            alias.name)
+                        if target and target[0] == "def":
+                            reads.append((None, ("key", target[1])))
+            continue
+        init = path.name == "__init__.py"
+        for stmt in tree.body:
+            if _assigns_all(stmt) or (
+                    init and isinstance(stmt, (ast.Import, ast.ImportFrom))):
+                continue  # an export list reaches nothing
+            if not isinstance(stmt, _DEFS):
+                # A lazy map's strings are an export list too; the call
+                # that builds it is still a read.
+                lazy = init and _binds_getattr(stmt)
+                reads += [(None, r) for r in _reads(stmt, scopes, module,
+                                                    strings=not lazy)]
+                continue
+            key = f"{module}:{stmt.name}"
+            add(key, stmt.name, None, stmt, False)
+            if _registered(stmt):
+                registered.add(key)  # found by lookup
+            if isinstance(stmt, _FUNCS):
+                reads += [(key, r) for r in _reads(stmt, scopes, module)]
+                continue
+            body = stmt.decorator_list + stmt.bases + stmt.keywords
+            methods = {item.name for item in stmt.body
+                       if isinstance(item, _FUNCS)}
+            for item in stmt.body:
+                if not isinstance(item, _FUNCS):
+                    body.append(item)
+                    # ``alias = method`` in a class body names the method
+                    reads += [(key, ("spell", sub.id))
+                              for sub in ast.walk(item)
+                              if isinstance(sub, ast.Name)
+                              and sub.id in methods]
+                    continue
+                method = f"{key}.{item.name}"
+                dunder = item.name.startswith("__") and \
+                    item.name.endswith("__")
+                add(method, item.name, key, item,
+                    dunder or _registered(item))
+                body += item.decorator_list
+                reads += [(method, r) for part in (item.args, *item.body)
+                          + ((item.returns,) if item.returns else ())
+                          for r in _reads(part, scopes, module)]
+            reads += [(key, r) for part in body
+                      for r in _reads(part, scopes, module)]
+    return defs, registered, reads
+
+
+def _fixpoint(defs: dict, roots, reads) -> set:
+    """The keys reached from module-level code, caller trees and
+    ``roots``.  A definition is reached by a read from live code other
+    than its own body: a top-level one by its resolved key or its
+    spelling, a method by its spelling and only while its class is
+    reached.  Code that only dead code uses stays dead."""
+    by_owner, by_name, methods_of = {}, {}, {}
+    for owner, target in reads:
+        by_owner.setdefault(owner, []).append(target)
+    for key, (name, cls, _, _) in defs.items():
+        by_name.setdefault(name, []).append(key)
+        if cls is not None:
+            methods_of.setdefault(cls, []).append(key)
+    readers, reached, pending = {}, set(), []
+
+    def live(owner):
+        for target in by_owner.get(owner, ()):
+            readers.setdefault(target, set()).add(owner)
+            kind, value = target
+            pending.extend([value] if kind == "key"
+                           else by_name.get(value, ()))
+        pending.extend(methods_of.get(owner, ()))
+
+    live(None)
+    for key in roots:
+        reached.add(key)
+        live(key)
+    while pending:
+        key = pending.pop()
+        if key in reached or key not in defs:
+            continue
+        name, cls, _, exempt = defs[key]
+        if cls is not None and cls not in reached:
+            continue
+        by = readers.get(("spell", name), set())
+        if cls is None:
+            by = by | readers.get(("key", key), set())
+        if exempt or by - {key}:
+            reached.add(key)
+            live(key)
+    return reached
+
+
+def _unreached(src: Path, callers, keep=()) -> tuple[dict, set, set]:
+    """(every definition, the ones unreached with ``keep`` as roots, and
+    the ones reached without it).  A method of an unreached class is
+    left out: the class stands for it."""
+    defs, registered, reads = _definitions(src, callers)
+    reached = _fixpoint(defs, registered | set(keep) & set(defs), reads)
+    unreached = {key for key, (_, cls, _, _) in defs.items()
+                 if key not in reached and (cls is None or cls in reached)}
+    return defs, unreached, _fixpoint(defs, registered, reads)
+
+
+def _lines(n: int) -> str:
+    return f"{n} line" if n == 1 else f"{n} lines"
 
 
 def _audit(src: Path, callers, keep: dict) -> list:
-    defined, unreached = _unreached(src, callers)
-    found = [f"{key}: nothing but tests reaches it — delete it, or KEEP "
-             f"it with a reason" for key in sorted(unreached - set(keep))]
+    defs, unreached, bare = _unreached(src, callers, keep)
+    found = [f"{key} ({_lines(defs[key][2])}): nothing but tests reaches "
+             f"it — delete it, or KEEP it with a reason"
+             for key in sorted(unreached - set(keep))]
     for key, reason in sorted(keep.items()):
-        if key not in defined:
+        if key not in defs:
             found.append(f"KEEP names {key}, which no longer exists")
-        elif key not in unreached:
+        elif key in bare:
             found.append(f"KEEP names {key}, which is reached")
         if reason.split(":")[0] not in KEEP_KINDS:
             found.append(f"KEEP reason for {key} is not one of "
@@ -337,6 +530,105 @@ def test_every_definition_is_reached_or_kept():
     assert not found, "\n" + "\n".join(found)
 
 
+# -- config fields ------------------------------------------------------------
+
+_UCX_TIER = "calibrated: a UCX 1.12 protocol tier's cost or switch point"
+
+#: Config fields that stay although no caller sets them: the calibrated
+#: costs and rates of the simulated platform, which ROADMAP item 1(c)
+#: fits.  Any other field that only tests set is a constant, not a knob.
+MODEL_FIELDS = {
+    "NICConfig.line_rate": "calibrated: EDR payload bandwidth",
+    "NICConfig.qp_rate": "calibrated: one QP's injection rate (Fig. 7)",
+    "NICConfig.mtu": "calibrated: the 4 KiB MTU the paper tunes at",
+    "NICConfig.n_ports": "calibrated: rails per HCA, the 2-rail Fig. 7 "
+                         "result (tests/test_bench/test_multirail.py)",
+    "NICConfig.t_wqe": "calibrated: WQE fetch and DMA programming",
+    "NICConfig.t_pkt": "calibrated: per-MTU-packet engine time",
+    "NICConfig.t_cqe": "calibrated: CQE write",
+    "NICConfig.max_outstanding_rdma": "calibrated: the 16-outstanding cap "
+                                      "per QP (Section IV-A)",
+    "NICConfig.wire_chunk": "calibrated: the chunk at which WRs "
+                            "timeshare a port",
+    "NICConfig.rnr_timer": "calibrated: RNR NAK back-off",
+    "LinkConfig.latency": "calibrated: one-way fabric latency",
+    "LinkConfig.loopback_latency": "calibrated: intra-node latency",
+    "HostConfig.cores_per_node": "calibrated: Niagara's 40 cores, where "
+                                 "Fig. 8's 128 threads oversubscribe",
+    "HostConfig.t_post": "calibrated: ibv_post_send CPU cost",
+    "HostConfig.t_poll_hit": "calibrated: a productive ibv_poll_cq",
+    "HostConfig.t_poll_miss": "calibrated: an empty ibv_poll_cq",
+    "HostConfig.t_atomic": "calibrated: a contended atomic (Fig. 12)",
+    "HostConfig.memcpy_rate": "calibrated: bcopy staging bandwidth",
+    "HostConfig.oversubscription_penalty": "calibrated: software cost "
+                                           "under oversubscription",
+    **{f"UCXConfig.{name}": _UCX_TIER for name in (
+        "inline_max", "eager_bcopy_max", "eager_zcopy_max",
+        "t_inline", "gap_inline", "rx_inline",
+        "t_eager_bcopy", "gap_bcopy", "rx_bcopy",
+        "t_eager_zcopy", "gap_zcopy", "rx_zcopy",
+        "t_rndv", "gap_rndv", "rx_rndv")},
+    "UCXConfig.n_lanes": "calibrated: UCX multi-path data lanes",
+    "PartitionedConfig.t_rx_wr": "calibrated: the native module's "
+                                 "per-WR receive cost",
+}
+
+
+def _config_fields(src: Path) -> dict:
+    """``"Class.field" -> field`` over the ``*Config`` dataclasses of
+    ``config.py``.  A field holding another config is a section, not a
+    knob: its own fields are audited."""
+    tree = _parse(src / "config.py")
+    classes = {stmt.name: stmt for stmt in tree.body
+               if isinstance(stmt, ast.ClassDef)
+               and stmt.name.endswith("Config")}
+    return {f"{cls}.{item.target.id}": item.target.id
+            for cls, node in classes.items() for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and getattr(item.annotation, "id", None) not in classes}
+
+
+def _settings(src: Path, callers) -> set:
+    """Every name a non-test path sets: a keyword argument that does not
+    just forward a value of the same name (``x=cfg.x``), and a string
+    key of a dict display (a config descriptor)."""
+    paths = [p for p in sorted(src.rglob("*.py")) if p != src / "config.py"]
+    names = set()
+    for path in paths + list(_caller_paths(callers)):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.keyword) and node.arg and not (
+                    isinstance(node.value, ast.Attribute)
+                    and node.value.attr == node.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Dict):
+                names.update(key.value for key in node.keys
+                             if isinstance(key, ast.Constant)
+                             and isinstance(key.value, str))
+    return names
+
+
+def _field_audit(src: Path, callers, model: dict) -> list:
+    fields = _config_fields(src)
+    settings = _settings(src, callers)
+    found = [f"config:{key}: only tests set it — make it a constant, "
+             f"delete it, or list it as a calibrated cost"
+             for key, name in sorted(fields.items())
+             if name not in settings and key not in model]
+    for key in sorted(model):
+        if key not in fields:
+            found.append(f"MODEL_FIELDS names {key}, which no longer exists")
+        elif fields[key] in settings:
+            found.append(f"MODEL_FIELDS names {key}, which a caller sets")
+    return found
+
+
+def test_every_config_field_is_set_or_calibrated():
+    callers = [SRC.parent.parent / name for name in CALLERS]
+    found = _field_audit(SRC, callers, MODEL_FIELDS)
+    assert not found, "\n" + "\n".join(found)
+
+
 _REGISTRY = "def kind(name):\n    return lambda fn: fn\n"
 _LAZY = "def lazy_exports(package, exports): ...\n"
 _LAZY_INIT = ("from lazy import lazy_exports\n"
@@ -347,32 +639,32 @@ _LAZY_INIT = ("from lazy import lazy_exports\n"
 
 @pytest.mark.parametrize("files, keep, expected", [
     ({"mod.py": "def dead(): ...\n"}, {},
-     ["mod:dead: nothing but tests"]),
+     ["mod:dead (1 line): nothing but tests"]),
     ({"mod.py": "def helper(): ...\ndef dead():\n    helper()\n"}, {},
-     ["mod:dead: nothing", "mod:helper: nothing"]),
+     ["mod:dead (2 lines): nothing", "mod:helper (1 line): nothing"]),
     ({"mod.py": "def rec(n):\n    return rec(n - 1)\n"}, {},
-     ["mod:rec: nothing"]),
+     ["mod:rec (2 lines): nothing"]),
     ({"reg.py": _REGISTRY,
       "mod.py": "from reg import kind\n@kind('x')\ndef adapter(): ...\n"},
      {}, []),
     ({"mod.py": "@property\ndef plain(): ...\n"}, {},
-     ["mod:plain: nothing"]),
+     ["mod:plain (2 lines): nothing"]),
     ({"mod.py": "def probed(): ...\n",
       "perfbench/probe.py": "from repro.mod import probed\n"}, {}, []),
     ({"mod.py": "def probed(): ...\n",
       "perfbench/tests/test_probe.py": "from repro.mod import probed\n"},
-     {}, ["mod:probed: nothing"]),
+     {}, ["mod:probed (1 line): nothing"]),
     ({"mod.py": "def by_string(): ...\nHOOK = getattr(obj, 'by_string')\n"},
      {}, []),
     ({"mod.py": "def by_key(): ...\n",
       "other.py": "TABLE = {'x': 'by_key'}\n"}, {}, []),
     ({"mod.py": "def used(): ...\n", "other.py": "def live(): ...\n",
       "caller.py": "from repro.other import live\nlive()\n"},
-     {}, ["mod:used: nothing"]),
+     {}, ["mod:used (1 line): nothing"]),
     ({"pkg/__init__.py": "from pkg.mod import exported\n"
                          "__all__ = ['exported']\n",
       "pkg/mod.py": "def exported(): ...\n__all__ = ['exported']\n"},
-     {}, ["pkg.mod:exported: nothing"]),
+     {}, ["pkg.mod:exported (1 line): nothing"]),
     ({"mod.py": "def dead(): ...\n"}, {"mod:dead": "fake: a double"}, []),
     ({"mod.py": "def dead(): ...\n"}, {"mod:dead": "because"},
      ["KEEP reason for mod:dead"]),
@@ -382,7 +674,7 @@ _LAZY_INIT = ("from lazy import lazy_exports\n"
      ["KEEP names mod:gone, which no longer exists"]),
     ({"lazy.py": _LAZY, "pkg/__init__.py": _LAZY_INIT,
       "pkg/mod.py": "def exported(): ...\n"},
-     {}, ["pkg.mod:exported: nothing"]),
+     {}, ["pkg.mod:exported (1 line): nothing"]),
     ({"lazy.py": _LAZY, "pkg/__init__.py": _LAZY_INIT,
       "pkg/mod.py": "def exported(): ...\n",
       "benchmarks/use.py": "from repro.pkg import exported\nexported()\n"},
@@ -396,6 +688,87 @@ def test_the_audit_finds_what_it_claims_to(tmp_path, files, keep, expected):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source)
     found = _audit(src, [tmp_path / name for name in CALLERS], keep)
+    assert len(found) == len(expected), found
+    for line, fragment in zip(found, expected):
+        assert fragment in line
+
+
+@pytest.mark.parametrize("files, keep, expected", [
+    # a name reaches a definition only through its binding
+    ({"mod.py": "def barrier(): ...\n",
+      "rounds.py": "def run():\n    barrier = 1\n    return barrier\nrun()\n"},
+     {}, ["mod:barrier (1 line): nothing"]),
+    ({"a.py": "def f(): ...\n", "b.py": "def f(): ...\n",
+      "c.py": "from repro import a\na.f()\n"},
+     {}, ["b:f (1 line): nothing"]),
+    ({"pkg/__init__.py": "from pkg.mod import f\n",
+      "pkg/mod.py": "def f(): ...\ndef g(): ...\n",
+      "use.py": "from repro.pkg import f\nf()\n"},
+     {}, ["pkg.mod:g (1 line): nothing"]),
+    # methods and properties
+    ({"mod.py": "class C:\n    def live(self): ...\n"
+                "    @property\n    def dead(self): ...\nC().live()\n"},
+     {}, ["mod:C.dead (2 lines): nothing"]),
+    ({"mod.py": "class C:\n    def dead(self):\n        self.helper()\n"
+                "    def helper(self): ...\nC()\n"},
+     {}, ["mod:C.dead (2 lines): nothing", "mod:C.helper (1 line): nothing"]),
+    ({"mod.py": "class D:\n    pass\nclass C:\n    def dead(self):\n"
+                "        return D()\nC()\n"},
+     {}, ["mod:C.dead (2 lines): nothing", "mod:D (2 lines): nothing"]),
+    ({"mod.py": "class C:\n    def hook(self): ...\n    def dead(self): ...\n"
+                "getattr(C(), 'hook')()\n"},
+     {}, ["mod:C.dead (1 line): nothing"]),
+    ({"mod.py": "class C:\n    def probed(self): ...\n"
+                "    def dead(self): ...\n",
+      "perfbench/probe.py": "from repro.mod import C\nC().probed()\n",
+      "perfbench/tests/test_probe.py": "from repro.mod import C\n"
+                                       "C().dead()\n"},
+     {}, ["mod:C.dead (1 line): nothing"]),
+    ({"mod.py": "class C:\n    def __init__(self): ...\n"},
+     {}, ["mod:C (2 lines): nothing"]),
+    # the allowlist, per method
+    ({"mod.py": "class C:\n    def kept(self): ...\nC()\n"},
+     {"mod:C.kept": "fake: x"}, []),
+    ({"mod.py": "class C:\n    def live(self): ...\nC().live()\n"},
+     {"mod:C.live": "fake: x"}, ["KEEP names mod:C.live, which is reached"]),
+])
+def test_the_audit_resolves_bindings_and_covers_methods(tmp_path, files, keep,
+                                                         expected):
+    test_the_audit_finds_what_it_claims_to(tmp_path, files, keep, expected)
+
+
+_CONFIG = ("from dataclasses import dataclass, field\n"
+           "@dataclass(frozen=True)\nclass XConfig:\n    knob: int = 1\n"
+           "@dataclass(frozen=True)\nclass TopConfig:\n"
+           "    x: XConfig = field(default_factory=XConfig)\n"
+           "DEFAULT = XConfig(knob=2)\n")
+
+
+@pytest.mark.parametrize("files, model, expected", [
+    ({}, {}, ["config:XConfig.knob: only tests set it"]),
+    ({"perfbench/tests/test_x.py": "XConfig(knob=2)\n"}, {},
+     ["config:XConfig.knob: only tests set it"]),
+    ({"run.py": "def f(cfg):\n    return g(knob=cfg.knob)\n"}, {},
+     ["config:XConfig.knob: only tests set it"]),
+    ({"run.py": "CFG = XConfig(knob=2)\n"}, {}, []),
+    ({"benchmarks/b.py": "DESC = {'x': {'knob': 2}}\n"}, {}, []),
+    ({}, {"XConfig.knob": "calibrated: a cost"}, []),
+    ({"run.py": "CFG = XConfig(knob=2)\n"},
+     {"XConfig.knob": "calibrated: a cost"},
+     ["MODEL_FIELDS names XConfig.knob, which a caller sets"]),
+    ({"run.py": "CFG = XConfig(knob=2)\n"},
+     {"XConfig.gone": "calibrated: a cost"},
+     ["MODEL_FIELDS names XConfig.gone, which no longer exists"]),
+])
+def test_the_field_audit_finds_what_it_claims_to(tmp_path, files, model,
+                                                  expected):
+    src = tmp_path / "src" / "repro"
+    for name, source in {"config.py": _CONFIG, **files}.items():
+        top = name.split("/")[0]
+        path = (tmp_path if top in CALLERS else src) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    found = _field_audit(src, [tmp_path / name for name in CALLERS], model)
     assert len(found) == len(expected), found
     for line, fragment in zip(found, expected):
         assert fragment in line

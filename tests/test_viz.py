@@ -1,6 +1,6 @@
 """Tests for terminal visualization."""
 
-from repro.viz import bar_chart, grouped_bars, timeline
+from repro.viz import bar_chart, grouped_bars
 
 
 def test_bar_chart_scales_to_peak():
@@ -46,35 +46,3 @@ def test_grouped_bars_empty():
     assert grouped_bars({}) == "(no data)"
 
 
-def test_timeline_busy_and_idle():
-    out = timeline([(0.0, 0.25), (0.75, 1.0)], t_end=1.0, width=40)
-    assert "█" in out
-    assert "·" in out
-    # Busy at the edges, idle in the middle.
-    assert out[0] == "█"
-    assert out[-1] == "█"
-    assert "·" in out[15:25]
-
-
-def test_timeline_marker_row():
-    out = timeline([(0.0, 0.1)], t_end=1.0, width=40, marker=0.5)
-    lines = out.splitlines()
-    assert len(lines) == 2
-    assert "▼" in lines[0]
-    assert lines[0].index("▼") == 20
-
-
-def test_timeline_fully_busy():
-    out = timeline([(0.0, 1.0)], t_end=1.0, width=20)
-    assert out == "█" * 20
-
-
-def test_timeline_empty():
-    assert timeline([], t_end=None) == "(no data)"
-
-
-def test_timeline_from_analysis_output():
-    """Plugs directly into chunk_timeline's (start, end, bytes) tuples."""
-    chunks = [(0.0, 1e-6, 100), (2e-6, 3e-6, 100)]
-    out = timeline([(s, e) for s, e, _ in chunks], width=30)
-    assert "█" in out and "·" in out

@@ -81,8 +81,7 @@ def main():
                 tag=("up", "down", "left", "right").index(
                     opposite[direction]),
                 module=spec())
-        team = WorkerTeam(proc.env, N_THREADS,
-                          cluster.rngs.stream(f"noise.{proc.rank}"), cores=40)
+        team = WorkerTeam.on(cluster, N_THREADS, f"noise.{proc.rank}")
         phase = ComputePhase(compute=ms(0.5), noise=SingleThreadDelay(0.02))
         send_reqs = list(sends.values())
 

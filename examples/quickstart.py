@@ -47,8 +47,7 @@ def main():
         # MPI_Psend_init: non-blocking persistent init (matching, QP
         # exchange, and memory registration happen asynchronously).
         req = proc.psend_init(send_buf, dest=1, tag=0, module=make_spec())
-        team = WorkerTeam(proc.env, N_PARTITIONS,
-                          cluster.rngs.stream("noise"), cores=40)
+        team = WorkerTeam.on(cluster, N_PARTITIONS, "noise")
         phase = ComputePhase(compute=COMPUTE, noise=SingleThreadDelay(0.04))
 
         yield from proc.start(req)          # MPI_Start

@@ -49,8 +49,7 @@ def run(pipelined: bool) -> float:
 
     def sender(proc):
         req = proc.psend_init(send_buf, dest=1, tag=0, module=spec())
-        team = WorkerTeam(proc.env, N_PARTITIONS,
-                          cluster.rngs.stream("noise"), cores=40)
+        team = WorkerTeam.on(cluster, N_PARTITIONS, "noise")
         # Heavy uniform noise staggers the producers across ~1 ms.
         phase = ComputePhase(compute=COMPUTE, noise=UniformNoise(1.0))
         yield from proc.start(req)

@@ -43,8 +43,7 @@ def run(aggregator):
 
     def sender(proc):
         req = proc.psend_init(sbuf, dest=1, tag=0, module=spec())
-        team = WorkerTeam(proc.env, N_PARTITIONS,
-                          cluster.rngs.stream("noise"), cores=40)
+        team = WorkerTeam.on(cluster, N_PARTITIONS, "noise")
         phase = ComputePhase(compute=COMPUTE,
                              noise=SingleThreadDelay(NOISE, fixed_victim=31))
         yield from proc.start(req)

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.coll.plans import spec_for
 from repro.config import ClusterConfig, NIAGARA
+from repro.core.module import spec_for
 from repro.mem.buffer import PartitionedBuffer
 from repro.mpi.cluster import Cluster
 from repro.mpi.modules import ModuleSpec
@@ -104,8 +104,9 @@ def run_partitioned_pair(
 ) -> PairBenchResult:
     """Run one (module, workload) configuration end to end.
 
-    ``spec_factory`` — anything :func:`repro.coll.spec_for` accepts — is
-    resolved once per side so each gets its own spec object.  With
+    ``spec_factory`` — anything :func:`repro.core.module.spec_for`
+    accepts — is resolved once per side so each gets its own spec
+    object.  With
     ``backed=True`` real bytes move and are verified.
     ``fault_schedule`` (a :class:`repro.faults.FaultSchedule`) arms
     deterministic fault injection on the pair's fabric.

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from repro.coll.plans import spec_for
 from repro.config import ClusterConfig
 from repro.core.aggregators import Aggregator
+from repro.core.module import spec_for
 from repro.mem.buffer import PartitionedBuffer, partition_size_of
 from repro.mpi.cluster import Cluster
 from repro.mpi.modules import ModuleSpec

@@ -42,6 +42,7 @@ run`` additionally writes versioned JSON artifacts.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -122,10 +123,10 @@ def parse_counts(text: str) -> list[int]:
 
 
 def non_negative_float(text: str) -> float:
-    """``text`` as a float >= 0; an argparse ``type=``."""
+    """``text`` as a finite float >= 0; an argparse ``type=``."""
     value = float(text)
-    if not value >= 0:
-        raise ValueError(f"must be >= 0, got {text}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -822,8 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="perceived bandwidth (Figs. 9, 13)")
     p.add_argument("--n-user", type=positive_int, default=32)
     p.add_argument("--sizes", type=parse_sizes, default="8MiB,32MiB")
-    p.add_argument("--compute-ms", type=float, default=100.0)
-    p.add_argument("--noise", type=float, default=0.04)
+    p.add_argument("--compute-ms", type=non_negative_float, default=100.0)
+    p.add_argument("--noise", type=non_negative_float, default=0.04)
     common(p)
     p.set_defaults(func=cmd_perceived)
 
@@ -831,8 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=parse_grid, default="4x4")
     p.add_argument("--threads", type=positive_int, default=16)
     p.add_argument("--sizes", type=parse_sizes, default="256KiB,1MiB")
-    p.add_argument("--compute-ms", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.01)
+    p.add_argument("--compute-ms", type=non_negative_float, default=1.0)
+    p.add_argument("--noise", type=non_negative_float, default=0.01)
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -846,8 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partitions per face")
     p.add_argument("--faces", type=parse_sizes, default="64KiB",
                    help="face size, or one size per axis (comma list)")
-    p.add_argument("--compute-ms", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.01)
+    p.add_argument("--compute-ms", type=non_negative_float, default=1.0)
+    p.add_argument("--noise", type=non_negative_float, default=0.01)
     p.add_argument("--aggregator", default="ploggp",
                    choices=["ploggp", "timer", "per-edge"],
                    help="'per-edge' runs a bandit per edge; give it "
@@ -960,8 +961,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["bandit", "delta_tracker"])
     p.add_argument("--config-tag", default="niagara",
                    help="cluster identity baked into store keys")
-    p.add_argument("--compute-ms", type=float, default=0.0)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--compute-ms", type=non_negative_float, default=0.0)
+    p.add_argument("--noise", type=non_negative_float, default=0.0)
     p.add_argument("--seed", type=int, default=0,
                    help="bandit exploration seed")
     p.add_argument("--iterations", type=int, default=64)

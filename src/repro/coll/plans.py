@@ -32,36 +32,11 @@ from __future__ import annotations
 import inspect
 from typing import Callable, Optional
 
-from repro.core.aggregators import Aggregator
+from repro.core.module import spec_for
 from repro.mpi.modules import ModuleSpec
 
 #: Canonical resolver: neighbor rank -> module spec for that edge.
 EdgeModules = Callable[[int], ModuleSpec]
-
-
-def spec_for(module) -> ModuleSpec:
-    """One concrete ModuleSpec from a plan/aggregator/spec/factory/None
-    (the resolver behind every driver's ``module`` argument)."""
-    if module is None:
-        from repro.mpi.persist_module import PersistSpec
-
-        return PersistSpec()
-    if isinstance(module, Aggregator):
-        from repro.core.module import NativeSpec
-
-        return NativeSpec(module)
-    if isinstance(module, ModuleSpec):
-        return module
-    # Only plans and factories get this far, so the drivers' common
-    # inputs never import the plan IR.
-    from repro.plan import Plan, lower
-
-    if isinstance(module, Plan):
-        return lower(module)
-    if callable(module):
-        return spec_for(module())
-    raise TypeError(
-        f"cannot resolve {module!r} into a partitioned transport module")
 
 
 def _takes_neighbor(fn) -> bool:

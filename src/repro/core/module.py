@@ -717,3 +717,26 @@ class NativeSpec(ModuleSpec):
 
     def create(self, cluster, send_req, recv_req):
         return NativeVerbsModule(cluster, send_req, recv_req, self.aggregator)
+
+
+def spec_for(module) -> ModuleSpec:
+    """One concrete ModuleSpec from a plan/aggregator/spec/factory/None
+    (the resolver behind every driver's ``module`` argument)."""
+    if module is None:
+        from repro.mpi.persist_module import PersistSpec
+
+        return PersistSpec()
+    if isinstance(module, Aggregator):
+        return NativeSpec(module)
+    if isinstance(module, ModuleSpec):
+        return module
+    # Only plans and factories get this far, so the drivers' common
+    # inputs never import the plan IR.
+    from repro.plan import Plan, lower
+
+    if isinstance(module, Plan):
+        return lower(module)
+    if callable(module):
+        return spec_for(module())
+    raise TypeError(
+        f"cannot resolve {module!r} into a partitioned transport module")

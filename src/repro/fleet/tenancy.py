@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.coll.plans import spec_for
 from repro.coll.tree import _binomial_children, _binomial_parent
 from repro.config import ClusterConfig, NIAGARA
+from repro.core.module import spec_for
 from repro.errors import ConfigError
 from repro.fleet.profile import FleetProfile, collect_tenant_views
 from repro.fleet.spec import JobSpec, module_descriptor, place_jobs

@@ -5,13 +5,26 @@ the compute time.  The **single thread delay model** — one thread per
 round receives the full noise amount, the rest none — is what all the
 headline figures use (Figs. 9-13 captions); it produces the
 many-before-one arrival pattern the PLogGP aggregator assumes.
+
+A model takes its random stream as ``rng``, a zero-argument callable
+returning the ``numpy.random.Generator``, and calls it only when it
+draws: a point that never draws never derives a stream (and never
+imports ``numpy.random``).
 """
 
 from __future__ import annotations
 
 import abc
+import math
+from typing import Callable
 
 import numpy as np
+
+
+def _check_fraction(fraction: float) -> None:
+    if not (math.isfinite(fraction) and fraction >= 0):
+        raise ValueError(f"noise fraction must be finite and >= 0, "
+                         f"got {fraction}")
 
 
 class NoiseModel(abc.ABC):
@@ -19,8 +32,9 @@ class NoiseModel(abc.ABC):
 
     @abc.abstractmethod
     def delays(self, n_threads: int, compute: float, round_index: int,
-               rng: np.random.Generator) -> np.ndarray:
-        """Extra delay (seconds) for each of ``n_threads`` this round."""
+               rng: Callable[[], np.random.Generator]) -> np.ndarray:
+        """Extra delay (seconds) for each of ``n_threads`` this round;
+        ``rng()`` is the stream to draw from."""
 
     def describe(self) -> str:
         return type(self).__name__
@@ -45,8 +59,7 @@ class SingleThreadDelay(NoiseModel):
     """
 
     def __init__(self, fraction: float, fixed_victim: int | None = None):
-        if fraction < 0:
-            raise ValueError(f"negative noise fraction: {fraction}")
+        _check_fraction(fraction)
         self.fraction = fraction
         self.fixed_victim = fixed_victim
 
@@ -57,7 +70,7 @@ class SingleThreadDelay(NoiseModel):
         if self.fixed_victim is not None:
             victim = self.fixed_victim % n_threads
         else:
-            victim = int(rng.integers(0, n_threads))
+            victim = int(rng().integers(0, n_threads))
         out[victim] = self.fraction * compute
         return out
 
@@ -69,14 +82,13 @@ class UniformNoise(NoiseModel):
     """Every thread delayed by ``U(0, fraction * compute)``."""
 
     def __init__(self, fraction: float):
-        if fraction < 0:
-            raise ValueError(f"negative noise fraction: {fraction}")
+        _check_fraction(fraction)
         self.fraction = fraction
 
     def delays(self, n_threads, compute, round_index, rng):
         if self.fraction == 0:
             return np.zeros(n_threads)
-        return rng.uniform(0.0, self.fraction * compute, size=n_threads)
+        return rng().uniform(0.0, self.fraction * compute, size=n_threads)
 
     def describe(self) -> str:
         return f"uniform({self.fraction:.0%})"

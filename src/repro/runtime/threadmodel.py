@@ -9,7 +9,9 @@ the paper's benchmarks assign (Section V-A).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,18 +40,24 @@ class ComputePhase:
     jitter_fraction: float = 1e-4
 
     def __post_init__(self):
-        if self.compute < 0:
-            raise ValueError(f"negative compute time: {self.compute}")
-        if self.jitter_fraction < 0:
-            raise ValueError(
-                f"negative jitter fraction: {self.jitter_fraction}")
+        for name in ("compute", "jitter_fraction"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}")
 
 
 class WorkerTeam:
-    """Spawns and joins a team of simulated worker threads."""
+    """Spawns and joins a team of simulated worker threads.
+
+    ``rng`` is a zero-argument callable returning the team's
+    ``numpy.random.Generator``; the team calls it only to draw noise or
+    jitter, so a noise-free, zero-compute team never derives a stream.
+    """
 
     def __init__(self, env: Environment, n_threads: int,
-                 rng: np.random.Generator, cores: Optional[int] = None):
+                 rng: Callable[[], np.random.Generator],
+                 cores: Optional[int] = None):
         if n_threads < 1:
             raise ValueError(f"need at least one thread, got {n_threads}")
         self.env = env
@@ -60,8 +68,10 @@ class WorkerTeam:
 
     @classmethod
     def on(cls, cluster, n_threads: int, stream: str) -> "WorkerTeam":
-        """A team on one of ``cluster``'s nodes, drawing from ``stream``."""
-        return cls(cluster.env, n_threads, cluster.rngs.stream(stream),
+        """A team on one of ``cluster``'s nodes, drawing from ``stream``
+        (derived on the first draw)."""
+        return cls(cluster.env, n_threads,
+                   partial(cluster.rngs.stream, stream),
                    cores=cluster.config.host.cores_per_node)
 
     @property
@@ -89,7 +99,7 @@ class WorkerTeam:
             if self.oversubscribed:
                 scale *= self.n_threads / self.cores
             delays = delays + np.abs(
-                self.rng.normal(0.0, scale, size=self.n_threads))
+                self.rng().normal(0.0, scale, size=self.n_threads))
         self._round += 1
         env = self.env
         done = Event(env)

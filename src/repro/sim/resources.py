@@ -130,10 +130,13 @@ class Store:
 
     def __init__(self, env: Environment):
         self.env = env
-        self.items: Deque[Any] = deque()
-        #: Parked :meth:`get` events, oldest first.  A list, not a
-        #: deque: the simulator's stores have one consumer each, so at
-        #: most one waits, and an empty deque costs 760 bytes (a list 56).
+        #: Queued items, oldest first.  Lists, not deques, here and for
+        #: the parked :meth:`get` events: an empty deque costs 760 bytes
+        #: (a list 56), a cluster holds hundreds of stores, mostly idle,
+        #: and a busy one queues a handful of items, so ``pop(0)`` is cheap.
+        self.items: list[Any] = []
+        #: The simulator's stores have one consumer each, so at most one
+        #: getter waits.
         self._getters: list[Event] = []
 
     def __len__(self) -> int:
@@ -191,13 +194,13 @@ class Store:
 
             item = store.pop() if store.items else (yield store.get())
         """
-        return self.items.popleft()
+        return self.items.pop(0)
 
     def get(self) -> Event:
         """Withdraw the oldest item; returned event fires with the item."""
         ev = Event(self.env)
         if self.items:
-            ev.succeed(self.items.popleft())
+            ev.succeed(self.items.pop(0))
         else:
             self._getters.append(ev)
         return ev

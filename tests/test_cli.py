@@ -90,6 +90,14 @@ def test_round_counts_are_validated_as_usage_errors(flags, capsys):
      "--baseline-profile"),
     (["bench", "compare", "new.json", "old.json", "--threshold", "-0.1"],
      "--threshold"),
+    (["sweep", "--noise", "-0.01"], "--noise"),
+    (["sweep", "--noise", "nan"], "--noise"),
+    (["sweep", "--compute-ms", "inf"], "--compute-ms"),
+    (["perceived", "--compute-ms", "nan"], "--compute-ms"),
+    (["perceived", "--noise", "-1"], "--noise"),
+    (["stencil", "--compute-ms", "-1"], "--compute-ms"),
+    (["stencil", "--noise", "inf"], "--noise"),
+    (["autotune", "tune", "--noise", "nan"], "--noise"),
 ])
 def test_bad_flags_are_usage_errors(argv, message, capsys):
     # A bad count, size or name is argparse's exit 2, raised before

@@ -2,6 +2,9 @@
 
 import pytest
 
+import repro.coll
+import repro.coll.plans
+import repro.core.module
 from repro.coll import edge_modules, ladder_modules, per_edge_autotuners
 from repro.core import PLogGPAggregator
 from repro.core.module import NativeSpec
@@ -10,6 +13,13 @@ from repro.mpi.channel_module import ChannelSpec
 from repro.mpi.ladder import LadderSpec
 from repro.mpi.persist_module import PersistSpec
 from repro.units import ms
+
+
+def test_spec_for_is_one_object_in_three_places():
+    """The resolver lives beside ``NativeSpec`` (loaded by every point);
+    the collective layer re-exports the same function."""
+    assert repro.coll.spec_for is repro.core.module.spec_for
+    assert repro.coll.plans.spec_for is repro.core.module.spec_for
 
 
 def test_none_resolves_to_persist_everywhere():

@@ -77,8 +77,7 @@ def run_rounds(aggregator, rounds=6, n_parts=16, compute=ms(2)):
     def sender(proc):
         req = proc.psend_init(sbuf, dest=1, tag=0,
                               module=NativeSpec(aggregator))
-        team = WorkerTeam(proc.env, n_parts,
-                          cluster.rngs.stream("noise"), cores=40)
+        team = WorkerTeam.on(cluster, n_parts, "noise")
         phase = ComputePhase(compute=compute, noise=SingleThreadDelay(0.04))
         for _ in range(rounds):
             yield from proc.start(req)

@@ -35,8 +35,7 @@ def drive(spec_factory, n_parts, psize, rounds, order_seed=0,
 
     def sender(proc):
         req = proc.psend_init(sbuf, dest=1, tag=0, module=spec_factory())
-        team = WorkerTeam(proc.env, n_parts,
-                          cluster.rngs.stream("noise"), cores=40)
+        team = WorkerTeam.on(cluster, n_parts, "noise")
         phase = ComputePhase(compute=compute,
                              noise=SingleThreadDelay(noise))
         for rnd in range(rounds):
@@ -137,8 +136,7 @@ def test_simulation_is_deterministic_end_to_end():
         def sender(proc):
             req = proc.psend_init(sbuf, dest=1, tag=0,
                                   module=PersistSpec())
-            team = WorkerTeam(proc.env, 8,
-                              cluster.rngs.stream("noise"), cores=40)
+            team = WorkerTeam.on(cluster, 8, "noise")
             phase = ComputePhase(compute=ms(1),
                                  noise=SingleThreadDelay(0.04))
             for _ in range(3):

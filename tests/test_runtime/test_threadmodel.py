@@ -3,12 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.runtime import ComputePhase, NoNoise, SingleThreadDelay, WorkerTeam
-from repro.sim import Environment
+from repro.config import NIAGARA
+from repro.mpi import Cluster
+from repro.runtime import (
+    ComputePhase,
+    NoNoise,
+    SingleThreadDelay,
+    UniformNoise,
+    WorkerTeam,
+)
+from repro.sim import Environment, RngStreams
 
 
 def rng():
-    return np.random.Generator(np.random.PCG64(3))
+    """A team's / model's ``rng``: a callable over one generator."""
+    generator = np.random.Generator(np.random.PCG64(3))
+    return lambda: generator
 
 
 def test_all_threads_run_body():
@@ -119,3 +129,49 @@ def test_zero_compute_runs_body_immediately():
                        lambda tid: None)
     env.run()
     assert p.value == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("field", ["compute", "jitter_fraction"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_phase_rejects_non_finite_values(field, value):
+    kwargs = {"compute": 1.0, "noise": NoNoise(), field: value}
+    with pytest.raises(ValueError, match=field):
+        ComputePhase(**kwargs)
+
+
+def test_a_team_that_never_draws_derives_no_stream():
+    """A noise-free, zero-compute team (every p2p point) never asks for
+    its stream: no generator is built, so ``numpy.random`` stays out."""
+    with Cluster(n_nodes=1) as cluster:
+        team = WorkerTeam.on(cluster, 8, "noise.sender")
+        for _ in range(3):
+            team.run_round(ComputePhase(compute=0.0, noise=NoNoise()),
+                           lambda tid: None)
+            cluster.env.run()
+        assert "streams=0" in repr(cluster.rngs)
+
+
+@pytest.mark.parametrize("noise", [SingleThreadDelay(0.04),
+                                   UniformNoise(0.5)])
+def test_first_draw_stream_matches_an_eager_stream(noise):
+    """Deriving the stream on the first draw draws what an eagerly
+    built stream of the same name draws, round after round (noise and
+    jitter both come from it)."""
+    phase = ComputePhase(compute=1e-3, noise=noise)
+
+    def finishes(env, team):
+        out = []
+        for _ in range(5):
+            done = team.run_round(phase, lambda tid: None)
+            env.run()
+            out.append(done.value)
+        return out
+
+    with Cluster(n_nodes=1) as cluster:
+        lazy = finishes(cluster.env,
+                        WorkerTeam.on(cluster, 16, "noise.rank3"))
+    generator = RngStreams(NIAGARA.seed).stream("noise.rank3")
+    env = Environment()
+    eager = finishes(env, WorkerTeam(env, 16, lambda: generator,
+                                     cores=NIAGARA.host.cores_per_node))
+    assert lazy == eager

@@ -506,7 +506,8 @@ def test_worker_team_countdown_matches_all_of(seed):
         master = random.Random(seed)
         plans = [[master.choice(_HOLD) for _ in range(master.randrange(3))]
                  for _ in range(12)]
-        team = WorkerTeam(env, 12, np.random.Generator(np.random.PCG64(seed)))
+        generator = np.random.Generator(np.random.PCG64(seed))
+        team = WorkerTeam(env, 12, lambda: generator)
         phase = ComputePhase(compute=master.choice([0.0, 1e-6]),
                              noise=NoNoise(), jitter_fraction=0.0)
 
@@ -540,7 +541,8 @@ def test_worker_team_countdown_matches_all_of(seed):
 
 def test_worker_team_round_fails_with_the_first_thread_that_raises():
     env = Environment()
-    team = WorkerTeam(env, 4, np.random.Generator(np.random.PCG64(0)))
+    generator = np.random.Generator(np.random.PCG64(0))
+    team = WorkerTeam(env, 4, lambda: generator)
     phase = ComputePhase(compute=0.0, noise=NoNoise(), jitter_fraction=0.0)
     caught = []
 

@@ -9,6 +9,7 @@ that counts modules runs in a fresh interpreter with ``PYTHONPATH=src``
 """
 
 import ast
+import functools
 import importlib
 import json
 import os
@@ -42,6 +43,15 @@ HARNESS = tuple(f"repro.exp.{name}" for name in (
     "profiles", "fingerprint"))
 #: Packages whose exports resolve on first use.
 LAZY = ("repro.exp", "repro.bench")
+#: The ``repro`` and ``numpy`` modules a gated pass adds to set-up's: the
+#: driver it runs, and no layer it does not.  A p2p point neither draws
+#: noise (so no ``numpy.random``) nor builds a collective (no
+#: ``repro.coll``); a sweep point draws, but builds no collective either.
+PASS_LOADS = {
+    "p2p_small": {"repro.bench", "repro.bench.overhead", "repro.bench.pair"},
+    "p2p_large": {"repro.bench", "repro.bench.overhead", "repro.bench.pair"},
+    "sweep3d": {"repro.bench", "repro.bench.sweep"},
+}
 
 
 def _fresh(code: str, *argv: str) -> dict:
@@ -93,17 +103,33 @@ def test_setup_imports_mirror_perfbench():
     assert imported == set(COMMON).union(*SETUP_IMPORTS.values())
 
 
-@pytest.mark.parametrize("workload", sorted(SETUP_IMPORTS))
-def test_setup_loads_no_harness(workload):
+@functools.lru_cache(maxsize=None)
+def _setup_and_pass(workload: str) -> dict:
+    """What ``workload``'s set-up loads and (gated only) what its first
+    point adds, from one fresh child shared by the tests below."""
     run = workload in GATED
     names = COMMON + SETUP_IMPORTS[workload] + ("repro.exp.cache",)
-    out = _fresh(_SETUP, workload, "1" if run else "0", *names)
+    return _fresh(_SETUP, workload, "1" if run else "0", *names)
+
+
+@pytest.mark.parametrize("workload", sorted(SETUP_IMPORTS))
+def test_setup_loads_no_harness(workload):
+    out = _setup_and_pass(workload)
     setup = set(out["setup"])
     assert not setup & set(HARNESS)
     if workload != "p2p_faulted":
         assert "repro.faults.schedule" not in setup
     # A module set-up no longer loads must not turn up inside the pass.
     assert not set(out["pass"]) & _parent_setup()
+
+
+@pytest.mark.parametrize("workload", GATED)
+def test_pass_loads_only_the_layer_it_runs(workload):
+    # A sweep point draws its noise, so numpy.random loads there.
+    roots = ("repro",) if workload == "sweep3d" else ("repro", "numpy")
+    added = {name for name in _setup_and_pass(workload)["pass"]
+             if name.split(".")[0] in roots}
+    assert added == PASS_LOADS[workload]
 
 
 def test_import_repro_bench_stays_small():

@@ -22,37 +22,30 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    ABL_N_USER as N_USER,
-    ABL_TIGHT_DELTA as TIGHT_DELTA,
-    ext_adaptive_spec,
-    ext_sg_spec,
-)
-from repro.units import KiB, MiB
+from benchmarks.common import run_fast
+from repro.exp import script_main
+from repro.units import MiB
 
 
-def run_sg_ablation(sizes=(8 * MiB, 32 * MiB), iterations=6, warmup=2):
+def run_sg_ablation():
     """{(design, size): (perceived bw, WRs posted per round)}."""
-    payload = run_spec(ext_sg_spec(sizes, iterations, warmup))
+    payload = run_fast("ext_ablations")["sg"]
     return {(name, size): (bw, wrs)
             for name, size, bw, wrs in payload["rows"]}
 
 
-def run_adaptive_ablation(size=256 * KiB, iterations=4, warmup=1):
+def run_adaptive_ablation():
     """Sweep comm-time speedup over part_persist for three δ policies.
 
     Each rank sends to two neighbours, so a first arriver sleeping an
     oversized δ in one request delays its pready on the other — the
     multi-request hazard of Section V-C2.
     """
-    return run_spec(
-        ext_adaptive_spec(size, iterations, warmup))["speedups"]
+    return run_fast("ext_ablations")["adaptive"]["speedups"]
 
 
 def test_ext_sg_ablation(benchmark):
-    out = benchmark.pedantic(run_sg_ablation, args=((8 * MiB,), 4, 1),
-                             rounds=1, iterations=1)
+    out = benchmark.pedantic(run_sg_ablation, rounds=1, iterations=1)
     size = 8 * MiB
     bw_runs, wrs_runs = out[("runs", size)]
     bw_sg, wrs_sg = out[("sg", size)]

@@ -25,23 +25,13 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    AUTOTUNE_N_USER as N_USER,
-    AUTOTUNE_SIZE,
-    ext_autotune_spec,
-)
-
-
-def run_autotune(bandit_iters=64, laggard_iters=4, table_iters=3):
-    """The collected ext_autotune payload (series + diagnostics)."""
-    return run_spec(ext_autotune_spec(
-        bandit_iters=bandit_iters, laggard_iters=laggard_iters,
-        table_iters=table_iters))
+from benchmarks.common import run_fast
+from repro.exp import script_main
 
 
 def test_ext_autotune(benchmark, tmp_path):
-    payload = benchmark.pedantic(run_autotune, rounds=1, iterations=1)
+    payload = benchmark.pedantic(run_fast, args=("ext_autotune",), rounds=1,
+                                 iterations=1)
     convergence = list(
         payload["series"]["bandit vs offline table"].values())[0]
     tracker = list(

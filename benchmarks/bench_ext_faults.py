@@ -18,34 +18,21 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    FAULTS_LOSSES,
-    FAULTS_N_USER as N_USER,
-    FAULTS_TOTAL as TOTAL_BYTES,
-    ext_faults_spec,
-    faults_table_report as format_faults_table,
-)
-from repro.units import MiB, fmt_rate
-
-LOSS_RATES = list(FAULTS_LOSSES)
+from benchmarks.common import run_fast
+from repro.exp import script_main
+from repro.units import fmt_rate
 
 
-def run_ext_faults(n_user=N_USER, total_bytes=TOTAL_BYTES,
-                   losses=LOSS_RATES, iterations=10, warmup=3):
-    """{loss: {design: (perceived bw, retransmits)}} over the sweep."""
-    payload = run_spec(
-        ext_faults_spec(n_user, total_bytes, losses, iterations, warmup))
+def run_ext_faults():
+    """{loss: {design: (perceived bw, retransmits)}} at the fast profile."""
     table = {}
-    for loss, name, bw, rexmt in payload["rows"]:
+    for loss, name, bw, rexmt in run_fast("ext_faults")["rows"]:
         table.setdefault(loss, {})[name] = (bw, rexmt)
     return table
 
 
 def test_ext_faults(benchmark):
-    table = benchmark.pedantic(
-        run_ext_faults, args=(8, 8 * MiB, [0.0, 1e-3], 3, 1),
-        rounds=1, iterations=1)
+    table = benchmark.pedantic(run_ext_faults, rounds=1, iterations=1)
     clean = table[0.0]
     lossy = table[1e-3]
     # The off path stays off: a loss-free sweep never retransmits.

@@ -28,18 +28,13 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import ext_fleet_spec
-
-
-def run_fleet_bench():
-    """The collected ext_fleet payload (series + diagnostics)."""
-    return run_spec(ext_fleet_spec(rank_iter={"iterations": 6,
-                                              "warmup": 2}))
+from benchmarks.common import run_fast
+from repro.exp import script_main
 
 
 def test_ext_fleet(benchmark):
-    payload = benchmark.pedantic(run_fleet_bench, rounds=1, iterations=1)
+    payload = benchmark.pedantic(run_fast, args=("ext_fleet",), rounds=1,
+                                 iterations=1)
     ranking = payload["ranking"]
     # Quiet fabric: the wide layout beats the aggregated ones...
     assert ranking["0"]["times"]["T=16"] < ranking["0"]["times"]["T=4"]

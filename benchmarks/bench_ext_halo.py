@@ -16,33 +16,14 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    HALO_GRID as GRID,
-    HALO_N_THREADS as N_THREADS,
-    HALO_SIZES,
-    HALO_SIZES_FAST,
-    ext_halo_spec,
-)
-from repro.exp.modules import topology_desc
-from repro.units import KiB, MiB
-
-SIZES = list(HALO_SIZES)
-SIZES_FAST = list(HALO_SIZES_FAST)
-
-
-def run_ext_halo(grid=GRID, sizes=SIZES, iterations=10, warmup=3,
-                 topology=None):
-    if topology is not None and not isinstance(topology, (list, tuple)):
-        topology = topology_desc(topology)
-    return run_spec(ext_halo_spec(grid, sizes, iterations, warmup,
-                                  topology))["series"]
+from benchmarks.common import run_fast
+from repro.exp import script_main
+from repro.units import KiB
 
 
 def test_ext_halo(benchmark):
     series = benchmark.pedantic(
-        run_ext_halo, args=((4, 4), SIZES_FAST, 3, 1), rounds=1,
-        iterations=1)
+        lambda: run_fast("ext_halo")["series"], rounds=1, iterations=1)
     mid = 256 * KiB
     # Aggregation helps the halo at medium face sizes too.
     assert series["ploggp"][mid] > 1.2

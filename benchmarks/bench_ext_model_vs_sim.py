@@ -21,27 +21,17 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    MVS_CANDIDATES,
-    MVS_N_USER as N_USER,
-    MVS_SIZES,
-    ext_model_vs_sim_spec,
-)
+from benchmarks.common import run_fast
+from repro.exp import script_main
 from repro.units import KiB, MiB
 
-CANDIDATES = list(MVS_CANDIDATES)
-SIZES = list(MVS_SIZES)
 
-
-def run_comparison(sizes=SIZES, iterations=20, warmup=3, delay=0.0):
-    """{size: {"model": ranked counts, "measured": ranked counts}}.
-
-    ``delay`` defaults to 0: the overhead benchmark injects no noise,
-    so the model is evaluated under simultaneous arrival too.
+def run_comparison():
+    """{size: {"model": ranked counts, "measured": ranked counts}} at
+    the fast profile.  The model runs at zero delay: the overhead
+    benchmark injects no noise, so arrival is simultaneous there too.
     """
-    return run_spec(ext_model_vs_sim_spec(
-        sizes, iterations, warmup, delay))["comparison"]
+    return run_fast("ext_model_vs_sim")["comparison"]
 
 
 def agreement(result) -> float:
@@ -53,9 +43,7 @@ def agreement(result) -> float:
 
 def test_ext_model_vs_sim(benchmark):
     small, large = 16 * KiB, 16 * MiB
-    result = benchmark.pedantic(
-        run_comparison, args=([small, large], 8, 2), rounds=1,
-        iterations=1)
+    result = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     # The paper's finding, reproduced: exact winners may differ between
     # model and implementation (their Section V-B1 discrepancy), but
     # the *trend* — larger messages tolerate/benefit from more

@@ -31,19 +31,13 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import ext_serve_spec
-
-
-def run_serve_bench():
-    """The collected ext_serve payload (series + diagnostics)."""
-    return run_spec(ext_serve_spec(n_clients=400, n_requests=4000,
-                                   stress_writers=3, stress_puts=10,
-                                   cas_puts=8))
+from benchmarks.common import run_fast
+from repro.exp import script_main
 
 
 def test_ext_serve(benchmark):
-    payload = benchmark.pedantic(run_serve_bench, rounds=1, iterations=1)
+    payload = benchmark.pedantic(run_fast, args=("ext_serve",), rounds=1,
+                                 iterations=1)
     b = payload["bench"]
     # Zipf traffic keeps the cache hot once the key set is seen.
     assert b["warm_hit_rate"] > 0.9, b

@@ -25,20 +25,13 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import STENCIL_SCALE_FAST, ext_stencil_spec
-
-
-def run_stencil_bench():
-    """The collected ext_stencil payload (series + asym diagnostics)."""
-    return run_spec(ext_stencil_spec(
-        scale=STENCIL_SCALE_FAST,
-        scale_iter={"iterations": 4, "warmup": 1},
-        asym_iter={"iterations": 6, "warmup": 20}))
+from benchmarks.common import run_fast
+from repro.exp import script_main
 
 
 def test_ext_stencil(benchmark):
-    payload = benchmark.pedantic(run_stencil_bench, rounds=1, iterations=1)
+    payload = benchmark.pedantic(run_fast, args=("ext_stencil",), rounds=1,
+                                 iterations=1)
     scaling = payload["series"]["native vs persist"]
     per_edge = payload["series"]["asym: per-edge autotuned"]
     # Native aggregation beats part_persist at every scale point.

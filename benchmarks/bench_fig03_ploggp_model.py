@@ -16,27 +16,18 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    FIG03_COUNTS,
-    FIG03_DELAY as DELAY,
-    FIG03_SIZES,
-    fig03_report as report,
-    fig03_spec,
-)
-
-PARTITION_COUNTS = list(FIG03_COUNTS)
-SIZES = list(FIG03_SIZES)
+from repro.exp import get_experiment, run_spec, script_main
 
 
-def run_fig3(sizes=SIZES, counts=PARTITION_COUNTS, delay=DELAY):
-    """{partition count: [completion time per size]}."""
-    return run_spec(fig03_spec(sizes, counts, delay))["curves"]
+def run_fig3(**args):
+    """{partition count: [completion time per size]}; ``args`` (sizes,
+    counts, delay) override the paper grid."""
+    return run_spec(get_experiment("fig03").spec(**args))["curves"]
 
 
 def test_fig03_model_curves(benchmark):
     curves = benchmark.pedantic(run_fig3, rounds=1, iterations=1)
-    small_idx, large_idx = 0, len(SIZES) - 1
+    small_idx, large_idx = 0, len(curves[1]) - 1
     # Fig. 3 shape: 1 partition beats 32 at the small end and loses at
     # the large end.
     assert curves[1][small_idx] < curves[32][small_idx]

@@ -16,26 +16,21 @@ if __package__ in (None, ""):
 
 import sys
 
-from benchmarks.common import FAST_PTP, OVERHEAD_SIZES_FAST
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    FIG06_N_QPS as N_QPS,
-    FIG06_N_USER as N_USER,
-    FIG06_TRANSPORT_COUNTS,
-    fig06_spec,
-)
+from benchmarks.common import OVERHEAD_SIZES_FAST, run_fast
+from repro.exp import get_experiment, run_spec, script_main
 from repro.units import KiB, MiB
 
-TRANSPORT_COUNTS = list(FIG06_TRANSPORT_COUNTS)
+__all__ = ["OVERHEAD_SIZES_FAST", "run_fig6"]
 
 
 def run_fig6(sizes, iter_kwargs):
-    return run_spec(fig06_spec(sizes, iter_kwargs))["series"]
+    """The fig06 series over any size grid and iteration counts."""
+    return run_spec(get_experiment("fig06").spec(sizes, iter_kwargs))["series"]
 
 
 def test_fig06_transport_partition_sweep(benchmark):
     series = benchmark.pedantic(
-        run_fig6, args=(OVERHEAD_SIZES_FAST, FAST_PTP,), rounds=1, iterations=1)
+        lambda: run_fast("fig06")["series"], rounds=1, iterations=1)
     # Fewer transport partitions are (directionally) better for small
     # messages.  The paper measured only a 0.16-1.77% spread here; our
     # per-WR completion costs separate the extremes more — documented

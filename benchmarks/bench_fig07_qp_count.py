@@ -15,25 +15,22 @@ if __package__ in (None, ""):
 
 import sys
 
-from benchmarks.common import FAST_PTP, OVERHEAD_SIZES_FAST
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    FIG07_N_USER as N_USER,
-    FIG07_QP_COUNTS,
-    fig07_spec,
-)
+from benchmarks.common import run_fast
+from repro.exp import get_experiment, run_spec, script_main
+from repro.exp.modules import config_desc
 from repro.units import KiB, MiB
 
-QP_COUNTS = list(FIG07_QP_COUNTS)
 
-
-def run_fig7(sizes, iter_kwargs):
-    return run_spec(fig07_spec(sizes, iter_kwargs))["series"]
+def run_fig7(sizes, iter_kwargs, config=None):
+    """The fig07 series over any size grid, optionally on another
+    ``ClusterConfig`` (e.g. a multi-port NIC)."""
+    return run_spec(get_experiment("fig07").spec(
+        sizes, iter_kwargs, config=config_desc(config)))["series"]
 
 
 def test_fig07_qp_sweep(benchmark):
     series = benchmark.pedantic(
-        run_fig7, args=(OVERHEAD_SIZES_FAST + [16 * MiB], FAST_PTP,), rounds=1, iterations=1)
+        lambda: run_fast("fig07")["series"], rounds=1, iterations=1)
     # Small: QP count hardly matters.
     small = 4 * KiB
     assert abs(series["QP=1"][small] - series["QP=16"][small]) \

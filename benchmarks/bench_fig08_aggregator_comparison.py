@@ -19,29 +19,18 @@ if __package__ in (None, ""):
 
 import sys
 
-from benchmarks.common import FAST_PTP
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    FIG08_SIZES,
-    FIG08_SIZES_FAST,
-    FIG08_USER_COUNTS,
-    fig08_spec,
-)
+from benchmarks.common import run_fast
+from repro.exp import script_main
 from repro.units import KiB
 
-USER_COUNTS = list(FIG08_USER_COUNTS)
-SIZES = list(FIG08_SIZES)
-SIZES_FAST = list(FIG08_SIZES_FAST)
 
-
-def run_fig8(user_counts, sizes, iter_kwargs, table_iters=5):
-    return run_spec(
-        fig08_spec(user_counts, sizes, iter_kwargs, table_iters))["series"]
+def run_fig8():
+    """The fig08 series at the fast profile (4 and 32 partitions)."""
+    return run_fast("fig08")["series"]
 
 
 def test_fig08_aggregator_comparison(benchmark):
-    series = benchmark.pedantic(
-        run_fig8, args=([4, 32], SIZES_FAST, FAST_PTP, 3,), rounds=1, iterations=1)
+    series = benchmark.pedantic(run_fig8, rounds=1, iterations=1)
     mid = 128 * KiB
     # 32 partitions gain clearly at medium sizes; 4 gain less.
     assert series["32p ploggp"][mid] > 1.5

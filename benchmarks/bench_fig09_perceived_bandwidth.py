@@ -17,21 +17,21 @@ if __package__ in (None, ""):
 
 import sys
 
-from benchmarks.common import PERCEIVED_SIZES_FAST
+from benchmarks.common import run_fast
 from repro.bench.perceived import single_thread_line
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import fig09_spec
+from repro.exp import get_experiment, run_spec, script_main
 from repro.units import MiB
 
 
 def run_fig9(n_user, sizes, iterations=10, warmup=3):
-    return run_spec(
-        fig09_spec([n_user], sizes, iterations, warmup))["series"]
+    """The fig09 series for one partition count over any size grid."""
+    return run_spec(get_experiment("fig09").spec(
+        [n_user], sizes, iterations, warmup))["series"]
 
 
 def test_fig09_perceived_bandwidth(benchmark):
     series = benchmark.pedantic(
-        run_fig9, args=(32, PERCEIVED_SIZES_FAST, 5, 2,), rounds=1, iterations=1)
+        lambda: run_fast("fig09")["series"], rounds=1, iterations=1)
     line = single_thread_line()
     mid = 8 * MiB
     # Early bird: everyone above the single-thread line at medium size.

@@ -17,28 +17,20 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    PROFILE_N_USER as N_USER,
-    arrival_profile_spec,
-    profile_from_metrics,
-    profile_table as report,
-)
+from benchmarks.common import run_fast
+from repro.exp import script_main
+from repro.exp.experiments import profile_from_metrics
 from repro.profiler import early_bird_fraction
-from repro.units import MiB
-
-TOTAL = 8 * MiB
 
 
-def run_profile(total_bytes=TOTAL, iterations=10, warmup=3):
-    payload = run_spec(
-        arrival_profile_spec(total_bytes, iterations, warmup))
-    return profile_from_metrics(payload["profile"])
+def run_profile(name):
+    """The arrival profile experiment ``name`` measures (fast profile)."""
+    return profile_from_metrics(run_fast(name)["profile"])
 
 
 def test_fig10_medium_profile(benchmark):
     profile = benchmark.pedantic(
-        run_profile, args=(TOTAL, 5, 2,), rounds=1, iterations=1)
+        run_profile, args=("fig10",), rounds=1, iterations=1)
     fraction = early_bird_fraction(profile)
     # Fig. 10: every non-laggard partition transfers inside the delay.
     assert fraction == 1.0

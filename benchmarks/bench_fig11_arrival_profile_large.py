@@ -16,19 +16,14 @@ if __package__ in (None, ""):
 
 import sys
 
-from benchmarks.bench_fig10_arrival_profile_medium import report, run_profile
+from benchmarks.bench_fig10_arrival_profile_medium import run_profile
 from repro.exp import script_main
 from repro.profiler import early_bird_fraction
-from repro.units import MiB
-
-__all__ = ["report", "run_profile"]
-
-TOTAL = 128 * MiB
 
 
 def test_fig11_large_profile(benchmark):
     profile = benchmark.pedantic(
-        run_profile, args=(TOTAL, 5, 2,), rounds=1, iterations=1)
+        run_profile, args=("fig11",), rounds=1, iterations=1)
     fraction = early_bird_fraction(profile)
     # Fig. 11: about 3/8 of the early partitions make it out in time.
     assert 0.2 < fraction < 0.55

@@ -19,27 +19,23 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import FIG12_COUNTS, FIG12_SIZES, fig12_spec
+from benchmarks.common import run_fast
+from repro.exp import script_main
 from repro.units import MiB
 
-PARTITION_COUNTS = list(FIG12_COUNTS)
-SIZES = list(FIG12_SIZES)
 
-
-def run_fig12(sizes=SIZES, counts=PARTITION_COUNTS, iterations=5, warmup=2):
-    """{(size, n_partitions): min delta}, skipping no-aggregation points."""
-    payload = run_spec(fig12_spec(sizes, counts, iterations, warmup))
+def run_fig12():
+    """{(size, n_partitions): min delta} at the fast profile, skipping
+    no-aggregation points."""
     return {(size, n_user): delta
-            for size, n_user, delta in payload["rows"]}
+            for size, n_user, delta in run_fast("fig12")["rows"]}
 
 
 def test_fig12_minimum_delta(benchmark):
     # 16/32/128 partitions: at 8 MiB the PLogGP plan aggregates for all
     # of these (8 partitions would be a no-aggregation point, omitted
     # as in the paper's figure).
-    table = benchmark.pedantic(
-        run_fig12, args=([8 * MiB], [16, 32, 128], 3, 1,), rounds=1, iterations=1)
+    table = benchmark.pedantic(run_fig12, rounds=1, iterations=1)
     # Minimum delta grows with partition count.
     assert table[(8 * MiB, 16)] < table[(8 * MiB, 32)] < table[(8 * MiB, 128)]
     # Tens of microseconds at 32 partitions (paper: ~35 us).

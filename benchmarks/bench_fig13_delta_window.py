@@ -15,25 +15,14 @@ if __package__ in (None, ""):
 
 import sys
 
-from benchmarks.common import PERCEIVED_SIZES_FAST
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    FIG13_DELTAS,
-    FIG13_N_USER as N_USER,
-    fig13_spec,
-)
+from benchmarks.common import PERCEIVED_SIZES_FAST, run_fast
+from repro.exp import script_main
 from repro.units import MiB
-
-DELTAS = list(FIG13_DELTAS)
-
-
-def run_fig13(sizes, iterations=10, warmup=3):
-    return run_spec(fig13_spec(sizes, iterations, warmup))["series"]
 
 
 def test_fig13_delta_window(benchmark):
     series = benchmark.pedantic(
-        run_fig13, args=(PERCEIVED_SIZES_FAST, 4, 1,), rounds=1, iterations=1)
+        lambda: run_fast("fig13")["series"], rounds=1, iterations=1)
     worst_spread = 0.0
     for size in PERCEIVED_SIZES_FAST:
         if size < 8 * MiB:

@@ -19,31 +19,16 @@ if __package__ in (None, ""):
 
 import sys
 
-from benchmarks.common import FAST_SWEEP, SWEEP_SIZES_FAST
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import (
-    FIG14_GRID as GRID,
-    FIG14_N_THREADS as N_THREADS,
-    FIG14_NOISE_POINTS,
-    FIG14_TIMER_DELTA as TIMER_DELTA,
-    fig14_spec,
-)
+from benchmarks.common import run_fast
+from repro.exp import script_main
 from repro.units import KiB
-
-NOISE_POINTS = list(FIG14_NOISE_POINTS)
-
-
-def run_fig14(grid, sizes, noise_points, iter_kwargs):
-    return run_spec(
-        fig14_spec(grid, sizes, noise_points, iter_kwargs))["series"]
 
 
 def test_fig14_sweep3d(benchmark):
     # Reduced grid for the benchmark suite; run the module directly for
     # the paper's full 8x8.
     series = benchmark.pedantic(
-        run_fig14, args=((4, 4), SWEEP_SIZES_FAST, NOISE_POINTS[:2], FAST_SWEEP),
-        rounds=1, iterations=1)
+        lambda: run_fast("fig14")["series"], rounds=1, iterations=1)
     mid = 256 * KiB
     # Medium-message speedup with 10us noise.
     assert series["14a: 1ms+1% (10us) ploggp"][mid] > 1.25

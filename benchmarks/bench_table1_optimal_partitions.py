@@ -16,13 +16,13 @@ if __package__ in (None, ""):
 
 import sys
 
-from repro.exp import run_spec, script_main
-from repro.exp.experiments import table1_report as report, table1_spec
+from benchmarks.common import run_fast
+from repro.exp import script_main
 from repro.model.tables import TABLE1_PAPER
 
 
 def run_table1():
-    return run_spec(table1_spec())["table"]
+    return run_fast("table1")["table"]
 
 
 def test_table1_reproduction(benchmark):

@@ -10,12 +10,15 @@ same experiments through the registry.
 
 The knobs themselves live in :mod:`repro.exp.profiles` (the ``paper``
 and ``fast`` presets); this module re-exports them under the
-historical names so existing imports keep working.
+historical names so existing imports keep working.  :func:`run_fast`
+runs one experiment's row at the ``fast`` profile, which is what every
+pytest-benchmark wrapper checks its shape on.
 """
 
 from __future__ import annotations
 
 from repro.core import PLogGPAggregator, TimerPLogGPAggregator
+from repro.exp import get_experiment, run_spec
 from repro.exp.profiles import (
     FAST,
     PAPER,
@@ -45,8 +48,13 @@ __all__ = [
     "FAST_PTP", "FAST_SWEEP", "OVERHEAD_SIZES", "OVERHEAD_SIZES_FAST",
     "PERCEIVED_COMPUTE", "PERCEIVED_NOISE", "PERCEIVED_SIZES",
     "PERCEIVED_SIZES_FAST", "PTP_ITER", "SWEEP_ITER", "SWEEP_SIZES",
-    "SWEEP_SIZES_FAST", "ploggp_aggregator", "timer_aggregator",
+    "SWEEP_SIZES_FAST", "ploggp_aggregator", "run_fast", "timer_aggregator",
 ]
+
+
+def run_fast(name: str) -> dict:
+    """The collected payload of experiment ``name`` at the fast profile."""
+    return run_spec(get_experiment(name).build(FAST))
 
 
 def ploggp_aggregator():

@@ -130,23 +130,6 @@ def non_negative_float(text: str) -> float:
     return value
 
 
-def _aggregator(name: str, delay: float, delta: float):
-    from repro.core import (
-        NoAggregation,
-        PLogGPAggregator,
-        TimerPLogGPAggregator,
-    )
-    from repro.model.tables import NIAGARA_LOGGP
-
-    if name == "ploggp":
-        return PLogGPAggregator(NIAGARA_LOGGP, delay=delay)
-    if name == "timer":
-        return TimerPLogGPAggregator(NIAGARA_LOGGP, delay=delay, delta=delta)
-    if name == "none":
-        return NoAggregation()
-    raise SystemExit(f"unknown aggregator {name!r}")
-
-
 def cmd_table1(args) -> int:
     from repro.bench.reporting import format_table
     from repro.model.tables import TABLE1_PAPER, generate_table1
@@ -182,9 +165,12 @@ def cmd_model(args) -> int:
 def cmd_overhead(args) -> int:
     from repro.bench.overhead import overhead_speedup_series
     from repro.bench.reporting import format_speedup_series
+    from repro.exp.modules import build_module
 
     _split_evenly(args.sizes, args.n_user)
-    agg = _aggregator(args.aggregator, ms(args.delay_ms), us(args.delta_us))
+    agg = build_module(["noagg"] if args.aggregator == "none" else [
+        args.aggregator, {"delay": ms(args.delay_ms),
+                          "delta": us(args.delta_us)}])
     speedups = overhead_speedup_series(
         agg, n_user=args.n_user, sizes=args.sizes,
         iterations=args.iterations, warmup=args.warmup)
@@ -206,12 +192,14 @@ def cmd_perceived(args) -> int:
         single_thread_line,
     )
     from repro.bench.reporting import format_bandwidth_series
+    from repro.exp.modules import build_module
 
     _split_evenly(args.sizes, args.n_user)
+    params = {"delay": ms(args.delay_ms), "delta": us(args.delta_us)}
     designs = {
         "persist": None,
-        "ploggp": _aggregator("ploggp", ms(args.delay_ms), 0),
-        "timer": _aggregator("timer", ms(args.delay_ms), us(args.delta_us)),
+        "ploggp": build_module(["ploggp", params]),
+        "timer": build_module(["timer", params]),
     }
     series = {name: {} for name in designs}
     for size in args.sizes:
@@ -241,12 +229,14 @@ def cmd_perceived(args) -> int:
 def cmd_sweep(args) -> int:
     from repro.bench.reporting import format_speedup_series
     from repro.bench.sweep import run_sweep
+    from repro.exp.modules import build_module
 
     grid = args.grid
     _split_evenly(args.sizes, args.threads)
+    params = {"delay": ms(args.delay_ms), "delta": us(args.delta_us)}
     designs = {
-        "ploggp": _aggregator("ploggp", ms(args.delay_ms), 0),
-        "timer": _aggregator("timer", ms(args.delay_ms), us(args.delta_us)),
+        "ploggp": build_module(["ploggp", params]),
+        "timer": build_module(["timer", params]),
     }
     series = {name: {} for name in designs}
     for size in args.sizes:
@@ -278,6 +268,7 @@ def cmd_sweep(args) -> int:
 def cmd_stencil(args) -> int:
     from repro.bench.reporting import format_table
     from repro.coll import per_edge_autotuners, run_stencil
+    from repro.exp.modules import build_module
 
     grid = args.grid
     faces = args.faces
@@ -303,8 +294,8 @@ def cmd_stencil(args) -> int:
         ours = run_stencil(planner=planner, **kwargs)
     else:
         ours = run_stencil(
-            module=_aggregator(args.aggregator, ms(args.delay_ms),
-                               us(args.delta_us)),
+            module=build_module([args.aggregator, {
+                "delay": ms(args.delay_ms), "delta": us(args.delta_us)}]),
             **kwargs)
     print(f"stencil halo exchange, {'x'.join(map(str, grid))} ranks x "
           f"{args.threads} threads, {args.partitions} partitions/face")

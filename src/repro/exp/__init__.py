@@ -1,8 +1,8 @@
 """The experiment harness: declarative sweeps, cached and parallel.
 
 This layer separates *what* an experiment measures (a
-:class:`~repro.exp.spec.Scenario` list built by the registry in
-:mod:`repro.exp.experiments`) from *how* the points are executed (the
+:class:`~repro.exp.spec.Scenario` list built from its row of the table
+in :mod:`repro.exp.experiments`) from *how* the points are executed (the
 :class:`~repro.exp.runner.Runner`, serial or process-parallel, with a
 content-addressed :class:`~repro.exp.cache.ResultCache`) and how the
 outcome is persisted (:class:`~repro.exp.store.ResultStore` artifacts).
@@ -32,7 +32,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "profiles": ("FAST", "PAPER", "PERCEIVED_COMPUTE", "PERCEIVED_NOISE",
                  "PROFILES", "Profile", "get_profile"),
     "registry": ("Experiment", "ExperimentSpec", "Metric", "all_experiments",
-                 "experiment_names", "get_experiment", "register"),
+                 "experiment_names", "get_experiment"),
     "runner": ("Runner", "RunStats"),
     "spec": ("Scenario", "canonical", "dedup", "grid"),
     "store": ("RESULT_SCHEMA", "CompareReport", "ResultStore",
@@ -48,6 +48,6 @@ __all__ = [
     "code_fingerprint", "compare_results", "dedup", "default_jobs",
     "diff_plans", "experiment_names", "experiment_plans",
     "get_experiment", "get_profile", "grid",
-    "load_result", "register", "render_plans", "run_experiment",
+    "load_result", "render_plans", "run_experiment",
     "run_spec", "script_main",
 ]

@@ -1,16 +1,19 @@
-"""Every figure/table of the paper as a registered declarative spec.
+"""Every figure and table of the paper as one row of one table.
 
-Each ``<name>_spec`` function builds the exact sweep points the old
-imperative ``benchmarks/bench_*.py`` loop ran — same modules, same
-workloads, same iteration counts — so the harness reproduces the
-historical numbers bit for bit (guarded by the goldens).  The
-``@register`` builds instantiate the specs from a named profile
-(paper-scale vs. fast) for ``repro-bench bench run``.
+:data:`EXPERIMENTS` holds a row (:class:`~repro.exp.registry.Experiment`)
+per figure: its name and title, its metric, the series that are better
+when lower, the spec function that lays out its sweep points, and that
+function's arguments under the ``paper`` and ``fast`` profiles.
+``Experiment.build(profile)`` is the one builder over the table.
 
-Layout note: the spec builders key their scenario dicts by the same
-loop variables the old scripts used, and ``collect`` reads results
-back through those dicts, so a reviewer can diff a spec against the
-retired loop line by line.
+Each spec function builds the exact sweep points the old imperative
+``benchmarks/bench_*.py`` loop ran — same modules, same workloads, same
+iteration counts — so the harness reproduces the historical numbers
+bit for bit (guarded by the goldens).  The specs key their scenario
+dicts by the loop variables the old scripts used, and ``collect`` reads
+results back through those dicts, so a reviewer can diff a spec against
+the retired loop line by line.  Every point list is pinned by
+``tests/test_exp/test_scenario_pin.py``.
 """
 
 from __future__ import annotations
@@ -23,13 +26,8 @@ from repro.bench.reporting import (
     format_speedup_series,
     format_table,
 )
-from repro.exp.profiles import (
-    PERCEIVED_COMPUTE,
-    PERCEIVED_NOISE,
-    Profile,
-)
-from repro.exp.modules import config_desc
-from repro.exp.registry import ExperimentSpec, Metric, register
+from repro.exp.profiles import FAST, PAPER, PERCEIVED_COMPUTE, PERCEIVED_NOISE
+from repro.exp.registry import Experiment, ExperimentSpec, Metric
 from repro.exp.spec import Scenario
 from repro.units import KiB, MiB, fmt_bytes, fmt_rate, fmt_time, ms, us
 
@@ -37,39 +35,27 @@ from repro.units import KiB, MiB, fmt_bytes, fmt_rate, fmt_time, ms, us
 PERSIST = ["persist"]
 PLOGGP = ["ploggp", {"delay": ms(4)}]
 TIMER_3000US = ["timer", {"delay": ms(4), "delta": us(3000)}]
+#: The three designs of Figs. 9 and the fault sweep.
+DESIGNS = (("persist", PERSIST), ("ploggp", PLOGGP),
+           ("timer(3000us)", TIMER_3000US))
 
 SPEEDUP = Metric("speedup over part_persist", "x")
 BANDWIDTH = Metric("perceived bandwidth", "B/s")
-MODEL_TIME = Metric("modelled completion time", "s", higher_is_better=False)
 
 
-def _iter_extras(it: Mapping) -> dict:
-    """Optional per-run overrides riding in an iteration-kwargs mapping.
-
-    The legacy scripts pass a whole ``config=ClusterConfig`` through
-    their kwargs dicts (e.g. the multi-rail test); scenarios must stay
-    JSON-safe, so live configs are converted to descriptors here.
-    """
-    extras = {}
-    cfg = it.get("config")
-    if cfg is not None:
-        extras["config"] = cfg if isinstance(cfg, dict) else config_desc(cfg)
-    return extras
-
-
-def _overhead(module, n_user: int, size: int, it: Mapping) -> Scenario:
-    return Scenario.make(
-        "overhead", module=module, n_user=n_user, total_bytes=size,
-        iterations=it["iterations"], warmup=it["warmup"],
-        **_iter_extras(it))
+def _overhead(module, n_user: int, size: int, it: Mapping,
+              config: Optional[dict] = None) -> Scenario:
+    params = dict(module=module, n_user=n_user, total_bytes=size,
+                  iterations=it["iterations"], warmup=it["warmup"])
+    if config is not None:
+        params["config"] = config
+    return Scenario.make("overhead", **params)
 
 
 def _perceived(module, n_user: int, size: int, iterations: int,
-               warmup: int, loss: float = 0.0,
-               compute: float = PERCEIVED_COMPUTE,
-               noise: float = PERCEIVED_NOISE) -> Scenario:
+               warmup: int, loss: float = 0.0) -> Scenario:
     params = dict(module=module, n_user=n_user, total_bytes=size,
-                  compute=compute, noise_fraction=noise,
+                  compute=PERCEIVED_COMPUTE, noise_fraction=PERCEIVED_NOISE,
                   iterations=iterations, warmup=warmup)
     if loss:
         params["loss"] = loss
@@ -81,20 +67,41 @@ def _sweep(module, grid_shape, n_threads: int, size: int, compute: float,
     return Scenario.make(
         "sweep", module=module, grid=list(grid_shape), n_threads=n_threads,
         total_bytes=size, compute=compute, noise_fraction=noise,
-        iterations=it["iterations"], warmup=it["warmup"],
-        **_iter_extras(it))
+        iterations=it["iterations"], warmup=it["warmup"])
+
+
+def _speedup(res, pairs: Mapping, field: str) -> dict:
+    """``{x: baseline time / design time}`` over ``{x: (baseline, design)}``."""
+    return {x: res[base][field] / res[design][field]
+            for x, (base, design) in pairs.items()}
+
+
+def _speedup_spec(points: list, series: Mapping,
+                  field: str = "mean_time") -> ExperimentSpec:
+    """Speedup over ``part_persist``: ``series`` maps each label to
+    ``{x: (baseline point, design point)}``."""
+    def collect(res):
+        return {"series": {label: _speedup(res, pairs, field)
+                           for label, pairs in series.items()}}
+
+    return ExperimentSpec(
+        points, collect,
+        lambda payload: format_speedup_series(payload["series"]))
+
+
+def _bandwidth_report(payload) -> str:
+    from repro.bench.perceived import single_thread_line
+
+    return format_bandwidth_series(payload["series"],
+                                   reference=single_thread_line())
 
 
 # ---------------------------------------------------------------- fig03
 
-FIG03_COUNTS = (1, 2, 4, 8, 16, 32)
-FIG03_SIZES = (16 * KiB, 64 * KiB, 256 * KiB, 1 * MiB, 4 * MiB, 16 * MiB,
-               64 * MiB, 256 * MiB)
-FIG03_DELAY = ms(4)
 
-
-def fig03_spec(sizes=FIG03_SIZES, counts=FIG03_COUNTS,
-               delay=FIG03_DELAY) -> ExperimentSpec:
+def fig03_spec(sizes=(16 * KiB, 64 * KiB, 256 * KiB, 1 * MiB, 4 * MiB,
+                      16 * MiB, 64 * MiB, 256 * MiB),
+               counts=(1, 2, 4, 8, 16, 32), delay=ms(4)) -> ExperimentSpec:
     sizes = list(sizes)
     pts = {n: Scenario.make("model_curve", sizes=sizes, n=n, delay=delay)
            for n in counts}
@@ -105,25 +112,17 @@ def fig03_spec(sizes=FIG03_SIZES, counts=FIG03_COUNTS,
         return {"series": series, "curves": curves, "sizes": sizes}
 
     def report(payload):
-        return fig03_report(payload["curves"], payload["sizes"])
+        curves = payload["curves"]
+        rows = []
+        for i, size in enumerate(payload["sizes"]):
+            best = min(curves, key=lambda n: curves[n][i])
+            rows.append([fmt_bytes(size)]
+                        + [fmt_time(curves[n][i]) for n in curves]
+                        + [best])
+        return format_table(
+            ["size"] + [f"{n} parts" for n in curves] + ["best"], rows)
 
-    return ExperimentSpec(list(pts.values()), collect, report, MODEL_TIME)
-
-
-def fig03_report(curves, sizes=FIG03_SIZES) -> str:
-    rows = []
-    for i, size in enumerate(sizes):
-        best = min(curves, key=lambda n: curves[n][i])
-        rows.append([fmt_bytes(size)]
-                    + [fmt_time(curves[n][i]) for n in curves]
-                    + [best])
-    return format_table(
-        ["size"] + [f"{n} parts" for n in curves] + ["best"], rows)
-
-
-@register("fig03", "Fig. 3: PLogGP-modelled completion times")
-def _build_fig03(profile: Profile) -> ExperimentSpec:
-    return fig03_spec()
+    return ExperimentSpec(list(pts.values()), collect, report)
 
 
 # --------------------------------------------------------------- table1
@@ -139,111 +138,55 @@ def table1_spec() -> ExperimentSpec:
                 "table": table}
 
     def report(payload):
-        return table1_report(payload["table"])
+        from repro.model.tables import TABLE1_PAPER
 
-    return ExperimentSpec(
-        [point], collect, report, Metric("optimal transport partitions"))
+        got = payload["table"]
+        rows = [[fmt_bytes(size), want, got[size],
+                 "ok" if got[size] == want else "MISMATCH"]
+                for size, want in TABLE1_PAPER.items()]
+        return format_table(["aggregate size", "paper", "model", ""], rows)
 
-
-def table1_report(got) -> str:
-    from repro.model.tables import TABLE1_PAPER
-
-    rows = [[fmt_bytes(size), want, got[size],
-             "ok" if got[size] == want else "MISMATCH"]
-            for size, want in TABLE1_PAPER.items()]
-    return format_table(["aggregate size", "paper", "model", ""], rows)
+    return ExperimentSpec([point], collect, report)
 
 
-@register("table1", "Table I: optimal transport partitions")
-def _build_table1(profile: Profile) -> ExperimentSpec:
-    return table1_spec()
+# ------------------------------------------------------------ fig06 / 07
 
 
-# ---------------------------------------------------------------- fig06
-
-FIG06_N_USER = 32
-FIG06_TRANSPORT_COUNTS = (2, 8, 32)
-FIG06_N_QPS = 2
-
-
-def fig06_spec(sizes, iter_kwargs,
-               transport_counts=FIG06_TRANSPORT_COUNTS,
-               n_user=FIG06_N_USER, n_qps=FIG06_N_QPS) -> ExperimentSpec:
-    sizes = list(sizes)
+def fig06_spec(sizes, iter_kwargs, transport_counts=(2, 8, 32),
+               n_user=32, n_qps=2) -> ExperimentSpec:
     base = {s: _overhead(PERSIST, n_user, s, iter_kwargs) for s in sizes}
     agg = {(t, s): _overhead(["fixed", {"n_transport": t, "n_qps": n_qps}],
                              n_user, s, iter_kwargs)
            for t in transport_counts for s in sizes}
-
-    def collect(res):
-        series = {
-            f"T={t}": {s: res[base[s]]["mean_time"]
-                       / res[agg[(t, s)]]["mean_time"] for s in sizes}
-            for t in transport_counts
-        }
-        return {"series": series}
-
-    return ExperimentSpec(
-        list(base.values()) + list(agg.values()), collect,
-        lambda payload: format_speedup_series(payload["series"]), SPEEDUP)
+    return _speedup_spec(
+        [*base.values(), *agg.values()],
+        {f"T={t}": {s: (base[s], agg[(t, s)]) for s in sizes}
+         for t in transport_counts})
 
 
-@register("fig06", "Fig. 6: overhead vs. transport-partition count")
-def _build_fig06(profile: Profile) -> ExperimentSpec:
-    return fig06_spec(profile.overhead_sizes, profile.ptp_iter)
-
-
-# ---------------------------------------------------------------- fig07
-
-FIG07_N_USER = 16
-FIG07_QP_COUNTS = (1, 4, 16)
-
-
-def fig07_spec(sizes, iter_kwargs, qp_counts=FIG07_QP_COUNTS,
-               n_user=FIG07_N_USER) -> ExperimentSpec:
-    sizes = list(sizes)
-    base = {s: _overhead(PERSIST, n_user, s, iter_kwargs) for s in sizes}
+def fig07_spec(sizes, iter_kwargs, qp_counts=(1, 4, 16), n_user=16,
+               config: Optional[dict] = None) -> ExperimentSpec:
+    """``config`` is a whole-config descriptor
+    (:func:`repro.exp.modules.config_desc`) for every point."""
+    base = {s: _overhead(PERSIST, n_user, s, iter_kwargs, config)
+            for s in sizes}
     agg = {(q, s): _overhead(["noagg", {"n_qps": q}], n_user, s,
-                             iter_kwargs)
+                             iter_kwargs, config)
            for q in qp_counts for s in sizes}
-
-    def collect(res):
-        series = {
-            f"QP={q}": {s: res[base[s]]["mean_time"]
-                        / res[agg[(q, s)]]["mean_time"] for s in sizes}
-            for q in qp_counts
-        }
-        return {"series": series}
-
-    return ExperimentSpec(
-        list(base.values()) + list(agg.values()), collect,
-        lambda payload: format_speedup_series(payload["series"]), SPEEDUP)
-
-
-@register("fig07", "Fig. 7: overhead vs. QP count")
-def _build_fig07(profile: Profile) -> ExperimentSpec:
-    sizes = list(profile.overhead_sizes)
-    if 16 * MiB not in sizes:
-        # The QP effect needs a wire-saturating point (Section V-B1).
-        sizes.append(16 * MiB)
-    return fig07_spec(sizes, profile.ptp_iter)
+    return _speedup_spec(
+        [*base.values(), *agg.values()],
+        {f"QP={q}": {s: (base[s], agg[(q, s)]) for s in sizes}
+         for q in qp_counts})
 
 
 # ---------------------------------------------------------------- fig08
 
-FIG08_USER_COUNTS = (4, 32, 128)
-FIG08_SIZES = (4 * KiB, 16 * KiB, 64 * KiB, 128 * KiB, 512 * KiB,
-               2 * MiB, 8 * MiB)
-FIG08_SIZES_FAST = (16 * KiB, 128 * KiB, 2 * MiB)
-
 
 def fig08_spec(user_counts, sizes, iter_kwargs,
                table_iters: int = 5) -> ExperimentSpec:
-    user_counts, sizes = list(user_counts), list(sizes)
-    usable_by, base, table, ploggp = {}, {}, {}, {}
+    base, table, ploggp, series = {}, {}, {}, {}
     for n_user in user_counts:
         usable = [s for s in sizes if s >= n_user]
-        usable_by[n_user] = usable
         table_desc = ["tuning_table", {
             "n_user_counts": [n_user], "message_sizes": usable,
             "iterations": table_iters, "warmup": 1}]
@@ -252,45 +195,19 @@ def fig08_spec(user_counts, sizes, iter_kwargs,
             table[(n_user, s)] = _overhead(table_desc, n_user, s,
                                            iter_kwargs)
             ploggp[(n_user, s)] = _overhead(PLOGGP, n_user, s, iter_kwargs)
-
-    def collect(res):
-        series = {}
-        for n_user in user_counts:
-            series[f"{n_user}p tuning-table"] = {
-                s: res[base[(n_user, s)]]["mean_time"]
-                / res[table[(n_user, s)]]["mean_time"]
-                for s in usable_by[n_user]}
-            series[f"{n_user}p ploggp"] = {
-                s: res[base[(n_user, s)]]["mean_time"]
-                / res[ploggp[(n_user, s)]]["mean_time"]
-                for s in usable_by[n_user]}
-        return {"series": series}
-
-    return ExperimentSpec(
-        list(base.values()) + list(table.values()) + list(ploggp.values()),
-        collect,
-        lambda payload: format_speedup_series(payload["series"]), SPEEDUP)
-
-
-@register("fig08", "Fig. 8: tuning-table vs. PLogGP aggregator")
-def _build_fig08(profile: Profile) -> ExperimentSpec:
-    if profile.name == "paper":
-        return fig08_spec(FIG08_USER_COUNTS, FIG08_SIZES,
-                          profile.ptp_iter, table_iters=5)
-    return fig08_spec((4, 32), FIG08_SIZES_FAST, profile.ptp_iter,
-                      table_iters=3)
+        for name, design in (("tuning-table", table), ("ploggp", ploggp)):
+            series[f"{n_user}p {name}"] = {
+                s: (base[(n_user, s)], design[(n_user, s)]) for s in usable}
+    return _speedup_spec(
+        [*base.values(), *table.values(), *ploggp.values()], series)
 
 
 # ---------------------------------------------------------------- fig09
 
-FIG09_DESIGNS = (("persist", PERSIST), ("ploggp", PLOGGP),
-                 ("timer(3000us)", TIMER_3000US))
-
 
 def fig09_spec(n_users, sizes, iterations, warmup) -> ExperimentSpec:
-    n_users, sizes = list(n_users), list(sizes)
     pts = {(n, name, s): _perceived(desc, n, s, iterations, warmup)
-           for n in n_users for name, desc in FIG09_DESIGNS for s in sizes}
+           for n in n_users for name, desc in DESIGNS for s in sizes}
 
     def label(n, name):
         return name if len(n_users) == 1 else f"{n}p {name}"
@@ -300,30 +217,14 @@ def fig09_spec(n_users, sizes, iterations, warmup) -> ExperimentSpec:
             label(n, name): {
                 s: res[pts[(n, name, s)]]["perceived_bandwidth"]
                 for s in sizes}
-            for n in n_users for name, _ in FIG09_DESIGNS
+            for n in n_users for name, _ in DESIGNS
         }
         return {"series": series}
 
-    def report(payload):
-        from repro.bench.perceived import single_thread_line
-
-        return format_bandwidth_series(payload["series"],
-                                       reference=single_thread_line())
-
-    return ExperimentSpec(list(pts.values()), collect, report, BANDWIDTH)
-
-
-@register("fig09", "Fig. 9: perceived bandwidth of the three designs")
-def _build_fig09(profile: Profile) -> ExperimentSpec:
-    n_users = (16, 32) if profile.name == "paper" else (32,)
-    return fig09_spec(n_users, profile.perceived_sizes,
-                      profile.perceived_iterations,
-                      profile.perceived_warmup)
+    return ExperimentSpec(list(pts.values()), collect, _bandwidth_report)
 
 
 # ----------------------------------------------------------- fig10 / 11
-
-PROFILE_N_USER = 32
 
 
 def profile_from_metrics(metrics: Mapping):
@@ -355,7 +256,7 @@ def profile_table(profile) -> str:
 
 
 def arrival_profile_spec(total_bytes: int, iterations: int, warmup: int,
-                         n_user: int = PROFILE_N_USER) -> ExperimentSpec:
+                         n_user: int = 32) -> ExperimentSpec:
     from repro.profiler import early_bird_fraction
 
     point = Scenario.make(
@@ -379,29 +280,14 @@ def arrival_profile_spec(total_bytes: int, iterations: int, warmup: int,
         return (f"{profile_table(profile)}\n\nearly-bird fraction: "
                 f"{early_bird_fraction(profile):.3f}")
 
-    return ExperimentSpec([point], collect, report,
-                          Metric("early-bird fraction"))
-
-
-@register("fig10", "Fig. 10: arrival profile, 8 MiB")
-def _build_fig10(profile: Profile) -> ExperimentSpec:
-    return arrival_profile_spec(8 * MiB, profile.perceived_iterations,
-                                profile.perceived_warmup)
-
-
-@register("fig11", "Fig. 11: arrival profile, 128 MiB")
-def _build_fig11(profile: Profile) -> ExperimentSpec:
-    return arrival_profile_spec(128 * MiB, profile.perceived_iterations,
-                                profile.perceived_warmup)
+    return ExperimentSpec([point], collect, report)
 
 
 # ---------------------------------------------------------------- fig12
 
-FIG12_COUNTS = (4, 8, 16, 32, 64, 128)
-FIG12_SIZES = (1 * MiB, 8 * MiB, 64 * MiB)
 
-
-def fig12_spec(sizes=FIG12_SIZES, counts=FIG12_COUNTS, iterations=5,
+def fig12_spec(sizes=(1 * MiB, 8 * MiB, 64 * MiB),
+               counts=(4, 8, 16, 32, 64, 128), iterations=5,
                warmup=2) -> ExperimentSpec:
     from repro.config import NIAGARA
     from repro.core import PLogGPAggregator
@@ -436,27 +322,14 @@ def fig12_spec(sizes=FIG12_SIZES, counts=FIG12_COUNTS, iterations=5,
                                    for size, n_user, delta
                                    in payload["rows"]})
 
-    return ExperimentSpec(list(pts.values()), collect, report,
-                          Metric("minimum delta", "s",
-                                 higher_is_better=False))
-
-
-@register("fig12", "Fig. 12: estimated minimum delta")
-def _build_fig12(profile: Profile) -> ExperimentSpec:
-    if profile.name == "paper":
-        return fig12_spec()
-    return fig12_spec((8 * MiB,), (16, 32, 128), iterations=3, warmup=1)
+    return ExperimentSpec(list(pts.values()), collect, report)
 
 
 # ---------------------------------------------------------------- fig13
 
-FIG13_DELTAS = (us(10), us(35), us(100))
-FIG13_N_USER = 32
 
-
-def fig13_spec(sizes, iterations, warmup, deltas=FIG13_DELTAS,
-               n_user=FIG13_N_USER) -> ExperimentSpec:
-    sizes = list(sizes)
+def fig13_spec(sizes, iterations, warmup, deltas=(us(10), us(35), us(100)),
+               n_user=32) -> ExperimentSpec:
     pts = {(delta, s): _perceived(
         ["timer", {"delay": ms(4), "delta": delta}], n_user, s,
         iterations, warmup) for delta in deltas for s in sizes}
@@ -470,21 +343,7 @@ def fig13_spec(sizes, iterations, warmup, deltas=FIG13_DELTAS,
         }
         return {"series": series}
 
-    def report(payload):
-        from repro.bench.perceived import single_thread_line
-
-        return format_bandwidth_series(payload["series"],
-                                       reference=single_thread_line())
-
-    return ExperimentSpec(list(pts.values()), collect, report, BANDWIDTH)
-
-
-@register("fig13", "Fig. 13: perceived bandwidth across a delta window")
-def _build_fig13(profile: Profile) -> ExperimentSpec:
-    iterations = profile.perceived_iterations if profile.name == "paper" \
-        else 4
-    warmup = profile.perceived_warmup if profile.name == "paper" else 1
-    return fig13_spec(profile.perceived_sizes, iterations, warmup)
+    return ExperimentSpec(list(pts.values()), collect, _bandwidth_report)
 
 
 # ---------------------------------------------------------------- fig14
@@ -495,15 +354,10 @@ FIG14_NOISE_POINTS = (
     ("14b: 1ms+4% (40us)", 1e-3, 0.04),
     ("14c: 10ms+4% (400us)", 10e-3, 0.04),
 )
-FIG14_GRID = (8, 8)
-FIG14_N_THREADS = 16
-FIG14_TIMER_DELTA = us(8)
 
 
-def fig14_spec(grid_shape, sizes, noise_points, iter_kwargs,
-               n_threads=FIG14_N_THREADS,
-               timer_delta=FIG14_TIMER_DELTA) -> ExperimentSpec:
-    sizes = list(sizes)
+def fig14_spec(grid_shape, sizes, noise_points, iter_kwargs, n_threads=16,
+               timer_delta=us(8)) -> ExperimentSpec:
     designs = (("ploggp", PLOGGP),
                ("timer", ["timer", {"delay": ms(4), "delta": timer_delta}]))
     base, ours = {}, {}
@@ -515,29 +369,12 @@ def fig14_spec(grid_shape, sizes, noise_points, iter_kwargs,
                 ours[(label, name, s)] = _sweep(
                     desc, grid_shape, n_threads, s, compute, noise,
                     iter_kwargs)
-
-    def collect(res):
-        series = {}
-        for label, _, _ in noise_points:
-            for name, _ in designs:
-                series[f"{label} {name}"] = {
-                    s: res[base[(label, s)]]["mean_comm_time"]
-                    / res[ours[(label, name, s)]]["mean_comm_time"]
-                    for s in sizes}
-        return {"series": series}
-
-    return ExperimentSpec(
-        list(base.values()) + list(ours.values()), collect,
-        lambda payload: format_speedup_series(payload["series"]), SPEEDUP)
-
-
-@register("fig14", "Fig. 14: Sweep3D communication speedup")
-def _build_fig14(profile: Profile) -> ExperimentSpec:
-    if profile.name == "paper":
-        return fig14_spec(FIG14_GRID, profile.sweep_sizes,
-                          FIG14_NOISE_POINTS, profile.sweep_iter)
-    return fig14_spec((4, 4), profile.sweep_sizes, FIG14_NOISE_POINTS[:2],
-                      profile.sweep_iter)
+    return _speedup_spec(
+        [*base.values(), *ours.values()],
+        {f"{label} {name}": {s: (base[(label, s)], ours[(label, name, s)])
+                             for s in sizes}
+         for label, _, _ in noise_points for name, _ in designs},
+        "mean_comm_time")
 
 
 # -------------------------------------------------------- ext_ablations
@@ -548,9 +385,7 @@ ABL_N_USER = 32
 ABL_TIGHT_DELTA = us(5)
 
 
-def ext_sg_spec(sizes=(8 * MiB, 32 * MiB), iterations=6,
-                warmup=2) -> ExperimentSpec:
-    sizes = list(sizes)
+def _sg_spec(sizes, iterations, warmup) -> ExperimentSpec:
     pts = {}
     for sg in (False, True):
         name = "sg" if sg else "runs"
@@ -575,11 +410,10 @@ def ext_sg_spec(sizes=(8 * MiB, 32 * MiB), iterations=6,
         return format_table(["size", "flush", "perceived bw", "WRs/round"],
                             rows)
 
-    return ExperimentSpec(list(pts.values()), collect, report, BANDWIDTH)
+    return ExperimentSpec(list(pts.values()), collect, report)
 
 
-def ext_adaptive_spec(size=256 * KiB, iterations=4,
-                      warmup=1) -> ExperimentSpec:
+def _adaptive_spec(iterations, size=256 * KiB, warmup=1) -> ExperimentSpec:
     it = dict(iterations=iterations, warmup=warmup)
     grid_shape, n_threads, compute, noise = (4, 4), 16, ms(1), 0.04
     designs = {
@@ -595,9 +429,9 @@ def ext_adaptive_spec(size=256 * KiB, iterations=4,
             for name, desc in designs.items()}
 
     def collect(res):
-        speedups = {name: res[base]["mean_comm_time"]
-                    / res[pt]["mean_comm_time"]
-                    for name, pt in ours.items()}
+        speedups = _speedup(res, {name: (base, pt)
+                                  for name, pt in ours.items()},
+                            "mean_comm_time")
         return {"series": {"adaptive ablation": speedups},
                 "speedups": speedups}
 
@@ -606,19 +440,15 @@ def ext_adaptive_spec(size=256 * KiB, iterations=4,
                 for name, v in payload["speedups"].items()]
         return format_table(["delta policy", "comm speedup"], rows)
 
-    return ExperimentSpec([base] + list(ours.values()), collect, report,
-                          SPEEDUP)
+    return ExperimentSpec([base] + list(ours.values()), collect, report)
 
 
-@register("ext_ablations", "Extension: SG-flush and adaptive-delta "
-                           "ablations")
-def _build_ext_ablations(profile: Profile) -> ExperimentSpec:
-    if profile.name == "paper":
-        sg = ext_sg_spec()
-        adaptive = ext_adaptive_spec(iterations=6)
-    else:
-        sg = ext_sg_spec((8 * MiB,), iterations=4, warmup=1)
-        adaptive = ext_adaptive_spec()
+def ext_ablations_spec(sg_sizes=(8 * MiB, 32 * MiB), sg_iterations=6,
+                       sg_warmup=2, adaptive_iterations=4) -> ExperimentSpec:
+    """The scatter/gather flush and the adaptive δ, each against its
+    fixed alternative."""
+    sg = _sg_spec(sg_sizes, sg_iterations, sg_warmup)
+    adaptive = _adaptive_spec(adaptive_iterations)
 
     def collect(res):
         sg_payload = sg.collect(res)
@@ -632,26 +462,18 @@ def _build_ext_ablations(profile: Profile) -> ExperimentSpec:
                 + "\n\n-- adaptive delta in the sweep (comm speedup vs "
                   "persist) --\n" + adaptive.report(payload["adaptive"]))
 
-    return ExperimentSpec(sg.points + adaptive.points, collect, report,
-                          BANDWIDTH)
+    return ExperimentSpec(sg.points + adaptive.points, collect, report)
 
 
 # ----------------------------------------------------------- ext_faults
 
-FAULTS_N_USER = 16
-FAULTS_TOTAL = 32 * MiB
-FAULTS_LOSSES = (0.0, 1e-5, 1e-4, 1e-3)
-FAULTS_DESIGNS = (("persist", PERSIST), ("ploggp", PLOGGP),
-                  ("timer(3000us)", TIMER_3000US))
 
-
-def ext_faults_spec(n_user=FAULTS_N_USER, total_bytes=FAULTS_TOTAL,
-                    losses=FAULTS_LOSSES, iterations=10,
+def ext_faults_spec(n_user=16, total_bytes=32 * MiB,
+                    losses=(0.0, 1e-5, 1e-4, 1e-3), iterations=10,
                     warmup=3) -> ExperimentSpec:
-    losses = list(losses)
     pts = {(loss, name): _perceived(desc, n_user, total_bytes, iterations,
                                     warmup, loss=loss)
-           for loss in losses for name, desc in FAULTS_DESIGNS}
+           for loss in losses for name, desc in DESIGNS}
 
     def collect(res):
         rows = [[loss, name, res[pt]["perceived_bandwidth"],
@@ -659,53 +481,35 @@ def ext_faults_spec(n_user=FAULTS_N_USER, total_bytes=FAULTS_TOTAL,
                 for (loss, name), pt in pts.items()]
         series = {name: {f"{loss:g}": bw
                          for loss, n, bw, _ in rows if n == name}
-                  for name, _ in FAULTS_DESIGNS}
+                  for name, _ in DESIGNS}
         return {"series": series, "rows": rows}
 
     def report(payload):
         table = {}
         for loss, name, bw, rexmt in payload["rows"]:
             table.setdefault(loss, {})[name] = (bw, rexmt)
-        return faults_table_report(table)
+        designs = list(next(iter(table.values())))
+        rows = []
+        for loss, line in table.items():
+            row = [f"{loss:g}"]
+            for name in designs:
+                bw, rexmt = line[name]
+                row.append(f"{fmt_rate(bw)} {rexmt:4d}")
+            rows.append(row)
+        return format_table(
+            ["loss"] + [f"{d} (bw, rexmt)" for d in designs], rows)
 
-    return ExperimentSpec(list(pts.values()), collect, report, BANDWIDTH)
-
-
-def faults_table_report(table) -> str:
-    """Render ``{loss: {design: (bw, retransmits)}}`` as a table."""
-    designs = list(next(iter(table.values())))
-    rows = []
-    for loss, line in table.items():
-        row = [f"{loss:g}"]
-        for name in designs:
-            bw, rexmt = line[name]
-            row.append(f"{fmt_rate(bw)} {rexmt:4d}")
-        rows.append(row)
-    return format_table(
-        ["loss"] + [f"{d} (bw, rexmt)" for d in designs], rows)
-
-
-@register("ext_faults", "Extension: perceived bandwidth under chunk loss")
-def _build_ext_faults(profile: Profile) -> ExperimentSpec:
-    if profile.name == "paper":
-        return ext_faults_spec()
-    return ext_faults_spec(8, 8 * MiB, (0.0, 1e-3), iterations=3, warmup=1)
+    return ExperimentSpec(list(pts.values()), collect, report)
 
 
 # ------------------------------------------------------------- ext_halo
 
-HALO_GRID = (8, 8)
-HALO_N_THREADS = 16
-HALO_SIZES = (64 * KiB, 256 * KiB, 1 * MiB, 4 * MiB)
-HALO_SIZES_FAST = (256 * KiB, 1 * MiB)
-HALO_TOPOLOGY = ["dragonfly+", {"nodes_per_leaf": 16,
-                                "leaves_per_group": 2}]
 
-
-def ext_halo_spec(grid_shape=HALO_GRID, sizes=HALO_SIZES, iterations=10,
-                  warmup=3, topology: Optional[Sequence] = None,
-                  n_threads=HALO_N_THREADS) -> ExperimentSpec:
-    sizes = list(sizes)
+def ext_halo_spec(grid_shape=(8, 8),
+                  sizes=(64 * KiB, 256 * KiB, 1 * MiB, 4 * MiB),
+                  iterations=10, warmup=3,
+                  topology: Optional[Sequence] = None,
+                  n_threads=16) -> ExperimentSpec:
     designs = (("ploggp", PLOGGP),
                ("timer", ["timer", {"delay": ms(4), "delta": us(8)}]))
 
@@ -721,39 +525,21 @@ def ext_halo_spec(grid_shape=HALO_GRID, sizes=HALO_SIZES, iterations=10,
     base = {s: halo_point(PERSIST, s) for s in sizes}
     ours = {(name, s): halo_point(desc, s)
             for name, desc in designs for s in sizes}
-
-    def collect(res):
-        series = {name: {s: res[base[s]]["mean_comm_time"]
-                         / res[ours[(name, s)]]["mean_comm_time"]
-                         for s in sizes}
-                  for name, _ in designs}
-        return {"series": series}
-
-    return ExperimentSpec(
-        list(base.values()) + list(ours.values()), collect,
-        lambda payload: format_speedup_series(payload["series"]), SPEEDUP)
-
-
-@register("ext_halo", "Extension: halo-exchange pattern speedups")
-def _build_ext_halo(profile: Profile) -> ExperimentSpec:
-    if profile.name == "paper":
-        return ext_halo_spec(topology=HALO_TOPOLOGY)
-    return ext_halo_spec((4, 4), HALO_SIZES_FAST, iterations=3, warmup=1)
+    return _speedup_spec(
+        [*base.values(), *ours.values()],
+        {name: {s: (base[s], ours[(name, s)]) for s in sizes}
+         for name, _ in designs},
+        "mean_comm_time")
 
 
 # ------------------------------------------------------- ext_autotune
 
-AUTOTUNE_N_USER = 32
-AUTOTUNE_SIZE = 2 * MiB
-AUTOTUNE_COUNTS = (1, 2, 4, 8, 16, 32)
-AUTOTUNE_BANDIT_ITERS = 64
 #: A δ grossly above the fig11 late-laggard gap (4 ms): the fixed timer
 #: never fires (the laggard always completes its group first), so the
 #: design degenerates to plain aggregation and the whole laggard group
 #: rides the post-laggard critical path.  The tracker re-targets δ to
 #: the observed non-laggard spread and restores the early flush.
 AUTOTUNE_BAD_DELTA = us(8000)
-AUTOTUNE_LAGGARD_SIZE = 32 * MiB
 
 
 def _autotune_point(autotune: dict, n_user: int, size: int,
@@ -768,11 +554,9 @@ def _autotune_point(autotune: dict, n_user: int, size: int,
     return Scenario.make("autotune", **params)
 
 
-def ext_autotune_spec(n_user=AUTOTUNE_N_USER, size=AUTOTUNE_SIZE,
-                      bandit_iters=AUTOTUNE_BANDIT_ITERS,
-                      laggard_size=AUTOTUNE_LAGGARD_SIZE,
-                      laggard_iters=6, table_iters=3,
-                      ptp_iter: Optional[Mapping] = None) -> ExperimentSpec:
+def ext_autotune_spec(iter_kwargs, laggard_iters, table_iters, n_user=32,
+                      size=2 * MiB, bandit_iters=64,
+                      laggard_size=32 * MiB) -> ExperimentSpec:
     """Closed-loop tuning vs. the paper's open-loop optima.
 
     Three comparisons: (a) fig08's scenario — a bandit exploring
@@ -784,13 +568,12 @@ def ext_autotune_spec(n_user=AUTOTUNE_N_USER, size=AUTOTUNE_SIZE,
     fixed-δ timer.  All series are speedups of the adaptive design
     (1.0 = parity with the offline optimum).
     """
-    it = dict(ptp_iter or {"iterations": 10, "warmup": 2})
     table_desc = ["tuning_table", {
         "n_user_counts": [n_user], "message_sizes": [size],
         "iterations": table_iters, "warmup": 1}]
-    offline = _overhead(table_desc, n_user, size, it)
+    offline = _overhead(table_desc, n_user, size, iter_kwargs)
     bandit = _autotune_point(
-        {"policy": "bandit", "counts": list(AUTOTUNE_COUNTS),
+        {"policy": "bandit", "counts": [1, 2, 4, 8, 16, 32],
          "deltas": [None, us(35)], "bandit_seed": 7},
         n_user, size, bandit_iters, 2)
     mutation = _autotune_point(
@@ -873,29 +656,12 @@ def ext_autotune_spec(n_user=AUTOTUNE_N_USER, size=AUTOTUNE_SIZE,
         return format_table(["autotune", "value"], rows)
 
     return ExperimentSpec([offline, bandit, mutation, fixed, tracker],
-                          collect, report, SPEEDUP)
-
-
-@register("ext_autotune", "Extension: closed-loop autotuning vs. "
-                          "offline optima")
-def _build_ext_autotune(profile: Profile) -> ExperimentSpec:
-    if profile.name == "paper":
-        return ext_autotune_spec(laggard_iters=10, table_iters=5,
-                                 ptp_iter=profile.ptp_iter)
-    return ext_autotune_spec(laggard_iters=4, table_iters=3,
-                             ptp_iter=profile.ptp_iter)
+                          collect, report)
 
 
 # ---------------------------------------------------------- ext_stencil
 
-STENCIL_COMPUTE = ms(1)
-STENCIL_NOISE = 0.01
-STENCIL_FACE = 64 * KiB
 STENCIL_PARTITIONS = 32
-#: The scaling axis: (grid, threads) pairs — weak scaling over ranks,
-#: strong scaling over threads at fixed per-face partition count.
-STENCIL_SCALE = (((2, 2), 8), ((4, 4), 8), ((4, 4), 16), ((2, 2, 2), 8))
-STENCIL_SCALE_FAST = (((2, 2), 4),)
 #: Mixed intra/inter-group placement for the asymmetric-neighbor
 #: comparison: on a 4x4 rank grid with 4-node leaves and two leaves per
 #: group, row neighbours share a leaf switch while column neighbours
@@ -906,7 +672,6 @@ STENCIL_TOPOLOGY = ["dragonfly+", {"nodes_per_leaf": 4,
 #: than the 4 KiB face can afford (Table 1 / fig06: T=32 at 4 KiB is
 #: *slower* than part_persist), so no single global plan suits both.
 STENCIL_ANISO_FACES = (64 * KiB, 4 * KiB)
-STENCIL_GLOBAL_PLANS = (2, 8, 32)
 STENCIL_BANDIT = {"policy": "bandit", "counts": [2, 8, 32],
                   "deltas": [None], "bandit_seed": 3, "epsilon": 0.3,
                   "decay": 0.85}
@@ -920,7 +685,7 @@ def _stencil_point(grid, n_threads: int, face_bytes, it: Mapping,
                   n_partitions=n_partitions,
                   face_bytes=(face_bytes if isinstance(face_bytes, int)
                               else list(face_bytes)),
-                  compute=STENCIL_COMPUTE, noise_fraction=STENCIL_NOISE,
+                  compute=ms(1), noise_fraction=0.01,
                   iterations=it["iterations"], warmup=it["warmup"])
     if module is not None:
         params["module"] = module
@@ -931,29 +696,25 @@ def _stencil_point(grid, n_threads: int, face_bytes, it: Mapping,
     return Scenario.make("stencil", **params)
 
 
-def ext_stencil_spec(scale=STENCIL_SCALE, face=STENCIL_FACE,
-                     scale_iter: Optional[Mapping] = None,
-                     asym_iter: Optional[Mapping] = None,
-                     global_plans=STENCIL_GLOBAL_PLANS) -> ExperimentSpec:
+def ext_stencil_spec(scale, scale_iter, face=64 * KiB,
+                     global_plans=(2, 8, 32)) -> ExperimentSpec:
     """Partitioned neighbor-alltoall stencil: aggregation per edge.
 
     Two questions: (a) scaling — does native per-edge aggregation beat
-    the ``part_persist`` baseline across rank/thread scales on the
-    paper-profile stencil; (b) asymmetric neighbors — on a mixed
-    intra/inter-group Dragonfly+ layout with anisotropic faces, does an
-    autotuned *per-neighbor* plan match or beat every single global
-    plan (each edge's bandit converges to its own transport count
-    during warmup).
+    the ``part_persist`` baseline across the ``scale`` axis of
+    ``(grid, threads)`` pairs on the paper-profile stencil; (b)
+    asymmetric neighbors — on a mixed intra/inter-group Dragonfly+
+    layout with anisotropic faces, does an autotuned *per-neighbor*
+    plan match or beat every single global plan (each edge's bandit
+    converges to its own transport count during warmup).
     """
-    scale = list(scale)
-    scale_it = dict(scale_iter or {"iterations": 6, "warmup": 2})
     # Warmup covers the per-edge bandits' exploration phase, so the
     # measured iterations time the converged plans.
-    asym_it = dict(asym_iter or {"iterations": 6, "warmup": 20})
+    asym_it = {"iterations": 6, "warmup": 20}
 
-    base = {(tuple(g), t): _stencil_point(g, t, face, scale_it)
+    base = {(tuple(g), t): _stencil_point(g, t, face, scale_iter)
             for g, t in scale}
-    native = {(tuple(g), t): _stencil_point(g, t, face, scale_it,
+    native = {(tuple(g), t): _stencil_point(g, t, face, scale_iter,
                                             module=PLOGGP)
               for g, t in scale}
     asym = dict(grid=(4, 4), n_threads=8, face_bytes=STENCIL_ANISO_FACES,
@@ -966,14 +727,12 @@ def ext_stencil_spec(scale=STENCIL_SCALE, face=STENCIL_FACE,
         for t in global_plans}
     asym_edge = _stencil_point(it=asym_it, per_edge=STENCIL_BANDIT, **asym)
 
-    def label(g, t):
-        return f"{'x'.join(map(str, g))} grid, {t}t"
-
     def collect(res):
-        scaling = {
-            label(g, t): res[base[(tuple(g), t)]]["mean_comm_time"]
-            / res[native[(tuple(g), t)]]["mean_comm_time"]
-            for g, t in scale}
+        scaling = _speedup(
+            res, {f"{'x'.join(map(str, g))} grid, {t}t":
+                  (base[(tuple(g), t)], native[(tuple(g), t)])
+                  for g, t in scale},
+            "mean_comm_time")
         edge_time = res[asym_edge]["mean_comm_time"]
         global_times = {t: res[pt]["mean_comm_time"]
                         for t, pt in asym_global.items()}
@@ -1021,31 +780,18 @@ def ext_stencil_spec(scale=STENCIL_SCALE, face=STENCIL_FACE,
 
     points = (list(base.values()) + list(native.values()) + [asym_base]
               + list(asym_global.values()) + [asym_edge])
-    return ExperimentSpec(points, collect, report, SPEEDUP)
-
-
-@register("ext_stencil", "Extension: partitioned neighbor-alltoall "
-                         "stencil with per-edge plans")
-def _build_ext_stencil(profile: Profile) -> ExperimentSpec:
-    if profile.name == "paper":
-        return ext_stencil_spec(
-            scale_iter={"iterations": 10, "warmup": 3})
-    return ext_stencil_spec(
-        scale=STENCIL_SCALE_FAST,
-        scale_iter={"iterations": 4, "warmup": 1},
-        asym_iter={"iterations": 6, "warmup": 20})
+    return ExperimentSpec(points, collect, report)
 
 
 # ----------------------------------------------------- ext_model_vs_sim
 
 MVS_N_USER = 32
 MVS_CANDIDATES = (1, 2, 8, 32)
-MVS_SIZES = (16 * KiB, 256 * KiB, 2 * MiB, 16 * MiB)
 
 
-def ext_model_vs_sim_spec(sizes=MVS_SIZES, iterations=20, warmup=3,
+def ext_model_vs_sim_spec(sizes=(16 * KiB, 256 * KiB, 2 * MiB, 16 * MiB),
+                          iterations=20, warmup=3,
                           delay=0.0) -> ExperimentSpec:
-    sizes = list(sizes)
     it = dict(iterations=iterations, warmup=warmup)
     pts = {(s, n): _overhead(["fixed", {"n_transport": n, "n_qps": 2}],
                              MVS_N_USER, s, it)
@@ -1088,22 +834,11 @@ def ext_model_vs_sim_spec(sizes=MVS_SIZES, iterations=20, warmup=3,
         return (f"{table}\n\nwinner agreement: {agreement:.0%} "
                 "(the paper found trends agree, thresholds shift)")
 
-    return ExperimentSpec(list(pts.values()), collect, report,
-                          Metric("winner agreement"))
-
-
-@register("ext_model_vs_sim", "Extension: model-vs-simulator validation")
-def _build_ext_model_vs_sim(profile: Profile) -> ExperimentSpec:
-    if profile.name == "paper":
-        return ext_model_vs_sim_spec()
-    return ext_model_vs_sim_spec((16 * KiB, 16 * MiB), iterations=8,
-                                 warmup=2)
+    return ExperimentSpec(list(pts.values()), collect, report)
 
 
 # ------------------------------------------------------------- ext_fleet
 
-#: Background-tenant counts on the shared spine (0 = quiet fabric).
-FLEET_LEVELS = (0, 1, 2)
 #: The ranking cells: the paper-style designs whose order flips under
 #: contention (quiet-best T=16 loses to T=4 once the spine is busy).
 FLEET_DESIGNS = (
@@ -1135,26 +870,24 @@ FLEET_MUTATION = {"policy": "plan_mutation", "deltas": [None],
                   "expand_after": 3, "max_frontier": 10, "window": 4}
 
 
-def ext_fleet_spec(levels=FLEET_LEVELS, designs=FLEET_DESIGNS,
-                   rank_iter: Optional[Mapping] = None,
+def ext_fleet_spec(rank_iter, levels=(0, 1, 2), designs=FLEET_DESIGNS,
                    mix=FLEET_MIX) -> ExperimentSpec:
     """Shared-fabric fleet: contention ranking, tenancy, live re-tuning.
 
     Three questions on the routed Dragonfly+ fleet fabric: (a) how does
-    the fig08-style transport-design ranking change as background
-    tenants congest the spine (level 0 = same routed fabric, quiet, so
-    the contended cells are directly comparable); (b) what per-job
-    slowdowns does a multi-tenant mix suffer vs each job running alone,
-    with and without a noisy neighbor; (c) when a neighbor arrives
-    mid-run, do the closed-loop autotuners — the bandit and the
-    plan-mutation policy — re-converge onto the congested-optimal plan,
-    and at what regret.
+    the fig08-style transport-design ranking change as ``levels`` of
+    background tenants congest the spine (level 0 = same routed fabric,
+    quiet, so the contended cells are directly comparable); (b) what
+    per-job slowdowns does a multi-tenant mix suffer vs each job
+    running alone, with and without a noisy neighbor; (c) when a
+    neighbor arrives mid-run, do the closed-loop autotuners — the
+    bandit and the plan-mutation policy — re-converge onto the
+    congested-optimal plan, and at what regret.
     """
-    levels, designs = list(levels), list(designs)
-    it = dict(rank_iter or {"iterations": 6, "warmup": 2})
     rank = {(name, level): Scenario.make(
                 "fleet_rank", module=desc, level=level,
-                iterations=it["iterations"], warmup=it["warmup"], seed=0)
+                iterations=rank_iter["iterations"],
+                warmup=rank_iter["warmup"], seed=0)
             for name, desc in designs for level in levels}
     quiet_mix = Scenario.make("fleet", jobs=list(mix),
                               placement="spread", seed=0)
@@ -1175,9 +908,9 @@ def ext_fleet_spec(levels=FLEET_LEVELS, designs=FLEET_DESIGNS,
                             for name, _ in designs)
                  for level in levels}
         series = {
-            f"{name} vs persist": {
-                level: times[level]["persist"] / times[level][name]
-                for level in levels}
+            f"{name} vs persist": _speedup(
+                res, {level: (rank[("persist", level)], rank[(name, level)])
+                      for level in levels}, "mean_time")
             for name, _ in designs if name != "persist"
         }
         quiet, noisy = res[quiet_mix], res[noisy_mix]
@@ -1238,24 +971,11 @@ def ext_fleet_spec(levels=FLEET_LEVELS, designs=FLEET_DESIGNS,
 
     points = (list(rank.values())
               + [quiet_mix, noisy_mix, bandit, mutation])
-    return ExperimentSpec(points, collect, report, SPEEDUP)
-
-
-@register("ext_fleet", "Extension: shared-fabric fleet — contention "
-                       "ranking, tenancy, live re-tuning")
-def _build_ext_fleet(profile: Profile) -> ExperimentSpec:
-    if profile.name == "paper":
-        return ext_fleet_spec(rank_iter={"iterations": 10, "warmup": 3})
-    return ext_fleet_spec(rank_iter={"iterations": 6, "warmup": 2})
+    return ExperimentSpec(points, collect, report)
 
 
 # ----------------------------------------------------------- ext_serve
 
-#: Synthetic service traffic (fast-profile scale in parentheses).
-SERVE_CLIENTS = 2000
-SERVE_REQUESTS = 20000
-SERVE_CLIENTS_FAST = 400
-SERVE_REQUESTS_FAST = 4000
 SERVE_KEYS = 64
 SERVE_ZIPF_S = 1.1
 #: Eviction-pressure variant: tiny shard bound forces the
@@ -1264,8 +984,8 @@ SERVE_EVICT_BOUND = 4
 SERVE_EVICT_SHARDS = 4
 
 
-def ext_serve_spec(n_clients=SERVE_CLIENTS, n_requests=SERVE_REQUESTS,
-                   stress_writers=4, stress_puts=25, cas_puts=15,
+def ext_serve_spec(n_clients=2000, n_requests=20000, stress_writers=4,
+                   stress_puts=25, cas_puts=15,
                    fleet_iters=24) -> ExperimentSpec:
     """The tuning service under fleet-shaped load.
 
@@ -1375,15 +1095,139 @@ def ext_serve_spec(n_clients=SERVE_CLIENTS, n_requests=SERVE_REQUESTS,
         return format_table(["serve", "value"], rows)
 
     return ExperimentSpec([bench, evict, stress, stress_cas, fleet],
-                          collect, report,
-                          Metric("warm-cache hit rate"))
+                          collect, report)
 
 
-@register("ext_serve", "Extension: tuning-as-a-service — sharded "
-                       "store, cache, concurrent writers")
-def _build_ext_serve(profile: Profile) -> ExperimentSpec:
-    if profile.name == "paper":
-        return ext_serve_spec()
-    return ext_serve_spec(n_clients=SERVE_CLIENTS_FAST,
-                          n_requests=SERVE_REQUESTS_FAST,
-                          stress_writers=3, stress_puts=10, cas_puts=8)
+# ------------------------------------------------------------ the table
+
+#: One row per figure: ``Experiment(name, title, metric, spec,
+#: lower_is_better, paper, fast)``; ``paper``/``fast`` are the spec's
+#: arguments under each profile (none: its defaults).
+EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
+    Experiment("fig03", "Fig. 3: PLogGP-modelled completion times",
+               Metric("modelled completion time", "s",
+                      higher_is_better=False), fig03_spec),
+    Experiment("table1", "Table I: optimal transport partitions",
+               Metric("optimal transport partitions"), table1_spec),
+    Experiment("fig06", "Fig. 6: overhead vs. transport-partition count",
+               SPEEDUP, fig06_spec,
+               paper=dict(sizes=PAPER.overhead_sizes,
+                          iter_kwargs=PAPER.ptp_iter),
+               fast=dict(sizes=FAST.overhead_sizes,
+                         iter_kwargs=FAST.ptp_iter)),
+    # The QP effect needs a wire-saturating point (Section V-B1): the
+    # fast grid gains 16 MiB, which the paper grid already ends on.
+    Experiment("fig07", "Fig. 7: overhead vs. QP count", SPEEDUP,
+               fig07_spec,
+               paper=dict(sizes=PAPER.overhead_sizes,
+                          iter_kwargs=PAPER.ptp_iter),
+               fast=dict(sizes=FAST.overhead_sizes + (16 * MiB,),
+                         iter_kwargs=FAST.ptp_iter)),
+    Experiment("fig08", "Fig. 8: tuning-table vs. PLogGP aggregator",
+               SPEEDUP, fig08_spec,
+               paper=dict(user_counts=(4, 32, 128),
+                          sizes=(4 * KiB, 16 * KiB, 64 * KiB, 128 * KiB,
+                                 512 * KiB, 2 * MiB, 8 * MiB),
+                          iter_kwargs=PAPER.ptp_iter, table_iters=5),
+               fast=dict(user_counts=(4, 32),
+                         sizes=(16 * KiB, 128 * KiB, 2 * MiB),
+                         iter_kwargs=FAST.ptp_iter, table_iters=3)),
+    Experiment("fig09", "Fig. 9: perceived bandwidth of the three designs",
+               BANDWIDTH, fig09_spec,
+               paper=dict(n_users=(16, 32), sizes=PAPER.perceived_sizes,
+                          iterations=PAPER.perceived_iterations,
+                          warmup=PAPER.perceived_warmup),
+               fast=dict(n_users=(32,), sizes=FAST.perceived_sizes,
+                         iterations=FAST.perceived_iterations,
+                         warmup=FAST.perceived_warmup)),
+    Experiment("fig10", "Fig. 10: arrival profile, 8 MiB",
+               Metric("early-bird fraction"), arrival_profile_spec,
+               paper=dict(total_bytes=8 * MiB,
+                          iterations=PAPER.perceived_iterations,
+                          warmup=PAPER.perceived_warmup),
+               fast=dict(total_bytes=8 * MiB,
+                         iterations=FAST.perceived_iterations,
+                         warmup=FAST.perceived_warmup)),
+    Experiment("fig11", "Fig. 11: arrival profile, 128 MiB",
+               Metric("early-bird fraction"), arrival_profile_spec,
+               paper=dict(total_bytes=128 * MiB,
+                          iterations=PAPER.perceived_iterations,
+                          warmup=PAPER.perceived_warmup),
+               fast=dict(total_bytes=128 * MiB,
+                         iterations=FAST.perceived_iterations,
+                         warmup=FAST.perceived_warmup)),
+    Experiment("fig12", "Fig. 12: estimated minimum delta",
+               Metric("minimum delta", "s", higher_is_better=False),
+               fig12_spec,
+               fast=dict(sizes=(8 * MiB,), counts=(16, 32, 128),
+                         iterations=3, warmup=1)),
+    Experiment("fig13", "Fig. 13: perceived bandwidth across a delta window",
+               BANDWIDTH, fig13_spec,
+               paper=dict(sizes=PAPER.perceived_sizes,
+                          iterations=PAPER.perceived_iterations,
+                          warmup=PAPER.perceived_warmup),
+               fast=dict(sizes=FAST.perceived_sizes, iterations=4,
+                         warmup=1)),
+    Experiment("fig14", "Fig. 14: Sweep3D communication speedup", SPEEDUP,
+               fig14_spec,
+               paper=dict(grid_shape=(8, 8), sizes=PAPER.sweep_sizes,
+                          noise_points=FIG14_NOISE_POINTS,
+                          iter_kwargs=PAPER.sweep_iter),
+               fast=dict(grid_shape=(4, 4), sizes=FAST.sweep_sizes,
+                         noise_points=FIG14_NOISE_POINTS[:2],
+                         iter_kwargs=FAST.sweep_iter)),
+    Experiment("ext_ablations",
+               "Extension: SG-flush and adaptive-delta ablations",
+               BANDWIDTH, ext_ablations_spec,
+               paper=dict(adaptive_iterations=6),
+               fast=dict(sg_sizes=(8 * MiB,), sg_iterations=4,
+                         sg_warmup=1)),
+    Experiment("ext_faults",
+               "Extension: perceived bandwidth under chunk loss",
+               BANDWIDTH, ext_faults_spec,
+               fast=dict(n_user=8, total_bytes=8 * MiB, losses=(0.0, 1e-3),
+                         iterations=3, warmup=1)),
+    Experiment("ext_halo", "Extension: halo-exchange pattern speedups",
+               SPEEDUP, ext_halo_spec,
+               paper=dict(topology=["dragonfly+", {
+                   "nodes_per_leaf": 16, "leaves_per_group": 2}]),
+               fast=dict(grid_shape=(4, 4), sizes=(256 * KiB, 1 * MiB),
+                         iterations=3, warmup=1)),
+    Experiment("ext_autotune",
+               "Extension: closed-loop autotuning vs. offline optima",
+               SPEEDUP, ext_autotune_spec,
+               paper=dict(iter_kwargs=PAPER.ptp_iter, laggard_iters=10,
+                          table_iters=5),
+               fast=dict(iter_kwargs=FAST.ptp_iter, laggard_iters=4,
+                         table_iters=3)),
+    # The scaling axis: (grid, threads) pairs — weak scaling over ranks,
+    # strong scaling over threads at fixed per-face partition count.
+    Experiment("ext_stencil", "Extension: partitioned neighbor-alltoall "
+                              "stencil with per-edge plans",
+               SPEEDUP, ext_stencil_spec,
+               paper=dict(scale=(((2, 2), 8), ((4, 4), 8), ((4, 4), 16),
+                                 ((2, 2, 2), 8)),
+                          scale_iter={"iterations": 10, "warmup": 3}),
+               fast=dict(scale=(((2, 2), 4),),
+                         scale_iter={"iterations": 4, "warmup": 1})),
+    Experiment("ext_model_vs_sim",
+               "Extension: model-vs-simulator validation",
+               Metric("winner agreement"), ext_model_vs_sim_spec,
+               fast=dict(sizes=(16 * KiB, 16 * MiB), iterations=8,
+                         warmup=2)),
+    Experiment("ext_fleet", "Extension: shared-fabric fleet — contention "
+                            "ranking, tenancy, live re-tuning",
+               SPEEDUP, ext_fleet_spec,
+               lower_is_better=("slowdown, shared mix",
+                                "slowdown, mix + neighbor",
+                                "re-convergence rounds"),
+               paper=dict(rank_iter={"iterations": 10, "warmup": 3}),
+               fast=dict(rank_iter={"iterations": 6, "warmup": 2})),
+    Experiment("ext_serve", "Extension: tuning-as-a-service — sharded "
+                            "store, cache, concurrent writers",
+               Metric("warm-cache hit rate"), ext_serve_spec,
+               lower_is_better=("p50 lookup latency (us)",
+                                "p99 lookup latency (us)"),
+               fast=dict(n_clients=400, n_requests=4000, stress_writers=3,
+                         stress_puts=10, cas_puts=8)),
+)}

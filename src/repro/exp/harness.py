@@ -100,9 +100,12 @@ def run_experiment(name: str, profile: Union[str, Profile] = "paper",
         experiment=experiment, profile=prof, spec=spec, payload=payload,
         stats=runner.last_stats, elapsed=elapsed, fingerprint=fingerprint)
     if store is not None:
+        metric = dataclasses.asdict(spec.metric)
+        if experiment.lower_is_better:
+            metric["lower_is_better"] = list(experiment.lower_is_better)
         run.paths = store.write(
             name, payload, profile=prof.name, fingerprint=fingerprint,
-            metric=dataclasses.asdict(spec.metric),
+            metric=metric,
             stats={"points": run.stats.points, "unique": run.stats.unique,
                    "cache_hits": run.stats.cache_hits,
                    "executed": run.stats.executed},

@@ -1,75 +1,99 @@
-"""Measurement kinds: the pure functions that execute one sweep point.
+"""Measurement kinds: one row per kind of sweep point.
 
 :func:`run_point` is the single entry the runner (and its worker
-processes) call.  Every kind builds its own cluster from the scenario
-parameters — nothing leaks between points, so a point's result is a
-pure function of its scenario and the code fingerprint, regardless of
-which process executes it or in what order.  That property is what
-makes serial and parallel sweeps bit-identical and cached results
-trustworthy.
+processes) call: it looks the point's kind up in :data:`KINDS`, turns
+the descriptor params into the runner's keyword arguments
+(:func:`decode`) and calls the kind's runner.  Every kind builds its own
+cluster from the scenario parameters — nothing leaks between points, so
+a point's result is a pure function of its scenario and the code
+fingerprint, regardless of which process executes it or in what order.
+That property is what makes serial and parallel sweeps bit-identical
+and cached results trustworthy.
 
-Each kind returns a flat JSON-safe metrics dict.
+Each kind returns a flat JSON-safe metrics dict.  A runner is called by
+name wherever its parameters and result need no translation; the small
+adapters below exist only where a kind transforms its input or output.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import importlib
+import tempfile
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Union
 
 from repro.exp.modules import build_config, build_module, build_topology
 
-KINDS: dict[str, Callable[[dict], dict]] = {}
+
+@dataclass(frozen=True)
+class Kind:
+    """How one kind of sweep point runs, and where its plan lives."""
+
+    #: A runner as ``(module, function)`` (imported on first use) or an
+    #: adapter; called with the decoded params as keywords.
+    run: Union[tuple[str, str], Callable[..., Any]]
+    #: Attributes of the runner's result the point returns; empty when
+    #: the runner returns the metrics dict itself.
+    returns: tuple[str, ...] = ()
+    #: The decoded arguments the runner takes: a live ``module``, a
+    #: ``config`` with the point's ``seed`` folded in, and the ``seed``.
+    takes: tuple[str, ...] = ("module", "config")
+    #: The params holding the point's module, partition count and total
+    #: bytes (``repro-bench plan``); None for a kind that lowers no plan.
+    #: A module param other than ``module`` holds autotune params.
+    plan: Optional[tuple[str, str, str]] = None
 
 
-def kind(name: str):
-    def decorate(fn):
-        KINDS[name] = fn
-        return fn
-    return decorate
+def decode(params: dict, takes: tuple[str, ...]) -> dict:
+    """A point's JSON params as its runner's keyword arguments.
+
+    Descriptors become live objects (``module``, ``topology``, ``config``
+    plus ``seed``, as far as ``takes`` lists them), ``grid`` becomes a
+    tuple; everything else passes through by name.
+    """
+    args = dict(params)
+    seed = args.pop("seed", None)
+    if "config" in takes:
+        from repro.config import NIAGARA
+
+        config = build_config(args.pop("config", None)) or NIAGARA
+        args["config"] = (config if seed is None
+                          else config.with_changes(seed=seed))
+    if "seed" in takes and seed is not None:
+        args["seed"] = seed
+    if "module" in takes and "module" in args:
+        args["module"] = build_module(args["module"])
+    if "topology" in args:
+        args["topology"] = build_topology(args["topology"])
+    if "grid" in args:
+        args["grid"] = tuple(args["grid"])
+    return args
 
 
 def run_point(point: dict) -> dict:
     """Execute one sweep point described as ``{"kind", "params"}``."""
     try:
-        fn = KINDS[point["kind"]]
+        row = KINDS[point["kind"]]
     except KeyError:
         raise ValueError(f"unknown scenario kind {point['kind']!r}") from None
-    return fn(point["params"])
+    run = row.run
+    if isinstance(run, tuple):
+        module, name = run
+        run = getattr(importlib.import_module(module), name)
+    res = run(**decode(point["params"], row.takes))
+    if row.returns:
+        return {name: getattr(res, name) for name in row.returns}
+    return res
 
 
-def _config(params: dict):
-    from repro.config import NIAGARA
-
-    config = build_config(params.get("config")) or NIAGARA
-    if params.get("seed") is not None:
-        config = config.with_changes(seed=params["seed"])
-    return config
-
-
-@kind("overhead")
-def _overhead(p: dict) -> dict:
-    from repro.bench.overhead import run_overhead
-
-    res = run_overhead(
-        build_module(p["module"]), n_user=p["n_user"],
-        total_bytes=p["total_bytes"], iterations=p["iterations"],
-        warmup=p["warmup"], config=_config(p))
-    return {"mean_time": res.mean_time}
-
-
-@kind("perceived")
-def _perceived(p: dict) -> dict:
+def _perceived(loss: float = 0.0, **args) -> dict:
     from repro.bench.perceived import run_perceived_bandwidth
 
-    schedule = None
-    if p.get("loss"):
+    if loss:
         from repro.faults import FaultSchedule
 
-        schedule = FaultSchedule().chunk_loss(p["loss"])
-    res = run_perceived_bandwidth(
-        build_module(p["module"]), n_user=p["n_user"],
-        total_bytes=p["total_bytes"], compute=p["compute"],
-        noise_fraction=p["noise_fraction"], iterations=p["iterations"],
-        warmup=p["warmup"], config=_config(p), fault_schedule=schedule)
+        args["fault_schedule"] = FaultSchedule().chunk_loss(loss)
+    res = run_perceived_bandwidth(**args)
     pair = res.result
     return {
         "perceived_bandwidth": res.perceived_bandwidth,
@@ -78,56 +102,17 @@ def _perceived(p: dict) -> dict:
     }
 
 
-@kind("sweep")
-def _sweep(p: dict) -> dict:
-    from repro.bench.sweep import run_sweep
-
-    res = run_sweep(
-        build_module(p["module"]), grid=tuple(p["grid"]),
-        n_threads=p["n_threads"], total_bytes=p["total_bytes"],
-        compute=p["compute"], noise_fraction=p["noise_fraction"],
-        iterations=p["iterations"], warmup=p["warmup"], config=_config(p))
-    return {
-        "mean_time": res.mean_time,
-        "mean_comm_time": res.mean_comm_time,
-        "critical_path_compute": res.critical_path_compute,
-    }
-
-
-@kind("halo")
-def _halo(p: dict) -> dict:
-    from repro.bench.halo import run_halo
-
-    res = run_halo(
-        build_module(p["module"]), grid=tuple(p["grid"]),
-        n_threads=p["n_threads"], face_bytes=p["face_bytes"],
-        compute=p["compute"], noise_fraction=p["noise_fraction"],
-        iterations=p["iterations"], warmup=p["warmup"],
-        topology=build_topology(p.get("topology")), config=_config(p))
-    return {"mean_time": res.mean_time, "mean_comm_time": res.mean_comm_time}
-
-
-@kind("stencil")
-def _stencil(p: dict) -> dict:
+def _stencil(face_bytes, per_edge: Optional[dict] = None, **args) -> dict:
     from repro.coll import per_edge_autotuners, run_stencil
 
-    planner = None
-    if p.get("per_edge") is not None:
-        autotune_params = dict(p["per_edge"])
-
+    if per_edge is not None:
         def planner(proc, axes):
-            return per_edge_autotuners(autotune_params)
+            return per_edge_autotuners(per_edge)
 
-    face_bytes = p["face_bytes"]
+        args["planner"] = planner
     res = run_stencil(
-        module=build_module(p.get("module")), planner=planner,
-        grid=tuple(p["grid"]), n_threads=p["n_threads"],
-        n_partitions=p.get("n_partitions"),
         face_bytes=(face_bytes if isinstance(face_bytes, int)
-                    else tuple(face_bytes)),
-        compute=p["compute"], noise_fraction=p["noise_fraction"],
-        iterations=p["iterations"], warmup=p["warmup"],
-        topology=build_topology(p.get("topology")), config=_config(p))
+                    else tuple(face_bytes)), **args)
     spreads = [stats["spread"]
                for edges in res.edge_stats.values()
                for stats in edges.values() if stats["spread"] is not None]
@@ -138,35 +123,25 @@ def _stencil(p: dict) -> dict:
     }
 
 
-@kind("pallreduce")
-def _pallreduce(p: dict) -> dict:
-    from repro.bench.coll import run_pallreduce
-
-    res = run_pallreduce(
-        build_module(p.get("module")), world=p["world"],
-        n_threads=p["n_threads"], n_partitions=p.get("n_partitions"),
-        partition_size=p["partition_size"], compute=p["compute"],
-        noise_fraction=p["noise_fraction"], iterations=p["iterations"],
-        warmup=p["warmup"], topology=build_topology(p.get("topology")),
-        config=_config(p))
-    return {"mean_time": res.mean_time, "mean_comm_time": res.mean_comm_time}
-
-
-@kind("arrival_profile")
-def _arrival_profile(p: dict) -> dict:
+def _noisy_pair(module, n_user: int, total_bytes: int,
+                noise_fraction: float, **args):
+    """A partitioned pair with one laggard thread (Figs. 10-12)."""
     from repro.bench.pair import run_partitioned_pair
-    from repro.mpi.persist_module import PersistSpec
-    from repro.profiler import arrival_profile
     from repro.runtime import SingleThreadDelay
 
-    n_user = p["n_user"]
-    partition_size = p["total_bytes"] // n_user
-    result = run_partitioned_pair(
-        PersistSpec, n_user=n_user, partition_size=partition_size,
-        compute=p["compute"], noise=SingleThreadDelay(p["noise_fraction"]),
-        iterations=p["iterations"], warmup=p["warmup"], config=_config(p))
+    return run_partitioned_pair(
+        module, n_user=n_user, partition_size=total_bytes // n_user,
+        noise=SingleThreadDelay(noise_fraction), **args)
+
+
+def _arrival_profile(n_user: int, total_bytes: int, **args) -> dict:
+    from repro.mpi.persist_module import PersistSpec
+    from repro.profiler import arrival_profile
+
+    result = _noisy_pair(PersistSpec, n_user, total_bytes, **args)
     rounds = [[t - min(r) for t in r] for r in result.arrival_rounds()]
-    profile = arrival_profile(rounds, partition_size=partition_size)
+    profile = arrival_profile(rounds,
+                              partition_size=total_bytes // n_user)
     return {
         "partition_size": profile.partition_size,
         "compute_spans": list(profile.compute_spans),
@@ -174,33 +149,21 @@ def _arrival_profile(p: dict) -> dict:
     }
 
 
-@kind("min_delta")
-def _min_delta(p: dict) -> dict:
-    from repro.bench.pair import run_partitioned_pair
+def _min_delta(**args) -> dict:
     from repro.core import estimate_min_delta
-    from repro.runtime import SingleThreadDelay
 
-    result = run_partitioned_pair(
-        build_module(p["module"]), n_user=p["n_user"],
-        partition_size=p["total_bytes"] // p["n_user"],
-        compute=p["compute"], noise=SingleThreadDelay(p["noise_fraction"]),
-        iterations=p["iterations"], warmup=p["warmup"], config=_config(p))
-    return {"min_delta": estimate_min_delta(result.arrival_rounds())}
+    return {"min_delta":
+            estimate_min_delta(_noisy_pair(**args).arrival_rounds())}
 
 
-@kind("autotune")
-def _autotune(p: dict) -> dict:
+def _autotune(autotune: dict, **args) -> dict:
     from repro.bench.autotune import run_autotuned_pair
 
-    res = run_autotuned_pair(
-        p["autotune"], n_user=p["n_user"], total_bytes=p["total_bytes"],
-        compute=p.get("compute", 0.0),
-        noise_fraction=p.get("noise_fraction", 0.0),
-        iterations=p["iterations"], warmup=p["warmup"], config=_config(p))
     # Caching note: no TuningStore here on purpose — a store would make
     # the point a function of on-disk state, breaking the harness's
     # pure-function-of-scenario contract.  Cross-run persistence is
     # exercised by the autotune tests and the CLI instead.
+    res = run_autotuned_pair(autotune, **args)
     return {
         "mean_time": res.mean_time,
         "mean_comm_time": res.mean_comm_time,
@@ -216,14 +179,11 @@ def _autotune(p: dict) -> dict:
     }
 
 
-@kind("fleet")
-def _fleet(p: dict) -> dict:
+def _fleet(jobs: list, placement: str = "spread", **args) -> dict:
     from repro.fleet import JobSpec, run_fleet_with_slowdowns
 
-    jobs = [JobSpec.from_dict(d) for d in p["jobs"]]
     profile = run_fleet_with_slowdowns(
-        jobs, placement=p.get("placement", "spread"),
-        seed=p.get("seed", 0), config=_config(p))
+        [JobSpec.from_dict(d) for d in jobs], placement=placement, **args)
     spine = {name: stats["utilization"]
              for name, stats in profile.links.items()
              if name.startswith("global")}
@@ -240,31 +200,10 @@ def _fleet(p: dict) -> dict:
     }
 
 
-@kind("fleet_rank")
-def _fleet_rank(p: dict) -> dict:
-    from repro.fleet import run_contended_pair
-
-    return run_contended_pair(
-        module=p["module"], level=p["level"],
-        n_partitions=p.get("n_partitions", 16),
-        partition_size=p.get("partition_size", 64 * 1024),
-        iterations=p["iterations"], warmup=p["warmup"],
-        compute=p.get("compute", 0.0), seed=p.get("seed", 0),
-        config=_config(p))
-
-
-@kind("fleet_autotune")
-def _fleet_autotune(p: dict) -> dict:
+def _fleet_autotune(autotune: dict, **args) -> dict:
     from repro.fleet import run_reconvergence
 
-    res = run_reconvergence(
-        p["autotune"], quiet_rounds=p["quiet_rounds"],
-        congested_rounds=p["congested_rounds"],
-        tail_rounds=p["tail_rounds"],
-        n_partitions=p.get("n_partitions", 16),
-        partition_size=p.get("partition_size", 64 * 1024),
-        compute=p.get("compute", 0.0), seed=p.get("seed", 0),
-        config=_config(p))
+    res = run_reconvergence(autotune, **args)
     # Fold the raw per-round records into a compact trajectory so the
     # result artifact stays readable; everything else passes through.
     res["trajectory"] = [
@@ -274,47 +213,29 @@ def _fleet_autotune(p: dict) -> dict:
     return res
 
 
-@kind("model_curve")
-def _model_curve(p: dict) -> dict:
+def _model_curve(sizes: list, n: int, delay: float) -> dict:
     from repro.model import model_curve
     from repro.model.tables import NIAGARA_LOGGP
 
-    times = model_curve(
-        NIAGARA_LOGGP, list(p["sizes"]), n_transport=p["n"],
-        n_user=p["n"], delay=p["delay"])
+    times = model_curve(NIAGARA_LOGGP, sizes, n_transport=n, n_user=n,
+                        delay=delay)
     return {"times": [float(t) for t in times]}
 
 
-@kind("table1")
-def _table1(p: dict) -> dict:
+def _table1() -> dict:
     from repro.model.tables import generate_table1
 
     return {"table": {str(size): n
                       for size, n in generate_table1().items()}}
 
 
-@kind("serve_bench")
-def _serve_bench(p: dict) -> dict:
-    from repro.serve.bench import run_serve_bench
-
-    # The service runs out of a temporary directory created and
-    # destroyed inside the call, so the point stays a pure function of
-    # its scenario (nothing persists between points or processes).
-    return run_serve_bench(
-        n_clients=p["n_clients"], n_requests=p["n_requests"],
-        n_keys=p.get("n_keys", 64), zipf_s=p.get("zipf_s", 1.1),
-        p_commit=p.get("p_commit", 0.08),
-        burst_len=p.get("burst_len", 32), seed=p.get("seed", 0),
-        n_shards=p.get("n_shards", 8),
-        cache_capacity=p.get("cache_capacity", 1024),
-        negative_ttl=p.get("negative_ttl", 256),
-        max_entries_per_shard=p.get("max_entries_per_shard", 0))
+# The serve kinds run out of a temporary directory created and destroyed
+# inside the call, so the point stays a pure function of its scenario
+# (nothing persists between points or processes); ``serve_bench`` makes
+# its own.
 
 
-@kind("serve_stress")
-def _serve_stress(p: dict) -> dict:
-    import tempfile
-
+def _serve_stress(**args) -> dict:
     from repro.serve.stress import run_multiwriter_stress
 
     # Real writer *processes* race on one entry, so the conflict and
@@ -322,28 +243,16 @@ def _serve_stress(p: dict) -> dict:
     # (torn_reads == 0, lost_updates == 0, total_commits) are
     # deterministic; only those belong in an experiment's series.
     with tempfile.TemporaryDirectory(prefix="repro-serve-stress-") as tmp:
-        res = run_multiwriter_stress(
-            tmp, n_writers=p["n_writers"], n_puts=p["n_puts"],
-            mode=p.get("mode", "confident"),
-            n_shards=p.get("n_shards", 4))
+        res = run_multiwriter_stress(tmp, **args)
     res.pop("writers")
     return res
 
 
-@kind("serve_fleet")
-def _serve_fleet(p: dict) -> dict:
-    import tempfile
-
+def _serve_fleet(autotune: Optional[dict] = None, **args) -> dict:
     from repro.serve.fleet import run_served_tenants
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-fleet-") as tmp:
-        res = run_served_tenants(
-            tmp, autotune_params=p.get("autotune"),
-            n_tenants=p.get("n_tenants", 2),
-            n_partitions=p.get("n_partitions", 16),
-            partition_size=p.get("partition_size", 64 * 1024),
-            iterations=p["iterations"], seed=p.get("seed", 0),
-            n_shards=p.get("n_shards", 4), config=_config(p))
+        res = run_served_tenants(tmp, autotune_params=autotune, **args)
     return {
         "bit_identical": res["bit_identical"],
         "warm_skipped_exploration": res["warm_skipped_exploration"],
@@ -354,3 +263,34 @@ def _serve_fleet(p: dict) -> dict:
         "commits": res["service"]["commits"],
         "conflicts": res["service"]["conflicts"],
     }
+
+
+_PAIR = ("module", "n_user", "total_bytes")
+_SEEDED = ("config", "seed")
+
+#: Every scenario kind (``Scenario.kind``) and how it runs.
+KINDS: dict[str, Kind] = {
+    "overhead": Kind(("repro.bench.overhead", "run_overhead"),
+                     ("mean_time",), plan=_PAIR),
+    "perceived": Kind(_perceived, plan=_PAIR),
+    "sweep": Kind(("repro.bench.sweep", "run_sweep"),
+                  ("mean_time", "mean_comm_time", "critical_path_compute"),
+                  plan=("module", "n_threads", "total_bytes")),
+    "halo": Kind(("repro.bench.halo", "run_halo"),
+                 ("mean_time", "mean_comm_time"),
+                 plan=("module", "n_threads", "face_bytes")),
+    "stencil": Kind(_stencil, plan=("module", "n_partitions", "face_bytes")),
+    "arrival_profile": Kind(_arrival_profile),
+    "min_delta": Kind(_min_delta, plan=_PAIR),
+    "autotune": Kind(_autotune, plan=("autotune", "n_user", "total_bytes")),
+    "fleet": Kind(_fleet, takes=_SEEDED),
+    "fleet_rank": Kind(("repro.fleet", "run_contended_pair"),
+                       takes=_SEEDED),
+    "fleet_autotune": Kind(_fleet_autotune, takes=_SEEDED),
+    "model_curve": Kind(_model_curve, takes=()),
+    "table1": Kind(_table1, takes=()),
+    "serve_bench": Kind(("repro.serve.bench", "run_serve_bench"),
+                        takes=("seed",)),
+    "serve_stress": Kind(_serve_stress, takes=()),
+    "serve_fleet": Kind(_serve_fleet, takes=_SEEDED),
+}

@@ -164,12 +164,3 @@ def build_config(desc: Optional[dict]):
     config.validate()
     return config
 
-
-def topology_desc(topology) -> Optional[list]:
-    """The descriptor for a live topology instance (inverse of build)."""
-    if topology is None:
-        return None
-    for name, clsname in _TOPOLOGIES.items():
-        if type(topology).__name__ == clsname:
-            return [name, dataclasses.asdict(topology)]
-    raise ValueError(f"cannot describe topology {topology!r}")

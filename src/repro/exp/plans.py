@@ -19,10 +19,6 @@ from typing import Optional, Union
 
 from repro.units import fmt_bytes, fmt_time
 
-#: Scenario kinds with no lowered communication plan (pure model or
-#: profiling points).
-PLANLESS_KINDS = frozenset({"model_curve", "table1", "arrival_profile"})
-
 
 def _profile(profile):
     if isinstance(profile, str):
@@ -80,48 +76,40 @@ def experiment_plans(name: str,
 
     Every sweep point of ``get_experiment(name).build(profile)`` is
     mapped to the plan its module resolves to at that point's workload
-    shape.  Points whose kind has no communication plan
-    (:data:`PLANLESS_KINDS`) are skipped; points that resolve to the
-    same (label, plan) pair dedup to one entry, first-seen order.
+    shape, read where its kind's row (:data:`repro.exp.kinds.KINDS`)
+    says.  Points whose kind lowers no plan are skipped; points that
+    resolve to the same (label, plan) pair dedup to one entry,
+    first-seen order.
     """
+    from repro.exp.kinds import KINDS
     from repro.exp.registry import get_experiment
 
     profile = _profile(profile)
     spec = get_experiment(name).build(profile)
     entries: dict = {}
     for point in spec.points:
-        kind, p = point.kind, point.params
-        if kind in PLANLESS_KINDS:
+        shape = KINDS[point.kind].plan
+        if shape is None:
             continue
-        if kind in ("overhead", "perceived", "min_delta"):
-            module, n, total = p.get("module"), p["n_user"], p["total_bytes"]
-        elif kind == "sweep":
-            module, n, total = p.get("module"), p["n_threads"], \
-                p["total_bytes"]
-        elif kind == "halo":
-            module, n, total = p.get("module"), p["n_threads"], \
-                p["face_bytes"]
-        elif kind == "pallreduce":
-            module = p.get("module")
-            n = p.get("n_partitions") or p["n_threads"]
-            total = n * p["partition_size"]
-        elif kind == "autotune":
-            module, n, total = ["autotune", p["autotune"]], p["n_user"], \
-                p["total_bytes"]
-        elif kind == "stencil":
-            module = (["autotune", p["per_edge"]]
-                      if p.get("per_edge") is not None else p.get("module"))
-            n = p.get("n_partitions") or p["n_threads"]
-            faces = p["face_bytes"]
+        p = point.params
+        module_key, count_key, bytes_key = shape
+        module = p.get(module_key)
+        if module_key != "module":
+            module = ["autotune", module]
+        if point.kind == "stencil":
+            if p.get("per_edge") is not None:
+                module = ["autotune", p["per_edge"]]
+            n = p.get(count_key) or p["n_threads"]
+            faces = p[bytes_key]
             faces = [faces] if isinstance(faces, int) else list(faces)
             for face in dict.fromkeys(faces):
                 label = (f"stencil {_module_label(module)} parts={n} "
                          f"face={fmt_bytes(face)}")
                 _add(entries, label, module, n, face, p)
             continue
-        else:  # future kinds: no plan mapping yet, skip rather than fail
-            continue
-        label = f"{kind} {_module_label(module)} n={n} {fmt_bytes(total)}"
+        n, total = p[count_key], p[bytes_key]
+        label = (f"{point.kind} {_module_label(module)} n={n} "
+                 f"{fmt_bytes(total)}")
         _add(entries, label, module, n, total, p)
     return list(entries.items())
 

@@ -1,6 +1,7 @@
 """The experiment registry: every figure/table as a declarative spec.
 
-An :class:`Experiment` maps a profile (paper-scale or fast) to an
+An :class:`Experiment` is one row of the table in
+:mod:`repro.exp.experiments`; ``build(profile)`` turns it into an
 :class:`ExperimentSpec` — the list of sweep points it needs, a
 ``collect`` function that assembles point results into the figure's
 series, and a ``report`` function that renders the classic text table.
@@ -10,8 +11,9 @@ The registry is what ``repro-bench bench list|run`` and the thin
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.exp.profiles import Profile
 from repro.exp.spec import Scenario
@@ -44,46 +46,47 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A registered experiment: name, title, profile-driven builder."""
+    """One row of the experiment table (``repro.exp.experiments``)."""
 
     name: str
     title: str
-    build: Callable[[Profile], ExperimentSpec]
+    #: How to read (and compare) the series; stamped on every build.
+    metric: Metric
+    #: Lays the points out: ``spec(**args) -> ExperimentSpec``.
+    spec: Callable[..., ExperimentSpec]
+    #: Series labels that are better when lower, whatever the metric's
+    #: direction; ``compare`` reads them from the artifact.
+    lower_is_better: tuple[str, ...] = ()
+    #: ``spec``'s arguments under the ``paper`` and ``fast`` profiles.
+    paper: Mapping[str, Any] = field(default_factory=dict)
+    fast: Mapping[str, Any] = field(default_factory=dict)
+
+    def build(self, profile: Profile) -> ExperimentSpec:
+        """The spec at ``profile``'s scale."""
+        args = self.paper if profile.name == "paper" else self.fast
+        return dataclasses.replace(self.spec(**args), metric=self.metric)
 
 
-_REGISTRY: dict[str, Experiment] = {}
+def _table() -> dict[str, Experiment]:
+    # The rows live in repro.exp.experiments, which imports this module.
+    from repro.exp.experiments import EXPERIMENTS
 
-
-def register(name: str, title: str):
-    """Decorator registering ``build(profile) -> ExperimentSpec``."""
-    def decorate(build: Callable[[Profile], ExperimentSpec]):
-        if name in _REGISTRY:
-            raise ValueError(f"experiment {name!r} already registered")
-        _REGISTRY[name] = Experiment(name=name, title=title, build=build)
-        return build
-    return decorate
+    return EXPERIMENTS
 
 
 def get_experiment(name: str) -> Experiment:
-    _ensure_loaded()
+    table = _table()
     try:
-        return _REGISTRY[name]
+        return table[name]
     except KeyError:
         raise KeyError(f"unknown experiment {name!r}; "
-                       f"have {', '.join(sorted(_REGISTRY))}") from None
+                       f"have {', '.join(sorted(table))}") from None
 
 
 def all_experiments() -> list[Experiment]:
-    _ensure_loaded()
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+    table = _table()
+    return [table[name] for name in sorted(table)]
 
 
 def experiment_names() -> list[str]:
-    _ensure_loaded()
-    return sorted(_REGISTRY)
-
-
-def _ensure_loaded() -> None:
-    # The definitions live in repro.exp.experiments; importing it
-    # populates the registry exactly once.
-    import repro.exp.experiments  # noqa: F401
+    return sorted(_table())

@@ -8,8 +8,9 @@
   perf-trajectory artifact CI uploads and diffs.
 
 Both carry ``schema: repro-bench/v1``, the experiment name, profile,
-code fingerprint, metric direction, and run bookkeeping, so any two
-artifacts are comparable without out-of-band context.
+code fingerprint, metric direction (plus any lower-is-better series),
+and run bookkeeping, so any two artifacts are comparable without
+out-of-band context.
 
 :func:`compare_results` diffs two artifacts and flags every series
 value that moved beyond a threshold in the metric's bad direction —
@@ -152,12 +153,16 @@ def compare_results(new: dict, old: dict,
 
     Direction comes from the *baseline's* metric record: for a
     higher-is-better metric (speedup, bandwidth) a drop is a
-    regression; for lower-is-better (times) a rise is.  Keys present
-    only in the new artifact are ignored (new coverage is not a
+    regression; for lower-is-better (times) a rise is.  A series named
+    in either artifact's ``metric.lower_is_better`` list (latencies,
+    slowdowns) is lower-is-better whatever the metric says.  Keys
+    present only in the new artifact are ignored (new coverage is not a
     regression); keys that disappeared are reported as missing.
     """
     metric = old.get("metric", {})
     higher_better = bool(metric.get("higher_is_better", True))
+    lower_labels = {label for doc in (new, old) for label in
+                    doc.get("metric", {}).get("lower_is_better", ())}
     report = CompareReport(
         experiment=old.get("experiment", "?"), threshold=threshold)
     old_series = old.get("series", {})
@@ -179,8 +184,10 @@ def compare_results(new: dict, old: dict,
                 continue
             delta = Delta(label=label, key=str(key),
                           old=float(old_value), new=float(new_value))
-            worse = delta.new < delta.old if higher_better \
-                else delta.new > delta.old
+            if higher_better and label not in lower_labels:
+                worse = delta.new < delta.old
+            else:
+                worse = delta.new > delta.old
             if abs(delta.change) <= threshold:
                 report.unchanged += 1
             elif worse:

@@ -29,15 +29,12 @@ def main() -> None:
         OVERHEAD_SIZES_FAST,
         run_fig6,
     )
-    from benchmarks.bench_fig08_aggregator_comparison import (
-        SIZES_FAST,
-        run_fig8,
-    )
+    from benchmarks.bench_fig08_aggregator_comparison import run_fig8
     from benchmarks.common import FAST_PTP
 
     goldens = {
         "fig06_mini.json": run_fig6(OVERHEAD_SIZES_FAST, FAST_PTP),
-        "fig08_mini.json": run_fig8([4, 32], SIZES_FAST, FAST_PTP, 3),
+        "fig08_mini.json": run_fig8(),
         "fig14_mini.json": run_fig14_mini(),
         "ext_stencil_mini.json": run_ext_stencil_mini(),
         "ext_ablations_mini.json": run_ext_ablations_mini(),

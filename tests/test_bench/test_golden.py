@@ -43,13 +43,9 @@ def test_fig06_mini_sweep_matches_golden():
 
 
 def test_fig08_mini_sweep_matches_golden():
-    from benchmarks.bench_fig08_aggregator_comparison import (
-        SIZES_FAST,
-        run_fig8,
-    )
-    from benchmarks.common import FAST_PTP
+    from benchmarks.bench_fig08_aggregator_comparison import run_fig8
 
-    result = encode(run_fig8([4, 32], SIZES_FAST, FAST_PTP, 3))
+    result = encode(run_fig8())
     assert json.loads(json.dumps(result)) == load("fig08_mini.json")
 
 

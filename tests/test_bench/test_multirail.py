@@ -20,9 +20,7 @@ SIZES = [64 * KiB, 4 * MiB]
 def _series(n_ports):
     cfg = replace(NIAGARA, nic=replace(NIAGARA.nic, n_ports=n_ports))
     cfg.validate()
-    kwargs = dict(FAST_PTP)
-    kwargs["config"] = cfg
-    return run_fig7(SIZES, kwargs)
+    return run_fig7(SIZES, FAST_PTP, config=cfg)
 
 
 def test_two_rail_fig07_end_to_end():

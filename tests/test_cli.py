@@ -130,6 +130,16 @@ def test_overhead_command(capsys):
     assert "x" in out
 
 
+@pytest.mark.parametrize("aggregator", ["timer", "none"])
+def test_overhead_command_aggregators(aggregator, capsys):
+    assert main(["overhead", "--n-user", "8", "--sizes", "64KiB",
+                 "--aggregator", aggregator, "--iterations", "4",
+                 "--warmup", "1"]) == 0
+    out = capsys.readouterr().out
+    assert aggregator in out
+    assert "64KiB" in out
+
+
 def test_perceived_command(capsys):
     assert main(["perceived", "--n-user", "8", "--sizes", "4MiB",
                  "--compute-ms", "5", "--iterations", "2",

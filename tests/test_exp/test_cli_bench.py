@@ -1,11 +1,12 @@
 """End-to-end tests for the `repro-bench bench` command group."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import main
-from repro.exp import RESULT_SCHEMA, experiment_names
+from repro.exp import RESULT_SCHEMA, experiment_names, get_experiment
 
 
 def test_bench_list_names_every_experiment(capsys):
@@ -131,3 +132,41 @@ def test_bench_compare_names_a_missing_file(tmp_path, capsys):
         main(["bench", "compare", str(missing), str(tmp_path / "base.json")])
     assert exc.value.code == 2
     assert f"no result file at {missing}" in capsys.readouterr().err
+
+
+#: The series the committed baselines declare under a higher-is-better
+#: metric but that are better when lower.
+LOWER_IS_BETTER = {
+    "ext_serve": ("p50 lookup latency (us)", "p99 lookup latency (us)"),
+    "ext_fleet": ("slowdown, shared mix", "slowdown, mix + neighbor",
+                  "re-convergence rounds"),
+}
+BASELINES = pathlib.Path(__file__).resolve().parents[2] / "results" \
+    / "baselines"
+
+
+@pytest.mark.parametrize("name, label", [
+    (name, label) for name, labels in LOWER_IS_BETTER.items()
+    for label in labels])
+def test_bench_compare_judges_lower_is_better_series(name, label, tmp_path,
+                                                     capsys):
+    """A new run's artifact names its lower-is-better series, as the
+    experiment's row lists them; against the committed baseline (which
+    predates the list) doubling one is a regression and halving it an
+    improvement."""
+    baseline = BASELINES / f"BENCH_{name}.json"
+    doc = json.loads(baseline.read_text(encoding="utf-8"))
+    metric = dict(doc["metric"], lower_is_better=list(LOWER_IS_BETTER[name]))
+    for factor, code, verdict in ((2.0, 1, "REGRESSION"),
+                                  (0.5, 0, "improved")):
+        series = dict(doc["series"])
+        series[label] = {k: v * factor for k, v in series[label].items()}
+        new = tmp_path / f"new_{factor}.json"
+        new.write_text(json.dumps(dict(doc, metric=metric, series=series)),
+                       encoding="utf-8")
+        assert main(["bench", "compare", str(new), str(baseline)]) == code
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if f" {label} @ " in line]
+        assert lines and all(verdict in line for line in lines), lines
+    assert set(get_experiment(name).lower_is_better) == set(
+        LOWER_IS_BETTER[name])

@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from repro.config import NIAGARA
-from repro.exp.experiments import PERSIST, _overhead
 from repro.exp.modules import build_config, config_desc
 
 
@@ -30,18 +29,3 @@ def test_build_config_validates():
 
     with pytest.raises(ConfigError):
         build_config(desc)
-
-
-def test_overhead_helper_converts_live_config():
-    """Legacy scripts pass config=ClusterConfig in their kwargs dicts
-    (e.g. the multi-rail test); the spec layer must serialise it."""
-    cfg = replace(NIAGARA, nic=replace(NIAGARA.nic, n_ports=2))
-    it = {"iterations": 2, "warmup": 1, "config": cfg}
-    point = _overhead(PERSIST, 4, 4096, it)
-    desc = point.params["config"]
-    assert isinstance(desc, dict)
-    assert desc["nic"]["n_ports"] == 2
-    # Without a config the param is absent, keeping digests (and the
-    # checked-in goldens) stable.
-    plain = _overhead(PERSIST, 4, 4096, {"iterations": 2, "warmup": 1})
-    assert "config" not in plain.params

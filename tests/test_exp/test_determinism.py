@@ -14,9 +14,7 @@ import json
 
 import pytest
 
-from benchmarks.common import FAST_PTP, OVERHEAD_SIZES_FAST
-from repro.exp import run_spec
-from repro.exp.experiments import FIG08_SIZES_FAST, fig06_spec, fig08_spec
+from repro.exp import FAST, get_experiment, run_spec
 from tests.test_bench.test_golden import encode, load
 
 
@@ -25,10 +23,8 @@ def canonical_series(payload):
 
 
 @pytest.mark.parametrize("name,spec", [
-    ("fig06_mini.json",
-     fig06_spec(OVERHEAD_SIZES_FAST, FAST_PTP)),
-    ("fig08_mini.json",
-     fig08_spec([4, 32], list(FIG08_SIZES_FAST), FAST_PTP, 3)),
+    ("fig06_mini.json", get_experiment("fig06").build(FAST)),
+    ("fig08_mini.json", get_experiment("fig08").build(FAST)),
 ], ids=["fig06", "fig08"])
 def test_mini_sweep_serial_parallel_and_golden_agree(name, spec):
     serial = canonical_series(run_spec(spec, jobs=1, cache=None))

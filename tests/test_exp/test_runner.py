@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.exp.cache import ResultCache
-from repro.exp.kinds import KINDS, kind
+from repro.exp.kinds import KINDS, Kind
 from repro.exp.runner import Runner
 from repro.exp.spec import Scenario
 
@@ -102,11 +102,12 @@ def test_rejects_non_positive_timeout():
                     reason="hang kind is registered in-process; workers "
                            "must inherit it via fork")
 def test_watchdog_kills_hung_worker_and_finishes_the_rest():
-    @kind("test_hang")
-    def _hang(p):
-        if p["hang"]:
+    def _hang(hang, seed):
+        if hang:
             time.sleep(60)
-        return {"value": p["seed"]}
+        return {"value": seed}
+
+    KINDS["test_hang"] = Kind(_hang, takes=("seed",))
 
     quick = [Scenario.make("test_hang", hang=False, seed=s) for s in (1, 2)]
     hung = Scenario.make("test_hang", hang=True, seed=99)

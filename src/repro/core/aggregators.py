@@ -41,11 +41,6 @@ class PlanChoice:
     n_qps: int
     #: Arm the δ-timer path with this value (None = plain PLogGP path).
     delta: Optional[float] = None
-    #: Ablation: flush non-contiguous arrivals as ONE multi-SGE WR into
-    #: a receive-side staging buffer (the alternative the paper
-    #: considered and rejected in Section IV-D — it needs staging and
-    #: out-of-band layout information at the receiver).
-    scatter_gather: bool = False
 
     def __post_init__(self):
         if not is_power_of_two(self.n_transport):
@@ -64,21 +59,20 @@ class PlanChoice:
                 f"n_user {n_user}")
 
     def as_dict(self) -> dict:
-        """The stored form; ``scatter_gather`` appears only when set, so
-        entries written before the field existed stay byte-identical."""
-        d = {"n_transport": self.n_transport, "n_qps": self.n_qps,
-             "delta": self.delta}
-        if self.scatter_gather:
-            d["scatter_gather"] = True
-        return d
+        """The stored form."""
+        return {"n_transport": self.n_transport, "n_qps": self.n_qps,
+                "delta": self.delta}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlanChoice":
+        """Inverse of :meth:`as_dict`; a key beyond the three knobs (an
+        ablation's flag) names a plan this type cannot serve."""
+        if set(d) - {"n_transport", "n_qps", "delta"}:
+            raise ConfigError(f"not a PlanChoice: {d!r}")
         return cls(n_transport=int(d["n_transport"]),
                    n_qps=int(d["n_qps"]),
                    delta=(None if d.get("delta") is None
-                          else float(d["delta"])),
-                   scatter_gather=bool(d.get("scatter_gather", False)))
+                          else float(d["delta"])))
 
     # The plan IR is imported inside the two views: repro.plan lowers
     # onto this module, so neither may need the other at import time.
@@ -88,8 +82,7 @@ class PlanChoice:
         """This choice as a :class:`repro.plan.Plan` (IR leaf form)."""
         from repro.plan.build import leaf_plan
 
-        return leaf_plan(self.n_transport, self.n_qps, delta=self.delta,
-                         scatter_gather=self.scatter_gather)
+        return leaf_plan(self.n_transport, self.n_qps, delta=self.delta)
 
     @classmethod
     def from_plan(cls, plan) -> "PlanChoice":
@@ -108,8 +101,7 @@ class PlanChoice:
         agg = plan.first(Aggregate)
         return cls(n_transport=part.n,
                    n_qps=pool.n if pool is not None else 1,
-                   delta=agg.delta if agg is not None else None,
-                   scatter_gather=agg.sg if agg is not None else False)
+                   delta=agg.delta if agg is not None else None)
 
 
 def _qps_for(n_transport: int, max_concurrent_wrs: int,
@@ -147,10 +139,8 @@ class FixedAggregation(Aggregator):
     """Explicit transport-partition and QP counts (the Fig. 6/7 sweeps)."""
 
     def __init__(self, n_transport: int, n_qps: int,
-                 timer_delta: Optional[float] = None,
-                 scatter_gather: bool = False):
-        self.choice = PlanChoice(n_transport, n_qps, delta=timer_delta,
-                                 scatter_gather=scatter_gather)
+                 timer_delta: Optional[float] = None):
+        self.choice = PlanChoice(n_transport, n_qps, delta=timer_delta)
 
     def plan(self, n_user, partition_size, config):
         # No disaggregation: fall back to the user's count when the
@@ -223,19 +213,18 @@ class TimerPLogGPAggregator(PLogGPAggregator):
 
     def __init__(self, params: Union[LogGPParams, LogGPTable],
                  delay: float, delta: Optional[float] = None,
-                 max_transport: int = 32, scatter_gather: bool = False):
+                 max_transport: int = 32):
         super().__init__(params, delay, max_transport)
         if delta is not None and delta < 0:
             raise ConfigError(f"negative delta: {delta}")
         self.delta = delta
-        self.scatter_gather = scatter_gather
 
     def plan(self, n_user, partition_size, config):
         base = super().plan(n_user, partition_size, config)
         delta = self.delta if self.delta is not None else config.part.timer_delta
         return replace(
             base, n_qps=_qps_for(base.n_transport, n_user, config),
-            delta=delta, scatter_gather=self.scatter_gather)
+            delta=delta)
 
     def describe(self):
         return f"timer-ploggp(delta={self.delta})"

@@ -65,7 +65,7 @@ class NativeVerbsModule(PartitionedModule):
         self.aggregator = aggregator
         self.sender: "MPIProcess" = send_req.process
         self.receiver: "MPIProcess" = recv_req.process
-        #: What setup() provisioned for (QPs, staging); fixed per request.
+        #: What setup() provisioned QPs for; fixed per request.
         self.plan: Optional[PlanChoice] = None
         #: This round's plan.  Without a controller it *is* ``plan`` —
         #: set once in setup() and never replaced, so every read below
@@ -116,8 +116,8 @@ class NativeVerbsModule(PartitionedModule):
         self._wrs_snapshot = 0
         self._flush_snapshot = 0
         # Fault recovery: the tracker maps every in-flight WR to its QP
-        # and (runs, sg_seq) payload, so a WR that dies — by error CQE
-        # or by vanishing with a killed QP — is replayed exactly once.
+        # and its runs, so a WR that dies — by error CQE or by vanishing
+        # with a killed QP — is replayed exactly once.
         self._tracker = ReplayTracker(
             self.env, cluster.fabric, cluster.config.part.reconnect_delay)
         self._tracker.bind(
@@ -125,7 +125,7 @@ class NativeVerbsModule(PartitionedModule):
             restock=self._restock_recv,
             on_dropped=self._drop_wr,
             can_replay=self._can_replay,
-            replay_unit=self._replay_unit)
+            replay_unit=self._issue_wr)
         #: Degraded aggregation: post per-partition instead of grouped
         #: runs while the channel is suspect (cleared after a clean round).
         self._degraded = False
@@ -140,27 +140,30 @@ class NativeVerbsModule(PartitionedModule):
 
     def setup(self, send_req, recv_req) -> None:
         config = self.cluster.config
+        n = send_req.n_partitions
         self.plan, self._controller = self.aggregator.provision(
-            send_req.n_partitions, send_req.partition_size, config)
+            n, send_req.partition_size, config)
         self._round_plan = self.plan
-        if send_req.n_partitions % self.plan.n_transport != 0:
+        if n % self.plan.n_transport != 0:
             raise PartitionError(
                 f"{self.plan.n_transport} transport partitions do not divide "
-                f"{send_req.n_partitions} user partitions")
-        self.group_size = send_req.n_partitions // self.plan.n_transport
+                f"{n} user partitions")
+        self.group_size = n // self.plan.n_transport
+        # The last partition and the largest group must fit the
+        # immediate's two uint16 (Section IV-A): refuse here, not mid-round.
+        encode_immediate(n - 1, self.group_size)
         if self._controller is not None:
             # QPs are provisioned for the largest arm; every arm must
-            # also produce an aligned grouping of this request.
+            # also produce an aligned, encodable grouping of this request.
             choices = list(self._controller.policy.candidates())
             if self._controller.pinned is not None:
                 choices.append(self._controller.pinned)
             for choice in choices:
-                if (send_req.n_partitions % choice.n_transport != 0
-                        or choice.n_qps > self.plan.n_qps):
+                if n % choice.n_transport or choice.n_qps > self.plan.n_qps:
                     raise PartitionError(
-                        f"autotune candidate {choice} does not fit "
-                        f"{send_req.n_partitions} user partitions / "
-                        f"{self.plan.n_qps} provisioned QPs")
+                        f"autotune candidate {choice} does not fit {n} "
+                        f"user partitions / {self.plan.n_qps} provisioned QPs")
+                encode_immediate(n - 1, n // choice.n_transport)
         send_pd = self.sender.ib.alloc_pd()
         recv_pd = self.receiver.ib.alloc_pd()
         self.send_cq = self.sender.ib.create_cq(capacity=1 << 20)
@@ -173,20 +176,6 @@ class NativeVerbsModule(PartitionedModule):
         self.send_mr = send_pd.reg_mr(send_req.buf, ACCESS_LOCAL)
         self.recv_mr = recv_pd.reg_mr(
             recv_req.buf, ACCESS_LOCAL | ACCESS_REMOTE_WRITE)
-        if self.plan.scatter_gather:
-            # The rejected design of Section IV-D needs receive-side
-            # staging: gathered (non-contiguous) flushes land here and
-            # are copied out once the layout is known.
-            from repro.mem.buffer import Buffer
-
-            self._staging = Buffer(
-                2 * recv_req.buf.nbytes,
-                backed=self.cluster.config.real_buffers)
-            self._staging_mr = recv_pd.reg_mr(
-                self._staging, ACCESS_LOCAL | ACCESS_REMOTE_WRITE)
-            self._staging_head = 0
-            self._sg_layouts: dict[int, tuple] = {}
-            self._sg_seq = 0
         self.sender.router.bind(
             self.send_cq, self._on_send_wc, on_idle=self._check_send_complete)
         self.receiver.router.bind(
@@ -376,20 +365,13 @@ class NativeVerbsModule(PartitionedModule):
         return runs
 
     def _post_unsent_runs(self, group: int):
-        """Post arrived-but-unsent partitions: one WR per contiguous run
-        (the paper's design), or one multi-SGE WR into receive-side
-        staging (the rejected scatter/gather alternative).
+        """Post arrived-but-unsent partitions, one WR per contiguous run.
 
         Posting yields (WR build cost, flow control), and new arrivals
         may send themselves in those gaps — so the run list is
         re-collected after every post instead of trusted across yields.
-        The SG path is immune: it marks every collected partition sent
-        before its first yield.
         """
         runs = self._collect_unsent_runs(group)
-        if self.plan.scatter_gather and len(runs) > 1:
-            yield from self._post_scatter_gather(group, runs)
-            return
         while runs:
             start, count = runs[0]
             yield from self._post_range(start, count)
@@ -422,9 +404,9 @@ class NativeVerbsModule(PartitionedModule):
         if self._degraded and count > 1:
             self.cluster.fabric.counters.inc("mpi.degraded_posts", count)
             for p in range(start, start + count):
-                yield from self._issue_wr(p, 1)
+                yield from self._issue_wr((p, 1))
             return
-        yield from self._issue_wr(start, count)
+        yield from self._issue_wr((start, count))
 
     def _flush_deferred(self):
         """Post everything queued behind the round credit; yields.
@@ -438,80 +420,29 @@ class NativeVerbsModule(PartitionedModule):
         """
         deferred = self._credit.deferred
         while deferred:
-            start, count = deferred[0]
-            yield from self._issue_wr(start, count)
+            yield from self._issue_wr(deferred[0])
             deferred.pop(0)
 
-    def _issue_wr(self, start: int, count: int):
-        """Build and post one WR; guarded against premature completion.
+    def _issue_wr(self, *runs: tuple[int, int], extra_cost: float = 0.0):
+        """Post one WR for ``runs`` (:meth:`_build_wr`); guarded against
+        premature completion.
 
         Between sent-flag marking and the ``post_send`` there are yields
         (WR-build cost, flow control) during which posted/acked look
         consistent to the send poller even though work is pending —
         ``_inflight_posts`` keeps the round open across that window.
         """
-        req = self.send_req
         self._inflight_posts += 1
         try:
-            yield self.sender.software_cost(self.sender.config.host.t_post)
-            group = start // self.group_size
+            yield self.sender.software_cost(
+                self.sender.config.host.t_post + extra_cost)
+            group = runs[0][0] // self.group_size
             rail = self.send_rails[group % len(self.send_rails)]
             qp = yield from rail.acquire(group % self._round_plan.n_qps)
             if qp.state is not QPState.RTS:
                 # The channel died under us (wait_rdma_slot fires
-                # immediately on an ERROR QP).  Park the range: channel
-                # recovery replays it after the reconnect walk.
-                if not self._recovery_enabled:
-                    from repro.errors import ChannelDownError
-
-                    raise ChannelDownError(
-                        "send QP is down and reconnect is disabled",
-                        **self._failure_context(
-                            partitions=[(start, count)], qp_num=qp.qp_num,
-                            status=qp.state.value))
-                self._tracker.queue([(start, count)])
-                self._note_fault()
-                return
-            offset, length = req.buf.range_offset(start, count)
-            wr_id = next(_wrid)
-            qp.post_send(SendWR(
-                wr_id=wr_id,
-                opcode=Opcode.RDMA_WRITE_WITH_IMM,
-                sg_list=[SGE(self.send_mr.addr + offset, length,
-                             self.send_mr.lkey)],
-                remote_addr=self.recv_mr.addr + offset,
-                rkey=self.recv_mr.rkey,
-                imm_data=encode_immediate(start, count),
-            ))
-            self._tracker.track(wr_id, qp, (((start, count),), None))
-            self._posted += 1
-            self.total_wrs_posted += 1
-        finally:
-            self._inflight_posts -= 1
-
-    #: Immediate "start" value marking a scatter/gather staging message.
-    _SG_MARKER = 0xFFFF
-
-    def _post_scatter_gather(self, group: int, runs: list[tuple[int, int]]):
-        """One multi-SGE WR into staging for non-contiguous runs."""
-        req = self.send_req
-        psize = req.partition_size
-        for start, count in runs:
-            self._sent[start : start + count] = True
-        if not self._credit.ready(self.send_req.round):
-            # Credit not here yet: queue as plain runs (the grouping
-            # opportunity has passed by the time the credit lands).
-            self._credit.defer_all(runs)
-            return
-        host = self.sender.config.host
-        self._inflight_posts += 1
-        try:
-            # WR build cost grows with the gather-list length.
-            yield self.sender.software_cost(
-                host.t_post + 50e-9 * len(runs))
-            rail = self.send_rails[group % len(self.send_rails)]
-            qp = yield from rail.acquire(group % self._round_plan.n_qps)
-            if qp.state is not QPState.RTS:
+                # immediately on an ERROR QP).  Park the runs: channel
+                # recovery replays them after the reconnect walk.
                 if not self._recovery_enabled:
                     from repro.errors import ChannelDownError
 
@@ -523,51 +454,29 @@ class NativeVerbsModule(PartitionedModule):
                 self._tracker.queue(runs)
                 self._note_fault()
                 return
-            total = sum(count for _, count in runs) * psize
-            if self._staging_head + total > self._staging.nbytes:
-                self._staging_head = 0
-            staging_offset = self._staging_head
-            self._staging_head += total
-            seq = self._sg_seq = (self._sg_seq + 1) & 0xFFFF or 1
-            self._sg_layouts[seq] = (tuple(runs), staging_offset)
-            sg_list = []
-            for start, count in runs:
-                offset, length = req.buf.range_offset(start, count)
-                sg_list.append(SGE(self.send_mr.addr + offset, length,
-                                   self.send_mr.lkey))
             wr_id = next(_wrid)
-            qp.post_send(SendWR(
-                wr_id=wr_id,
-                opcode=Opcode.RDMA_WRITE_WITH_IMM,
-                sg_list=sg_list,
-                remote_addr=self._staging_mr.addr + staging_offset,
-                rkey=self._staging_mr.rkey,
-                imm_data=(self._SG_MARKER << 16) | seq,
-            ))
-            self._tracker.track(wr_id, qp, (tuple(runs), seq))
+            qp.post_send(self._build_wr(wr_id, runs))
+            self._tracker.track(wr_id, qp, runs)
             self._posted += 1
             self.total_wrs_posted += 1
         finally:
             self._inflight_posts -= 1
 
-    def _handle_scatter_gather(self, imm: int):
-        """Receiver side: parse layout, copy staging into place; yields."""
-        seq = imm & 0xFFFF
-        runs, staging_offset = self._sg_layouts.pop(seq)
-        req = self.recv_req
-        psize = req.partition_size
-        host = self.receiver.config.host
-        part_cfg = self.receiver.config.part
-        total = sum(count for _, count in runs) * psize
-        # Layout handling per run, plus the staging copy-out — the
-        # receive-side costs that made the paper reject this design.
-        yield part_cfg.t_rx_wr * len(runs) + total / host.memcpy_rate
-        cursor = staging_offset
-        for start, count in runs:
-            offset, length = req.buf.range_offset(start, count)
-            req.buf.write(offset, self._staging.read(cursor, length))
-            cursor += length
-            req.mark_arrived(start, count)
+    def _build_wr(self, wr_id: int, runs: tuple) -> SendWR:
+        """One run's WR: straight into place, (start, count) in the
+        immediate."""
+        (start, count), = runs
+        psize = self.send_req.buf.partition_size
+        offset = start * psize
+        return SendWR(
+            wr_id=wr_id,
+            opcode=Opcode.RDMA_WRITE_WITH_IMM,
+            sg_list=[SGE(self.send_mr.addr + offset, count * psize,
+                         self.send_mr.lkey)],
+            remote_addr=self.recv_mr.addr + offset,
+            rkey=self.recv_mr.rkey,
+            imm_data=encode_immediate(start, count),
+        )
 
     # ------------------------------------------------------------------
     # fault recovery
@@ -623,11 +532,8 @@ class NativeVerbsModule(PartitionedModule):
         return
         yield  # pragma: no cover - generator protocol
 
-    def _drop_wr(self, payload) -> tuple:
+    def _drop_wr(self, runs: tuple) -> tuple:
         """Undo a dead WR's accounting; returns its replayable runs."""
-        runs, sg_seq = payload
-        if sg_seq is not None:
-            self._sg_layouts.pop(sg_seq, None)
         self._posted -= 1
         return runs
 
@@ -642,10 +548,6 @@ class NativeVerbsModule(PartitionedModule):
         group = start // self.group_size
         rail = self.send_rails[group % len(self.send_rails)]
         return rail.peek(group % self._round_plan.n_qps).state is QPState.RTS
-
-    def _replay_unit(self, unit):
-        start, count = unit
-        yield from self._issue_wr(start, count)
 
     # ------------------------------------------------------------------
     # completion handling (dispatched by the CompletionRouter)
@@ -686,17 +588,14 @@ class NativeVerbsModule(PartitionedModule):
                 self.cluster.fabric.counters.inc("mpi.flushed_recv_wcs")
                 return
             wc.require_success()
-        if (wc.imm_data >> 16) == self._SG_MARKER:
-            yield from self._handle_scatter_gather(wc.imm_data)
+        yield part_cfg.t_rx_wr
+        start, count = decode_immediate(wc.imm_data)
+        if bool(req.arrived[start : start + count].all()):
+            # Exactly-once safety net: a replayed WR whose original did
+            # land is dropped here.
+            self.cluster.fabric.counters.inc("mpi.duplicates_dropped")
         else:
-            yield part_cfg.t_rx_wr
-            start, count = decode_immediate(wc.imm_data)
-            if bool(req.arrived[start : start + count].all()):
-                # Exactly-once safety net: a replayed WR whose
-                # original did land is dropped here.
-                self.cluster.fabric.counters.inc("mpi.duplicates_dropped")
-            else:
-                req.mark_arrived(start, count)
+            req.mark_arrived(start, count)
 
     def _check_recv_complete(self) -> None:
         req = self.recv_req
@@ -711,12 +610,13 @@ class NativeSpec(ModuleSpec):
     """Spec for the native module; pass the same aggregator both sides."""
 
     name = "native_verbs"
+    module_class = NativeVerbsModule
 
     def __init__(self, aggregator: Aggregator):
         self.aggregator = aggregator
 
     def create(self, cluster, send_req, recv_req):
-        return NativeVerbsModule(cluster, send_req, recv_req, self.aggregator)
+        return self.module_class(cluster, send_req, recv_req, self.aggregator)
 
 
 def spec_for(module) -> ModuleSpec:

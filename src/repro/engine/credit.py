@@ -58,11 +58,6 @@ class CreditManager:
         """Park one unit of work behind the pending credit."""
         self.deferred.append(item)
 
-    def defer_all(self, items) -> None:
-        """Park several units (grouping opportunities have passed by the
-        time the credit lands, so they flush as plain units)."""
-        self.deferred.extend(items)
-
     def grant(self, round_number: int, flight: float) -> None:
         """Receiver side: grant round ``round_number``, ``flight``
         seconds away (one fabric latency).  Arms the round on arrival

@@ -9,7 +9,8 @@ The descriptor vocabulary:
 ``["persist"]``          the ``part_persist`` baseline (module = None)
 ``["ploggp", p]``        :class:`PLogGPAggregator` (``delay`` seconds)
 ``["timer", p]``         :class:`TimerPLogGPAggregator` (``delay``,
-                         ``delta``, optional ``scatter_gather``)
+                         ``delta``; ``"scatter_gather": true`` runs it
+                         under the ablation's :class:`ScatterGatherSpec`)
 ``["adaptive", p]``      online δ: the ``delta_tracker`` autotuner on a
                          window of one (each round's own spread)
 ``["fixed", p]``         :class:`FixedAggregation` (``n_transport``,
@@ -33,11 +34,28 @@ from functools import lru_cache
 from typing import Any, Optional, Sequence
 
 from repro.exp.spec import canonical
-from repro.units import ms
+from repro.units import fmt_time, ms
 
 
 def _params(desc: Sequence[Any]) -> dict:
     return dict(desc[1]) if len(desc) > 1 and desc[1] else {}
+
+
+def module_label(desc: Optional[Sequence[Any]]) -> str:
+    """A short, stable name for a module descriptor (``plan show``)."""
+    if desc is None:
+        return "persist"
+    name, params = desc[0], _params(desc)
+    if name == "fixed":
+        return f"fixed(t={params['n_transport']},qp={params['n_qps']})"
+    if name == "timer":
+        sg = ",sg" if params.get("scatter_gather") else ""
+        return f"timer(d={fmt_time(params['delta'])}{sg})"
+    if name == "adaptive":
+        return f"adaptive(d={fmt_time(params['initial_delta'])})"
+    if name == "autotune":
+        return f"autotune[{params.get('policy', 'bandit')}]"
+    return name
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +78,8 @@ def build_module(desc: Optional[Sequence[Any]]):
     """Rebuild the module/aggregator a descriptor names.
 
     Returns ``None`` for the ``part_persist`` baseline, matching the
-    convention of :func:`repro.bench.overhead.run_overhead`.
+    convention of :func:`repro.bench.overhead.run_overhead`; the
+    scatter/gather ablation is a ``ModuleSpec``, the rest aggregators.
     """
     if desc is None:
         return None
@@ -80,11 +99,14 @@ def build_module(desc: Optional[Sequence[Any]]):
         return PLogGPAggregator(NIAGARA_LOGGP,
                                 delay=params.get("delay", ms(4)))
     if name == "timer":
-        return TimerPLogGPAggregator(
-            NIAGARA_LOGGP,
-            delay=params.get("delay", ms(4)),
-            delta=params["delta"],
-            scatter_gather=params.get("scatter_gather", False))
+        timer = TimerPLogGPAggregator(
+            NIAGARA_LOGGP, delay=params.get("delay", ms(4)),
+            delta=params["delta"])
+        if params.get("scatter_gather"):
+            from repro.core.scatter_gather import ScatterGatherSpec
+
+            return ScatterGatherSpec(timer)
+        return timer
     if name == "adaptive":
         # An autotune descriptor by another name: the δ-tracker at a
         # window of one and the top quantile, so δ follows each round's

@@ -17,7 +17,7 @@ from __future__ import annotations
 import difflib
 from typing import Optional, Union
 
-from repro.units import fmt_bytes, fmt_time
+from repro.units import fmt_bytes
 
 
 def _profile(profile):
@@ -26,23 +26,6 @@ def _profile(profile):
 
         return get_profile(profile)
     return profile
-
-
-def _module_label(desc) -> str:
-    """A short, stable name for a module descriptor."""
-    if desc is None:
-        return "persist"
-    name = desc[0]
-    params = dict(desc[1]) if len(desc) > 1 and desc[1] else {}
-    if name == "fixed":
-        return f"fixed(t={params['n_transport']},qp={params['n_qps']})"
-    if name == "timer":
-        return f"timer(d={fmt_time(params['delta'])})"
-    if name == "adaptive":
-        return f"adaptive(d={fmt_time(params['initial_delta'])})"
-    if name == "autotune":
-        return f"autotune[{params.get('policy', 'bandit')}]"
-    return name
 
 
 def _config_for(params: dict):
@@ -57,7 +40,8 @@ def _add(entries: dict, label: str, module_desc, n_user: int,
     from repro.exp.modules import build_module
     from repro.plan import module_plan
 
-    plan = module_plan(build_module(module_desc), n_user,
+    module = build_module(module_desc)  # a variant's spec: its aggregator
+    plan = module_plan(getattr(module, "aggregator", module), n_user,
                        max(1, total_bytes // n_user), _config_for(params))
     if label in entries:
         if entries[label].digest == plan.digest:
@@ -82,6 +66,7 @@ def experiment_plans(name: str,
     first-seen order.
     """
     from repro.exp.kinds import KINDS
+    from repro.exp.modules import module_label
     from repro.exp.registry import get_experiment
 
     profile = _profile(profile)
@@ -103,12 +88,12 @@ def experiment_plans(name: str,
             faces = p[bytes_key]
             faces = [faces] if isinstance(faces, int) else list(faces)
             for face in dict.fromkeys(faces):
-                label = (f"stencil {_module_label(module)} parts={n} "
+                label = (f"stencil {module_label(module)} parts={n} "
                          f"face={fmt_bytes(face)}")
                 _add(entries, label, module, n, face, p)
             continue
         n, total = p[count_key], p[bytes_key]
-        label = (f"{point.kind} {_module_label(module)} n={n} "
+        label = (f"{point.kind} {module_label(module)} n={n} "
                  f"{fmt_bytes(total)}")
         _add(entries, label, module, n, total, p)
     return list(entries.items())

@@ -15,12 +15,11 @@ from repro.plan.ir import Aggregate, Partition, Persist, Plan, PlanError, QPPool
 
 
 def leaf_plan(n_transport: int, n_qps: int,
-              delta: Optional[float] = None,
-              scatter_gather: bool = False) -> Plan:
+              delta: Optional[float] = None) -> Plan:
     """The 3-knob plan: ``partition`` + ``qp_pool`` [+ ``aggregate``]."""
     ops = [Partition(n=n_transport), QPPool(n=n_qps)]
-    if delta is not None or scatter_gather:
-        ops.append(Aggregate(delta=delta, sg=scatter_gather))
+    if delta is not None:
+        ops.append(Aggregate(delta=delta))
     return Plan(tuple(ops))
 
 

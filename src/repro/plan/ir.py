@@ -102,8 +102,6 @@ class Aggregate(PlanOp):
     """Arm the δ-timer aggregation path (``delta=None`` = plain path)."""
 
     delta: Optional[float] = None
-    #: Ablation: flush holes as one multi-SGE WR (Section IV-D).
-    sg: bool = False
     name: ClassVar[str] = "aggregate"
 
     def validate(self):

@@ -47,5 +47,4 @@ def lower(plan: Plan) -> "ModuleSpec":
 
     choice = PlanChoice.from_plan(plan)
     return NativeSpec(FixedAggregation(
-        choice.n_transport, choice.n_qps, timer_delta=choice.delta,
-        scatter_gather=choice.scatter_gather))
+        choice.n_transport, choice.n_qps, timer_delta=choice.delta))

@@ -50,7 +50,7 @@ def neighbors(plan: Plan, n_user: int, config: ClusterConfig,
             elif isinstance(op, QPPool):
                 op = replace(op, n=qps)
             elif isinstance(op, Aggregate):
-                if new_delta is None and not op.sg:
+                if new_delta is None:
                     continue
                 op = replace(op, delta=new_delta)
             ops.append(op)

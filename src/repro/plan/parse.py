@@ -8,7 +8,7 @@ emits (plus insignificant whitespace variations) and rebuilds the
     op      := NAME attrs?
     attrs   := "(" [ kv ("," kv)* ] ")"
     kv      := NAME "=" value
-    value   := INT | FLOAT | "none" | "true" | "false"
+    value   := INT | FLOAT | "none"
 
 Op names resolve through :data:`repro.plan.ir.OPS`; unknown ops,
 unknown attributes and malformed values raise
@@ -32,8 +32,6 @@ _TOKEN = re.compile(r"""
   | (?P<name>[A-Za-z_]\w*)
   | (?P<punct>[(){}=,])
 """, re.VERBOSE)
-
-_KEYWORDS = {"none": None, "true": True, "false": False}
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,8 @@ class _Parser:
             return int(tok.text)
         if tok.kind == "float":
             return float(tok.text)
-        if tok.kind == "name" and tok.text in _KEYWORDS:
-            return _KEYWORDS[tok.text]
+        if tok.kind == "name" and tok.text == "none":
+            return None
         self.fail(tok, "expected a value")
 
 

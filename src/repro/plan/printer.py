@@ -10,7 +10,7 @@ pins the text and digest of every leaf shape).  Rules:
 * attributes in dataclass field order, ``key=value``, with
   default-valued attributes omitted;
 * values: ints verbatim, floats via ``repr`` (shortest round-trip
-  form), ``none`` / ``true`` / ``false`` keywords;
+  form), ``none`` for None;
 * an op with no printed attributes still gets ``()`` (``persist()``).
 """
 
@@ -27,10 +27,6 @@ def format_value(value: object) -> str:
     """One attribute value in canonical form."""
     if value is None:
         return "none"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -42,13 +38,8 @@ def _printed_attrs(op: "PlanOp") -> list[str]:
     out = []
     defaults = {f.name: f.default for f in fields(op)}
     for key, value in op.attrs():
-        default = defaults.get(key, MISSING)
-        # Skip attrs at their default.  The type check keeps bool/int
-        # confusion (False == 0, True == 1) from dropping a
-        # non-default value.
-        if default is not MISSING and default == value \
-                and type(default) is type(value):
-            continue
+        if defaults.get(key, MISSING) == value:
+            continue  # at its default
         out.append(f"{key}={format_value(value)}")
     return out
 

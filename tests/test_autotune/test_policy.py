@@ -36,12 +36,14 @@ def test_plan_choice_validation():
 
 def test_plan_choice_dict_round_trip():
     for choice in (PlanChoice(8, 2, us(35)), PlanChoice(4, 1),
-                   PlanChoice(1, 1, us(5), scatter_gather=True)):
+                   PlanChoice(1, 1, us(5))):
         assert PlanChoice.from_dict(choice.as_dict()) == choice
-    # The flag is written only when set: entries stored before it
-    # existed stay byte-identical.
     assert PlanChoice(4, 1).as_dict() == {
         "n_transport": 4, "n_qps": 1, "delta": None}
+    # A stored key beyond the three knobs is refused, not dropped.
+    with pytest.raises(ConfigError):
+        PlanChoice.from_dict({"n_transport": 1, "n_qps": 1, "delta": us(5),
+                              "scatter_gather": True})
 
 
 def test_static_policy_is_constant_and_confident():

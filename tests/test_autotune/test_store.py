@@ -68,6 +68,19 @@ def test_bad_plan_dict_counts_as_corrupt(tmp_path):
     assert store.corrupt_entries == 1
 
 
+def test_scatter_gather_plan_counts_as_corrupt(tmp_path):
+    """An entry holding the scatter/gather ablation's flag is a plan
+    ``PlanChoice`` cannot serve: counted corrupt, never served as the
+    contiguous-run plan it would otherwise read as."""
+    store = TuningStore(tmp_path)
+    path = store.put(key(0), PlanChoice(16, 4, delta=0.001))
+    payload = json.loads(path.read_text())
+    payload["plan"]["scatter_gather"] = True
+    path.write_text(json.dumps(payload))
+    assert store.get(key(0)) is None
+    assert store.corrupt_entries == 1
+
+
 #: Rotten files that used to crash ``load`` instead of being counted:
 #: not UTF-8 at all, and valid JSON that is not an object.
 ROTTEN = [b"\xff\xfe\x00garbage\x80", b"[1, 2]\n", b"null\n", b"3\n",
@@ -111,9 +124,9 @@ ENTRY_CASES = [
     (PlanChoice(8, 2, delta=3.5e-05),
      {"rounds_observed": 12, "policy": "bandit", "mean_cost": 1e-22,
       "nested": {"b": [1, 2.5, None, []], "a": True, "e": {}}}, {}),
-    (PlanChoice(16, 4, delta=0.001, scatter_gather=True),
+    (PlanChoice(16, 4, delta=0.001),
      {"note": "\u03b4-timer"}, {"version": 7}),
-    (PlanChoice(2, 1, delta=0.0, scatter_gather=False),
+    (PlanChoice(2, 1, delta=0.0),
      {"rounds_observed": 0}, {"version": 1}),
 ]
 
@@ -132,7 +145,7 @@ def test_entry_file_bytes_are_pinned(tmp_path, choice, meta, extra):
     json.dump(payload, expected, indent=2, sort_keys=True)
     expected.write("\n")
     assert path.read_bytes() == expected.getvalue().encode()
-    assert ("scatter_gather" in payload["plan"]) == choice.scatter_gather
+    assert list(payload["plan"]) == ["n_transport", "n_qps", "delta"]
     assert os.listdir(tmp_path) == ["entry.json"]
 
 

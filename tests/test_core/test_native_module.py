@@ -2,16 +2,25 @@
 semantics, timer dynamics."""
 
 import numpy as np
+import pytest
 
-from repro.core import FixedAggregation, NativeSpec
+from repro.autotune import AdaptiveAggregator, BanditPolicy
+from repro.core import FixedAggregation, NativeSpec, PlanChoice
+from repro.core.immediate import encode_immediate
+from repro.core.module import spec_for
+from repro.core.scatter_gather import ScatterGatherSpec
+from repro.errors import PartitionError
+from repro.ib.constants import WCOpcode, WCStatus
+from repro.ib.wr import WorkCompletion
 from repro.mem import PartitionedBuffer
 from repro.mpi import Cluster
 from repro.units import KiB, us
 
 
-def run_with_arrivals(aggregator, arrival_offsets, n_parts=8, psize=1 * KiB,
+def run_with_arrivals(module, arrival_offsets, n_parts=8, psize=1 * KiB,
                       rounds=1):
-    """Drive pready calls at explicit per-partition times.
+    """Drive pready calls at explicit per-partition times; ``module``
+    is an aggregator (the native module) or a module spec.
 
     Returns (module, recv buffer, send buffer).
     """
@@ -28,7 +37,7 @@ def run_with_arrivals(aggregator, arrival_offsets, n_parts=8, psize=1 * KiB,
 
     def sender(proc):
         req = proc.psend_init(sbuf, dest=1, tag=0,
-                              module=NativeSpec(aggregator))
+                              module=spec_for(module))
         holder["module"] = None
         for _ in range(rounds):
             yield from proc.start(req)
@@ -40,7 +49,7 @@ def run_with_arrivals(aggregator, arrival_offsets, n_parts=8, psize=1 * KiB,
 
     def receiver(proc):
         req = proc.precv_init(rbuf, source=0, tag=0,
-                              module=NativeSpec(aggregator))
+                              module=spec_for(module))
         for _ in range(rounds):
             yield from proc.start(req)
             yield from proc.wait_partitioned(req)
@@ -196,3 +205,65 @@ def test_multi_qp_spreads_groups():
     posted = [qp.posted_sends for qp in module.send_qps]
     assert len(posted) == 4
     assert all(p == 2 for p in posted)  # 8 groups round-robin on 4 QPs
+
+
+def armed_pair(spec, n_parts, psize=8, cluster=None):
+    """Init and start both sides of one pair, with no ``MPI_Pready``:
+    set-up and round arming run to quiescence.  Returns (cluster,
+    send request, receive request)."""
+    cluster = cluster or Cluster(n_nodes=2)
+    s_proc, r_proc = cluster.ranks(2)
+    reqs = {}
+
+    def side(proc, init, peer):
+        req = init(PartitionedBuffer(n_parts, psize, backed=False), peer,
+                   tag=0, module=spec)
+        reqs[proc.rank] = req
+        yield from proc.start(req)
+
+    cluster.spawn(side(s_proc, s_proc.psend_init, 1))
+    cluster.spawn(side(r_proc, r_proc.precv_init, 0))
+    cluster.run()
+    return cluster, reqs[0], reqs[1]
+
+
+def test_last_of_65536_partitions_is_data_not_a_staging_marker():
+    """Partition 65,535's immediate is ``(0xFFFF << 16) | 1``: the
+    paper's module reads it as (start, count) like any other."""
+    cluster, _, recv_req = armed_pair(NativeSpec(FixedAggregation(2, 1)),
+                                      65536)
+    module = recv_req.module
+    wc = WorkCompletion(0, WCStatus.SUCCESS, WCOpcode.RECV_RDMA_WITH_IMM,
+                        module.recv_qps[0].qp_num,
+                        imm_data=encode_immediate(65535, 1))
+    cluster.spawn(module._on_recv_wc(wc))
+    cluster.run()
+    assert recv_req.arrived[65535]
+    assert int(recv_req.arrived.sum()) == 1
+
+
+#: Requests some WR of which could not be encoded, refused by setup.
+UNENCODABLE = {
+    # A group of 65,536 needs count 65,536: one past uint16.
+    "count": (NativeSpec(FixedAggregation(1, 1)), 65536),
+    # Partition 131,071 needs start 131,071.
+    "start": (NativeSpec(FixedAggregation(4, 1)), 1 << 17),
+    # Provisioned for its first arm's 4 groups, but the bandit's
+    # one-group arm would post a count of 65,536.
+    "autotune-arm": (AdaptiveAggregator(lambda *_: BanditPolicy(
+        [PlanChoice(4, 1), PlanChoice(1, 1)])), 65536),
+    # The ablation's staging marker is start 0xFFFF: partition 65,535.
+    "sg-marker": (ScatterGatherSpec(FixedAggregation(2, 1)), 65536),
+}
+
+
+@pytest.mark.parametrize("spec, n_parts", list(UNENCODABLE.values()),
+                         ids=list(UNENCODABLE))
+def test_unencodable_request_is_refused_at_setup(spec, n_parts):
+    """Refused before any CQ or QP exists, not mid-round from inside
+    ``encode_immediate``."""
+    cluster = Cluster(n_nodes=2)
+    with pytest.raises(PartitionError):
+        armed_pair(spec_for(spec), n_parts, cluster=cluster)
+    module, = cluster.modules
+    assert module.send_cq is None and module.send_qps == []

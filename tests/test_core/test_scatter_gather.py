@@ -3,9 +3,16 @@
 import numpy as np
 
 from repro.core import FixedAggregation, TimerPLogGPAggregator
-from repro.model.tables import NIAGARA_LOGGP
+from repro.core.scatter_gather import ScatterGatherSpec
+from repro.exp.modules import build_module
 from repro.units import KiB, ms, us
 from tests.test_core.test_native_module import run_with_arrivals
+
+
+def sg(n_transport, n_qps, delta):
+    """The ablation module over a fixed grouping."""
+    return ScatterGatherSpec(
+        FixedAggregation(n_transport, n_qps, timer_delta=delta))
 
 
 def test_sg_flush_posts_single_wr_for_noncontiguous():
@@ -13,7 +20,7 @@ def test_sg_flush_posts_single_wr_for_noncontiguous():
     delta = us(50)
     offsets = [0.0, 0.0, 400e-6, 0.0, 400e-6, 0.0, 400e-6, 400e-6]
     sg_module, sg_rbuf, sg_sbuf = run_with_arrivals(
-        FixedAggregation(1, 1, timer_delta=delta, scatter_gather=True),
+        sg(1, 1, delta),
         offsets)
     plain_module, _, _ = run_with_arrivals(
         FixedAggregation(1, 1, timer_delta=delta), offsets)
@@ -27,7 +34,7 @@ def test_sg_data_integrity_over_rounds():
     delta = us(40)
     offsets = [0.0, 300e-6, 0.0, 300e-6, 0.0, 300e-6, 0.0, 0.0]
     module, rbuf, sbuf = run_with_arrivals(
-        FixedAggregation(1, 2, timer_delta=delta, scatter_gather=True),
+        sg(1, 2, delta),
         offsets, rounds=3)
     assert np.array_equal(rbuf.data, sbuf.data)
     assert module.timer_flushes == 3
@@ -38,7 +45,7 @@ def test_sg_contiguous_flush_stays_plain():
     delta = us(50)
     offsets = [0.0] * 7 + [400e-6]
     sg_module, rbuf, sbuf = run_with_arrivals(
-        FixedAggregation(1, 1, timer_delta=delta, scatter_gather=True),
+        sg(1, 1, delta),
         offsets)
     plain_module, _, _ = run_with_arrivals(
         FixedAggregation(1, 1, timer_delta=delta), offsets)
@@ -60,16 +67,21 @@ def test_sg_receiver_pays_staging_copy():
         # Partition 0 goes out in the flush in both designs.
         return module.recv_req.arrival_times[0]
 
-    t_sg = flushed_arrival(FixedAggregation(1, 1, timer_delta=delta,
-                                            scatter_gather=True))
+    t_sg = flushed_arrival(sg(1, 1, delta))
     t_plain = flushed_arrival(FixedAggregation(1, 1, timer_delta=delta))
     assert t_sg > t_plain
 
 
 def test_timer_aggregator_sg_option():
-    agg = TimerPLogGPAggregator(NIAGARA_LOGGP, delay=ms(4), delta=us(35),
-                                scatter_gather=True)
+    """The descriptor flag selects the variant module over the timer
+    aggregator's own plan; without it the paper's module runs."""
     from repro.config import NIAGARA
 
-    plan = agg.plan(32, 256 * KiB, NIAGARA)
-    assert plan.scatter_gather
+    params = {"delay": ms(4), "delta": us(35)}
+    spec = build_module(["timer", {**params, "scatter_gather": True}])
+    assert isinstance(spec, ScatterGatherSpec)
+    assert isinstance(spec.aggregator, TimerPLogGPAggregator)
+    plan = spec.aggregator.plan(32, 256 * KiB, NIAGARA)
+    assert plan == build_module(["timer", params]).plan(32, 256 * KiB,
+                                                        NIAGARA)
+    assert plan.delta == us(35)

@@ -75,7 +75,8 @@ def test_deferred_flushes_on_arrival(env):
 
     mgr = CreditManager(env, flush=flush)
     mgr.defer("p0")
-    mgr.defer_all(["p1", "p2"])
+    mgr.defer("p1")
+    mgr.defer("p2")
     mgr.grant(1, flight=us(5))
     env.run()
     assert [p for p, _ in flushed] == ["p0", "p1", "p2"]

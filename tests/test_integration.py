@@ -16,6 +16,7 @@ from repro.core import (
     PLogGPAggregator,
     TimerPLogGPAggregator,
 )
+from repro.core.scatter_gather import ScatterGatherSpec
 from repro.mem import PartitionedBuffer
 from repro.model.tables import NIAGARA_LOGGP
 from repro.mpi import Cluster
@@ -69,9 +70,8 @@ SPECS = {
         PLogGPAggregator(NIAGARA_LOGGP, delay=ms(4))),
     "native-timer": lambda: NativeSpec(
         TimerPLogGPAggregator(NIAGARA_LOGGP, delay=ms(4), delta=us(20))),
-    "native-timer-sg": lambda: NativeSpec(
-        TimerPLogGPAggregator(NIAGARA_LOGGP, delay=ms(4), delta=us(20),
-                              scatter_gather=True)),
+    "native-timer-sg": lambda: ScatterGatherSpec(
+        TimerPLogGPAggregator(NIAGARA_LOGGP, delay=ms(4), delta=us(20))),
 }
 
 

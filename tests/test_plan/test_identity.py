@@ -15,25 +15,19 @@ from repro.core import PlanChoice
 from repro.plan import Persist, parse, plan
 from repro.units import KiB
 
-#: (n_transport, n_qps, delta, scatter_gather) -> (text lines, digest).
+#: (n_transport, n_qps, delta) -> (text lines, digest).
 LEAVES = {
-    (1, 1, None, False): (
+    (1, 1, None): (
         ["partition(n=1)", "qp_pool(n=1)"], "69840c902855860a"),
-    (8, 2, None, False): (
+    (8, 2, None): (
         ["partition(n=8)", "qp_pool(n=2)"], "aea5d95f1ac68735"),
-    (32, 4, 3.5e-05, False): (
+    (32, 4, 3.5e-05): (
         ["partition(n=32)", "qp_pool(n=4)", "aggregate(delta=3.5e-05)"],
         "4f8940f36fd68187"),
-    (4, 1, 0.0, False): (
+    (4, 1, 0.0): (
         ["partition(n=4)", "qp_pool(n=1)", "aggregate(delta=0.0)"],
         "cdfd11f149168491"),
-    (16, 2, None, True): (
-        ["partition(n=16)", "qp_pool(n=2)", "aggregate(sg=true)"],
-        "e606df2d344c44cb"),
-    (8, 4, 1e-05, True): (
-        ["partition(n=8)", "qp_pool(n=4)", "aggregate(delta=1e-05, sg=true)"],
-        "11a5d129c5080273"),
-    (128, 16, 0.001, False): (
+    (128, 16, 0.001): (
         ["partition(n=128)", "qp_pool(n=16)", "aggregate(delta=0.001)"],
         "45742aaae4a5f1e0"),
 }
@@ -47,13 +41,12 @@ def _text(lines):
 @pytest.mark.parametrize("knobs", sorted(LEAVES, key=repr), ids=repr)
 def test_leaf_text_and_digest(knobs):
     lines, digest = LEAVES[knobs]
-    n_transport, n_qps, delta, sg = knobs
-    p = PlanChoice(n_transport, n_qps, delta=delta, scatter_gather=sg).plan
+    choice = PlanChoice(*knobs)
+    p = choice.plan
     assert p.text == _text(lines)
     assert p.digest == digest
     assert parse(p.text) == p
-    assert PlanChoice.from_plan(parse(p.text)) == \
-        PlanChoice(n_transport, n_qps, delta=delta, scatter_gather=sg)
+    assert PlanChoice.from_plan(parse(p.text)) == choice
 
 
 def test_persist_text_and_digest():

@@ -17,7 +17,7 @@ from repro.plan import (
 OP_PLANS = {
     "partition": plan(Partition(n=8)),
     "qp_pool": plan(QPPool(n=2)),
-    "aggregate": plan(Aggregate(delta=3.5e-05, sg=True)),
+    "aggregate": plan(Aggregate(delta=3.5e-05)),
     "persist": plan(Persist()),
 }
 
@@ -40,7 +40,6 @@ def test_round_trip_is_fixed_point_per_op(name):
 def test_default_attrs_are_not_printed():
     assert plan(Aggregate()).text == "plan {\n  aggregate()\n}"
     assert plan(Persist()).text == "plan {\n  persist()\n}"
-    assert "sg" not in plan(Aggregate(delta=1e-6)).text
 
 
 def test_digest_is_structural_identity():

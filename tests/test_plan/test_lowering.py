@@ -53,11 +53,16 @@ def test_lowered_leaf_plan_matches_fixed_aggregation_bit_for_bit():
 
 
 def test_lower_leaf_with_delta_and_sg():
-    spec = lower(leaf_plan(8, 2, delta=3.5e-05, scatter_gather=True))
+    """A δ leaf lowers to the paper's module; the scatter/gather flag
+    is no plan attribute, so a plan spelling it is refused, not served
+    as the contiguous-run plan."""
+    spec = lower(leaf_plan(8, 2, delta=3.5e-05))
     agg = spec.aggregator
     assert isinstance(agg, FixedAggregation)
-    assert agg.choice == PlanChoice(8, 2, delta=3.5e-05,
-                                    scatter_gather=True)
+    assert agg.choice == PlanChoice(8, 2, delta=3.5e-05)
+    with pytest.raises(PlanError):
+        lower(parse("plan { partition(n=8) qp_pool(n=2) "
+                    "aggregate(delta=3.5e-05, sg=true) }"))
 
 
 def test_lower_persist_baseline():

@@ -29,12 +29,11 @@ def _policy(**kwargs) -> PlanMutationPolicy:
 @given(n_transport=st.integers(0, 16).map(lambda e: 1 << e),
        n_qps=st.integers(1, 4096),
        delta=st.none() | st.floats(min_value=0.0, allow_nan=False,
-                                   allow_infinity=False),
-       sg=st.booleans())
-def test_choice_and_leaf_plan_are_one_value(n_transport, n_qps, delta, sg):
-    """Every legal (transport partitions, QPs, δ, sg) survives
+                                   allow_infinity=False))
+def test_choice_and_leaf_plan_are_one_value(n_transport, n_qps, delta):
+    """Every legal (transport partitions, QPs, δ) survives
     choice -> plan -> text -> plan -> choice, digest unchanged."""
-    choice = PlanChoice(n_transport, n_qps, delta, scatter_gather=sg)
+    choice = PlanChoice(n_transport, n_qps, delta)
     reparsed = parse(choice.plan.text)
     assert PlanChoice.from_plan(reparsed) == choice
     assert reparsed.digest == choice.plan.digest

@@ -20,6 +20,7 @@ can always be outlived by a workload that keeps making progress.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -107,8 +108,9 @@ def generate_schedule(kind: str, rng: np.random.Generator, n_nodes: int,
             f"unknown chaos kind {kind!r} (have: {', '.join(KINDS)})")
     if n_nodes < 2:
         raise ValueError(f"chaos needs >= 2 nodes, got {n_nodes}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(
+            f"horizon must be finite and positive, got {horizon}")
     return _GENERATORS[kind](rng, n_nodes, horizon)
 
 

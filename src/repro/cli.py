@@ -130,6 +130,24 @@ def non_negative_float(text: str) -> float:
     return value
 
 
+def positive_float(text: str) -> float:
+    """``text`` as a finite float > 0; an argparse ``type=``."""
+    value = non_negative_float(text)
+    if value == 0:
+        raise ValueError(f"must be > 0, got {text}")
+    return value
+
+
+def _names(text: str, have: Sequence[str], what: str) -> tuple[str, ...]:
+    """Comma list ``text`` as names drawn from ``have`` (else usage)."""
+    names = tuple(n.strip() for n in text.split(",") if n.strip())
+    bad = sorted(set(names) - set(have))
+    if bad or not names:
+        raise ConfigError(f"unknown {what}(s): {', '.join(bad) or repr(text)}"
+                          f" (have: {', '.join(have)})")
+    return names
+
+
 def cmd_table1(args) -> int:
     from repro.bench.reporting import format_table
     from repro.model.tables import TABLE1_PAPER, generate_table1
@@ -361,19 +379,10 @@ def cmd_chaos(args) -> int:
         workload_names,
     )
 
-    workloads = tuple(w.strip() for w in args.workloads.split(",")
-                      if w.strip())
-    unknown = sorted(set(workloads) - set(workload_names()))
-    if unknown:
-        raise SystemExit(f"unknown workload(s): {', '.join(unknown)} "
-                         f"(have: {', '.join(workload_names())})")
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    bad = sorted(set(kinds) - set(KINDS))
-    if bad:
-        raise SystemExit(f"unknown fault kind(s): {', '.join(bad)} "
-                         f"(have: {', '.join(KINDS)})")
     spec = CampaignSpec(
-        workloads=workloads, runs=args.runs, seed=args.seed, kinds=kinds,
+        workloads=_names(args.workloads, workload_names(), "workload"),
+        runs=args.runs, seed=args.seed,
+        kinds=_names(args.kinds, KINDS, "fault kind"),
         horizon=ms(args.horizon_ms), module=args.module,
         ladder=args.ladder)
     progress = None if args.quiet else (
@@ -393,16 +402,10 @@ def cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def _fleet_designs(transports: str, n_qps: int) -> list[tuple]:
-    designs = [("persist", ("persist",))]
-    for part in transports.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        t = int(part)
-        designs.append((f"T={t}", ("fixed", (("n_qps", n_qps),
-                                             ("n_transport", t)))))
-    return designs
+def _fleet_designs(transports: list[int], n_qps: int) -> list[tuple]:
+    return [("persist", ("persist",))] + [
+        (f"T={t}", ("fixed", (("n_qps", n_qps), ("n_transport", t))))
+        for t in transports]
 
 
 def cmd_fleet_rank(args) -> int:
@@ -871,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign root seed (each run derives its own)")
     p.add_argument("--kinds", default=",".join(
         ("flap_storm", "rail_failure", "rnr_burst", "latency_train")))
-    p.add_argument("--horizon-ms", type=float, default=2.5,
+    p.add_argument("--horizon-ms", type=positive_float, default=2.5,
                    help="virtual-time window faults land inside (ms)")
     p.add_argument("--module", default="native",
                    choices=["native", "persist"])
@@ -891,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rank", help="transport-design ranking vs spine contention")
     p.add_argument("--levels", type=parse_counts, default="0,1,2",
                    help="comma list of background-tenant counts")
-    p.add_argument("--transports", default="4,8,16",
+    p.add_argument("--transports", type=parse_counts, default="4,8,16",
                    help="fixed-aggregation transport counts to rank")
     p.add_argument("--qps", type=int, default=2)
     p.add_argument("--partitions", type=positive_int, default=16)
@@ -931,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-rounds", type=int, default=8)
     p.add_argument("--window", type=int, default=4,
                    help="sliding-window size for cost estimates")
-    p.add_argument("--compute-us", type=float, default=20.0)
+    p.add_argument("--compute-us", type=non_negative_float, default=20.0)
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--trajectory", action="store_true",
                    help="print the full per-round plan trajectory")
@@ -991,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "mixed get/commit, bursty arrivals)")
     p.add_argument("--clients", type=positive_int, default=400)
     p.add_argument("--requests", type=positive_int, default=4000)
-    p.add_argument("--keys", type=int, default=64)
+    p.add_argument("--keys", type=positive_int, default=64)
     p.add_argument("--zipf", type=float, default=1.1,
                    help="Zipf exponent of the key popularity "
                         "(default: %(default)s)")

@@ -84,8 +84,10 @@ def test_unknown_kind_and_bad_args_are_rejected():
         generate_schedule("meteor_strike", rng(), n_nodes=4)
     with pytest.raises(ValueError):
         generate_schedule("flap_storm", rng(), n_nodes=1)
-    with pytest.raises(ValueError):
-        generate_schedule("flap_storm", rng(), n_nodes=4, horizon=0.0)
+    for horizon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            generate_schedule("flap_storm", rng(), n_nodes=4,
+                              horizon=horizon)
 
 
 def test_schedule_round_trips_through_dict():

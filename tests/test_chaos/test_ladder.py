@@ -22,6 +22,27 @@ from repro.units import KiB, us
 N_PARTS = 4
 PSIZE = 64 * KiB
 
+#: Per-round completion stamps (float-hex virtual seconds) of a dead
+#: native edge that settles on the channels rung.
+CHANNELS_STAMPS = {
+    4 * KiB: {
+        "send_done": ["0x1.1ba67422b8270p-10", "0x1.1d22e24ad0122p-10",
+                      "0x1.1e9f5072e7fd4p-10", "0x1.201bbe9affe86p-10",
+                      "0x1.21982cc317d38p-10", "0x1.23149aeb2fbeap-10"],
+        "recv_done": ["0x1.30f9112dc6e43p-11", "0x1.1d22e24ad0122p-10",
+                      "0x1.1e9f5072e7fd4p-10", "0x1.201bbe9affe86p-10",
+                      "0x1.21982cc317d38p-10", "0x1.23149aeb2fbeap-10"],
+    },
+    64 * KiB: {
+        "send_done": ["0x1.2b1e8e95d18f6p-10", "0x1.31c83c8b6abcfp-10",
+                      "0x1.3871ea8103ea8p-10", "0x1.3f1b98769d181p-10",
+                      "0x1.45c5466c3645ap-10", "0x1.4c6ef461cf733p-10"],
+        "recv_done": ["0x1.506f7dd0ff646p-11", "0x1.320b5869ed94bp-10",
+                      "0x1.38b5065f86c24p-10", "0x1.3f5eb4551fefdp-10",
+                      "0x1.4608624ab91d6p-10", "0x1.4cb21040524afp-10"],
+    },
+}
+
 
 def ladder_config():
     """Tight retry budgets."""
@@ -52,13 +73,14 @@ def pin_dead(schedule, req):
             node=1, start=now, duration=10.0, qp_num=qp.qp_num))
 
 
-def run_dead_edge(spec_factory, schedule, config, rounds=6):
+def run_dead_edge(spec_factory, schedule, config, rounds=6, psize=PSIZE):
     cluster = Cluster(n_nodes=2, config=config)
     cluster.fabric.install_faults(schedule)
     s_proc, r_proc = cluster.ranks(2)
-    sbuf = PartitionedBuffer(N_PARTS, PSIZE, backed=True)
-    rbuf = PartitionedBuffer(N_PARTS, PSIZE, backed=True)
-    outcome = {"rounds_ok": 0}
+    sbuf = PartitionedBuffer(N_PARTS, psize, backed=True)
+    rbuf = PartitionedBuffer(N_PARTS, psize, backed=True)
+    # Per-round completion stamps (virtual seconds), per side.
+    outcome = {"rounds_ok": 0, "send_done": [], "recv_done": []}
 
     def sender(proc):
         req = proc.psend_init(sbuf, dest=1, tag=0, module=spec_factory())
@@ -73,12 +95,14 @@ def run_dead_edge(spec_factory, schedule, config, rounds=6):
             for i in range(N_PARTS):
                 yield from proc.pready(req, i)
             yield from proc.wait_partitioned(req)
+            outcome["send_done"].append(proc.env.now)
 
     def receiver(proc):
         req = proc.precv_init(rbuf, source=0, tag=0, module=spec_factory())
         for rnd in range(rounds):
             yield from proc.start(req)
             yield from proc.wait_partitioned(req)
+            outcome["recv_done"].append(proc.env.now)
             if np.array_equal(rbuf.data, rbuf.expected_pattern(
                     0, rbuf.nbytes, seed=rnd)):
                 outcome["rounds_ok"] += 1
@@ -127,6 +151,28 @@ def test_dead_edge_degrades_and_completes_with_the_ladder(monkeypatch):
     assert module.transitions and \
         module.transitions[0]["kind"] == "demote"
     assert module.breaker.state == "half_open"
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("psize", [4 * KiB, 64 * KiB])
+def test_dead_edge_settles_on_the_channels_rung(monkeypatch, psize):
+    """The bottom rung on its own: native -> channels, nothing between."""
+    monkeypatch.setattr(ladder, "BREAKER_PROBATION", 100)
+
+    def spec():
+        return LadderSpec([native_rung(), ChannelSpec()])
+
+    rounds = 6
+    cluster, outcome = run_dead_edge(spec, FaultSchedule(), ladder_config(),
+                                     rounds=rounds, psize=psize)
+    assert outcome["rounds_ok"] == rounds
+    assert cluster.fabric.counters.get("chaos.rescued_partitions") >= 1
+    module = outcome["send_req"].module
+    assert module.rungs[module.level].name == "channels"
+    assert [t["to"] for t in module.transitions] == ["channels"]
+    stamps = {side: [t.hex() for t in outcome[side]]
+              for side in ("send_done", "recv_done")}
+    assert stamps == CHANNELS_STAMPS[psize]
 
 
 @pytest.mark.faults

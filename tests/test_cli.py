@@ -98,6 +98,17 @@ def test_round_counts_are_validated_as_usage_errors(flags, capsys):
     (["stencil", "--compute-ms", "-1"], "--compute-ms"),
     (["stencil", "--noise", "inf"], "--noise"),
     (["autotune", "tune", "--noise", "nan"], "--noise"),
+    (["fleet", "rank", "--transports", "4,x"], "bad counts '4,x'"),
+    (["fleet", "rank", "--transports", ","], "bad counts ','"),
+    (["serve", "bench", "--keys", "0"], "--keys"),
+    (["chaos", "--kinds", ",,"], "unknown fault kind(s): ',,'"),
+    (["chaos", "--kinds", "nope"], "unknown fault kind(s): nope"),
+    (["chaos", "--workloads", "nope"], "unknown workload(s): nope"),
+    (["chaos", "--horizon-ms", "-1"], "--horizon-ms"),
+    (["chaos", "--horizon-ms", "0"], "--horizon-ms"),
+    (["chaos", "--horizon-ms", "nan"], "--horizon-ms"),
+    (["chaos", "--horizon-ms", "inf"], "--horizon-ms"),
+    (["fleet", "retune", "--compute-us", "-5"], "--compute-us"),
 ])
 def test_bad_flags_are_usage_errors(argv, message, capsys):
     # A bad count, size or name is argparse's exit 2, raised before

@@ -55,13 +55,13 @@ BUDGET = [
     ("persist-rndv-32x1MiB", lambda: None, 32, 32 * MiB,
      15042, "message (3 WRs)", 32),
     ("fixed-T32-1qp-32x256KiB", lambda: FixedAggregation(32, 1), 32, 8 * MiB,
-     6062, "WR (1 chunk)", 32),
+     6030, "WR (1 chunk)", 32),
     ("fixed-T4-1qp-8MiB", lambda: FixedAggregation(4, 1), 32, 8 * MiB,
-     2077, "WR (8 chunks)", 4),
+     2073, "WR (8 chunks)", 4),
     ("fixed-T32-1qp-32x1MiB", lambda: FixedAggregation(32, 1), 32, 32 * MiB,
-     8334, "WR (4 chunks)", 32),
+     8302, "WR (4 chunks)", 32),
     ("ploggp-128x128B", lambda: build_module(["ploggp", {}]), 128, 128 * 128,
-     3290, "user partition", 128),
+     3289, "user partition", 128),
 ]
 
 

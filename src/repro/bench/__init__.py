@@ -11,7 +11,7 @@
 * :mod:`repro.bench.coll` — partitioned tree-collective rounds
   (allreduce over binomial trees of partitioned pairs);
 * :mod:`repro.bench.reporting` — table/series formatting for the
-  figure-regeneration scripts in ``benchmarks/``.
+  figure reports ``repro-bench bench run`` prints.
 
 Every name below resolves on first use (:mod:`repro.lazy`), so a
 point-to-point run loads ``pair`` and ``overhead`` and nothing else.

@@ -35,8 +35,8 @@ experiment's points lower to (see ``docs/PLAN_IR.md``)::
     repro-bench plan diff ext_stencil ext_autotune
 
 Sizes accept ``B``/``KiB``/``MiB``/``GiB`` suffixes.  Results print as
-the same plain-text tables the ``benchmarks/`` scripts emit; ``bench
-run`` additionally writes versioned JSON artifacts.
+plain-text tables; ``bench run`` also writes versioned JSON artifacts
+and exits 1 when a run breaks one of its experiment's guidelines.
 """
 
 from __future__ import annotations
@@ -518,7 +518,8 @@ def cmd_fleet_retune(args) -> int:
         ["plan changed", "yes" if res["plan_changed"] else "no"],
         ["re-converged at round", str(res["reconverged_round"])],
         ["rounds to re-converge", str(res["rounds_to_reconverge"])],
-        ["regret vs congested-best", fmt_time(res["regret"])],
+        ["regret vs congested-best",
+         fmt_time(res["regret"]) if res["regret"] is not None else "-"],
         ["adapted", "yes" if res["adapted"] else "NO"],
     ]
     print(f"live re-tuning [{args.policy}]: neighbor arrives at round "
@@ -708,21 +709,28 @@ def cmd_bench_run(args) -> int:
     _check_experiments(*names)
     progress = None if args.quiet else (
         lambda msg: print(f"  {msg}", file=sys.stderr))
+    violated = 0
     for name in names:
         run = run_from_options(name, args, progress=progress)
         stats = run.stats
         print(f"== {name}: {run.experiment.title} "
               f"[{run.profile.name}] ==")
         print(run.report)
+        broken = run.experiment.violations(run.payload)
         print(f"({stats.unique} points, {stats.cache_hits} cached, "
-              f"{stats.executed} executed, {run.elapsed:.1f}s)")
+              f"{stats.executed} executed, {run.elapsed:.1f}s; {len(broken)} "
+              f"of {len(run.experiment.guidelines)} guidelines violated)")
+        for guideline in broken:
+            print(f"VIOLATED {name}: {guideline.name} "
+                  f"(mechanism: {guideline.mechanism})")
+        violated += len(broken)
         for path in run.paths:
             print(f"wrote {path}")
         if run.cpu_profile:
             print(f"wrote {run.cpu_profile} (cProfile; inspect with "
                   f"python -m pstats)")
         print()
-    return 0
+    return 1 if violated else 0
 
 
 def _check_experiments(*names) -> None:
@@ -1039,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench_list)
 
     p = bench_sub.add_parser(
-        "run", help="run experiments, write JSON artifacts")
+        "run", help="run experiments, check guidelines, write artifacts")
     p.add_argument("experiments", nargs="*", metavar="EXPERIMENT",
                    help="experiment names (default: all registered)")
     add_run_options(p)

@@ -3,17 +3,11 @@
 :data:`EXPERIMENTS` holds a row (:class:`~repro.exp.registry.Experiment`)
 per figure: its name and title, its metric, the series that are better
 when lower, the spec function that lays out its sweep points, and that
-function's arguments under the ``paper`` and ``fast`` profiles.
-``Experiment.build(profile)`` is the one builder over the table.
-
-Each spec function builds the exact sweep points the old imperative
-``benchmarks/bench_*.py`` loop ran — same modules, same workloads, same
-iteration counts — so the harness reproduces the historical numbers
-bit for bit (guarded by the goldens).  The specs key their scenario
-dicts by the loop variables the old scripts used, and ``collect`` reads
-results back through those dicts, so a reviewer can diff a spec against
-the retired loop line by line.  Every point list is pinned by
-``tests/test_exp/test_scenario_pin.py``.
+function's arguments under the ``paper`` and ``fast`` profiles, and its
+guidelines: the figure's expected shape, defined next to its spec and
+read only at points both profiles' grids share.
+``Experiment.build(profile)`` turns any row into its spec.  Every point
+list is pinned by ``tests/test_exp/test_scenario_pin.py``.
 """
 
 from __future__ import annotations
@@ -27,8 +21,9 @@ from repro.bench.reporting import (
     format_table,
 )
 from repro.exp.profiles import FAST, PAPER, PERCEIVED_COMPUTE, PERCEIVED_NOISE
-from repro.exp.registry import Experiment, ExperimentSpec, Metric
+from repro.exp.registry import Experiment, ExperimentSpec, Guideline, Metric
 from repro.exp.spec import Scenario
+from repro.model.tables import TABLE1_PAPER
 from repro.units import KiB, MiB, fmt_bytes, fmt_rate, fmt_time, ms, us
 
 #: Shared module descriptors (see :mod:`repro.exp.modules`).
@@ -125,6 +120,14 @@ def fig03_spec(sizes=(16 * KiB, 64 * KiB, 256 * KiB, 1 * MiB, 4 * MiB,
     return ExperimentSpec(list(pts.values()), collect, report)
 
 
+FIG03_GUIDELINES = (
+    Guideline("1 partition beats 32 when small", "each message pays o + g",
+              lambda p: p["curves"][1][0] < p["curves"][32][0]),
+    Guideline("32 partitions beat 1 when large", "early birds beat the delay",
+              lambda p: p["curves"][32][-1] < p["curves"][1][-1]),
+)
+
+
 # --------------------------------------------------------------- table1
 
 
@@ -138,8 +141,6 @@ def table1_spec() -> ExperimentSpec:
                 "table": table}
 
     def report(payload):
-        from repro.model.tables import TABLE1_PAPER
-
         got = payload["table"]
         rows = [[fmt_bytes(size), want, got[size],
                  "ok" if got[size] == want else "MISMATCH"]
@@ -147,6 +148,13 @@ def table1_spec() -> ExperimentSpec:
         return format_table(["aggregate size", "paper", "model", ""], rows)
 
     return ExperimentSpec([point], collect, report)
+
+
+TABLE1_GUIDELINES = (
+    Guideline("every row matches the paper", "PLogGP on Niagara's LogGP",
+              lambda p: all(p["table"][size] == n
+                            for size, n in TABLE1_PAPER.items())),
+)
 
 
 # ------------------------------------------------------------ fig06 / 07
@@ -166,8 +174,8 @@ def fig06_spec(sizes, iter_kwargs, transport_counts=(2, 8, 32),
 
 def fig07_spec(sizes, iter_kwargs, qp_counts=(1, 4, 16), n_user=16,
                config: Optional[dict] = None) -> ExperimentSpec:
-    """``config`` is a whole-config descriptor
-    (:func:`repro.exp.modules.config_desc`) for every point."""
+    """``config`` is a whole-config descriptor (``dataclasses.asdict`` of
+    a ClusterConfig) for every point."""
     base = {s: _overhead(PERSIST, n_user, s, iter_kwargs, config)
             for s in sizes}
     agg = {(q, s): _overhead(["noagg", {"n_qps": q}], n_user, s,
@@ -177,6 +185,27 @@ def fig07_spec(sizes, iter_kwargs, qp_counts=(1, 4, 16), n_user=16,
         [*base.values(), *agg.values()],
         {f"QP={q}": {s: (base[s], agg[(q, s)]) for s in sizes}
          for q in qp_counts})
+
+
+def _at(p, label: str, x):
+    return p["series"][label][x]
+
+
+FIG06_GUIDELINES = (
+    Guideline("T=2 beats T=32 at 4 KiB", "a WR and a CQE per partition",
+              lambda p: _at(p, "T=2", 4 * KiB) > _at(p, "T=32", 4 * KiB)),
+    Guideline("every T at 0.85-1.25x at 4 MiB", "the wire saturates",
+              lambda p: all(0.85 < s[4 * MiB] < 1.25
+                            for s in p["series"].values())),
+)
+
+FIG07_GUIDELINES = (
+    Guideline("QP count moves 4 KiB < 30 %", "one QP drains a small message",
+              lambda p: abs(1 - _at(p, "QP=16", 4 * KiB)
+                            / _at(p, "QP=1", 4 * KiB)) < 0.3),
+    Guideline("16 QPs beat 1 at 16 MiB", "more WRs in flight at once",
+              lambda p: _at(p, "QP=16", 16 * MiB) > _at(p, "QP=1", 16 * MiB)),
+)
 
 
 # ---------------------------------------------------------------- fig08
@@ -202,6 +231,18 @@ def fig08_spec(user_counts, sizes, iter_kwargs,
         [*base.values(), *table.values(), *ploggp.values()], series)
 
 
+FIG08_GUIDELINES = (
+    Guideline("32p PLogGP > 1.5x at 128 KiB", "a few WRs replace 32 sends",
+              lambda p: _at(p, "32p ploggp", 128 * KiB) > 1.5),
+    Guideline("32p gains more than 4p at 128 KiB", "more sends to save",
+              lambda p: _at(p, "32p ploggp", 128 * KiB)
+              > _at(p, "4p ploggp", 128 * KiB)),
+    Guideline("table/PLogGP 0.6-1.7x at 32p/128 KiB", "a short, noisy search",
+              lambda p: 0.6 < _at(p, "32p tuning-table", 128 * KiB)
+              / _at(p, "32p ploggp", 128 * KiB) < 1.7),
+)
+
+
 # ---------------------------------------------------------------- fig09
 
 
@@ -222,6 +263,31 @@ def fig09_spec(n_users, sizes, iterations, warmup) -> ExperimentSpec:
         return {"series": series}
 
     return ExperimentSpec(list(pts.values()), collect, _bandwidth_report)
+
+
+def _above_single_thread_line(p) -> bool:
+    from repro.bench.perceived import single_thread_line
+
+    line = single_thread_line()
+    return all(s[8 * MiB] > line for s in p["series"].values())
+
+
+def _ploggp_trails(other: str):
+    """PLogGP below ``other`` at 8 MiB, at every partition count."""
+    return lambda p: all(
+        s[8 * MiB] < p["series"][label[:-6] + other][8 * MiB]
+        for label, s in p["series"].items() if label.endswith("ploggp"))
+
+
+FIG09_GUIDELINES = (
+    Guideline("every design beats the single-thread line at 8 MiB",
+              "early birds cross inside the laggard's delay",
+              _above_single_thread_line),
+    Guideline("PLogGP trails persist at 8 MiB", "its groups wait for the "
+              "laggard", _ploggp_trails("persist")),
+    Guideline("PLogGP trails the timer at 8 MiB", "the timer flushes after "
+              "delta", _ploggp_trails("timer(3000us)")),
+)
 
 
 # ----------------------------------------------------------- fig10 / 11
@@ -283,6 +349,19 @@ def arrival_profile_spec(total_bytes: int, iterations: int, warmup: int,
     return ExperimentSpec([point], collect, report)
 
 
+FIG10_GUIDELINES = (
+    Guideline("no early partition is late", "31 x 256 KiB drain in ~4 ms",
+              lambda p: _at(p, "arrival", "early_bird_fraction") == 1.0),
+    Guideline("laggard delay 3-6 ms", "4 % noise on 100 ms compute",
+              lambda p: 3e-3 < _at(p, "arrival", "laggard_time") < 6e-3),
+)
+
+FIG11_GUIDELINES = (
+    Guideline("early birds 0.2-0.55 (paper: 3/8)", "124 MiB outlast ~4 ms",
+              lambda p: 0.2 < _at(p, "arrival", "early_bird_fraction") < 0.55),
+)
+
+
 # ---------------------------------------------------------------- fig12
 
 
@@ -325,6 +404,18 @@ def fig12_spec(sizes=(1 * MiB, 8 * MiB, 64 * MiB),
     return ExperimentSpec(list(pts.values()), collect, report)
 
 
+FIG12_GUIDELINES = (
+    Guideline("minimum delta grows with partitions at 8 MiB",
+              "more threads take turns on the arrival atomics",
+              lambda p: _at(p, "min delta", f"{8 * MiB}/16p")
+              < _at(p, "min delta", f"{8 * MiB}/32p")
+              < _at(p, "min delta", f"{8 * MiB}/128p")),
+    Guideline("minimum delta at 32p/8 MiB 2-300 us (paper: ~35 us)",
+              "atomic turns, not the compute phase",
+              lambda p: 2e-6 < _at(p, "min delta", f"{8 * MiB}/32p") < 3e-4),
+)
+
+
 # ---------------------------------------------------------------- fig13
 
 
@@ -344,6 +435,22 @@ def fig13_spec(sizes, iterations, warmup, deltas=(us(10), us(35), us(100)),
         return {"series": series}
 
     return ExperimentSpec(list(pts.values()), collect, _bandwidth_report)
+
+
+def _worst_delta_spread(p) -> float:
+    """The largest relative spread across delta at sizes >= 8 MiB (below,
+    a few-microsecond latency makes any reordering look large)."""
+    s = p["series"]
+    return max((max(col) - min(col)) / min(col)
+               for col in ([s[label][x] for label in s]
+                           for x in next(iter(s.values())) if x >= 8 * MiB))
+
+
+FIG13_GUIDELINES = (
+    Guideline("delta 10-100 us moves bandwidth < 15 % (paper: 6.15 %)",
+              "the laggard, not delta, sets the completion",
+              lambda p: _worst_delta_spread(p) < 0.15),
+)
 
 
 # ---------------------------------------------------------------- fig14
@@ -375,6 +482,15 @@ def fig14_spec(grid_shape, sizes, noise_points, iter_kwargs, n_threads=16,
                              for s in sizes}
          for label, _, _ in noise_points for name, _ in designs},
         "mean_comm_time")
+
+
+FIG14_GUIDELINES = (
+    Guideline("14a PLogGP > 1.25x at 256 KiB", "a 10 us laggard is short",
+              lambda p: _at(p, "14a: 1ms+1% (10us) ploggp", 256 * KiB) > 1.25),
+    Guideline("14b timer beats PLogGP at 256 KiB", "static groups wait 40 us",
+              lambda p: _at(p, "14b: 1ms+4% (40us) timer", 256 * KiB)
+              > _at(p, "14b: 1ms+4% (40us) ploggp", 256 * KiB)),
+)
 
 
 # -------------------------------------------------------- ext_ablations
@@ -465,6 +581,26 @@ def ext_ablations_spec(sg_sizes=(8 * MiB, 32 * MiB), sg_iterations=6,
     return ExperimentSpec(sg.points + adaptive.points, collect, report)
 
 
+def _wrs_per_round(p, flush: str) -> float:
+    return next(wrs for name, size, _, wrs in p["sg"]["rows"]
+                if name == flush and size == 8 * MiB)
+
+
+EXT_ABLATIONS_GUIDELINES = (
+    Guideline("SG posts no more WRs than runs", "one WR per hole-y flush",
+              lambda p: _wrs_per_round(p, "sg") <= _wrs_per_round(p, "runs")),
+    Guideline("runs keeps 90 % of SG's bandwidth", "SG's staging copy-out",
+              lambda p: _at(p, "runs", 8 * MiB)
+              >= 0.9 * _at(p, "sg", 8 * MiB)),
+    Guideline("tuned delta beats oversized", "it blocks the other request",
+              lambda p: _at(p, "adaptive ablation", "fixed good (8us)")
+              > _at(p, "adaptive ablation", "fixed bad (200us)")),
+    Guideline("adaptive delta beats its seed", "it tracks the arrival spread",
+              lambda p: _at(p, "adaptive ablation", "adaptive (seed 200us)")
+              > _at(p, "adaptive ablation", "fixed bad (200us)")),
+)
+
+
 # ----------------------------------------------------------- ext_faults
 
 
@@ -502,6 +638,16 @@ def ext_faults_spec(n_user=16, total_bytes=32 * MiB,
     return ExperimentSpec(list(pts.values()), collect, report)
 
 
+EXT_FAULTS_GUIDELINES = (
+    Guideline("no retransmits without loss", "no loss, no fault injection",
+              lambda p: all(rexmt == 0 for loss, _, _, rexmt in p["rows"]
+                            if loss == 0.0)),
+    Guideline("every design completes at 0.1 % loss", "RC retransmits",
+              lambda p: all(bw > 0 for loss, _, bw, _ in p["rows"]
+                            if loss == 1e-3)),
+)
+
+
 # ------------------------------------------------------------- ext_halo
 
 
@@ -530,6 +676,12 @@ def ext_halo_spec(grid_shape=(8, 8),
         {name: {s: (base[s], ours[(name, s)]) for s in sizes}
          for name, _ in designs},
         "mean_comm_time")
+
+
+EXT_HALO_GUIDELINES = (
+    Guideline("PLogGP > 1.2x at 256 KiB faces", "fewer sends at every rank",
+              lambda p: _at(p, "ploggp", 256 * KiB) > 1.2),
+)
 
 
 # ------------------------------------------------------- ext_autotune
@@ -659,6 +811,15 @@ def ext_autotune_spec(iter_kwargs, laggard_iters, table_iters, n_user=32,
                           collect, report)
 
 
+EXT_AUTOTUNE_GUIDELINES = (
+    Guideline("bandit within 5 % of the table", "seeded arms, 64 rounds",
+              lambda p: _at(p, "bandit vs offline table", 2 * MiB)
+              >= 1 / 1.05),
+    Guideline("delta tracker beats a mistuned delta", "8 ms never fires first",
+              lambda p: _at(p, "delta tracker vs fixed delta", 32 * MiB) > 1),
+)
+
+
 # ---------------------------------------------------------- ext_stencil
 
 STENCIL_PARTITIONS = 32
@@ -783,6 +944,19 @@ def ext_stencil_spec(scale, scale_iter, face=64 * KiB,
     return ExperimentSpec(points, collect, report)
 
 
+EXT_STENCIL_GUIDELINES = (
+    Guideline("native beats part_persist at every scale", "fewer sends",
+              lambda p: all(v > 1 for v in
+                            p["series"]["native vs persist"].values())),
+    Guideline("per-edge plans beat part_persist", "each edge picks its own T",
+              lambda p: _at(p, "asym: per-edge autotuned", "vs persist") > 1),
+    Guideline("per-edge plans within 5 % of the best global plan",
+              "no one transport count suits 64 KiB and 4 KiB faces",
+              lambda p: _at(p, "asym: per-edge autotuned", "vs best global")
+              >= 1 / 1.05),
+)
+
+
 # ----------------------------------------------------- ext_model_vs_sim
 
 MVS_N_USER = 32
@@ -835,6 +1009,25 @@ def ext_model_vs_sim_spec(sizes=(16 * KiB, 256 * KiB, 2 * MiB, 16 * MiB),
                 "(the paper found trends agree, thresholds shift)")
 
     return ExperimentSpec(list(pts.values()), collect, report)
+
+
+def _more_partitions_when_large(p) -> bool:
+    """Both worlds favour more partitions at 16 MiB than at 16 KiB: a
+    larger winner, or 32 ranked no worse."""
+    small, large = p["comparison"][16 * KiB], p["comparison"][16 * MiB]
+    return all(large[w][0] >= small[w][0]
+               or large[w].index(32) <= small[w].index(32)
+               for w in ("model", "measured"))
+
+
+EXT_MODEL_VS_SIM_GUIDELINES = (
+    Guideline("model and simulator favour more partitions when large",
+              "trends hold, thresholds shift (Section V-B1)",
+              _more_partitions_when_large),
+    Guideline("every measured time is positive", "every point completes",
+              lambda p: all(t > 0 for c in p["comparison"].values()
+                            for t in c["measured_times"].values())),
+)
 
 
 # ------------------------------------------------------------- ext_fleet
@@ -974,6 +1167,39 @@ def ext_fleet_spec(rank_iter, levels=(0, 1, 2), designs=FLEET_DESIGNS,
     return ExperimentSpec(points, collect, report)
 
 
+def _times(p, level: str) -> dict:
+    return p["ranking"][level]["times"]
+
+
+EXT_FLEET_GUIDELINES = (
+    Guideline("T=16 beats T=4 on the quiet fabric", "an idle spine pipelines",
+              lambda p: _times(p, "0")["T=16"] < _times(p, "0")["T=4"]),
+    Guideline("T=4 beats T=16 under contention", "per-chunk arbitration",
+              lambda p: all(_times(p, lvl)["T=4"] < _times(p, lvl)["T=16"]
+                            for lvl in ("1", "2"))),
+    Guideline("part_persist never wins under contention", "the most chunks",
+              lambda p: all(p["ranking"][lvl]["best"] != "persist"
+                            for lvl in ("1", "2"))),
+    Guideline("contention slows every design", "tenants share the spine",
+              lambda p: all(_times(p, "2")[name] > _times(p, "0")[name]
+                            for name in ("persist", "T=4", "T=16"))),
+    Guideline("every tenant slows > 5 % in the shared mix", "shared links",
+              lambda p: all(v > 1.05
+                            for v in p["slowdowns"]["shared"].values())),
+    Guideline("a noisy neighbour slows every tenant further", "spine load",
+              lambda p: all(p["slowdowns"]["with_neighbor"][job] > v
+                            for job, v in p["slowdowns"]["shared"].items())),
+    Guideline("both live policies adapt", "windowed cost estimates",
+              lambda p: all(a["adapted"] for a in p["autotune"].values())),
+    Guideline("both policies leave the quiet-best plan", "a new optimum",
+              lambda p: all(a["quiet_best"] != a["congested_best"]
+                            for a in p["autotune"].values())),
+    Guideline("both policies re-converge", "they re-rank while congested",
+              lambda p: all(a["rounds_to_reconverge"] is not None
+                            for a in p["autotune"].values())),
+)
+
+
 # ----------------------------------------------------------- ext_serve
 
 SERVE_KEYS = 64
@@ -1098,19 +1324,55 @@ def ext_serve_spec(n_clients=2000, n_requests=20000, stress_writers=4,
                           collect, report)
 
 
+EXT_SERVE_GUIDELINES = (
+    Guideline("warm-cache hit rate > 90 %", "Zipf keys keep a hot set",
+              lambda p: p["bench"]["warm_hit_rate"] > 0.9),
+    Guideline("p50 lookup < 10 us", "hits cost a cache read, not a backend",
+              lambda p: p["bench"]["p50_latency_us"] < 10.0),
+    Guideline("p99 lookup < 500 us", "the tail is queueing, not collapse",
+              lambda p: p["bench"]["p99_latency_us"] < 500.0),
+    Guideline("stale CAS commits conflict", "clients commit stale views",
+              lambda p: p["bench"]["conflicts"] > 0),
+    # lost_updates is total_commits - final_version, so this also holds
+    # the final version to the count of successful commits.
+    Guideline("no lost update", "flock serialises every commit",
+              lambda p: all(s["lost_updates"] == 0
+                            for s in p["stress"].values())),
+    Guideline("no torn read", "os.replace swaps whole entry files",
+              lambda p: all(s["torn_reads"] == 0
+                            for s in p["stress"].values())),
+    Guideline("CAS conflicts >= writers - 1", "first commits expect version 0",
+              lambda p: p["stress"]["cas"]["total_conflicts"]
+              >= p["stress"]["cas"]["n_writers"] - 1),
+    Guideline("the bounded store evicts", "4 x 4 entries < 64 keys",
+              lambda p: p["eviction"]["store_evictions"] > 0),
+    Guideline("the bounded store keeps <= 16 entries", "the shard bound",
+              lambda p: p["eviction"]["entries"]
+              <= SERVE_EVICT_SHARDS * SERVE_EVICT_BOUND),
+    Guideline("the warm tenant skips exploration", "the cold one committed",
+              lambda p: p["fleet"]["warm_skipped_exploration"]),
+    Guideline("served plan = direct store read", "the cache never rewrites",
+              lambda p: p["fleet"]["bit_identical"]),
+    Guideline("only the cold tenant explores", "the store is empty once",
+              lambda p: p["fleet"]["tenant_explored"] == [True, False]),
+)
+
+
 # ------------------------------------------------------------ the table
 
-#: One row per figure: ``Experiment(name, title, metric, spec,
+#: One row per figure: ``Experiment(name, title, metric, spec, guidelines,
 #: lower_is_better, paper, fast)``; ``paper``/``fast`` are the spec's
 #: arguments under each profile (none: its defaults).
 EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
     Experiment("fig03", "Fig. 3: PLogGP-modelled completion times",
                Metric("modelled completion time", "s",
-                      higher_is_better=False), fig03_spec),
+                      higher_is_better=False), fig03_spec,
+               FIG03_GUIDELINES),
     Experiment("table1", "Table I: optimal transport partitions",
-               Metric("optimal transport partitions"), table1_spec),
+               Metric("optimal transport partitions"), table1_spec,
+               TABLE1_GUIDELINES),
     Experiment("fig06", "Fig. 6: overhead vs. transport-partition count",
-               SPEEDUP, fig06_spec,
+               SPEEDUP, fig06_spec, FIG06_GUIDELINES,
                paper=dict(sizes=PAPER.overhead_sizes,
                           iter_kwargs=PAPER.ptp_iter),
                fast=dict(sizes=FAST.overhead_sizes,
@@ -1118,13 +1380,13 @@ EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
     # The QP effect needs a wire-saturating point (Section V-B1): the
     # fast grid gains 16 MiB, which the paper grid already ends on.
     Experiment("fig07", "Fig. 7: overhead vs. QP count", SPEEDUP,
-               fig07_spec,
+               fig07_spec, FIG07_GUIDELINES,
                paper=dict(sizes=PAPER.overhead_sizes,
                           iter_kwargs=PAPER.ptp_iter),
                fast=dict(sizes=FAST.overhead_sizes + (16 * MiB,),
                          iter_kwargs=FAST.ptp_iter)),
     Experiment("fig08", "Fig. 8: tuning-table vs. PLogGP aggregator",
-               SPEEDUP, fig08_spec,
+               SPEEDUP, fig08_spec, FIG08_GUIDELINES,
                paper=dict(user_counts=(4, 32, 128),
                           sizes=(4 * KiB, 16 * KiB, 64 * KiB, 128 * KiB,
                                  512 * KiB, 2 * MiB, 8 * MiB),
@@ -1133,7 +1395,7 @@ EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
                          sizes=(16 * KiB, 128 * KiB, 2 * MiB),
                          iter_kwargs=FAST.ptp_iter, table_iters=3)),
     Experiment("fig09", "Fig. 9: perceived bandwidth of the three designs",
-               BANDWIDTH, fig09_spec,
+               BANDWIDTH, fig09_spec, FIG09_GUIDELINES,
                paper=dict(n_users=(16, 32), sizes=PAPER.perceived_sizes,
                           iterations=PAPER.perceived_iterations,
                           warmup=PAPER.perceived_warmup),
@@ -1142,6 +1404,7 @@ EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
                          warmup=FAST.perceived_warmup)),
     Experiment("fig10", "Fig. 10: arrival profile, 8 MiB",
                Metric("early-bird fraction"), arrival_profile_spec,
+               FIG10_GUIDELINES,
                paper=dict(total_bytes=8 * MiB,
                           iterations=PAPER.perceived_iterations,
                           warmup=PAPER.perceived_warmup),
@@ -1150,6 +1413,7 @@ EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
                          warmup=FAST.perceived_warmup)),
     Experiment("fig11", "Fig. 11: arrival profile, 128 MiB",
                Metric("early-bird fraction"), arrival_profile_spec,
+               FIG11_GUIDELINES,
                paper=dict(total_bytes=128 * MiB,
                           iterations=PAPER.perceived_iterations,
                           warmup=PAPER.perceived_warmup),
@@ -1158,18 +1422,18 @@ EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
                          warmup=FAST.perceived_warmup)),
     Experiment("fig12", "Fig. 12: estimated minimum delta",
                Metric("minimum delta", "s", higher_is_better=False),
-               fig12_spec,
+               fig12_spec, FIG12_GUIDELINES,
                fast=dict(sizes=(8 * MiB,), counts=(16, 32, 128),
                          iterations=3, warmup=1)),
     Experiment("fig13", "Fig. 13: perceived bandwidth across a delta window",
-               BANDWIDTH, fig13_spec,
+               BANDWIDTH, fig13_spec, FIG13_GUIDELINES,
                paper=dict(sizes=PAPER.perceived_sizes,
                           iterations=PAPER.perceived_iterations,
                           warmup=PAPER.perceived_warmup),
                fast=dict(sizes=FAST.perceived_sizes, iterations=4,
                          warmup=1)),
     Experiment("fig14", "Fig. 14: Sweep3D communication speedup", SPEEDUP,
-               fig14_spec,
+               fig14_spec, FIG14_GUIDELINES,
                paper=dict(grid_shape=(8, 8), sizes=PAPER.sweep_sizes,
                           noise_points=FIG14_NOISE_POINTS,
                           iter_kwargs=PAPER.sweep_iter),
@@ -1178,24 +1442,24 @@ EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
                          iter_kwargs=FAST.sweep_iter)),
     Experiment("ext_ablations",
                "Extension: SG-flush and adaptive-delta ablations",
-               BANDWIDTH, ext_ablations_spec,
+               BANDWIDTH, ext_ablations_spec, EXT_ABLATIONS_GUIDELINES,
                paper=dict(adaptive_iterations=6),
                fast=dict(sg_sizes=(8 * MiB,), sg_iterations=4,
                          sg_warmup=1)),
     Experiment("ext_faults",
                "Extension: perceived bandwidth under chunk loss",
-               BANDWIDTH, ext_faults_spec,
+               BANDWIDTH, ext_faults_spec, EXT_FAULTS_GUIDELINES,
                fast=dict(n_user=8, total_bytes=8 * MiB, losses=(0.0, 1e-3),
                          iterations=3, warmup=1)),
     Experiment("ext_halo", "Extension: halo-exchange pattern speedups",
-               SPEEDUP, ext_halo_spec,
+               SPEEDUP, ext_halo_spec, EXT_HALO_GUIDELINES,
                paper=dict(topology=["dragonfly+", {
                    "nodes_per_leaf": 16, "leaves_per_group": 2}]),
                fast=dict(grid_shape=(4, 4), sizes=(256 * KiB, 1 * MiB),
                          iterations=3, warmup=1)),
     Experiment("ext_autotune",
                "Extension: closed-loop autotuning vs. offline optima",
-               SPEEDUP, ext_autotune_spec,
+               SPEEDUP, ext_autotune_spec, EXT_AUTOTUNE_GUIDELINES,
                paper=dict(iter_kwargs=PAPER.ptp_iter, laggard_iters=10,
                           table_iters=5),
                fast=dict(iter_kwargs=FAST.ptp_iter, laggard_iters=4,
@@ -1204,7 +1468,7 @@ EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
     # strong scaling over threads at fixed per-face partition count.
     Experiment("ext_stencil", "Extension: partitioned neighbor-alltoall "
                               "stencil with per-edge plans",
-               SPEEDUP, ext_stencil_spec,
+               SPEEDUP, ext_stencil_spec, EXT_STENCIL_GUIDELINES,
                paper=dict(scale=(((2, 2), 8), ((4, 4), 8), ((4, 4), 16),
                                  ((2, 2, 2), 8)),
                           scale_iter={"iterations": 10, "warmup": 3}),
@@ -1213,11 +1477,12 @@ EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
     Experiment("ext_model_vs_sim",
                "Extension: model-vs-simulator validation",
                Metric("winner agreement"), ext_model_vs_sim_spec,
+               EXT_MODEL_VS_SIM_GUIDELINES,
                fast=dict(sizes=(16 * KiB, 16 * MiB), iterations=8,
                          warmup=2)),
     Experiment("ext_fleet", "Extension: shared-fabric fleet — contention "
                             "ranking, tenancy, live re-tuning",
-               SPEEDUP, ext_fleet_spec,
+               SPEEDUP, ext_fleet_spec, EXT_FLEET_GUIDELINES,
                lower_is_better=("slowdown, shared mix",
                                 "slowdown, mix + neighbor",
                                 "re-convergence rounds"),
@@ -1226,6 +1491,7 @@ EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
     Experiment("ext_serve", "Extension: tuning-as-a-service — sharded "
                             "store, cache, concurrent writers",
                Metric("warm-cache hit rate"), ext_serve_spec,
+               EXT_SERVE_GUIDELINES,
                lower_is_better=("p50 lookup latency (us)",
                                 "p99 lookup latency (us)"),
                fast=dict(n_clients=400, n_requests=4000, stress_writers=3,

@@ -1,13 +1,10 @@
 """Run registered experiments: the entry points over the runner.
 
-* :func:`run_spec` — execute one spec and return its payload (what the
-  thin ``benchmarks/bench_*.py`` wrappers call);
 * :func:`run_experiment` — execute a registered experiment by name,
   optionally writing result artifacts (what ``repro-bench bench run``
-  and the scripts' ``__main__`` use);
-* :func:`add_run_options` / :func:`run_from_options` /
-  :func:`script_main` — the shared run flags and the ``__main__`` the
-  scripts and the CLI build on.
+  uses before it checks the row's guidelines on the payload);
+* :func:`add_run_options` / :func:`run_from_options` — the shared run
+  flags and the run they describe, which the CLI builds on.
 """
 
 from __future__ import annotations
@@ -48,15 +45,6 @@ def default_jobs() -> int:
     except ValueError:
         raise ConfigError(f"REPRO_BENCH_JOBS must be a positive integer, "
                           f"got {raw!r}") from None
-
-
-def run_spec(spec: ExperimentSpec, jobs: Optional[int] = None,
-             cache: Optional[ResultCache] = None,
-             progress: Optional[Callable[[str], None]] = None) -> dict:
-    """Execute one spec's points and return the collected payload."""
-    runner = Runner(jobs=jobs if jobs is not None else default_jobs(),
-                    cache=cache, progress=progress)
-    return spec.collect(runner.run(spec.points))
 
 
 @dataclass
@@ -113,11 +101,10 @@ def run_experiment(name: str, profile: Union[str, Profile] = "paper",
     return run
 
 
-def add_run_options(parser: argparse.ArgumentParser,
-                    default_profile: str = "paper") -> None:
-    """The shared run flags (used by scripts and the CLI)."""
+def add_run_options(parser: argparse.ArgumentParser) -> None:
+    """The shared run flags of ``repro-bench bench run``."""
     parser.add_argument("--profile", choices=sorted(PROFILES),
-                        default=default_profile,
+                        default="paper",
                         help="workload preset (default: %(default)s)")
     parser.add_argument("--jobs", "-j", type=positive_int, default=None,
                         help="worker processes (default: "
@@ -173,23 +160,3 @@ def run_from_options(name: str, options: argparse.Namespace,
     run.cpu_profile = path
     return run
 
-
-def script_main(name: str, doc: Optional[str] = None,
-                argv: Optional[list] = None) -> int:
-    """Shared ``__main__`` for the thin ``benchmarks/bench_*.py`` scripts.
-
-    Runs the named registered experiment at paper scale by default,
-    prints the classic text table, and writes the versioned JSON
-    artifacts — with caching and ``--jobs`` fan-out for free.
-    """
-    parser = argparse.ArgumentParser(
-        prog=f"bench_{name}", description=f"Regenerate {name}")
-    add_run_options(parser)
-    options = parser.parse_args(argv)
-    if doc:
-        print(doc)
-    run = run_from_options(name, options, progress=print)
-    print(run.report)
-    for path in run.paths:
-        print(f"wrote {path}")
-    return 0

@@ -29,7 +29,6 @@ All aggregators take the Niagara LogGP calibration
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 from typing import Any, Optional, Sequence
 
@@ -161,19 +160,8 @@ _CONFIG_SECTIONS = {
 }
 
 
-def config_desc(config) -> Optional[dict]:
-    """The JSON-safe descriptor of a live ClusterConfig (None passthrough).
-
-    Every section is a frozen dataclass of primitives, so a plain
-    ``asdict`` captures the whole configuration losslessly.
-    """
-    if config is None:
-        return None
-    return dataclasses.asdict(config)
-
-
 def build_config(desc: Optional[dict]):
-    """Rebuild a ClusterConfig from its descriptor (inverse of above)."""
+    """Rebuild a ClusterConfig from its ``dataclasses.asdict`` descriptor."""
     if desc is None:
         return None
     import repro.config as config_mod

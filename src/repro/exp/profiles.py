@@ -1,15 +1,14 @@
 """Named workload profiles: paper-scale vs. fast (reduced) presets.
 
 The iteration counts and message-size grids every benchmark shares
-live here, once.  ``benchmarks/common.py`` re-exports them under the
-historical names; the experiment registry builds each experiment from
+live here, once.  The experiment registry builds each experiment from
 whichever profile the caller selects (``repro-bench bench run
 --profile paper|fast``).
 
 Iteration counts follow the paper where tractable: point-to-point
 micro-benchmarks use 10 warm-up + 100 measured iterations, sweeps use
 3 + 10 (Section V-A).  The ``fast`` profile is the reduced preset used
-by pytest-benchmark runs, the golden bit-identity guard, and CI.
+by the guideline checks, the golden bit-identity guard, and CI.
 """
 
 from __future__ import annotations

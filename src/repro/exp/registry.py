@@ -5,8 +5,8 @@ An :class:`Experiment` is one row of the table in
 :class:`ExperimentSpec` — the list of sweep points it needs, a
 ``collect`` function that assembles point results into the figure's
 series, and a ``report`` function that renders the classic text table.
-The registry is what ``repro-bench bench list|run`` and the thin
-``benchmarks/bench_*.py`` scripts drive.
+Each row's :class:`Guideline` tuple is the figure's expected shape, which
+``repro-bench bench run`` checks on every run of the row.
 """
 
 from __future__ import annotations
@@ -28,6 +28,17 @@ class Metric:
     name: str
     unit: str = ""
     higher_is_better: bool = True
+
+
+@dataclass(frozen=True)
+class Guideline:
+    """One expected shape of an experiment's payload, after Hunold's
+    performance guidelines: ``holds(payload)`` is true on every run."""
+
+    name: str
+    #: Why the shape should hold: the one-line mechanism behind it.
+    mechanism: str
+    holds: Callable[[dict], bool]
 
 
 @dataclass
@@ -54,6 +65,8 @@ class Experiment:
     metric: Metric
     #: Lays the points out: ``spec(**args) -> ExperimentSpec``.
     spec: Callable[..., ExperimentSpec]
+    #: The figure's expected shape, read off points both profiles share.
+    guidelines: tuple[Guideline, ...]
     #: Series labels that are better when lower, whatever the metric's
     #: direction; ``compare`` reads them from the artifact.
     lower_is_better: tuple[str, ...] = ()
@@ -65,6 +78,10 @@ class Experiment:
         """The spec at ``profile``'s scale."""
         args = self.paper if profile.name == "paper" else self.fast
         return dataclasses.replace(self.spec(**args), metric=self.metric)
+
+    def violations(self, payload: dict) -> list[Guideline]:
+        """The guidelines ``payload`` breaks."""
+        return [g for g in self.guidelines if not g.holds(payload)]
 
 
 def _table() -> dict[str, Experiment]:

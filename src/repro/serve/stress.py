@@ -25,8 +25,9 @@ Invariants audited (the acceptance criteria of ISSUE 10):
 
 In ``cas`` mode each writer read-modify-writes with
 ``expect_version``, so conflicts are real rejections and the audit
-additionally checks that rejected commits never wrote.  The exact
-conflict count depends on OS scheduling and is reported, not asserted.
+additionally checks that rejected commits never wrote.  Every writer's
+first commit expects the empty store (version 0), so at most one lands
+and ``total_conflicts >= n_writers - 1``; the rest is OS scheduling.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ def writer_main(root: str, n_shards: int, writer: int, n_puts: int,
         choice = _stress_choice(writer, committed)
         meta = {"writer": writer, "seq": committed}
         if mode == "cas":
-            current = store.read(STRESS_KEY)
+            # The first commit expects the empty entry the coordinator
+            # starts from, so at most one writer's first commit lands.
+            current = store.read(STRESS_KEY) if attempts > 1 else None
             expect = current.version if current is not None else 0
             result = store.commit(STRESS_KEY, choice, meta=meta,
                                   expect_version=expect)

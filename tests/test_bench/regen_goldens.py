@@ -24,20 +24,21 @@ from tests.test_bench.test_golden import (  # noqa: E402
 )
 
 
-def main() -> None:
-    from benchmarks.bench_fig06_transport_partitions import (
-        OVERHEAD_SIZES_FAST,
-        run_fig6,
-    )
-    from benchmarks.bench_fig08_aggregator_comparison import run_fig8
-    from benchmarks.common import FAST_PTP
+def fast_series(name: str) -> dict:
+    """Experiment ``name``'s series at the fast profile."""
+    from repro.exp import FAST, Runner, get_experiment
 
+    spec = get_experiment(name).build(FAST)
+    return spec.collect(Runner().run(spec.points))["series"]
+
+
+def main() -> None:
     goldens = {
-        "fig06_mini.json": run_fig6(OVERHEAD_SIZES_FAST, FAST_PTP),
-        "fig08_mini.json": run_fig8(),
+        "fig06_mini.json": fast_series("fig06"),
+        "fig08_mini.json": fast_series("fig08"),
         "fig14_mini.json": run_fig14_mini(),
         "ext_stencil_mini.json": run_ext_stencil_mini(),
-        "ext_ablations_mini.json": run_ext_ablations_mini(),
+        "ext_ablations_mini.json": run_ext_ablations_mini()[0],
         "drivers_mini.json": run_drivers_mini(),
     }
     for name, result in goldens.items():

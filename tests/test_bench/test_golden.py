@@ -1,8 +1,9 @@
 """Golden-output guard: benchmark timing must stay bit-identical.
 
 The transport-engine refactor (and anything after it) is required to
-preserve single-rail event ordering exactly: the fig. 6 and fig. 8
-mini-sweeps must reproduce the checked-in goldens bit for bit.  Floats
+preserve single-rail event ordering exactly: the mini-sweeps must
+reproduce the checked-in goldens bit for bit (the fig. 6 and fig. 8 ones
+are checked by ``tests/test_exp/test_determinism.py``).  Floats
 are compared through ``float.hex`` — no tolerance, by design.  If a
 change legitimately alters timing (new hardware model, config default),
 regenerate the goldens with ``python tests/test_bench/regen_goldens.py``
@@ -29,24 +30,6 @@ def encode(obj):
 def load(name):
     with open(GOLDEN_DIR / name) as fh:
         return json.load(fh)
-
-
-def test_fig06_mini_sweep_matches_golden():
-    from benchmarks.bench_fig06_transport_partitions import (
-        OVERHEAD_SIZES_FAST,
-        run_fig6,
-    )
-    from benchmarks.common import FAST_PTP
-
-    result = encode(run_fig6(OVERHEAD_SIZES_FAST, FAST_PTP))
-    assert json.loads(json.dumps(result)) == load("fig06_mini.json")
-
-
-def test_fig08_mini_sweep_matches_golden():
-    from benchmarks.bench_fig08_aggregator_comparison import run_fig8
-
-    result = encode(run_fig8())
-    assert json.loads(json.dumps(result)) == load("fig08_mini.json")
 
 
 def run_fig14_mini():
@@ -92,15 +75,15 @@ def run_ext_stencil_mini():
 
 
 def run_ext_ablations_mini():
-    """The six ``ext_ablations`` fast points: timer, timer+SG, persist,
-    two fixed δ and the ``["adaptive", p]`` descriptor (online δ)."""
-    from repro.exp import get_experiment
-    from repro.exp.profiles import get_profile
-    from repro.exp.runner import Runner
+    """The six ``ext_ablations`` fast points (timer, timer+SG, persist,
+    two fixed δ and the ``["adaptive", p]`` descriptor for online δ), and
+    the payload they collect to."""
+    from repro.exp import FAST, Runner, get_experiment
 
-    spec = get_experiment("ext_ablations").build(get_profile("fast"))
-    results = Runner(jobs=1, cache=None).run(spec.points)
-    return {f"{pt.kind} {pt.key}": res for pt, res in results.items()}
+    spec = get_experiment("ext_ablations").build(FAST)
+    results = Runner().run(spec.points)
+    points = {f"{pt.kind} {pt.key}": res for pt, res in results.items()}
+    return points, spec.collect(results)
 
 
 def run_drivers_mini():
@@ -184,8 +167,13 @@ def test_ext_stencil_mini_matches_golden():
 
 
 def test_ext_ablations_mini_matches_golden():
-    result = encode(run_ext_ablations_mini())
+    """The same points also carry the row's guidelines."""
+    from repro.exp import get_experiment
+
+    points, payload = run_ext_ablations_mini()
+    result = encode(points)
     assert json.loads(json.dumps(result)) == load("ext_ablations_mini.json")
+    assert get_experiment("ext_ablations").violations(payload) == []
 
 
 def test_drivers_mini_matches_golden():

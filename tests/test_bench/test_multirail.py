@@ -7,11 +7,10 @@ wire-limited sizes the native speedup roughly doubles — the
 network-native headroom a software transport cannot reach.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
-from benchmarks.bench_fig07_qp_count import run_fig7
-from benchmarks.common import FAST_PTP
 from repro.config import NIAGARA
+from repro.exp import FAST, Runner, get_experiment
 from repro.units import KiB, MiB
 
 SIZES = [64 * KiB, 4 * MiB]
@@ -20,7 +19,9 @@ SIZES = [64 * KiB, 4 * MiB]
 def _series(n_ports):
     cfg = replace(NIAGARA, nic=replace(NIAGARA.nic, n_ports=n_ports))
     cfg.validate()
-    return run_fig7(SIZES, FAST_PTP, config=cfg)
+    spec = get_experiment("fig07").spec(SIZES, FAST.ptp_iter,
+                                        config=asdict(cfg))
+    return spec.collect(Runner().run(spec.points))["series"]
 
 
 def test_two_rail_fig07_end_to_end():

@@ -226,6 +226,15 @@ def test_fleet_retune_exits_by_adaptation(capsys):
     assert "congested-best plan" in out
 
 
+def test_fleet_retune_without_a_regret_prints_a_dash(capsys):
+    # One round per phase cannot re-converge, so there is no regret.
+    assert main(["fleet", "retune", "--quiet-rounds", "1",
+                 "--congested-rounds", "1", "--tail-rounds", "1"]) in (0, 1)
+    out = capsys.readouterr().out
+    regret = next(line for line in out.splitlines() if "regret" in line)
+    assert regret.split()[-1] == "-"
+
+
 def test_serve_stats_on_empty_store(capsys, tmp_path):
     (tmp_path / "empty").mkdir()
     assert main(["serve", "stats", "--root", str(tmp_path / "empty")]) == 0

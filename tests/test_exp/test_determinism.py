@@ -7,14 +7,15 @@ this test holds it to the strongest possible standard: the fig. 6 and
 fig. 8 mini-sweeps must produce byte-for-byte identical payloads under
 ``jobs=1`` and ``jobs=4`` (arbitrary completion order), and both must
 equal the checked-in goldens from ``tests/test_bench``.  Floats are
-compared through ``float.hex`` — no tolerance.
+compared through ``float.hex`` — no tolerance.  The serial payload also
+carries the row's guidelines.
 """
 
 import json
 
 import pytest
 
-from repro.exp import FAST, get_experiment, run_spec
+from repro.exp import FAST, Runner, get_experiment
 from tests.test_bench.test_golden import encode, load
 
 
@@ -22,12 +23,14 @@ def canonical_series(payload):
     return json.loads(json.dumps(encode(payload["series"])))
 
 
-@pytest.mark.parametrize("name,spec", [
-    ("fig06_mini.json", get_experiment("fig06").build(FAST)),
-    ("fig08_mini.json", get_experiment("fig08").build(FAST)),
-], ids=["fig06", "fig08"])
-def test_mini_sweep_serial_parallel_and_golden_agree(name, spec):
-    serial = canonical_series(run_spec(spec, jobs=1, cache=None))
-    parallel = canonical_series(run_spec(spec, jobs=4, cache=None))
+@pytest.mark.parametrize("name", ["fig06", "fig08"])
+def test_mini_sweep_serial_parallel_and_golden_agree(name):
+    experiment = get_experiment(name)
+    spec = experiment.build(FAST)
+    payload = spec.collect(Runner(jobs=1).run(spec.points))
+    serial = canonical_series(payload)
+    parallel = canonical_series(
+        spec.collect(Runner(jobs=4).run(spec.points)))
     assert serial == parallel
-    assert serial == load(name)
+    assert serial == load(f"{name}_mini.json")
+    assert experiment.violations(payload) == []

@@ -71,19 +71,23 @@ FIG9_GOLDEN = {
 }
 
 
+def _series(name: str, *args) -> dict:
+    from repro.exp import Runner, get_experiment
+
+    spec = get_experiment(name).spec(*args)
+    return spec.collect(Runner().run(spec.points))["series"]
+
+
 @pytest.mark.slow
 def test_fig6_bit_identical_without_schedule():
-    from benchmarks.bench_fig06_transport_partitions import run_fig6
-
-    series = run_fig6([4 * KiB, 512 * KiB], dict(iterations=5, warmup=2))
+    series = _series("fig06", [4 * KiB, 512 * KiB],
+                     dict(iterations=5, warmup=2))
     assert series == FIG6_GOLDEN
 
 
 @pytest.mark.slow
 def test_fig9_bit_identical_without_schedule():
-    from benchmarks.bench_fig09_perceived_bandwidth import run_fig9
-
-    series = run_fig9(16, [1 * MiB, 8 * MiB], iterations=3, warmup=1)
+    series = _series("fig09", [16], [1 * MiB, 8 * MiB], 3, 1)
     assert series == FIG9_GOLDEN
 
 

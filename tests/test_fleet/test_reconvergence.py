@@ -1,9 +1,10 @@
 """The live re-tuning probe: trajectory structure and determinism.
 
 The full episode (both policies measurably re-converging onto the
-congested-best plan) runs in ``benchmarks/bench_ext_fleet.py``; here a
-short episode checks the mechanics — neighbor windowing, round
-bookkeeping, the near-optimal-set summary — cheaply.
+congested-best plan) is checked by ``ext_fleet``'s guidelines on every
+``repro-bench bench run ext_fleet``; here a short episode checks the
+mechanics — neighbor windowing, round bookkeeping, the near-optimal-set
+summary — cheaply.
 """
 
 from repro.fleet import run_reconvergence

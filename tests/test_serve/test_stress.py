@@ -40,9 +40,9 @@ def test_multiwriter_stress_no_torn_no_lost(tmp_path, mode):
     assert res["total_commits"] == 3 * 6
     assert res["final_version"] == 3 * 6
     if mode == "cas":
-        # CAS rejections never write: the version audit above already
-        # proves it, the counter just confirms rejections were real.
-        assert res["total_conflicts"] >= 0
+        # Every writer's first commit expects the empty entry, so at
+        # most one lands and each other writer is rejected at least once.
+        assert res["total_conflicts"] >= 3 - 1
 
 
 def test_audit_read_calls_a_non_object_torn(tmp_path):

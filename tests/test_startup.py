@@ -235,9 +235,10 @@ for _ in range(2):
     drivers = encode(run_drivers_mini())
     if early is None:
         early = sorted(name for name in harness if name in sys.modules)
-    from benchmarks.bench_fig06_transport_partitions import run_fig6
-    from benchmarks.common import FAST_PTP, OVERHEAD_SIZES_FAST
-    runs.append([drivers, encode(run_fig6(OVERHEAD_SIZES_FAST, FAST_PTP))])
+    from repro.exp import FAST, Runner, get_experiment
+    spec = get_experiment("fig06").build(FAST)
+    fig06 = spec.collect(Runner().run(spec.points))["series"]
+    runs.append([drivers, encode(fig06)])
 print(json.dumps({"runs": runs, "harness_during_drivers": early}))
 """
 

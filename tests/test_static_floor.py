@@ -193,7 +193,7 @@ def test_the_pass_finds_what_it_claims_to(tmp_path, source, expected):
 # -- reachability -------------------------------------------------------------
 
 #: Trees that call into the package: every name they read is reached.
-CALLERS = ("perfbench", "benchmarks", "examples")
+CALLERS = ("perfbench", "examples")
 #: Decorators that wrap a definition without registering it anywhere;
 #: any other decorator (``@kind``, ``@register``, ``@workload``, ...)
 #: makes the definition reachable by lookup.
@@ -677,7 +677,7 @@ _LAZY_INIT = ("from lazy import lazy_exports\n"
      {}, ["pkg.mod:exported (1 line): nothing"]),
     ({"lazy.py": _LAZY, "pkg/__init__.py": _LAZY_INIT,
       "pkg/mod.py": "def exported(): ...\n",
-      "benchmarks/use.py": "from repro.pkg import exported\nexported()\n"},
+      "examples/use.py": "from repro.pkg import exported\nexported()\n"},
      {}, []),
 ])
 def test_the_audit_finds_what_it_claims_to(tmp_path, files, keep, expected):
@@ -751,7 +751,7 @@ _CONFIG = ("from dataclasses import dataclass, field\n"
     ({"run.py": "def f(cfg):\n    return g(knob=cfg.knob)\n"}, {},
      ["config:XConfig.knob: only tests set it"]),
     ({"run.py": "CFG = XConfig(knob=2)\n"}, {}, []),
-    ({"benchmarks/b.py": "DESC = {'x': {'knob': 2}}\n"}, {}, []),
+    ({"examples/b.py": "DESC = {'x': {'knob': 2}}\n"}, {}, []),
     ({}, {"XConfig.knob": "calibrated: a cost"}, []),
     ({"run.py": "CFG = XConfig(knob=2)\n"},
      {"XConfig.knob": "calibrated: a cost"},

@@ -21,16 +21,18 @@ from repro.ib.wr import ANON_RECV, RecvWR
 
 
 def restock(qp, target: int, wr_id_factory: Callable[[], int] = None) -> None:
-    """Top a QP's receive queue up to ``target`` entries.
+    """Top a QP's receive queue up to ``target`` entries, in one post.
 
     Shared by ``MPI_Start`` pre-posting and channel recovery (a
     reconnected QP comes back with whatever survived the flush re-armed
     here).  ``wr_id_factory`` supplies receive wr_ids; the default posts
     the shared anonymous entry (wr_id 0) as the p2p channels do.
     """
-    while len(qp.rq) < target:
-        qp.post_recv(ANON_RECV if wr_id_factory is None
-                     else RecvWR(wr_id=wr_id_factory()))
+    missing = target - len(qp.rq)
+    if missing > 0:
+        qp.post_recv(*([ANON_RECV] * missing if wr_id_factory is None
+                       else [RecvWR(wr_id=wr_id_factory())
+                             for _ in range(missing)]))
 
 
 class CreditManager:

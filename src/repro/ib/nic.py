@@ -10,18 +10,19 @@ remote-memory write and produces work completions on both sides.
 from __future__ import annotations
 
 import itertools
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.config import ClusterConfig
-from repro.errors import ProtectionError
+from repro.errors import ProtectionError, SimTimeError
 from repro.ib.constants import (
     CHUNK_OK, MAX_QPS, Opcode, QPState, WCOpcode, WCStatus)
 from repro.ib.link import IngressPort, wire_table
 from repro.ib.qp import QueuePair
 from repro.ib.wr import SendWR, WorkCompletion
-from repro.sim.core import Environment, Timeout
+from repro.sim.core import Environment, Timer, _INF
 from repro.sim.monitor import Trace
 from repro.sim.resources import Resource, Store
 
@@ -301,8 +302,7 @@ class NIC:
                 return
             retry_budget -= 1
             yield qp.ack_timeout
-        self._schedule_delivery(qp, wr, payload, nbytes, remote,
-                                arrival, ack_latency=latency)
+        _Delivery(self, qp, wr, payload, nbytes, remote, arrival, latency)
 
     def _transmit_routed(self, qp: QueuePair, wr: SendWR, payload,
                          nbytes: int, remote: "NIC"):
@@ -367,8 +367,7 @@ class NIC:
                                 chunk)
         state["pending"] -= 1
         if state["pending"] == 0:
-            self._schedule_delivery(qp, wr, payload, nbytes, remote,
-                                    arrival, ack_latency=latency)
+            _Delivery(self, qp, wr, payload, nbytes, remote, arrival, latency)
 
     def _transmit_loopback(self, qp: QueuePair, wr: SendWR, payload,
                            nbytes: int, remote: "NIC"):
@@ -378,8 +377,8 @@ class NIC:
         yield copy_time
         arrival = self.env.now + link.loopback_latency
         self.bytes_transmitted += nbytes
-        self._schedule_delivery(qp, wr, payload, nbytes, remote, arrival,
-                                ack_latency=link.loopback_latency)
+        _Delivery(self, qp, wr, payload, nbytes, remote, arrival,
+                  link.loopback_latency)
 
     def _execute_read(self, qp: QueuePair, wr: SendWR, nbytes: int,
                       remote: "NIC"):
@@ -534,50 +533,6 @@ class NIC:
 
     # -- delivery / completion ------------------------------------------------
 
-    def _schedule_delivery(self, qp: QueuePair, wr: SendWR, payload,
-                           nbytes: int, remote: "NIC", arrival: float,
-                           ack_latency: float) -> None:
-        # A chain of timer callbacks, not a spawned process: deliveries
-        # are fire-and-forget straight-line waits, so the generator
-        # trampoline (bootstrap event, per-stage resume, completion
-        # event) is pure overhead.  Each stage fires at the same virtual
-        # time the process version reached it.
-        env = self.env
-
-        def on_arrival(_event):
-            if self.fabric.faults is not None:
-                # A QP that died while the message was in flight never
-                # sees an ACK: drop it here and let channel recovery
-                # replay the unacked WR after reconnect.
-                dest_qp = remote.qps.get(qp.dest_qp_num)
-                if (qp.state not in (QPState.RTS, QPState.RTR)
-                        or dest_qp is None
-                        or dest_qp.state not in (QPState.RTR, QPState.RTS)):
-                    self.fabric.counters.inc("fault.deliveries_dropped")
-                    return
-            remote._deliver(qp, wr, payload, nbytes)
-            # ACK returns to the sender; outstanding slot frees and the
-            # sender-side completion (if signaled) is generated.
-            Timeout(env, ack_latency).callbacks.append(on_ack)
-
-        def on_ack(_event):
-            if wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
-                qp.release_rdma_slot()
-            if wr.signaled:
-                Timeout(env, self.config.nic.t_cqe).callbacks.append(on_cqe)
-
-        def on_cqe(_event):
-            qp.send_cq.push(WorkCompletion(
-                wr_id=wr.wr_id,
-                status=WCStatus.SUCCESS,
-                opcode=wr.opcode.wc_opcode,
-                qp_num=qp.qp_num,
-                byte_len=nbytes,
-                completed_at=env._now,
-            ))
-
-        Timeout(env, max(0.0, arrival - env._now)).callbacks.append(on_arrival)
-
     def _deliver(self, src_qp: QueuePair, wr: SendWR, payload, nbytes: int) -> None:
         """Inbound message: place data, consume RQ entry, raise CQE."""
         dest_qp = self.qps.get(src_qp.dest_qp_num)
@@ -605,25 +560,8 @@ class NIC:
                 # Channel semantics: the payload scatters into the
                 # posted receive WR's local list.
                 self._scatter_into_recv(dest_qp, recv_wr, payload, nbytes)
-            env = self.env
-            cfg = self.config.nic
-
-            def on_cqe(_event):
-                dest_qp.recv_cq.push(WorkCompletion(
-                    wr_id=recv_wr.wr_id,
-                    status=WCStatus.SUCCESS,
-                    opcode=WCOpcode.RECV_RDMA_WITH_IMM
-                    if wr.opcode is Opcode.RDMA_WRITE_WITH_IMM
-                    else WCOpcode.RECV,
-                    qp_num=dest_qp.qp_num,
-                    byte_len=nbytes,
-                    imm_data=wr.imm_data,
-                    completed_at=env._now,
-                ))
-
-            # Plain timer callback: the CQE raise is a single fixed wait,
-            # no process machinery needed.
-            Timeout(env, cfg.t_cqe).callbacks.append(on_cqe)
+            _RecvCompletion(self.env, dest_qp, recv_wr, wr, nbytes,
+                            self.config.nic.t_cqe)
 
     def _scatter_into_recv(self, dest_qp: QueuePair, recv_wr, payload,
                            nbytes: int) -> None:
@@ -650,3 +588,138 @@ class NIC:
 
     def __repr__(self) -> str:
         return f"<NIC node={self.node_id} qps={len(self.qps)}>"
+
+
+# A WR's delivery and completions are fire-and-forget waits: calendar
+# timers, each stage scheduled exactly where a Timeout of its delay would
+# go.  The scheduling is written out wherever a timer (re)arms: these are
+# the simulator's hottest timers, and a helper would be a call per stage.
+
+
+class _Delivery(Timer):
+    """One WR's arrival -> ACK -> send-CQE chain, as a single entry.
+
+    Armed by the transmit stage for the last chunk's arrival.  Then the
+    payload lands (:meth:`NIC._deliver`) and the entry re-arms for the
+    ACK's return, and on a signaled WR once more for the send
+    completion.
+    """
+
+    __slots__ = ("nic", "qp", "wr", "payload", "nbytes", "remote",
+                 "ack_latency", "stage")
+
+    def __init__(self, nic: NIC, qp: QueuePair, wr: SendWR, payload,
+                 nbytes: int, remote: NIC, arrival: float,
+                 ack_latency: float):
+        self.nic = nic
+        self.qp = qp
+        self.wr = wr
+        self.payload = payload
+        self.nbytes = nbytes
+        self.remote = remote
+        self.ack_latency = ack_latency
+        self.stage = 0
+        env = nic.env
+        now = env._now
+        when = now + max(0.0, arrival - now)
+        if when > now:
+            if when == _INF:
+                raise SimTimeError(f"arrival not finite: {arrival}")
+            seq = env._seq
+            env._seq = seq + 1
+            heappush(env._heap, (when, 1, seq, self))
+        else:
+            env._cur_normal.append(self)
+
+    def _resume(self, _entry) -> None:
+        nic = self.nic
+        qp = self.qp
+        wr = self.wr
+        if self.stage == 0:
+            if nic.fabric.faults is not None:
+                # A QP that died while the message was in flight never
+                # sees an ACK: drop it here and let channel recovery
+                # replay the unacked WR after reconnect.
+                dest_qp = self.remote.qps.get(qp.dest_qp_num)
+                if (qp.state not in (QPState.RTS, QPState.RTR)
+                        or dest_qp is None
+                        or dest_qp.state not in (QPState.RTR, QPState.RTS)):
+                    nic.fabric.counters.inc("fault.deliveries_dropped")
+                    return
+            self.remote._deliver(qp, wr, self.payload, self.nbytes)
+            # The ACK returns to the sender.
+            self.stage = 1
+            delay = self.ack_latency
+        elif self.stage == 1:
+            # The outstanding slot frees and, if signaled, the sender's
+            # completion is generated.
+            if wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
+                qp.release_rdma_slot()
+            if not wr.signaled:
+                return
+            self.stage = 2
+            delay = nic.config.nic.t_cqe
+        else:
+            qp.send_cq.push(WorkCompletion(
+                wr_id=wr.wr_id,
+                status=WCStatus.SUCCESS,
+                opcode=wr.opcode.wc_opcode,
+                qp_num=qp.qp_num,
+                byte_len=self.nbytes,
+                completed_at=nic.env._now,
+            ))
+            return
+        env = nic.env
+        now = env._now
+        when = now + delay
+        if when > now:
+            if when == _INF:
+                raise SimTimeError(f"NIC delay not finite: {delay}")
+            seq = env._seq
+            env._seq = seq + 1
+            heappush(env._heap, (when, 1, seq, self))
+        elif delay >= 0:
+            env._cur_normal.append(self)
+        else:
+            raise SimTimeError(f"NIC delay not >= 0: {delay}")
+
+
+class _RecvCompletion(Timer):
+    """The receive-side CQE of one inbound message, ``t_cqe`` after the
+    payload lands."""
+
+    __slots__ = ("dest_qp", "recv_wr", "wr", "nbytes")
+
+    def __init__(self, env: Environment, dest_qp: QueuePair, recv_wr,
+                 wr: SendWR, nbytes: int, t_cqe: float):
+        self.dest_qp = dest_qp
+        self.recv_wr = recv_wr
+        self.wr = wr
+        self.nbytes = nbytes
+        now = env._now
+        when = now + t_cqe
+        if when > now:
+            if when == _INF:
+                raise SimTimeError(f"t_cqe not finite: {t_cqe}")
+            seq = env._seq
+            env._seq = seq + 1
+            heappush(env._heap, (when, 1, seq, self))
+        elif t_cqe >= 0:
+            env._cur_normal.append(self)
+        else:
+            raise SimTimeError(f"t_cqe not >= 0: {t_cqe}")
+
+    def _resume(self, _entry) -> None:
+        dest_qp = self.dest_qp
+        wr = self.wr
+        dest_qp.recv_cq.push(WorkCompletion(
+            wr_id=self.recv_wr.wr_id,
+            status=WCStatus.SUCCESS,
+            opcode=WCOpcode.RECV_RDMA_WITH_IMM
+            if wr.opcode is Opcode.RDMA_WRITE_WITH_IMM
+            else WCOpcode.RECV,
+            qp_num=dest_qp.qp_num,
+            byte_len=self.nbytes,
+            imm_data=wr.imm_data,
+            completed_at=dest_qp.nic.env._now,
+        ))

@@ -182,16 +182,20 @@ class QueuePair:
         self.bytes_sent += wr.total_length
         self.sq.push(wr)
 
-    def post_recv(self, wr: RecvWR) -> None:
-        """Enqueue a receive WR (``ibv_post_recv``)."""
+    def post_recv(self, *chain: RecvWR) -> None:
+        """Enqueue a chain of receive WRs, oldest first (``ibv_post_recv``).
+
+        One state check and one capacity check cover the whole chain: a
+        chain that would overflow the receive queue is rejected whole.
+        """
         if self.state not in (QPState.INIT, QPState.RTR, QPState.RTS):
             raise QPStateError(
                 f"post_recv on QP {self.qp_num} in state {self.state.value}"
             )
-        if len(self.rq) >= self.max_recv_wr:
+        if len(self.rq) + len(chain) > self.max_recv_wr:
             raise QPOverflowError(f"receive queue full on QP {self.qp_num}")
-        self.rq.append(wr)
-        self.posted_recvs += 1
+        self.rq.extend(chain)
+        self.posted_recvs += len(chain)
 
     def has_rdma_slot(self) -> bool:
         """Whether another RDMA WR may be posted right now.

@@ -94,9 +94,9 @@ def ibv_post_send(qp: QueuePair, wr: SendWR) -> None:
     qp.post_send(wr)
 
 
-def ibv_post_recv(qp: QueuePair, wr: RecvWR) -> None:
-    """``ibv_post_recv``."""
-    qp.post_recv(wr)
+def ibv_post_recv(qp: QueuePair, *chain: RecvWR) -> None:
+    """``ibv_post_recv``: a chain of receive WRs, oldest first."""
+    qp.post_recv(*chain)
 
 
 def ibv_poll_cq(cq: CompletionQueue, max_entries: int = 1) -> list[WorkCompletion]:

@@ -55,6 +55,7 @@ RING_BYTES = 4 * 1024 * KiB
 #: messages are handled; 64 comfortably covers the sender's in-flight
 #: budget (16 outstanding RDMA WRs plus pump/poller slack).
 _RQ_PRESTOCK = 64
+_PRESTOCK = (ANON_RECV,) * _RQ_PRESTOCK
 
 _seq_counter = itertools.count(1)
 _wrid_counter = itertools.count(1)
@@ -130,12 +131,11 @@ class Channel:
             sqp = src.ib.create_qp(src.p2p_pd, src.p2p_cq, src.p2p_cq)
             dqp = dst.ib.create_qp(dst.p2p_pd, dst.p2p_cq, dst.p2p_cq)
             verbs.connect_qps(sqp, dqp)
-            # Pre-stock the destination RQ; replenished one-for-one per
-            # inbound message by the p2p poller, so a modest depth
-            # (matching the 16-outstanding sender budget plus slack)
-            # suffices and channel setup stays cheap.
-            for _ in range(_RQ_PRESTOCK):
-                dqp.post_recv(ANON_RECV)
+            # Pre-stock the destination RQ, as one chain; replenished
+            # one-for-one per inbound message by the p2p poller, so a
+            # modest depth (matching the 16-outstanding sender budget plus
+            # slack) suffices and channel setup stays cheap.
+            dqp.post_recv(*_PRESTOCK)
             self.src_qps.append(sqp)
             self.dst_qps.append(dqp)
         self.ctrl_qp = self.src_qps[-1]

@@ -15,18 +15,33 @@ actual shape rather than a single binary heap:
   ``(time, priority, seq, event)`` entries, exactly the historical
   structure;
 * priorities other than ``PRIORITY_URGENT``/``PRIORITY_NORMAL`` are
-  legal but rare, and ride a small per-batch overflow heap.
+  legal but rare, and ride a small per-batch overflow heap;
+* **deadlines** that are usually resolved before they come due (a
+  parked :meth:`~repro.sim.sync.Notify.wait`'s fallback) ride one FIFO
+  *lane* per delay instead of the heap: times never decrease and a lane
+  has one delay, so append order is firing order.  A deadline whose
+  event already fired is popped (the clock still advances to it) but
+  nothing is dispatched.
+
+Two kinds of entry are dispatched as themselves, by one direct call
+``entry._resume(entry)`` instead of a callback list: a process sleeping
+on a bare number (the process *is* its own wake) and a :class:`Timer`
+(a slotted entry such as one WR's delivery chain in
+:mod:`repro.ib.nic`, or a due lane deadline).  They are the calendar
+entries whose ``_value`` is still pending; every event on the calendar
+has been given its value.
 
 When virtual time advances, a timestamp holding a single heap entry —
 the overwhelmingly common case — dispatches straight out of the heap;
-a colliding timestamp drains all its heap entries into the batch
-deques in one go.  Either way dispatch happens in the single tight
-loop of :meth:`Environment._drain` with no per-event method-call
+a colliding timestamp, or one a lane deadline is due at, moves all its
+heap and lane entries into the batch deques in one go, in
+``(priority, seq)`` order.  Either way dispatch happens in the single
+tight loop of :meth:`Environment._drain` with no per-event method-call
 overhead.  Ordering is identical to the heap-only scheduler by
-construction: heap entries at a timestamp always predate (lower
-``seq``) anything appended to the batch while it runs, urgent arrivals
-preempt queued normal events on every iteration, and the overflow heap
-keeps ``(priority, seq)`` order for exotic priorities.
+construction: heap and lane entries at a timestamp always predate
+(lower ``seq``) anything appended to the batch while it runs, urgent
+arrivals preempt queued normal events on every iteration, and the
+overflow heap keeps ``(priority, seq)`` order for exotic priorities.
 ``tests/test_sim/test_scheduler_equiv.py`` holds the scheduler to that
 equivalence property under randomized floods.
 """
@@ -164,8 +179,6 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimTimeError(f"negative timeout delay: {delay}")
         self.env = env
         self.callbacks = []
         self._value = value
@@ -173,23 +186,63 @@ class Timeout(Event):
         self._processed = False
         self._defused = False
         self.delay = delay
-        when = env._now + delay
-        if when > env._now:
+        now = env._now
+        when = now + delay
+        if when > now:
+            if when == _INF:
+                raise SimTimeError(f"timeout delay not finite: {delay}")
             seq = env._seq
             env._seq = seq + 1
             heappush(env._heap, (when, 1, seq, self))
-        else:
+        elif delay >= 0:
             env._cur_normal.append(self)
+        else:
+            raise SimTimeError(f"timeout delay not >= 0: {delay}")
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
+
+
+class Timer:
+    """A calendar entry that is not an event.
+
+    Nothing yields a timer and nothing subscribes to it: the dispatch
+    loop calls ``timer._resume(timer)`` at its time, one direct call
+    where a :class:`Timeout` pays a callback list and a closure.  A
+    subclass is a slotted record of what its stage needs, schedules
+    itself (a ``(time, PRIORITY_NORMAL, seq, timer)`` heap entry, or the
+    current batch for a zero delay, exactly where a ``Timeout`` of the
+    same delay would go) and may re-schedule itself from ``_resume`` to
+    run a chain of stages as one entry.  The class attribute ``_value``
+    is what marks it as a direct entry on the calendar; a subclass
+    defines ``_resume(self, _entry)``.
+    """
+
+    __slots__ = ()
+
+    _value = _PENDING
+
+
+class _Expiry(Timer):
+    """A due lane deadline, staged into its timestamp's batch: at its
+    turn it expires the event, unless something triggered it first."""
+
+    __slots__ = ("event",)
+
+    def __init__(self, event: Event):
+        self.event = event
+
+    def _resume(self, _entry) -> None:
+        if self.event._value is _PENDING:
+            self.event._expire()
 
 
 class _Wake(Event):
     """A pooled kernel-internal wakeup event.
 
     Used only by :class:`~repro.sim.process.Process` for bootstraps and
-    already-processed-target resumptions: nothing outside the kernel
+    already-processed-target resumptions (a sleeping process is its own
+    wake, and needs none): nothing outside the kernel
     holds a reference once its outcome is read, so instances are
     recycled through :attr:`Environment._wake_pool` instead of being
     allocated per use.
@@ -211,6 +264,11 @@ class Environment:
         self._cur_urgent: deque[Event] = deque()
         self._cur_normal: deque[Event] = deque()
         self._cur_rare: list[tuple[int, int, Event]] = []
+        #: Deadline lanes, one per delay: FIFOs of ``(time, seq, event)``
+        #: at priority normal (see :meth:`repro.sim.sync.Notify.wait`),
+        #: and the earliest lane head (``inf`` with every lane empty).
+        self._lanes: dict[float, deque[tuple[float, int, Event]]] = {}
+        self._lane_next = _INF
         self._seq = 0
         #: Recycled :class:`_Wake` instances (see ``sim.process``).
         self._wake_pool: list[Event] = []
@@ -263,7 +321,40 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._cur_urgent or self._cur_normal or self._cur_rare:
             return self._now
-        return self._heap[0][0] if self._heap else _INF
+        when = self._heap[0][0] if self._heap else _INF
+        return min(when, self._lane_next)
+
+    def _open_deadlines(self, when: float) -> None:
+        """Open timestamp ``when``, at which a lane deadline is due.
+
+        Every heap and lane entry at ``when`` moves into the batch, in
+        ``(priority, seq)`` order.  A deadline whose event already fired
+        is dropped — popped, never dispatched, though the clock has
+        moved to it — and a live one is staged as an :class:`_Expiry`.
+        """
+        heap = self._heap
+        staged = []
+        while heap and heap[0][0] == when:
+            entry = heappop(heap)
+            staged.append((entry[1], entry[2], entry[3]))
+        head = _INF
+        for lane in self._lanes.values():
+            while lane and lane[0][0] == when:
+                _, seq, event = lane.popleft()
+                if event._value is _PENDING:
+                    staged.append((1, seq, _Expiry(event)))
+            if lane and lane[0][0] < head:
+                head = lane[0][0]
+        self._lane_next = head
+        if staged:
+            staged.sort()   # (priority, seq) pairs are unique
+            for priority, seq, event in staged:
+                if priority == 1:
+                    self._cur_normal.append(event)
+                elif priority == 0:
+                    self._cur_urgent.append(event)
+                else:
+                    heappush(self._cur_rare, (priority, seq, event))
 
     def _drain(self, stop=(), deadline: float = _INF) -> None:
         """The dispatch loop: consume batches until a bound is hit.
@@ -288,8 +379,17 @@ class Environment:
                 event = pop_normal()
             elif rare:
                 event = heappop(rare)[2]
-            elif heap:
-                when = heap[0][0]
+            else:
+                # Open the next timestamp: the heap head, unless a lane
+                # deadline is due first (or at the same time).
+                when = heap[0][0] if heap else _INF
+                if self._lane_next <= when:
+                    when = self._lane_next
+                    if when > deadline or when == _INF:
+                        return
+                    self._now = when
+                    self._open_deadlines(when)
+                    continue
                 if when > deadline:
                     return
                 self._now = when
@@ -317,8 +417,15 @@ class Environment:
                 # Sole event at this timestamp: dispatch straight from
                 # the heap without touching the batch deques.
                 event = entry[3]
-            else:
-                return
+            if event._value is _PENDING:
+                # A sleeping process or a Timer: one direct call.
+                if profile is None:
+                    event._resume(event)
+                else:
+                    profile.dispatch(self._now, event, (event._resume,))
+                if stop:
+                    return
+                continue
             callbacks = event.callbacks
             event.callbacks = None
             event._processed = True
@@ -389,9 +496,12 @@ class Environment:
         self._cur_urgent.clear()
         self._cur_normal.clear()
         self._cur_rare.clear()
+        self._lanes.clear()
+        self._lane_next = _INF
         self._wake_pool.clear()
 
     def __repr__(self) -> str:
         queued = (len(self._heap) + len(self._cur_rare)
-                  + len(self._cur_urgent) + len(self._cur_normal))
+                  + len(self._cur_urgent) + len(self._cur_normal)
+                  + sum(map(len, self._lanes.values())))
         return f"<Environment now={self._now} queued={queued}>"

@@ -7,23 +7,23 @@ from typing import Generator, Optional
 
 from repro.errors import ProcessError
 from repro.errors import SimTimeError
-from repro.sim.core import Environment, Event, PRIORITY_URGENT, _PENDING, _Wake
+from repro.sim.core import (
+    Environment, Event, PRIORITY_URGENT, _INF, _PENDING, _Wake)
 
 
 class Process(Event):
     """A running simulated activity.
 
     Wraps a generator.  Each value the generator yields must be an
-    :class:`Event` or a bare non-negative number; the process sleeps
-    until that event fires (a number ``d`` sleeps for ``d`` seconds,
-    exactly like ``yield env.timeout(d)`` but allocation-free), then
+    :class:`Event` or a bare finite non-negative number; the process
+    sleeps until that event fires (a number ``d`` sleeps for ``d``
+    seconds, exactly like ``yield env.timeout(d)`` but with no event), then
     resumes with the event's value (or has the event's exception thrown
     into it).  A :class:`Process` is itself an event that fires when the
     generator returns (value = return value) or raises (failure).
     """
 
-    __slots__ = ("_generator", "_send", "_throw", "_target", "name",
-                 "_sleep", "_sleep_callbacks")
+    __slots__ = ("_generator", "_send", "_throw", "_target", "name")
 
     def __init__(self, env: Environment, generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -38,13 +38,9 @@ class Process(Event):
         self._generator = generator
         self._send = generator.send
         self._throw = generator.throw
-        #: The event this process is currently waiting on (None if ready).
+        #: The event this process is currently waiting on (None if ready
+        #: or sleeping: a sleep is the process itself on the calendar).
         self._target: Optional[Event] = None
-        #: This process's own sleep wake and the one-callback list it is
-        #: re-armed with for every bare-number sleep (a process sleeps on
-        #: at most one at a time); both made at the first sleep.
-        self._sleep: Optional[_Wake] = None
-        self._sleep_callbacks: Optional[list] = None
         self.name = name or getattr(generator, "__name__", "process")
         env._live[self] = None
         # Kick off at the current time, ahead of normal events.  Bootstrap
@@ -67,19 +63,28 @@ class Process(Event):
     # -- internal -------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator with ``event``'s outcome."""
+        """Advance the generator with ``event``'s outcome.
+
+        ``event`` is the process itself when a sleep ends: the calendar
+        holds the sleeping process as its own wake and dispatches it
+        with this one call.
+        """
         self._target = None
         env = self.env
         # Restored, not cleared, on the way out: ``Store.hand_off`` resumes
         # a consumer in place, inside the producer's own step.
         outer = env.active_process
         env.active_process = self
-        ok = event._ok
-        value = event._value
-        if type(event) is _Wake and event is not self._sleep:
-            # Kernel-internal wakeup: nothing else holds a reference once
-            # its outcome is read, so recycle it.
-            env._wake_pool.append(event)
+        if event is self:
+            ok = True
+            value = None
+        else:
+            ok = event._ok
+            value = event._value
+            if type(event) is _Wake:
+                # Kernel-internal wakeup: nothing else holds a reference
+                # once its outcome is read, so recycle it.
+                env._wake_pool.append(event)
         try:
             if ok:
                 result = self._send(value)
@@ -90,9 +95,6 @@ class Process(Event):
         except StopIteration as stop:
             env.active_process = outer
             del env._live[self]
-            # Drop the self-reference (list -> bound method -> process) so
-            # a finished process is freed by refcount, not left to the GC.
-            self._sleep_callbacks = None
             if self.callbacks:
                 self.succeed(stop.value, priority=PRIORITY_URGENT)
             else:
@@ -109,38 +111,29 @@ class Process(Event):
         except BaseException as exc:
             env.active_process = outer
             del env._live[self]
-            self._sleep_callbacks = None
             self.fail(exc, priority=PRIORITY_URGENT)
             return
         env.active_process = outer
         cls = type(result)
         if cls is float or cls is int:
-            # Sleep protocol: a bare non-negative number yields a pure
-            # delay with no user-visible Timeout object.  Scheduling is
-            # exactly a ``yield env.timeout(result)`` — same position in
-            # the (time, priority, seq) order — but the parked event is
-            # a recycled kernel wake, so the hot sleep path allocates
-            # nothing.
-            if result < 0.0:
-                raise SimTimeError(f"negative sleep delay: {result}")
-            wake = self._sleep
-            if wake is None:
-                wake = self._sleep = _Wake(env)
-                wake._ok = True
-                wake._value = None
-                self._sleep_callbacks = [self._resume]
-            else:
-                wake._processed = False
-            wake.callbacks = self._sleep_callbacks
+            # Sleep protocol: a bare number is a pure delay with no
+            # user-visible Timeout object.  The process goes on the
+            # calendar as itself, exactly where ``yield env.timeout(result)``
+            # would have put its Timeout — same (time, priority, seq) — and
+            # ``_drain`` resumes it directly, so a sleep allocates nothing
+            # but its heap entry.
             now = env._now
             when = now + result
             if when > now:
+                if when == _INF:
+                    raise SimTimeError(f"sleep delay not finite: {result}")
                 seq = env._seq
                 env._seq = seq + 1
-                heappush(env._heap, (when, 1, seq, wake))
+                heappush(env._heap, (when, 1, seq, self))
+            elif result >= 0:
+                env._cur_normal.append(self)
             else:
-                env._cur_normal.append(wake)
-            self._target = wake
+                raise SimTimeError(f"sleep delay not >= 0: {result}")
             return
         if isinstance(result, Event):
             if result.callbacks is not None:
@@ -186,7 +179,7 @@ class Process(Event):
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-        self._target = self._sleep = self._sleep_callbacks = None
+        self._target = None
         self.callbacks.clear()
         self._generator.close()
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-from repro.errors import SimulationError
-from repro.sim.core import Environment, Event, Timeout, _PENDING
+from repro.errors import SimTimeError, SimulationError
+from repro.sim.core import Environment, Event, _Expiry, _INF
 
 
 class SimLock:
@@ -133,17 +133,17 @@ class AtomicCounter:
 class _Park(Event):
     """One parked :meth:`Notify.wait`: the event the waiter yields.
 
-    ``set`` succeeds it directly; a fallback :class:`Timeout` calls
-    :meth:`_expire`, which wakes the waiter and drops the park from the
-    latch unless a set got there first.
+    ``set`` succeeds it directly.  Its fallback deadline sits in the
+    calendar's lane for that delay; the dispatch loop calls
+    :meth:`_expire` at the deadline only if no set got there first, and
+    that wakes the waiter and drops the park from the latch.
     """
 
     __slots__ = ("_parked",)
 
-    def _expire(self, _timer: Event) -> None:
-        if self._value is _PENDING:
-            self._parked.remove(self)
-            self.succeed(None)
+    def _expire(self) -> None:
+        self._parked.remove(self)
+        self.succeed(None)
 
 
 class Notify:
@@ -189,16 +189,36 @@ class Notify:
 
         A set that landed before this call and has not been consumed
         fires it immediately, so a parker can never sleep through a
-        wakeup it has not consumed.
+        wakeup it has not consumed.  The fallback deadline goes on the
+        calendar exactly where a ``Timeout(fallback)`` would, but in the
+        deadline lane for its delay: one tuple, and a deadline a set
+        beat is popped without a dispatch (nothing observes it).
         """
-        park = _Park(self.env)
+        env = self.env
+        park = _Park(env)
         if self.pending:
             park.succeed(None)
             return park
+        if fallback is not None:
+            now = env._now
+            when = now + fallback
+            if when > now:
+                if when == _INF:
+                    raise SimTimeError(f"fallback not finite: {fallback}")
+                lane = env._lanes.get(fallback)
+                if lane is None:
+                    lane = env._lanes[fallback] = deque()
+                if when < env._lane_next:
+                    env._lane_next = when
+                seq = env._seq
+                env._seq = seq + 1
+                lane.append((when, seq, park))
+            elif fallback >= 0:
+                env._cur_normal.append(_Expiry(park))
+            else:
+                raise SimTimeError(f"fallback not >= 0: {fallback}")
         park._parked = self._parked
         self._parked.append(park)
-        if fallback is not None:
-            Timeout(self.env, fallback).callbacks.append(park._expire)
         return park
 
 

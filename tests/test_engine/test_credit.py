@@ -9,11 +9,13 @@ from repro.units import us
 class FakeRQ_QP:
     def __init__(self, stocked=0):
         self.rq = [object()] * stocked
+        self.posts = 0
         self.posted = []
 
-    def post_recv(self, wr):
-        self.rq.append(wr)
-        self.posted.append(wr)
+    def post_recv(self, *chain):
+        self.rq.extend(chain)
+        self.posts += 1
+        self.posted.extend(chain)
 
 
 # -- restock ----------------------------------------------------------------
@@ -24,6 +26,7 @@ def test_restock_tops_up_to_target():
     restock(qp, 8)
     assert len(qp.rq) == 8
     assert len(qp.posted) == 5
+    assert qp.posts == 1    # one chain, as ibv_post_recv takes
     # Anonymous entries by default, like the p2p channels post.
     assert all(wr.wr_id == 0 for wr in qp.posted)
 
@@ -32,7 +35,7 @@ def test_restock_never_drains():
     qp = FakeRQ_QP(stocked=10)
     restock(qp, 4)
     assert len(qp.rq) == 10
-    assert qp.posted == []
+    assert qp.posted == [] and qp.posts == 0
 
 
 def test_restock_wr_id_factory():

@@ -7,9 +7,12 @@ one two-worker pass.  fig06 and fig08 are checked on the payloads
 points, and the heavy rows (fig14, ext_halo, ext_stencil, ext_fleet,
 ext_serve) by CI's full fast ``repro-bench bench run``.  Two planted
 defects run through the real specs, and ``bench run`` must name the
-guideline each one breaks.
+guideline each one breaks.  The pinned exceptions (fig06's T=32 at
+4 KiB, fig07's one QP past 2 MiB) are bands around the measured value;
+flipping the point across the baseline must break exactly that band.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -23,7 +26,8 @@ from repro.exp import (
     all_experiments,
     get_experiment,
 )
-from repro.units import ms
+from repro.units import KiB, MiB, ms
+from tests.test_bench.test_golden import load
 
 CHEAP = ("fig03", "table1", "fig07", "fig09", "fig10", "fig11", "fig12",
          "fig13", "ext_autotune", "ext_faults", "ext_model_vs_sim")
@@ -92,3 +96,26 @@ def test_bench_run_names_a_planted_defect(name, plant, broken, cached,
                 if line.startswith("VIOLATED")]
     assert len(violated) == 1
     assert violated[0].startswith(f"VIOLATED {name}: {broken} (mechanism: ")
+
+
+def _fig06_golden():
+    """fig06's fast payload, from the float-hex golden it must equal."""
+    return {"series": {label: {int(x): float.fromhex(v)
+                               for x, v in series.items()}
+                       for label, series in load("fig06_mini.json").items()}}
+
+
+@pytest.mark.parametrize("name, label, x, pinned", [
+    ("fig06", "T=32", 4 * KiB, "T=32 at 0.90-1.00x at 4 KiB"),
+    ("fig07", "QP=1", 4 * MiB, "one QP at 0.82-0.92x at 4 and 16 MiB"),
+], ids=["fig06-T32-4KiB", "fig07-QP1-4MiB"])
+def test_a_flipped_pinned_exception_violates_its_band(name, label, x, pinned,
+                                                      payloads):
+    """The pinned exceptions hold as measured; the point flipped to the
+    other side of the baseline (1/x) breaks that one guideline alone."""
+    experiment = get_experiment(name)
+    payload = _fig06_golden() if name == "fig06" else payloads[name]
+    assert experiment.violations(payload) == []
+    flipped = copy.deepcopy(payload)
+    flipped["series"][label][x] = 1 / payload["series"][label][x]
+    assert [g.name for g in experiment.violations(flipped)] == [pinned]

@@ -149,6 +149,23 @@ def test_recv_queue_depth_limit(env):
         qp.post_recv(RecvWR(wr_id=3))
 
 
+def test_post_recv_takes_a_chain_oldest_first(env):
+    p = Pair(env)
+    qp = verbs.ibv_create_qp(p.ctx0, p.pd0, p.cq0, p.cq0, max_recv_wr=4)
+    with pytest.raises(QPStateError):       # one state check for the chain
+        qp.post_recv(RecvWR(wr_id=1), RecvWR(wr_id=2))
+    qp.to_init()
+    chain = [RecvWR(wr_id=i) for i in range(3)]
+    verbs.ibv_post_recv(qp, *chain)
+    assert qp.rq == chain and qp.posted_recvs == 3
+    # A chain that would overflow is rejected whole.
+    with pytest.raises(QPOverflowError):
+        qp.post_recv(RecvWR(wr_id=3), RecvWR(wr_id=4))
+    assert qp.rq == chain and qp.posted_recvs == 3
+    qp.post_recv(RecvWR(wr_id=3))
+    assert [wr.wr_id for wr in qp.rq] == [0, 1, 2, 3]
+
+
 def test_consume_recv_empty_raises(pair):
     with pytest.raises(QPStateError, match="receiver-not-ready"):
         pair.qp1.consume_recv()

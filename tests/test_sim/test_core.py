@@ -47,6 +47,17 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_timeout_rejected(delay):
+    # A NaN delay used to act as zero, an infinite one ended the run at
+    # ``env.now == inf``.
+    env = Environment()
+    with pytest.raises(SimTimeError):
+        env.timeout(delay)
+    assert env.peek() == float("inf")
+
+
 def test_timeout_carries_value():
     env = Environment()
 

@@ -29,21 +29,21 @@ from repro.units import KiB, MiB
 #:  unit the budget is quoted per, number of those units per round).
 BUDGET = [
     ("persist-eager-32x512B", lambda: None, 32, 32 * 512,
-     574, "message", 32),
+     540, "message", 32),
     ("persist-eager-128x128B", lambda: None, 128, 128 * 128,
-     2189, "message", 128),
+     2059, "message", 128),
     ("persist-rndv-32x16KiB", lambda: None, 32, 32 * 16 * KiB,
-     1134, "message (3 WRs)", 32),
+     1112, "message (3 WRs)", 32),
     ("persist-rndv-32x1MiB", lambda: None, 32, 32 * MiB,
-     2107, "message (3 WRs)", 32),
+     1963, "message (3 WRs)", 32),
     ("fixed-T32-1qp-32x256KiB", lambda: FixedAggregation(32, 1), 32, 8 * MiB,
-     724, "WR (1 chunk)", 32),
+     660, "WR (1 chunk)", 32),
     ("fixed-T4-1qp-8MiB", lambda: FixedAggregation(4, 1), 32, 8 * MiB,
-     277, "WR (8 chunks)", 4),
+     269, "WR (8 chunks)", 4),
     ("fixed-T32-1qp-32x1MiB", lambda: FixedAggregation(32, 1), 32, 32 * MiB,
-     1108, "WR (4 chunks)", 32),
+     1044, "WR (4 chunks)", 32),
     ("ploggp-128x128B", lambda: build_module(["ploggp", {}]), 128, 128 * 128,
-     406, "user partition", 128),
+     404, "user partition", 128),
 ]
 
 

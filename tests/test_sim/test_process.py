@@ -129,6 +129,23 @@ def test_yielding_negative_number_raises():
         env.run()
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_yielding_non_finite_number_raises(delay):
+    from repro.errors import SimTimeError
+
+    env = Environment()
+
+    def bad(env):
+        yield 1.0
+        yield delay
+
+    env.process(bad(env))
+    with pytest.raises(SimTimeError):
+        env.run()
+    assert env.now == 1.0 and env.peek() == float("inf")
+
+
 def test_number_sleep_orders_like_timeout():
     # A float sleep and an equal env.timeout() sleep scheduled from two
     # processes interleave in spawn (seq) order, same as two timeouts.

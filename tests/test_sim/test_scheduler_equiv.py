@@ -21,9 +21,11 @@ import numpy as np
 import pytest
 
 from repro.runtime import ComputePhase, NoNoise, WorkerTeam
-from repro.sim.core import Environment, Event, PRIORITY_NORMAL, PRIORITY_URGENT
+from repro.sim.core import (
+    Environment, Event, PRIORITY_NORMAL, PRIORITY_URGENT, _Expiry, _PENDING)
+from repro.sim.process import Process
 from repro.sim.resources import Resource, Store
-from repro.sim.sync import SimLock
+from repro.sim.sync import Notify, SimLock
 
 _counter = itertools.count()
 
@@ -142,13 +144,16 @@ def test_urgent_preempts_pending_normals_in_same_timestep():
 
     first = Event(env)
     first._ok = True
+    first._value = None
     second = Event(env)
     second._ok = True
+    second._value = None
 
     def first_cb(_event):
         order.append("first")
         urgent = Event(env)
         urgent._ok = True
+        urgent._value = None
         urgent.callbacks.append(lambda _e: order.append("urgent"))
         _schedule(env, urgent, PRIORITY_URGENT)
 
@@ -560,3 +565,442 @@ def test_worker_team_round_fails_with_the_first_thread_that_raises():
     env.process(rank())
     env.run()
     assert caught == [("thread 1 died", 2e-6)]
+
+
+# -- entries dispatched as themselves --------------------------------------
+#
+# A sleeping process, a lane deadline and a NIC timer are calendar entries
+# with no callback list.  The first check replays sleeps against the
+# reference heap op for op, as above.  The rest run each workload twice:
+# on the real calendar and on :class:`_ReferenceEnvironment`, where every
+# entry — batch appends, heap pushes and lane deadlines alike — goes into
+# one ``(time, priority, seq)`` heap, and compare the dispatch logs.
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_bare_number_sleeps_match_reference(seed):
+    rng = random.Random(seed)
+    env = Environment()
+    ops: list = []
+
+    def sleeper(rng_local):
+        for _ in range(15):
+            delay = rng_local.choice([0.0, 0.0, 0.25, 0.5, 0.5, 1.0])
+            if rng_local.random() < 0.3:
+                # A flood of plain events shares the sleeps' timestamps.
+                _observed_event(env, ops, rng_local.choice([0, 1, 2]),
+                                rng_local.choice([0.0, 0.25, 0.5]))
+            key = (env._now + delay, PRIORITY_NORMAL, next(_counter))
+            ops.append(("sched", key))
+            yield delay
+            ops.append(("disp", key))
+
+    for _ in range(12):
+        env.process(sleeper(random.Random(rng.randrange(1 << 30))))
+    env.run()
+    assert _assert_matches_reference_heap(ops) >= 12 * 15
+
+
+class _ReferenceBatch:
+    """A batch deque of the reference kernel: appends go on the heap."""
+
+    def __init__(self, env, priority):
+        self.env = env
+        self.priority = priority
+
+    def append(self, entry):
+        env = self.env
+        seq = env._seq
+        env._seq = seq + 1
+        heapq.heappush(env._heap, (env._now, self.priority, seq, entry))
+
+    def __bool__(self):
+        return False
+
+    def clear(self):
+        pass
+
+
+class _ReferenceLane:
+    def __init__(self, env):
+        self.env = env
+
+    def append(self, entry):
+        when, seq, event = entry
+        heapq.heappush(self.env._heap, (when, PRIORITY_NORMAL, seq,
+                                        _Expiry(event)))
+
+
+class _ReferenceLanes(dict):
+    def get(self, delay, default=None):
+        return _ReferenceLane(self.env)
+
+
+class _ReferenceEnvironment(Environment):
+    """The calendar as one ``(time, priority, seq)`` heap, nothing else."""
+
+    def __init__(self):
+        super().__init__()
+        self._cur_urgent = _ReferenceBatch(self, PRIORITY_URGENT)
+        self._cur_normal = _ReferenceBatch(self, PRIORITY_NORMAL)
+        self._lanes = _ReferenceLanes()
+        self._lanes.env = self
+
+    def _push_rare(self, event, priority):
+        _ReferenceBatch(self, priority).append(event)
+
+    def _drain(self, stop=(), deadline=float("inf")):
+        heap = self._heap
+        while heap:
+            when, _, _, entry = heap[0]
+            if when > deadline:
+                return
+            heapq.heappop(heap)
+            self._now = when
+            if type(entry) is _Expiry and entry.event._value is not _PENDING:
+                continue            # a stale deadline: popped, not dispatched
+            if entry._value is _PENDING:
+                self._profile.dispatch(when, entry, (entry._resume,))
+                if stop:
+                    return
+                continue
+            callbacks, entry.callbacks = entry.callbacks, None
+            entry._processed = True
+            self._profile.dispatch(when, entry, callbacks)
+            if not entry._ok and not entry._defused:
+                raise entry._value
+            if stop:
+                return
+
+
+def _waiters(event):
+    return tuple(getattr(getattr(cb, "__self__", None), "name", "?")
+                 for cb in event.callbacks or ())
+
+
+class _DispatchLog:
+    """A ``KernelProfile`` stand-in: logs ``(time, what)`` per dispatch."""
+
+    def __init__(self):
+        self.log = []
+
+    def dispatch(self, now, event, callbacks):
+        if type(event) is _Expiry:
+            if event.event._value is not _PENDING:
+                return              # staged, then beaten by a set: a no-op
+            what = ("expire", _waiters(event.event))
+        elif getattr(callbacks[0], "label", None):
+            what = callbacks[0].label      # a reference NIC Timeout stage
+        elif isinstance(event, Process) and event._value is _PENDING:
+            what = ("sleep", event.name)
+        elif type(event).__name__ == "_Delivery":
+            what = ("delivery", event.stage, event.qp.qp_num, event.wr.wr_id)
+        elif type(event).__name__ == "_RecvCompletion":
+            what = ("recv-cqe", event.dest_qp.qp_num, event.wr.wr_id)
+        else:
+            what = (type(event).__name__, _waiters(event))
+        self.log.append((now, what))
+        for callback in callbacks:
+            callback(event)
+
+
+def _run(cls, workload, **run):
+    """``workload(env)`` on calendar ``cls``: ``(log, env.now)``."""
+    env = cls()
+    env._profile = _DispatchLog()
+    workload(env)
+    env.run(**run)
+    return env._profile.log, env.now
+
+
+def _both(workload, **run):
+    """The workload on the real and on the reference calendar."""
+    return [_run(cls, workload, **run)
+            for cls in (Environment, _ReferenceEnvironment)]
+
+
+def _parking(seed, n_procs=10, n_rounds=14):
+    """Processes that park on two latches with several fallbacks (1e-4 s
+    and 1.0 s as in test_sync, plus binary fractions that collide with
+    the sleeps and each other), sleep, time out and set the latches."""
+    def workload(env):
+        master = random.Random(seed)
+        latches = [Notify(env), Notify(env)]
+
+        def proc(rng):
+            for _ in range(n_rounds):
+                latch = rng.choice(latches)
+                roll = rng.random()
+                if roll < 0.45:
+                    if latch.pending:
+                        latch.consume()
+                    yield latch.wait(rng.choice(
+                        [1e-4, 1.0, 0.25, 0.25, 0.5, 0.0, None]
+                        if roll < 0.4 else [0.25]))
+                elif roll < 0.7:
+                    yield rng.choice([0.0, 0.25, 0.5, 0.75])
+                elif roll < 0.85:
+                    yield env.timeout(rng.choice([0.0, 0.25, 0.5]))
+                else:
+                    latch.set()
+                    yield 0.25
+
+        def kicker(rng):
+            # Keeps the None-fallback parks from waiting forever, and
+            # puts urgent and rare-priority heap entries on the
+            # deadlines' timestamps.
+            for _ in range(n_procs * n_rounds):
+                yield 0.25
+                latches[0].set()
+                latches[1].set()
+                event = Event(env)
+                event._ok = True
+                event._value = None
+                event.callbacks.append(lambda _event: None)
+                _schedule(env, event, rng.choice([0, 1, 2]),
+                          rng.choice([0.0, 0.25, 0.5]))
+
+        for i in range(n_procs):
+            Process(env, proc(random.Random(master.randrange(1 << 30))),
+                    name=f"p{i}")
+        env.process(kicker(random.Random(master.randrange(1 << 30))))
+    return workload
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 99])
+def test_lane_deadlines_match_reference(seed):
+    (real, real_end), (ref, ref_end) = _both(_parking(seed))
+    assert real == ref
+    assert real_end == ref_end
+    kinds = {what[0] for _, what in real}
+    assert {"expire", "sleep", "Timeout", "_Park"} <= kinds
+
+
+def test_trailing_stale_deadlines_leave_the_clock_where_the_reference_does():
+    def workload(env):
+        notify = Notify(env)
+
+        def waiter():
+            yield notify.wait(1.0)      # the set at 0.25 beats 1.0
+            yield notify.wait(0.5)      # the set at 0.75 ties 0.75, first
+
+        def setter():
+            yield 0.25
+            notify.set()
+            notify.consume()
+            yield 0.5
+            notify.set()
+
+        env.process(waiter())
+        env.process(setter())
+
+    (real, real_end), (ref, ref_end) = _both(workload)
+    assert real == ref
+    # The last useful event is at 0.75; the stale 1.0 still moves the clock.
+    assert real_end == ref_end == 1.0
+    assert not any(what[0] == "expire" for _, what in real)
+
+
+def test_run_until_leaves_later_deadlines_queued():
+    def workload(env):
+        notify = Notify(env)
+
+        def waiter():
+            yield notify.wait(1.0)
+            yield notify.wait(1.0)
+
+        env.process(waiter())
+
+    (real, real_end), (ref, ref_end) = _both(workload, until=1.5)
+    assert real == ref and real_end == ref_end == 1.5
+    env = Environment()
+    workload(env)
+    env.run(until=1.5)
+    assert env.peek() == 2.0                # the live second park's deadline
+    env.run()
+    assert env.now == 2.0 and env.peek() == float("inf")
+
+
+def test_peek_sees_a_lane_head_and_close_drops_the_lane():
+    env = Environment()
+    notify = Notify(env)
+    finished = []
+
+    def waiter():
+        try:
+            yield notify.wait(0.5)
+        finally:
+            finished.append(env.now)
+
+    env.process(waiter())
+    env.timeout(0.75)
+    env.run(until=0.25)
+    assert env.peek() == 0.5
+    assert "queued=2" in repr(env)
+    env.close()
+    assert finished == [0.25]
+    assert env._lanes == {} and env.peek() == float("inf")
+
+
+def _nic_traffic(seed):
+    """Three two-node fabrics posting signaled and unsignaled RDMA writes
+    with immediate and two-sided sends.  Every wire time is a power of
+    two, so sums are exact and one fabric's ACK or CQE lands on the very
+    timestamp of another's arrival or post: the collisions in which a
+    stage's (priority, seq) decides the order."""
+    from dataclasses import replace
+
+    from repro.config import NIAGARA
+    from repro.ib.constants import Opcode
+    from repro.ib.wr import SGE, RecvWR, SendWR
+    from tests.test_ib.conftest import Pair
+
+    tick = 2.0 ** -23
+    config = replace(
+        NIAGARA,
+        nic=replace(NIAGARA.nic, line_rate=2.0 ** 30, qp_rate=2.0 ** 30,
+                    t_wqe=tick, t_pkt=tick / 8, t_cqe=tick),
+        link=replace(NIAGARA.link, latency=8 * tick))
+
+    def workload(env):
+        rng = random.Random(seed)
+        pairs = [Pair(env, config=config, bufsize=64 * 1024, backed=False)
+                 for _ in range(3)]
+
+        def poster(pair, rng_local):
+            for i in range(16):
+                yield tick * rng_local.choice([0, 1, 2, 8, 16, 24])
+                nbytes = rng_local.choice([8, 512, 4096, 40_000])
+                opcode = rng_local.choice([Opcode.RDMA_WRITE_WITH_IMM,
+                                           Opcode.SEND])
+                pair.qp1.post_recv(RecvWR(wr_id=i, sg_list=[SGE(
+                    pair.recv_mr.addr, nbytes, pair.recv_mr.lkey)]))
+                pair.qp0.post_send(SendWR(
+                    wr_id=i, opcode=opcode,
+                    sg_list=[SGE(pair.send_mr.addr, nbytes,
+                                 pair.send_mr.lkey)],
+                    remote_addr=pair.recv_mr.addr, rkey=pair.recv_mr.rkey,
+                    imm_data=i, signaled=rng_local.random() < 0.7))
+
+        for i, pair in enumerate(pairs):
+            Process(env, poster(pair, random.Random(rng.randrange(1 << 30))),
+                    name=f"poster{i}")
+    return workload
+
+
+def _timeout_delivery(nic, qp, wr, payload, nbytes, remote, arrival,
+                      ack_latency):
+    """The reference for ``nic._Delivery``: the fault-free arrival -> ACK
+    -> send-CQE chain as ``Timeout`` callbacks, each stage labelled for
+    the dispatch log."""
+    from repro.ib.constants import Opcode, WCStatus
+    from repro.ib.wr import WorkCompletion
+    from repro.sim.core import Timeout
+
+    env = nic.env
+
+    def on_arrival(_event):
+        remote._deliver(qp, wr, payload, nbytes)
+        Timeout(env, ack_latency).callbacks.append(on_ack)
+
+    def on_ack(_event):
+        if wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
+            qp.release_rdma_slot()
+        if wr.signaled:
+            Timeout(env, nic.config.nic.t_cqe).callbacks.append(on_cqe)
+
+    def on_cqe(_event):
+        qp.send_cq.push(WorkCompletion(
+            wr_id=wr.wr_id, status=WCStatus.SUCCESS,
+            opcode=wr.opcode.wc_opcode, qp_num=qp.qp_num, byte_len=nbytes,
+            completed_at=env._now))
+
+    for stage, callback in enumerate((on_arrival, on_ack, on_cqe)):
+        callback.label = ("delivery", stage, qp.qp_num, wr.wr_id)
+    Timeout(env, max(0.0, arrival - env._now)).callbacks.append(on_arrival)
+
+
+def _timeout_recv_completion(env, dest_qp, recv_wr, wr, nbytes, t_cqe):
+    """The reference for ``nic._RecvCompletion``: a ``Timeout`` callback."""
+    from repro.ib.constants import Opcode, WCOpcode, WCStatus
+    from repro.ib.wr import WorkCompletion
+    from repro.sim.core import Timeout
+
+    def on_cqe(_event):
+        dest_qp.recv_cq.push(WorkCompletion(
+            wr_id=recv_wr.wr_id, status=WCStatus.SUCCESS,
+            opcode=WCOpcode.RECV_RDMA_WITH_IMM
+            if wr.opcode is Opcode.RDMA_WRITE_WITH_IMM else WCOpcode.RECV,
+            qp_num=dest_qp.qp_num, byte_len=nbytes, imm_data=wr.imm_data,
+            completed_at=env._now))
+
+    on_cqe.label = ("recv-cqe", dest_qp.qp_num, wr.wr_id)
+    Timeout(env, t_cqe).callbacks.append(on_cqe)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nic_timers_match_reference(seed, monkeypatch):
+    """The NIC's calendar timers on this calendar against the Timeout
+    chains they replaced on the reference one: same stages, same order,
+    same times."""
+    import repro.ib.nic as nic
+
+    real, real_end = _run(Environment, _nic_traffic(seed))
+    monkeypatch.setattr(nic, "_Delivery", _timeout_delivery)
+    monkeypatch.setattr(nic, "_RecvCompletion", _timeout_recv_completion)
+    ref, ref_end = _run(_ReferenceEnvironment, _nic_traffic(seed))
+    assert real == ref
+    assert real_end == ref_end
+    # The workload does collide an ACK or CQE stage with other entries.
+    at = {}
+    for now, what in real:
+        at.setdefault(now, []).append(what)
+    assert any(len(whats) > 1 and ("delivery", 1) in
+               [what[:2] for what in whats] for whats in at.values())
+    kinds = {what[0] for _, what in real}
+    assert {"delivery", "recv-cqe", "sleep"} <= kinds
+    # Every WR is delivered and ACKed; the signaled ones complete.
+    stages = [what[1] for _, what in real if what[0] == "delivery"]
+    assert stages.count(0) == stages.count(1) == 48
+    assert 0 < stages.count(2) < 48
+
+
+def test_harness_catches_a_lane_staged_ahead_of_a_lower_seq_heap_entry(
+        monkeypatch):
+    """The planted bug: a colliding timestamp stages its lane deadlines
+    before its heap entries, whatever their seq."""
+    def stage_lanes_first(env, when):
+        for lane in env._lanes.values():
+            while lane and lane[0][0] == when:
+                _, _, event = lane.popleft()
+                if event._value is _PENDING:
+                    env._cur_normal.append(_Expiry(event))
+        env._lane_next = min((lane[0][0] for lane in env._lanes.values()
+                              if lane), default=float("inf"))
+        while env._heap and env._heap[0][0] == when:
+            _, priority, seq, entry = heapq.heappop(env._heap)
+            if priority == PRIORITY_NORMAL:
+                env._cur_normal.append(entry)
+            elif priority == PRIORITY_URGENT:
+                env._cur_urgent.append(entry)
+            else:
+                heapq.heappush(env._cur_rare, (priority, seq, entry))
+
+    def collision(env):
+        notify = Notify(env)
+
+        def sleeper():
+            yield 0.5                       # wake at 0.5, seq 0
+
+        def waiter():
+            yield notify.wait(0.5)          # deadline at 0.5, seq 1
+
+        env.process(sleeper())
+        env.process(waiter())
+
+    (real, _), (ref, _) = _both(collision)
+    assert real == ref
+    assert [what[0] for _, what in real][-3:] == ["sleep", "expire", "_Park"]
+    monkeypatch.setattr(Environment, "_open_deadlines", stage_lanes_first)
+    (real, _), (ref, _) = _both(collision)
+    assert real != ref

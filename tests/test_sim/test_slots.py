@@ -14,7 +14,7 @@ from repro.config import NICConfig
 from repro.ib.constants import Opcode, WCOpcode, WCStatus
 from repro.ib.link import IngressPort, WireTimeTable
 from repro.ib.wr import SGE, RecvWR, SendWR, WorkCompletion
-from repro.sim.core import Environment, Event, Timeout, _Wake
+from repro.sim.core import Environment, Event, Timeout, Timer, _Wake
 from repro.sim.events import AllOf, Condition
 from repro.sim.process import Process
 from repro.sim.profile import EventTypeStats, KernelProfile
@@ -71,21 +71,24 @@ def test_hot_types_have_no_instance_dict(instance):
 
 
 def test_slotted_event_hierarchy_is_closed():
-    # Every Event subclass the kernel ships must stay dict-free, so a
-    # new subclass without __slots__ = () is caught by name.
+    # Every Event subclass and calendar Timer (one per WR and per CQE in
+    # repro.ib.nic) the kernel ships must stay dict-free, so a new
+    # subclass without __slots__ = () is caught by name.
+    import repro.ib.nic  # noqa: F401  (defines the NIC's timers)
+
     def walk(cls):
         yield cls
         for sub in cls.__subclasses__():
             yield from walk(sub)
 
     offenders = [
-        cls.__name__ for cls in walk(Event)
+        cls.__name__ for cls in (*walk(Event), *walk(Timer))
         if cls.__module__.startswith("repro.")
         and "__dict__" in dir(cls) and hasattr(cls, "__slots__")
         and any("__dict__" in getattr(c, "__dict__", {})
                 for c in cls.__mro__ if c is not object)
     ]
-    assert offenders == [], f"Event subclasses with __dict__: {offenders}"
+    assert offenders == [], f"subclasses with __dict__: {offenders}"
 
 
 def test_timeout_and_process_are_slotted_classes():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimTimeError, SimulationError
 from repro.sim import (
     AtomicCounter,
     Environment,
@@ -255,3 +255,27 @@ def test_notify_drops_a_park_when_its_fallback_expires():
     assert wakeups[999] == pytest.approx(0.1)
     assert wakeups[1000] == 0.5      # woken by the set, not its fallback
     assert notify.set_count == 1
+
+
+@pytest.mark.parametrize("fallback", [-1e-4, float("nan"), float("inf"),
+                                      float("-inf")])
+def test_notify_wait_rejects_a_bad_fallback(fallback):
+    env = Environment()
+    notify = Notify(env)
+    with pytest.raises(SimTimeError):
+        notify.wait(fallback)
+    assert notify._parked == [] and env.peek() == float("inf")
+
+
+def test_notify_wait_zero_fallback_expires_in_the_current_timestep():
+    env = Environment()
+    notify = Notify(env)
+    woken = []
+
+    def waiter(env):
+        yield notify.wait(0.0)
+        woken.append(env.now)
+
+    env.process(waiter(env))
+    env.run()
+    assert woken == [0.0] and notify._parked == []

@@ -440,8 +440,8 @@ class NativeVerbsModule(PartitionedModule):
             rail = self.send_rails[group % len(self.send_rails)]
             qp = yield from rail.acquire(group % self._round_plan.n_qps)
             if qp.state is not QPState.RTS:
-                # The channel died under us (wait_rdma_slot fires
-                # immediately on an ERROR QP).  Park the runs: channel
+                # The channel died under us (wait_rdma_slot wakes
+                # the process at once on an ERROR QP).  Park the runs: channel
                 # recovery replays them after the reconnect walk.
                 if not self._recovery_enabled:
                     from repro.errors import ChannelDownError

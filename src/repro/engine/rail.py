@@ -73,7 +73,7 @@ class Rail:
 
         Software flow control against the 16-outstanding hardware
         limit.  The returned QP may be in ERROR (``wait_rdma_slot``
-        fires immediately on a dead QP so nothing hangs): callers check
+        wakes the process at once on a dead QP so nothing hangs): callers check
         RTS and route to recovery, exactly as the inlined loops did.
         """
         qp = self.select(key)

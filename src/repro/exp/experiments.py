@@ -248,6 +248,10 @@ FIG08_GUIDELINES = (
     Guideline("table/PLogGP 0.6-1.7x at 32p/128 KiB", "a short, noisy search",
               lambda p: 0.6 < _at(p, "32p tuning-table", 128 * KiB)
               / _at(p, "32p ploggp", 128 * KiB) < 1.7),
+    Guideline("every aggregator >= 0.95x of part_persist at every size",
+              "a plan never posts more WRs than the baseline's sends",
+              lambda p: all(x >= 0.95 for s in p["series"].values()
+                            for x in s.values())),
 )
 
 

@@ -22,7 +22,7 @@ from repro.ib.constants import (
 from repro.ib.link import IngressPort, wire_table
 from repro.ib.qp import QueuePair
 from repro.ib.wr import SendWR, WorkCompletion
-from repro.sim.core import Environment, Timer, _INF
+from repro.sim.core import PARKED, Environment, Timer, _INF
 from repro.sim.monitor import Trace
 from repro.sim.resources import Resource, Store
 
@@ -205,8 +205,8 @@ class NIC:
             if env._now < qp.next_inject_time:
                 yield qp.next_inject_time - env._now
             grant = egress.claim()
-            if grant.callbacks is not None:
-                yield grant  # busy port: wait for the hand-off
+            if grant.waiter is not None:
+                yield PARKED  # busy port: wait for the hand-off
             start = env._now
             yield occupancy
             egress.release(grant)
@@ -356,8 +356,8 @@ class NIC:
         for link in route:
             requested = env._now
             grant = link.resource.claim()
-            if grant.callbacks is not None:
-                yield grant
+            if grant.waiter is not None:
+                yield PARKED
             if arbitration and env._now > requested:
                 yield arbitration
             yield occupancy
@@ -418,8 +418,8 @@ class NIC:
             # Request packet out through our egress.
             egress = qp.egress
             grant = egress.claim()
-            if grant.callbacks is not None:
-                yield grant
+            if grant.waiter is not None:
+                yield PARKED
             yield cfg.t_pkt
             egress.release(grant)
             lost = (faults is not None and faults.chunk_outcome(

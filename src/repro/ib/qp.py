@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import QPOverflowError, QPStateError
 from repro.ib.constants import QP_TRANSITIONS, QPState
 from repro.ib.wr import RecvWR, SendWR
+from repro.sim.core import PARKED, _park_error
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:
@@ -68,8 +69,8 @@ class QueuePair:
         self.max_outstanding_rdma = 0
         #: WRs sitting in the SQ not yet picked up by the engine.
         self.sq_depth = 0
-        #: Events waiting for an outstanding-RDMA slot to free (software
-        #: flow control in the MPI layer parks here).  A list: rarely
+        #: Processes parked until an outstanding-RDMA slot frees
+        #: (software flow control in the MPI layer parks here).  A list: rarely
         #: more than one, and an empty deque costs 760 bytes per QP.
         self._slot_waiters: list = []
         #: Per-QP injection rate limiter state (virtual time).
@@ -141,10 +142,7 @@ class QueuePair:
                     completed_at=now,
                 ))
         self.outstanding_rdma = 0
-        waiters, self._slot_waiters = self._slot_waiters, []
-        for ev in waiters:
-            if not ev.triggered:
-                ev.succeed(None)
+        self.notify_slot_free()     # every slot is free: wakes them all
 
     # -- posting ------------------------------------------------------------
 
@@ -197,35 +195,36 @@ class QueuePair:
         self.rq.extend(chain)
         self.posted_recvs += len(chain)
 
-    def has_rdma_slot(self) -> bool:
-        """Whether another RDMA WR may be posted right now.
-
-        Per-message loops test ``outstanding_rdma < max_outstanding_rdma``
-        themselves rather than paying a call for it.
-        """
-        return self.outstanding_rdma < self.max_outstanding_rdma
-
     def wait_rdma_slot(self):
-        """Event that fires when an outstanding-RDMA slot frees.
+        """Park the active process until an outstanding-RDMA slot frees;
+        ``yield`` the result (:data:`~repro.sim.core.PARKED`).
 
-        Fires immediately on a QP in ERROR: there is nothing left to
+        Wakes it at once on a QP in ERROR: there is nothing left to
         wait for, and the caller's next ``post_send`` raises, which is
         how the failure surfaces instead of a hang.
         """
-        from repro.sim.core import Event
-
-        ev = Event(self.nic.env)
-        if self.state is QPState.ERROR or self.has_rdma_slot():
-            ev.succeed(None)
+        env = self.nic.env
+        proc = env.active_process
+        if proc is None or proc._target is not None:
+            raise _park_error(proc, "QueuePair.wait_rdma_slot()")
+        if (self.state is QPState.ERROR
+                or self.outstanding_rdma < self.max_outstanding_rdma):
+            env._cur_normal.append(proc)
         else:
-            self._slot_waiters.append(ev)
-        return ev
+            self._slot_waiters.append(proc)
+            proc._target = self
+        return PARKED
 
     def notify_slot_free(self) -> None:
-        """NIC side: an ACK freed a slot; wake one waiter."""
+        """NIC side: a slot freed; wake the parked waiters, oldest first,
+        while a slot is free."""
         waiters = self._slot_waiters
         while waiters and self.outstanding_rdma < self.max_outstanding_rdma:
-            waiters.pop(0).succeed(None)
+            self.nic.env._cur_normal.append(waiters.pop(0))
+
+    def _unpark(self, proc) -> None:
+        if proc in self._slot_waiters:
+            self._slot_waiters.remove(proc)
 
     def release_rdma_slot(self) -> None:
         """Return one outstanding-RDMA credit and wake a parked waiter.

@@ -215,8 +215,8 @@ class Channel:
             while qp.outstanding_rdma >= qp.max_outstanding_rdma:
                 yield qp.wait_rdma_slot()
             if qp.state is not QPState.RTS:
-                # Channel failure mid-stream (wait_rdma_slot fires
-                # immediately on an ERROR QP): park the item for the
+                # Channel failure mid-stream (wait_rdma_slot wakes
+                # the process at once on an ERROR QP): park the item for the
                 # reconnect walk instead of posting into a dead QP.
                 self.note_failure(item)
                 continue

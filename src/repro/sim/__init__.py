@@ -30,6 +30,7 @@ from repro.sim.core import (
     Environment,
     Event,
     Timeout,
+    PARKED,
     PRIORITY_URGENT,
     PRIORITY_NORMAL,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "Environment",
     "Event",
     "Timeout",
+    "PARKED",
     "Process",
     "AllOf",
     "Condition",

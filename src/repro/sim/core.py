@@ -8,7 +8,7 @@ actual shape rather than a single binary heap:
 
 * events scheduled **at the current time** (``delay == 0`` — roughly
   half of all events: ``succeed()``/``fail()`` calls, process
-  bootstraps and completions) go straight into the current dispatch
+  bootstraps, wakes and completions) go straight into the current dispatch
   batch, a pair of deques (urgent/normal) drained FIFO.  They never
   touch the heap at all;
 * **future** events fall back to a binary heap of
@@ -24,12 +24,13 @@ actual shape rather than a single binary heap:
   nothing is dispatched.
 
 Two kinds of entry are dispatched as themselves, by one direct call
-``entry._resume(entry)`` instead of a callback list: a process sleeping
-on a bare number (the process *is* its own wake) and a :class:`Timer`
-(a slotted entry such as one WR's delivery chain in
-:mod:`repro.ib.nic`, or a due lane deadline).  They are the calendar
-entries whose ``_value`` is still pending; every event on the calendar
-has been given its value.
+``entry._resume(entry)`` instead of a callback list: a process (the
+process *is* its own wake — at its bootstrap, when a sleep on a bare
+number ends, and when a primitive it parked on with :data:`PARKED`
+wakes it) and a :class:`Timer` (a slotted entry such as one WR's
+delivery chain in :mod:`repro.ib.nic`, or a due lane deadline).  They
+are the calendar entries whose ``_value`` is still pending; every
+event on the calendar has been given its value.
 
 When virtual time advances, a timestamp holding a single heap entry —
 the overwhelmingly common case — dispatches straight out of the heap;
@@ -48,6 +49,7 @@ equivalence property under randomized floods.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
@@ -63,6 +65,37 @@ PRIORITY_NORMAL: int = 1
 _PENDING = object()  # sentinel: event value not yet set
 
 _INF = float("inf")
+
+
+#: What a parking primitive returns and its caller yields at once: the
+#: active process is queued on the primitive, off the calendar, and the
+#: primitive wakes it by appending the process itself to the current
+#: batch — exactly where ``succeed(None)`` on a grant event would have
+#: gone — so it resumes with ``None`` through the dispatch loop's direct
+#: call.  The primitive records itself as the process's ``_target``;
+#: whatever a ``_target`` is implements ``_unpark(process)``, which
+#: :meth:`Environment.close` uses to unhook a process still parked.
+PARKED = object()
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an integer count of at least 1, else ValueError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1 or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
+
+
+def _park_error(proc, primitive: str) -> SimulationError:
+    """Why the active process ``proc`` may not park on ``primitive``."""
+    if proc is None:
+        return SimulationError(f"{primitive} parks the active process, "
+                               "and none is running")
+    return SimulationError(f"{primitive}: process {proc.name!r} is already "
+                           "queued; yield PARKED at once")
 
 
 class Event:
@@ -115,6 +148,14 @@ class Event:
         if self._value is _PENDING:
             raise SimulationError(f"{self!r} has no value yet")
         return self._value
+
+    def _unpark(self, proc) -> None:
+        """Unhook ``proc``, which waits on this event (for ``close``)."""
+        if self.callbacks:
+            try:
+                self.callbacks.remove(proc._resume)
+            except ValueError:
+                pass
 
     def defuse(self) -> None:
         """Mark a failed event as handled so it does not crash the run.
@@ -238,14 +279,12 @@ class _Expiry(Timer):
 
 
 class _Wake(Event):
-    """A pooled kernel-internal wakeup event.
+    """A kernel-internal wakeup event.
 
-    Used only by :class:`~repro.sim.process.Process` for bootstraps and
-    already-processed-target resumptions (a sleeping process is its own
-    wake, and needs none): nothing outside the kernel
-    holds a reference once its outcome is read, so instances are
-    recycled through :attr:`Environment._wake_pool` instead of being
-    allocated per use.
+    Used only by :class:`~repro.sim.process.Process` to resume a process
+    that yielded an already-processed event, with that event's outcome.
+    A bootstrap, a sleep and a parked wake are the process itself on
+    the calendar, and need none.
     """
 
     __slots__ = ()
@@ -270,8 +309,6 @@ class Environment:
         self._lanes: dict[float, deque[tuple[float, int, Event]]] = {}
         self._lane_next = _INF
         self._seq = 0
-        #: Recycled :class:`_Wake` instances (see ``sim.process``).
-        self._wake_pool: list[Event] = []
         #: Optional :class:`~repro.sim.profile.KernelProfile` hook; when
         #: set, the dispatch loop records per-event-type counts/timings.
         self._profile = None
@@ -418,7 +455,8 @@ class Environment:
                 # the heap without touching the batch deques.
                 event = entry[3]
             if event._value is _PENDING:
-                # A sleeping process or a Timer: one direct call.
+                # A process (bootstrap, sleep or parked wake) or a
+                # Timer: one direct call.
                 if profile is None:
                     event._resume(event)
                 else:
@@ -479,9 +517,9 @@ class Environment:
         """Finalize: shut down every unfinished process, drop the queue.
 
         Each process still alive (a daemon parked on a queue, a waiter
-        that will never be woken) is unhooked from the event it waits on
-        and its generator closed, which runs its ``finally`` blocks; then
-        the calendar and the wake pool are emptied.  Nothing is
+        that will never be woken) is unhooked from the event or the
+        primitive it waits on and its generator closed, which runs its
+        ``finally`` blocks; then the calendar is emptied.  Nothing is
         dispatched and the clock stays put.  Afterwards no kernel object
         links a simulated component back to itself, so what the caller
         drops is freed by reference counting instead of waiting for the
@@ -498,7 +536,6 @@ class Environment:
         self._cur_rare.clear()
         self._lanes.clear()
         self._lane_next = _INF
-        self._wake_pool.clear()
 
     def __repr__(self) -> str:
         queued = (len(self._heap) + len(self._cur_rare)

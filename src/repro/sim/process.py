@@ -3,24 +3,27 @@
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.errors import ProcessError
 from repro.errors import SimTimeError
 from repro.sim.core import (
-    Environment, Event, PRIORITY_URGENT, _INF, _PENDING, _Wake)
+    PARKED, Environment, Event, PRIORITY_URGENT, _INF, _PENDING, _Wake)
 
 
 class Process(Event):
     """A running simulated activity.
 
     Wraps a generator.  Each value the generator yields must be an
-    :class:`Event` or a bare finite non-negative number; the process
-    sleeps until that event fires (a number ``d`` sleeps for ``d``
-    seconds, exactly like ``yield env.timeout(d)`` but with no event), then
-    resumes with the event's value (or has the event's exception thrown
-    into it).  A :class:`Process` is itself an event that fires when the
-    generator returns (value = return value) or raises (failure).
+    :class:`Event`, a bare finite non-negative number or
+    :data:`~repro.sim.core.PARKED`; the process sleeps until that event
+    fires (a number ``d`` sleeps for ``d`` seconds, exactly like
+    ``yield env.timeout(d)`` but with no event; ``PARKED`` until the
+    primitive that returned it wakes the process), then resumes with the
+    event's value (or has the event's exception thrown into it; ``None``
+    after a sleep or a park).  A :class:`Process` is itself an event
+    that fires when the generator returns (value = return value) or
+    raises (failure).
     """
 
     __slots__ = ("_generator", "_send", "_throw", "_target", "name")
@@ -38,36 +41,25 @@ class Process(Event):
         self._generator = generator
         self._send = generator.send
         self._throw = generator.throw
-        #: The event this process is currently waiting on (None if ready
-        #: or sleeping: a sleep is the process itself on the calendar).
-        self._target: Optional[Event] = None
+        #: The event or parking primitive this process is waiting on
+        #: (None if ready or sleeping: a sleep is the process itself on
+        #: the calendar).
+        self._target = None
         self.name = name or getattr(generator, "__name__", "process")
         env._live[self] = None
-        # Kick off at the current time, ahead of normal events.  Bootstrap
-        # wakeups are kernel-internal and recycled through the wake pool.
-        pool = env._wake_pool
-        if pool:
-            bootstrap = pool.pop()
-            bootstrap._ok = True
-            bootstrap._value = None
-            bootstrap._processed = False
-            bootstrap._defused = False
-            bootstrap.callbacks = [self._resume]
-        else:
-            bootstrap = _Wake(env)
-            bootstrap._ok = True
-            bootstrap._value = None
-            bootstrap.callbacks.append(self._resume)
-        env._cur_urgent.append(bootstrap)
+        # Kick off at the current time, ahead of normal events: the
+        # process is its own urgent bootstrap entry.
+        env._cur_urgent.append(self)
 
     # -- internal -------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome.
 
-        ``event`` is the process itself when a sleep ends: the calendar
-        holds the sleeping process as its own wake and dispatches it
-        with this one call.
+        ``event`` is the process itself at its bootstrap, when a sleep
+        ends and when a primitive wakes it from a park: the calendar
+        holds the process as its own wake and dispatches it with this
+        one call, and it resumes with ``None``.
         """
         self._target = None
         env = self.env
@@ -81,10 +73,6 @@ class Process(Event):
         else:
             ok = event._ok
             value = event._value
-            if type(event) is _Wake:
-                # Kernel-internal wakeup: nothing else holds a reference
-                # once its outcome is read, so recycle it.
-                env._wake_pool.append(event)
         try:
             if ok:
                 result = self._send(value)
@@ -114,6 +102,11 @@ class Process(Event):
             self.fail(exc, priority=PRIORITY_URGENT)
             return
         env.active_process = outer
+        if result is PARKED:
+            # Parked on a primitive, which queued this process and
+            # recorded itself as ``_target``: off the calendar until the
+            # primitive appends the process to a batch.
+            return
         cls = type(result)
         if cls is float or cls is int:
             # Sleep protocol: a bare number is a pure delay with no
@@ -152,15 +145,10 @@ class Process(Event):
                 self.fail(exc, priority=PRIORITY_URGENT)
                 return
             raise error
-        # Already processed: resume immediately at the current time.
-        pool = env._wake_pool
-        if pool:
-            wake = pool.pop()
-            wake._processed = False
-            wake.callbacks = [self._resume]
-        else:
-            wake = _Wake(env)
-            wake.callbacks.append(self._resume)
+        # Already processed: resume at the current time, ahead of normal
+        # events, with its outcome.
+        wake = _Wake(env)
+        wake.callbacks.append(self._resume)
         wake._ok = result._ok
         wake._value = result._value
         wake._defused = not result._ok
@@ -170,15 +158,13 @@ class Process(Event):
     def _close(self) -> None:
         """Shut down an unfinished process (:meth:`Environment.close`).
 
-        Unhooks it from its target and from whoever waits on it, then
-        closes the generator.  The process never finishes as an event.
+        Unhooks it from the event or primitive it waits on and from
+        whoever waits on it, then closes the generator.  The process
+        never finishes as an event.
         """
         target = self._target
-        if target is not None and target.callbacks:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
+        if target is not None:
+            target._unpark(self)
         self._target = None
         self.callbacks.clear()
         self._generator.close()

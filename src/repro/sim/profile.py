@@ -6,8 +6,8 @@ When a :class:`KernelProfile` is attached, every dispatch is routed
 through :meth:`KernelProfile.dispatch`, which runs the callbacks while
 accumulating wall-clock time and a histogram bucketed by event type,
 plus a census of *where* each dispatch resumes (:func:`site_of`): the
-event type says ``Process`` (a sleep) or ``_Wake``, the site says which
-generator line slept.
+event type says ``Process`` (a bootstrap, a sleep or a parked wake),
+the site says which generator line slept or parked.
 The site is read off the event at dispatch time, so nothing is added
 where events are scheduled.
 

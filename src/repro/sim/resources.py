@@ -11,27 +11,21 @@ from collections import deque
 from typing import Any, Deque
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event, _PENDING
+from repro.sim.core import Environment, Event, _count, _park_error
 
 
-class Request(Event):
-    """A pending claim on a :class:`Resource` slot.
+class Request:
+    """A claim on a :class:`Resource` slot; release it with
+    :meth:`Resource.release`.
 
-    Fires, with value ``None``, when the slot is granted.  Must be
-    released via :meth:`Resource.release`.
+    ``waiter`` is the process queued for the slot, ``None`` once the
+    slot is granted.
     """
 
-    __slots__ = ("resource",)
+    __slots__ = ("waiter",)
 
-    def __init__(self, resource: "Resource"):
-        # Event.__init__, inlined: one request per wire chunk claimed.
-        self.env = resource.env
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self._processed = False
-        self._defused = False
-        self.resource = resource
+    def __init__(self, waiter=None):
+        self.waiter = waiter
 
 
 class Resource:
@@ -39,8 +33,9 @@ class Resource:
 
     >>> res = Resource(env, capacity=1)
     >>> def worker(env, res):
-    ...     req = res.request()
-    ...     yield req
+    ...     req = res.claim()
+    ...     if req.waiter is not None:
+    ...         yield PARKED           # busy: wait for the hand-off
     ...     yield env.timeout(1.0)     # hold the resource
     ...     res.release(req)
     """
@@ -48,10 +43,8 @@ class Resource:
     __slots__ = ("env", "capacity", "_users", "_waiting")
 
     def __init__(self, env: Environment, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.env = env
-        self.capacity = capacity
+        self.capacity = _count("capacity", capacity)
         self._users: set[Request] = set()
         self._waiting: Deque[Request] = deque()
 
@@ -65,42 +58,30 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiting)
 
-    def request(self) -> Request:
-        """Claim a slot; the returned event fires when granted."""
-        req = Request(self)
-        if len(self._users) < self.capacity:
-            self._users.add(req)
-            req.succeed(None)
-        else:
-            self._waiting.append(req)
-        return req
-
     def claim(self) -> Request:
         """Claim a slot, taking a free one in place.
 
-        A free slot is granted without touching the event queue: the
-        returned request is already *processed*
-        (``req.callbacks is None``) and the caller carries on.  Only a
-        busy resource hands back a live event to wait on, exactly as
-        :meth:`request` would::
+        A free slot is granted without touching the event queue and the
+        caller carries on.  A busy resource queues the active process
+        itself (no grant event), and the caller yields
+        :data:`~repro.sim.core.PARKED` at once::
 
             req = res.claim()
-            if req.callbacks is not None:     # busy: wait for the hand-off
-                yield req
+            if req.waiter is not None:        # busy: wait for the hand-off
+                yield PARKED
             ...
             res.release(req)
-
-        Yielding an in-place grant anyway is legal (the process resumes
-        at once); it just pays the event this method exists to save.
         """
-        if len(self._users) >= self.capacity:
-            return self.request()
-        req = Request(self)
-        self._users.add(req)
-        req._ok = True
-        req._value = None
-        req._processed = True
-        req.callbacks = None
+        if len(self._users) < self.capacity:
+            req = Request()
+            self._users.add(req)
+            return req
+        proc = self.env.active_process
+        if proc is None or proc._target is not None:
+            raise _park_error(proc, "Resource.claim()")
+        req = Request(proc)
+        self._waiting.append(req)
+        proc._target = self
         return req
 
     def release(self, req: Request) -> None:
@@ -116,7 +97,16 @@ class Resource:
         if self._waiting:
             nxt = self._waiting.popleft()
             self._users.add(nxt)
-            nxt.succeed(None)
+            # Granted: the waiter resumes where ``succeed(None)`` on a
+            # grant event would have put it.
+            self.env._cur_normal.append(nxt.waiter)
+            nxt.waiter = None
+
+    def _unpark(self, proc) -> None:
+        for req in self._waiting:
+            if req.waiter is proc:
+                self._waiting.remove(req)
+                return
 
 
 class Store:

@@ -23,16 +23,20 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.errors import SimTimeError, SimulationError
-from repro.sim.core import Environment, Event, _Expiry, _INF
+from repro.sim.core import (
+    PARKED, Environment, Event, _Expiry, _INF, _PENDING, _count, _park_error)
+
+#: What a contended :meth:`SimLock.hold` returns: ``yield from`` it
+#: yields :data:`PARKED` once.
+_QUEUED = (PARKED,)
 
 
 class SimLock:
-    """A mutex for simulated processes.
+    """A mutex for simulated processes, taken with ``yield from hold()``.
 
-    ``acquire`` returns an event that fires when the lock is granted;
-    ``hold`` is the same acquisition for ``yield from`` that takes a
-    free lock in place (no event, no generator) and parks only when
-    contended.
+    A free lock is taken in place; a busy one queues the active process
+    itself (no grant event), FIFO, and :meth:`release` hands the lock
+    over by appending the oldest waiter to the current batch.
     """
 
     __slots__ = ("env", "_locked", "_waiting", "contended_count")
@@ -40,52 +44,53 @@ class SimLock:
     def __init__(self, env: Environment):
         self.env = env
         self._locked = False
-        self._waiting: Deque[Event] = deque()
+        #: Queued processes, oldest first.
+        self._waiting: Deque = deque()
         #: Number of acquisition attempts that found the lock busy: each
-        #: contended ``acquire``/``hold`` counts once (when it queues, not
-        #: again at the hand-off).
+        #: contended ``hold`` counts once (when it queues, not again at
+        #: the hand-off).
         self.contended_count = 0
 
     @property
     def queue_length(self) -> int:
         return len(self._waiting)
 
-    def acquire(self) -> Event:
-        """Blockingly claim the lock; fires when held."""
-        ev = Event(self.env)
-        if not self._locked:
-            self._locked = True
-            ev.succeed(None)
-        else:
-            self.contended_count += 1
-            self._waiting.append(ev)
-        return ev
-
     def hold(self) -> tuple:
         """Blockingly claim the lock; ``yield from`` the result.
 
-        ``yield from lock.hold()`` is ``yield lock.acquire()`` without
-        the grant event of an uncontended acquisition: a free lock is
-        taken in place and an empty tuple comes back, so the caller
-        carries on at the same virtual time; a busy one queues behind
-        the holder and the tuple holds the hand-off event to wait on,
-        FIFO with ``acquire`` waiters.  A tuple rather than a generator:
-        nothing is left suspended between the caller and the kernel.
+        A free lock is taken in place and an empty tuple comes back, so
+        the caller carries on at the same virtual time.  A busy one
+        queues the active process behind the holder and the tuple holds
+        :data:`~repro.sim.core.PARKED`: the process resumes, holding the
+        lock, when :meth:`release` hands it over.  A tuple rather than a
+        generator: nothing is left suspended between the caller and the
+        kernel.
         """
-        if self._locked:
-            return (self.acquire(),)
-        self._locked = True
-        return ()
+        if not self._locked:
+            self._locked = True
+            return ()
+        proc = self.env.active_process
+        if proc is None or proc._target is not None:
+            raise _park_error(proc, "SimLock.hold()")
+        self.contended_count += 1
+        self._waiting.append(proc)
+        proc._target = self
+        return _QUEUED
 
     def release(self) -> None:
         """Release; hands the lock to the oldest waiter if any."""
         if not self._locked:
             raise SimulationError("release() of an unlocked SimLock")
         if self._waiting:
-            nxt = self._waiting.popleft()
-            nxt.succeed(None)  # lock stays held, ownership transfers
+            # The lock stays held: ownership transfers to the waiter,
+            # which resumes where ``succeed(None)`` on a grant would.
+            self.env._cur_normal.append(self._waiting.popleft())
         else:
             self._locked = False
+
+    def _unpark(self, proc) -> None:
+        if proc in self._waiting:
+            self._waiting.remove(proc)
 
 
 class AtomicCounter:
@@ -103,8 +108,9 @@ class AtomicCounter:
     __slots__ = ("env", "_value", "access_cost", "_lock", "access_count")
 
     def __init__(self, env: Environment, initial: int = 0, access_cost: float = 0.0):
-        if access_cost < 0:
-            raise ValueError(f"negative access_cost: {access_cost}")
+        if not 0.0 <= access_cost < _INF:
+            raise ValueError(
+                f"access_cost must be finite and >= 0, got {access_cost}")
         self.env = env
         self._value = initial
         self.access_cost = access_cost
@@ -130,20 +136,27 @@ class AtomicCounter:
             self._lock.release()
 
 
-class _Park(Event):
-    """One parked :meth:`Notify.wait`: the event the waiter yields.
+class _Park:
+    """One parked :meth:`Notify.wait`: its process and its latch.
 
-    ``set`` succeeds it directly.  Its fallback deadline sits in the
-    calendar's lane for that delay; the dispatch loop calls
-    :meth:`_expire` at the deadline only if no set got there first, and
-    that wakes the waiter and drops the park from the latch.
+    ``_value`` is pending while the process is parked; ``set`` and the
+    fallback deadline give it a value as they wake the process.  The
+    deadline sits in the calendar's lane for that delay, and the
+    dispatch loop calls :meth:`_expire` at the deadline only if no set
+    got there first (the lane's stale-deadline test reads ``_value``).
     """
 
-    __slots__ = ("_parked",)
+    __slots__ = ("_value", "_proc", "_parked")
 
     def _expire(self) -> None:
         self._parked.remove(self)
-        self.succeed(None)
+        self._value = None
+        proc = self._proc
+        proc.env._cur_normal.append(proc)
+
+    def _unpark(self, _proc) -> None:
+        if self in self._parked:
+            self._parked.remove(self)
 
 
 class Notify:
@@ -176,29 +189,43 @@ class Notify:
         if not self.pending:
             self.pending = True
             self.set_count += 1
-            for park in self._parked:
-                park.succeed(None)
-            self._parked.clear()
+            parked = self._parked
+            if parked:
+                wake = self.env._cur_normal.append
+                for park in parked:
+                    park._value = None
+                    wake(park._proc)
+                parked.clear()
 
     def consume(self) -> None:
         """Re-arm after observing a pending set (edge-triggered reset)."""
         self.pending = False
 
-    def wait(self, fallback: Optional[float] = None) -> Event:
-        """Event firing on the next set (or after ``fallback`` seconds).
+    def wait(self, fallback: Optional[float] = None):
+        """Park the active process until the next set (or for at most
+        ``fallback`` seconds); ``yield`` the result.
 
-        A set that landed before this call and has not been consumed
-        fires it immediately, so a parker can never sleep through a
-        wakeup it has not consumed.  The fallback deadline goes on the
-        calendar exactly where a ``Timeout(fallback)`` would, but in the
-        deadline lane for its delay: one tuple, and a deadline a set
-        beat is popped without a dispatch (nothing observes it).
+        Returns :data:`~repro.sim.core.PARKED`.  A set that landed
+        before this call and has not been consumed wakes the process at
+        once, so a parker can never sleep through a wakeup it has not
+        consumed.  The fallback deadline goes on the calendar exactly
+        where a ``Timeout(fallback)`` would, but in the deadline lane
+        for its delay: one tuple, and a deadline a set beat is popped
+        without a dispatch (nothing observes it).
         """
         env = self.env
-        park = _Park(env)
+        proc = env.active_process
+        if proc is None or proc._target is not None:
+            raise _park_error(proc, "Notify.wait()")
         if self.pending:
-            park.succeed(None)
-            return park
+            env._cur_normal.append(proc)
+            return PARKED
+        # Fields set here, not in an ``__init__``: one park per idle
+        # poll of every progress engine.
+        park = _Park()
+        park._value = _PENDING
+        park._proc = proc
+        park._parked = self._parked
         if fallback is not None:
             now = env._now
             when = now + fallback
@@ -217,9 +244,9 @@ class Notify:
                 env._cur_normal.append(_Expiry(park))
             else:
                 raise SimTimeError(f"fallback not >= 0: {fallback}")
-        park._parked = self._parked
         self._parked.append(park)
-        return park
+        proc._target = park
+        return PARKED
 
 
 class SimBarrier:
@@ -228,8 +255,7 @@ class SimBarrier:
     __slots__ = ("env", "parties", "_count", "_generation_event")
 
     def __init__(self, env: Environment, parties: int):
-        if parties < 1:
-            raise ValueError(f"parties must be >= 1, got {parties}")
+        parties = _count("parties", parties)
         self.env = env
         self.parties = parties
         self._count = 0

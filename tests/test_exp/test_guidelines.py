@@ -9,7 +9,8 @@ ext_serve) by CI's full fast ``repro-bench bench run``.  Two planted
 defects run through the real specs, and ``bench run`` must name the
 guideline each one breaks.  The pinned exceptions (fig06's T=32 at
 4 KiB, fig07's one QP past 2 MiB) are bands around the measured value;
-flipping the point across the baseline must break exactly that band.
+flipping the point across the baseline must break exactly that band,
+as flipping a fig08 point must break its floor under the baseline.
 """
 
 import copy
@@ -98,11 +99,11 @@ def test_bench_run_names_a_planted_defect(name, plant, broken, cached,
     assert violated[0].startswith(f"VIOLATED {name}: {broken} (mechanism: ")
 
 
-def _fig06_golden():
-    """fig06's fast payload, from the float-hex golden it must equal."""
+def _golden(name):
+    """A row's fast payload, from the float-hex golden it must equal."""
     return {"series": {label: {int(x): float.fromhex(v)
                                for x, v in series.items()}
-                       for label, series in load("fig06_mini.json").items()}}
+                       for label, series in load(f"{name}_mini.json").items()}}
 
 
 @pytest.mark.parametrize("name, label, x, pinned", [
@@ -114,8 +115,23 @@ def test_a_flipped_pinned_exception_violates_its_band(name, label, x, pinned,
     """The pinned exceptions hold as measured; the point flipped to the
     other side of the baseline (1/x) breaks that one guideline alone."""
     experiment = get_experiment(name)
-    payload = _fig06_golden() if name == "fig06" else payloads[name]
+    payload = _golden(name) if name == "fig06" else payloads[name]
     assert experiment.violations(payload) == []
     flipped = copy.deepcopy(payload)
     flipped["series"][label][x] = 1 / payload["series"][label][x]
     assert [g.name for g in experiment.violations(flipped)] == [pinned]
+
+
+def test_a_flipped_fig08_point_violates_the_baseline_floor():
+    """fig08's fast grid sits at >= 1.036x everywhere.  One point flipped
+    below the baseline (1/x) breaks the floor guideline and only it."""
+    experiment = get_experiment("fig08")
+    payload = _golden("fig08")
+    assert min(x for s in payload["series"].values()
+               for x in s.values()) > 1.03
+    assert experiment.violations(payload) == []
+    flipped = copy.deepcopy(payload)
+    flipped["series"]["4p ploggp"][16 * KiB] = \
+        1 / payload["series"]["4p ploggp"][16 * KiB]
+    assert [g.name for g in experiment.violations(flipped)] == [
+        "every aggregator >= 0.95x of part_persist at every size"]

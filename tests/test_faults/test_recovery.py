@@ -94,14 +94,26 @@ def test_to_error_flushes_both_queues(env):
 def test_to_error_wakes_slot_waiters(env):
     p = Pair(env)
     p.qp0.outstanding_rdma = NIAGARA.nic.max_outstanding_rdma
-    ev = p.qp0.wait_rdma_slot()
-    assert not ev.triggered
+    woken = []
+
+    def waiter(tag, delay):
+        yield delay
+        yield p.qp0.wait_rdma_slot()
+        woken.append((tag, env.now, p.qp0.state))
+
+    env.process(waiter("early", 0.0))
+    env.run()
+    assert woken == [] and len(p.qp0._slot_waiters) == 1
     p.qp0.to_error()
-    assert ev.triggered
-    assert p.qp0.outstanding_rdma == 0
-    # Waiting on an already-dead QP returns immediately (so pollers and
-    # pumps can observe the ERROR state instead of hanging).
-    assert p.qp0.wait_rdma_slot().triggered
+    assert p.qp0.outstanding_rdma == 0 and p.qp0._slot_waiters == []
+    # Waiting on an already-dead QP returns at once (so pollers and
+    # pumps can observe the ERROR state instead of hanging), even with
+    # its outstanding count back at the cap.
+    p.qp0.outstanding_rdma = NIAGARA.nic.max_outstanding_rdma
+    env.process(waiter("late", 1e-6))
+    env.run()
+    assert woken == [("early", 0.0, QPState.ERROR),
+                     ("late", 1e-6, QPState.ERROR)]
 
 
 def test_reconnect_walks_back_to_rts(env):

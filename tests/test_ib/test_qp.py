@@ -111,7 +111,6 @@ def test_rejected_post_takes_no_rdma_slot(pair, bad):
                 imm_data=0))
     assert pair.qp0.outstanding_rdma == 0
     assert pair.qp0.sq_depth == 0
-    assert pair.qp0.has_rdma_slot()
     # The QP still carries a full window of good writes.
     for i in range(limit):
         pair.qp1.post_recv(RecvWR(wr_id=i))
@@ -214,15 +213,22 @@ def test_slot_waiters_wake_oldest_first(pair):
     limit = pair.qp0.nic.config.nic.max_outstanding_rdma
     pair.qp0.outstanding_rdma = limit
     woken = []
+
+    def waiter(tag):
+        yield pair.qp0.wait_rdma_slot()
+        woken.append((tag, pair.env.now))
+
     for tag in range(3):
-        pair.qp0.wait_rdma_slot().callbacks.append(
-            lambda _event, tag=tag: woken.append(tag))
+        pair.env.process(waiter(tag))
+    pair.env.run()
+    assert len(pair.qp0._slot_waiters) == 3
     pair.qp0.notify_slot_free()          # still full: nobody wakes
     pair.env.run()
     assert woken == []
     pair.qp0.release_rdma_slot()
     pair.env.run()
-    assert woken == [0, 1, 2]
+    assert woken == [(0, 0.0), (1, 0.0), (2, 0.0)]
+    assert pair.qp0._slot_waiters == []
 
 
 def test_qp_numbers_unique(pair):

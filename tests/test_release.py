@@ -28,8 +28,10 @@ from repro.fleet.run import run_contended_pair, run_reconvergence
 from repro.ib.qp import QueuePair
 from repro.model.netgauge import measure_loggp
 from repro.mpi.cluster import Cluster
-from repro.sim import Environment
+from repro.sim import Environment, Notify, SimLock
+from repro.sim.core import PARKED
 from repro.units import KiB
+from tests.test_ib.conftest import Pair
 
 BANDIT = {"policy": "bandit", "counts": [2, 4], "deltas": [None],
           "epsilon": 0.3, "decay": 0.85, "bandit_seed": 3}
@@ -172,3 +174,65 @@ def test_close_unhooks_and_finalizes_without_dispatching():
     assert gate.callbacks == [] and proc.callbacks == [] and not proc.triggered
     with pytest.raises(SimulationError):
         env.run()
+
+
+def test_close_unhooks_a_process_parked_on_each_primitive():
+    """At close, a process is still queued on a lock, on a latch (with a
+    fallback deadline and without), on a busy port and on a QP at its
+    outstanding-RDMA cap: close takes each out of its queue and closes
+    it, and nothing is left for the cyclic collector."""
+    after = {}
+
+    def run():
+        env = Environment()
+        pair = Pair(env, backed=False)
+        lock, notify = SimLock(env), Notify(env)
+        port, qp = pair.qp0.egress, pair.qp0
+        qp.outstanding_rdma = qp.max_outstanding_rdma
+        closed = []
+
+        def holder():
+            yield from lock.hold()
+            grant = port.claim()
+            assert grant.waiter is None
+            yield 5.0
+
+        def parked(name, park):
+            try:
+                yield from park()
+            finally:
+                closed.append(name)
+
+        def on_lock():
+            yield from lock.hold()
+
+        def on_port():
+            if port.claim().waiter is not None:
+                yield PARKED
+
+        def on_latch(fallback):
+            yield notify.wait(fallback)
+
+        def on_slot():
+            yield qp.wait_rdma_slot()
+
+        env.process(holder())
+        for name, park in [("lock", on_lock), ("port", on_port),
+                           ("latch", lambda: on_latch(None)),
+                           ("deadline", lambda: on_latch(2.0)),
+                           ("slot", on_slot)]:
+            env.process(parked(name, park))
+        env.run(until=1.0)
+        queued = (len(lock._waiting), port.queue_length, len(notify._parked),
+                  len(qp._slot_waiters))
+        env.close()
+        pair.fabric.close()
+        after.update(queued=queued, closed=sorted(closed),
+                     left=(len(lock._waiting), port.queue_length,
+                           len(notify._parked), len(qp._slot_waiters)))
+
+    leaked = _cyclic_garbage(run)
+    assert after == {"queued": (1, 1, 2, 1),
+                     "closed": ["deadline", "latch", "lock", "port", "slot"],
+                     "left": (0, 0, 0, 0)}
+    assert not leaked, dict(leaked.most_common())

@@ -47,21 +47,21 @@ pytestmark = pytest.mark.skipif(
 #: the rows of test_event_budget.py.
 BUDGET = [
     ("persist-eager-32x512B", lambda: None, 32, 32 * 512,
-     4775, "message", 32),
+     4614, "message", 32),
     ("persist-eager-128x128B", lambda: None, 128, 128 * 128,
-     18652, "message", 128),
+     18011, "message", 128),
     ("persist-rndv-32x16KiB", lambda: None, 32, 32 * 16 * KiB,
-     9357, "message (3 WRs)", 32),
+     9186, "message (3 WRs)", 32),
     ("persist-rndv-32x1MiB", lambda: None, 32, 32 * MiB,
-     14721, "message (3 WRs)", 32),
+     13939, "message (3 WRs)", 32),
     ("fixed-T32-1qp-32x256KiB", lambda: FixedAggregation(32, 1), 32, 8 * MiB,
-     5807, "WR (1 chunk)", 32),
+     5631, "WR (1 chunk)", 32),
     ("fixed-T4-1qp-8MiB", lambda: FixedAggregation(4, 1), 32, 8 * MiB,
-     2050, "WR (8 chunks)", 4),
+     1918, "WR (8 chunks)", 4),
     ("fixed-T32-1qp-32x1MiB", lambda: FixedAggregation(32, 1), 32, 32 * MiB,
-     8207, "WR (4 chunks)", 32),
+     7903, "WR (4 chunks)", 32),
     ("ploggp-128x128B", lambda: build_module(["ploggp", {}]), 128, 128 * 128,
-     3156, "user partition", 128),
+     2771, "user partition", 128),
 ]
 
 

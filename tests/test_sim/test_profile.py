@@ -26,12 +26,13 @@ def test_profile_counts_events_by_type():
     env.run()
     assert prof.events > 0
     assert prof.stats["Timeout"].count == 20
-    # 4 bootstrap wakes.  This used to pin 4 process-completion events
+    # 4 bootstraps, each the process itself on the calendar (they were
+    # `_Wake` events).  This used to pin 4 process-completion events
     # as well: a process nobody waits on now finishes in place, so its
     # completion is no longer dispatched (and one somebody does wait on
     # still is — see the site-census test).
-    assert prof.stats["_Wake"].count == 4
-    assert "Process" not in prof.stats
+    assert prof.stats["Process"].count == 4
+    assert "_Wake" not in prof.stats
     assert prof.events == 24
     data = prof.as_dict()
     assert data["events"] == prof.events

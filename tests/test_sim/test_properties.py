@@ -97,14 +97,16 @@ def test_process_chains_accumulate_exactly(chain_length, step):
 def test_capacity_one_resource_never_overlaps(holds):
     """Mutual exclusion holds for any pattern of hold times."""
     from repro.sim import Resource
+    from repro.sim.core import PARKED
 
     env = Environment()
     res = Resource(env, capacity=1)
     intervals = []
 
     def worker(env, res, hold):
-        req = res.request()
-        yield req
+        req = res.claim()
+        if req.waiter is not None:
+            yield PARKED
         start = env.now
         yield env.timeout(hold)
         res.release(req)

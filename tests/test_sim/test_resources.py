@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment, Resource, Store
+from repro.sim.core import PARKED
 
 
 def test_resource_capacity_one_serializes():
@@ -12,8 +13,9 @@ def test_resource_capacity_one_serializes():
     log = []
 
     def worker(env, res, tag, hold):
-        req = res.request()
-        yield req
+        req = res.claim()
+        if req.waiter is not None:
+            yield PARKED
         log.append((tag, "in", env.now))
         yield env.timeout(hold)
         res.release(req)
@@ -36,8 +38,9 @@ def test_resource_capacity_n_allows_parallelism():
     finished = []
 
     def worker(env, res, tag):
-        req = res.request()
-        yield req
+        req = res.claim()
+        if req.waiter is not None:
+            yield PARKED
         yield env.timeout(1.0)
         res.release(req)
         finished.append((tag, env.now))
@@ -53,14 +56,16 @@ def test_resource_count_and_queue_length():
     res = Resource(env, capacity=1)
 
     def holder(env, res):
-        req = res.request()
-        yield req
+        req = res.claim()
+        if req.waiter is not None:
+            yield PARKED
         yield env.timeout(10.0)
         res.release(req)
 
     def checker(env, res):
         yield env.timeout(1.0)
-        req = res.request()  # queues
+        req = res.claim()  # queues this process
+        assert req.waiter is env.active_process
         assert res.count == 1
         assert res.queue_length == 1
         res.release(req)  # cancel while queued
@@ -75,7 +80,7 @@ def test_resource_count_and_queue_length():
 def test_release_unowned_request_raises():
     env = Environment()
     res = Resource(env, capacity=1)
-    req = res.request()
+    req = res.claim()
     res.release(req)
     with pytest.raises(SimulationError):
         res.release(req)
@@ -85,6 +90,14 @@ def test_capacity_must_be_positive():
     env = Environment()
     with pytest.raises(ValueError):
         Resource(env, capacity=0)
+
+
+@pytest.mark.parametrize("capacity", [float("nan"), 1.5, True])
+def test_capacity_must_be_an_integer(capacity):
+    # NaN used to be accepted, and the resource never granted a slot.
+    env = Environment()
+    with pytest.raises(ValueError, match="capacity"):
+        Resource(env, capacity=capacity)
 
 
 def test_store_fifo_order():
@@ -137,17 +150,33 @@ def test_store_len():
 def test_claim_takes_a_free_slot_without_an_event():
     env = Environment()
     res = Resource(env, capacity=1)
-    first = res.claim()
-    assert first.processed and first.callbacks is None and first.value is None
-    assert res.count == 1
-    second = res.claim()                  # busy: a live event, queued FIFO
-    assert not second.triggered and res.queue_length == 1
+    first = res.claim()                   # free: granted in place
+    assert first.waiter is None and res.count == 1
+    log = []
+
+    def second(env):
+        req = res.claim()                 # busy: this process queues
+        log.append(("queued", req.waiter is env.active_process))
+        yield PARKED
+        log.append(("granted", env.now, req.waiter, res.count))
+        res.release(req)
+
+    proc = env.process(second(env))
     env.run()                             # nothing was scheduled for `first`
-    assert env.now == 0.0 and not second.triggered
+    assert env.now == 0.0 and res.queue_length == 1 and proc._target is res
     res.release(first)
-    assert second.triggered and res.count == 1
-    res.release(second)
+    env.run()
+    assert log == [("queued", True), ("granted", 0.0, None, 1)]
     assert res.count == 0
+
+
+def test_claim_outside_a_process_raises_on_a_busy_resource():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    res.claim()
+    with pytest.raises(SimulationError, match="none is running"):
+        res.claim()
+    assert res.queue_length == 0
 
 
 def test_store_push_and_pop_are_event_free():

@@ -16,16 +16,21 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.runtime import ComputePhase, NoNoise, WorkerTeam
+from repro.errors import SimulationError
+from repro.ib.constants import QPState
+from repro.ib.qp import QueuePair
 from repro.sim.core import (
-    Environment, Event, PRIORITY_NORMAL, PRIORITY_URGENT, _Expiry, _PENDING)
+    PARKED, Environment, Event, PRIORITY_NORMAL, PRIORITY_URGENT, _Expiry,
+    _PENDING)
 from repro.sim.process import Process
-from repro.sim.resources import Resource, Store
-from repro.sim.sync import Notify, SimLock
+from repro.sim.resources import Request, Resource, Store
+from repro.sim.sync import AtomicCounter, Notify, SimLock, _Park
 
 _counter = itertools.count()
 
@@ -207,6 +212,10 @@ def test_process_sleep_workload_matches_reference():
 #   shared object was granted, which is what those cases compare; the
 #   interleaving of *different* processes inside one timestamp is the one
 #   thing it is allowed to move.
+# * A contended lock or resource wakes its queued process directly where
+#   the grant event went, so those two cases compare everything, the
+#   dispatch log included, against the evented copies patched in by
+#   ``_with_grant_events`` (defined with the direct-wake cases below).
 
 #: Quantized so that wakeups collide on a timestamp all the time.
 _THINK = [0.0, 0.0, 1e-6, 1e-6, 2e-6, 5e-6]
@@ -220,13 +229,16 @@ def _per_process(trace):
     return out
 
 
-def _contenders(seed, make, n_procs=8, n_rounds=12):
+def _contenders(seed, make, n_procs=8, n_rounds=12, log=False):
     """N processes think, take the shared object, hold it, release it.
 
     ``make(env)`` builds the shared object and returns it with its
     ``acquire()`` process body (returning a token) and ``release(token)``.
+    With ``log``, also returns the run's :class:`_ResumeLog` entries.
     """
     env = Environment()
+    if log:
+        env._profile = _ResumeLog()
     shared, acquire, release = make(env)
     trace: list = []
     master = random.Random(seed)
@@ -243,29 +255,31 @@ def _contenders(seed, make, n_procs=8, n_rounds=12):
         env.process(worker(name, random.Random(master.randrange(1 << 30))))
     env.run()
     assert len(trace) == n_procs * n_rounds
+    if log:
+        return (trace, env.now, shared), env._profile.log
     return trace, env.now, shared
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42])
 def test_lock_hold_matches_evented_acquire(seed):
-    def make(inplace):
-        def build(env):
-            lock = SimLock(env)
+    """A contended ``hold`` wakes the queued process itself; today's
+    evented copy succeeds a grant event.  Same dispatches, same trace."""
+    def build(env):
+        lock = SimLock(env)
 
-            def acquire():
-                if inplace:
-                    yield from lock.hold()
-                else:
-                    yield lock.acquire()
+        def acquire():
+            yield from lock.hold()
 
-            return lock, acquire, lambda _token: lock.release()
-        return build
+        return lock, acquire, lambda _token: lock.release()
 
-    old_trace, old_end, old_lock = _contenders(seed, make(inplace=False))
-    new_trace, new_end, new_lock = _contenders(seed, make(inplace=True))
+    (old_trace, old_end, old_lock), old_log = _with_grant_events(
+        lambda: _contenders(seed, build, log=True))
+    (new_trace, new_end, new_lock), new_log = _contenders(seed, build,
+                                                          log=True)
     # One lock: the grant order is the whole story, so the global trace
     # (who held it, in what order, at what time) matches.
     assert new_trace == old_trace
+    assert new_log == old_log
     assert new_end == old_end
     assert new_lock.contended_count == old_lock.contended_count > 0
 
@@ -273,51 +287,27 @@ def test_lock_hold_matches_evented_acquire(seed):
 @pytest.mark.parametrize("capacity", [1, 3])
 @pytest.mark.parametrize("seed", [0, 1, 7, 42])
 def test_resource_claim_matches_evented_request(seed, capacity):
-    def make(inplace):
-        def build(env):
-            res = Resource(env, capacity=capacity)
+    def build(env):
+        res = Resource(env, capacity=capacity)
 
-            def acquire():
-                if inplace:
-                    req = res.claim()
-                    if req.callbacks is not None:
-                        yield req
-                else:
-                    req = res.request()
-                    yield req
-                assert req in res._users and req.processed
-                return req
+        def acquire():
+            req = res.claim()
+            if req.waiter is not None:
+                yield PARKED
+            assert req in res._users and req.waiter is None
+            return req
 
-            return res, acquire, res.release
-        return build
+        return res, acquire, res.release
 
-    old_trace, old_end, old_res = _contenders(seed, make(inplace=False))
-    new_trace, new_end, new_res = _contenders(seed, make(inplace=True))
+    (old_trace, old_end, old_res), old_log = _with_grant_events(
+        lambda: _contenders(seed, build, log=True))
+    (new_trace, new_end, new_res), new_log = _contenders(seed, build,
+                                                         log=True)
     assert new_res.count == old_res.count == 0
     assert _per_process(new_trace) == _per_process(old_trace)
-    if capacity == 1:
-        # One slot: as for the lock.  (With several, two slots granted
-        # in one timestamp log in the order their holders carried on —
-        # the interleaving that is allowed to move.)
-        assert new_trace == old_trace
+    assert new_trace == old_trace
+    assert new_log == old_log
     assert new_end == old_end
-
-
-def test_yielding_an_in_place_grant_is_still_legal():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    seen = []
-
-    def worker(env):
-        req = res.claim()
-        assert req.callbacks is None
-        got = yield req                      # already processed: resumes at once
-        seen.append((got is None, env.now))
-        res.release(req)
-
-    env.process(worker(env))
-    env.run()
-    assert seen == [(True, 0.0)]
 
 
 def _pipeline(seed, produce, consume, n_items=60):
@@ -518,7 +508,7 @@ def test_worker_team_countdown_matches_all_of(seed):
 
         def body(tid):
             for hold in plans[tid]:
-                yield lock.acquire()
+                yield from lock.hold()
                 trace.append((tid, env.now))
                 yield hold
                 lock.release()
@@ -674,6 +664,8 @@ class _ReferenceEnvironment(Environment):
 
 
 def _waiters(event):
+    if type(event) is _Park:
+        return (event._proc.name,)
     return tuple(getattr(getattr(cb, "__self__", None), "name", "?")
                  for cb in event.callbacks or ())
 
@@ -692,7 +684,9 @@ class _DispatchLog:
         elif getattr(callbacks[0], "label", None):
             what = callbacks[0].label      # a reference NIC Timeout stage
         elif isinstance(event, Process) and event._value is _PENDING:
-            what = ("sleep", event.name)
+            # A woken process still names the primitive it parked on.
+            what = ("wake" if event._target is not None else "sleep",
+                    event.name)
         elif type(event).__name__ == "_Delivery":
             what = ("delivery", event.stage, event.qp.qp_num, event.wr.wr_id)
         elif type(event).__name__ == "_RecvCompletion":
@@ -773,7 +767,7 @@ def test_lane_deadlines_match_reference(seed):
     assert real == ref
     assert real_end == ref_end
     kinds = {what[0] for _, what in real}
-    assert {"expire", "sleep", "Timeout", "_Park"} <= kinds
+    assert {"expire", "sleep", "Timeout", "wake"} <= kinds
 
 
 def test_trailing_stale_deadlines_leave_the_clock_where_the_reference_does():
@@ -1000,7 +994,400 @@ def test_harness_catches_a_lane_staged_ahead_of_a_lower_seq_heap_entry(
 
     (real, _), (ref, _) = _both(collision)
     assert real == ref
-    assert [what[0] for _, what in real][-3:] == ["sleep", "expire", "_Park"]
+    assert [what[0] for _, what in real][-3:] == ["sleep", "expire", "wake"]
     monkeypatch.setattr(Environment, "_open_deadlines", stage_lanes_first)
     (real, _), (ref, _) = _both(collision)
     assert real != ref
+
+
+# -- direct wakes against the grant events they replace --------------------
+#
+# A primitive that wakes exactly one known process (a lock hand-off, a
+# latch set or a due park deadline, a port grant, a freed RDMA slot)
+# appends that process itself to the current batch, where
+# ``succeed(None)`` on a grant event went before.  Each case runs one
+# randomized workload twice: on the primitives as they are, and under
+# :func:`_with_grant_events`, which swaps in test-local copies of the
+# evented primitives they replaced.  The dispatch logs must match entry
+# for entry (a dispatch that resumes a process logs as
+# ``("resume", name)`` whether an event or the process itself was on
+# the calendar), and so must every process's resume times and every
+# grant order.
+
+
+class _ResumeLog:
+    """A ``KernelProfile`` stand-in: ``(time, what)`` per dispatch, and
+    the direct wakes counted by the primitive the process parked on."""
+
+    def __init__(self):
+        self.log = []
+        self.wakes: dict = {}
+
+    def dispatch(self, now, event, callbacks):
+        owner = getattr(callbacks[0], "__self__", None) if callbacks else None
+        if isinstance(owner, Process):
+            what = ("resume", owner.name)
+            if event is owner and owner._target is not None:
+                kind = type(owner._target).__name__
+                self.wakes[kind] = self.wakes.get(kind, 0) + 1
+        else:
+            what = (type(event).__name__,)
+        self.log.append((now, what))
+        for callback in callbacks:
+            callback(event)
+
+
+def _grant_event(env, cls=Event):
+    """What a park was before: a fresh event the active process waits
+    on, hooked up exactly as ``yield event`` hooks it up."""
+    proc = env.active_process
+    event = cls(env)
+    event.callbacks.append(proc._resume)
+    proc._target = event
+    return event
+
+
+def _evented_hold(lock):
+    if not lock._locked:
+        lock._locked = True
+        return ()
+    lock.contended_count += 1
+    lock._waiting.append(_grant_event(lock.env))
+    return (PARKED,)
+
+
+def _evented_release(lock):
+    if not lock._locked:
+        raise SimulationError("release() of an unlocked SimLock")
+    if lock._waiting:
+        lock._waiting.popleft().succeed(None)
+    else:
+        lock._locked = False
+
+
+class _EventPark(Event):
+    """The event a parked ``Notify.wait`` was: the set succeeds it, a
+    due lane deadline expires it."""
+
+    __slots__ = ("_parked",)
+
+    def _expire(self):
+        self._parked.remove(self)
+        self.succeed(None)
+
+
+def _evented_wait(notify, fallback=None):
+    env = notify.env
+    park = _grant_event(env, _EventPark)
+    if notify.pending:
+        park.succeed(None)
+        return PARKED
+    if fallback is not None:
+        when = env._now + fallback
+        if when > env._now:
+            lane = env._lanes.setdefault(fallback, deque())
+            env._lane_next = min(env._lane_next, when)
+            seq = env._seq
+            env._seq = seq + 1
+            lane.append((when, seq, park))
+        else:
+            env._cur_normal.append(_Expiry(park))
+    park._parked = notify._parked
+    notify._parked.append(park)
+    return PARKED
+
+
+def _evented_set(notify):
+    if not notify.pending:
+        notify.pending = True
+        notify.set_count += 1
+        for park in notify._parked:
+            park.succeed(None)
+        notify._parked.clear()
+
+
+def _evented_claim(res):
+    req = Request()
+    if len(res._users) < res.capacity:
+        res._users.add(req)
+        return req
+    req.waiter = _grant_event(res.env)    # not None: the caller parks
+    res._waiting.append(req)
+    return req
+
+
+def _evented_release_slot(res, req):
+    if req in res._users:
+        res._users.remove(req)
+    elif req in res._waiting:
+        res._waiting.remove(req)
+        return
+    else:
+        raise SimulationError("release() of a request that holds no slot")
+    if res._waiting:
+        nxt = res._waiting.popleft()
+        res._users.add(nxt)
+        grant, nxt.waiter = nxt.waiter, None
+        grant.succeed(None)
+
+
+def _evented_wait_rdma_slot(qp):
+    grant = _grant_event(qp.nic.env)
+    if (qp.state is QPState.ERROR
+            or qp.outstanding_rdma < qp.max_outstanding_rdma):
+        grant.succeed(None)
+    else:
+        qp._slot_waiters.append(grant)
+    return PARKED
+
+
+def _evented_notify_slot_free(qp):
+    waiters = qp._slot_waiters
+    while waiters and qp.outstanding_rdma < qp.max_outstanding_rdma:
+        waiters.pop(0).succeed(None)
+
+
+_GRANT_EVENTS = [
+    (SimLock, "hold", _evented_hold),
+    (SimLock, "release", _evented_release),
+    (Notify, "wait", _evented_wait),
+    (Notify, "set", _evented_set),
+    (Resource, "claim", _evented_claim),
+    (Resource, "release", _evented_release_slot),
+    (QueuePair, "wait_rdma_slot", _evented_wait_rdma_slot),
+    (QueuePair, "notify_slot_free", _evented_notify_slot_free),
+]
+
+
+def _with_grant_events(run):
+    """``run()`` with every parking primitive's evented copy patched in."""
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, name, evented in _GRANT_EVENTS:
+            patch.setattr(cls, name, evented)
+        return run()
+
+
+class _EarlyWake(deque):
+    """A planted bug in every wake: a woken process (one that still names
+    the primitive it parked on) jumps its batch, into the urgent deque
+    or to the head of the normal one."""
+
+    def __init__(self, env, where):
+        super().__init__()
+        self.env = env
+        self.where = where
+
+    def append(self, entry):
+        if isinstance(entry, Process) and entry._target is not None:
+            if self.where == "urgent":
+                self.env._cur_urgent.append(entry)
+            else:
+                self.appendleft(entry)
+        else:
+            super().append(entry)
+
+
+#: Binary-fraction times: sums are exact, so wakes land on the very
+#: timestamps of sleeps, deadlines and other wakes.
+_TICK = 2.0 ** -20
+
+
+def _mixed(env, trace, rng):
+    """Eight processes contend for two locks, an atomic counter and a
+    two-slot resource, and park on two latches: with no fallback, a
+    zero one, short ones that come due (live lane deadlines) and long
+    ones a set beats (stale ones).  Sets land in the timestamps of
+    deadlines, of lock hand-offs and of each other."""
+    locks = [SimLock(env), SimLock(env)]
+    counter = AtomicCounter(env, access_cost=_TICK)
+    res = Resource(env, capacity=2)
+    latches = [Notify(env), Notify(env)]
+
+    def proc(name, rng):
+        for _ in range(16):
+            roll = rng.random()
+            if roll < 0.2:
+                lock = rng.choice(locks)
+                yield from lock.hold()
+                trace.append((name, env.now, "lock", locks.index(lock)))
+                yield _TICK * rng.choice([1, 1, 2, 3])
+                lock.release()
+            elif roll < 0.3:
+                value = yield from counter.add_and_fetch(1)
+                trace.append((name, env.now, "counter", value))
+            elif roll < 0.45:
+                req = res.claim()
+                if req.waiter is not None:
+                    yield PARKED
+                trace.append((name, env.now, "slot"))
+                yield _TICK * rng.choice([1, 2, 4])
+                res.release(req)
+            elif roll < 0.75:
+                latch = rng.choice(latches)
+                if latch.pending:
+                    latch.consume()
+                yield latch.wait(rng.choice(
+                    [None, 0.0, _TICK, 2 * _TICK, 4 * _TICK, 1.0]))
+                trace.append((name, env.now, "woke", latches.index(latch)))
+            elif roll < 0.85:
+                rng.choice(latches).set()
+                trace.append((name, env.now, "set"))
+                yield _TICK * rng.choice([0, 1, 2])
+            elif roll < 0.93:
+                yield _TICK * rng.choice([0, 1, 2, 4])
+            else:
+                yield env.timeout(_TICK * rng.choice([0, 1, 2]))
+
+    def kicker():
+        # Ends the None-fallback parks and stales the long deadlines.
+        for _ in range(400):
+            yield 4 * _TICK
+            latches[0].set()
+            latches[1].set()
+
+    for i in range(8):
+        Process(env, proc(f"p{i}", random.Random(rng.randrange(1 << 30))),
+                name=f"p{i}")
+    Process(env, kicker(), name="kicker")
+
+
+def _ports(env, trace, rng):
+    """Three QP pairs on one port of a two-node fabric post bursts of
+    one- to many-chunk RDMA writes past the outstanding-RDMA cap: their
+    send engines contend for the egress port, the posters park for
+    RDMA slots, and one QP dies mid-stream (its parked poster wakes on
+    the ERROR transition, and a wait on the dead QP returns at once)."""
+    from dataclasses import replace
+
+    from repro.config import NIAGARA
+    from repro.ib import verbs
+    from repro.ib.constants import Opcode
+    from repro.ib.wr import SGE, RecvWR, SendWR
+    from tests.test_ib.conftest import Pair
+
+    config = replace(
+        NIAGARA,
+        nic=replace(NIAGARA.nic, line_rate=2.0 ** 30, qp_rate=2.0 ** 30,
+                    t_wqe=_TICK, t_pkt=_TICK / 8, t_cqe=_TICK),
+        link=replace(NIAGARA.link, latency=8 * _TICK))
+    pair = Pair(env, config=config, bufsize=128 * 1024, backed=False)
+    qps = [(pair.qp0, pair.qp1)]
+    for _ in range(2):
+        send = verbs.ibv_create_qp(pair.ctx0, pair.pd0, pair.cq0, pair.cq0)
+        recv = verbs.ibv_create_qp(pair.ctx1, pair.pd1, pair.cq1, pair.cq1)
+        verbs.connect_qps(send, recv)
+        qps.append((send, recv))
+    assert len({send.egress for send, _ in qps}) == 1
+
+    def poster(name, send, recv, rng):
+        for n in range(28):
+            yield _TICK * rng.choice([0, 0, 1, 2])
+            while send.outstanding_rdma >= send.max_outstanding_rdma:
+                yield send.wait_rdma_slot()
+                trace.append((name, env.now, "slot", send.state.value))
+            if send.state is not QPState.RTS:
+                trace.append((name, env.now, "dead"))
+                yield send.wait_rdma_slot()     # a dead QP: at once
+                trace.append((name, env.now, "dead"))
+                return
+            nbytes = rng.choice([512, 8192, 40_000, 100_000])
+            recv.post_recv(RecvWR(wr_id=n))
+            send.post_send(SendWR(
+                wr_id=n, opcode=Opcode.RDMA_WRITE_WITH_IMM,
+                sg_list=[SGE(pair.send_mr.addr, nbytes, pair.send_mr.lkey)],
+                remote_addr=pair.recv_mr.addr, rkey=pair.recv_mr.rkey,
+                imm_data=n, signaled=rng.random() < 0.5))
+            trace.append((name, env.now, "posted", n))
+
+    def killer():
+        yield 600 * _TICK
+        qps[2][0].to_error()
+        trace.append(("killer", env.now))
+
+    def metronome():
+        # An entry on every tick's timestamp: a wake that jumps its
+        # batch jumps this too.
+        for _ in range(3000):
+            yield _TICK
+
+    for i, (send, recv) in enumerate(qps):
+        Process(env, poster(f"poster{i}", send, recv,
+                            random.Random(rng.randrange(1 << 30))),
+                name=f"poster{i}")
+    Process(env, killer(), name="killer")
+    Process(env, metronome(), name="metronome")
+
+
+_WAKE_WORKLOADS = {"mixed": _mixed, "ports": _ports}
+
+
+def _wake_run(workload, seed, plant=None):
+    """``(dispatch log, trace, end time, wakes)`` of one run."""
+    env = Environment()
+    env._profile = _ResumeLog()
+    if plant is not None:
+        env._cur_normal = _EarlyWake(env, plant)
+    trace: list = []
+    workload(env, trace, random.Random(seed))
+    env.run()
+    return env._profile.log, trace, env.now, env._profile.wakes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("workload", sorted(_WAKE_WORKLOADS))
+def test_direct_wakes_match_grant_events(workload, seed):
+    run = _WAKE_WORKLOADS[workload]
+    old_log, old_trace, old_end, _ = _with_grant_events(
+        lambda: _wake_run(run, seed))
+    new_log, new_trace, new_end, wakes = _wake_run(run, seed)
+    assert _per_process(r[:2] for r in new_trace) == \
+        _per_process(r[:2] for r in old_trace)
+    assert new_trace == old_trace           # grant order included
+    assert new_log == old_log
+    assert new_end == old_end
+    # Every primitive of the workload did wake a parked process.
+    kinds = {what[0] for _, what in new_log}
+    if workload == "mixed":
+        assert {"SimLock", "_Park", "Resource"} <= set(wakes)
+        # Live deadlines came due, and sets beat others (stale ones).
+        assert "_Expiry" in kinds
+        assert wakes["_Park"] > sum(what == ("_Expiry",)
+                                    for _, what in new_log)
+    else:
+        assert {"Resource", "QueuePair"} <= set(wakes)
+        assert ("poster2", "dead") in [r[::2] for r in new_trace]
+
+
+@pytest.mark.parametrize("plant", ["urgent", "head"])
+@pytest.mark.parametrize("workload", sorted(_WAKE_WORKLOADS))
+def test_harness_catches_a_wake_out_of_turn(workload, plant):
+    """The planted bug: a woken process jumps its batch."""
+    run = _WAKE_WORKLOADS[workload]
+    old_log, old_trace, _, _ = _with_grant_events(lambda: _wake_run(run, 0))
+    new_log, new_trace, _, _ = _wake_run(run, 0, plant=plant)
+    assert new_log != old_log
+
+
+def test_a_parked_process_resumes_with_none_off_the_calendar():
+    env = Environment()
+    lock = SimLock(env)
+    seen = []
+
+    def holder():
+        yield from lock.hold()
+        yield 1.0
+        lock.release()
+
+    def waiter():
+        parts = lock.hold()
+        assert parts == (PARKED,)
+        seen.append((yield parts[0]))
+
+    env.process(holder())
+    env.process(waiter())
+    env.run(until=0.5)
+    # The waiter is queued on the lock only: the heap holds the holder's
+    # sleep and nothing else.
+    assert len(env._heap) == 1 and list(lock._waiting)[0].name == "waiter"
+    env.run()
+    assert seen == [None] and env.now == 1.0

@@ -41,15 +41,15 @@ def _instances():
     yield env.process(_body(env))
     yield AllOf(env, [env.event()])
     yield resource
-    yield resource.request()
+    yield resource.claim()
     yield Store(env)
     yield SimLock(env)
     yield AtomicCounter(env)
     yield Notify(env)
     yield SimBarrier(env, parties=1)
     # _Park replaced _Race when Notify stopped racing a latch against a
-    # timer: the parked event is the one the waiter yields.
-    yield _Park(env)
+    # timer; it is a record of the parked process now, not an event.
+    yield _Park()
     yield sge
     yield SendWR(wr_id=1, opcode=Opcode.RDMA_WRITE, sg_list=[sge])
     yield RecvWR(wr_id=2)

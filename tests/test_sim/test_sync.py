@@ -1,5 +1,7 @@
 """Tests for SimLock / AtomicCounter / SimBarrier / Notify."""
 
+from collections import deque
+
 import pytest
 
 from repro.errors import SimTimeError, SimulationError
@@ -18,7 +20,7 @@ def test_lock_mutual_exclusion():
     inside = []
 
     def critical(env, lock, tag):
-        yield lock.acquire()
+        yield from lock.hold()
         inside.append((tag, "enter", env.now))
         yield env.timeout(1.0)
         inside.append((tag, "exit", env.now))
@@ -48,7 +50,7 @@ def test_lock_contention_counted():
     lock = SimLock(env)
 
     def worker(env, lock):
-        yield lock.acquire()
+        yield from lock.hold()
         yield env.timeout(1.0)
         lock.release()
 
@@ -80,28 +82,65 @@ def test_contended_count_is_one_per_contended_acquisition(n):
     assert order == [(tag, float(tag)) for tag in range(n)]  # FIFO hand-off
 
 
-def test_hold_and_acquire_waiters_share_one_fifo():
+def test_contended_hold_parks_the_process_itself():
+    """A contended ``hold`` queues the process, not a grant event, and
+    the release hands the lock to it at the releaser's timestamp."""
     env = Environment()
     lock = SimLock(env)
-    order = []
+    log = []
 
-    def evented(env, tag):
-        yield lock.acquire()
-        order.append(tag)
-        yield env.timeout(1.0)
-        lock.release()
-
-    def inplace(env, tag):
+    def worker(env, tag):
         yield from lock.hold()
-        order.append(tag)
-        yield env.timeout(1.0)
+        log.append((tag, env.now))
+        yield 1.0
         lock.release()
 
-    for tag, body in enumerate([evented, inplace, evented, inplace]):
-        env.process(body(env, tag))
+    first = env.process(worker(env, "a"))
+    second = env.process(worker(env, "b"))
+    env.run(until=0.5)
+    assert list(lock._waiting) == [second] and second._target is lock
+    assert first._target is None            # sleeping: on the calendar
     env.run()
-    assert order == [0, 1, 2, 3]
-    assert lock.contended_count == 3
+    assert log == [("a", 0.0), ("b", 1.0)]
+    assert second._target is None and not lock._waiting
+    assert not lock._locked
+
+
+def test_parking_outside_a_process_raises():
+    env = Environment()
+    lock = SimLock(env)
+    assert lock.hold() == ()                # a free lock needs no process
+    with pytest.raises(SimulationError, match="none is running"):
+        lock.hold()
+    with pytest.raises(SimulationError, match="none is running"):
+        Notify(env).wait(1.0)
+    assert lock._waiting == deque() and env.peek() == float("inf")
+
+
+def test_a_process_parks_on_one_primitive_at_a_time():
+    env = Environment()
+    lock = SimLock(env)
+    notify = Notify(env)
+    caught = []
+
+    def holder(env):
+        yield from lock.hold()
+        yield 1.0
+        lock.release()
+
+    def confused(env):
+        lock.hold()                         # queued, but never yields
+        try:
+            notify.wait(1.0)
+        except SimulationError as exc:
+            caught.append(str(exc))
+        yield 0.0
+
+    env.process(holder(env))
+    env.process(confused(env))
+    env.run(until=0.5)
+    assert len(caught) == 1 and "already queued" in caught[0]
+    assert notify._parked == []
 
 
 def test_atomic_counter_serializes_with_cost():
@@ -143,6 +182,14 @@ def test_atomic_counter_negative_cost_rejected():
         AtomicCounter(env, access_cost=-1.0)
 
 
+@pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+def test_atomic_counter_non_finite_cost_rejected(cost):
+    # NaN used to pass the ``< 0`` test and charge nothing.
+    env = Environment()
+    with pytest.raises(ValueError, match="access_cost"):
+        AtomicCounter(env, access_cost=cost)
+
+
 def test_barrier_releases_all_at_once():
     env = Environment()
     barrier = SimBarrier(env, parties=3)
@@ -182,6 +229,15 @@ def test_barrier_parties_validation():
     env = Environment()
     with pytest.raises(ValueError):
         SimBarrier(env, parties=0)
+
+
+@pytest.mark.parametrize("parties", [2.5, float("nan"), True, "2"])
+def test_barrier_parties_must_be_an_integer(parties):
+    # A fractional count used to be accepted, and the barrier never
+    # released.
+    env = Environment()
+    with pytest.raises(ValueError, match="parties"):
+        SimBarrier(env, parties=parties)
 
 
 # -- Notify: the progress engine's park/kick latch -------------------------
@@ -262,8 +318,17 @@ def test_notify_drops_a_park_when_its_fallback_expires():
 def test_notify_wait_rejects_a_bad_fallback(fallback):
     env = Environment()
     notify = Notify(env)
-    with pytest.raises(SimTimeError):
-        notify.wait(fallback)
+    caught = []
+
+    def waiter(env):
+        with pytest.raises(SimTimeError) as info:
+            notify.wait(fallback)
+        caught.append(info.value)
+        yield 0.0
+
+    proc = env.process(waiter(env))
+    env.run()
+    assert len(caught) == 1 and proc._target is None
     assert notify._parked == [] and env.peek() == float("inf")
 
 

@@ -21,12 +21,11 @@ from repro.lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "pair": ("PairBenchResult", "IterationRecord", "run_partitioned_pair"),
-    "overhead": ("OverheadResult", "run_overhead", "overhead_speedup_series"),
+    "overhead": ("OverheadResult", "run_overhead"),
     "perceived": ("PerceivedResult", "run_perceived_bandwidth"),
     "sweep": ("SweepResult", "run_sweep"),
     "halo": ("HaloResult", "run_halo"),
     "coll": ("PcollResult", "run_pallreduce"),
-    "reporting": ("format_table", "format_speedup_series"),
 })
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "run_partitioned_pair",
     "OverheadResult",
     "run_overhead",
-    "overhead_speedup_series",
     "PerceivedResult",
     "run_perceived_bandwidth",
     "SweepResult",
@@ -44,6 +42,4 @@ __all__ = [
     "run_halo",
     "PcollResult",
     "run_pallreduce",
-    "format_table",
-    "format_speedup_series",
 ]

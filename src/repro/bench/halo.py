@@ -17,6 +17,7 @@ from typing import Callable, Optional, Union
 from repro.config import ClusterConfig
 from repro.core.aggregators import Aggregator
 from repro.core.module import spec_for
+from repro.errors import ConfigError
 from repro.mem.buffer import PartitionedBuffer, partition_size_of
 from repro.mpi.cluster import Cluster
 from repro.mpi.modules import ModuleSpec
@@ -52,9 +53,9 @@ def run_halo(
     topology=None,
 ) -> HaloResult:
     """Run the halo pattern (None module = part_persist baseline)."""
+    if len(grid) != 2 or min(grid) < 1:
+        raise ConfigError(f"bad 2-D grid {grid}")
     px, py = grid
-    if px < 1 or py < 1:
-        raise ValueError(f"bad grid {grid}")
     partition_size = partition_size_of(face_bytes, n_threads)
     n_ranks = px * py
     with Cluster(n_nodes=n_ranks, config=config,

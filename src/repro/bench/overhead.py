@@ -9,7 +9,7 @@ baseline at the same workload, exactly as the paper's figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from repro.bench.pair import PairBenchResult, run_partitioned_pair
 from repro.config import ClusterConfig
@@ -58,33 +58,3 @@ def run_overhead(
         mean_time=result.mean_time,
         result=result,
     )
-
-
-def overhead_speedup_series(
-    module: Union[Aggregator, ModuleSpec, Callable[[], ModuleSpec]],
-    n_user: int,
-    sizes: Sequence[int],
-    iterations: int = 100,
-    warmup: int = 10,
-    config: Optional[ClusterConfig] = None,
-    baseline_cache: Optional[dict] = None,
-) -> dict[int, float]:
-    """Speedup over ``part_persist`` across message sizes (a Fig. 6-8 line).
-
-    ``baseline_cache`` (size -> mean time) lets several series share one
-    baseline sweep, as the figures do.
-    """
-    speedups: dict[int, float] = {}
-    cache = baseline_cache if baseline_cache is not None else {}
-    for size in sizes:
-        if size not in cache:
-            cache[size] = run_overhead(
-                None, n_user=n_user, total_bytes=size,
-                iterations=iterations, warmup=warmup, config=config,
-            ).mean_time
-        ours = run_overhead(
-            module, n_user=n_user, total_bytes=size,
-            iterations=iterations, warmup=warmup, config=config,
-        ).mean_time
-        speedups[size] = cache[size] / ours
-    return speedups

@@ -1,133 +1,64 @@
 """Command-line interface: run reproduction experiments from the shell.
 
-Installed as ``repro-bench`` (or ``python -m repro.cli``)::
+Installed as ``repro-bench`` (or ``python -m repro.cli``).  ``point``
+runs one measurement point of any kind (a row of ``repro.exp.kinds``)
+through the scenario key, point cache and validator the registered
+experiments use, and prints ``{kind, params, metrics}`` as sorted JSON.
+A value is JSON where it parses, else a size (``64KiB``), time (``4ms``)
+or grid (``4x4``) literal; a wrong kind, key or value is a usage error
+(exit 2) that names what the kind accepts::
 
-    repro-bench table1
-    repro-bench model --delay-ms 4
-    repro-bench overhead --n-user 32 --sizes 64KiB,512KiB,4MiB
-    repro-bench perceived --n-user 32 --sizes 8MiB,32MiB
-    repro-bench sweep --grid 4x4 --sizes 256KiB,1MiB --noise 0.01
-    repro-bench stencil --grid 4x4 --faces 64KiB,4KiB --aggregator per-edge
-    repro-bench netgauge --sizes 4KiB,64KiB,1MiB
-    repro-bench tuning-table --n-user 16 --sizes 64KiB,1MiB
+    repro-bench point table1
+    repro-bench point model_curve sizes=16KiB,4MiB n=32 delay=4ms
+    repro-bench point overhead module='["ploggp",{"delay":0.004}]' \
+        n_user=32 total_bytes=64KiB iterations=20 warmup=3
+    repro-bench point perceived module='["timer",{"delta":3.5e-05}]' \
+        n_user=32 total_bytes=8MiB compute=100ms noise_fraction=0.04
+    repro-bench point sweep module='["ploggp"]' grid=8x8 n_threads=16 \
+        total_bytes=256KiB compute=1ms noise_fraction=0.01
+    repro-bench point stencil grid=4x4 n_threads=4 n_partitions=32 \
+        face_bytes=64KiB,4KiB per_edge='{"counts":[2,8,32],"deltas":[null]}'
+    repro-bench point netgauge sizes=4KiB,64KiB,1MiB
+    repro-bench point tuning_table n_user=16 total_bytes=64KiB
+    repro-bench point fleet_rank level=1 \
+        module='["fixed",{"n_transport":4,"n_qps":2}]'
+    repro-bench point fleet placement=spread \
+        jobs='[{"name":"pair0"},{"name":"halo1","kind":"halo","n_ranks":3}]'
+    repro-bench point fleet_autotune autotune='{"counts":[4,16],"window":4}'
+    repro-bench point serve_bench n_clients=400 n_requests=4000 zipf_s=1.1
+
+Speedups over ``part_persist``, Table I against the paper, the fleet's
+contention ranking and its re-tuning verdicts are the registered
+experiments' series and guidelines (``docs/BENCHMARKS.md``); ``bench
+run`` exits 1 when a run breaks a guideline::
+
+    repro-bench bench list
+    repro-bench bench run fig06 fig08 table1 ext_fleet --profile fast
+    repro-bench bench compare BENCH_fig06.json baseline/BENCH_fig06.json
+
+``plan`` renders the communication-plan IR of an experiment's points
+(``docs/PLAN_IR.md``), and the rest own stores and campaigns::
+
+    repro-bench plan show fig08 --profile fast
+    repro-bench plan diff fig08 --baseline-profile paper
     repro-bench autotune tune --sizes 256KiB,2MiB --store results/store
     repro-bench autotune show --store results/store
     repro-bench serve stats --root results/serve-store
     repro-bench serve warm --root results/serve-store --source results/store
-    repro-bench serve bench --clients 400 --requests 4000 --zipf 1.1
     repro-bench chaos --runs 50 --seed 7 --ladder --bundle-dir results/chaos
-    repro-bench fleet rank --levels 0,1,2 --transports 4,8,16
-    repro-bench fleet profile --jobs pair:2,halo:3 --background 1
-    repro-bench fleet retune --policy bandit --trajectory
-
-The registered paper experiments run through the ``bench`` group
-(see ``docs/BENCHMARKS.md``)::
-
-    repro-bench bench list
-    repro-bench bench run fig06 fig08 --profile fast --jobs 4
-    repro-bench bench compare BENCH_fig06.json baseline/BENCH_fig06.json
-
-and the ``plan`` group renders the communication-plan IR each
-experiment's points lower to (see ``docs/PLAN_IR.md``)::
-
-    repro-bench plan show fig08 --profile fast
-    repro-bench plan diff fig08 --baseline-profile paper
-    repro-bench plan diff ext_stencil ext_autotune
-
-Sizes accept ``B``/``KiB``/``MiB``/``GiB`` suffixes.  Results print as
-plain-text tables; ``bench run`` also writes versioned JSON artifacts
-and exits 1 when a run breaks one of its experiment's guidelines.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import json
 import os
 import sys
 from typing import Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.units import KiB, MiB, GiB, fmt_bytes, fmt_time, ms, us
-
-
-def parse_size(text: str) -> int:
-    """'64KiB' -> 65536; an argparse ``type=`` (bad text is usage)."""
-    text = text.strip()
-    try:
-        for suffix, mult in (("GiB", GiB), ("MiB", MiB), ("KiB", KiB),
-                             ("B", 1)):
-            if text.endswith(suffix):
-                size = int(float(text[: -len(suffix)]) * mult)
-                break
-        else:
-            size = int(text)
-    except (ValueError, OverflowError):
-        raise argparse.ArgumentTypeError(f"bad size {text!r}") from None
-    if size < 1:
-        raise argparse.ArgumentTypeError(f"size must be >= 1B, got {text!r}")
-    return size
-
-
-def parse_sizes(text: str) -> list[int]:
-    """'4KiB,1MiB' -> [4096, 1048576]; an argparse ``type=``."""
-    sizes = [parse_size(part) for part in text.split(",") if part.strip()]
-    if not sizes:
-        raise argparse.ArgumentTypeError(f"no sizes in {text!r}")
-    return sizes
-
-
-def _split_evenly(sizes: Sequence[int], parts: int) -> None:
-    """Every size must split into ``parts`` equal partitions: checked
-    before anything is simulated, so a bad pair is a usage error."""
-    from repro.mem.buffer import partition_size_of
-
-    for size in sizes:
-        try:
-            partition_size_of(size, parts)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-
-def parse_dims(text: str) -> tuple[int, ...]:
-    """'2x2x2' -> (2, 2, 2): a 2-D or 3-D rank grid of positive extents;
-    an argparse ``type=`` (bad text is usage)."""
-    try:
-        dims = tuple(int(part) for part in text.split("x") if part)
-    except ValueError:
-        dims = ()
-    if len(dims) not in (2, 3) or min(dims) < 1:
-        raise argparse.ArgumentTypeError(
-            f"bad grid {text!r} (want 2-D or 3-D, e.g. 4x4 or 2x2x2)")
-    return dims
-
-
-def parse_grid(text: str) -> tuple[int, int]:
-    """'4x8' -> (4, 8): the 2-D case of :func:`parse_dims`."""
-    dims = parse_dims(text)
-    if len(dims) != 2:
-        raise argparse.ArgumentTypeError(f"bad 2-D grid {text!r}")
-    return dims
-
-
-def parse_counts(text: str) -> list[int]:
-    """'0,1,2' -> [0, 1, 2]: non-negative counts; an argparse ``type=``."""
-    try:
-        counts = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        counts = [-1]
-    if not counts or min(counts) < 0:
-        raise argparse.ArgumentTypeError(
-            f"bad counts {text!r} (want non-negative integers)")
-    return counts
-
-
-def non_negative_float(text: str) -> float:
-    """``text`` as a finite float >= 0; an argparse ``type=``."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"must be finite and >= 0, got {text}")
-    return value
+from repro.exp.kinds import non_negative_float, parse_sizes
+from repro.units import fmt_bytes, fmt_time, ms, us
 
 
 def positive_float(text: str) -> float:
@@ -148,228 +79,7 @@ def _names(text: str, have: Sequence[str], what: str) -> tuple[str, ...]:
     return names
 
 
-def cmd_table1(args) -> int:
-    from repro.bench.reporting import format_table
-    from repro.model.tables import TABLE1_PAPER, generate_table1
-
-    got = generate_table1()
-    rows = [[fmt_bytes(size), want, got[size],
-             "ok" if got[size] == want else "MISMATCH"]
-            for size, want in TABLE1_PAPER.items()]
-    print(format_table(["aggregate size", "paper", "model", ""], rows))
-    return 0 if all(got[s] == w for s, w in TABLE1_PAPER.items()) else 1
-
-
-def cmd_model(args) -> int:
-    from repro.bench.reporting import format_table
-    from repro.model import model_curve
-    from repro.model.tables import NIAGARA_LOGGP
-
-    counts = [1, 2, 4, 8, 16, 32]
-    sizes = args.sizes
-    curves = {
-        n: model_curve(NIAGARA_LOGGP, sizes, n_transport=n, n_user=n,
-                       delay=ms(args.delay_ms))
-        for n in counts
-    }
-    rows = []
-    for i, size in enumerate(sizes):
-        rows.append([fmt_bytes(size)]
-                    + [fmt_time(curves[n][i]) for n in counts])
-    print(format_table(["size"] + [f"{n}p" for n in counts], rows))
-    return 0
-
-
-def cmd_overhead(args) -> int:
-    from repro.bench.overhead import overhead_speedup_series
-    from repro.bench.reporting import format_speedup_series
-    from repro.exp.modules import build_module
-
-    _split_evenly(args.sizes, args.n_user)
-    agg = build_module(["noagg"] if args.aggregator == "none" else [
-        args.aggregator, {"delay": ms(args.delay_ms),
-                          "delta": us(args.delta_us)}])
-    speedups = overhead_speedup_series(
-        agg, n_user=args.n_user, sizes=args.sizes,
-        iterations=args.iterations, warmup=args.warmup)
-    print(f"overhead speedup over part_persist, {args.n_user} partitions")
-    if args.chart:
-        from repro.viz import bar_chart
-
-        print(bar_chart({fmt_bytes(s): round(v, 2)
-                         for s, v in speedups.items()},
-                        unit="x", reference=1.0))
-    else:
-        print(format_speedup_series({args.aggregator: speedups}))
-    return 0
-
-
-def cmd_perceived(args) -> int:
-    from repro.bench.perceived import (
-        run_perceived_bandwidth,
-        single_thread_line,
-    )
-    from repro.bench.reporting import format_bandwidth_series
-    from repro.exp.modules import build_module
-
-    _split_evenly(args.sizes, args.n_user)
-    params = {"delay": ms(args.delay_ms), "delta": us(args.delta_us)}
-    designs = {
-        "persist": None,
-        "ploggp": build_module(["ploggp", params]),
-        "timer": build_module(["timer", params]),
-    }
-    series = {name: {} for name in designs}
-    for size in args.sizes:
-        for name, module in designs.items():
-            series[name][size] = run_perceived_bandwidth(
-                module, n_user=args.n_user, total_bytes=size,
-                compute=ms(args.compute_ms), noise_fraction=args.noise,
-                iterations=args.iterations,
-                warmup=args.warmup).perceived_bandwidth
-    print(f"perceived bandwidth, {args.n_user} partitions, "
-          f"{args.compute_ms}ms compute, {args.noise:.0%} noise")
-    if args.chart:
-        from repro.viz import bar_chart
-
-        for size in args.sizes:
-            print(f"\n{fmt_bytes(size)}:")
-            print(bar_chart(
-                {name: round(series[name][size] / 2**30, 1)
-                 for name in series},
-                unit="GiB/s",
-                reference=single_thread_line() / 2**30))
-    else:
-        print(format_bandwidth_series(series, reference=single_thread_line()))
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    from repro.bench.reporting import format_speedup_series
-    from repro.bench.sweep import run_sweep
-    from repro.exp.modules import build_module
-
-    grid = args.grid
-    _split_evenly(args.sizes, args.threads)
-    params = {"delay": ms(args.delay_ms), "delta": us(args.delta_us)}
-    designs = {
-        "ploggp": build_module(["ploggp", params]),
-        "timer": build_module(["timer", params]),
-    }
-    series = {name: {} for name in designs}
-    for size in args.sizes:
-        base = run_sweep(None, grid=grid, n_threads=args.threads,
-                         total_bytes=size, compute=ms(args.compute_ms),
-                         noise_fraction=args.noise,
-                         iterations=args.iterations, warmup=args.warmup)
-        for name, module in designs.items():
-            ours = run_sweep(module, grid=grid, n_threads=args.threads,
-                             total_bytes=size, compute=ms(args.compute_ms),
-                             noise_fraction=args.noise,
-                             iterations=args.iterations, warmup=args.warmup)
-            series[name][size] = base.mean_comm_time / ours.mean_comm_time
-    cores = grid[0] * grid[1] * args.threads
-    print(f"sweep3d comm speedup over part_persist, {grid[0]}x{grid[1]} "
-          f"ranks x {args.threads} threads = {cores} cores")
-    if args.chart:
-        from repro.viz import grouped_bars
-
-        print(grouped_bars({
-            fmt_bytes(size): {name: series[name][size] for name in series}
-            for size in args.sizes
-        }))
-    else:
-        print(format_speedup_series(series))
-    return 0
-
-
-def cmd_stencil(args) -> int:
-    from repro.bench.reporting import format_table
-    from repro.coll import per_edge_autotuners, run_stencil
-    from repro.exp.modules import build_module
-
-    grid = args.grid
-    faces = args.faces
-    if args.partitions % args.threads:
-        raise ConfigError(f"{args.partitions} partitions not divisible by "
-                          f"{args.threads} threads")
-    _split_evenly(faces, args.partitions)
-    kwargs = dict(
-        grid=grid, n_threads=args.threads, n_partitions=args.partitions,
-        face_bytes=(faces[0] if len(faces) == 1 else tuple(faces)),
-        compute=ms(args.compute_ms), noise_fraction=args.noise,
-        iterations=args.iterations, warmup=args.warmup)
-    base = run_stencil(**kwargs)
-    if args.aggregator == "per-edge":
-        counts = ([c for c in (2, 8, 32) if c <= args.partitions]
-                  or [args.partitions])
-        params = {"policy": "bandit", "counts": counts,
-                  "deltas": [None], "bandit_seed": 3}
-
-        def planner(proc, axes):
-            return per_edge_autotuners(params)
-
-        ours = run_stencil(planner=planner, **kwargs)
-    else:
-        ours = run_stencil(
-            module=build_module([args.aggregator, {
-                "delay": ms(args.delay_ms), "delta": us(args.delta_us)}]),
-            **kwargs)
-    print(f"stencil halo exchange, {'x'.join(map(str, grid))} ranks x "
-          f"{args.threads} threads, {args.partitions} partitions/face")
-    rows = [
-        ["part_persist", fmt_time(base.mean_time),
-         fmt_time(base.mean_comm_time), ""],
-        [args.aggregator, fmt_time(ours.mean_time),
-         fmt_time(ours.mean_comm_time),
-         f"{base.mean_comm_time / ours.mean_comm_time:.2f}x"],
-    ]
-    print(format_table(["design", "iter time", "comm time", "speedup"],
-                       rows))
-    if args.plans:
-        for nbr, desc in sorted(ours.plans.get(0, {}).items()):
-            print(f"rank 0 -> rank {nbr}: {desc}")
-    return 0
-
-
-def cmd_netgauge(args) -> int:
-    from repro.bench.reporting import format_table
-    from repro.model.netgauge import measure_loggp
-
-    table = measure_loggp(sizes=args.sizes, rounds=args.iterations)
-    rows = []
-    for size in table.sizes:
-        p = table.lookup(size)
-        rows.append([fmt_bytes(size), fmt_time(p.L), fmt_time(p.o_s),
-                     fmt_time(p.o_r), fmt_time(p.g),
-                     f"{p.bandwidth / GiB:.2f}GiB/s"])
-    print(format_table(["size", "L", "o_s", "o_r", "g", "1/G"], rows))
-    return 0
-
-
-def cmd_tuning_table(args) -> int:
-    from repro.bench.reporting import format_table
-    from repro.core.tuning_table import build_tuning_table
-
-    _split_evenly(args.sizes, args.n_user)
-    table = build_tuning_table(
-        n_user_counts=[args.n_user],
-        message_sizes=args.sizes,
-        iterations=args.iterations,
-        warmup=args.warmup)
-    rows = []
-    for (n_user, size), (n_transport, n_qps) in sorted(table.entries.items()):
-        rows.append([n_user, fmt_bytes(size), n_transport, n_qps])
-    print(format_table(
-        ["user partitions", "message size", "transport partitions", "QPs"],
-        rows))
-    return 0
-
-
 def cmd_chaos(args) -> int:
-    import json
-    import os
-
     from repro.chaos import (
         KINDS,
         CampaignSpec,
@@ -402,143 +112,9 @@ def cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def _fleet_designs(transports: list[int], n_qps: int) -> list[tuple]:
-    return [("persist", ("persist",))] + [
-        (f"T={t}", ("fixed", (("n_qps", n_qps), ("n_transport", t))))
-        for t in transports]
-
-
-def cmd_fleet_rank(args) -> int:
-    from repro.bench.reporting import format_table
-    from repro.fleet import run_contended_pair
-
-    designs = _fleet_designs(args.transports, args.qps)
-    rows = []
-    for level in args.levels:
-        cells = {}
-        spine = 0.0
-        for name, module in designs:
-            res = run_contended_pair(
-                module=module, level=level,
-                n_partitions=args.partitions,
-                partition_size=args.partition_size,
-                iterations=args.iterations, warmup=args.warmup,
-                seed=args.seed)
-            cells[name] = res["mean_time"]
-            spine = max(spine, res["spine_utilization"])
-        best = min(cells, key=cells.get)
-        rows.append([level, *(fmt_time(cells[n]) for n, _ in designs),
-                     best, f"{spine:.0%}"])
-    print(f"partitioned-pair ranking vs spine contention "
-          f"({args.partitions}x{fmt_bytes(args.partition_size)} per "
-          f"iteration)")
-    print(format_table(
-        ["bg tenants", *(n for n, _ in designs), "best", "spine util"],
-        rows))
-    return 0
-
-
-def cmd_fleet_profile(args) -> int:
-    from repro.bench.reporting import format_table
-    from repro.fleet import (
-        JobSpec,
-        background_jobs,
-        run_fleet_with_slowdowns,
-    )
-
-    jobs = []
-    for i, part in enumerate(spec.strip()
-                             for spec in args.jobs.split(",")
-                             if spec.strip()):
-        kind, _, ranks = part.partition(":")
-        try:
-            n_ranks = int(ranks or 2)
-        except ValueError:
-            raise ConfigError(f"bad --jobs entry {part!r} "
-                              f"(want kind:ranks)") from None
-        jobs.append(JobSpec(
-            name=f"{kind}{i}", kind=kind, n_ranks=n_ranks,
-            n_partitions=args.partitions,
-            partition_size=args.partition_size,
-            iterations=args.iterations, warmup=args.warmup))
-    jobs += background_jobs(args.background, seed=args.seed + 1)
-    profile = run_fleet_with_slowdowns(jobs, placement=args.placement,
-                                       seed=args.seed)
-    rows = []
-    for name, view in profile.tenants.items():
-        mean = view.mean_iteration
-        slow = profile.slowdowns.get(name)
-        rows.append([
-            name, view.kind, ",".join(str(n) for n in view.nodes),
-            fmt_time(mean) if mean is not None else "-",
-            f"{slow:.2f}x" if slow is not None else "-",
-        ])
-    print(f"fleet profile: {len(jobs)} tenants, {args.placement} "
-          f"placement, makespan {fmt_time(profile.makespan)}")
-    print(format_table(
-        ["tenant", "kind", "nodes", "iter time", "slowdown"], rows))
-    busiest = ", ".join(f"{name} {util:.0%}"
-                        for name, util in profile.busiest_links())
-    print(f"busiest links: {busiest}")
-    return 0
-
-
-def cmd_fleet_retune(args) -> int:
-    from repro.bench.reporting import format_table
-    from repro.fleet import run_reconvergence
-
-    if args.policy == "bandit":
-        params = {"policy": "bandit", "counts": [4, 16], "deltas": [None],
-                  "epsilon": 0.3, "decay": 0.9, "bandit_seed": 3,
-                  "window": args.window}
-    else:
-        params = {"policy": "plan_mutation", "deltas": [None],
-                  "epsilon": 0.3, "decay": 0.85, "bandit_seed": 7,
-                  "expand_after": 3, "max_frontier": 10,
-                  "window": args.window}
-    congested = args.congested_rounds
-    if congested is None:
-        congested = 24 if args.policy == "bandit" else 30
-    res = run_reconvergence(
-        params, quiet_rounds=args.quiet_rounds,
-        congested_rounds=congested,
-        tail_rounds=args.tail_rounds, compute=us(args.compute_us),
-        seed=args.seed)
-
-    def plan_str(plan):
-        if plan is None:
-            return "-"
-        t, q, delta = plan
-        suffix = f" d={fmt_time(delta)}" if delta is not None else ""
-        return f"T={t} QP={q}{suffix}"
-
-    rows = [
-        ["quiet-best plan", plan_str(res["quiet_best"])],
-        ["congested-best plan", plan_str(res["congested_best"])],
-        ["plan changed", "yes" if res["plan_changed"] else "no"],
-        ["re-converged at round", str(res["reconverged_round"])],
-        ["rounds to re-converge", str(res["rounds_to_reconverge"])],
-        ["regret vs congested-best",
-         fmt_time(res["regret"]) if res["regret"] is not None else "-"],
-        ["adapted", "yes" if res["adapted"] else "NO"],
-    ]
-    print(f"live re-tuning [{args.policy}]: neighbor arrives at round "
-          f"{res['arrive_round']}, departs at {res['depart_round']}")
-    print(format_table(["re-convergence", "value"], rows))
-    if args.trajectory:
-        rows = [[r["round"],
-                 plan_str((r["n_transport"], r["n_qps"], r["delta"])),
-                 fmt_time(r["completion_time"])
-                 if r["completion_time"] is not None else "-"]
-                for r in res["rounds"]]
-        print(format_table(["round", "plan", "completion"], rows))
-    return 0 if res["adapted"] else 1
-
-
 def cmd_bench_list(args) -> int:
     from repro.bench.reporting import format_table
-    from repro.exp import all_experiments, get_profile
-    from repro.exp.profiles import PROFILES
+    from repro.exp import PROFILES, all_experiments, get_profile
 
     profiles = sorted(PROFILES)
     rows = []
@@ -561,7 +137,6 @@ def cmd_autotune_tune(args) -> int:
     from repro.bench.autotune import run_autotuned_pair
     from repro.bench.reporting import format_table
 
-    _split_evenly(args.sizes, args.n_user)
     store = TuningStore(args.store)
     params = {"policy": args.policy, "config_tag": args.config_tag}
     if args.policy == "bandit":
@@ -675,30 +250,15 @@ def cmd_serve_warm(args) -> int:
     return 0
 
 
-def cmd_serve_bench(args) -> int:
-    from repro.bench.reporting import format_table
-    from repro.serve.bench import run_serve_bench
+def cmd_point(args) -> int:
+    from repro.exp import ResultCache, Runner
+    from repro.exp.kinds import point_scenario
 
-    res = run_serve_bench(
-        n_clients=args.clients, n_requests=args.requests,
-        n_keys=args.keys, zipf_s=args.zipf, seed=args.seed,
-        n_shards=args.shards,
-        max_entries_per_shard=args.max_per_shard)
-    rows = [
-        ["clients / requests", f"{res['n_clients']} / "
-                               f"{res['n_requests']}"],
-        ["keys (zipf s)", f"{res['n_keys']} ({res['zipf_s']})"],
-        ["overall hit rate", f"{res['hit_rate']:.1%}"],
-        ["warm-cache hit rate", f"{res['warm_hit_rate']:.1%}"],
-        ["negative-cache hits", str(res["negative_hits"])],
-        ["commits / conflicts",
-         f"{res['commits']} / {res['conflicts']}"],
-        ["store evictions", str(res["store_evictions"])],
-        ["p50 / p99 lookup",
-         f"{res['p50_latency_us']:.0f} / "
-         f"{res['p99_latency_us']:.0f} us"],
-    ]
-    print(format_table(["serve bench", "value"], rows))
+    point = point_scenario(args.kind, args.params)
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    metrics = Runner(cache=cache).run([point])[point]
+    print(json.dumps({"kind": point.kind, "params": point.params,
+                      "metrics": metrics}, sort_keys=True))
     return 0
 
 
@@ -787,91 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-bench",
         description="MPI Partitioned aggregation reproduction experiments",
     )
-    from repro.exp import PROFILES, add_run_options, positive_int
+    from repro.exp import (PROFILES, add_cache_options, add_run_options,
+                           positive_int)
 
     profiles = sorted(PROFILES)
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, compute_default=0.0):
-        p.add_argument("--iterations", type=int, default=20)
-        p.add_argument("--warmup", type=int, default=3)
-        p.add_argument("--delay-ms", type=float, default=4.0,
-                       help="PLogGP model delay input (ms)")
-        p.add_argument("--delta-us", type=float, default=35.0,
-                       help="timer aggregator delta (us)")
-        p.add_argument("--chart", action="store_true",
-                       help="render unicode bars instead of a table")
-
-    p = sub.add_parser("table1", help="reproduce Table I")
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("model", help="PLogGP model curves (Fig. 3)")
-    p.add_argument("--sizes", type=parse_sizes,
-                   default="16KiB,256KiB,4MiB,64MiB,256MiB")
-    p.add_argument("--delay-ms", type=float, default=4.0)
-    p.set_defaults(func=cmd_model)
-
-    p = sub.add_parser("overhead", help="overhead benchmark (Figs. 6-8)")
-    p.add_argument("--n-user", type=positive_int, default=32)
-    p.add_argument("--sizes", type=parse_sizes,
-                   default="4KiB,64KiB,512KiB,4MiB")
-    p.add_argument("--aggregator", default="ploggp",
-                   choices=["ploggp", "timer", "none"])
-    common(p)
-    p.set_defaults(func=cmd_overhead)
-
-    p = sub.add_parser("perceived",
-                       help="perceived bandwidth (Figs. 9, 13)")
-    p.add_argument("--n-user", type=positive_int, default=32)
-    p.add_argument("--sizes", type=parse_sizes, default="8MiB,32MiB")
-    p.add_argument("--compute-ms", type=non_negative_float, default=100.0)
-    p.add_argument("--noise", type=non_negative_float, default=0.04)
-    common(p)
-    p.set_defaults(func=cmd_perceived)
-
-    p = sub.add_parser("sweep", help="Sweep3D pattern (Fig. 14)")
-    p.add_argument("--grid", type=parse_grid, default="4x4")
-    p.add_argument("--threads", type=positive_int, default=16)
-    p.add_argument("--sizes", type=parse_sizes, default="256KiB,1MiB")
-    p.add_argument("--compute-ms", type=non_negative_float, default=1.0)
-    p.add_argument("--noise", type=non_negative_float, default=0.01)
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
-        "stencil",
-        help="partitioned neighbor-alltoall halo exchange (repro.coll)")
-    p.add_argument("--grid", type=parse_dims, default="2x2",
-                   help="rank grid, e.g. 4x4 or 2x2x2")
-    p.add_argument("--threads", type=positive_int, default=4)
-    p.add_argument("--partitions", type=positive_int, default=32,
-                   help="partitions per face")
-    p.add_argument("--faces", type=parse_sizes, default="64KiB",
-                   help="face size, or one size per axis (comma list)")
-    p.add_argument("--compute-ms", type=non_negative_float, default=1.0)
-    p.add_argument("--noise", type=non_negative_float, default=0.01)
-    p.add_argument("--aggregator", default="ploggp",
-                   choices=["ploggp", "timer", "per-edge"],
-                   help="'per-edge' runs a bandit per edge; give it "
-                        "enough --warmup rounds to explore")
-    p.add_argument("--plans", action="store_true",
-                   help="print rank 0's converged per-edge plans")
-    common(p)
-    p.set_defaults(func=cmd_stencil)
-
-    p = sub.add_parser("netgauge",
-                       help="measure LogGP parameters on the fabric")
-    p.add_argument("--sizes", type=parse_sizes, default="256B,4KiB,64KiB,1MiB")
-    p.add_argument("--iterations", type=positive_int, default=10)
-    p.set_defaults(func=cmd_netgauge)
-
-    p = sub.add_parser("tuning-table",
-                       help="brute-force search (Section IV-B)")
-    p.add_argument("--n-user", type=positive_int, default=16)
-    p.add_argument("--sizes", type=parse_sizes, default="64KiB,1MiB")
-    common(p)
-    p.set_defaults(func=cmd_tuning_table)
 
     p = sub.add_parser(
         "chaos", help="seeded chaos campaign with invariant checks")
@@ -893,60 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-run progress on stderr")
     p.set_defaults(func=cmd_chaos)
-
-    fleet = sub.add_parser(
-        "fleet", help="shared-fabric simulation (repro.fleet)")
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    p = fleet_sub.add_parser(
-        "rank", help="transport-design ranking vs spine contention")
-    p.add_argument("--levels", type=parse_counts, default="0,1,2",
-                   help="comma list of background-tenant counts")
-    p.add_argument("--transports", type=parse_counts, default="4,8,16",
-                   help="fixed-aggregation transport counts to rank")
-    p.add_argument("--qps", type=int, default=2)
-    p.add_argument("--partitions", type=positive_int, default=16)
-    p.add_argument("--partition-size", type=parse_size,
-                   default="64KiB")
-    p.add_argument("--iterations", type=int, default=6)
-    p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fleet_rank)
-
-    p = fleet_sub.add_parser(
-        "profile", help="multi-tenant mix with per-job slowdowns")
-    p.add_argument("--jobs", default="pair:2,halo:3",
-                   help="comma list of kind:ranks tenants "
-                        "(kinds: pair, halo, tree)")
-    p.add_argument("--background", type=int, default=1,
-                   help="permutation-traffic tenants to add")
-    p.add_argument("--placement", default="spread",
-                   choices=["packed", "spread", "random"])
-    p.add_argument("--partitions", type=positive_int, default=16)
-    p.add_argument("--partition-size", type=parse_size,
-                   default="64KiB")
-    p.add_argument("--iterations", type=int, default=6)
-    p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fleet_profile)
-
-    p = fleet_sub.add_parser(
-        "retune", help="live autotuner re-convergence under a noisy "
-                       "neighbor (exits 1 unless it adapts)")
-    p.add_argument("--policy", default="bandit",
-                   choices=["bandit", "plan_mutation"])
-    p.add_argument("--quiet-rounds", type=int, default=12)
-    p.add_argument("--congested-rounds", type=int, default=None,
-                   help="default: 24 (bandit) / 30 (plan_mutation — the "
-                        "frontier walk needs the longer episode)")
-    p.add_argument("--tail-rounds", type=int, default=8)
-    p.add_argument("--window", type=int, default=4,
-                   help="sliding-window size for cost estimates")
-    p.add_argument("--compute-us", type=non_negative_float, default=20.0)
-    p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--trajectory", action="store_true",
-                   help="print the full per-round plan trajectory")
-    p.set_defaults(func=cmd_fleet_retune)
 
     autotune = sub.add_parser(
         "autotune", help="closed-loop tuning store (repro.autotune)")
@@ -997,21 +424,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "to import")
     p.set_defaults(func=cmd_serve_warm)
 
-    p = serve_sub.add_parser(
-        "bench", help="seeded synthetic client traffic (Zipf keys, "
-                      "mixed get/commit, bursty arrivals)")
-    p.add_argument("--clients", type=positive_int, default=400)
-    p.add_argument("--requests", type=positive_int, default=4000)
-    p.add_argument("--keys", type=positive_int, default=64)
-    p.add_argument("--zipf", type=float, default=1.1,
-                   help="Zipf exponent of the key popularity "
-                        "(default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=8)
-    p.add_argument("--max-per-shard", type=int, default=0,
-                   help="entries bound per shard, 0 = unbounded "
-                        "(default: %(default)s)")
-    p.set_defaults(func=cmd_serve_bench)
+    p = sub.add_parser(
+        "point", help="run one measurement point of any kind "
+                      "(prints {kind, params, metrics} as JSON)")
+    p.add_argument("kind", metavar="KIND",
+                   help="a row of repro.exp.kinds (a wrong one lists them)")
+    p.add_argument("params", nargs="*", metavar="KEY=VALUE",
+                   help="JSON, or a size (64KiB), time (4ms) or grid "
+                        "(4x4) literal")
+    add_cache_options(p)
+    p.set_defaults(func=cmd_point)
 
     plan = sub.add_parser(
         "plan", help="communication-plan IR per experiment (repro.plan)")

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from repro.config import ClusterConfig
+from repro.errors import ConfigError
 from repro.mem.buffer import PartitionedBuffer, partition_size_of
 from repro.mpi.cluster import Cluster
 from repro.runtime import ComputePhase, SingleThreadDelay, WorkerTeam
@@ -52,14 +53,14 @@ def _axes_of(grid: tuple[int, ...],
              face_bytes: Union[int, Sequence[int]]) -> tuple[int, ...]:
     ndim = len(grid)
     if ndim not in (2, 3):
-        raise ValueError(f"grid must be 2-D or 3-D, got {grid}")
+        raise ConfigError(f"grid must be 2-D or 3-D, got {grid}")
     if any(g < 1 for g in grid):
-        raise ValueError(f"bad grid {grid}")
+        raise ConfigError(f"bad grid {grid}")
     if isinstance(face_bytes, int):
         return (face_bytes,) * ndim
     sizes = tuple(int(b) for b in face_bytes)
     if len(sizes) != ndim:
-        raise ValueError(
+        raise ConfigError(
             f"face_bytes has {len(sizes)} entries for a {ndim}-D grid")
     return sizes
 
@@ -95,7 +96,7 @@ def run_stencil(
     ndim = len(grid)
     n_partitions = n_threads if n_partitions is None else n_partitions
     if n_partitions % n_threads:
-        raise ValueError(
+        raise ConfigError(
             f"{n_partitions} partitions not divisible by "
             f"{n_threads} threads")
     part_sizes = [partition_size_of(nbytes, n_partitions)

@@ -49,8 +49,8 @@ class PlanChoice:
                 f"got {self.n_transport}")
         if self.n_qps < 1:
             raise ConfigError(f"need at least one QP, got {self.n_qps}")
-        if self.delta is not None and self.delta < 0:
-            raise ConfigError(f"negative timer delta: {self.delta}")
+        if self.delta is not None and not self.delta >= 0:
+            raise ConfigError(f"timer delta must be >= 0, got {self.delta}")
 
     def validate_for(self, n_user: int) -> None:
         if self.n_transport > n_user:
@@ -178,8 +178,8 @@ class PLogGPAggregator(Aggregator):
 
     def __init__(self, params: Union[LogGPParams, LogGPTable],
                  delay: float, max_transport: int = 32):
-        if delay < 0:
-            raise ConfigError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise ConfigError(f"delay must be >= 0, got {delay}")
         if max_transport < 1:
             raise ConfigError("max_transport must be >= 1")
         self.params = params
@@ -215,8 +215,8 @@ class TimerPLogGPAggregator(PLogGPAggregator):
                  delay: float, delta: Optional[float] = None,
                  max_transport: int = 32):
         super().__init__(params, delay, max_transport)
-        if delta is not None and delta < 0:
-            raise ConfigError(f"negative delta: {delta}")
+        if delta is not None and not delta >= 0:
+            raise ConfigError(f"delta must be >= 0, got {delta}")
         self.delta = delta
 
     def plan(self, n_user, partition_size, config):

@@ -164,8 +164,8 @@ class RequestError(MPIError):
 # ---------------------------------------------------------------------------
 
 
-class ConfigError(ReproError):
-    """Invalid configuration value."""
+class ConfigError(ReproError, ValueError):
+    """Invalid configuration value (a ``ValueError`` too)."""
 
 
 class TuningError(ReproError):

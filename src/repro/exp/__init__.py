@@ -25,9 +25,9 @@ from repro.lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "cache": ("ResultCache",),
     "fingerprint": ("code_fingerprint",),
-    "harness": ("DEFAULT_CACHE_DIR", "ExperimentRun", "add_run_options",
-                "default_jobs", "positive_int", "run_experiment",
-                "run_from_options"),
+    "harness": ("DEFAULT_CACHE_DIR", "ExperimentRun", "add_cache_options",
+                "add_run_options", "default_jobs", "positive_int",
+                "run_experiment", "run_from_options"),
     "plans": ("diff_plans", "experiment_plans", "render_plans"),
     "profiles": ("FAST", "PAPER", "PERCEIVED_COMPUTE", "PERCEIVED_NOISE",
                  "PROFILES", "Profile", "get_profile"),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import time
 from dataclasses import dataclass, field
@@ -101,6 +102,15 @@ def run_experiment(name: str, profile: Union[str, Profile] = "paper",
     return run
 
 
+def add_cache_options(parser: argparse.ArgumentParser) -> None:
+    """The sweep-point cache flags (``bench run`` and ``point``)."""
+    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
+                        help="sweep-point cache directory "
+                             "(default: %(default)s)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="recompute every point, touch no cache")
+
+
 def add_run_options(parser: argparse.ArgumentParser) -> None:
     """The shared run flags of ``repro-bench bench run``."""
     parser.add_argument("--profile", choices=sorted(PROFILES),
@@ -109,11 +119,7 @@ def add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", "-j", type=positive_int, default=None,
                         help="worker processes (default: "
                              "$REPRO_BENCH_JOBS or 1)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="sweep-point cache directory "
-                             "(default: %(default)s)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every point, touch no cache")
+    add_cache_options(parser)
     parser.add_argument("--results-dir", default="results",
                         help="directory for <name>.json artifacts "
                              "(default: %(default)s)")
@@ -138,10 +144,11 @@ def run_from_options(name: str, options: argparse.Namespace,
     store = None if options.no_store else ResultStore(
         results_dir=options.results_dir, bench_dir=options.bench_dir)
     profile_cpu = getattr(options, "profile_cpu", None)
+    execute = functools.partial(
+        run_experiment, name, profile=options.profile, jobs=options.jobs,
+        cache=cache, store=store, progress=progress)
     if profile_cpu is None:
-        return run_experiment(name, profile=options.profile,
-                              jobs=options.jobs, cache=cache, store=store,
-                              progress=progress)
+        return execute()
     # CPU profiling: wrap the whole run (build, simulate, collect) in
     # cProfile.  Worker subprocesses are invisible to the profiler, so
     # profiled runs should stay at the default --jobs 1.
@@ -151,9 +158,7 @@ def run_from_options(name: str, options: argparse.Namespace,
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        run = run_experiment(name, profile=options.profile,
-                             jobs=options.jobs, cache=cache, store=store,
-                             progress=progress)
+        run = execute()
     finally:
         profiler.disable()
         profiler.dump_stats(path)

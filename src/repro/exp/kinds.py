@@ -13,16 +13,31 @@ and cached results trustworthy.
 Each kind returns a flat JSON-safe metrics dict.  A runner is called by
 name wherever its parameters and result need no translation; the small
 adapters below exist only where a kind transforms its input or output.
+
+:func:`check` validates a point against its row's ``needs`` and
+``params``, each read by its one parser in :data:`PARAMS`, so
+``n_user`` means the same in every kind (``repro-bench point``).
 """
 
 from __future__ import annotations
 
 import importlib
+import json
+import math
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.exp.modules import build_config, build_module, build_topology
+from repro.errors import ConfigError
+from repro.exp.modules import (
+    MODULE_NAMES,
+    TOPOLOGIES,
+    build_config,
+    build_module,
+    build_topology,
+)
+from repro.exp.spec import Scenario
+from repro.units import GiB, KiB, MiB, ms, ns, us
 
 
 @dataclass(frozen=True)
@@ -41,7 +56,12 @@ class Kind:
     #: The params holding the point's module, partition count and total
     #: bytes (``repro-bench plan``); None for a kind that lowers no plan.
     #: A module param other than ``module`` holds autotune params.
+    #: :func:`check` requires the count to split the bytes evenly.
     plan: Optional[tuple[str, str, str]] = None
+    #: The params a point must give (the plan's always among them).
+    needs: tuple[str, ...] = ()
+    #: The params a point may add; the runner's default applies without.
+    params: tuple[str, ...] = ()
 
 
 def decode(params: dict, takes: tuple[str, ...]) -> dict:
@@ -229,6 +249,25 @@ def _table1() -> dict:
                       for size, n in generate_table1().items()}}
 
 
+def _netgauge(**args) -> dict:
+    from repro.model.netgauge import measure_loggp
+
+    table = measure_loggp(**args)
+    loggp = {}
+    for size in table.sizes:
+        params = table.lookup(size)
+        loggp[str(size)] = {**vars(params), "bandwidth": params.bandwidth}
+    return {"loggp": loggp}
+
+
+def _tuning_table(n_user: int, total_bytes: int, **args) -> dict:
+    from repro.core.tuning_table import build_tuning_table
+
+    table = build_tuning_table([n_user], [total_bytes], **args)
+    n_transport, n_qps = table.lookup(n_user, total_bytes)
+    return {"n_transport": n_transport, "n_qps": n_qps}
+
+
 # The serve kinds run out of a temporary directory created and destroyed
 # inside the call, so the point stays a pure function of its scenario
 # (nothing persists between points or processes); ``serve_bench`` makes
@@ -266,31 +305,270 @@ def _serve_fleet(autotune: Optional[dict] = None, **args) -> dict:
 
 
 _PAIR = ("module", "n_user", "total_bytes")
+_SWEEP = ("module", "n_threads", "total_bytes")
+_HALO = ("module", "n_threads", "face_bytes")
+_AUTOTUNE = ("autotune", "n_user", "total_bytes")
 _SEEDED = ("config", "seed")
+_ROUNDS = ("iterations", "warmup") + _SEEDED
+_NOISY = ("compute", "noise_fraction") + _ROUNDS
 
 #: Every scenario kind (``Scenario.kind``) and how it runs.
 KINDS: dict[str, Kind] = {
     "overhead": Kind(("repro.bench.overhead", "run_overhead"),
-                     ("mean_time",), plan=_PAIR),
-    "perceived": Kind(_perceived, plan=_PAIR),
+                     ("mean_time",), plan=_PAIR, needs=_PAIR,
+                     params=_ROUNDS),
+    "perceived": Kind(_perceived, plan=_PAIR, needs=_PAIR,
+                      params=_NOISY + ("loss",)),
     "sweep": Kind(("repro.bench.sweep", "run_sweep"),
                   ("mean_time", "mean_comm_time", "critical_path_compute"),
-                  plan=("module", "n_threads", "total_bytes")),
+                  plan=_SWEEP, needs=_SWEEP, params=("grid",) + _NOISY),
     "halo": Kind(("repro.bench.halo", "run_halo"),
-                 ("mean_time", "mean_comm_time"),
-                 plan=("module", "n_threads", "face_bytes")),
-    "stencil": Kind(_stencil, plan=("module", "n_partitions", "face_bytes")),
-    "arrival_profile": Kind(_arrival_profile),
-    "min_delta": Kind(_min_delta, plan=_PAIR),
-    "autotune": Kind(_autotune, plan=("autotune", "n_user", "total_bytes")),
-    "fleet": Kind(_fleet, takes=_SEEDED),
-    "fleet_rank": Kind(("repro.fleet", "run_contended_pair"),
-                       takes=_SEEDED),
-    "fleet_autotune": Kind(_fleet_autotune, takes=_SEEDED),
-    "model_curve": Kind(_model_curve, takes=()),
+                 ("mean_time", "mean_comm_time"), plan=_HALO, needs=_HALO,
+                 params=("grid", "topology") + _NOISY),
+    "stencil": Kind(_stencil, plan=("module", "n_partitions", "face_bytes"),
+                    needs=("n_threads", "n_partitions", "face_bytes"),
+                    params=("module", "per_edge", "grid", "topology")
+                    + _NOISY),
+    "arrival_profile": Kind(
+        _arrival_profile, needs=("n_user", "total_bytes", "noise_fraction"),
+        params=("compute",) + _ROUNDS),
+    "min_delta": Kind(_min_delta, plan=_PAIR,
+                      needs=_PAIR + ("noise_fraction",),
+                      params=("compute",) + _ROUNDS),
+    "autotune": Kind(_autotune, plan=_AUTOTUNE, needs=_AUTOTUNE,
+                     params=_NOISY),
+    "fleet": Kind(_fleet, takes=_SEEDED, needs=("jobs",),
+                  params=("placement", "topology") + _SEEDED),
+    "fleet_rank": Kind(("repro.fleet", "run_contended_pair"), takes=_SEEDED,
+                       params=("module", "level", "n_partitions",
+                               "partition_size", "compute") + _ROUNDS),
+    "fleet_autotune": Kind(_fleet_autotune, takes=_SEEDED,
+                           needs=("autotune",),
+                           params=("quiet_rounds", "congested_rounds",
+                                   "tail_rounds", "n_partitions",
+                                   "partition_size", "compute") + _SEEDED),
+    "model_curve": Kind(_model_curve, takes=(), needs=("sizes", "n", "delay")),
     "table1": Kind(_table1, takes=()),
+    "netgauge": Kind(_netgauge, takes=("config",),
+                     params=("sizes", "rounds", "burst", "config")),
+    "tuning_table": Kind(_tuning_table, takes=("config",),
+                         needs=("n_user", "total_bytes"),
+                         params=("iterations", "warmup", "config")),
     "serve_bench": Kind(("repro.serve.bench", "run_serve_bench"),
-                        takes=("seed",)),
-    "serve_stress": Kind(_serve_stress, takes=()),
-    "serve_fleet": Kind(_serve_fleet, takes=_SEEDED),
+                        takes=("seed",),
+                        params=("n_clients", "n_requests", "n_keys",
+                                "zipf_s", "p_commit", "n_shards",
+                                "cache_capacity", "max_entries_per_shard",
+                                "seed")),
+    "serve_stress": Kind(_serve_stress, takes=(),
+                         params=("n_writers", "n_puts", "mode", "n_shards")),
+    "serve_fleet": Kind(_serve_fleet, takes=_SEEDED,
+                        params=("autotune", "n_tenants", "n_partitions",
+                                "partition_size", "iterations", "n_shards")
+                        + _SEEDED),
 }
+
+
+# ------------------------------------------------------------ checking
+
+_SIZE_UNITS = {"GiB": GiB, "MiB": MiB, "KiB": KiB, "B": 1}
+_TIME_UNITS = {"ns": ns(1), "us": us(1), "ms": ms(1), "s": 1.0}
+
+
+def _number(text: str, units: dict) -> float:
+    """``text`` as a number scaled by its unit suffix, if it has one."""
+    text = text.strip()
+    for suffix, scale in units.items():
+        if text.endswith(suffix):
+            return float(text[: -len(suffix)]) * scale
+    return float(text)
+
+
+def parse_size(value) -> int:
+    """A byte count >= 1: an int, or text such as ``64KiB`` or ``4096``."""
+    if isinstance(value, str):
+        try:
+            value = int(_number(value, _SIZE_UNITS))
+        except (ValueError, OverflowError):
+            raise ValueError(f"bad size {value.strip()!r}") from None
+    if type(value) is not int:
+        raise ValueError(f"bad size {value!r}")
+    if value < 1:
+        raise ValueError(f"size must be >= 1B, got {value!r}")
+    return value
+
+
+def parse_sizes(value) -> list[int]:
+    """Sizes: a list, or comma-separated text such as ``4KiB,1MiB``."""
+    parts = ([part for part in value.split(",") if part.strip()]
+             if isinstance(value, str) else value)
+    if not isinstance(parts, list) or not parts:
+        raise ValueError(f"no sizes in {value!r}")
+    return [parse_size(part) for part in parts]
+
+
+def _faces(value):
+    """One face size, or one per axis (a list, or comma-separated)."""
+    sizes = parse_sizes(value if isinstance(value, (str, list)) else [value])
+    return sizes if isinstance(value, list) or len(sizes) > 1 else sizes[0]
+
+
+def non_negative_float(value) -> float:
+    """A finite number >= 0 (text is read as a float)."""
+    try:
+        number = float(value)
+    except (TypeError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not (math.isfinite(number) and number >= 0):
+        raise ValueError(f"must be finite and >= 0, got {value}")
+    return number
+
+
+def parse_seconds(value) -> float:
+    """A duration in seconds: a number, or text such as ``4ms``."""
+    if isinstance(value, str):
+        value = _number(value, _TIME_UNITS)
+    return non_negative_float(value)
+
+
+def parse_grid(value) -> list[int]:
+    """A 2-D or 3-D rank grid: a list, or text such as ``4x4``."""
+    dims = value
+    if isinstance(value, str):
+        try:
+            dims = [int(part) for part in value.split("x") if part]
+        except ValueError:
+            dims = []
+    if not (isinstance(dims, list) and len(dims) in (2, 3)
+            and all(type(d) is int and d >= 1 for d in dims)):
+        raise ValueError(f"bad grid {str(value)!r} (want 2-D or 3-D, "
+                         f"e.g. 4x4 or 2x2x2)")
+    return dims
+
+
+def _shape(ok: Callable[[Any], bool], want: str) -> Callable[[Any], Any]:
+    """A parser that keeps a value as it is when ``ok`` holds for it."""
+    def parse(value):
+        if not ok(value):
+            raise ValueError(f"want {want}, got {value!r}")
+        return value
+    return parse
+
+
+def _descriptor(names: Sequence[str]) -> Callable[[Any], list]:
+    """A ``[name, params]`` descriptor (``repro.exp.modules``)."""
+    return _shape(lambda v: (
+        isinstance(v, list) and 1 <= len(v) <= 2 and isinstance(v[0], str)
+        and v[0] in names and (len(v) == 1 or isinstance(v[1], dict))),
+        f"[name, {{params}}] with a name from {', '.join(names)}")
+
+
+def _built(build: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """A descriptor that is valid when ``build`` accepts it."""
+    def parse(value):
+        try:
+            build(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(str(exc)) from None
+        return value
+    return parse
+
+
+def _jobs(jobs: list) -> None:
+    from repro.fleet import JobSpec
+
+    if not jobs:
+        raise ValueError("want at least one job")
+    for job in jobs:
+        JobSpec.from_dict(job)
+
+
+#: Every param any kind takes, and the one parser that reads it.
+PARAMS: dict[str, Callable[[Any], Any]] = {
+    **dict.fromkeys(
+        ("n_user", "n_threads", "n_partitions", "n", "iterations",
+         "rounds", "burst", "quiet_rounds", "congested_rounds",
+         "tail_rounds", "n_clients", "n_requests", "n_keys", "n_shards",
+         "cache_capacity", "n_writers", "n_puts", "n_tenants"),
+        _shape(lambda v: type(v) is int and v >= 1, "an integer >= 1")),
+    **dict.fromkeys(("warmup", "level", "seed", "max_entries_per_shard"),
+                    _shape(lambda v: type(v) is int and v >= 0,
+                           "an integer >= 0")),
+    **dict.fromkeys(("total_bytes", "partition_size"), parse_size),
+    "face_bytes": _faces,
+    "sizes": parse_sizes,
+    "grid": parse_grid,
+    **dict.fromkeys(("compute", "delay"), parse_seconds),
+    **dict.fromkeys(("noise_fraction", "loss", "zipf_s", "p_commit"),
+                    non_negative_float),
+    "module": _descriptor(MODULE_NAMES),
+    **dict.fromkeys(("autotune", "per_edge"),
+                    _shape(lambda v: isinstance(v, dict), "a JSON object")),
+    "topology": _descriptor(tuple(TOPOLOGIES)),
+    "config": _built(build_config),
+    "jobs": _built(_jobs),
+    "placement": _shape(("packed", "spread", "random").__contains__,
+                        "packed, spread or random"),
+    "mode": _shape(("cas", "confident").__contains__, "cas or confident"),
+}
+
+
+def _usage(kind: str, problem: str) -> ConfigError:
+    """A usage error that names what ``kind`` accepts."""
+    row = KINDS.get(kind)
+    if row is None:
+        return ConfigError(f"unknown kind {kind!r} "
+                           f"(have: {', '.join(sorted(KINDS))})")
+    return ConfigError(
+        f"{kind}: {problem} ({kind} needs "
+        f"{', '.join(row.needs) or 'nothing'}; takes "
+        f"{', '.join(row.params) or 'nothing more'})")
+
+
+def check(kind: str, params: dict) -> Scenario:
+    """The scenario ``params`` name, each value parsed; a ConfigError
+    (naming what the kind accepts) if anything is missing or wrong."""
+    from repro.mem.buffer import partition_size_of
+
+    row = KINDS.get(kind)
+    if row is None:
+        raise _usage(kind, "")
+    missing = [name for name in row.needs if name not in params]
+    unknown = sorted(set(params) - set(row.needs) - set(row.params))
+    if missing or unknown:
+        raise _usage(kind, f"missing {', '.join(missing)}" if missing
+                     else f"no param {', '.join(unknown)}")
+    values = {}
+    for name, value in params.items():
+        try:
+            values[name] = PARAMS[name](value)
+        except ValueError as exc:
+            raise _usage(kind, f"{name}: {exc}") from None
+    if row.plan is not None:
+        _, count, nbytes = row.plan
+        n, threads = values[count], values.get("n_threads", values[count])
+        if n % threads:
+            raise _usage(kind, f"{n} partitions not divisible by "
+                               f"{threads} threads")
+        sizes = values[nbytes]
+        for size in sizes if isinstance(sizes, list) else [sizes]:
+            try:
+                partition_size_of(size, n)
+            except ValueError as exc:
+                raise _usage(kind, str(exc)) from None
+    return Scenario.make(kind, **values)
+
+
+def point_scenario(kind: str, items: Sequence[str]) -> Scenario:
+    """The scenario of ``repro-bench point <kind> key=value...``: each
+    value is JSON where it parses, else text for its param's parser."""
+    params: dict = {}
+    for item in items:
+        name, sep, text = item.partition("=")
+        if not sep or name in params:
+            raise _usage(kind, f"want distinct key=value pairs, got {item!r}")
+        try:
+            params[name] = json.loads(text)
+        except ValueError:
+            params[name] = text
+    return check(kind, params)

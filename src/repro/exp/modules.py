@@ -57,6 +57,11 @@ def module_label(desc: Optional[Sequence[Any]]) -> str:
     return name
 
 
+#: The descriptor names :func:`build_module` knows.
+MODULE_NAMES = ("persist", "ploggp", "timer", "adaptive", "fixed", "noagg",
+                "tuning_table", "autotune")
+
+
 @lru_cache(maxsize=None)
 def _memoized_tuning_table(key: str):
     """Build (once per process) the brute-force table for a descriptor."""
@@ -128,7 +133,7 @@ def build_module(desc: Optional[Sequence[Any]]):
     raise ValueError(f"unknown module descriptor {desc!r}")
 
 
-_TOPOLOGIES = {
+TOPOLOGIES = {
     "uniform": "UniformTopology",
     "dragonfly+": "DragonflyPlus",
     "dragonfly+routed": "RoutedDragonflyPlus",
@@ -143,7 +148,7 @@ def build_topology(desc: Optional[Sequence[Any]]):
 
     name, params = desc[0], _params(desc)
     try:
-        cls = getattr(topo_mod, _TOPOLOGIES[name])
+        cls = getattr(topo_mod, TOPOLOGIES[name])
     except KeyError:
         raise ValueError(f"unknown topology descriptor {desc!r}") from None
     return cls(**params)

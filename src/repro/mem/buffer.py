@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import PartitionError, ProtectionError
+from repro.errors import ConfigError, PartitionError, ProtectionError
 from repro.units import KiB
 
 #: Backed buffers of at least this size are their own anonymous mapping
@@ -116,9 +116,11 @@ class Buffer:
 
 def partition_size_of(total_bytes: int, n_partitions: int) -> int:
     """Bytes per partition when ``total_bytes`` splits evenly, else raises."""
+    if n_partitions < 1:
+        raise ConfigError(f"need at least one partition, got {n_partitions}")
     size, rest = divmod(total_bytes, n_partitions)
     if rest or size < 1:
-        raise ValueError(f"total {total_bytes}B not divisible by "
+        raise ConfigError(f"total {total_bytes}B not divisible by "
                          f"{n_partitions} partitions")
     return size
 

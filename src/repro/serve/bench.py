@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.autotune.policy import PlanChoice
 from repro.autotune.store import workload_key
+from repro.errors import ConfigError
 from repro.serve.service import TuningService
 
 #: Modeled service costs, microseconds.
@@ -74,6 +75,8 @@ def run_serve_bench(n_clients: int = 400, n_requests: int = 4000,
     return, which keeps experiment points pure functions of their
     scenario.
     """
+    if not np.isfinite(zipf_s):
+        raise ConfigError(f"zipf_s must be finite, got {zipf_s}")
     if root is None:
         with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
             return run_serve_bench(

@@ -4,11 +4,7 @@ These are the reproduction's acceptance tests — each asserts a
 direction or ordering the paper reports, at reduced iteration counts.
 """
 
-from repro.bench import (
-    overhead_speedup_series,
-    run_overhead,
-    run_perceived_bandwidth,
-)
+from repro.bench import run_overhead, run_perceived_bandwidth
 from repro.bench.perceived import single_thread_line
 from repro.core import (
     NoAggregation,
@@ -29,6 +25,15 @@ def timer(delta=us(35)):
     return TimerPLogGPAggregator(NIAGARA_LOGGP, delay=ms(4), delta=delta)
 
 
+def speedups(module, n_user, sizes):
+    """Speedup over ``part_persist`` per size: one run_overhead pair each."""
+    return {size: run_overhead(None, n_user=n_user, total_bytes=size,
+                               **ITER).mean_time
+            / run_overhead(module, n_user=n_user, total_bytes=size,
+                           **ITER).mean_time
+            for size in sizes}
+
+
 # ---------------------------------------------------------------------------
 # Fig. 6/8: overhead speedups
 # ---------------------------------------------------------------------------
@@ -36,47 +41,42 @@ def timer(delta=us(35)):
 
 def test_aggregation_beats_baseline_at_medium_sizes_32_parts():
     """Fig. 8 @32: clear speedup in the medium range."""
-    speedups = overhead_speedup_series(
-        ploggp(), n_user=32, sizes=[64 * KiB, 128 * KiB], **ITER)
-    assert all(s > 1.5 for s in speedups.values())
+    series = speedups(ploggp(), 32, [64 * KiB, 128 * KiB])
+    assert all(s > 1.5 for s in series.values())
 
 
 def test_speedup_fades_at_wire_saturation():
     """Fig. 6/8: speedup ~1.0 once the wire saturates (>= 4 MiB)."""
-    speedups = overhead_speedup_series(
-        ploggp(), n_user=32, sizes=[4 * MiB, 16 * MiB], **ITER)
-    assert all(0.9 < s < 1.2 for s in speedups.values())
+    series = speedups(ploggp(), 32, [4 * MiB, 16 * MiB])
+    assert all(0.9 < s < 1.2 for s in series.values())
 
 
 def test_peak_speedup_in_medium_range():
     """The speedup curve peaks between small and saturated sizes."""
     sizes = [1 * KiB, 64 * KiB, 8 * MiB]
-    speedups = overhead_speedup_series(ploggp(), n_user=32, sizes=sizes, **ITER)
-    assert speedups[64 * KiB] > speedups[1 * KiB]
-    assert speedups[64 * KiB] > speedups[8 * MiB]
+    series = speedups(ploggp(), 32, sizes)
+    assert series[64 * KiB] > series[1 * KiB]
+    assert series[64 * KiB] > series[8 * MiB]
 
 
 def test_few_balanced_partitions_gain_little():
     """Fig. 8 @4 partitions: no win at tiny sizes, none at saturation;
     a narrow benefit band in between (widest right at the rendezvous
     protocol switch, as the paper's spike discussion notes)."""
-    speedups = overhead_speedup_series(
-        ploggp(), n_user=4, sizes=[1 * KiB, 64 * KiB, 4 * MiB], **ITER)
-    assert speedups[1 * KiB] < 1.1
-    assert speedups[4 * MiB] < 1.1
+    series = speedups(ploggp(), 4, [1 * KiB, 64 * KiB, 4 * MiB])
+    assert series[1 * KiB] < 1.1
+    assert series[4 * MiB] < 1.1
     # 64 KiB sits right on the rendezvous protocol switch (16 KiB
     # partitions), where speedup spikes — the paper notes the same
     # protocol-switch spikes in its own curves.
-    assert speedups[64 * KiB] < 2.8
+    assert series[64 * KiB] < 2.8
 
 
 def test_oversubscription_amplifies_gain():
     """Fig. 8 @128: oversubscribed threads (128 > 40 cores) make the
     baseline's per-message lock contention worse, growing the win."""
-    s32 = overhead_speedup_series(ploggp(), n_user=32,
-                                  sizes=[128 * KiB], **ITER)[128 * KiB]
-    s128 = overhead_speedup_series(ploggp(), n_user=128,
-                                   sizes=[128 * KiB], **ITER)[128 * KiB]
+    s32 = speedups(ploggp(), 32, [128 * KiB])[128 * KiB]
+    s128 = speedups(ploggp(), 128, [128 * KiB])[128 * KiB]
     assert s128 > s32
 
 

@@ -1,5 +1,7 @@
 """Tests for aggregation strategies."""
 
+import math
+
 import pytest
 
 from repro.config import NIAGARA
@@ -113,3 +115,18 @@ def test_describe_strings():
     assert "ploggp" in PLogGPAggregator(NIAGARA_LOGGP, delay=0.0).describe()
     assert "timer" in TimerPLogGPAggregator(
         NIAGARA_LOGGP, delay=0.0, delta=us(1)).describe()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PlanChoice(4, 2, math.nan),
+    lambda: TimerPLogGPAggregator(NIAGARA_LOGGP, delay=ms(4), delta=math.nan),
+    lambda: PLogGPAggregator(NIAGARA_LOGGP, delay=math.nan),
+], ids=["plan-choice-delta", "timer-delta", "ploggp-delay"])
+def test_a_nan_delay_or_delta_is_rejected(build):
+    # ``while waited < nan`` would exit at once: a NaN δ ran as δ = 0.
+    with pytest.raises(ConfigError, match="must be >= 0, got nan"):
+        build()
+
+
+def test_an_infinite_delta_stays_legal():
+    assert PlanChoice(4, 2, math.inf).delta == math.inf

@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from repro.errors import PartitionError, ProtectionError
+from repro.errors import ConfigError, PartitionError, ProtectionError
 from repro.mem import Buffer, PartitionedBuffer
-from repro.mem.buffer import MAP_BYTES
+from repro.mem.buffer import MAP_BYTES, partition_size_of
 from repro.units import MiB
 
 
@@ -199,3 +199,14 @@ def test_dropped_rings_do_not_stay_resident():
         del rings, ring
         gc.collect()
     assert resident() - before < 16 * MiB
+
+
+@pytest.mark.parametrize("total, parts, message", [
+    (4096, 0, "need at least one partition, got 0"),
+    (4096, -2, "need at least one partition, got -2"),
+    (4096, 3, "not divisible by 3 partitions"),
+    (2, 4, "not divisible by 4 partitions"),
+])
+def test_partition_size_of_rejects_a_bad_split(total, parts, message):
+    with pytest.raises(ConfigError, match=message):
+        partition_size_of(total, parts)

@@ -1,5 +1,10 @@
 """The serving benchmark: determinism, hit rates, eviction pressure."""
 
+import math
+
+import pytest
+
+from repro.errors import ConfigError
 from repro.serve.bench import run_serve_bench
 
 SMALL = dict(n_clients=40, n_requests=600, n_keys=16, seed=5)
@@ -7,6 +12,13 @@ SMALL = dict(n_clients=40, n_requests=600, n_keys=16, seed=5)
 
 def test_bench_is_deterministic():
     assert run_serve_bench(**SMALL) == run_serve_bench(**SMALL)
+
+
+@pytest.mark.parametrize("zipf_s", [math.nan, math.inf])
+def test_a_non_finite_zipf_exponent_is_a_config_error(zipf_s):
+    # numpy would end in "Probabilities contain NaN" instead.
+    with pytest.raises(ConfigError, match="zipf_s must be finite"):
+        run_serve_bench(zipf_s=zipf_s, **SMALL)
 
 
 def test_zipf_traffic_keeps_the_cache_hot():

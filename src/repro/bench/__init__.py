@@ -9,7 +9,7 @@
 * :mod:`repro.bench.sweep` — the Sweep3D communication pattern of
   Section V-D;
 * :mod:`repro.bench.coll` — partitioned tree-collective rounds
-  (allreduce over binomial trees of partitioned pairs);
+  (allreduce or broadcast over binomial trees of partitioned pairs);
 * :mod:`repro.bench.reporting` — table/series formatting for the
   figure reports ``repro-bench bench run`` prints.
 
@@ -25,7 +25,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "perceived": ("PerceivedResult", "run_perceived_bandwidth"),
     "sweep": ("SweepResult", "run_sweep"),
     "halo": ("HaloResult", "run_halo"),
-    "coll": ("PcollResult", "run_pallreduce"),
+    "coll": ("PcollResult", "run_pcoll"),
 })
 
 __all__ = [
@@ -41,5 +41,5 @@ __all__ = [
     "HaloResult",
     "run_halo",
     "PcollResult",
-    "run_pallreduce",
+    "run_pcoll",
 ]

@@ -1,31 +1,24 @@
-"""Chaos campaigns: property-based fault injection with invariants.
+"""Chaos runs: property-based fault injection with invariants.
 
 The chaos layer closes the robustness loop the fault model opened:
 
 * :mod:`repro.chaos.generators` — seeded, replayable randomized
   :class:`~repro.faults.FaultSchedule` generators (flap storms,
   correlated rail failures, RNR bursts, latency-spike trains);
-* :mod:`repro.chaos.workloads` — registered real workloads (halo
-  exchange, tree allreduce/broadcast) run with backed buffers and
-  per-iteration byte verification;
+* :mod:`repro.chaos.workloads` — the workload table (halo exchange,
+  tree allreduce/broadcast, a two-tenant fleet) run with backed buffers
+  and per-iteration byte verification, and :func:`run_chaos`, one run
+  as the ``chaos`` point kind of :mod:`repro.exp.kinds`;
 * :mod:`repro.chaos.invariants` — the post-run checks every run must
   pass: completion, byte integrity, exactly-once accounting, no
-  leaked transport state, bounded virtual time;
-* :mod:`repro.chaos.campaign` — N-run campaigns cycling workloads and
-  kinds, with a JSON-safe failure-repro bundle per violating run;
-* :mod:`repro.chaos.report` — the ``repro-bench chaos`` summary table.
+  leaked transport state, bounded virtual time.
 
-See ``docs/FAULTS.md`` for the campaign model and the degradation
-ladder the campaigns exercise.
+A campaign is the ``ext_chaos`` row of :mod:`repro.exp.experiments`
+(``repro-bench chaos`` or ``bench run ext_chaos``); see
+``docs/FAULTS.md`` for the campaign model and the degradation ladder
+the campaigns exercise.
 """
 
-from repro.chaos.campaign import (
-    CampaignReport,
-    CampaignSpec,
-    RunOutcome,
-    failure_bundle,
-    run_campaign,
-)
 from repro.chaos.generators import (
     KINDS,
     generate_schedule,
@@ -33,33 +26,17 @@ from repro.chaos.generators import (
     schedule_to_dict,
 )
 from repro.chaos.invariants import RunReport, check_invariants
-from repro.chaos.report import format_campaign
-from repro.chaos.workloads import (
-    chaos_config,
-    collect_leaks,
-    get_workload,
-    resolve_module,
-    workload,
-    workload_names,
-)
+from repro.chaos.workloads import NATIVE, WORKLOADS, chaos_config, run_chaos
 
 __all__ = [
     "KINDS",
-    "CampaignReport",
-    "CampaignSpec",
-    "RunOutcome",
+    "NATIVE",
+    "WORKLOADS",
     "RunReport",
     "chaos_config",
     "check_invariants",
-    "collect_leaks",
-    "failure_bundle",
-    "format_campaign",
     "generate_schedule",
-    "get_workload",
-    "resolve_module",
-    "run_campaign",
+    "run_chaos",
     "schedule_from_dict",
     "schedule_to_dict",
-    "workload",
-    "workload_names",
 ]

@@ -1,35 +1,47 @@
-"""Registered chaos workloads: real communication patterns under faults.
+"""Chaos workloads, and one chaos run as a measurement point.
 
-A workload is a function ``fn(schedule, seed, **options) -> RunReport``
-registered under a name together with the node count its fault
-schedules should target.  Three ship by default:
+A workload is a function ``fn(schedule, seed, module) -> RunReport``
+that runs a real communication pattern with backed buffers under a
+fault schedule; :data:`WORKLOADS` maps each name to the node count its
+schedules target and that function:
 
 * ``ext_stencil`` — the 2-D halo exchange from :mod:`repro.coll`
-  (backed buffers, per-face integrity every iteration);
+  (per-face integrity every iteration);
 * ``pallreduce`` — the binomial-tree partitioned allreduce, verified
   against the wrapping uint8 sum of every rank's contribution;
 * ``pbcast`` — the partitioned broadcast, verified against the root's
-  fill pattern on every rank.
+  fill pattern on every rank;
+* ``fleet`` — two tenants sharing a flapping spine link
+  (:mod:`repro.fleet.chaos`).
 
-All three run on a *chaos recovery config*: short retry budgets and a
+All of them run on a *chaos recovery config*: short retry budgets and a
 quick reconnect walk, so injected faults actually exhaust retries and
 exercise replay/reconnect inside a few-millisecond virtual horizon.
+
+:func:`run_chaos` is the ``chaos`` kind of :mod:`repro.exp.kinds`: run
+``index`` of a campaign seeded ``seed``, reproducible from those two
+alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+import json
+from dataclasses import replace
+from functools import partial
+from typing import Optional
 
-import numpy as np
-
-from repro.chaos.invariants import RunReport
+from repro.bench.coll import run_pcoll
+from repro.chaos.generators import generate_schedule, schedule_to_dict
+from repro.chaos.invariants import RunReport, check_invariants
+from repro.coll import ladder_modules, run_stencil
 from repro.config import NIAGARA, ClusterConfig
-from repro.mem.buffer import PartitionedBuffer
-from repro.mpi.cluster import Cluster
-from repro.runtime import ComputePhase, SingleThreadDelay, WorkerTeam
-from repro.runtime.rounds import spawn_rounds
+from repro.exp.modules import build_module
+from repro.sim.rng import RngStreams
 from repro.units import KiB, ms, us
+
+#: The module descriptor a campaign's edges run by default: the PLogGP
+#: aggregator with a 1 ms delay (``repro-bench chaos --module native``).
+NATIVE = ["ploggp", {"delay": ms(1)}]
 
 
 def chaos_config(seed: int,
@@ -43,105 +55,11 @@ def chaos_config(seed: int,
     )
 
 
-def resolve_module(module="native", ladder: bool = False):
-    """Normalize a module choice name, optionally wrapping in a ladder."""
-    if isinstance(module, str):
-        if module == "persist":
-            module = None
-        elif module == "native":
-            from repro.core import PLogGPAggregator
-            from repro.model.tables import NIAGARA_LOGGP
-
-            module = PLogGPAggregator(NIAGARA_LOGGP, delay=ms(1))
-        else:
-            raise ValueError(
-                f"unknown module {module!r} (have: native, persist)")
-    if ladder:
-        from repro.coll import ladder_modules
-
-        return ladder_modules(module)
-    return module
-
-
-# -- registry -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkloadInfo:
-    """A registered workload plus the world its schedules target."""
-
-    name: str
-    n_nodes: int
-    fn: Callable
-
-
-_REGISTRY: dict[str, WorkloadInfo] = {}
-
-
-def workload(name: str, n_nodes: int):
-    """Register a chaos workload under ``name``."""
-
-    def deco(fn):
-        _REGISTRY[name] = WorkloadInfo(name=name, n_nodes=n_nodes, fn=fn)
-        return fn
-
-    return deco
-
-
-def workload_names() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def get_workload(name: str) -> WorkloadInfo:
-    info = _REGISTRY.get(name)
-    if info is None:
-        raise ValueError(f"unknown workload {name!r} "
-                         f"(have: {', '.join(workload_names())})")
-    return info
-
-
-# -- leak sweeps --------------------------------------------------------
-
-
-def collect_leaks(colls) -> list[str]:
-    """Leftover transport state after the last round (should be empty)."""
-    leaks: list[str] = []
-    seen: set[int] = set()
-    for coll in colls:
-        for req in list(coll.sends.values()) + list(coll.recvs.values()):
-            module = req.module
-            if module is None or id(module) in seen:
-                continue
-            seen.add(id(module))
-            edge = f"edge {req.process.rank}<->{req.peer}"
-            tracker = getattr(module, "_tracker", None)
-            if tracker is not None:
-                if tracker.replay:
-                    leaks.append(f"{edge}: {len(tracker.replay)} "
-                                 "unreplayed WR runs")
-                if tracker._inflight:
-                    leaks.append(f"{edge}: {len(tracker._inflight)} "
-                                 "tracked WRs never completed")
-            credit = getattr(module, "_credit", None)
-            if credit is not None and credit.deferred:
-                leaks.append(f"{edge}: {len(credit.deferred)} partitions "
-                             "stuck behind round credit")
-            if getattr(module, "blocks_completion", False):
-                leaks.append(f"{edge}: rescue partitions still in flight")
-    return leaks
-
-
-# -- ext_stencil --------------------------------------------------------
-
-
-@workload("ext_stencil", n_nodes=4)
-def run_ext_stencil(schedule, seed, module="native", ladder=False,
-                    config=None, iterations=4, warmup=1) -> RunReport:
+def run_ext_stencil(schedule, seed, module, config=None, iterations=4,
+                    warmup=1) -> RunReport:
     """The repro.coll halo exchange, backed, with per-face integrity."""
-    from repro.coll import run_stencil
-
     res = run_stencil(
-        module=resolve_module(module, ladder),
+        module=module,
         grid=(2, 2), n_threads=2, n_partitions=4, face_bytes=8 * KiB,
         compute=2e-4, noise_fraction=0.01,
         iterations=iterations, warmup=warmup,
@@ -154,125 +72,82 @@ def run_ext_stencil(schedule, seed, module="native", ladder=False,
         meta={"grid": "2x2", "iterations": iterations})
 
 
-# -- tree collectives ---------------------------------------------------
+def run_chaos_tree(collective, schedule, seed, module, config=None,
+                   iterations=4, warmup=1, world=5) -> RunReport:
+    """A backed tree ``collective`` (``pallreduce``/``pbcast``), every
+    rank's bytes checked every round."""
+    res = run_pcoll(
+        module, collective, world=world, n_threads=2, n_partitions=4,
+        partition_size=4 * KiB, compute=2e-4, noise_fraction=0.01,
+        iterations=iterations, warmup=warmup,
+        config=chaos_config(seed, config), faults=schedule, backed=True)
+    return RunReport(
+        workload=collective, completed=res.completed,
+        duration=float(sum(res.times)) if res.completed else 0.0,
+        integrity_failures=res.integrity_failures, counters=res.counters,
+        leaks=res.leaks, meta={"world": world, "iterations": iterations})
 
 
-def _fill_seed(it: int, rank: int, world: int) -> int:
-    return ((it * world + rank) * 2654435761) % (1 << 31)
-
-
-def _tree_driver(name, init, world, schedule, seed, module, ladder,
-                 config, iterations, warmup, root_fills_only,
-                 expected_for, n_partitions=4, partition_size=4 * KiB,
-                 n_threads=2) -> RunReport:
-    """What one round of a tree-collective workload does, run on the
-    shared loop of :mod:`repro.runtime.rounds`.
-
-    ``init(proc, buf, module_for)`` builds the collective;
-    ``expected_for(scratch, it, rank)`` returns the array ``buf`` must
-    equal after the round (``scratch`` is a throwaway backed buffer for
-    ``expected_pattern`` calls).
-    """
-    cfg = chaos_config(seed, config)
-    with Cluster(n_nodes=world, config=cfg) as cluster:
-        if schedule is not None:
-            cluster.fabric.install_faults(schedule)
-        procs = cluster.ranks(world)
-        per_thread = n_partitions // n_threads
-        phase = ComputePhase(compute=2e-4, noise=SingleThreadDelay(0.01))
-        module_for = resolve_module(module, ladder)
-        scratch = PartitionedBuffer(n_partitions, partition_size, backed=True)
-        state = {"integrity": 0, "colls": []}
-
-        def setup(rank, proc):
-            buf = PartitionedBuffer(n_partitions, partition_size, backed=True)
-            coll = init(proc, buf, module_for)
-            state["colls"].append(coll)
-            team = WorkerTeam.on(cluster, n_threads, f"noise.rank{rank}")
-            contributes = (rank == 0) if root_fills_only else True
-
-            def body(tid):
-                if contributes:
-                    for p in range(tid * per_thread, (tid + 1) * per_thread):
-                        yield from proc.pcoll_pready(coll, p)
-                else:
-                    yield 0.0
-
-            def one_round(it):
-                if contributes:
-                    buf.fill_pattern(_fill_seed(it, rank, world))
-                yield from proc.pcoll_start(coll)
-                yield team.run_round(phase, lambda tid: body(tid))
-                yield from proc.pcoll_wait(coll)
-                if not np.array_equal(buf.data, expected_for(scratch, it, rank)):
-                    state["integrity"] += 1
-
-            return one_round
-
-        clock = spawn_rounds(cluster, procs, iterations, warmup, setup)
-        cluster.run()
-        completed = clock.done == world
-        duration = float(sum(clock.times())) if completed else 0.0
-        return RunReport(
-            workload=name, completed=completed, duration=duration,
-            integrity_failures=state["integrity"],
-            counters=cluster.fabric.counters.as_dict(),
-            leaks=collect_leaks(state["colls"]) if completed else [],
-            meta={"world": world, "iterations": iterations})
-
-
-@workload("pallreduce", n_nodes=5)
-def run_chaos_pallreduce(schedule, seed, module="native", ladder=False,
-                         config=None, iterations=4, warmup=1,
-                         world=5) -> RunReport:
-    """Tree allreduce, checked against the wrapping sum of all fills."""
-    cache: dict[int, np.ndarray] = {}
-
-    def expected_for(scratch, it, rank):
-        got = cache.get(it)
-        if got is None:
-            got = np.zeros(scratch.nbytes, dtype=np.uint8)
-            for r in range(world):
-                got = got + scratch.expected_pattern(
-                    0, scratch.nbytes, _fill_seed(it, r, world))
-            cache[it] = got
-        return got
-
-    return _tree_driver(
-        "pallreduce",
-        lambda proc, buf, m: proc.pallreduce_init(buf, world, module_for=m),
-        world, schedule, seed, module, ladder, config, iterations, warmup,
-        root_fills_only=False, expected_for=expected_for)
-
-
-@workload("fleet", n_nodes=8)
-def run_chaos_fleet(schedule, seed, module="native", ladder=False,
-                    config=None, iterations=4, warmup=1) -> RunReport:
-    """Two pair tenants sharing a spine link that flaps mid-campaign.
-
-    Thin delegator; the driver and its tenant-isolation invariants live
-    in :mod:`repro.fleet.chaos` (imported lazily to keep the chaos
-    registry import-light).
-    """
+def run_chaos_fleet(schedule, seed, module, **options) -> RunReport:
+    """:func:`repro.fleet.chaos.run_fleet_workload`, imported on first
+    use (that module imports this package)."""
     from repro.fleet.chaos import run_fleet_workload
 
-    return run_fleet_workload(schedule, seed, module=module, ladder=ladder,
-                              config=config, iterations=iterations,
-                              warmup=warmup)
+    return run_fleet_workload(schedule, seed, module, **options)
 
 
-@workload("pbcast", n_nodes=5)
-def run_chaos_pbcast(schedule, seed, module="native", ladder=False,
-                     config=None, iterations=4, warmup=1,
-                     world=5) -> RunReport:
-    """Tree broadcast, every rank checked against the root's pattern."""
+#: Workload name -> (node count its schedules target, function).
+WORKLOADS = {
+    "ext_stencil": (4, run_ext_stencil),
+    "pallreduce": (5, partial(run_chaos_tree, "pallreduce")),
+    "pbcast": (5, partial(run_chaos_tree, "pbcast")),
+    "fleet": (8, run_chaos_fleet),
+}
 
-    def expected_for(scratch, it, rank):
-        return scratch.expected_pattern(
-            0, scratch.nbytes, _fill_seed(it, 0, world))
 
-    return _tree_driver(
-        "pbcast",
-        lambda proc, buf, m: proc.pbcast_init(buf, world, module_for=m),
-        world, schedule, seed, module, ladder, config, iterations, warmup,
-        root_fills_only=True, expected_for=expected_for)
+def run_chaos(workload: str, fault: str, seed: int, index: int,
+              horizon: float = 2.5e-3, max_duration: float = 1.0,
+              module=NATIVE, ladder: bool = False) -> dict:
+    """Run ``index`` of a campaign seeded ``seed``: its failure bundle.
+
+    The run draws its schedule and its cluster seed from the stream
+    ``chaos.{workload}.run{index}``, runs the workload on ``module`` (a
+    descriptor; ``ladder`` wraps every edge in the degradation ladder),
+    turns a raised error into a failed run, and checks the invariants.
+    The bundle is JSON-safe: the inputs, the schedule as run, the
+    violations (empty: every invariant held) and the run's report.
+    """
+    n_nodes, fn = WORKLOADS[workload]
+    rng = RngStreams(seed).stream(f"chaos.{workload}.run{index}")
+    schedule = generate_schedule(fault, rng, n_nodes=n_nodes,
+                                 horizon=horizon)
+    run_seed = int(rng.integers(1, 1 << 31))
+    try:
+        edges = build_module(module)
+        report = fn(schedule, run_seed,
+                    ladder_modules(edges) if ladder else edges)
+    except Exception as exc:
+        # A raised error is itself an invariant violation (runs on a
+        # reconnecting fabric must degrade, not abort); capture it
+        # structurally so the bundle explains the abort.  Its context
+        # (an edge tuple, partition runs) goes through JSON here, so a
+        # fresh bundle equals its cached copy.
+        context = json.dumps(getattr(exc, "context", None) or {})
+        report = RunReport(
+            workload=workload, completed=False,
+            meta={"error": f"{type(exc).__name__}: {exc}",
+                  "context": json.loads(context)})
+    return {
+        "index": index,
+        "workload": workload,
+        "kind": fault,
+        "seed": run_seed,
+        "schedule": schedule_to_dict(schedule),
+        "violations": check_invariants(report, max_duration=max_duration),
+        "completed": report.completed,
+        "duration": report.duration,
+        "integrity_failures": report.integrity_failures,
+        "counters": dict(report.counters),
+        "leaks": list(report.leaks),
+        "meta": dict(report.meta),
+    }

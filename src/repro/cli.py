@@ -26,6 +26,8 @@ or grid (``4x4``) literal; a wrong kind, key or value is a usage error
         jobs='[{"name":"pair0"},{"name":"halo1","kind":"halo","n_ranks":3}]'
     repro-bench point fleet_autotune autotune='{"counts":[4,16],"window":4}'
     repro-bench point serve_bench n_clients=400 n_requests=4000 zipf_s=1.1
+    repro-bench point chaos workload=pallreduce fault=rail_failure seed=7 \
+        index=1 ladder=true
 
 Speedups over ``part_persist``, Table I against the paper, the fleet's
 contention ranking and its re-tuning verdicts are the registered
@@ -37,7 +39,8 @@ run`` exits 1 when a run breaks a guideline::
     repro-bench bench compare BENCH_fig06.json baseline/BENCH_fig06.json
 
 ``plan`` renders the communication-plan IR of an experiment's points
-(``docs/PLAN_IR.md``), and the rest own stores and campaigns::
+(``docs/PLAN_IR.md``), and the rest own stores and campaigns (``chaos``
+runs the ``ext_chaos`` row at the campaign its flags describe)::
 
     repro-bench plan show fig08 --profile fast
     repro-bench plan diff fig08 --baseline-profile paper
@@ -80,36 +83,44 @@ def _names(text: str, have: Sequence[str], what: str) -> tuple[str, ...]:
 
 
 def cmd_chaos(args) -> int:
-    from repro.chaos import (
-        KINDS,
-        CampaignSpec,
-        failure_bundle,
-        format_campaign,
-        run_campaign,
-        workload_names,
-    )
+    """The ``ext_chaos`` row at the campaign the flags describe."""
+    from repro.chaos import KINDS, NATIVE, WORKLOADS
+    from repro.exp import Runner, get_experiment
 
-    spec = CampaignSpec(
-        workloads=_names(args.workloads, workload_names(), "workload"),
+    experiment = get_experiment("ext_chaos")
+    spec = experiment.spec(
+        workloads=_names(args.workloads, sorted(WORKLOADS), "workload"),
         runs=args.runs, seed=args.seed,
         kinds=_names(args.kinds, KINDS, "fault kind"),
-        horizon=ms(args.horizon_ms), module=args.module,
+        horizon=ms(args.horizon_ms),
+        module=NATIVE if args.module == "native" else ["persist"],
         ladder=args.ladder)
     progress = None if args.quiet else (
         lambda msg: print(f"  {msg}", file=sys.stderr))
-    report = run_campaign(spec, progress=progress)
-    print(format_campaign(report))
+    payload = spec.collect(Runner(progress=progress).run(spec.points))
+    print(spec.report(payload))
+    violated = _print_violations("ext_chaos", experiment, payload)
     if args.bundle_dir:
         os.makedirs(args.bundle_dir, exist_ok=True)
-        for outcome in report.failures():
+        for bundle in payload["runs"]:
+            if not bundle["violations"]:
+                continue
             path = os.path.join(
                 args.bundle_dir,
-                f"chaos-{outcome.workload}-run{outcome.index}.json")
+                f"chaos-{bundle['workload']}-run{bundle['index']}.json")
             with open(path, "w") as fh:
-                json.dump(failure_bundle(outcome), fh, indent=2,
-                          sort_keys=True)
+                json.dump(bundle, fh, indent=2, sort_keys=True)
             print(f"wrote {path}")
-    return 0 if report.ok else 1
+    return 1 if violated else 0
+
+
+def _print_violations(name: str, experiment, payload: dict) -> int:
+    """Print a ``VIOLATED`` line per guideline ``payload`` breaks."""
+    broken = experiment.violations(payload)
+    for guideline in broken:
+        print(f"VIOLATED {name}: {guideline.name} "
+              f"(mechanism: {guideline.mechanism})")
+    return len(broken)
 
 
 def cmd_bench_list(args) -> int:
@@ -280,10 +291,7 @@ def cmd_bench_run(args) -> int:
         print(f"({stats.unique} points, {stats.cache_hits} cached, "
               f"{stats.executed} executed, {run.elapsed:.1f}s; {len(broken)} "
               f"of {len(run.experiment.guidelines)} guidelines violated)")
-        for guideline in broken:
-            print(f"VIOLATED {name}: {guideline.name} "
-                  f"(mechanism: {guideline.mechanism})")
-        violated += len(broken)
+        violated += _print_violations(name, run.experiment, run.payload)
         for path in run.paths:
             print(f"wrote {path}")
         if run.cpu_profile:

@@ -20,6 +20,8 @@ from repro.bench.reporting import (
     format_speedup_series,
     format_table,
 )
+from repro.chaos import KINDS as FAULT_KINDS, NATIVE
+from repro.exp.kinds import check
 from repro.exp.profiles import FAST, PAPER, PERCEIVED_COMPUTE, PERCEIVED_NOISE
 from repro.exp.registry import Experiment, ExperimentSpec, Guideline, Metric
 from repro.exp.spec import Scenario
@@ -1370,6 +1372,86 @@ EXT_SERVE_GUIDELINES = (
 )
 
 
+# ----------------------------------------------------------- ext_chaos
+
+#: The workloads every profile's campaign cycles.
+CHAOS_WORKLOADS = ("ext_stencil", "pallreduce", "pbcast", "fleet")
+
+
+def ext_chaos_spec(workloads, runs: int, seed: int, ladder: bool,
+                   kinds=FAULT_KINDS, horizon: float = 2.5e-3,
+                   max_duration: float = 1.0,
+                   module=NATIVE) -> ExperimentSpec:
+    """A seeded chaos campaign: ``runs`` randomized fault runs.
+
+    Run ``i`` is the ``chaos`` point of workload ``i % len(workloads)``
+    under fault kind ``i % len(kinds)``, replayable alone from the
+    campaign ``seed`` and ``i`` (``repro-bench point chaos``).  Each
+    point is read by the kind's parsers (a bad argument is a usage
+    error); its result is the run's failure bundle.
+    """
+    points = [check("chaos", dict(
+        workload=workloads[i % len(workloads)], fault=kinds[i % len(kinds)],
+        seed=seed, index=i, horizon=horizon, max_duration=max_duration,
+        module=module, ladder=ladder)) for i in range(runs)]
+
+    def collect(res):
+        bundles = [res[point] for point in points]
+        held: dict[str, list] = {}
+        for bundle in bundles:
+            held.setdefault(bundle["workload"], []).append(
+                not bundle["violations"])
+        return {"series": {"runs upholding every invariant": {
+                    name: sum(ok) / len(ok) for name, ok in held.items()}},
+                "kinds": list(kinds), "runs": bundles}
+
+    def report(payload):
+        bundles = payload["runs"]
+        lines = [
+            f"chaos campaign: {len(bundles)} runs, seed {seed}, workloads "
+            f"{', '.join(workloads)}" + (", ladder on" if ladder else ""),
+            "kinds covered: "
+            + ", ".join(sorted({r["kind"] for r in bundles})),
+        ]
+        rows = []
+        totals: dict[str, int] = {}
+        for r in bundles:
+            c = r["counters"]
+            rows.append([
+                r["index"], r["workload"], r["kind"], r["seed"],
+                f"{r['duration'] * 1e3:.2f}ms" if r["completed"] else "-",
+                c.get("ib.retry_exhausted", 0), c.get("ib.reconnects", 0),
+                c.get("chaos.ladder_demotions", 0),
+                "; ".join(r["violations"]) or "ok"])
+            for name, value in c.items():
+                if name.startswith("chaos."):
+                    totals[name] = totals.get(name, 0) + value
+        lines.append(format_table(
+            ["run", "workload", "kind", "seed", "time", "retry_exh",
+             "reconn", "demote", "verdict"], rows))
+        if totals:
+            lines.append("chaos counters: " + ", ".join(
+                f"{name.removeprefix('chaos.')}={value}"
+                for name, value in sorted(totals.items())))
+        failed = [r for r in bundles if r["violations"]]
+        lines.append(
+            f"{sum(len(r['violations']) for r in failed)} violation(s) in "
+            f"{len(failed)} run(s)" if failed else "all invariants held")
+        return "\n".join(lines)
+
+    return ExperimentSpec(points, collect, report)
+
+
+EXT_CHAOS_GUIDELINES = (
+    Guideline("every run upholds every invariant", "replay, dedup and the "
+              "ladder recover every fault exactly once",
+              lambda p: not any(r["violations"] for r in p["runs"])),
+    Guideline("every fault kind ran", "the runs cycle the fault kinds",
+              lambda p: {r["kind"] for r in p["runs"]}
+              >= set(p["kinds"][:len(p["runs"])])),
+)
+
+
 # ------------------------------------------------------------ the table
 
 #: One row per figure: ``Experiment(name, title, metric, spec, guidelines,
@@ -1508,4 +1590,12 @@ EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in (
                                 "p99 lookup latency (us)"),
                fast=dict(n_clients=400, n_requests=4000, stress_writers=3,
                          stress_puts=10, cas_puts=8)),
+    Experiment("ext_chaos", "Extension: chaos campaign — invariants under "
+                            "randomized faults",
+               Metric("share of runs upholding every invariant"),
+               ext_chaos_spec, EXT_CHAOS_GUIDELINES,
+               paper=dict(workloads=CHAOS_WORKLOADS, runs=48, seed=7,
+                          ladder=True),
+               fast=dict(workloads=CHAOS_WORKLOADS, runs=12, seed=1,
+                         ladder=True)),
 )}

@@ -366,6 +366,9 @@ KINDS: dict[str, Kind] = {
                         params=("autotune", "n_tenants", "n_partitions",
                                 "partition_size", "iterations", "n_shards")
                         + _SEEDED),
+    "chaos": Kind(("repro.chaos", "run_chaos"), takes=("seed",),
+                  needs=("workload", "fault", "seed", "index"),
+                  params=("horizon", "max_duration", "module", "ladder")),
 }
 
 
@@ -431,6 +434,14 @@ def parse_seconds(value) -> float:
     return non_negative_float(value)
 
 
+def positive_seconds(value) -> float:
+    """A duration > 0 (:func:`parse_seconds`)."""
+    seconds = parse_seconds(value)
+    if seconds == 0:
+        raise ValueError(f"must be > 0, got {value}")
+    return seconds
+
+
 def parse_grid(value) -> list[int]:
     """A 2-D or 3-D rank grid: a list, or text such as ``4x4``."""
     dims = value
@@ -474,6 +485,19 @@ def _built(build: Callable[[Any], Any]) -> Callable[[Any], Any]:
     return parse
 
 
+def _chaos_name(table: str) -> Callable[[Any], str]:
+    """A name from a :mod:`repro.chaos` table (read on first use)."""
+    def parse(value):
+        import repro.chaos
+
+        names = getattr(repro.chaos, table)
+        if not (isinstance(value, str) and value in names):
+            raise ValueError(f"want one of {', '.join(sorted(names))}, "
+                             f"got {value!r}")
+        return value
+    return parse
+
+
 def _jobs(jobs: list) -> None:
     from repro.fleet import JobSpec
 
@@ -491,14 +515,16 @@ PARAMS: dict[str, Callable[[Any], Any]] = {
          "tail_rounds", "n_clients", "n_requests", "n_keys", "n_shards",
          "cache_capacity", "n_writers", "n_puts", "n_tenants"),
         _shape(lambda v: type(v) is int and v >= 1, "an integer >= 1")),
-    **dict.fromkeys(("warmup", "level", "seed", "max_entries_per_shard"),
+    **dict.fromkeys(("warmup", "level", "seed", "max_entries_per_shard",
+                     "index"),
                     _shape(lambda v: type(v) is int and v >= 0,
                            "an integer >= 0")),
     **dict.fromkeys(("total_bytes", "partition_size"), parse_size),
     "face_bytes": _faces,
     "sizes": parse_sizes,
     "grid": parse_grid,
-    **dict.fromkeys(("compute", "delay"), parse_seconds),
+    **dict.fromkeys(("compute", "delay", "max_duration"), parse_seconds),
+    "horizon": positive_seconds,
     **dict.fromkeys(("noise_fraction", "loss", "zipf_s", "p_commit"),
                     non_negative_float),
     "module": _descriptor(MODULE_NAMES),
@@ -510,6 +536,9 @@ PARAMS: dict[str, Callable[[Any], Any]] = {
     "placement": _shape(("packed", "spread", "random").__contains__,
                         "packed, spread or random"),
     "mode": _shape(("cas", "confident").__contains__, "cas or confident"),
+    "workload": _chaos_name("WORKLOADS"),
+    "fault": _chaos_name("KINDS"),
+    "ladder": _shape(lambda v: type(v) is bool, "true or false"),
 }
 
 

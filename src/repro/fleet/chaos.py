@@ -50,10 +50,14 @@ def _fill_seed(it: int, tenant_index: int) -> int:
     return ((it * 7 + tenant_index) * 2654435761) % (1 << 31)
 
 
-def run_fleet_workload(schedule, seed, module="native", ladder=False,
-                       config=None, iterations=4, warmup=1) -> RunReport:
-    """Run the two-tenant fleet under faults; see the module docstring."""
-    from repro.chaos.workloads import chaos_config, resolve_module
+def run_fleet_workload(schedule, seed, module, config=None, iterations=4,
+                       warmup=1) -> RunReport:
+    """Run the two-tenant fleet under faults; see the module docstring.
+
+    ``module`` is a live per-edge plan (:func:`repro.coll.edge_modules`
+    vocabulary).
+    """
+    from repro.chaos.workloads import chaos_config
     from repro.coll.plans import edge_modules
     from repro.fleet.run import default_topology
 
@@ -67,7 +71,7 @@ def run_fleet_workload(schedule, seed, module="native", ladder=False,
                  topology=topology) as cluster:
         if schedule is not None:
             cluster.fabric.install_faults(schedule)
-        resolver = edge_modules(resolve_module(module, ladder))
+        resolver = edge_modules(module)
 
         n_partitions, partition_size = 4, 4 * KiB
         phase = ComputePhase(compute=us(150), noise=SingleThreadDelay(0.01))

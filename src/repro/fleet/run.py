@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.config import ClusterConfig
 from repro.fleet.profile import FleetProfile, attach_slowdowns
-from repro.fleet.spec import JobSpec, _hashable
+from repro.fleet.spec import JobSpec
 from repro.fleet.tenancy import TAG_STRIDE, TenantScheduler
 from repro.fleet.traffic import TrafficSpec
 from repro.ib.topology import RoutedDragonflyPlus
@@ -134,7 +134,7 @@ def run_contended_pair(module=("persist",), level: int = 0,
                     n_partitions=n_partitions,
                     partition_size=partition_size,
                     iterations=iterations, warmup=warmup, compute=compute,
-                    module=_hashable(module))]
+                    module=module)]
     jobs += background_jobs(level, seed=seed + 1)
     profile = run_fleet(jobs, placement="spread", seed=seed, config=config)
     view = profile.tenants["mpi"]

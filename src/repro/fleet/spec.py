@@ -18,7 +18,7 @@ attributed).  Three placement policies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,9 +46,9 @@ class JobSpec:
     iterations: int = 4
     warmup: int = 1
     compute: float = 0.0
-    #: Transport-module descriptor (see :mod:`repro.exp.modules`);
-    #: tuple-of-tuples so the spec stays hashable.
-    module: tuple = ("persist",)
+    #: Transport-module descriptor ``[name, params]``, kept as given
+    #: (see :mod:`repro.exp.modules`).
+    module: list = field(default_factory=lambda: ["persist"])
     #: Offered-load pattern; required for (and only for) ``traffic``.
     traffic: Optional[TrafficSpec] = None
 
@@ -82,27 +82,7 @@ class JobSpec:
         d = dict(d)
         if d.get("traffic") is not None:
             d["traffic"] = TrafficSpec(**d["traffic"])
-        if "module" in d:
-            d["module"] = _hashable(d["module"])
         return cls(**d)
-
-
-def _hashable(desc) -> tuple:
-    """A module descriptor as nested tuples (frozen-dataclass friendly)."""
-    if isinstance(desc, dict):
-        return tuple(sorted((k, _hashable(v)) for k, v in desc.items()))
-    if isinstance(desc, (list, tuple)):
-        return tuple(_hashable(x) for x in desc)
-    return desc
-
-
-def module_descriptor(spec_module: tuple):
-    """The ``build_module``-ready ``[name, params]`` list for a spec."""
-    desc = list(spec_module)
-    if len(desc) > 1 and isinstance(desc[1], tuple):
-        desc[1] = {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in desc[1]}
-    return desc
 
 
 def place_jobs(jobs: list[JobSpec], topology, policy: str = "packed",

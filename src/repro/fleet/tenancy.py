@@ -24,7 +24,7 @@ from repro.config import ClusterConfig, NIAGARA
 from repro.core.module import spec_for
 from repro.errors import ConfigError
 from repro.fleet.profile import FleetProfile, collect_tenant_views
-from repro.fleet.spec import JobSpec, module_descriptor, place_jobs
+from repro.fleet.spec import JobSpec, place_jobs
 from repro.fleet.traffic import offered_load
 from repro.mem.buffer import Buffer, PartitionedBuffer
 from repro.mpi.cluster import Cluster
@@ -77,8 +77,7 @@ class TenantScheduler:
             else:
                 from repro.exp.modules import build_module
 
-                self._modules[job.name] = build_module(
-                    module_descriptor(job.module))
+                self._modules[job.name] = build_module(job.module)
         #: Per job: its :class:`~repro.runtime.RoundClock` (traffic
         #: tenants: a delivered/events count dict).
         self._records: dict = {}

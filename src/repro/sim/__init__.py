@@ -35,7 +35,7 @@ from repro.sim.core import (
     PRIORITY_NORMAL,
 )
 from repro.sim.process import Process
-from repro.sim.events import AllOf, Condition
+from repro.sim.events import AllOf
 from repro.sim.resources import Resource, Store
 from repro.sim.sync import SimLock, AtomicCounter, SimBarrier, Notify
 from repro.sim.rng import RngStreams
@@ -48,7 +48,6 @@ __all__ = [
     "PARKED",
     "Process",
     "AllOf",
-    "Condition",
     "Resource",
     "Store",
     "SimLock",

@@ -14,8 +14,8 @@ actual shape rather than a single binary heap:
 * **future** events fall back to a binary heap of
   ``(time, priority, seq, event)`` entries, exactly the historical
   structure;
-* priorities other than ``PRIORITY_URGENT``/``PRIORITY_NORMAL`` are
-  legal but rare, and ride a small per-batch overflow heap;
+* ``PRIORITY_URGENT`` and ``PRIORITY_NORMAL`` are the only priorities:
+  ``succeed``/``fail`` refuse any other;
 * **deadlines** that are usually resolved before they come due (a
   parked :meth:`~repro.sim.sync.Notify.wait`'s fallback) ride one FIFO
   *lane* per delay instead of the heap: times never decrease and a lane
@@ -40,9 +40,8 @@ heap and lane entries into the batch deques in one go, in
 tight loop of :meth:`Environment._drain` with no per-event method-call
 overhead.  Ordering is identical to the heap-only scheduler by
 construction: heap and lane entries at a timestamp always predate
-(lower ``seq``) anything appended to the batch while it runs, urgent
-arrivals preempt queued normal events on every iteration, and the
-overflow heap keeps ``(priority, seq)`` order for exotic priorities.
+(lower ``seq``) anything appended to the batch while it runs, and urgent
+arrivals preempt queued normal events on every iteration.
 ``tests/test_sim/test_scheduler_equiv.py`` holds the scheduler to that
 equivalence property under randomized floods.
 """
@@ -179,7 +178,7 @@ class Event:
         elif priority == 0:
             env._cur_urgent.append(self)
         else:
-            env._push_rare(self, priority)
+            self._refuse(priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
@@ -196,8 +195,15 @@ class Event:
         elif priority == 0:
             env._cur_urgent.append(self)
         else:
-            env._push_rare(self, priority)
+            self._refuse(priority)
         return self
+
+    def _refuse(self, priority) -> None:
+        """Untrigger, then refuse a priority the calendar has no lane for."""
+        self._ok = None
+        self._value = _PENDING
+        raise ValueError(f"priority must be PRIORITY_URGENT (0) or "
+                         f"PRIORITY_NORMAL (1), got {priority!r}")
 
     def __repr__(self) -> str:
         state = (
@@ -298,11 +304,9 @@ class Environment:
         #: Far-future events: a heap of ``(time, priority, seq, event)``.
         self._heap: list[tuple[float, int, int, Event]] = []
         #: Current-timestamp batch, drained FIFO.  Urgent events preempt
-        #: queued normal ones; exotic priorities overflow into
-        #: ``_cur_rare`` (a ``(priority, seq, event)`` heap).
+        #: queued normal ones.
         self._cur_urgent: deque[Event] = deque()
         self._cur_normal: deque[Event] = deque()
-        self._cur_rare: list[tuple[int, int, Event]] = []
         #: Deadline lanes, one per delay: FIFOs of ``(time, seq, event)``
         #: at priority normal (see :meth:`repro.sim.sync.Notify.wait`),
         #: and the earliest lane head (``inf`` with every lane empty).
@@ -348,15 +352,9 @@ class Environment:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _push_rare(self, event: Event, priority: int) -> None:
-        """Admit a current-time event with an exotic priority (>= 2)."""
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._cur_rare, (priority, seq, event))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._cur_urgent or self._cur_normal or self._cur_rare:
+        if self._cur_urgent or self._cur_normal:
             return self._now
         when = self._heap[0][0] if self._heap else _INF
         return min(when, self._lane_next)
@@ -385,13 +383,11 @@ class Environment:
         self._lane_next = head
         if staged:
             staged.sort()   # (priority, seq) pairs are unique
-            for priority, seq, event in staged:
+            for priority, _, event in staged:
                 if priority == 1:
                     self._cur_normal.append(event)
-                elif priority == 0:
-                    self._cur_urgent.append(event)
                 else:
-                    heappush(self._cur_rare, (priority, seq, event))
+                    self._cur_urgent.append(event)
 
     def _drain(self, stop=(), deadline: float = _INF) -> None:
         """The dispatch loop: consume batches until a bound is hit.
@@ -405,7 +401,6 @@ class Environment:
         heap = self._heap
         urgent = self._cur_urgent
         normal = self._cur_normal
-        rare = self._cur_rare
         profile = self._profile
         pop_urgent = urgent.popleft
         pop_normal = normal.popleft
@@ -414,8 +409,6 @@ class Environment:
                 event = pop_urgent()
             elif normal:
                 event = pop_normal()
-            elif rare:
-                event = heappop(rare)[2]
             else:
                 # Open the next timestamp: the heap head, unless a lane
                 # deadline is due first (or at the same time).
@@ -434,22 +427,16 @@ class Environment:
                 if heap and heap[0][0] == when:
                     # Timestamp collision: stage every entry at ``when``
                     # so (priority, seq) interleaving stays exact.
-                    priority = entry[1]
-                    if priority == 1:
+                    if entry[1] == 1:
                         normal.append(entry[3])
-                    elif priority == 0:
-                        urgent.append(entry[3])
                     else:
-                        heappush(rare, (priority, entry[2], entry[3]))
+                        urgent.append(entry[3])
                     while heap and heap[0][0] == when:
                         entry = heappop(heap)
-                        priority = entry[1]
-                        if priority == 1:
+                        if entry[1] == 1:
                             normal.append(entry[3])
-                        elif priority == 0:
-                            urgent.append(entry[3])
                         else:
-                            heappush(rare, (priority, entry[2], entry[3]))
+                            urgent.append(entry[3])
                     continue
                 # Sole event at this timestamp: dispatch straight from
                 # the heap without touching the batch deques.
@@ -533,12 +520,11 @@ class Environment:
         self._heap.clear()
         self._cur_urgent.clear()
         self._cur_normal.clear()
-        self._cur_rare.clear()
         self._lanes.clear()
         self._lane_next = _INF
 
     def __repr__(self) -> str:
-        queued = (len(self._heap) + len(self._cur_rare)
+        queued = (len(self._heap)
                   + len(self._cur_urgent) + len(self._cur_normal)
                   + sum(map(len, self._lanes.values())))
         return f"<Environment now={self._now} queued={queued}>"

@@ -2,35 +2,29 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.sim.core import Environment, Event
 
 
-class Condition(Event):
-    """Fires when ``evaluate(events, fired_count)`` becomes true.
+class AllOf(Event):
+    """Fires when every constituent event has fired successfully.
 
-    The value of a condition is a dict mapping each *fired* constituent
-    event to its value, in firing order.  If any constituent fails, the
-    condition fails with that exception.
+    The value is a dict mapping each constituent event to its value, in
+    firing order.  If any constituent fails, this event fails with that
+    exception.
     """
 
-    __slots__ = ("_evaluate", "_events", "_fired")
+    __slots__ = ("_events", "_fired")
 
-    def __init__(
-        self,
-        env: Environment,
-        evaluate: Callable[[Sequence[Event], int], bool],
-        events: Sequence[Event],
-    ):
+    def __init__(self, env: Environment, events: Sequence[Event]):
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
         self._fired: dict[Event, object] = {}
         for ev in self._events:
             if ev.env is not env:
                 raise ValueError("all events must share one environment")
-        if not self._events and evaluate(self._events, 0):
+        if not self._events:
             self.succeed({})
             return
         for ev in self._events:
@@ -48,19 +42,5 @@ class Condition(Event):
             self.fail(event._value)
             return
         self._fired[event] = event._value
-        if self._evaluate(self._events, len(self._fired)):
+        if len(self._fired) == len(self._events):
             self.succeed(dict(self._fired))
-
-
-def _all_fired(evs: Sequence[Event], n: int) -> bool:
-    return n == len(evs)
-
-
-class AllOf(Condition):
-    """Fires when every constituent event has fired successfully."""
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment, events: Sequence[Event]):
-        super().__init__(env, _all_fired, events)
-

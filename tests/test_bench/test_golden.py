@@ -88,12 +88,14 @@ def run_ext_ablations_mini():
 
 def run_drivers_mini():
     """One small point per round-loop driver the figure goldens miss:
-    ``run_halo`` (flat and on a topology), ``run_pallreduce``, a fleet
+    ``run_halo`` (flat and on a topology), ``run_pcoll``, a fleet
     with a pair, a halo and a tree tenant, the re-convergence driver
     (the ``round_hooks`` path) and the chaos tree/fleet workloads."""
-    from repro.bench.coll import run_pallreduce
+    from repro.bench.coll import run_pcoll
     from repro.bench.halo import run_halo
-    from repro.chaos.workloads import get_workload
+    from repro.chaos import NATIVE, WORKLOADS
+    from repro.coll import ladder_modules
+    from repro.exp.modules import build_module
     from repro.core import PLogGPAggregator
     from repro.fleet import JobSpec, run_fleet, run_reconvergence
     from repro.ib.topology import DragonflyPlus
@@ -118,19 +120,19 @@ def run_drivers_mini():
                 partition_size=16 * KiB, compute=1e-3, noise_fraction=0.01,
                 iterations=2, warmup=1)
     out["pallreduce"] = {
-        "persist": list(run_pallreduce(None, **tree).times),
-        "ploggp": list(run_pallreduce(ploggp(), **tree).times),
+        "persist": list(run_pcoll(None, **tree).times),
+        "ploggp": list(run_pcoll(ploggp(), **tree).times),
     }
     jobs = [
         JobSpec(name="p", kind="pair", n_ranks=2, n_partitions=4,
                 partition_size=16 * KiB, iterations=2, warmup=1,
-                module=("ploggp", (("delay", 4e-3),))),
+                module=["ploggp", {"delay": 4e-3}]),
         JobSpec(name="h", kind="halo", n_ranks=3, n_partitions=4,
                 partition_size=16 * KiB, iterations=2, warmup=1,
                 compute=1e-4),
         JobSpec(name="t", kind="tree", n_ranks=3, n_partitions=4,
                 partition_size=16 * KiB, iterations=3, warmup=0,
-                compute=5e-5, module=("ploggp", (("delay", 4e-3),))),
+                compute=5e-5, module=["ploggp", {"delay": 4e-3}]),
     ]
     profile = run_fleet(jobs, placement="spread", seed=3)
     out["fleet"] = {
@@ -147,9 +149,13 @@ def run_drivers_mini():
     out["reconvergence"] = [
         [r["n_transport"], r["n_qps"], r["completion_time"]]
         for r in retune["rounds"]]
+    def native(ladder):
+        module = build_module(NATIVE)
+        return ladder_modules(module) if ladder else module
+
     out["chaos"] = {
         f"{name} ladder={ladder}":
-            get_workload(name).fn(None, 0, ladder=ladder).duration
+            WORKLOADS[name][1](None, 0, native(ladder)).duration
         for name, ladder in (("pallreduce", False), ("pbcast", False),
                              ("pbcast", True), ("fleet", False))
     }

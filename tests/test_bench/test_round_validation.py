@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from repro.bench.autotune import run_autotuned_pair
-from repro.bench.coll import run_pallreduce
+from repro.bench.coll import run_pcoll
 from repro.bench.halo import run_halo
 from repro.bench.overhead import run_overhead
 from repro.bench.perceived import run_perceived_bandwidth
@@ -30,8 +30,10 @@ RUNNERS = {
         None, grid=(2, 2), n_threads=2, total_bytes=4096, **kw),
     "run_halo": lambda **kw: run_halo(
         None, grid=(2, 2), n_threads=2, face_bytes=4096, **kw),
-    "run_pallreduce": lambda **kw: run_pallreduce(
+    "run_pallreduce": lambda **kw: run_pcoll(
         None, world=3, n_threads=2, partition_size=1024, **kw),
+    "run_pbcast": lambda **kw: run_pcoll(
+        None, "pbcast", world=3, n_threads=2, partition_size=1024, **kw),
     "run_stencil": lambda **kw: run_stencil(
         None, grid=(2, 2), n_threads=2, face_bytes=4096, **kw),
     "run_autotuned_pair": lambda **kw: run_autotuned_pair(

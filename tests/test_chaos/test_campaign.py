@@ -1,21 +1,20 @@
-"""Campaign orchestration, invariant checks, and failure bundles."""
+"""Invariant checks, and campaigns on the experiment harness: a run is
+a ``chaos`` point, a campaign the ``ext_chaos`` row."""
 
 import json
 
 import pytest
 
 from repro.chaos import (
-    CampaignSpec,
+    WORKLOADS,
     RunReport,
     check_invariants,
-    failure_bundle,
-    format_campaign,
-    run_campaign,
     schedule_from_dict,
     schedule_to_dict,
-    workload_names,
 )
-from repro.chaos.workloads import _REGISTRY, WorkloadInfo
+from repro.errors import ConfigError, RetryExhaustedError
+from repro.exp import Runner, get_experiment
+from repro.exp.kinds import check
 
 
 # -- invariant checker units -------------------------------------------
@@ -62,78 +61,106 @@ def test_leaks_and_overlong_runs_are_violations():
 # -- campaign orchestration --------------------------------------------
 
 
+def campaign(**args):
+    """The ``ext_chaos`` spec of a campaign and its collected payload."""
+    spec = get_experiment("ext_chaos").spec(**args)
+    return spec, spec.collect(Runner().run(spec.points))
+
+
+def point(**params):
+    """One ``chaos`` point's bundle, run in this process."""
+    pt = check("chaos", params)
+    return Runner().run([pt])[pt]
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        CampaignSpec(runs=0)
-    with pytest.raises(ValueError):
-        CampaignSpec(workloads=())
-    with pytest.raises(ValueError):
-        CampaignSpec(kinds=())
+    # A campaign's arguments are its points' params, each read by the
+    # kind's parser: a bad one is a usage error before anything runs.
+    base = dict(workload="pallreduce", fault="flap_storm", seed=0, index=0)
+    for params, message in [
+        (dict(workload="nope"), "workload: want one of ext_stencil"),
+        (dict(fault="nope"), "fault: want one of flap_storm"),
+        (dict(seed=-1), "seed: want an integer >= 0"),
+        (dict(index=-1), "index: want an integer >= 0"),
+        (dict(horizon=0.0), "horizon: must be > 0"),
+        (dict(max_duration=float("nan")), "max_duration: must be finite"),
+        (dict(module=["native"]), "module: want"),
+        (dict(ladder=1), "ladder: want true or false"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            check("chaos", {**base, **params})
+    spec = get_experiment("ext_chaos").spec
+    with pytest.raises(ConfigError, match="seed: want an integer >= 0"):
+        spec(workloads=("pallreduce",), runs=1, seed=-1, ladder=False)
+    with pytest.raises(ConfigError, match="max_duration: must be finite"):
+        spec(workloads=("pallreduce",), runs=1, seed=0, ladder=False,
+             max_duration=float("nan"))
 
 
 def test_registry_has_the_three_default_workloads():
-    assert {"ext_stencil", "pallreduce", "pbcast"} <= set(workload_names())
+    assert {"ext_stencil", "pallreduce", "pbcast"} <= set(WORKLOADS)
 
 
 @pytest.mark.faults
 def test_small_campaign_holds_all_invariants():
-    spec = CampaignSpec(workloads=("ext_stencil", "pallreduce"),
-                        runs=4, seed=5)
-    report = run_campaign(spec)
-    assert report.ok, [o.violations for o in report.failures()]
-    assert len(report.outcomes) == 4
-    assert report.kinds_run == set(spec.kinds)
-    # Seeds are replayable: the same spec reproduces the same runs.
-    again = run_campaign(spec)
-    assert [o.seed for o in again.outcomes] == \
-        [o.seed for o in report.outcomes]
-    assert [schedule_to_dict(o.schedule) for o in again.outcomes] == \
-        [schedule_to_dict(o.schedule) for o in report.outcomes]
-    text = format_campaign(report)
+    experiment = get_experiment("ext_chaos")
+    args = dict(workloads=("ext_stencil", "pallreduce"), runs=4, seed=5,
+                ladder=False)
+    spec, payload = campaign(**args)
+    assert experiment.violations(payload) == []
+    assert len(payload["runs"]) == 4
+    assert {r["kind"] for r in payload["runs"]} == set(payload["kinds"])
+    # Seeds are replayable: the same campaign reproduces the same runs,
+    # and any one run alone is its point.
+    _, again = campaign(**args)
+    assert again["runs"] == payload["runs"]
+    third = payload["runs"][3]
+    assert point(workload="pallreduce", fault=third["kind"], seed=5,
+                 index=3) == third
+    text = spec.report(payload)
     assert "all invariants held" in text
     assert "ext_stencil" in text
 
 
-def test_campaign_captures_raised_errors_as_violations():
-    def boom(schedule, seed, **kw):
-        raise RuntimeError("kaboom")
+def test_campaign_captures_raised_errors_as_violations(monkeypatch):
+    def boom(schedule, seed, module):
+        raise RetryExhaustedError("kaboom", edge=(0, 1),
+                                  partitions=[(0, 2)])
 
-    _REGISTRY["_boom"] = WorkloadInfo(name="_boom", n_nodes=3, fn=boom)
-    try:
-        spec = CampaignSpec(workloads=("_boom",), runs=2, seed=0)
-        report = run_campaign(spec)
-    finally:
-        del _REGISTRY["_boom"]
-    assert not report.ok
-    assert report.n_violations == 2
-    outcome = report.outcomes[0]
-    assert "RuntimeError: kaboom" in outcome.report.meta["error"]
-    assert any("did not complete" in s for s in outcome.violations)
+    monkeypatch.setitem(WORKLOADS, "_boom", (3, boom))
+    experiment = get_experiment("ext_chaos")
+    spec, payload = campaign(workloads=("_boom",), runs=2, seed=0,
+                             ladder=False)
+    assert [g.name for g in experiment.violations(payload)] == [
+        "every run upholds every invariant"]
+    assert sum(len(r["violations"]) for r in payload["runs"]) == 2
+    run = payload["runs"][0]
+    assert "RetryExhaustedError: kaboom" in run["meta"]["error"]
+    assert any("did not complete" in s for s in run["violations"])
+    # The failure context is JSON already: a cached copy reads the same.
+    assert run["meta"]["context"] == {"edge": [0, 1], "partitions": [[0, 2]]}
+    assert json.loads(json.dumps(run)) == run
+    assert "2 violation(s) in 2 run(s)" in spec.report(payload)
 
 
-def test_failure_bundle_round_trips(tmp_path):
-    def bad(schedule, seed, **kw):
+def test_failure_bundle_round_trips(tmp_path, monkeypatch):
+    def bad(schedule, seed, module):
         return RunReport(workload="_bad", completed=True, duration=1e-3,
                          integrity_failures=1,
                          counters={"ib.retry_exhausted": 2})
 
-    _REGISTRY["_bad"] = WorkloadInfo(name="_bad", n_nodes=4, fn=bad)
-    try:
-        report = run_campaign(CampaignSpec(workloads=("_bad",), runs=1,
-                                           seed=9))
-    finally:
-        del _REGISTRY["_bad"]
-    outcome = report.outcomes[0]
-    bundle = failure_bundle(outcome)
+    monkeypatch.setitem(WORKLOADS, "_bad", (4, bad))
+    bundle = point(workload="_bad", fault="rnr_burst", seed=9, index=0)
     # JSON-safe and complete enough to replay the exact run.
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(bundle))
     loaded = json.loads(path.read_text())
-    assert loaded["seed"] == outcome.seed
-    assert loaded["kind"] == outcome.kind
+    assert loaded == bundle
+    assert loaded["kind"] == "rnr_burst"
     assert loaded["violations"]
     rebuilt = schedule_from_dict(loaded["schedule"])
-    assert schedule_to_dict(rebuilt) == schedule_to_dict(outcome.schedule)
+    assert rebuilt.rnr_windows
+    assert schedule_to_dict(rebuilt) == bundle["schedule"]
 
 
 @pytest.mark.slow
@@ -141,8 +168,8 @@ def test_failure_bundle_round_trips(tmp_path):
 def test_seed_matrix_campaign_with_ladder():
     """A broader seeded matrix: every kind, both workload families,
     ladder enabled — zero integrity/exactly-once violations."""
-    spec = CampaignSpec(workloads=("ext_stencil", "pallreduce", "pbcast"),
-                        runs=12, seed=2, ladder=True)
-    report = run_campaign(spec)
-    assert report.ok, [failure_bundle(o) for o in report.failures()]
-    assert report.kinds_run == set(spec.kinds)
+    _, payload = campaign(workloads=("ext_stencil", "pallreduce", "pbcast"),
+                          runs=12, seed=2, ladder=True)
+    assert get_experiment("ext_chaos").violations(payload) == [], \
+        [r for r in payload["runs"] if r["violations"]]
+    assert {r["kind"] for r in payload["runs"]} == set(payload["kinds"])

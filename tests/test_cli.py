@@ -166,6 +166,11 @@ def _row(argv, message, was=None):
     (["point", "model_curve", "sizes=16KiB", "n=2", "delay=nan"], "delay"),
     (["point", "overhead", 'module=["timer",{"delta":NaN}]', "n_user=8",
       "total_bytes=64KiB"], "delta must be >= 0, got nan"),
+    (["chaos", "--seed", "-1", "--runs", "1"],
+     "chaos: seed: want an integer >= 0, got -1"),
+    (["point", "chaos", "workload=pallreduce", "fault=flap_storm", "seed=0",
+      "index=0", "max_duration=nan"],
+     "chaos: max_duration: must be finite and >= 0, got nan"),
 ])
 def test_bad_flags_are_usage_errors(argv, message, capsys):
     # A bad count, size or name is argparse's exit 2, raised before
@@ -297,6 +302,30 @@ def test_fleet_retune_without_a_regret_prints_a_dash(capsys):
                  "quiet_rounds=1", "congested_rounds=1", "tail_rounds=1"],
                 capsys)
     assert out["metrics"]["regret"] is None
+
+
+def test_chaos_writes_a_bundle_per_violating_run(capsys, tmp_path,
+                                                 monkeypatch):
+    from repro.chaos import WORKLOADS, RunReport
+
+    def wrong_bytes(schedule, seed, module):
+        return RunReport(workload="pbcast", completed=True, duration=1e-3,
+                         integrity_failures=1)
+
+    monkeypatch.setitem(WORKLOADS, "pbcast", (5, wrong_bytes))
+    assert main(["chaos", "--workloads", "pbcast,pallreduce", "--runs", "2",
+                 "--seed", "3", "--quiet", "--bundle-dir",
+                 str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "1 violation(s) in 1 run(s)" in out
+    assert ("VIOLATED ext_chaos: every run upholds every invariant"
+            in out)
+    [path] = tmp_path.iterdir()
+    assert path.name == "chaos-pbcast-run0.json"
+    bundle = json.loads(path.read_text())
+    assert bundle["index"] == 0 and bundle["kind"] == "flap_storm"
+    assert bundle["violations"] == [
+        "byte integrity: 1 iteration(s) received wrong bytes"]
 
 
 def test_serve_stats_on_empty_store(capsys, tmp_path):

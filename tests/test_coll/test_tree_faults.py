@@ -7,8 +7,10 @@ the in-place reduce must still produce the wrapping uint8 sum.
 
 import pytest
 
-from repro.chaos import check_invariants
-from repro.chaos.workloads import run_chaos_pallreduce, run_chaos_pbcast
+from repro.chaos import NATIVE, check_invariants
+from repro.chaos.workloads import run_chaos_tree
+from repro.coll import ladder_modules
+from repro.exp.modules import build_module
 from repro.faults import FaultSchedule
 from repro.units import us
 
@@ -35,6 +37,18 @@ def rnr_schedule(world):
     if world > 3:
         sched.rnr_window(2, start=us(300), duration=us(700))
     return sched
+
+
+def run_chaos_pallreduce(schedule, seed, world, ladder=False):
+    module = build_module(NATIVE)
+    return run_chaos_tree("pallreduce", schedule, seed,
+                          ladder_modules(module) if ladder else module,
+                          world=world)
+
+
+def run_chaos_pbcast(schedule, seed, world):
+    return run_chaos_tree("pbcast", schedule, seed, build_module(NATIVE),
+                          world=world)
 
 
 def assert_clean(report):

@@ -34,3 +34,14 @@ def test_mini_sweep_serial_parallel_and_golden_agree(name):
     assert serial == parallel
     assert serial == load(f"{name}_mini.json")
     assert experiment.violations(payload) == []
+
+
+def test_ext_chaos_serial_and_parallel_agree():
+    """Every chaos run's bundle (schedule, counters, violations, the
+    float duration as its repr) is the same at ``jobs=1`` and ``jobs=2``."""
+    spec = get_experiment("ext_chaos").build(FAST)
+    serial, parallel = (
+        [json.dumps(results[point], sort_keys=True) for point in spec.points]
+        for results in (Runner(jobs=jobs).run(spec.points)
+                        for jobs in (1, 2)))
+    assert serial == parallel

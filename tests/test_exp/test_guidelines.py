@@ -2,12 +2,12 @@
 
 Every row names at least one guideline; the rows that run in under a
 second at the fast profile must satisfy theirs here, computed fresh in
-one two-worker pass.  fig06 and fig08 are checked on the payloads
-``test_determinism`` computes, ext_ablations on ``test_golden``'s
-points, and the heavy rows (fig14, ext_halo, ext_stencil, ext_fleet,
-ext_serve) by CI's full fast ``repro-bench bench run``.  Two planted
-defects run through the real specs, and ``bench run`` must name the
-guideline each one breaks.  The pinned exceptions (fig06's T=32 at
+one two-worker pass (ext_chaos's is CI's 12-run campaign).  fig06 and
+fig08 are checked on the payloads ``test_determinism`` computes,
+ext_ablations on ``test_golden``'s points, and the heavy rows (fig14,
+ext_halo, ext_stencil, ext_fleet, ext_serve) by CI's full fast
+``repro-bench bench run``.  Three planted defects run through the real
+specs, and ``bench run`` must name the guideline each one breaks.  The pinned exceptions (fig06's T=32 at
 4 KiB, fig07's one QP past 2 MiB) are bands around the measured value;
 flipping the point across the baseline must break exactly that band,
 as flipping a fig08 point must break its floor under the baseline.
@@ -31,7 +31,8 @@ from repro.units import KiB, MiB, ms
 from tests.test_bench.test_golden import load
 
 CHEAP = ("fig03", "table1", "fig07", "fig09", "fig10", "fig11", "fig12",
-         "fig13", "ext_autotune", "ext_faults", "ext_model_vs_sim")
+         "fig13", "ext_autotune", "ext_faults", "ext_model_vs_sim",
+         "ext_chaos")
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +83,26 @@ def _model_without_message_costs(monkeypatch):
         tables.NIAGARA_LOGGP, o_s=0.0, o_r=0.0, g=0.0))
 
 
+def _a_workload_delivers_wrong_bytes(monkeypatch):
+    """A chaos workload whose every run ends on one bad round.  The
+    point parameters do not change, so this one must not be cached."""
+    from repro.chaos import WORKLOADS, RunReport
+
+    def wrong_bytes(schedule, seed, module):
+        return RunReport(workload="pbcast", completed=True, duration=1e-3,
+                         integrity_failures=1)
+
+    monkeypatch.setitem(WORKLOADS, "pbcast", (5, wrong_bytes))
+
+
 @pytest.mark.parametrize("name, plant, broken, cached", [
     ("fig09", _timer_never_fires, "PLogGP trails the timer at 8 MiB", True),
     ("fig03", _model_without_message_costs,
      "1 partition beats 32 when small", False),
-], ids=["fig09-timer-never-fires", "fig03-model-without-message-costs"])
+    ("ext_chaos", _a_workload_delivers_wrong_bytes,
+     "every run upholds every invariant", False),
+], ids=["fig09-timer-never-fires", "fig03-model-without-message-costs",
+        "ext_chaos-workload-delivers-wrong-bytes"])
 def test_bench_run_names_a_planted_defect(name, plant, broken, cached,
                                           cache_dir, monkeypatch, capsys):
     plant(monkeypatch)

@@ -29,6 +29,10 @@ PINS = {
         5, "151daa45700dda1d7546a3c878da874c8a6fa16762990e547202c819cf55029b"),
     ("ext_autotune", "paper"): (
         5, "d7687efd6223f99e8a4b82ca43613f2d7afe534c3090d675473ce37261f0eb78"),
+    ("ext_chaos", "fast"): (
+        12, "c8fe4cdc8c8ab9a1a7d4939ef17a89a990f3ef69335dae10061d7c6ba3d76642"),
+    ("ext_chaos", "paper"): (
+        48, "30f84a6a675bae5762b3d2daaad77aa9966c8da25dda0b6278fabcff8e8a869b"),
     ("ext_faults", "fast"): (
         6, "1b6a1faa065daece2cc4125eb813deb96c687d03d8e7fe296bdfc42fbbca2745"),
     ("ext_faults", "paper"): (

@@ -1,20 +1,21 @@
 """The fleet chaos workload: tenancy invariants under a spine flap."""
 
-from repro.chaos import (
-    CampaignSpec,
-    check_invariants,
-    run_campaign,
-    workload_names,
-)
+from repro.chaos import NATIVE, WORKLOADS, check_invariants
+from repro.exp import Runner, get_experiment
+from repro.exp.modules import build_module
 from repro.fleet.chaos import TENANT_NODES, run_fleet_workload
 
 
+def run_native(schedule, seed):
+    return run_fleet_workload(schedule, seed, build_module(NATIVE))
+
+
 def test_fleet_workload_registered():
-    assert "fleet" in workload_names()
+    assert "fleet" in WORKLOADS
 
 
 def test_clean_run_satisfies_invariants():
-    report = run_fleet_workload(None, seed=7)
+    report = run_native(None, seed=7)
     assert report.completed
     assert report.integrity_failures == 0
     assert report.leaks == []
@@ -38,23 +39,24 @@ def test_tenant_nodes_share_the_spine_from_distinct_leaves():
 
 
 def test_fleet_runs_deterministic():
-    a = run_fleet_workload(None, seed=3)
-    b = run_fleet_workload(None, seed=3)
+    a = run_native(None, seed=3)
+    b = run_native(None, seed=3)
     assert a.duration == b.duration
     assert a.counters == b.counters
     assert a.meta["tenant_bytes"] == b.meta["tenant_bytes"]
 
 
 def test_fleet_campaign_with_spine_flap():
-    spec = CampaignSpec(workloads=("fleet",), runs=2, seed=11,
-                        kinds=("flap_storm",))
-    report = run_campaign(spec)
-    assert report.ok, [o.violations for o in report.failures()]
-    for outcome in report.outcomes:
-        assert outcome.report.completed
-        assert outcome.report.leaks == []
+    experiment = get_experiment("ext_chaos")
+    spec = experiment.spec(workloads=("fleet",), runs=2, seed=11,
+                           ladder=False, kinds=("flap_storm",))
+    payload = spec.collect(Runner().run(spec.points))
+    assert experiment.violations(payload) == []
+    for run in payload["runs"]:
+        assert run["completed"]
+        assert run["leaks"] == []
         # The deterministic spine flap rides on the generated schedule.
-        assert outcome.report.meta["spine_flap"]
+        assert run["meta"]["spine_flap"]
 
 
 def routed_chunks(monkeypatch, schedule):
@@ -70,7 +72,7 @@ def routed_chunks(monkeypatch, schedule):
 
     with monkeypatch.context() as patch:
         patch.setattr(chaos, "Cluster", RecordingCluster)
-        report = run_fleet_workload(schedule, seed=1)
+        report = run_native(schedule, seed=1)
     assert report.completed
     [cluster] = clusters
     stats = cluster.fabric.link_stats(report.duration)

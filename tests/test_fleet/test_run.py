@@ -74,7 +74,7 @@ def test_contended_pair_levels_monotone():
 
 
 def test_contended_pair_deterministic():
-    kwargs = dict(module=("fixed", (("n_qps", 2), ("n_transport", 4))),
+    kwargs = dict(module=["fixed", {"n_qps": 2, "n_transport": 4}],
                   level=1, iterations=3, warmup=1, seed=4)
     assert run_contended_pair(**kwargs) == run_contended_pair(**kwargs)
 

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.fleet.spec import (
-    JobSpec,
-    _hashable,
-    module_descriptor,
-    place_jobs,
-)
+from repro.fleet.spec import JobSpec, place_jobs
 from repro.fleet.traffic import TrafficSpec
 from repro.ib.topology import RoutedDragonflyPlus
 
@@ -30,7 +25,7 @@ def test_job_validation():
 
 def test_job_round_trips_through_dict():
     job = JobSpec(name="mpi", kind="pair", n_partitions=4,
-                  module=("fixed", (("n_qps", 2), ("n_transport", 8))))
+                  module=["fixed", {"n_qps": 2, "n_transport": 8}])
     assert JobSpec.from_dict(job.as_dict()) == job
     traffic = JobSpec(name="bg", kind="traffic",
                       traffic=TrafficSpec(kind="incast", seed=3))
@@ -38,11 +33,13 @@ def test_job_round_trips_through_dict():
 
 
 def test_module_descriptor_round_trip():
+    # A job keeps the ``[name, params]`` descriptor it is given, through
+    # its dict form too: build_module reads it as it is.
     desc = ["fixed", {"n_transport": 8, "n_qps": 2}]
-    frozen = _hashable(desc)
-    assert isinstance(frozen, tuple)
-    hash(frozen)  # hashable, so JobSpec stays a frozen dataclass
-    assert module_descriptor(frozen) == desc
+    job = JobSpec(name="mpi", module=desc)
+    assert job.module is desc
+    assert job.as_dict()["module"] == desc
+    assert JobSpec.from_dict(job.as_dict()).module == desc
 
 
 def test_packed_placement_consecutive():

@@ -14,12 +14,13 @@ from collections import Counter
 
 import pytest
 
-from repro.bench.coll import run_pallreduce
+from repro.bench.coll import run_pcoll
 from repro.bench.halo import run_halo
 from repro.bench.pair import run_partitioned_pair
 from repro.bench.sweep import run_sweep
-from repro.chaos.workloads import run_chaos_pallreduce, run_chaos_pbcast
-from repro.coll import per_edge_autotuners, run_stencil
+from repro.chaos import NATIVE
+from repro.chaos.workloads import run_chaos_tree
+from repro.coll import ladder_modules, per_edge_autotuners, run_stencil
 from repro.errors import SimulationError
 from repro.exp.modules import build_module
 from repro.faults import FaultSchedule
@@ -59,7 +60,7 @@ def _halo():
 
 
 def _pallreduce():
-    run_pallreduce(None, world=4, iterations=1, warmup=1)
+    run_pcoll(None, world=4, iterations=1, warmup=1)
 
 
 def _tuned_stencil():
@@ -79,18 +80,20 @@ def _reconvergence():
 
 
 def _fleet_chaos_ladder():
-    run_fleet_workload(FaultSchedule().chunk_loss(0.3), 0, ladder=True)
+    run_fleet_workload(FaultSchedule().chunk_loss(0.3), 0,
+                       ladder_modules(build_module(NATIVE)))
 
 
 def _chaos_pallreduce_ladder():
     # Heavy loss: retries run out, QPs reconnect, WRs replay.
-    run_chaos_pallreduce(FaultSchedule().chunk_loss(0.3), 1, ladder=True,
-                         iterations=2, warmup=1)
+    run_chaos_tree("pallreduce", FaultSchedule().chunk_loss(0.3), 1,
+                   ladder_modules(build_module(NATIVE)), iterations=2,
+                   warmup=1)
 
 
 def _chaos_pbcast_persist():
-    run_chaos_pbcast(FaultSchedule().chunk_loss(0.3), 1, module="persist",
-                     iterations=2, warmup=1)
+    run_chaos_tree("pbcast", FaultSchedule().chunk_loss(0.3), 1, None,
+                   iterations=2, warmup=1)
 
 
 def _netgauge():

@@ -161,6 +161,21 @@ def test_double_trigger_rejected():
         ev.fail(ValueError())
 
 
+@pytest.mark.parametrize("priority", [2, -1])
+def test_a_priority_other_than_urgent_or_normal_is_refused(priority):
+    env = Environment()
+    ev = env.event()
+    with pytest.raises(ValueError, match="PRIORITY_URGENT"):
+        ev.succeed(1, priority=priority)
+    with pytest.raises(ValueError, match="PRIORITY_URGENT"):
+        ev.fail(RuntimeError(), priority=priority)
+    # Refused, the event stays untriggered and can still fire.
+    assert not ev.triggered
+    ev.succeed(3)
+    env.run()
+    assert ev.value == 3
+
+
 def test_event_value_before_trigger_rejected():
     env = Environment()
     ev = env.event()

@@ -1,4 +1,4 @@
-"""Tests for composite events (AllOf / Condition)."""
+"""Tests for composite events (AllOf)."""
 
 import pytest
 

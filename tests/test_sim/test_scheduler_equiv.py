@@ -4,8 +4,8 @@ The kernel contract is that events dispatch in exact
 ``(time, priority, seq)`` order — what a single reference heap of those
 tuples would produce, given the same stream of schedule operations.
 The bucketed scheduler in :mod:`repro.sim.core` splits that heap into
-current-time deques, a rare-priority overflow heap, and a future-time
-heap, so these tests replay randomized workloads (including
+current-time deques (urgent and normal) and a future-time heap, so
+these tests replay randomized workloads (including
 same-timestamp floods and callback-scheduled urgents) against an
 actual ``heapq`` and assert the dispatch sequences match operation for
 operation.
@@ -37,8 +37,8 @@ _counter = itertools.count()
 
 def _schedule(env, event, priority, delay=0.0):
     """Queue a triggered ``event`` the way the kernel's own paths do:
-    a current-time event into the batch deques (or the rare-priority
-    heap), a future one into the ``(time, priority, seq)`` heap."""
+    a current-time event into the batch deques, a future one into the
+    ``(time, priority, seq)`` heap."""
     when = env._now + delay
     if when > env._now:
         seq = env._seq
@@ -46,10 +46,8 @@ def _schedule(env, event, priority, delay=0.0):
         heapq.heappush(env._heap, (when, priority, seq, event))
     elif priority == PRIORITY_NORMAL:
         env._cur_normal.append(event)
-    elif priority == PRIORITY_URGENT:
-        env._cur_urgent.append(event)
     else:
-        env._push_rare(event, priority)
+        env._cur_urgent.append(event)
 
 
 def _observed_event(env, ops, priority, delay):
@@ -104,7 +102,7 @@ def test_randomized_workload_matches_reference(seed):
     # seq order.
     delays = [0.0, 0.0, 0.0, 1.0, 1.0, 2.5, 2.5, 7.25]
     priorities = [PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_NORMAL,
-                  PRIORITY_NORMAL, 2, 3]
+                  PRIORITY_NORMAL]
 
     spawn_budget = [300]
 
@@ -129,12 +127,12 @@ def test_randomized_workload_matches_reference(seed):
 
 
 def test_same_timestamp_flood_matches_reference():
-    """A static flood: 1000 events over 3 timestamps, 4 priorities."""
+    """A static flood: 1000 events over 3 timestamps, both priorities."""
     rng = random.Random(99)
     env = Environment()
     ops: list = []
     for _ in range(1000):
-        priority = rng.choice([0, 1, 1, 1, 2, 3])
+        priority = rng.choice([0, 1, 1, 1])
         delay = rng.choice([0.0, 0.0, 1e-6, 1e-6, 5e-6])
         _observed_event(env, ops, priority, delay)
     env.run()
@@ -578,7 +576,7 @@ def test_bare_number_sleeps_match_reference(seed):
             delay = rng_local.choice([0.0, 0.0, 0.25, 0.5, 0.5, 1.0])
             if rng_local.random() < 0.3:
                 # A flood of plain events shares the sleeps' timestamps.
-                _observed_event(env, ops, rng_local.choice([0, 1, 2]),
+                _observed_event(env, ops, rng_local.choice([0, 1]),
                                 rng_local.choice([0.0, 0.25, 0.5]))
             key = (env._now + delay, PRIORITY_NORMAL, next(_counter))
             ops.append(("sched", key))
@@ -635,9 +633,6 @@ class _ReferenceEnvironment(Environment):
         self._cur_normal = _ReferenceBatch(self, PRIORITY_NORMAL)
         self._lanes = _ReferenceLanes()
         self._lanes.env = self
-
-    def _push_rare(self, event, priority):
-        _ReferenceBatch(self, priority).append(event)
 
     def _drain(self, stop=(), deadline=float("inf")):
         heap = self._heap
@@ -741,8 +736,8 @@ def _parking(seed, n_procs=10, n_rounds=14):
 
         def kicker(rng):
             # Keeps the None-fallback parks from waiting forever, and
-            # puts urgent and rare-priority heap entries on the
-            # deadlines' timestamps.
+            # puts urgent and normal heap entries on the deadlines'
+            # timestamps.
             for _ in range(n_procs * n_rounds):
                 yield 0.25
                 latches[0].set()
@@ -751,7 +746,7 @@ def _parking(seed, n_procs=10, n_rounds=14):
                 event._ok = True
                 event._value = None
                 event.callbacks.append(lambda _event: None)
-                _schedule(env, event, rng.choice([0, 1, 2]),
+                _schedule(env, event, rng.choice([0, 1]),
                           rng.choice([0.0, 0.25, 0.5]))
 
         for i in range(n_procs):
@@ -972,13 +967,11 @@ def test_harness_catches_a_lane_staged_ahead_of_a_lower_seq_heap_entry(
         env._lane_next = min((lane[0][0] for lane in env._lanes.values()
                               if lane), default=float("inf"))
         while env._heap and env._heap[0][0] == when:
-            _, priority, seq, entry = heapq.heappop(env._heap)
+            _, priority, _, entry = heapq.heappop(env._heap)
             if priority == PRIORITY_NORMAL:
                 env._cur_normal.append(entry)
-            elif priority == PRIORITY_URGENT:
-                env._cur_urgent.append(entry)
             else:
-                heapq.heappush(env._cur_rare, (priority, seq, entry))
+                env._cur_urgent.append(entry)
 
     def collision(env):
         notify = Notify(env)

@@ -15,7 +15,7 @@ from repro.ib.constants import Opcode, WCOpcode, WCStatus
 from repro.ib.link import IngressPort, WireTimeTable
 from repro.ib.wr import SGE, RecvWR, SendWR, WorkCompletion
 from repro.sim.core import Environment, Event, Timeout, Timer, _Wake
-from repro.sim.events import AllOf, Condition
+from repro.sim.events import AllOf
 from repro.sim.process import Process
 from repro.sim.profile import EventTypeStats, KernelProfile
 from repro.sim.resources import Request, Resource, Store
@@ -92,5 +92,5 @@ def test_slotted_event_hierarchy_is_closed():
 
 
 def test_timeout_and_process_are_slotted_classes():
-    for cls in (Event, Timeout, _Wake, Process, Condition, Request):
+    for cls in (Event, Timeout, _Wake, Process, AllOf, Request):
         assert hasattr(cls, "__slots__"), f"{cls.__name__} lost __slots__"

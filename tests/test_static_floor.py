@@ -195,7 +195,7 @@ def test_the_pass_finds_what_it_claims_to(tmp_path, source, expected):
 #: Trees that call into the package: every name they read is reached.
 CALLERS = ("perfbench", "examples")
 #: Decorators that wrap a definition without registering it anywhere;
-#: any other decorator (``@kind``, ``@register``, ``@workload``, ...)
+#: any other decorator
 #: makes the definition reachable by lookup.
 PLAIN_DECORATORS = {"property", "setter", "staticmethod", "classmethod",
                     "dataclass", "cached_property", "contextmanager",

@@ -20,13 +20,13 @@ store reads.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 from math import isfinite
 from pathlib import Path
 from typing import Optional, Protocol, Union, runtime_checkable
 
+from repro.atomic import atomic_write
 from repro.autotune.policy import PlanChoice
 from repro.errors import ReproError
 from repro.exp.spec import canonical
@@ -41,9 +41,6 @@ _escape = json.encoder.encode_basestring_ascii
 #: Entry files are a few hundred bytes; one read of this size takes a
 #: whole one (a read that fills it is followed by more).
 _READ_BYTES = 4096
-#: Process-wide sequence for temp-file names; with the pid and
-#: ``O_EXCL`` it keeps unlocked writers off each other's temp files.
-_temp_seq = itertools.count()
 
 
 @runtime_checkable
@@ -167,7 +164,6 @@ class TuningStore:
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._dir = str(self.root)
         #: Corrupt or alien-schema files seen by reads of this handle
         #: (cumulative).  Surfaced by ``repro-bench autotune`` so store
         #: rot is visible instead of silently reading as "never tuned".
@@ -235,35 +231,8 @@ class TuningStore:
         layer above adds to the schema (the serving layer's version)."""
         payload = {"schema": SCHEMA, "key": key, "plan": choice.as_dict(),
                    "meta": meta, **extra}
-        data = (_encode_entry(payload) + "\n").encode()
-        fd, tmp = self._open_temp()
-        try:
-            try:
-                while data:
-                    data = data[os.write(fd, data):]
-            finally:
-                os.close(fd)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _open_temp(self) -> tuple[int, str]:
-        """A new, exclusively created temp file beside the entries
-        (``os.replace`` must not cross a file system), owner-only like
-        ``tempfile.mkstemp``'s.  A name that is taken (another pid
-        namespace on a shared volume, or a crashed writer's leftover)
-        is skipped, never reused."""
-        while True:
-            tmp = f"{self._dir}/{os.getpid()}-{next(_temp_seq)}.tmp"
-            try:
-                return os.open(
-                    tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), tmp
-            except FileExistsError:
-                pass
+        # Owner-only, like ``tempfile.mkstemp``'s files.
+        atomic_write(path, (_encode_entry(payload) + "\n").encode(), 0o600)
 
     def digests(self) -> list[str]:
         """Digests on disk (cheap: sorted file stems, no parse)."""

@@ -19,7 +19,6 @@ from typing import Callable, Optional, Union
 from repro.config import ClusterConfig
 from repro.core.aggregators import Aggregator
 from repro.core.module import spec_for
-from repro.errors import ConfigError
 from repro.mem.buffer import PartitionedBuffer, partition_size_of
 from repro.mpi.cluster import Cluster
 from repro.mpi.modules import ModuleSpec
@@ -61,8 +60,6 @@ def run_sweep(
     config: Optional[ClusterConfig] = None,
 ) -> SweepResult:
     """Run the sweep pattern (None module = part_persist baseline)."""
-    if len(grid) != 2 or min(grid) < 1:
-        raise ConfigError(f"bad 2-D grid {grid}")
     px, py = grid
     partition_size = partition_size_of(total_bytes, n_threads)
     n_ranks = px * py

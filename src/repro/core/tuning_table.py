@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.aggregators import Aggregator, PlanChoice, _qps_for
-from repro.errors import ConfigError, TuningError
+from repro.errors import TuningError
 from repro.units import is_power_of_two, powers_of_two
 
 
@@ -107,8 +107,6 @@ def build_tuning_table(
         config = NIAGARA
     table = TuningTable()
     for n_user in n_user_counts:
-        if not is_power_of_two(n_user):
-            raise ConfigError(f"n_user {n_user} is not a power of two")
         for size in message_sizes:
             if size < n_user:
                 continue

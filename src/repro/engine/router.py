@@ -39,11 +39,12 @@ class CompletionRouter:
         self.env = engine.env
         self.host = host_config
         #: wr_id -> callback fired with the WC on success (one-shot).
-        self._on_success: dict[int, Any] = {}
+        #: Posters and completion handlers use both tables directly.
+        self.successes: dict[int, Any] = {}
         #: wr_id -> opaque failure-routing entry, removed on success.
         #: Entries live from post to ACK so a WR that dies — with an
         #: error CQE or with its QP — can be traced back to its message.
-        self._on_failure: dict[int, Any] = {}
+        self.failures: dict[int, Any] = {}
         # statistics
         self.bindings = 0
         self.completions_routed = 0
@@ -61,10 +62,11 @@ class CompletionRouter:
         """
         t_poll_hit = self.host.t_poll_hit
         batch = POLL_BATCH
+        entries = getattr(cq, "_entries", None)
 
         def poller():
             handled = 0
-            while True:
+            while entries is None or entries:
                 wcs = cq.poll(batch)
                 if not wcs:
                     break
@@ -77,37 +79,15 @@ class CompletionRouter:
                 on_idle()
             return handled
 
-        # An empty CQ settles a pass without instantiating the poller:
-        # the engine tests the entry deque and runs only the idle hook,
-        # which is all the generator's empty run would do.  Duck-typed
-        # CQs (test doubles) without one always run the full poller.
-        self.engine.register(poller, getattr(cq, "_entries", None), on_idle)
+        # An empty CQ settles a pass without instantiating the poller
+        # (the engine tests the entry deque and runs only the idle hook),
+        # and a drained one is not polled again.  Duck-typed CQs (test
+        # doubles) without one always poll.
+        self.engine.register(poller, entries, on_idle)
         self.engine.watch_cq(cq)
         self.bindings += 1
 
     # -- keyed dispatch -----------------------------------------------------
-
-    def on_success(self, wr_id: int, callback) -> None:
-        """Fire ``callback(wc)`` when ``wr_id`` completes successfully."""
-        self._on_success[wr_id] = callback
-
-    def on_failure(self, wr_id: int, entry) -> None:
-        """Attach failure-routing state to an in-flight ``wr_id``."""
-        self._on_failure[wr_id] = entry
-
-    def pop_success(self, wr_id: int):
-        """Consume the success callback for ``wr_id`` (None if absent)."""
-        return self._on_success.pop(wr_id, None)
-
-    def pop_failure(self, wr_id: int):
-        """Consume the failure entry for ``wr_id`` (None if absent)."""
-        return self._on_failure.pop(wr_id, None)
-
-    def discard(self, wr_id: int):
-        """Drop both routing entries for ``wr_id`` (completion landed);
-        returns its success callback (None if absent)."""
-        self._on_failure.pop(wr_id, None)
-        return self._on_success.pop(wr_id, None)
 
     def sweep_failures(self, predicate) -> list:
         """Remove and return failure entries matching ``predicate``.
@@ -118,18 +98,18 @@ class CompletionRouter:
         Matching success callbacks are dropped alongside.
         """
         swept = []
-        for wr_id, entry in list(self._on_failure.items()):
+        for wr_id, entry in list(self.failures.items()):
             if predicate(entry):
-                del self._on_failure[wr_id]
-                self._on_success.pop(wr_id, None)
+                del self.failures[wr_id]
+                self.successes.pop(wr_id, None)
                 swept.append(entry)
         return swept
 
     def close(self) -> None:
         """Drop every routing entry (their callbacks hold the rank)."""
-        self._on_success.clear()
-        self._on_failure.clear()
+        self.successes.clear()
+        self.failures.clear()
 
     def __repr__(self) -> str:
         return (f"<CompletionRouter bindings={self.bindings} "
-                f"inflight={len(self._on_failure)}>")
+                f"inflight={len(self.failures)}>")

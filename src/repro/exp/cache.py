@@ -6,8 +6,8 @@ Because the digest covers every scenario parameter *and* the source
 tree, a hit is guaranteed to be the bit-identical result a fresh run
 would produce; any code or spec change misses and re-runs.
 
-Writes are atomic (temp file + ``os.replace``), so a sweep killed
-mid-write never poisons the cache — re-running the sweep resumes,
+Writes are atomic (:mod:`repro.atomic`): a killed sweep never poisons
+the cache, nor do two commands sharing it — re-running a sweep resumes,
 re-executing only the points that have no completed entry.
 """
 
@@ -18,6 +18,7 @@ import os
 import pathlib
 from typing import Optional
 
+from repro.atomic import atomic_write
 from repro.exp.spec import Scenario
 
 CACHE_SCHEMA = "repro-exp-cache/v1"
@@ -63,11 +64,7 @@ class ResultCache:
             "fingerprint": fingerprint,
             "metrics": metrics,
         }
-        path = self.path(digest)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
+        atomic_write(self.path(digest), json.dumps(doc).encode())
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))

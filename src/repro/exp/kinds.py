@@ -37,7 +37,7 @@ from repro.exp.modules import (
     build_topology,
 )
 from repro.exp.spec import Scenario
-from repro.units import GiB, KiB, MiB, ms, ns, us
+from repro.units import GiB, KiB, MiB, is_power_of_two, ms, ns, us
 
 
 @dataclass(frozen=True)
@@ -542,6 +542,12 @@ PARAMS: dict[str, Callable[[Any], Any]] = {
 }
 
 
+#: Where one kind takes less than a shared param's parser allows.
+NARROW = {("sweep", "grid"): _shape(lambda v: len(v) == 2, "a 2-D grid"),
+          ("tuning_table", "n_user"): _shape(is_power_of_two,
+                                              "a power of two")}
+
+
 def _usage(kind: str, problem: str) -> ConfigError:
     """A usage error that names what ``kind`` accepts."""
     row = KINDS.get(kind)
@@ -571,6 +577,8 @@ def check(kind: str, params: dict) -> Scenario:
     for name, value in params.items():
         try:
             values[name] = PARAMS[name](value)
+            if (kind, name) in NARROW:
+                values[name] = NARROW[kind, name](values[name])
         except ValueError as exc:
             raise _usage(kind, f"{name}: {exc}") from None
     if row.plan is not None:

@@ -27,6 +27,8 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.atomic import atomic_write
+
 RESULT_SCHEMA = "repro-bench/v1"
 
 
@@ -69,11 +71,8 @@ class ResultStore:
     @staticmethod
     def _dump(path: pathlib.Path, doc: dict) -> pathlib.Path:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True)
+                            + "\n").encode())
         return path
 
 

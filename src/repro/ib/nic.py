@@ -68,10 +68,10 @@ class NIC:
         per entry) feeding an in-order transmit stage, so WQE processing
         overlaps the previous message's wire time — as the hardware
         pipelines them.  The two hand-offs differ on purpose.
-        ``post_send`` wakes an idle fetch stage through the event queue:
-        every WR posted in one instant counts in ``sq_depth`` and sits in
-        the SQ (where ``to_error`` flushes it) until the engine picks it
-        up, later in that instant.  The fetch stage resumes an idle
+        ``post_send`` wakes an idle fetch stage through the current
+        batch: every WR posted in one instant counts in ``sq_depth`` and
+        sits in the SQ (where ``to_error`` flushes it) until the engine
+        picks it up, later in that instant.  The fetch stage resumes an idle
         transmit stage in place (:meth:`Store.hand_off`): nothing
         observes the gap between the two.
         """
@@ -89,17 +89,6 @@ class NIC:
     def next_qp_num(self) -> int:
         return next(self._qp_numbers)
 
-    # -- port selection -----------------------------------------------------
-
-    def ingress_for(self, qp: QueuePair) -> IngressPort:
-        """The ingress pipe ``qp``'s traffic lands on at this NIC.
-
-        Keyed by the *sending* QP's port: both ends of a connection
-        bind the same port index, so this is the receiving port too
-        (modulo the local port count, for asymmetric NICs).
-        """
-        return self.ingress_ports[qp.port % len(self.ingress_ports)]
-
     # -- send path ----------------------------------------------------------
 
     def _qp_fetcher(self, qp: QueuePair):
@@ -108,7 +97,11 @@ class NIC:
         sq = qp.sq
         trace = self.trace
         while True:
-            wr: SendWR = sq.pop() if sq.items else (yield sq.get())
+            if sq.items:
+                wr: SendWR = sq.items.pop(0)
+            else:
+                yield sq.get()
+                wr, sq.handed = sq.handed, None
             qp.sq_depth -= 1
             if qp.state is QPState.ERROR:
                 self._flush_wr(qp, wr)
@@ -136,8 +129,17 @@ class NIC:
         env = self.env
         fabric = self.fabric
         txq = qp._txq
+        # The remote NIC, ingress pipe and latency, per destination, not
+        # per WR.  Pipes are keyed by the sending QP's port (both ends
+        # bind the same index); read responses land on this NIC's.
+        dest_node = None
+        local_ingress = self.ingress_ports[qp.port % len(self.ingress_ports)]
         while True:
-            wr, payload = txq.pop() if txq.items else (yield txq.get())
+            if txq.items:
+                wr, payload = txq.items.pop(0)
+            else:
+                yield txq.get()
+                (wr, payload), txq.handed = txq.handed, None
             if qp.state is QPState.ERROR:
                 self._flush_wr(qp, wr)
                 continue
@@ -155,9 +157,15 @@ class NIC:
                         self._flush_wr(qp, wr)
                         continue
             nbytes = wr.total_length
-            remote = fabric.nic_at(qp.dest_node)
+            if qp.dest_node != dest_node:
+                dest_node = qp.dest_node
+                remote = fabric.nic_at(dest_node)
+                ingress = remote.ingress_ports[
+                    qp.port % len(remote.ingress_ports)]
+                latency = fabric.latency(self.node_id, dest_node)
             if wr.opcode is Opcode.RDMA_READ:
-                yield from self._execute_read(qp, wr, nbytes, remote)
+                yield from self._execute_read(qp, wr, nbytes, remote, latency,
+                                              local_ingress)
             elif remote is self:
                 # Loopback never touches the wire; only stalls apply.
                 yield from self._transmit_loopback(qp, wr, payload, nbytes, remote)
@@ -169,9 +177,10 @@ class NIC:
                 # changes simulated results and is a follow-up; the pin
                 # is tests/test_fleet/test_chaos_fleet.py.
                 yield from self._transmit_routed(qp, wr, payload, nbytes,
-                                                 remote)
+                                                 remote, ingress, latency)
             else:
-                yield from self._transmit_wire(qp, wr, payload, nbytes, remote)
+                yield from self._transmit_wire(qp, wr, payload, nbytes, remote,
+                                               ingress, latency)
 
     def _chunk_train(self, qp: QueuePair, dest: "NIC", ingress: IngressPort,
                      nbytes: int, latency: float, forward=None):
@@ -233,7 +242,7 @@ class NIC:
         return arrival
 
     def _transmit_wire(self, qp: QueuePair, wr: SendWR, payload, nbytes: int,
-                       remote: "NIC"):
+                       remote: "NIC", ingress: IngressPort, latency: float):
         """Wire transmission, with loss, NAKs and RC retransmission.
 
         Fault-free the loop runs exactly once: one chunk train, then
@@ -254,7 +263,6 @@ class NIC:
             # Fault-free the loop runs once and never reads them.
             retry_budget = qp.effective_retry_cnt
             rnr_budget = qp.effective_rnr_retry
-        ingress = remote.ingress_for(qp)
         retransmit = False
         while True:
             if qp.state is QPState.ERROR:
@@ -265,7 +273,6 @@ class NIC:
                 self.trace.record(env.now, "fault.retransmit", self.node_id,
                                   qp=qp.qp_num, wr_id=wr.wr_id)
             retransmit = True
-            latency = self.fabric.latency(self.node_id, remote.node_id)
             arrival = yield from self._chunk_train(qp, remote, ingress,
                                                    nbytes, latency)
             if faults is None:
@@ -305,7 +312,8 @@ class NIC:
         _Delivery(self, qp, wr, payload, nbytes, remote, arrival, latency)
 
     def _transmit_routed(self, qp: QueuePair, wr: SendWR, payload,
-                         nbytes: int, remote: "NIC"):
+                         nbytes: int, remote: "NIC", ingress: IngressPort,
+                         latency: float):
         """Wire transmission across a routed topology's shared links.
 
         After the usual NIC egress serialization each chunk claims every
@@ -328,10 +336,9 @@ class NIC:
         if not route:
             # Same-leaf pair: no shared fabric link beyond the endpoint
             # NICs; identical timing to the quiet wire path.
-            yield from self._transmit_wire(qp, wr, payload, nbytes, remote)
+            yield from self._transmit_wire(qp, wr, payload, nbytes, remote,
+                                           ingress, latency)
             return
-        latency = self.fabric.latency(self.node_id, remote.node_id)
-        ingress = remote.ingress_for(qp)
         state = {"pending": len(self.wires.train(nbytes))}
         yield from self._chunk_train(
             qp, remote, ingress, nbytes, latency,
@@ -381,7 +388,7 @@ class NIC:
                   link.loopback_latency)
 
     def _execute_read(self, qp: QueuePair, wr: SendWR, nbytes: int,
-                      remote: "NIC"):
+                      remote: "NIC", latency: float, ingress: IngressPort):
         """RDMA READ: request travels out, data streams back.
 
         The responder's NIC sources the bytes with no responder CPU;
@@ -414,7 +421,6 @@ class NIC:
                 yield (nbytes / self.config.host.memcpy_rate
                        + self.config.link.loopback_latency)
                 break
-            latency = self.fabric.latency(self.node_id, remote.node_id)
             # Request packet out through our egress.
             egress = qp.egress
             grant = egress.claim()
@@ -439,7 +445,7 @@ class NIC:
                     not in (QPState.RTR, QPState.RTS))
             if not lost:
                 arrival = yield from remote._chunk_train(
-                    responder_qp, self, self.ingress_for(qp), nbytes, latency)
+                    responder_qp, self, ingress, nbytes, latency)
                 lost = arrival is None
                 if not lost and arrival > env._now:
                     yield arrival - env._now
@@ -463,21 +469,16 @@ class NIC:
             if sge.length == 0:
                 continue
             sink = qp.pd.find_mr_by_lkey(sge.lkey)
-            piece = (payload[cursor : cursor + sge.length]
-                     if payload is not None else None)
-            sink.buffer.write(sge.addr - sink.addr, piece)
+            if payload is not None:     # a phantom source writes nothing
+                sink.buffer.write(sge.addr - sink.addr,
+                                  payload[cursor : cursor + sge.length])
             cursor += sge.length
         qp.release_rdma_slot()
         if wr.signaled:
             yield cfg.t_cqe
             qp.send_cq.push(WorkCompletion(
-                wr_id=wr.wr_id,
-                status=WCStatus.SUCCESS,
-                opcode=WCOpcode.RDMA_READ,
-                qp_num=qp.qp_num,
-                byte_len=nbytes,
-                completed_at=env._now,
-            ))
+                wr.wr_id, WCStatus.SUCCESS, WCOpcode.RDMA_READ, qp.qp_num,
+                nbytes, None, env._now))
 
     def _complete_error(self, qp: QueuePair, wr: SendWR,
                         status: WCStatus) -> None:
@@ -549,7 +550,8 @@ class NIC:
         if wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM) and nbytes > 0:
             mr = dest_qp.pd.find_mr_by_rkey(wr.rkey)
             mr.check_remote_write(wr.remote_addr, nbytes, wr.rkey)
-            mr.buffer.write(wr.remote_addr - mr.addr, payload)
+            if payload is not None:     # a phantom source writes nothing
+                mr.buffer.write(wr.remote_addr - mr.addr, payload)
         if self.trace.enabled:
             self.trace.record(self.env.now, "ib.deliver", self.node_id,
                               qp=dest_qp.qp_num, wr_id=wr.wr_id,
@@ -660,14 +662,11 @@ class _Delivery(Timer):
             self.stage = 2
             delay = nic.config.nic.t_cqe
         else:
+            # (wr_id, status, opcode, qp_num, byte_len, imm_data,
+            # completed_at): positional, as on every per-message record.
             qp.send_cq.push(WorkCompletion(
-                wr_id=wr.wr_id,
-                status=WCStatus.SUCCESS,
-                opcode=wr.opcode.wc_opcode,
-                qp_num=qp.qp_num,
-                byte_len=self.nbytes,
-                completed_at=nic.env._now,
-            ))
+                wr.wr_id, WCStatus.SUCCESS, wr.opcode.wc_opcode, qp.qp_num,
+                self.nbytes, None, nic.env._now))
             return
         env = nic.env
         now = env._now
@@ -713,13 +712,7 @@ class _RecvCompletion(Timer):
         dest_qp = self.dest_qp
         wr = self.wr
         dest_qp.recv_cq.push(WorkCompletion(
-            wr_id=self.recv_wr.wr_id,
-            status=WCStatus.SUCCESS,
-            opcode=WCOpcode.RECV_RDMA_WITH_IMM
-            if wr.opcode is Opcode.RDMA_WRITE_WITH_IMM
-            else WCOpcode.RECV,
-            qp_num=dest_qp.qp_num,
-            byte_len=self.nbytes,
-            imm_data=wr.imm_data,
-            completed_at=dest_qp.nic.env._now,
-        ))
+            self.recv_wr.wr_id, WCStatus.SUCCESS,
+            WCOpcode.RECV_RDMA_WITH_IMM
+            if wr.opcode is Opcode.RDMA_WRITE_WITH_IMM else WCOpcode.RECV,
+            dest_qp.qp_num, self.nbytes, wr.imm_data, dest_qp.nic.env._now))

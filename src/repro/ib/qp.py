@@ -132,7 +132,8 @@ class QueuePair:
                 completed_at=now,
             ))
         if self.sq is not None:
-            for send_wr in self.sq.drain():
+            flushed, self.sq.items = self.sq.items, []
+            for send_wr in flushed:
                 self.sq_depth -= 1
                 self.send_cq.push(WorkCompletion(
                     wr_id=send_wr.wr_id,
@@ -235,7 +236,8 @@ class QueuePair:
         """
         if self.outstanding_rdma > 0:
             self.outstanding_rdma -= 1
-        self.notify_slot_free()
+        if self._slot_waiters:
+            self.notify_slot_free()
 
     # -- RC reliability attributes ----------------------------------------
 

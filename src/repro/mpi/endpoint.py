@@ -58,6 +58,7 @@ _RQ_PRESTOCK = 64
 _PRESTOCK = (ANON_RECV,) * _RQ_PRESTOCK
 
 _seq_counter = itertools.count(1)
+_HEADER_ONLY = [SGE(0, 0, 0)]   # nothing writes a WR's gather list
 _wrid_counter = itertools.count(1)
 
 
@@ -91,8 +92,8 @@ class _PumpItem:
     """One message handed to the channel pump."""
 
     header: Header
-    #: (addr, length, lkey) gather source, or None for header-only.
-    gather: Optional[tuple[int, int, int]]
+    #: Gather list (one SGE), or None for header-only.
+    gather: Optional[list[SGE]]
     #: RDMA target (addr, rkey); for eager, filled by the pump (ring).
     target: Optional[tuple[int, int]]
     #: CPU cost charged by the pump before posting.
@@ -148,7 +149,10 @@ class Channel:
         self.ring_mr = dst.p2p_pd.reg_mr(
             self.ring, ACCESS_LOCAL | ACCESS_REMOTE_WRITE)
         self._ring_head = 0
-        self._pump_queue = Store(self.env)
+        #: The pump's FIFO.  Senders ``queue.hand_off(item)`` last, with
+        #: their own bookkeeping done: an idle pump takes the item inside
+        #: that call, its CPU, gap and flow-control waits starting now.
+        self.queue = Store(self.env)
         self.env.process(self._pump())
         # Fault recovery: dead items queue on the tracker and resubmit
         # through the pump after the reconnect walk.
@@ -167,15 +171,6 @@ class Channel:
 
     # -- sender API ---------------------------------------------------------
 
-    def submit(self, item: _PumpItem) -> None:
-        """Hand a message to the pump (non-blocking, FIFO).
-
-        An idle pump takes it inside this call — its protocol CPU, gap
-        and flow-control waits start now, with no wake event in between
-        — so callers submit last, with their own bookkeeping done.
-        """
-        self._pump_queue.hand_off(item)
-
     def alloc_ring(self, nbytes: int) -> int:
         """Allocate ring space for an eager payload (sender-owned head)."""
         if nbytes > RING_BYTES:
@@ -192,11 +187,18 @@ class Channel:
         """Serialize sends: protocol CPU, injection gap, flow control."""
         env = self.env
         ucx = self.src.config.ucx
-        queue = self._pump_queue
+        queue = self.queue
+        router = self.src.router
+        # Header bytes ride in front of the payload on the wire; their
+        # serialization is folded into the injection gap.
+        header_gap = HEADER_BYTES / self.src.config.nic.line_rate
         next_send = 0.0
         while True:
-            item: _PumpItem = (queue.pop() if queue.items
-                               else (yield queue.get()))
+            if queue.items:
+                item: _PumpItem = queue.items.pop(0)
+            else:
+                yield queue.get()
+                item, queue.handed = queue.handed, None
             if item.cpu_cost > 0:
                 yield item.cpu_cost
             if env._now < next_send:
@@ -226,29 +228,21 @@ class Channel:
                 target = (self.ring_mr.addr + offset, self.ring_mr.rkey)
             else:
                 target = item.target if item.target else (0, 0)
-            sg = [SGE(*item.gather)] if item.gather else [SGE(0, 0, 0)]
             wr_id = next(_wrid_counter)
             self.dst._inbound_headers[header.seq] = header
             if item.on_sent is not None:
-                self.src.router.on_success(wr_id, item.on_sent)
+                router.successes[wr_id] = item.on_sent
             # Failure routing: entries live from post to ACK so a WR
             # that dies — with an error CQE or with its QP — can be
             # traced back to its message and replayed exactly once.
-            self.src.router.on_failure(wr_id, (self, item, qp))
+            router.failures[wr_id] = (self, item, qp)
             wire_bytes = (header.nbytes if item.gather else 0) + HEADER_BYTES
+            # (wr_id, opcode, sg_list, remote_addr, rkey, imm_data,
+            # signaled): positional, once per message.
             qp.post_send(SendWR(
-                wr_id=wr_id,
-                opcode=Opcode.RDMA_WRITE_WITH_IMM,
-                sg_list=sg,
-                remote_addr=target[0],
-                rkey=target[1],
-                imm_data=header.seq & 0xFFFFFFFF,
-                signaled=True,
-            ))
-            # Header bytes ride in front of the payload on the wire;
-            # their serialization is folded into the injection gap.
-            next_send = env._now + max(item.gap,
-                                       HEADER_BYTES / self.src.config.nic.line_rate)
+                wr_id, Opcode.RDMA_WRITE_WITH_IMM, item.gather or _HEADER_ONLY,
+                target[0], target[1], header.seq & 0xFFFFFFFF, True))
+            next_send = env._now + max(item.gap, header_gap)
             self.messages_sent += 1
             self.bytes_sent += wire_bytes
 
@@ -280,7 +274,7 @@ class Channel:
     def _resubmit(self, item: _PumpItem):
         # Through the queue, not in place: the replay drain must finish
         # before the pump looks at any QP's state again.
-        self._pump_queue.push(item)
+        self.queue.push(item)
         return
         yield  # pragma: no cover - generator protocol
 

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.engine import CircuitBreaker
 from repro.ib.constants import QPState
+from repro.ib.wr import SGE
 from repro.mpi.endpoint import Header, MsgKind, _PumpItem, make_seq
 from repro.mpi.modules import ModuleSpec, PartitionedModule
 
@@ -259,10 +260,10 @@ class LadderModule(PartitionedModule):
                     kind=MsgKind.PART_DATA, seq=make_seq(),
                     sender=self.sender.rank, tag=req.tag, nbytes=size,
                     ref=(self, p))
-                self._rescue_channel.submit(_PumpItem(
+                self._rescue_channel.queue.hand_off(_PumpItem(
                     header=header,
-                    gather=(self._rescue_send_mr.addr + send_off, size,
-                            self._rescue_send_mr.lkey),
+                    gather=[SGE(self._rescue_send_mr.addr + send_off, size,
+                                self._rescue_send_mr.lkey)],
                     target=(self._rescue_recv_mr.addr + recv_off,
                             self._rescue_recv_mr.rkey),
                     cpu_cost=0.0,

@@ -23,6 +23,7 @@ No aggregation: what the paper compares everything against.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.engine import CreditManager, Rail, RailPolicy, reconnect_walk
@@ -55,9 +56,17 @@ class PersistModule(PartitionedModule):
         self.send_mr = None
         #: UCX worker lock: per-partition posts serialize on this.
         self.worker_lock = SimLock(self.env)
-        #: The UCX protocol tier of every partition message: the size is
-        #: fixed per request, so the tier is resolved once, here.
-        self._proto = cluster.config.ucx.protocol_for(send_req.partition_size)
+        #: The UCX protocol tier of every partition message and its
+        #: sender CPU: the size is fixed per request, so both are
+        #: resolved once, here.
+        self._proto = proto = cluster.config.ucx.protocol_for(
+            send_req.partition_size)
+        host = self.sender.config.host
+        self._send_cost = proto.t_send + host.t_atomic
+        if proto.copies:
+            self._send_cost += send_req.partition_size / host.memcpy_rate
+        #: Per partition, its rendezvous READ's scatter list (set up).
+        self._sinks = []
         # Round credit (remote buffer readiness): partition messages for
         # round N only go on the wire once the receiver's Start for
         # round N has been seen — the internal-matching gate real
@@ -94,6 +103,11 @@ class PersistModule(PartitionedModule):
             # No RQ stocking: RDMA READs consume no receive WRs.
             self.read_qps.append(requester)
         self.read_rail = Rail(self.read_qps, RailPolicy.ROUND_ROBIN)
+        if self._proto.rendezvous:
+            size = recv_req.partition_size
+            self._sinks = [[SGE(self.recv_mr.addr + p * size, size,
+                                self.recv_mr.lkey)]
+                           for p in range(recv_req.n_partitions)]
 
     # -- round management ----------------------------------------------------
 
@@ -121,18 +135,14 @@ class PersistModule(PartitionedModule):
     def pready(self, req, partition: int):
         """Per-partition internal isend (in the calling thread)."""
         sender = self.sender
-        proto = self._proto
         # The UCX worker lock: held while the protocol code runs.  The
         # acquisition itself costs a contended cache-line transfer,
         # like the native module's arrival atomics.
         yield from self.worker_lock.hold()
         try:
-            cost = proto.t_send + sender.config.host.t_atomic
-            if proto.copies:
-                cost += req.partition_size / sender.config.host.memcpy_rate
-            yield sender.software_cost(cost)
+            yield self._send_cost * sender.sw_multiplier
             self._readied += 1
-            if not self._credit.ready(req.round):
+            if self._credit.armed_round < req.round:
                 # Receiver has not re-armed this round yet: park the
                 # partition until its credit arrives.
                 self._credit.defer(partition)
@@ -146,62 +156,50 @@ class PersistModule(PartitionedModule):
         yield from sender.engine.progress_once()
 
     def _dispatch(self, partition: int) -> None:
-        """Put one readied partition on the wire: eager data written
-        straight into the receive buffer, or a rendezvous RTS."""
+        """Put one readied partition (``MPI_Pready`` checked its index) on
+        the wire: eager data straight into the receive buffer, or an RTS."""
         req = self.send_req
         size = req.partition_size
         if not self._proto.rendezvous:
-            offset = req.buf.partition_offset(partition)
-            header = Header(
-                kind=MsgKind.PART_DATA, seq=make_seq(),
-                sender=self.sender.rank, tag=req.tag, nbytes=size,
-                ref=(self, partition))
-            self.channel.submit(_PumpItem(
-                header=header,
-                gather=(self.send_mr.addr + offset, size, self.send_mr.lkey),
-                target=(self.recv_mr.addr + offset, self.recv_mr.rkey),
-                cpu_cost=0.0,
-                gap=self._proto.gap,
-                on_sent=self._on_partition_acked))
+            # Positional, once per message: (kind, seq, sender, tag,
+            # nbytes, ref) and (header, gather, target, cpu_cost, gap,
+            # on_sent).
+            header = Header(MsgKind.PART_DATA, make_seq(), self.sender.rank,
+                            req.tag, size, (self, partition))
+            self.channel.queue.hand_off(_PumpItem(
+                header, [SGE(self.send_mr.addr + partition * size, size,
+                             self.send_mr.lkey)],
+                (self.recv_mr.addr + partition * size, self.recv_mr.rkey),
+                0.0, self._proto.gap, self._on_partition_acked))
         else:
             # Rendezvous: RTS now; the receiver's progress engine
             # answers with an RDMA READ of the partition.
-            header = Header(
-                kind=MsgKind.PART_RTS, seq=make_seq(),
-                sender=self.sender.rank, tag=req.tag,
-                nbytes=size, ref=(self, partition))
-            self.channel.submit(_PumpItem(
-                header=header, gather=None, target=None, cpu_cost=0.0,
-                gap=self.sender.config.ucx.gap_inline))
+            header = Header(MsgKind.PART_RTS, make_seq(), self.sender.rank,
+                            req.tag, size, (self, partition))
+            self.channel.queue.hand_off(_PumpItem(
+                header, None, None, 0.0, self.sender.config.ucx.gap_inline))
 
     def _issue_read(self, partition: int):
         """Receiver-driven get: RDMA READ the partition into place."""
-        req = self.send_req
-        size = req.partition_size
-        offset = req.buf.partition_offset(partition)
         requester = yield from self.read_rail.acquire()
         if requester.state is not QPState.RTS:
             # The read rail died under us: reconnect and retry later.
             yield from self._on_read_failed(partition)
             return
         wr_id = next(_read_wrid)
-        # The callback is a generator: the completion router runs it and
-        # charges its completion-handling time.
-        self.receiver.router.on_success(
-            wr_id, lambda wc, p=partition: self._on_read_complete(p))
-        self.receiver.router.on_failure(
-            wr_id,
-            (None, lambda wc, p=partition: self._on_read_failed(p), requester))
+        # The callbacks are generators: the completion router runs them
+        # and charges their completion-handling time.
+        router = self.receiver.router
+        router.successes[wr_id] = partial(self._on_read_complete, partition)
+        router.failures[wr_id] = (
+            None, partial(self._on_read_failed, partition), requester)
+        # (wr_id, opcode, sg_list, remote_addr, rkey)
         requester.post_send(SendWR(
-            wr_id=wr_id,
-            opcode=Opcode.RDMA_READ,
-            sg_list=[SGE(self.recv_mr.addr + offset, size,
-                         self.recv_mr.lkey)],
-            remote_addr=self.send_mr.addr + offset,
-            rkey=self.send_mr.rkey,
-        ))
+            wr_id, Opcode.RDMA_READ, self._sinks[partition],
+            self.send_mr.addr + partition * self.send_req.partition_size,
+            self.send_mr.rkey))
 
-    def _on_read_failed(self, partition: int):
+    def _on_read_failed(self, partition: int, _wc=None):
         """A get-zcopy READ died: reconnect the read rails and re-issue.
 
         Nothing landed (a failed READ scatters no data), so re-issuing
@@ -217,7 +215,7 @@ class PersistModule(PartitionedModule):
             for requester in self.read_rail)
         yield from self._issue_read(partition)
 
-    def _on_read_complete(self, partition: int):
+    def _on_read_complete(self, partition: int, _wc=None):
         """Receiver side: data landed; mark it and ack the sender.
 
         Runs as a generator on the receiver's progress engine and pays
@@ -230,20 +228,19 @@ class PersistModule(PartitionedModule):
         if self.recv_req.all_arrived:
             self.recv_req.mark_complete()
         back = self.receiver.channel_to(self.sender.rank)
-        ats = Header(kind=MsgKind.PART_ATS, seq=make_seq(),
-                     sender=self.receiver.rank, tag=self.send_req.tag,
-                     ref=(self, partition))
-        back.submit(_PumpItem(header=ats, gather=None, target=None,
-                              cpu_cost=0.0,
-                              gap=self.receiver.config.ucx.gap_inline))
+        ats = Header(MsgKind.PART_ATS, make_seq(), self.receiver.rank,
+                     self.send_req.tag, 0, (self, partition))
+        back.queue.hand_off(_PumpItem(
+            ats, None, None, 0.0, self.receiver.config.ucx.gap_inline))
 
     def _on_partition_acked(self, wc=None) -> None:
-        if self._retired_for(self.send_req):
+        req = self.send_req
+        if self.retired_after is not None and req.round > self.retired_after:
             return  # stale ack into a round a newer rung owns
         self._acked += 1
-        if (self._acked == self.send_req.n_partitions
-                and self._readied == self.send_req.n_partitions):
-            self.send_req.mark_complete()
+        if (self._acked == req.n_partitions
+                and self._readied == req.n_partitions):
+            req.mark_complete()
 
     # -- receiver path ------------------------------------------------------------
 

@@ -6,10 +6,10 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.errors import MatchingError, MPIError, RequestError
+from repro.errors import MatchingError, MPIError, PartitionError, RequestError
 from repro.ib.constants import ACCESS_LOCAL, ACCESS_REMOTE_WRITE
 from repro.ib.device import Context
-from repro.ib.wr import ANON_RECV
+from repro.ib.wr import ANON_RECV, SGE
 from repro.mem.buffer import Buffer, PartitionedBuffer
 from repro.mpi.endpoint import (
     Channel,
@@ -132,7 +132,7 @@ class MPIProcess:
         ucx = self.config.ucx
         chan = self.channel_to(dest)
         mr = self._register(buf)
-        gather = (mr.addr + offset, nbytes, mr.lkey) if nbytes > 0 else None
+        gather = [SGE(mr.addr + offset, nbytes, mr.lkey)] if nbytes else None
         proto = ucx.protocol_for(nbytes)
         if not proto.rendezvous:
             cost = proto.t_send
@@ -141,7 +141,7 @@ class MPIProcess:
             header = Header(kind=MsgKind.EAGER, seq=make_seq(),
                             sender=self.rank, tag=tag, nbytes=nbytes,
                             ref=chan)
-            chan.submit(_PumpItem(
+            chan.queue.hand_off(_PumpItem(
                 header=header, gather=gather, target=None,
                 cpu_cost=self.software_cost(cost), gap=proto.gap,
                 to_ring=True, on_sent=lambda wc: req.mark_complete()))
@@ -150,7 +150,7 @@ class MPIProcess:
             header = Header(kind=MsgKind.RNDV_RTS, seq=make_seq(),
                             sender=self.rank, tag=tag, nbytes=nbytes,
                             ref=req.request_id)
-            chan.submit(_PumpItem(
+            chan.queue.hand_off(_PumpItem(
                 header=header, gather=None, target=None,
                 cpu_cost=self.software_cost(proto.t_send),
                 gap=ucx.gap_inline))
@@ -201,9 +201,9 @@ class MPIProcess:
         header = Header(kind=MsgKind.RNDV_CTS, seq=make_seq(),
                         sender=self.rank, tag=rts.tag,
                         ref=(rts.ref, req, mr.addr + offset, mr.rkey))
-        chan.submit(_PumpItem(header=header, gather=None, target=None,
-                              cpu_cost=self.config.ucx.t_rndv,
-                              gap=self.config.ucx.gap_inline))
+        chan.queue.hand_off(_PumpItem(
+            header=header, gather=None, target=None,
+            cpu_cost=self.config.ucx.t_rndv, gap=self.config.ucx.gap_inline))
 
     def _on_p2p_wc(self, wc):
         """Dispatch one completion from the shared p2p CQ (router hook)."""
@@ -222,7 +222,9 @@ class MPIProcess:
             else:
                 yield from self._handle_inbound(header)
         else:
-            callback = self.router.discard(wc.wr_id)
+            router = self.router
+            router.failures.pop(wc.wr_id, None)
+            callback = router.successes.pop(wc.wr_id, None)
             if callback is not None:
                 result = callback(wc)
                 if result is not None and hasattr(result, "send"):
@@ -257,13 +259,13 @@ class MPIProcess:
                 qp_num=wc.qp_num, status=wc.status.value,
                 retries=retries)
         self.cluster.fabric.counters.inc("mpi.p2p_failures")
-        entry = self.router.pop_failure(wc.wr_id)
+        entry = self.router.failures.pop(wc.wr_id, None)
         if entry is None:
             # A flushed receive prestock entry: the reconnect walk
             # restocks the RQ, nothing else to do.
             return
         chan, payload, _qp = entry
-        self.router.pop_success(wc.wr_id)
+        self.router.successes.pop(wc.wr_id, None)
         if chan is not None and getattr(payload, "on_error", None) is None:
             chan.note_failure(payload)
             return
@@ -312,7 +314,7 @@ class MPIProcess:
             data_header = Header(kind=MsgKind.RNDV_DATA, seq=make_seq(),
                                  sender=self.rank, tag=header.tag,
                                  nbytes=send_req.nbytes, ref=recv_req)
-            chan.submit(_PumpItem(
+            chan.queue.hand_off(_PumpItem(
                 header=data_header, gather=gather, target=(addr, rkey),
                 cpu_cost=self.config.ucx.t_rndv, gap=ucx.gap_rndv,
                 on_sent=lambda wc: send_req.mark_complete()))
@@ -382,15 +384,19 @@ class MPIProcess:
     def pready(self, req: PsendRequest, partition: int):
         """``MPI_Pready``: mark a partition ready (thread context).
 
-        Checks and stamps the call now, then returns the module's own
-        generator for the caller to ``yield from``: no facade frame sits
-        between the calling thread and the module while it waits.
+        Checks and stamps the call now, inline, then returns the module's
+        own generator for the caller to ``yield from``: no facade frame
+        sits between the calling thread and the module while it waits.
         """
-        req.require_active("Pready")
-        req.check_partition(partition)
+        if req.state is not PartitionedState.ACTIVE:
+            raise RequestError(
+                f"Pready on a request in state {req.state.value}")
+        if not 0 <= partition < req.n_partitions:
+            raise PartitionError(
+                f"partition {partition} outside [0, {req.n_partitions})")
         if not isinstance(req, PsendRequest):
             raise RequestError("Pready is only valid on Psend requests")
-        req.record_pready(partition)
+        req.pready_times[partition] = self.env._now
         return req.module.pready(req, partition)
 
     def parrived(self, req: PrecvRequest, partition: int):

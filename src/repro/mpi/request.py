@@ -98,11 +98,6 @@ class PartitionedRequest(Request):
             raise PartitionError(
                 f"partition {index} outside [0, {self.n_partitions})")
 
-    def require_active(self, what: str) -> None:
-        if self.state is not PartitionedState.ACTIVE:
-            raise RequestError(
-                f"{what} on a request in state {self.state.value}")
-
     def mark_complete(self) -> None:
         # Persistent requests go COMPLETE, not terminal: Start re-arms.
         if not self.done:
@@ -129,9 +124,6 @@ class PsendRequest(PartitionedRequest):
         #: (profiling/benchmarks read these).
         self.pready_times: list[Optional[float]] = [None] * self.n_partitions
 
-    def record_pready(self, index: int) -> None:
-        self.pready_times[index] = self.process.env._now
-
     def reset_round_stats(self) -> None:
         self.pready_times = [None] * self.n_partitions
 
@@ -156,19 +148,21 @@ class PrecvRequest(PartitionedRequest):
                 f"arrival range [{start}, {start + count}) outside "
                 f"[0, {self.n_partitions})")
         now = self.process.env._now
-        arrived = self.arrived
+        times = self.arrival_times
         if count == 1:
-            # The per-message case: no slice, no reduction.
-            fresh = not arrived[start]
-            arrived[start] = True
-        else:
-            span = arrived[start : start + count]
-            fresh = count - int(np.count_nonzero(span))
-            span[:] = True
+            # The per-message case: no slice, no reduction, and the flag
+            # read off the time list (set exactly when the flag is).
+            if times[start] is None:
+                self._n_arrived += 1
+            self.arrived[start] = True
+            times[start] = now
+            return
+        span = self.arrived[start : start + count]
         # A replayed range may overlap flags already set: count new ones.
-        self._n_arrived += fresh
+        self._n_arrived += count - int(np.count_nonzero(span))
+        span[:] = True
         for i in range(start, start + count):
-            self.arrival_times[i] = now
+            times[i] = now
 
     @property
     def all_arrived(self) -> bool:

@@ -11,7 +11,7 @@ from collections import deque
 from typing import Any, Deque
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event, _count, _park_error
+from repro.sim.core import PARKED, Environment, _count, _park_error
 
 
 class Request:
@@ -110,87 +110,86 @@ class Resource:
 
 
 class Store:
-    """An unbounded FIFO of Python objects.
+    """An unbounded FIFO of Python objects with one consumer.
 
-    ``push`` (or ``hand_off``) deposits an item; ``get`` fires when one
-    is available.  Used for message queues between simulated components.
+    ``push`` (or ``hand_off``) deposits an item; a consumer that finds
+    the store empty parks on :meth:`get` as itself, and its producer
+    hands the next item over in :attr:`handed`, outside :attr:`items`::
+
+        if store.items:
+            item = store.items.pop(0)
+        else:
+            yield store.get()                        # PARKED
+            item, store.handed = store.handed, None  # take it
     """
 
-    __slots__ = ("env", "items", "_getters")
+    __slots__ = ("env", "items", "handed", "_getter")
 
     def __init__(self, env: Environment):
         self.env = env
-        #: Queued items, oldest first.  Lists, not deques, here and for
-        #: the parked :meth:`get` events: an empty deque costs 760 bytes
-        #: (a list 56), a cluster holds hundreds of stores, mostly idle,
-        #: and a busy one queues a handful of items, so ``pop(0)`` is cheap.
+        #: Queued items, oldest first.  A list, not a deque: an empty
+        #: deque costs 760 bytes (a list 56), a cluster holds hundreds of
+        #: stores, mostly idle, and a busy one queues a handful of items,
+        #: so ``pop(0)`` is cheap.
         self.items: list[Any] = []
-        #: The simulator's stores have one consumer each, so at most one
-        #: getter waits.
-        self._getters: list[Event] = []
+        #: The item handed to the waking consumer, outside ``items`` (a
+        #: drain does not see it); cleared as it is taken.
+        self.handed: Any = None
+        #: The parked consumer, if any.
+        self._getter = None
 
     def __len__(self) -> int:
         return len(self.items)
 
     def push(self, item: Any) -> None:
-        """Deposit ``item`` with no event: the oldest parked getter gets
-        it (through the event queue), else it queues."""
-        if self._getters:
-            self._getters.pop(0).succeed(item)
-        else:
+        """Deposit ``item``: a parked consumer is handed it and goes into
+        the current batch (where a get event would have); else it queues."""
+        getter = self._getter
+        if getter is None:
             self.items.append(item)
+            return
+        self._getter = None
+        self.handed = item
+        self.env._cur_normal.append(getter)
 
     def hand_off(self, item: Any) -> None:
         """Deposit ``item``, resuming a parked consumer *in place*.
 
-        :meth:`push` wakes a parked getter through the event queue: one
-        dispatch whose only effect is to resume the consumer at the same
-        ``(time, priority)`` the producer is already running at.  This
-        hands the item over as a direct call instead — the consumer's
-        next step runs inside this one, up to its next ``yield``, and
-        then the producer carries on.  No virtual time passes either
-        way.  The producer must therefore call it with its own state
-        settled (as the last thing it does with ``item``), and the
+        Where :meth:`push` resumes it through the batch, at the producer's
+        own ``(time, priority)``, this runs its next step inside the call.
+        The producer must call it with its own state settled, and the
         consumer must not need to observe anything the producer does
         afterwards at this timestamp.  With nobody parked it is
         :meth:`push`.
         """
-        if not self._getters:
+        getter = self._getter
+        if getter is None:
             self.items.append(item)
             return
-        getter = self._getters.pop(0)
-        getter._ok = True
-        getter._value = item
-        getter._processed = True
-        callbacks, getter.callbacks = getter.callbacks, None
-        for callback in callbacks:
-            callback(getter)
+        self._getter = None
+        self.handed = item
+        getter._resume(getter)
 
-    def drain(self) -> list:
-        """Remove and return every queued item (no waiter interaction).
-
-        Used when a consumer dies (a QP dropping to ERROR flushes its
-        send queue).
-        """
-        out = list(self.items)
-        self.items.clear()
-        return out
-
-    def pop(self) -> Any:
-        """Withdraw the oldest item in place; the store must hold one.
-
-        The event-free half of :meth:`get`, for a consumer that checks
-        ``store.items`` first and parks only on an empty store::
-
-            item = store.pop() if store.items else (yield store.get())
-        """
-        return self.items.pop(0)
-
-    def get(self) -> Event:
-        """Withdraw the oldest item; returned event fires with the item."""
-        ev = Event(self.env)
+    def get(self):
+        """Park the active process, the consumer, until :attr:`handed`
+        holds an item (at once, through the batch, if one is queued);
+        ``yield`` the result (:data:`~repro.sim.core.PARKED`)."""
+        env = self.env
+        proc = env.active_process
+        if proc is None or proc._target is not None:
+            raise _park_error(proc, "Store.get()")
+        if self._getter is not None:
+            raise SimulationError(
+                f"Store.get(): {self._getter.name!r} already waits; a store "
+                "has one consumer")
         if self.items:
-            ev.succeed(self.items.pop(0))
+            self.handed = self.items.pop(0)
+            env._cur_normal.append(proc)
         else:
-            self._getters.append(ev)
-        return ev
+            self._getter = proc
+            proc._target = self
+        return PARKED
+
+    def _unpark(self, proc) -> None:
+        if self._getter is proc:
+            self._getter = None

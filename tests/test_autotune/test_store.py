@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.autotune import TuningStore, workload_key
-from repro.autotune import store as store_mod
+from repro import atomic
 from repro.autotune.policy import PlanChoice
 from repro.autotune.store import SCHEMA
 
@@ -213,7 +213,7 @@ def test_a_taken_temp_name_is_skipped_not_reused(tmp_path):
     """Another pid namespace on a shared volume, or a crashed writer,
     can own the very name this process would pick next."""
     store = TuningStore(tmp_path)
-    taken = next(store_mod._temp_seq) + 1
+    taken = next(atomic._temp_seq) + 1
     foreign = [tmp_path / f"{os.getpid()}-{taken + i}.tmp" for i in range(3)]
     for path in foreign:
         path.write_text("someone else's half-written entry")

@@ -171,6 +171,9 @@ def _row(argv, message, was=None):
     (["point", "chaos", "workload=pallreduce", "fault=flap_storm", "seed=0",
       "index=0", "max_duration=nan"],
      "chaos: max_duration: must be finite and >= 0, got nan"),
+    (SWEEP + ["grid=4x4x4"], "sweep: grid: want a 2-D grid, got [4, 4, 4]"),
+    (["point", "tuning_table", "n_user=3", "total_bytes=4MiB"],
+     "tuning_table: n_user: want a power of two, got 3"),
 ])
 def test_bad_flags_are_usage_errors(argv, message, capsys):
     # A bad count, size or name is argparse's exit 2, raised before

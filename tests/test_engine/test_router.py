@@ -78,34 +78,47 @@ def test_batch_larger_than_queue_drains_in_laps(env):
     assert seen == list(range(2 * POLL_BATCH + 1))
 
 
+def _p2p_success(proc, wr_id):
+    """Route a successful send completion through the rank's p2p hook."""
+    from repro.ib.constants import WCOpcode, WCStatus
+    from repro.ib.wr import WorkCompletion
+
+    wc = WorkCompletion(wr_id, WCStatus.SUCCESS, WCOpcode.RDMA_WRITE,
+                        qp_num=0)
+    list(proc._on_p2p_wc(wc))
+    return wc
+
+
 def test_keyed_dispatch_is_one_shot(env):
-    _, router = make_router(env)
-    cb = object()
-    router.on_success(5, cb)
-    router.on_failure(5, "entry")
-    assert router.pop_success(5) is cb
-    assert router.pop_success(5) is None
-    assert router.pop_failure(5) == "entry"
-    assert router.pop_failure(5) is None
+    from repro.mpi import Cluster
+
+    proc = Cluster(n_nodes=1).add_process()
+    fired = []
+    proc.router.successes[5] = fired.append
+    proc.router.failures[5] = "entry"
+    wc = _p2p_success(proc, 5)
+    _p2p_success(proc, 5)                 # nothing left to fire
+    assert fired == [wc]
+    assert not proc.router.successes and not proc.router.failures
 
 
 def test_discard_drops_both_tables(env):
-    _, router = make_router(env)
-    router.on_success(9, "cb")
-    router.on_failure(9, "entry")
-    router.discard(9)
-    assert router.pop_success(9) is None
-    assert router.pop_failure(9) is None
+    from repro.mpi import Cluster
+
+    proc = Cluster(n_nodes=1).add_process()
+    proc.router.failures[9] = "entry"     # a message with no on_sent
+    _p2p_success(proc, 9)
+    assert 9 not in proc.router.failures
 
 
 def test_sweep_failures_filters_and_preserves_order(env):
     _, router = make_router(env)
-    router.on_success(1, "cb1")
-    router.on_failure(1, ("chan-a", "m1"))
-    router.on_failure(2, ("chan-b", "m2"))
-    router.on_failure(3, ("chan-a", "m3"))
+    router.successes[1] = "cb1"
+    router.failures[1] = ("chan-a", "m1")
+    router.failures[2] = ("chan-b", "m2")
+    router.failures[3] = ("chan-a", "m3")
     swept = router.sweep_failures(lambda e: e[0] == "chan-a")
     assert swept == [("chan-a", "m1"), ("chan-a", "m3")]
     # Non-matching entries survive; matching success callbacks go too.
-    assert router.pop_failure(2) == ("chan-b", "m2")
-    assert router.pop_success(1) is None
+    assert router.failures == {2: ("chan-b", "m2")}
+    assert not router.successes

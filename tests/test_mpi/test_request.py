@@ -57,13 +57,43 @@ def test_rearm_resets_completion(proc):
     assert req.round == 2
 
 
-def test_require_active(proc):
-    req = PsendRequest(proc, PartitionedBuffer(4, 256), dest=1, tag=0,
+class _Module:
+    """Stands in for a transport: ``pready`` returns what it was given."""
+
+    def pready(self, req, partition):
+        return ("module", partition)
+
+
+def _psend(proc, n=4):
+    req = PsendRequest(proc, PartitionedBuffer(n, 256), dest=1, tag=0,
                        module_name="m")
-    with pytest.raises(RequestError):
-        req.require_active("Pready")
+    req.module = _Module()
+    return req
+
+
+def test_require_active(proc):
+    req = _psend(proc)
+    with pytest.raises(RequestError, match="Pready on a request in state "
+                                           "setup"):
+        proc.pready(req, 0)
     req.state = PartitionedState.ACTIVE
-    req.require_active("Pready")  # no raise
+    assert proc.pready(req, 0) == ("module", 0)   # no raise
+    assert req.pready_times[0] == proc.env.now
+
+
+def test_pready_checks_the_partition_and_the_request_kind(proc):
+    req = _psend(proc)
+    req.state = PartitionedState.ACTIVE
+    for bad in (4, -1):
+        with pytest.raises(PartitionError, match=r"outside \[0, 4\)"):
+            proc.pready(req, bad)
+    assert req.pready_times == [None] * 4   # a refused call stamps nothing
+    recv = PrecvRequest(proc, PartitionedBuffer(4, 256), source=0, tag=0,
+                        module_name="m")
+    recv.module = _Module()
+    recv.state = PartitionedState.ACTIVE
+    with pytest.raises(RequestError, match="only valid on Psend"):
+        proc.pready(recv, 0)
 
 
 def test_check_partition_bounds(proc):
@@ -125,8 +155,7 @@ def test_precv_arrival_range_validated(proc):
 def test_round_stats_reset(proc):
     send = PsendRequest(proc, PartitionedBuffer(4, 256), dest=1, tag=0,
                         module_name="m")
-    send.record_pready(1)
-    assert send.pready_times[1] is not None
+    send.pready_times[1] = 0.0
     send.reset_round_stats()
     assert send.pready_times == [None] * 4
     recv = PrecvRequest(proc, PartitionedBuffer(4, 256), source=0, tag=0,

@@ -47,21 +47,21 @@ pytestmark = pytest.mark.skipif(
 #: the rows of test_event_budget.py.
 BUDGET = [
     ("persist-eager-32x512B", lambda: None, 32, 32 * 512,
-     4614, "message", 32),
+     3892, "message", 32),
     ("persist-eager-128x128B", lambda: None, 128, 128 * 128,
-     18011, "message", 128),
+     15067, "message", 128),
     ("persist-rndv-32x16KiB", lambda: None, 32, 32 * 16 * KiB,
-     9186, "message (3 WRs)", 32),
+     7694, "message (3 WRs)", 32),
     ("persist-rndv-32x1MiB", lambda: None, 32, 32 * MiB,
-     13939, "message (3 WRs)", 32),
+     12364, "message (3 WRs)", 32),
     ("fixed-T32-1qp-32x256KiB", lambda: FixedAggregation(32, 1), 32, 8 * MiB,
-     5631, "WR (1 chunk)", 32),
+     5231, "WR (1 chunk)", 32),
     ("fixed-T4-1qp-8MiB", lambda: FixedAggregation(4, 1), 32, 8 * MiB,
-     1918, "WR (8 chunks)", 4),
+     1785, "WR (8 chunks)", 4),
     ("fixed-T32-1qp-32x1MiB", lambda: FixedAggregation(32, 1), 32, 32 * MiB,
-     7903, "WR (4 chunks)", 32),
+     7503, "WR (4 chunks)", 32),
     ("ploggp-128x128B", lambda: build_module(["ploggp", {}]), 128, 128 * 128,
-     2771, "user partition", 128),
+     2377, "user partition", 128),
 ]
 
 
@@ -114,8 +114,8 @@ def test_calls_per_round_within_budget(module, n_user, total_bytes, budget,
 def test_budget_headlines():
     """The four numbers docs/PERF.md §1 quotes."""
     per_unit = {row[0]: row[4] / row[6] for row in BUDGET}
-    assert per_unit["persist-eager-32x512B"] <= 175
-    assert per_unit["persist-eager-128x128B"] <= 175
-    assert per_unit["persist-rndv-32x16KiB"] <= 320
+    assert per_unit["persist-eager-32x512B"] <= 125
+    assert per_unit["persist-eager-128x128B"] <= 125
+    assert per_unit["persist-rndv-32x16KiB"] <= 250
     assert per_unit["fixed-T32-1qp-32x256KiB"] <= 240
     assert per_unit["ploggp-128x128B"] <= 30

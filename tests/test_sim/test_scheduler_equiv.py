@@ -23,7 +23,7 @@ import pytest
 
 from repro.runtime import ComputePhase, NoNoise, WorkerTeam
 from repro.errors import SimulationError
-from repro.ib.constants import QPState
+from repro.ib.constants import QPState, WCStatus
 from repro.ib.qp import QueuePair
 from repro.sim.core import (
     PARKED, Environment, Event, PRIORITY_NORMAL, PRIORITY_URGENT, _Expiry,
@@ -335,12 +335,16 @@ def _pipeline(seed, produce, consume, n_items=60):
     return trace, env.now
 
 
-def _evented_get(store):
-    return (yield store.get())
+def _get(store):
+    yield store.get()
+    item, store.handed = store.handed, None
+    return item
 
 
-def _inplace_get(store):
-    return store.pop() if store.items else (yield store.get())
+def _pop_or_get(store):
+    if store.items:
+        return store.items.pop(0)
+    return (yield from _get(store))
 
 
 def _yielded_put(store, item):
@@ -381,18 +385,19 @@ def _produced(trace):
 def test_push_matches_an_unyielded_put_exactly(seed):
     # The put event had no callbacks: dropping it reorders nothing, so
     # the whole trace matches, interleaving included.
-    assert (_pipeline(seed, _push, _evented_get)
-            == _pipeline(seed, _unyielded_put, _evented_get))
+    assert (_pipeline(seed, _push, _get)
+            == _pipeline(seed, _unyielded_put, _get))
 
 
 @pytest.mark.parametrize("produce", [_push, _hand_off],
                          ids=["push", "hand_off"])
-@pytest.mark.parametrize("consume", [_evented_get, _inplace_get],
+@pytest.mark.parametrize("consume", [_get, _pop_or_get],
                          ids=["get", "pop-or-get"])
 @pytest.mark.parametrize("seed", [0, 1, 7, 42])
 def test_event_free_store_paths_match_yielded_put_and_get(seed, produce,
                                                           consume):
-    old_trace, old_end = _pipeline(seed, _yielded_put, _evented_get)
+    old_trace, old_end = _with_grant_events(
+        lambda: _pipeline(seed, _yielded_put, _get))
     new_trace, new_end = _pipeline(seed, produce, consume)
     # Same items to the consumer, in the same order, at the same times;
     # every producer gets past its deposit at the same times.
@@ -408,7 +413,7 @@ def test_hand_off_runs_the_parked_consumer_inside_the_call():
 
     def consumer():
         while True:
-            item = yield store.get()
+            item = yield from _get(store)
             log.append(("got", item, env.active_process.name))
 
     def producer():
@@ -1017,7 +1022,9 @@ class _ResumeLog:
         self.wakes: dict = {}
 
     def dispatch(self, now, event, callbacks):
-        owner = getattr(callbacks[0], "__self__", None) if callbacks else None
+        # The resume is the last callback (an evented get stores its
+        # item ahead of it).
+        owner = getattr(callbacks[-1], "__self__", None) if callbacks else None
         if isinstance(owner, Process):
             what = ("resume", owner.name)
             if event is owner and owner._target is not None:
@@ -1140,7 +1147,43 @@ def _evented_notify_slot_free(qp):
         waiters.pop(0).succeed(None)
 
 
+def _evented_get(store):
+    """What ``Store.get`` was: a get event that carries the item through
+    the batch and, dispatched, leaves it where the consumer takes it."""
+    event = _grant_event(store.env)
+    event.callbacks.insert(0, lambda ev: setattr(store, "handed", ev._value))
+    if store.items:
+        event.succeed(store.items.pop(0))
+    else:
+        store._getter = event
+    return PARKED
+
+
+def _evented_push(store, item):
+    if store._getter is None:
+        store.items.append(item)
+    else:
+        getter, store._getter = store._getter, None
+        getter.succeed(item)
+
+
+def _evented_hand_off(store, item):
+    if store._getter is None:
+        store.items.append(item)
+        return
+    getter, store._getter = store._getter, None
+    getter._ok = True
+    getter._value = item
+    getter._processed = True
+    callbacks, getter.callbacks = getter.callbacks, None
+    for callback in callbacks:
+        callback(getter)
+
+
 _GRANT_EVENTS = [
+    (Store, "get", _evented_get),
+    (Store, "push", _evented_push),
+    (Store, "hand_off", _evented_hand_off),
     (SimLock, "hold", _evented_hold),
     (SimLock, "release", _evented_release),
     (Notify, "wait", _evented_wait),
@@ -1311,7 +1354,84 @@ def _ports(env, trace, rng):
     Process(env, metronome(), name="metronome")
 
 
-_WAKE_WORKLOADS = {"mixed": _mixed, "ports": _ports}
+def _queues(env, trace, rng):
+    """Two QPs' posters feed the NIC's send queues in bursts of one to
+    four WRs per instant: ``post_send`` pushes each WR to the fetch
+    stage, which hands it to the transmit stage in place.  One poster
+    kills its QP in the very instant of a burst, so the first WR of
+    the burst is already handed to the woken fetch stage (which flushes
+    it) while the rest still sit in the SQ (which ``to_error`` flushes).
+    Every flush is logged with the path that made it."""
+    from dataclasses import replace
+
+    from repro.config import NIAGARA
+    from repro.ib import verbs
+    from repro.ib.constants import Opcode
+    from repro.ib.wr import SGE, RecvWR, SendWR
+    from tests.test_ib.conftest import Pair
+
+    config = replace(
+        NIAGARA,
+        nic=replace(NIAGARA.nic, line_rate=2.0 ** 30, qp_rate=2.0 ** 30,
+                    t_wqe=_TICK, t_pkt=_TICK / 8, t_cqe=_TICK),
+        link=replace(NIAGARA.link, latency=8 * _TICK))
+    pair = Pair(env, config=config, bufsize=64 * 1024, backed=False)
+    send = verbs.ibv_create_qp(pair.ctx0, pair.pd0, pair.cq0, pair.cq0)
+    recv = verbs.ibv_create_qp(pair.ctx1, pair.pd1, pair.cq1, pair.cq1)
+    verbs.connect_qps(send, recv)
+    nic = pair.qp0.nic
+    engine_flush = nic._flush_wr
+
+    def logged_flush(qp, wr):
+        trace.append(("flush", env.now, "engine", qp.qp_num, wr.wr_id))
+        engine_flush(qp, wr)
+
+    nic._flush_wr = logged_flush
+
+    def poster(name, send, recv, rng, kill_at):
+        wr_id = 0
+        for burst in range(24):
+            yield _TICK * rng.choice([0, 1, 1, 2, 3])
+            size = 3 if burst == kill_at else rng.choice([1, 2, 3, 4])
+            # The whole burst posts in one instant.
+            while (send.max_outstanding_rdma - send.outstanding_rdma
+                   < size):
+                yield _TICK
+            for _ in range(size):
+                wr_id += 1
+                recv.post_recv(RecvWR(wr_id=wr_id))
+                send.post_send(SendWR(
+                    wr_id=wr_id, opcode=Opcode.RDMA_WRITE_WITH_IMM,
+                    sg_list=[SGE(pair.send_mr.addr,
+                                 rng.choice([256, 4096, 20_000]),
+                                 pair.send_mr.lkey)],
+                    remote_addr=pair.recv_mr.addr, rkey=pair.recv_mr.rkey,
+                    imm_data=wr_id, signaled=rng.random() < 0.7))
+                trace.append((name, env.now, "posted", wr_id, send.sq_depth))
+            if burst == kill_at:
+                send.to_error()
+                trace.append((name, env.now, "killed", send.qp_num))
+                return
+
+    Process(env, poster("poster0", pair.qp0, pair.qp1,
+                        random.Random(rng.randrange(1 << 30)), None),
+            name="poster0")
+    Process(env, poster("poster1", send, recv,
+                        random.Random(rng.randrange(1 << 30)), 9),
+            name="poster1")
+
+    def reaper():
+        # After the run: every send CQE, in CQ order, names its path (a
+        # flush the engine did not log came from ``to_error``'s drain).
+        yield 1.0
+        for wc in list(pair.cq0._entries):
+            trace.append(("cqe", wc.completed_at, wc.qp_num, wc.wr_id,
+                          wc.status.value))
+
+    Process(env, reaper(), name="reaper")
+
+
+_WAKE_WORKLOADS = {"mixed": _mixed, "ports": _ports, "queues": _queues}
 
 
 def _wake_run(workload, seed, plant=None):
@@ -1346,9 +1466,24 @@ def test_direct_wakes_match_grant_events(workload, seed):
         assert "_Expiry" in kinds
         assert wakes["_Park"] > sum(what == ("_Expiry",)
                                     for _, what in new_log)
-    else:
+    elif workload == "ports":
         assert {"Resource", "QueuePair"} <= set(wakes)
         assert ("poster2", "dead") in [r[::2] for r in new_trace]
+    else:
+        assert "Store" in wakes
+        # The kill landed while the fetch stage held the burst's first
+        # WR: the engine flushed that one and the drain the rest.
+        killed = next(r for r in new_trace if r[2] == "killed")
+        flushes = [r for r in new_trace if r[0] == "flush"]
+        in_burst = {r[3] for r in new_trace
+                    if r[:3] == ("poster1", killed[1], "posted")}
+        by_engine = {r[4]: r[1] for r in flushes if r[3] == killed[3]}
+        drained = {r[3] for r in new_trace if r[0] == "cqe"
+                   and r[2] == killed[3] and r[3] not in by_engine
+                   and r[4] == WCStatus.WR_FLUSH_ERR.value}
+        first = min(in_burst)
+        assert by_engine[first] == killed[1]
+        assert drained == in_burst - {first}
 
 
 @pytest.mark.parametrize("plant", ["urgent", "head"])

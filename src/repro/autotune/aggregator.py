@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from repro.config import ClusterConfig
 from repro.core.aggregators import Aggregator, PlanChoice, _qps_for
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_keys
 from repro.units import ms
 
 from repro.autotune.controller import AutotuneController
@@ -43,12 +43,11 @@ class AdaptiveAggregator(Aggregator):
     def __init__(self, policy_builder: PolicyBuilder,
                  store: Optional[PlanStore] = None,
                  config_tag: str = "", key_extra: Optional[dict] = None,
-                 tracker_alpha: float = 0.3, tracker_window: int = 32):
+                 tracker_window: int = 32):
         self.policy_builder = policy_builder
         self.store = store
         self.config_tag = config_tag
         self.key_extra = dict(key_extra or {})
-        self.tracker_alpha = tracker_alpha
         self.tracker_window = tracker_window
         #: The most recent request's controller (inspection/benchmarks).
         self.controller: Optional[AutotuneController] = None
@@ -75,8 +74,7 @@ class AdaptiveAggregator(Aggregator):
                 **self.key_extra)
         controller = AutotuneController(
             policy,
-            tracker=ArrivalTracker(alpha=self.tracker_alpha,
-                                   window=self.tracker_window),
+            tracker=ArrivalTracker(window=self.tracker_window),
             store=self.store, store_key=store_key,
             store_meta={"config": self.config_tag})
         pinned = controller.pinned
@@ -97,31 +95,47 @@ class AdaptiveAggregator(Aggregator):
         return "autotune(unplanned)"
 
 
-def _seed_params(p: dict):
-    """LogGP parameters seeding the candidate set (None disables)."""
-    if p.get("seed_model", True):
-        from repro.model.tables import NIAGARA_LOGGP
-
-        return NIAGARA_LOGGP
-    return None
-
-
 def _model_layout(p: dict, n_user: int, partition_size: int,
                   config: ClusterConfig, delta=None) -> PlanChoice:
     """The PLogGP-predicted layout a δ-tracker or mutation walk starts
-    from when the caller names no explicit one."""
+    from (the Niagara calibration, at most 32 transport partitions)."""
     from repro.model.ploggp import optimal_transport_partitions
+    from repro.model.tables import NIAGARA_LOGGP
 
-    model = _seed_params(p)
-    if model is None:
-        raise ConfigError(
-            f"{p['policy']} needs an explicit starting plan or seed_model")
     t = optimal_transport_partitions(
-        model, n_user * partition_size, n_user=n_user,
-        delay=p.get("delay", ms(4)),
-        max_transport=p.get("max_transport", 32))
+        NIAGARA_LOGGP, n_user * partition_size, n_user=n_user,
+        delay=p.get("delay", ms(4)), max_transport=32)
     t = min(t, n_user)
     return PlanChoice(t, _qps_for(t, n_user, config), delta=delta)
+
+
+#: The keys each policy reads besides :data:`COMMON_KEYS`.
+POLICY_KEYS = {
+    "bandit": ("counts", "deltas", "epsilon", "decay", "bandit_seed",
+               "delay", "window"),
+    "delta_tracker": ("delta", "quantile", "margin", "alpha", "min_delta",
+                      "max_delta", "warm_rounds", "delay"),
+    "static": ("choice",),
+    "plan_mutation": ("seed_plan", "deltas", "epsilon", "decay",
+                      "bandit_seed", "expand_after", "max_frontier",
+                      "delay", "window"),
+}
+#: The keys every policy reads.
+COMMON_KEYS = ("policy", "config_tag", "key_extra", "tracker_window")
+
+
+def check_autotune(params) -> dict:
+    """``params`` as a dict, or a :class:`ConfigError` naming a key its
+    policy does not read (:data:`POLICY_KEYS`)."""
+    if not isinstance(params, (dict, type(None))):
+        raise ConfigError(f"want a JSON object, got {params!r}")
+    p = dict(params or {})
+    name = p.get("policy", "bandit")
+    if name not in POLICY_KEYS:
+        raise ConfigError(f"unknown autotune policy {name!r} "
+                          f"(have: {', '.join(POLICY_KEYS)})")
+    return check_keys(f"autotune policy {name!r}", p,
+                      COMMON_KEYS + POLICY_KEYS[name])
 
 
 def build_autotuner(params: Optional[dict] = None,
@@ -134,53 +148,38 @@ def build_autotuner(params: Optional[dict] = None,
     :class:`repro.serve.ServeClient` resolving plans through the
     tuning service.
 
-    ``params["policy"]`` selects the policy:
+    ``params["policy"]`` selects the policy, and :data:`POLICY_KEYS`
+    lists the keys each reads (any other is a :class:`ConfigError`):
 
-    * ``"bandit"`` (default) — epsilon-greedy/UCB over
-      :func:`~repro.autotune.policy.candidate_plans`; knobs: ``counts``,
-      ``deltas``, ``span``, ``epsilon``, ``decay``, ``mode``,
-      ``bandit_seed``, ``delay``, ``seed_model``, ``window``
-      (sliding-window cost estimates for shifting fabrics).
-    * ``"delta_tracker"`` — δ retargeting on a PLogGP-derived (or
-      explicit ``base``) layout; knobs: ``delta`` (seed), ``quantile``,
-      ``margin``, ``alpha``, ``min_delta``, ``max_delta``.
+    * ``"bandit"`` (default) — decaying epsilon-greedy over
+      :func:`~repro.autotune.policy.candidate_plans` (``window``:
+      sliding-window cost estimates for shifting fabrics).
+    * ``"delta_tracker"`` — δ retargeting on the PLogGP-derived layout.
     * ``"static"`` — pin ``params["choice"]`` (controller machinery
       validation; behaves like the equivalent fixed aggregator).
     * ``"plan_mutation"`` — epsilon-greedy walk of the plan-IR rewrite
       graph (:class:`~repro.autotune.plan_policy.PlanMutationPolicy`)
-      from a PLogGP-seeded (or explicit ``seed_plan`` text) leaf plan;
-      knobs: ``deltas``, ``epsilon``, ``decay``, ``bandit_seed``,
-      ``expand_after``, ``max_frontier``, ``delay``, ``seed_model``,
-      ``window``.
+      from a PLogGP-seeded (or explicit ``seed_plan`` text) leaf plan.
     """
-    p = dict(params or {})
+    p = check_autotune(params)
     name = p.get("policy", "bandit")
 
     if name == "bandit":
         def builder(n_user, partition_size, config):
             arms = candidate_plans(
                 n_user, partition_size, config,
-                params=_seed_params(p), delay=p.get("delay", ms(4)),
-                counts=p.get("counts"),
-                deltas=tuple(p.get("deltas", [None])),
-                span=p.get("span", 2))
+                delay=p.get("delay", ms(4)), counts=p.get("counts"),
+                deltas=tuple(p.get("deltas", [None])))
             return BanditPolicy(
                 arms, epsilon=p.get("epsilon", 0.2),
-                decay=p.get("decay", 0.95), mode=p.get("mode", "epsilon"),
-                exploration=p.get("exploration", 1.0),
-                seed=p.get("bandit_seed", 0),
-                min_confident_plays=p.get("min_confident_plays", 2),
+                decay=p.get("decay", 0.95), seed=p.get("bandit_seed", 0),
                 window=p.get("window"))
     elif name == "delta_tracker":
         def builder(n_user, partition_size, config):
-            base = p.get("base")
-            if base is not None:
-                base_choice = PlanChoice.from_dict(base)
-            else:
-                base_choice = _model_layout(p, n_user, partition_size,
-                                            config, delta=p["delta"])
             return DeltaTrackerPolicy(
-                base_choice, quantile=p.get("quantile", 0.95),
+                _model_layout(p, n_user, partition_size, config,
+                              delta=p.get("delta")),
+                quantile=p.get("quantile", 0.95),
                 margin=p.get("margin", 1.25), alpha=p.get("alpha", 0.5),
                 min_delta=p.get("min_delta", 1e-6),
                 max_delta=p.get("max_delta", 1e-3),
@@ -208,13 +207,9 @@ def build_autotuner(params: Optional[dict] = None,
                 seed=p.get("bandit_seed", 0),
                 expand_after=p.get("expand_after", 2),
                 max_frontier=p.get("max_frontier", 32),
-                min_confident_plays=p.get("min_confident_plays", 2),
                 window=p.get("window"))
-    else:
-        raise ConfigError(f"unknown autotune policy {name!r}")
 
     return AdaptiveAggregator(
         builder, store=store, config_tag=p.get("config_tag", ""),
         key_extra=p.get("key_extra"),
-        tracker_alpha=p.get("tracker_alpha", 0.3),
         tracker_window=p.get("tracker_window", 32))

@@ -50,7 +50,7 @@ class PlanMutationPolicy(ArmPolicy):
     The policy is ``confident`` once the frontier is fully played,
     the incumbent has been expanded (its whole neighbourhood was
     evaluated — a local optimum of the rewrite graph), and the
-    incumbent has ``min_confident_plays`` plays.
+    incumbent has ``MIN_CONFIDENT_PLAYS`` plays.
 
     ``window`` mirrors :class:`~repro.autotune.policy.BanditPolicy`:
     when set, each plan's cost estimate is the mean of its last
@@ -67,9 +67,8 @@ class PlanMutationPolicy(ArmPolicy):
                  epsilon: float = 0.3, decay: float = 0.9,
                  seed: int = 0, expand_after: int = 2,
                  max_frontier: int = 32,
-                 min_confident_plays: int = 2,
                  window: Optional[int] = None):
-        super().__init__(epsilon, decay, seed, min_confident_plays, window)
+        super().__init__(epsilon, decay, seed, window)
         if expand_after < 1:
             raise ConfigError(
                 f"expand_after must be >= 1, got {expand_after}")

@@ -12,7 +12,7 @@ auto-tuning approach could be used"):
 * :class:`DeltaTrackerPolicy` — keeps the transport layout fixed and
   retargets δ to the observed non-laggard arrival-spread quantile, the
   measurement-guided replacement for Fig. 12's offline min-δ table.
-* :class:`BanditPolicy` — epsilon-greedy or UCB1 search over a
+* :class:`BanditPolicy` — decaying epsilon-greedy search over a
   candidate plan set seeded by the PLogGP prediction
   (:func:`candidate_plans`), the cheap incremental replacement for the
   23-hour brute-force table.
@@ -21,7 +21,6 @@ auto-tuning approach could be used"):
 from __future__ import annotations
 
 import abc
-import math
 from collections import deque
 from dataclasses import replace
 from typing import Hashable, Optional, Sequence
@@ -31,10 +30,15 @@ import numpy as np
 from repro.config import ClusterConfig
 from repro.core.aggregators import PlanChoice, _qps_for
 from repro.errors import ConfigError, TuningError
-from repro.model.ploggp import ParamsLike, optimal_transport_partitions
+from repro.model.ploggp import optimal_transport_partitions
 from repro.units import is_power_of_two, powers_of_two
 
 from repro.autotune.observe import ArrivalTracker, IterationObservation
+
+#: Plays the best arm needs before a search policy is confident.
+MIN_CONFIDENT_PLAYS = 2
+#: Octaves either side of the model's optimum a seeded arm set spans.
+SEED_SPAN = 2
 
 
 class Policy(abc.ABC):
@@ -186,7 +190,7 @@ class ArmPolicy(Policy):
     """
 
     def __init__(self, epsilon: float, decay: float, seed: int,
-                 min_confident_plays: int, window: Optional[int]):
+                 window: Optional[int]):
         if not (0 <= epsilon <= 1):
             raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
         if not (0 < decay <= 1):
@@ -195,7 +199,6 @@ class ArmPolicy(Policy):
             raise ConfigError(f"window must be >= 1, got {window}")
         self.epsilon = epsilon
         self.decay = decay
-        self.min_confident_plays = min_confident_plays
         self.window = window
         self._rng = np.random.default_rng(seed)
         self._steps = 0
@@ -255,17 +258,15 @@ class ArmPolicy(Policy):
     def confident(self):
         if self._unplayed() is not None:
             return False
-        return self._plays[self.best()] >= self.min_confident_plays
+        return self._plays[self.best()] >= MIN_CONFIDENT_PLAYS
 
 
 class BanditPolicy(ArmPolicy):
     """Multi-armed bandit over a candidate plan set.
 
-    ``mode="epsilon"`` plays every arm once, then exploits the lowest
-    mean completion time except with probability
-    ``epsilon x decay^t`` (decaying exploration).  ``mode="ucb"``
-    plays UCB1 on cost, with the confidence radius scaled by the
-    overall mean cost so the bound is unit-free.
+    Plays every arm once, then exploits the lowest mean completion time
+    except with probability ``epsilon x decay^t`` (decaying
+    exploration).
 
     ``window`` switches the per-arm estimate from the all-time running
     mean to the mean of the arm's last ``window`` observations.  On a
@@ -281,20 +282,14 @@ class BanditPolicy(ArmPolicy):
     """
 
     def __init__(self, arms: Sequence[PlanChoice], epsilon: float = 0.2,
-                 decay: float = 0.95, mode: str = "epsilon",
-                 exploration: float = 1.0, seed: int = 0,
-                 min_confident_plays: int = 2,
+                 decay: float = 0.95, seed: int = 0,
                  window: Optional[int] = None):
         arms = list(arms)
         if not arms:
             raise ConfigError("BanditPolicy needs at least one arm")
         if len(set(arms)) != len(arms):
             raise ConfigError("duplicate bandit arms")
-        if mode not in ("epsilon", "ucb"):
-            raise ConfigError(f"unknown bandit mode: {mode!r}")
-        super().__init__(epsilon, decay, seed, min_confident_plays, window)
-        self.mode = mode
-        self.exploration = exploration
+        super().__init__(epsilon, decay, seed, window)
         for index, arm in enumerate(arms):
             self._add_arm(arm, rank=index)
 
@@ -303,22 +298,11 @@ class BanditPolicy(ArmPolicy):
         arm = self._unplayed()
         if arm is not None:
             return arm
-        if self.mode == "ucb":
-            plays, mean = self._plays, self._mean_cost
-            total = sum(plays.values())
-            scale = sum(mean[a] * plays[a] for a in plays) / total
-            return min(
-                plays,
-                key=lambda a: (
-                    mean[a] - self.exploration * scale
-                    * math.sqrt(2 * math.log(total) / plays[a]),
-                    self._rank[a],
-                ))
         return self._explore() or self.best()
 
     def describe(self):
         played = sum(1 for p in self._plays.values() if p)
-        return (f"bandit({self.mode}, {played}/{len(self._plays)} arms "
+        return (f"bandit(epsilon, {played}/{len(self._plays)} arms "
                 f"played)")
 
 
@@ -326,18 +310,16 @@ def candidate_plans(
     n_user: int,
     partition_size: int,
     config: ClusterConfig,
-    params: Optional[ParamsLike] = None,
     delay: float = 0.0,
     counts: Optional[Sequence[int]] = None,
     deltas: Sequence[Optional[float]] = (None,),
-    span: int = 2,
 ) -> list[PlanChoice]:
     """Candidate ``(n_transport, n_qps, δ)`` arms for a bandit.
 
-    With ``params`` given, the arm set is *seeded by the PLogGP
-    prediction*: transport counts are the powers of two within
-    ``2^span`` of the model's optimum (clipped to ``[1, n_user]``), so
-    the bandit explores a neighbourhood of the model instead of the
+    The arm set is *seeded by the PLogGP prediction* on the Niagara
+    calibration: transport counts are the powers of two within
+    ``2^SEED_SPAN`` of the model's optimum (clipped to ``[1, n_user]``),
+    so the bandit explores a neighbourhood of the model instead of the
     whole space.  ``counts`` overrides the seeding with an explicit
     list.  Per count, QP candidates are 1 and the WR-limit-derived
     count; each combination is crossed with every δ in ``deltas``
@@ -354,15 +336,15 @@ def candidate_plans(
                 raise TuningError(
                     f"candidate transport count {c} invalid for "
                     f"n_user {n_user}")
-    elif params is not None:
-        seed_t = optimal_transport_partitions(
-            params, n_user * partition_size, n_user=n_user, delay=delay,
-            max_transport=n_user)
-        lo = max(1, seed_t >> span)
-        hi = min(n_user, seed_t << span)
-        chosen = list(powers_of_two(lo, hi))
     else:
-        chosen = list(powers_of_two(1, n_user))
+        from repro.model.tables import NIAGARA_LOGGP
+
+        seed_t = optimal_transport_partitions(
+            NIAGARA_LOGGP, n_user * partition_size, n_user=n_user,
+            delay=delay, max_transport=n_user)
+        lo = max(1, seed_t >> SEED_SPAN)
+        hi = min(n_user, seed_t << SEED_SPAN)
+        chosen = list(powers_of_two(lo, hi))
     arms = []
     for t in chosen:
         qp_candidates = sorted({1, _qps_for(t, t, config),

@@ -20,7 +20,7 @@ from repro.config import ClusterConfig
 from repro.mem.buffer import partition_size_of
 from repro.runtime import SingleThreadDelay
 
-from repro.autotune import AdaptiveAggregator, TuningStore, build_autotuner
+from repro.autotune import TuningStore, build_autotuner
 
 
 @dataclass
@@ -79,18 +79,15 @@ def run_autotuned_pair(
     warmup: int = 2,
     config: Optional[ClusterConfig] = None,
     store: Optional[TuningStore] = None,
-    aggregator: Optional[AdaptiveAggregator] = None,
 ) -> AutotuneRunResult:
     """Run one autotuned configuration end to end.
 
-    ``autotune_params`` feeds :func:`repro.autotune.build_autotuner`
-    (ignored when an ``aggregator`` is passed directly).  Warmup rounds
-    are part of the learning trajectory — the controller sees every
-    round — but only measured rounds enter the aggregate statistics,
-    matching the pair harness convention.
+    ``autotune_params`` feeds :func:`repro.autotune.build_autotuner`.
+    Warmup rounds are part of the learning trajectory — the controller
+    sees every round — but only measured rounds enter the aggregate
+    statistics, matching the pair harness convention.
     """
-    agg = aggregator if aggregator is not None else build_autotuner(
-        autotune_params, store=store)
+    agg = build_autotuner(autotune_params, store=store)
     noise = SingleThreadDelay(noise_fraction) if noise_fraction > 0 else None
     result = run_partitioned_pair(
         agg,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.aggregators import Aggregator, PlanChoice, _qps_for
 from repro.errors import TuningError
@@ -87,7 +86,6 @@ class TuningTableAggregator(Aggregator):
 def build_tuning_table(
     n_user_counts: list[int],
     message_sizes: list[int],
-    qp_candidates: Optional[list[int]] = None,
     config=None,
     iterations: int = 5,
     warmup: int = 1,
@@ -96,7 +94,8 @@ def build_tuning_table(
 
     For each (user partitions, total message size) point, runs the
     overhead benchmark across every power-of-two transport count and
-    each QP candidate, and records the fastest combination.  The
+    each QP candidate (one QP, or the WR-limit-derived count), and
+    records the fastest combination.  The
     simulator's 23-hour equivalent — but in virtual time.
     """
     from repro.bench.overhead import run_overhead  # circular-import guard
@@ -112,9 +111,8 @@ def build_tuning_table(
                 continue
             best = None
             for n_transport in powers_of_two(1, n_user):
-                candidates = qp_candidates or sorted(
-                    {1, _qps_for(n_transport, n_transport, config)})
-                for n_qps in candidates:
+                for n_qps in sorted(
+                        {1, _qps_for(n_transport, n_transport, config)}):
                     result = run_overhead(
                         FixedAggregation(n_transport, n_qps),
                         n_user=n_user,

@@ -168,5 +168,16 @@ class ConfigError(ReproError, ValueError):
     """Invalid configuration value (a ``ValueError`` too)."""
 
 
+def check_keys(what: str, params: dict, accepted) -> dict:
+    """``params``, or a :class:`ConfigError` naming each key ``what``
+    does not read and the ones it does."""
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ConfigError(f"{what} reads no key "
+                          f"{', '.join(map(repr, unknown))} (accepted: "
+                          f"{', '.join(sorted(accepted)) or 'none'})")
+    return params
+
+
 class TuningError(ReproError):
     """Tuning table lookup or construction failed."""

@@ -35,6 +35,8 @@ TIMER_3000US = ["timer", {"delay": ms(4), "delta": us(3000)}]
 #: The three designs of Figs. 9 and the fault sweep.
 DESIGNS = (("persist", PERSIST), ("ploggp", PLOGGP),
            ("timer(3000us)", TIMER_3000US))
+#: Fig. 6's transport-partition counts and Fig. 7's QP counts.
+FIG06_TRANSPORTS, FIG07_QPS = (2, 8, 32), (1, 4, 16)
 
 SPEEDUP = Metric("speedup over part_persist", "x")
 BANDWIDTH = Metric("perceived bandwidth", "B/s")
@@ -162,19 +164,18 @@ TABLE1_GUIDELINES = (
 # ------------------------------------------------------------ fig06 / 07
 
 
-def fig06_spec(sizes, iter_kwargs, transport_counts=(2, 8, 32),
-               n_user=32, n_qps=2) -> ExperimentSpec:
+def fig06_spec(sizes, iter_kwargs, n_user=32, n_qps=2) -> ExperimentSpec:
     base = {s: _overhead(PERSIST, n_user, s, iter_kwargs) for s in sizes}
     agg = {(t, s): _overhead(["fixed", {"n_transport": t, "n_qps": n_qps}],
                              n_user, s, iter_kwargs)
-           for t in transport_counts for s in sizes}
+           for t in FIG06_TRANSPORTS for s in sizes}
     return _speedup_spec(
         [*base.values(), *agg.values()],
         {f"T={t}": {s: (base[s], agg[(t, s)]) for s in sizes}
-         for t in transport_counts})
+         for t in FIG06_TRANSPORTS})
 
 
-def fig07_spec(sizes, iter_kwargs, qp_counts=(1, 4, 16), n_user=16,
+def fig07_spec(sizes, iter_kwargs, n_user=16,
                config: Optional[dict] = None) -> ExperimentSpec:
     """``config`` is a whole-config descriptor (``dataclasses.asdict`` of
     a ClusterConfig) for every point."""
@@ -182,11 +183,11 @@ def fig07_spec(sizes, iter_kwargs, qp_counts=(1, 4, 16), n_user=16,
             for s in sizes}
     agg = {(q, s): _overhead(["noagg", {"n_qps": q}], n_user, s,
                              iter_kwargs, config)
-           for q in qp_counts for s in sizes}
+           for q in FIG07_QPS for s in sizes}
     return _speedup_spec(
         [*base.values(), *agg.values()],
         {f"QP={q}": {s: (base[s], agg[(q, s)]) for s in sizes}
-         for q in qp_counts})
+         for q in FIG07_QPS})
 
 
 def _at(p, label: str, x):
@@ -706,6 +707,9 @@ EXT_HALO_GUIDELINES = (
 #: rides the post-laggard critical path.  The tracker re-targets δ to
 #: the observed non-laggard spread and restores the early flush.
 AUTOTUNE_BAD_DELTA = us(8000)
+#: The bandit's and mutation walk's rounds, and the laggard comparison's
+#: message size.
+AUTOTUNE_BANDIT_ITERS, AUTOTUNE_LAGGARD_SIZE = 64, 32 * MiB
 
 
 def _autotune_point(autotune: dict, n_user: int, size: int,
@@ -721,8 +725,7 @@ def _autotune_point(autotune: dict, n_user: int, size: int,
 
 
 def ext_autotune_spec(iter_kwargs, laggard_iters, table_iters, n_user=32,
-                      size=2 * MiB, bandit_iters=64,
-                      laggard_size=32 * MiB) -> ExperimentSpec:
+                      size=2 * MiB) -> ExperimentSpec:
     """Closed-loop tuning vs. the paper's open-loop optima.
 
     Three comparisons: (a) fig08's scenario — a bandit exploring
@@ -741,18 +744,18 @@ def ext_autotune_spec(iter_kwargs, laggard_iters, table_iters, n_user=32,
     bandit = _autotune_point(
         {"policy": "bandit", "counts": [1, 2, 4, 8, 16, 32],
          "deltas": [None, us(35)], "bandit_seed": 7},
-        n_user, size, bandit_iters, 2)
+        n_user, size, AUTOTUNE_BANDIT_ITERS, 2)
     mutation = _autotune_point(
         {"policy": "plan_mutation", "deltas": [None, us(35)],
          "bandit_seed": 7},
-        n_user, size, bandit_iters, 2)
+        n_user, size, AUTOTUNE_BANDIT_ITERS, 2)
     fixed = _perceived(
         ["timer", {"delay": ms(4), "delta": AUTOTUNE_BAD_DELTA}],
-        n_user, laggard_size, laggard_iters, 2)
+        n_user, AUTOTUNE_LAGGARD_SIZE, laggard_iters, 2)
     tracker = _autotune_point(
         {"policy": "delta_tracker", "delta": AUTOTUNE_BAD_DELTA,
          "delay": ms(4), "max_delta": AUTOTUNE_BAD_DELTA},
-        n_user, laggard_size, laggard_iters, 2,
+        n_user, AUTOTUNE_LAGGARD_SIZE, laggard_iters, 2,
         compute=PERCEIVED_COMPUTE, noise=PERCEIVED_NOISE)
 
     def collect(res):
@@ -768,7 +771,7 @@ def ext_autotune_spec(iter_kwargs, laggard_iters, table_iters, n_user=32,
             "plan mutation vs offline table": {
                 size: mutation_convergence},
             "delta tracker vs fixed delta": {
-                laggard_size: tracker_speedup},
+                AUTOTUNE_LAGGARD_SIZE: tracker_speedup},
         }
         return {
             "series": series,
@@ -837,6 +840,9 @@ EXT_AUTOTUNE_GUIDELINES = (
 # ---------------------------------------------------------- ext_stencil
 
 STENCIL_PARTITIONS = 32
+#: The scaling half's face, and the global plans (transport partitions)
+#: the per-edge autotuner is judged against.
+STENCIL_FACE, STENCIL_GLOBAL_PLANS = 64 * KiB, (2, 8, 32)
 #: Mixed intra/inter-group placement for the asymmetric-neighbor
 #: comparison: on a 4x4 rank grid with 4-node leaves and two leaves per
 #: group, row neighbours share a leaf switch while column neighbours
@@ -871,8 +877,7 @@ def _stencil_point(grid, n_threads: int, face_bytes, it: Mapping,
     return Scenario.make("stencil", **params)
 
 
-def ext_stencil_spec(scale, scale_iter, face=64 * KiB,
-                     global_plans=(2, 8, 32)) -> ExperimentSpec:
+def ext_stencil_spec(scale, scale_iter) -> ExperimentSpec:
     """Partitioned neighbor-alltoall stencil: aggregation per edge.
 
     Two questions: (a) scaling — does native per-edge aggregation beat
@@ -887,9 +892,9 @@ def ext_stencil_spec(scale, scale_iter, face=64 * KiB,
     # measured iterations time the converged plans.
     asym_it = {"iterations": 6, "warmup": 20}
 
-    base = {(tuple(g), t): _stencil_point(g, t, face, scale_iter)
+    base = {(tuple(g), t): _stencil_point(g, t, STENCIL_FACE, scale_iter)
             for g, t in scale}
-    native = {(tuple(g), t): _stencil_point(g, t, face, scale_iter,
+    native = {(tuple(g), t): _stencil_point(g, t, STENCIL_FACE, scale_iter,
                                             module=PLOGGP)
               for g, t in scale}
     asym = dict(grid=(4, 4), n_threads=8, face_bytes=STENCIL_ANISO_FACES,
@@ -899,7 +904,7 @@ def ext_stencil_spec(scale, scale_iter, face=64 * KiB,
         t: _stencil_point(
             it=asym_it, module=["fixed", {"n_transport": t, "n_qps": 2}],
             **asym)
-        for t in global_plans}
+        for t in STENCIL_GLOBAL_PLANS}
     asym_edge = _stencil_point(it=asym_it, per_edge=STENCIL_BANDIT, **asym)
 
     def collect(res):
@@ -1054,6 +1059,8 @@ FLEET_DESIGNS = (
     ("T=8", ["fixed", {"n_transport": 8, "n_qps": 2}]),
     ("T=16", ["fixed", {"n_transport": 16, "n_qps": 2}]),
 )
+#: Background-tenant levels of the contention ranking (0 = quiet).
+FLEET_LEVELS = (0, 1, 2)
 #: The multi-tenant mix for the slowdown profile (fits the 8-node
 #: fleet fabric under spread placement: 2 + 3 + 2 nodes).
 FLEET_MIX = (
@@ -1077,15 +1084,14 @@ FLEET_MUTATION = {"policy": "plan_mutation", "deltas": [None],
                   "expand_after": 3, "max_frontier": 10, "window": 4}
 
 
-def ext_fleet_spec(rank_iter, levels=(0, 1, 2), designs=FLEET_DESIGNS,
-                   mix=FLEET_MIX) -> ExperimentSpec:
+def ext_fleet_spec(rank_iter) -> ExperimentSpec:
     """Shared-fabric fleet: contention ranking, tenancy, live re-tuning.
 
     Three questions on the routed Dragonfly+ fleet fabric: (a) how does
-    the fig08-style transport-design ranking change as ``levels`` of
-    background tenants congest the spine (level 0 = same routed fabric,
-    quiet, so the contended cells are directly comparable); (b) what
-    per-job slowdowns does a multi-tenant mix suffer vs each job
+    the fig08-style transport-design ranking change as ``FLEET_LEVELS``
+    of background tenants congest the spine (level 0 = same routed
+    fabric, quiet, so the contended cells are directly comparable); (b)
+    what per-job slowdowns does a multi-tenant mix suffer vs each job
     running alone, with and without a noisy neighbor; (c) when a
     neighbor arrives mid-run, do the closed-loop autotuners — the
     bandit and the plan-mutation policy — re-converge onto the
@@ -1095,10 +1101,11 @@ def ext_fleet_spec(rank_iter, levels=(0, 1, 2), designs=FLEET_DESIGNS,
                 "fleet_rank", module=desc, level=level,
                 iterations=rank_iter["iterations"],
                 warmup=rank_iter["warmup"], seed=0)
-            for name, desc in designs for level in levels}
-    quiet_mix = Scenario.make("fleet", jobs=list(mix),
+            for name, desc in FLEET_DESIGNS for level in FLEET_LEVELS}
+    quiet_mix = Scenario.make("fleet", jobs=list(FLEET_MIX),
                               placement="spread", seed=0)
-    noisy_mix = Scenario.make("fleet", jobs=list(mix) + [FLEET_NEIGHBOR],
+    noisy_mix = Scenario.make("fleet",
+                              jobs=list(FLEET_MIX) + [FLEET_NEIGHBOR],
                               placement="spread", seed=0)
     bandit = Scenario.make(
         "fleet_autotune", autotune=FLEET_BANDIT, quiet_rounds=12,
@@ -1109,16 +1116,16 @@ def ext_fleet_spec(rank_iter, levels=(0, 1, 2), designs=FLEET_DESIGNS,
 
     def collect(res):
         times = {level: {name: res[rank[(name, level)]]["mean_time"]
-                         for name, _ in designs}
-                 for level in levels}
+                         for name, _ in FLEET_DESIGNS}
+                 for level in FLEET_LEVELS}
         spine = {level: max(res[rank[(name, level)]]["spine_utilization"]
-                            for name, _ in designs)
-                 for level in levels}
+                            for name, _ in FLEET_DESIGNS)
+                 for level in FLEET_LEVELS}
         series = {
             f"{name} vs persist": _speedup(
                 res, {level: (rank[("persist", level)], rank[(name, level)])
-                      for level in levels}, "mean_time")
-            for name, _ in designs if name != "persist"
+                      for level in FLEET_LEVELS}, "mean_time")
+            for name, _ in FLEET_DESIGNS if name != "persist"
         }
         quiet, noisy = res[quiet_mix], res[noisy_mix]
         series["slowdown, shared mix"] = dict(quiet["slowdowns"])
@@ -1133,7 +1140,7 @@ def ext_fleet_spec(rank_iter, levels=(0, 1, 2), designs=FLEET_DESIGNS,
                 "times": times[level],
                 "best": min(times[level], key=times[level].get),
                 "spine_utilization": spine[level],
-            } for level in levels},
+            } for level in FLEET_LEVELS},
             "slowdowns": {"shared": quiet["slowdowns"],
                           "with_neighbor": noisy["slowdowns"]},
             "autotune": {policy: {
@@ -1145,7 +1152,7 @@ def ext_fleet_spec(rank_iter, levels=(0, 1, 2), designs=FLEET_DESIGNS,
         }
 
     def report(payload):
-        names = [name for name, _ in designs]
+        names = [name for name, _ in FLEET_DESIGNS]
         rows = [[level,
                  *(fmt_time(cell["times"][n]) for n in names),
                  cell["best"], f"{cell['spine_utilization']:.0%}"]
@@ -1222,11 +1229,12 @@ SERVE_ZIPF_S = 1.1
 #: confidence-weighted LRU to work.
 SERVE_EVICT_BOUND = 4
 SERVE_EVICT_SHARDS = 4
+#: Rounds each served tenant runs in the fleet probe.
+SERVE_FLEET_ITERS = 24
 
 
 def ext_serve_spec(n_clients=2000, n_requests=20000, stress_writers=4,
-                   stress_puts=25, cas_puts=15,
-                   fleet_iters=24) -> ExperimentSpec:
+                   stress_puts=25, cas_puts=15) -> ExperimentSpec:
     """The tuning service under fleet-shaped load.
 
     Four probes: (a) the serving benchmark — seeded synthetic clients
@@ -1260,7 +1268,8 @@ def ext_serve_spec(n_clients=2000, n_requests=20000, stress_writers=4,
     stress_cas = Scenario.make(
         "serve_stress", n_writers=stress_writers, n_puts=cas_puts,
         mode="cas")
-    fleet = Scenario.make("serve_fleet", iterations=fleet_iters, seed=0)
+    fleet = Scenario.make("serve_fleet", iterations=SERVE_FLEET_ITERS,
+                          seed=0)
 
     def _integrity(r):
         return 1.0 if (r["lost_updates"] == 0
@@ -1284,8 +1293,8 @@ def ext_serve_spec(n_clients=2000, n_requests=20000, stress_writers=4,
             "stress integrity (cas)": {
                 stress_writers: _integrity(res[stress_cas])},
             "served plan bit-identical": {
-                fleet_iters: 1.0 if f["bit_identical"] else 0.0},
-            "warm tenant speedup": {fleet_iters: cold / warm},
+                SERVE_FLEET_ITERS: 1.0 if f["bit_identical"] else 0.0},
+            "warm tenant speedup": {SERVE_FLEET_ITERS: cold / warm},
         }
         return {
             "series": series,

@@ -35,6 +35,7 @@ from repro.exp.modules import (
     build_config,
     build_module,
     build_topology,
+    check_module,
 )
 from repro.exp.spec import Scenario
 from repro.units import GiB, KiB, MiB, is_power_of_two, ms, ns, us
@@ -527,9 +528,9 @@ PARAMS: dict[str, Callable[[Any], Any]] = {
     "horizon": positive_seconds,
     **dict.fromkeys(("noise_fraction", "loss", "zipf_s", "p_commit"),
                     non_negative_float),
-    "module": _descriptor(MODULE_NAMES),
+    "module": lambda v: check_module(_descriptor(MODULE_NAMES)(v)),
     **dict.fromkeys(("autotune", "per_edge"),
-                    _shape(lambda v: isinstance(v, dict), "a JSON object")),
+                    lambda v: check_module(["autotune", v])[1]),
     "topology": _descriptor(tuple(TOPOLOGIES)),
     "config": _built(build_config),
     "jobs": _built(_jobs),

@@ -23,6 +23,9 @@ The descriptor vocabulary:
                          store — points must stay pure)
 ======================  ==================================================
 
+A key a descriptor's module does not read is an error
+(:func:`check_module`), not a silent default.
+
 All aggregators take the Niagara LogGP calibration
 (:data:`repro.model.tables.NIAGARA_LOGGP`), as every benchmark does.
 """
@@ -32,6 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Any, Optional, Sequence
 
+from repro.errors import ConfigError, check_keys
 from repro.exp.spec import canonical
 from repro.units import fmt_time, ms
 
@@ -57,9 +61,36 @@ def module_label(desc: Optional[Sequence[Any]]) -> str:
     return name
 
 
-#: The descriptor names :func:`build_module` knows.
-MODULE_NAMES = ("persist", "ploggp", "timer", "adaptive", "fixed", "noagg",
-                "tuning_table", "autotune")
+#: The keys each descriptor :func:`build_module` knows reads (an
+#: ``autotune`` descriptor's are its policy's, ``check_autotune``).
+MODULE_KEYS = {
+    "persist": (),
+    "ploggp": ("delay",),
+    "timer": ("delay", "delta", "scatter_gather"),
+    "adaptive": ("initial_delta", "alpha", "margin", "min_delta",
+                 "max_delta", "delay"),
+    "fixed": ("n_transport", "n_qps"),
+    "noagg": ("n_qps",),
+    "tuning_table": ("n_user_counts", "message_sizes", "iterations",
+                     "warmup"),
+    "autotune": None,
+}
+MODULE_NAMES = tuple(MODULE_KEYS)
+
+
+def check_module(desc: Optional[Sequence[Any]]):
+    """``desc``, or a :class:`ConfigError` if it names no module or a
+    key its module does not read; builds nothing."""
+    name = None if desc is None else desc[0]
+    if name == "autotune":
+        from repro.autotune.aggregator import check_autotune
+
+        check_autotune(desc[1] if len(desc) > 1 else None)
+    elif name is not None:
+        if name not in MODULE_KEYS:
+            raise ConfigError(f"unknown module descriptor {desc!r}")
+        check_keys(f"{name} descriptor", _params(desc), MODULE_KEYS[name])
+    return desc
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +116,7 @@ def build_module(desc: Optional[Sequence[Any]]):
     convention of :func:`repro.bench.overhead.run_overhead`; the
     scatter/gather ablation is a ``ModuleSpec``, the rest aggregators.
     """
+    check_module(desc)
     if desc is None:
         return None
     from repro.core import (
@@ -116,8 +148,8 @@ def build_module(desc: Optional[Sequence[Any]]):
         # window of one and the top quantile, so δ follows each round's
         # own non-laggard spread (alpha/margin/min/max pass through).
         name, params = "autotune", {
-            **params, "policy": "delta_tracker",
-            "delta": params["initial_delta"], "quantile": 1.0,
+            "delta": params.pop("initial_delta"), **params,
+            "policy": "delta_tracker", "quantile": 1.0,
             "tracker_window": 1, "warm_rounds": 1}
     if name == "fixed":
         return FixedAggregation(params["n_transport"], params["n_qps"])
@@ -130,7 +162,6 @@ def build_module(desc: Optional[Sequence[Any]]):
         from repro.autotune import build_autotuner
 
         return build_autotuner(params)
-    raise ValueError(f"unknown module descriptor {desc!r}")
 
 
 TOPOLOGIES = {

@@ -21,7 +21,7 @@ import itertools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Sequence
 
 #: The one canonical encoder (``json.dumps`` builds one per call).
 #: ``_jsonable`` hands it a freshly built tree, so there is no cycle
@@ -95,21 +95,16 @@ class Scenario:
         return f"Scenario({self.kind}, {self.key})"
 
 
-def grid(kind: str, base: Optional[Mapping[str, Any]] = None,
-         **axes: Sequence[Any]) -> list[Scenario]:
-    """Cartesian product of parameter axes over a base parameter map.
+def grid(kind: str, **axes: Sequence[Any]) -> list[Scenario]:
+    """Cartesian product of parameter axes.
 
-    ``grid("overhead", {"n_user": 32}, total_bytes=SIZES, module=MODS)``
+    ``grid("overhead", n_user=[32], total_bytes=SIZES, module=MODS)``
     yields one scenario per (size, module) combination, in the given
     axis order (last axis varies fastest).
     """
     names = list(axes)
-    points = []
-    for combo in itertools.product(*(axes[name] for name in names)):
-        params = dict(base or {})
-        params.update(zip(names, combo))
-        points.append(Scenario.make(kind, **params))
-    return points
+    return [Scenario.make(kind, **dict(zip(names, combo)))
+            for combo in itertools.product(*(axes[name] for name in names))]
 
 
 def dedup(points: Iterable[Scenario]) -> list[Scenario]:

@@ -84,12 +84,12 @@ class FleetProfile:
     slowdowns: dict[str, float] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def link_histogram(self, buckets: int = 10) -> list[int]:
+    def link_histogram(self) -> list[int]:
         """Link count per utilization decile (saturation at a glance)."""
-        counts = [0] * buckets
+        counts = [0] * 10
         for stats in self.links.values():
             u = min(stats["utilization"], 1.0 - 1e-12)
-            counts[int(u * buckets)] += 1
+            counts[int(u * 10)] += 1
         return counts
 
     def busiest_links(self, n: int = 3) -> list[tuple[str, float]]:

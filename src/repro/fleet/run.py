@@ -38,10 +38,17 @@ from repro.mem.buffer import Buffer
 from repro.units import KiB, ms, us
 
 
-def default_topology(groups: int = 2) -> RoutedDragonflyPlus:
-    """The fleet test fabric: 2 nodes/leaf, 2 leaves/group."""
+#: The noisy neighbor of :func:`run_reconvergence`: node pairs, the
+#: closed-loop streams each runs per direction, and their message size.
+NEIGHBOR_PAIRS, NEIGHBOR_STREAMS, NEIGHBOR_NBYTES = 2, 4, 256 * KiB
+#: A plan within this fraction of the congested-best mean is near-optimal.
+NEAR_OPTIMAL = 0.05
+
+
+def default_topology() -> RoutedDragonflyPlus:
+    """The fleet test fabric: 2 groups, 2 leaves/group, 2 nodes/leaf."""
     return RoutedDragonflyPlus(nodes_per_leaf=2, leaves_per_group=2,
-                               groups=groups)
+                               groups=2)
 
 
 def background_jobs(level: int, seed: int = 0,
@@ -188,32 +195,28 @@ def run_reconvergence(autotune_params: dict,
                       n_partitions: int = 16,
                       partition_size: int = 64 * KiB,
                       compute: float = 0.0,
-                      neighbor_nbytes: int = 256 * KiB,
-                      neighbor_pairs: int = 2,
-                      neighbor_streams: int = 4,
                       seed: int = 0,
                       config: Optional[ClusterConfig] = None,
-                      hold: int = 3,
-                      tolerance: float = 0.05) -> dict:
+                      hold: int = 3) -> dict:
     """Drive an autotuned pair through a noisy-neighbor episode.
 
-    The neighbor — ``neighbor_pairs`` cross-group node pairs, each
-    running ``neighbor_streams`` concurrent closed-loop message
-    streams (send ``neighbor_nbytes``, await delivery, repeat) in both
-    directions — arrives at round ``quiet_rounds`` and departs at
+    The neighbor — :data:`NEIGHBOR_PAIRS` cross-group node pairs, each
+    running :data:`NEIGHBOR_STREAMS` concurrent closed-loop message
+    streams (send :data:`NEIGHBOR_NBYTES`, await delivery, repeat) in
+    both directions — arrives at round ``quiet_rounds`` and departs at
     ``quiet_rounds + congested_rounds``.  Closed-loop streams are the
     stationary way to congest a link: open-loop pacing above line rate
     grows the queue without bound (every round slower than the last,
     so no plan comparison is meaningful), while ``k`` closed-loop
     streams hold a bounded ``~k``-message standing queue on the shared
-    spine links indefinitely.  ``neighbor_streams`` sets how deep that
-    standing queue is; the defaults congest the spine enough that
+    spine links indefinitely.  The stream count sets how deep that
+    standing queue is; these constants congest the spine enough that
     aggregation into fewer, larger messages beats the quiet-best wide
     layout (the regime :func:`run_contended_pair` reaches at level 2).
     Returns the per-round trajectory plus the re-convergence summary:
     quiet-best and congested-best plans, rounds to re-converge after
     arrival (first congested round starting ``hold`` consecutive
-    rounds on *near-optimal* plans — within ``tolerance`` of the
+    rounds on *near-optimal* plans — within :data:`NEAR_OPTIMAL` of the
     congested-best mean), and the cumulative regret vs always playing
     the congested-best plan.
     """
@@ -238,13 +241,9 @@ def run_reconvergence(autotune_params: dict,
     spread_order = [g * per_group + i for i in range(per_group)
                     for g in range(topology.groups)]
     free = [n for n in spread_order if n not in pair_nodes]
-    if len(free) < 2 * neighbor_pairs:
-        raise ValueError(
-            f"{neighbor_pairs} neighbor pairs need {2 * neighbor_pairs} "
-            f"free nodes; only {len(free)} available")
     endpoints = [(scheduler.cluster.add_process(node_id=free[2 * i]),
                   scheduler.cluster.add_process(node_id=free[2 * i + 1]))
-                 for i in range(neighbor_pairs)]
+                 for i in range(NEIGHBOR_PAIRS)]
 
     state = {"round": 0}
     arrive_ev = env.event()
@@ -264,12 +263,12 @@ def run_reconvergence(autotune_params: dict,
             tag = base_tag + i
 
             def rx(done=done, tag=tag):
-                buf = Buffer(neighbor_nbytes, backed=False)
+                buf = Buffer(NEIGHBOR_NBYTES, backed=False)
                 yield from rx_proc.recv(buf, source=tx.rank, tag=tag)
                 done.succeed(None)
 
             env.process(rx())
-            sbuf = Buffer(neighbor_nbytes, backed=False)
+            sbuf = Buffer(NEIGHBOR_NBYTES, backed=False)
             yield from tx.send(sbuf, dest=rx_proc.rank, tag=tag)
             yield done
             i += 1
@@ -277,7 +276,7 @@ def run_reconvergence(autotune_params: dict,
     loop = 0
     for a, b in endpoints:
         for tx, rx_proc in ((a, b), (b, a)):
-            for _ in range(neighbor_streams):
+            for _ in range(NEIGHBOR_STREAMS):
                 scheduler.cluster.spawn(
                     stream(tx, rx_proc, TAG_STRIDE * (91 + loop)))
                 loop += 1
@@ -299,14 +298,14 @@ def run_reconvergence(autotune_params: dict,
     plan_changed = (quiet_best is not None and congested_best is not None
                     and quiet_best != congested_best)
     # Re-convergence is judged against the *near-optimal set*: every
-    # plan whose congested mean is within ``tolerance`` of the best.
+    # plan whose congested mean is within NEAR_OPTIMAL of the best.
     # Congestion ties plans that differ only on quiet-path knobs (QP
     # fan-out), and a tuner toggling between statistical ties has
     # re-converged in every meaningful sense.
     reconverged_round = None
     good_plans: set = set()
     if congested_best is not None:
-        cutoff = congested_means[congested_best] * (1 + tolerance)
+        cutoff = congested_means[congested_best] * (1 + NEAR_OPTIMAL)
         good_plans = {plan for plan, mean in congested_means.items()
                       if mean <= cutoff}
         run_len = 0
@@ -328,8 +327,8 @@ def run_reconvergence(autotune_params: dict,
         "rounds": rounds,
         "arrive_round": arrive,
         "depart_round": depart,
-        "neighbor": {"pairs": neighbor_pairs, "nbytes": neighbor_nbytes,
-                     "streams": neighbor_streams},
+        "neighbor": {"pairs": NEIGHBOR_PAIRS, "nbytes": NEIGHBOR_NBYTES,
+                     "streams": NEIGHBOR_STREAMS},
         "quiet_plan_means": _plan_means_table(quiet_means),
         "congested_plan_means": _plan_means_table(congested_means),
         "quiet_best": list(quiet_best) if quiet_best else None,

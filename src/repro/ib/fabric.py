@@ -52,18 +52,17 @@ class Fabric:
         #: build without the fault subsystem.
         self.faults = None
 
-    def install_faults(self, schedule, rngs=None):
+    def install_faults(self, schedule):
         """Arm a :class:`repro.faults.FaultSchedule` on this fabric.
 
-        ``rngs`` defaults to a substream factory derived from the
+        Its draws come from a substream factory derived from the
         configured root seed, so the same seed + schedule produce a
         bit-identical fault pattern.  Returns the bound injector.
         """
         from repro.faults.schedule import FaultInjector
         from repro.sim.rng import RngStreams
 
-        if rngs is None:
-            rngs = RngStreams(self.config.seed).spawn("faults")
+        rngs = RngStreams(self.config.seed).spawn("faults")
         self.faults = FaultInjector(schedule, rngs, self.counters,
                                     trace=self.trace)
         return self.faults

@@ -165,9 +165,6 @@ class Channel:
             on_dropped=lambda item: (item,),
             can_replay=lambda item: True,  # the pump re-checks QP state
             replay_unit=self._resubmit)
-        # statistics
-        self.messages_sent = 0
-        self.bytes_sent = 0
 
     # -- sender API ---------------------------------------------------------
 
@@ -236,15 +233,12 @@ class Channel:
             # that dies — with an error CQE or with its QP — can be
             # traced back to its message and replayed exactly once.
             router.failures[wr_id] = (self, item, qp)
-            wire_bytes = (header.nbytes if item.gather else 0) + HEADER_BYTES
             # (wr_id, opcode, sg_list, remote_addr, rkey, imm_data,
             # signaled): positional, once per message.
             qp.post_send(SendWR(
                 wr_id, Opcode.RDMA_WRITE_WITH_IMM, item.gather or _HEADER_ONLY,
                 target[0], target[1], header.seq & 0xFFFFFFFF, True))
             next_send = env._now + max(item.gap, header_gap)
-            self.messages_sent += 1
-            self.bytes_sent += wire_bytes
 
     # -- fault recovery -----------------------------------------------------
 

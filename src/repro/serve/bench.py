@@ -34,9 +34,11 @@ CACHE_HIT_US = 2.0
 BACKEND_READ_US = 25.0
 COMMIT_US = 60.0
 
-#: Arrival clock: requests inside a burst, gap between bursts.
+#: Arrival clock: requests inside a burst, gap between bursts, and
+#: requests per burst.
 BURST_INTERARRIVAL_US = 5.0
 IDLE_GAP_US = 500.0
+BURST_LEN = 32
 
 #: Plan space tag baked into every bench key.
 PLAN_SPACE = "serve-bench/v1"
@@ -63,10 +65,9 @@ def _zipf_probs(n_keys: int, s: float) -> np.ndarray:
 
 def run_serve_bench(n_clients: int = 400, n_requests: int = 4000,
                     n_keys: int = 64, zipf_s: float = 1.1,
-                    p_commit: float = 0.08, burst_len: int = 32,
+                    p_commit: float = 0.08,
                     seed: int = 0, n_shards: int = 8,
                     cache_capacity: int = 1024,
-                    negative_ttl: int = 256,
                     max_entries_per_shard: int = 0,
                     root: Optional[str] = None) -> dict:
     """Drive seeded synthetic traffic; return metrics (deterministic).
@@ -82,15 +83,13 @@ def run_serve_bench(n_clients: int = 400, n_requests: int = 4000,
             return run_serve_bench(
                 n_clients=n_clients, n_requests=n_requests,
                 n_keys=n_keys, zipf_s=zipf_s, p_commit=p_commit,
-                burst_len=burst_len, seed=seed, n_shards=n_shards,
+                seed=seed, n_shards=n_shards,
                 cache_capacity=cache_capacity,
-                negative_ttl=negative_ttl,
                 max_entries_per_shard=max_entries_per_shard, root=tmp)
 
     rng = np.random.default_rng(seed)
     service = TuningService(root, n_shards=n_shards,
                             cache_capacity=cache_capacity,
-                            negative_ttl=negative_ttl,
                             max_entries_per_shard=max_entries_per_shard)
     keys = [_bench_key(k) for k in range(n_keys)]
     probs = _zipf_probs(n_keys, zipf_s)
@@ -110,7 +109,7 @@ def run_serve_bench(n_clients: int = 400, n_requests: int = 4000,
     for i in range(n_requests):
         # Bursty arrival clock: tight inter-arrivals inside a burst,
         # an idle gap between bursts (shard queues drain in the gap).
-        now += IDLE_GAP_US if (i and i % burst_len == 0) \
+        now += IDLE_GAP_US if (i and i % BURST_LEN == 0) \
             else BURST_INTERARRIVAL_US
         k = int(key_draws[i])
         client = int(client_draws[i])

@@ -26,6 +26,8 @@ from repro.serve.shard import ServedEntry
 _NEGATIVE = None
 #: What one probe returns for a digest the cache does not hold.
 _ABSENT = object()
+#: Logical ticks (lookups) a cached miss lives.
+NEGATIVE_TTL = 256
 
 
 class PlanCache:
@@ -33,16 +35,15 @@ class PlanCache:
 
     ``capacity`` bounds positive+negative entries together; the
     least-recently-used entry of either kind is evicted first.
-    Negative entries additionally expire after ``negative_ttl`` logical
+    Negative entries additionally expire after :data:`NEGATIVE_TTL`
     ticks so a freshly committed plan is not shadowed by an old miss
     for long.
     """
 
-    def __init__(self, capacity: int = 1024, negative_ttl: int = 256):
+    def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise ConfigError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.negative_ttl = negative_ttl
         self._entries: OrderedDict[str, Optional[ServedEntry]] = OrderedDict()
         self._negative_born: dict[str, int] = {}
         self.tick = 0
@@ -73,7 +74,7 @@ class PlanCache:
             return "miss", None
         if value is _NEGATIVE:
             born = self._negative_born.get(digest, self.tick)
-            if self.tick - born > self.negative_ttl:
+            if self.tick - born > NEGATIVE_TTL:
                 # Expired negative entry: treat as a stale miss so the
                 # backend is consulted again.
                 self.stale_hits += 1

@@ -15,7 +15,7 @@ retries feed a :class:`~repro.engine.watchdog.CircuitBreaker`.  While
 the breaker is OPEN the client doesn't even try — a ``get`` returns
 None immediately (the autotuner then explores locally, exactly as if
 the plan had never been tuned) and a ``put`` is dropped and counted.
-After ``cooldown_calls`` skipped calls the breaker enters HALF_OPEN
+After :data:`COOLDOWN_CALLS` skipped calls the breaker enters HALF_OPEN
 and the next call probes the service.  A tuning service outage
 degrades throughput (plans are re-explored), never correctness.
 
@@ -38,6 +38,12 @@ from repro.engine.watchdog import HALF_OPEN, OPEN, CircuitBreaker
 from repro.errors import TransportError
 from repro.serve.service import TuningService
 from repro.serve.shard import CommitResult, ServedEntry
+
+#: The first retry's back-off (seconds) and its growth per retry; the
+#: exhausted calls in a row that open the breaker, and the calls an open
+#: breaker skips before it lets one probe the service.
+BACKOFF_BASE, BACKOFF_FACTOR = 0.01, 2.0
+BREAKER_THRESHOLD, COOLDOWN_CALLS = 3, 8
 
 
 class ServeUnavailable(TransportError):
@@ -105,17 +111,12 @@ class ServeClient:
     """Retry/backoff + circuit breaker over a serve transport."""
 
     def __init__(self, transport, retries: int = 2,
-                 backoff_base: float = 0.01, backoff_factor: float = 2.0,
-                 breaker_threshold: int = 3, cooldown_calls: int = 8,
                  sleep: Optional[Callable[[float], None]] = None):
         self.transport = transport
         self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         #: None = don't sleep between attempts (deterministic tests).
         self.sleep = sleep
-        self.breaker = CircuitBreaker(threshold=breaker_threshold)
-        self.cooldown_calls = cooldown_calls
+        self.breaker = CircuitBreaker(threshold=BREAKER_THRESHOLD)
         self._skipped_since_trip = 0
         #: version the service last reported per digest-able key id —
         #: kept by rich callers; the duck-typed put path never CASes.
@@ -130,7 +131,7 @@ class ServeClient:
         if self.breaker.state is not OPEN:
             return True
         self._skipped_since_trip += 1
-        if self._skipped_since_trip >= self.cooldown_calls:
+        if self._skipped_since_trip >= COOLDOWN_CALLS:
             self.breaker.begin_probation()
             self._skipped_since_trip = 0
             return True
@@ -138,7 +139,7 @@ class ServeClient:
 
     def _call(self, op: Callable):
         """One operation through retry/backoff; raises when exhausted."""
-        delay = self.backoff_base
+        delay = BACKOFF_BASE
         last_exc: Optional[Exception] = None
         for attempt in range(self.retries + 1):
             try:
@@ -148,7 +149,7 @@ class ServeClient:
                 last_exc = exc
                 if attempt < self.retries and self.sleep is not None:
                     self.sleep(delay)
-                delay *= self.backoff_factor
+                delay *= BACKOFF_FACTOR
                 continue
             self.breaker.record_success()
             return result

@@ -40,11 +40,10 @@ class TuningService:
 
     def __init__(self, root: Union[str, Path],
                  n_shards: Optional[int] = None,
-                 cache_capacity: int = 1024, negative_ttl: int = 256,
+                 cache_capacity: int = 1024,
                  max_entries_per_shard: int = 0):
         self.store = ShardedStore(root, n_shards=n_shards)
-        self.cache = PlanCache(capacity=cache_capacity,
-                               negative_ttl=negative_ttl)
+        self.cache = PlanCache(capacity=cache_capacity)
         #: 0 = unbounded; otherwise evict to stay at or under this.
         self.max_entries_per_shard = max_entries_per_shard
         self._lock = threading.RLock()

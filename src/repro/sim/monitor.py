@@ -8,7 +8,6 @@ occupancy, lock contention).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -39,25 +38,13 @@ class Trace:
     """An append-only record log with category filtering.
 
     Tracing can be disabled globally (``enabled=False``) to keep large
-    benchmark runs cheap; ``record`` then becomes a no-op.
-
-    ``max_records`` caps memory on long application runs: when set, the
-    log becomes a ring buffer holding the *most recent* ``max_records``
-    entries, and :attr:`dropped` counts how many older records were
-    evicted.  The default (``None``) preserves the historical unbounded
-    behaviour.
+    benchmark runs cheap; ``record`` then becomes a no-op.  An enabled
+    trace keeps every record until :meth:`clear`.
     """
 
-    def __init__(self, enabled: bool = True,
-                 max_records: Optional[int] = None):
-        if max_records is not None and max_records < 1:
-            raise ValueError(
-                f"max_records must be >= 1 or None, got {max_records}")
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.max_records = max_records
-        #: Records evicted from the ring buffer since the last clear.
-        self.dropped = 0
-        self.records: deque[TraceRecord] = deque(maxlen=max_records)
+        self.records: list[TraceRecord] = []
 
     def record(
         self,
@@ -66,12 +53,9 @@ class Trace:
         subject: Any = None,
         **data: Any,
     ) -> None:
-        """Append a record (no-op when disabled; evicts when capped)."""
+        """Append a record (no-op when disabled)."""
         if not self.enabled:
             return
-        if (self.max_records is not None
-                and len(self.records) == self.max_records):
-            self.dropped += 1
         self.records.append(TraceRecord(time, category, subject, data))
 
     def __len__(self) -> int:
@@ -106,7 +90,6 @@ class Trace:
 
     def clear(self) -> None:
         self.records.clear()
-        self.dropped = 0
 
 
 class Counters:

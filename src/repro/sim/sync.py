@@ -107,12 +107,12 @@ class AtomicCounter:
 
     __slots__ = ("env", "_value", "access_cost", "_lock", "access_count")
 
-    def __init__(self, env: Environment, initial: int = 0, access_cost: float = 0.0):
+    def __init__(self, env: Environment, access_cost: float = 0.0):
         if not 0.0 <= access_cost < _INF:
             raise ValueError(
                 f"access_cost must be finite and >= 0, got {access_cost}")
         self.env = env
-        self._value = initial
+        self._value = 0
         self.access_cost = access_cost
         self._lock = SimLock(env)
         #: total accesses, for contention statistics

@@ -86,7 +86,7 @@ def test_store_commit_when_confident(tmp_path):
     key = workload_key(16, 1 << 20, "test")
     arms = [PlanChoice(1, 1), PlanChoice(2, 1)]
     ctrl = AutotuneController(
-        BanditPolicy(arms, epsilon=0.0, min_confident_plays=1),
+        BanditPolicy(arms, epsilon=0.0),
         store=store, store_key=key)
     assert len(store) == 0
     for r in range(3):

@@ -5,6 +5,7 @@ import pytest
 from repro.autotune import PlanChoice, TuningStore, build_autotuner
 from repro.bench.autotune import run_autotuned_pair
 from repro.bench.pair import run_partitioned_pair
+from repro.config import NIAGARA
 from repro.core import FixedAggregation
 from repro.core.module import NativeSpec
 from repro.errors import TuningError
@@ -126,6 +127,5 @@ def test_invalid_counts_rejected():
 def test_build_autotuner_describe():
     agg = build_autotuner({"policy": "bandit", "counts": [1, 4]})
     assert agg.describe() == "autotune(unplanned)"
-    run_autotuned_pair(None, n_user=N_USER, total_bytes=TOTAL,
-                       aggregator=agg, **ITER)
-    assert agg.describe().startswith("autotune(bandit")
+    agg.provision(N_USER, TOTAL // N_USER, NIAGARA)
+    assert agg.describe().startswith("autotune(bandit(epsilon, 0/")

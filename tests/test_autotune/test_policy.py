@@ -11,9 +11,9 @@ from repro.autotune import (
     StaticPolicy,
     candidate_plans,
 )
+from repro.autotune.policy import SEED_SPAN
 from repro.config import NIAGARA
 from repro.errors import ConfigError, TuningError
-from repro.model.tables import NIAGARA_LOGGP
 from repro.units import us
 
 
@@ -126,22 +126,9 @@ def test_bandit_deterministic_per_seed():
     assert runs[0] == runs[1]
 
 
-def test_bandit_ucb_revisits_underplayed_arms():
-    arms = [PlanChoice(1, 1), PlanChoice(2, 1)]
-    policy = BanditPolicy(arms, mode="ucb", exploration=10.0, seed=0)
-    policy.observe(arms[0], obs(0, 1.0), ArrivalTracker())
-    policy.observe(arms[1], obs(1, 1.01), ArrivalTracker())
-    for r in range(2, 30):
-        choice = policy.choose(r)
-        policy.observe(choice, obs(r, 1.0 if choice == arms[0] else 1.01),
-                       ArrivalTracker())
-    # A large exploration bonus keeps both arms in play.
-    assert all(policy._plays[arm] > 1 for arm in arms)
-
-
 def test_bandit_confidence_requires_full_sweep():
     arms = [PlanChoice(1, 1), PlanChoice(2, 1)]
-    policy = BanditPolicy(arms, min_confident_plays=2)
+    policy = BanditPolicy(arms)  # MIN_CONFIDENT_PLAYS == 2
     policy.observe(arms[0], obs(0, 1.0), ArrivalTracker())
     assert not policy.confident
     policy.observe(arms[1], obs(1, 2.0), ArrivalTracker())
@@ -163,8 +150,6 @@ def test_bandit_validation():
         BanditPolicy([])
     with pytest.raises(ConfigError):
         BanditPolicy([PlanChoice(1, 1), PlanChoice(1, 1)])
-    with pytest.raises(ConfigError):
-        BanditPolicy([PlanChoice(1, 1)], mode="thompson")
 
 
 def test_candidate_plans_explicit_counts():
@@ -177,11 +162,11 @@ def test_candidate_plans_explicit_counts():
 
 
 def test_candidate_plans_seeded_by_model():
-    arms = candidate_plans(32, 64 * 1024, NIAGARA, params=NIAGARA_LOGGP,
-                           span=1)
+    arms = candidate_plans(32, 64 * 1024, NIAGARA)
     counts = sorted({a.n_transport for a in arms})
-    # A span-1 neighbourhood holds at most 3 powers of two.
-    assert 1 <= len(counts) <= 3
+    # A neighbourhood of SEED_SPAN octaves either side holds at most
+    # 2 * SEED_SPAN + 1 powers of two.
+    assert 1 <= len(counts) <= 2 * SEED_SPAN + 1
     assert all(c <= 32 for c in counts)
 
 

@@ -206,7 +206,7 @@ SCRIPT_SHA256 = (
 def _script(root):
     rng = random.Random(22)
     service = TuningService(root / "served", n_shards=4, cache_capacity=16,
-                            negative_ttl=8, max_entries_per_shard=3)
+                            max_entries_per_shard=3)
     flat = TuningStore(root / "flat")
     keys = [workload_key(2 ** (i % 5 + 2), 2 ** (i % 5 + 2) * 4096,
                          ("niagara", "δ-cluster", "")[i % 3],

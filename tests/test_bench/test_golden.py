@@ -12,6 +12,7 @@ and explain the delta in the commit.
 
 import json
 import pathlib
+from unittest.mock import patch
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -141,11 +142,12 @@ def run_drivers_mini():
                            "total_time": view.total_time}
                     for name, view in profile.tenants.items()},
     }
-    retune = run_reconvergence(
-        {"policy": "bandit"}, quiet_rounds=3, congested_rounds=4,
-        tail_rounds=2, n_partitions=8, partition_size=16 * KiB,
-        neighbor_nbytes=64 * KiB, neighbor_pairs=1, neighbor_streams=2,
-        seed=1)
+    # The golden's neighbor is one pair of two 64 KiB streams a side.
+    with patch.multiple("repro.fleet.run", NEIGHBOR_NBYTES=64 * KiB,
+                        NEIGHBOR_PAIRS=1, NEIGHBOR_STREAMS=2):
+        retune = run_reconvergence(
+            {"policy": "bandit"}, quiet_rounds=3, congested_rounds=4,
+            tail_rounds=2, n_partitions=8, partition_size=16 * KiB, seed=1)
     out["reconvergence"] = [
         [r["n_transport"], r["n_qps"], r["completion_time"]]
         for r in retune["rounds"]]

@@ -174,6 +174,15 @@ def _row(argv, message, was=None):
     (SWEEP + ["grid=4x4x4"], "sweep: grid: want a 2-D grid, got [4, 4, 4]"),
     (["point", "tuning_table", "n_user=3", "total_bytes=4MiB"],
      "tuning_table: n_user: want a power of two, got 3"),
+    (["point", "overhead", 'module=["ploggp",{"dealy":0.001}]', "n_user=32",
+      "total_bytes=64KiB"],
+     "overhead: module: ploggp descriptor reads no key 'dealy' "
+     "(accepted: delay)"),
+    (["point", "autotune", 'autotune={"policy":"bandit","epsilom":0.9}',
+      "n_user=32", "total_bytes=2MiB"],
+     "autotune: autotune: autotune policy 'bandit' reads no key 'epsilom' "
+     "(accepted: bandit_seed, config_tag, counts, decay, delay, deltas, "
+     "epsilon, key_extra, policy, tracker_window, window)"),
 ])
 def test_bad_flags_are_usage_errors(argv, message, capsys):
     # A bad count, size or name is argparse's exit 2, raised before

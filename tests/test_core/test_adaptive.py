@@ -53,8 +53,7 @@ def test_adaptive_validation():
 
 
 def test_plan_requires_timer_seed():
-    agg = build_autotuner({"policy": "delta_tracker",
-                           "base": {"n_transport": 2, "n_qps": 1}})
+    agg = build_autotuner({"policy": "delta_tracker"})
     with pytest.raises(ConfigError):
         agg.plan(32, 256 * KiB, NIAGARA)
 

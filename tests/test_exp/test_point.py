@@ -83,3 +83,37 @@ def test_point_reads_and_writes_the_point_cache(tmp_path, capsys):
     assert list(tmp_path.rglob("*.json"))
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_checking_a_descriptor_builds_nothing(monkeypatch):
+    import repro.core.tuning_table
+
+    def search(*args, **kwargs):
+        raise AssertionError("the brute-force search ran at check time")
+
+    monkeypatch.setattr(repro.core.tuning_table, "build_tuning_table", search)
+    table = {"n_user_counts": [8], "message_sizes": [65536]}
+    check("overhead", {"module": ["tuning_table", table], "n_user": 8,
+                       "total_bytes": 65536})
+    with pytest.raises(ConfigError, match="reads no key 'sizes'"):
+        check("overhead", {"module": ["tuning_table", {**table, "sizes": 1}],
+                           "n_user": 8, "total_bytes": 65536})
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("stencil", {"per_edge": {"policy": "bandit", "mode": "ucb"}},
+     "autotune policy 'bandit' reads no key 'mode'"),
+    ("fleet_autotune", {"autotune": {"policy": "delta_tracker", "base": {}}},
+     "autotune policy 'delta_tracker' reads no key 'base'"),
+    ("fleet_rank", {"module": ["adaptive", {"initial_delta": 1e-4,
+                                            "quantile": 0.5}]},
+     "adaptive descriptor reads no key 'quantile'"),
+    ("overhead", {"module": ["autotune", {"policy": "ucb"}]},
+     "unknown autotune policy 'ucb'"),
+])
+def test_a_key_nothing_reads_is_a_usage_error(kind, params, message):
+    required = {"stencil": {"n_threads": 4, "n_partitions": 32,
+                            "face_bytes": 65536},
+                "overhead": {"n_user": 8, "total_bytes": 65536}}
+    with pytest.raises(ConfigError, match=message):
+        check(kind, {**required.get(kind, {}), **params})

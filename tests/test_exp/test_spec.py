@@ -63,7 +63,7 @@ def test_float_params_round_trip_bit_exactly():
 
 
 def test_grid_is_cartesian_product_in_axis_order():
-    points = grid("overhead", {"n_user": 32},
+    points = grid("overhead", n_user=[32],
                   total_bytes=[1, 2], module=[["persist"], ["ploggp"]])
     assert len(points) == 4
     assert points[0].params == {"n_user": 32, "total_bytes": 1,

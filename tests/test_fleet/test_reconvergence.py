@@ -8,11 +8,11 @@ summary — cheaply.
 """
 
 from repro.fleet import run_reconvergence
+from repro.fleet.run import NEIGHBOR_NBYTES, NEIGHBOR_PAIRS, NEIGHBOR_STREAMS
 
 PARAMS = {"policy": "bandit", "counts": [4, 16], "deltas": [None],
           "epsilon": 0.3, "decay": 0.9, "bandit_seed": 3, "window": 4}
-SHORT = dict(quiet_rounds=4, congested_rounds=6, tail_rounds=2,
-             neighbor_streams=2, seed=1)
+SHORT = dict(quiet_rounds=4, congested_rounds=6, tail_rounds=2, seed=1)
 
 
 def test_reconvergence_summary_shape():
@@ -21,8 +21,9 @@ def test_reconvergence_summary_shape():
     assert res["depart_round"] == 10
     assert len(res["rounds"]) == 12
     assert [r["round"] for r in res["rounds"]] == list(range(1, 13))
-    assert res["neighbor"] == {"pairs": 2, "nbytes": 256 * 1024,
-                               "streams": 2}
+    assert res["neighbor"] == {"pairs": NEIGHBOR_PAIRS,
+                               "nbytes": NEIGHBOR_NBYTES,
+                               "streams": NEIGHBOR_STREAMS}
     assert res["quiet_best"] is not None
     assert res["congested_best"] is not None
     # The near-optimal set always contains the congested-best plan.
@@ -46,11 +47,3 @@ def test_reconvergence_deterministic():
     a = run_reconvergence(PARAMS, **SHORT)
     b = run_reconvergence(PARAMS, **SHORT)
     assert a == b
-
-
-def test_neighbor_capacity_check():
-    import pytest
-
-    with pytest.raises(ValueError):
-        run_reconvergence(PARAMS, neighbor_pairs=4, **{
-            k: v for k, v in SHORT.items() if k != "seed"}, seed=0)

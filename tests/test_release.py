@@ -75,8 +75,7 @@ def _fleet():
 
 def _reconvergence():
     run_reconvergence(BANDIT, quiet_rounds=2, congested_rounds=2,
-                      tail_rounds=1, neighbor_pairs=1, neighbor_streams=1,
-                      n_partitions=8, partition_size=16 * KiB)
+                      tail_rounds=1, n_partitions=8, partition_size=16 * KiB)
 
 
 def _fleet_chaos_ladder():

@@ -5,6 +5,7 @@ import pytest
 from repro.autotune.policy import PlanChoice
 from repro.errors import ConfigError
 from repro.serve import PlanCache, ServedEntry
+from repro.serve.cache import NEGATIVE_TTL
 
 
 def entry(i=0):
@@ -34,7 +35,7 @@ def test_lru_eviction_order():
 
 
 def test_negative_entries_absorb_miss_storms():
-    cache = PlanCache(capacity=8, negative_ttl=100)
+    cache = PlanCache(capacity=8)
     cache.lookup("d")            # miss: caller goes to the backend...
     cache.fill("d", None)        # ...which also misses
     for _ in range(50):
@@ -45,11 +46,11 @@ def test_negative_entries_absorb_miss_storms():
 
 
 def test_negative_entries_expire():
-    cache = PlanCache(capacity=8, negative_ttl=3)
+    cache = PlanCache(capacity=8)
     cache.lookup("d")
     cache.fill("d", None)
     assert cache.lookup("d")[0] == "negative"
-    for _ in range(4):           # age the entry past its TTL
+    for _ in range(NEGATIVE_TTL):  # age the entry past its TTL
         cache.lookup("other")
     assert cache.lookup("d")[0] == "miss"
     assert cache.stale_hits == 1

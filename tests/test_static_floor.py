@@ -9,10 +9,14 @@ The reachability audit below is the fourth check: a top-level
 definition, method or property that nothing but tests reaches fails
 too, unless ``KEEP`` names it with a reason.  The fifth is its field
 half: a config field that only tests set fails, unless
-``MODEL_FIELDS`` lists it as a calibrated cost.
+``MODEL_FIELDS`` lists it as a calibrated cost.  The sixth extends
+that to every option: a defaulted parameter of a public function,
+method or constructor, or an optional descriptor key, that only tests
+set fails, unless ``OPTIONS`` names it with a reason.
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -200,11 +204,12 @@ CALLERS = ("perfbench", "examples")
 PLAIN_DECORATORS = {"property", "setter", "staticmethod", "classmethod",
                     "dataclass", "cached_property", "contextmanager",
                     "abstractmethod", "lru_cache", "runtime_checkable"}
-#: The four reasons an unreached definition may stay, as the first word
-#: of its KEEP entry: a closed form or generator a test checks the
-#: simulator against; a test double; the reader of a file the CLI
-#: writes; a named input of an open ROADMAP item or part of the verbs
-#: API mirror.
+#: The four reasons an unreached definition (or an option only tests
+#: set) may stay, as the first word of its KEEP (or OPTIONS) entry: a
+#: closed form or generator a test checks the simulator against; a test
+#: double; the reader of a file the CLI writes; a named input of an open
+#: ROADMAP item, an entry point, or part of an API the package mirrors
+#: (verbs, MPI, simpy).
 KEEP_KINDS = ("reference", "fake", "reader", "surface")
 
 KEEP = {
@@ -357,7 +362,9 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+@lru_cache(maxsize=None)
 def _parse(path: Path) -> ast.Module:
+    """A file's tree, parsed once per session (the audits share it)."""
     return ast.parse(path.read_text(), filename=str(path))
 
 
@@ -589,22 +596,91 @@ def _config_fields(src: Path) -> dict:
             and getattr(item.annotation, "id", None) not in classes}
 
 
+def _forwards(node: ast.keyword, params: set) -> bool:
+    """``x=x`` (``x`` a parameter of the enclosing function), ``x=cfg.x``
+    and ``x=p.get("x", d)``: a keyword that passes on a value of its own
+    name instead of setting one."""
+    value = node.value
+    if isinstance(value, ast.Name):
+        return value.id == node.arg and node.arg in params
+    if isinstance(value, ast.Attribute):
+        return value.attr == node.arg
+    return (isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "get" and bool(value.args)
+            and isinstance(value.args[0], ast.Constant)
+            and value.args[0].value == node.arg)
+
+
+def _with_params(node: ast.AST, params: frozenset = frozenset()):
+    """Every node under ``node`` with the parameter names of the
+    functions that enclose it."""
+    if isinstance(node, (*_FUNCS, ast.Lambda)):
+        args = node.args
+        params = params | {arg.arg for arg in (
+            args.posonlyargs + args.args + args.kwonlyargs)}
+    yield node, params
+    for child in ast.iter_child_nodes(node):
+        yield from _with_params(child, params)
+
+
+def _str_key(node: ast.AST):
+    return node.value if isinstance(node, ast.Constant) \
+        and isinstance(node.value, str) else None
+
+
+def _kind_params(tree: ast.Module) -> set:
+    """The strings of every ``params=`` entry of a ``KINDS`` table, the
+    module-level tuples it concatenates included."""
+    tuples = {stmt.targets[0].id: stmt.value for stmt in tree.body
+              if isinstance(stmt, ast.Assign)
+              and isinstance(stmt.targets[0], ast.Name)}
+    names, stack = set(), []
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [
+            getattr(stmt, "target", None)]
+        if any(getattr(target, "id", None) == "KINDS" for target in targets):
+            stack += [node.value for node in ast.walk(stmt.value)
+                      if isinstance(node, ast.keyword)
+                      and node.arg == "params"]
+    seen = set()
+    while stack:
+        for node in ast.walk(stack.pop()):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            elif (isinstance(node, ast.Name) and node.id in tuples
+                  and node.id not in seen):
+                seen.add(node.id)
+                stack.append(tuples[node.id])
+    return names
+
+
 def _settings(src: Path, callers) -> set:
     """Every name a non-test path sets: a keyword argument that does not
-    just forward a value of the same name (``x=cfg.x``), and a string
-    key of a dict display (a config descriptor)."""
+    just forward a value of its own name (:func:`_forwards`), a string
+    key of a dict display or of a subscript store (a descriptor), a
+    command-line flag (``--results-dir`` sets ``results_dir``) and a
+    ``KINDS`` param."""
     paths = [p for p in sorted(src.rglob("*.py")) if p != src / "config.py"]
     names = set()
     for path in paths + list(_caller_paths(callers)):
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.keyword) and node.arg and not (
-                    isinstance(node.value, ast.Attribute)
-                    and node.value.attr == node.arg):
+        tree = _parse(path)
+        names |= _kind_params(tree)
+        for node, params in _with_params(tree):
+            if isinstance(node, ast.keyword) and node.arg \
+                    and not _forwards(node, params):
                 names.add(node.arg)
             elif isinstance(node, ast.Dict):
-                names.update(key.value for key in node.keys
-                             if isinstance(key, ast.Constant)
-                             and isinstance(key.value, str))
+                names.update(filter(None, map(_str_key, node.keys)))
+            elif (isinstance(node, ast.Subscript)
+                  and isinstance(node.ctx, ast.Store)
+                  and _str_key(node.slice)):
+                names.add(node.slice.value)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "add_argument"):
+                names.update(flag[2:].replace("-", "_")
+                             for flag in map(_str_key, node.args)
+                             if flag and flag.startswith("--"))
     return names
 
 
@@ -626,6 +702,218 @@ def _field_audit(src: Path, callers, model: dict) -> list:
 def test_every_config_field_is_set_or_calibrated():
     callers = [SRC.parent.parent / name for name in CALLERS]
     found = _field_audit(SRC, callers, MODEL_FIELDS)
+    assert not found, "\n" + "\n".join(found)
+
+
+# -- options ------------------------------------------------------------------
+
+#: The descriptor builders whose optional keys (``p.get("key", d)``)
+#: are options too, by the file that reads them.
+DESCRIPTORS = {"autotune/aggregator.py": "autotune.aggregator:build_autotuner",
+               "exp/modules.py": "exp.modules:build_module"}
+
+_MUTATION = "surface: a plan_mutation input, which ROADMAP 4(b) deletes"
+_MPI = "surface: the MPI API mirror's"
+_VERBS = "surface: the verbs API mirror's ibv_qp_cap"
+_DRAIN = "reference: PLogGP without deferred drain, checked against it"
+
+#: Options that stay although only tests set them, each with a KEEP_KINDS
+#: reason.  Any other option that only tests set is a constant.
+OPTIONS = {
+    "autotune.aggregator:build_autotuner['seed_plan']": _MUTATION,
+    "autotune.plan_policy:PlanMutationPolicy(qp_cap)": _MUTATION,
+    "plan.mutate:neighbors(qp_cap)": _MUTATION,
+    "cli:main(argv)": "surface: a console entry point (None reads sys.argv)",
+    "serve.stress:main(argv)":
+        "surface: a console entry point (None reads sys.argv)",
+    "coll.tree:Pallreduce(op)": f"{_MPI} MPI_Op (elementwise sum)",
+    "mpi.process:MPIProcess.pallreduce_init(op)":
+        f"{_MPI} MPI_Op (elementwise sum)",
+    "mpi.process:MPIProcess.isend(offset)": f"{_MPI} buffer offset",
+    "mpi.process:MPIProcess.irecv(offset)": f"{_MPI} buffer offset",
+    "ib.qp:QueuePair(max_send_wr)": _VERBS,
+    "ib.qp:QueuePair(max_recv_wr)": _VERBS,
+    "ib.verbs:ibv_create_qp(max_send_wr)": _VERBS,
+    "ib.verbs:ibv_create_qp(max_recv_wr)": _VERBS,
+    "faults.schedule:FaultSchedule.chunk_loss(src)":
+        "surface: per-edge chunk loss, the fault schedule's edge filter",
+    "faults.schedule:FaultSchedule.chunk_loss(dst)":
+        "surface: per-edge chunk loss, the fault schedule's edge filter",
+    "core.delta:estimate_min_delta(laggards_per_round)":
+        "reference: the min-δ recipe at another laggard count",
+    "model.ploggp:completion_time(deferred_drain)": _DRAIN,
+    "model.ploggp:model_curve(deferred_drain)": _DRAIN,
+    "model.ploggp:optimal_transport_partitions(deferred_drain)": _DRAIN,
+    "model.ploggp:optimal_transport_partitions(pattern)":
+        "reference: PLogGP under another arrival pattern (model.arrival)",
+    "mem.buffer:Buffer(fill)": "fake: a known payload byte tests read back",
+    "serve.client:ServeClient(sleep)": "fake: the back-off clock, recorded",
+    "sim.core:Environment(initial_time)":
+        "surface: the simpy Environment signature the kernel mirrors",
+    "sim.monitor:Trace.filter(predicate)":
+        "surface: trace analysis, the telemetry spine's input (ROADMAP)",
+    "sim.profile:KernelProfile(clock)":
+        "fake: a deterministic clock for the profile tests",
+}
+
+
+def _defaulted(args: ast.arguments, skip: int):
+    """``(name, positional index or None)`` of every defaulted parameter,
+    the index counted after the first ``skip`` (``self``)."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield arg.arg, index - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _signatures(tree: ast.Module, module: str):
+    """``(owner, name, index)`` for every defaulted parameter of a public
+    function, method or constructor; ``owner`` is the function's key (a
+    class's for ``__init__``)."""
+    for stmt in tree.body:
+        if not isinstance(stmt, _DEFS) or stmt.name.startswith("_"):
+            continue
+        owner = f"{module}:{stmt.name}"
+        if isinstance(stmt, _FUNCS):
+            for name, index in _defaulted(stmt.args, 0):
+                yield owner, name, index
+            continue
+        for item in stmt.body:
+            if not isinstance(item, _FUNCS) or (
+                    item.name.startswith("_") and item.name != "__init__"):
+                continue
+            static = "staticmethod" in map(_decorator_name,
+                                           item.decorator_list)
+            method = owner if item.name == "__init__" else \
+                f"{owner}.{item.name}"
+            for name, index in _defaulted(item.args, 0 if static else 1):
+                yield method, name, index
+
+
+def _descriptor_keys(tree: ast.Module):
+    """Every optional key a ``p.get("key", …)`` call reads."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and isinstance(node.func.value, ast.Name) and node.args
+                and _str_key(node.args[0])):
+            yield node.args[0].value
+
+
+def _callee(node: ast.expr, scopes: dict, module: str):
+    """The key a call's function resolves to through import bindings,
+    ``("spell", name)`` for a method call nothing resolves, or None."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.append(node.attr)
+        node = node.value
+    target = (_resolve(scopes, module, node.id)
+              if isinstance(node, ast.Name) else None)
+    while target and target[0] == "mod" and chain:
+        target = _attribute(scopes, target[1], chain.pop())
+    if target and target[0] == "def" and not chain:
+        return target[1]
+    if len(chain) == 1 and target is None:
+        return ("spell", chain[0])
+    return None
+
+
+def _init_owners(classes: dict, scopes: dict) -> dict:
+    """``class key -> key`` of the class whose ``__init__`` it runs: its
+    own, else the first base's that has one."""
+    owners = {}
+
+    def owner(key):
+        if key not in owners:
+            module, stmt = classes[key]
+            owners[key] = key if any(
+                isinstance(item, _FUNCS) and item.name == "__init__"
+                for item in stmt.body) else None
+            for base in stmt.bases:
+                target = _callee(base, scopes, module)
+                if owners[key] is None and target in classes:
+                    owners[key] = owner(target)
+        return owners[key]
+
+    return {key: owner(key) for key in classes}
+
+
+def _positional(trees: dict) -> set:
+    """``(owner, index)`` for every positional argument a call in
+    ``trees`` passes to a function it resolves to (a constructor
+    through the bases, a method by its spelling); a ``*args`` covers
+    every index from its own on."""
+    scopes = {module: ({stmt.name for stmt in tree.body
+                        if isinstance(stmt, _DEFS)}, _bindings(tree, module))
+              for module, tree in trees.items()}
+    inits = _init_owners(
+        {f"{module}:{stmt.name}": (module, stmt)
+         for module, tree in trees.items() for stmt in tree.body
+         if isinstance(stmt, ast.ClassDef)}, scopes)
+    passed = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            callee = _callee(node.func, scopes, module)
+            callee = inits.get(callee, callee)
+            star = any(isinstance(arg, ast.Starred) for arg in node.args)
+            passed.update((callee, index) for index in range(
+                64 if star else len(node.args)))
+    return passed
+
+
+def _options(src: Path, callers, keep=()) -> dict:
+    """``key -> whether a non-test path sets it`` for every option of the
+    tree: the defaulted parameters of its public signatures, except a
+    ``keep`` definition's, and its descriptors' optional keys."""
+    files = {}
+    for path in sorted(src.rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        files[".".join(p for p in parts if p != "__init__") or "repro"] = \
+            _parse(path)
+    settings = _settings(src, callers)
+    passed = _positional({**files, **{f"<{path}>": _parse(path)
+                                      for path in _caller_paths(callers)}})
+    options = {}
+    for module, tree in files.items():
+        for owner, name, index in _signatures(tree, module):
+            cls, _, method = owner.partition(":")[2].partition(".")
+            if owner in keep or f"{module}:{cls}" in keep:
+                continue
+            options[f"{owner}({name})"] = name in settings or (
+                (owner, index) in passed
+                or (("spell", method), index) in passed)
+    for where, builder in DESCRIPTORS.items():
+        if (src / where).exists():
+            for name in _descriptor_keys(_parse(src / where)):
+                options[f"{builder}[{name!r}]"] = name in settings
+    return options
+
+
+def _option_audit(src: Path, callers, kept: dict, keep=()) -> list:
+    options = _options(src, callers, keep)
+    found = [f"option:{key}: only tests set it — make it a constant, "
+             f"or list it in OPTIONS with a reason"
+             for key, is_set in sorted(options.items())
+             if not is_set and key not in kept]
+    for key, reason in sorted(kept.items()):
+        if key not in options:
+            found.append(f"OPTIONS names {key}, which no longer exists")
+        elif options[key]:
+            found.append(f"OPTIONS names {key}, which a caller sets")
+        if reason.split(":")[0] not in KEEP_KINDS:
+            found.append(f"OPTIONS reason for {key} is not one of "
+                         f"{KEEP_KINDS}: {reason!r}")
+    return found
+
+
+def test_every_option_is_set_or_kept():
+    callers = [SRC.parent.parent / name for name in CALLERS]
+    found = _option_audit(SRC, callers, OPTIONS, KEEP)
     assert not found, "\n" + "\n".join(found)
 
 
@@ -772,3 +1060,101 @@ def test_the_field_audit_finds_what_it_claims_to(tmp_path, files, model,
     assert len(found) == len(expected), found
     for line, fragment in zip(found, expected):
         assert fragment in line
+
+
+_PLANTED = "def f(a, knob=1): ...\n"
+
+
+@pytest.mark.parametrize("files, kept, expected", [
+    # a planted parameter that only a test sets
+    ({"mod.py": _PLANTED + "f(1)\n",
+      "perfbench/tests/test_f.py": "from repro.mod import f\nf(1, knob=2)\n"},
+     {}, ["option:mod:f(knob): only tests set it"]),
+    ({"mod.py": "class C:\n    def __init__(self, knob=1): ...\n"
+                "    def m(self, depth=2): ...\n    def _h(self, x=1): ...\n"
+                "def _private(y=1): ...\n"},
+     {}, ["option:mod:C(knob)", "option:mod:C.m(depth)"]),
+    # a same-name forward is not a setting; a local of that name is
+    ({"mod.py": _PLANTED + "def g(p):\n"
+                           "    return f(1, knob=p.get('knob', 1))\n"},
+     {}, ["option:mod:f(knob)"]),
+    ({"mod.py": _PLANTED + "def g(cfg):\n    return f(1, knob=cfg.knob)\n"},
+     {}, ["option:mod:f(knob)"]),
+    ({"mod.py": _PLANTED + "def g(knob=1):\n    return f(1, knob=knob)\n"},
+     {}, ["option:mod:f(knob)", "option:mod:g(knob)"]),
+    ({"mod.py": _PLANTED + "def g():\n    knob = 2\n"
+                           "    return f(1, knob=knob)\n"},
+     {}, []),
+    # keywords, descriptors, flags and KINDS params are settings
+    ({"mod.py": _PLANTED, "run.py": "from repro.mod import f\nf(1, knob=2)\n"},
+     {}, []),
+    ({"mod.py": _PLANTED, "examples/d.py": "DESC = {'knob': 2}\n"}, {}, []),
+    ({"mod.py": _PLANTED, "run.py": "def g(args):\n    args['knob'] = 2\n"},
+     {}, []),
+    ({"mod.py": _PLANTED, "cli.py": "def build(p):\n"
+                                    "    p.add_argument('--knob')\n"},
+     {}, []),
+    ({"mod.py": _PLANTED, "kinds.py": "_ROUNDS = ('knob',)\n"
+                                      "KINDS = {'k': Kind(run, params=_ROUNDS"
+                                      " + ('x',))}\n"},
+     {}, []),
+    # a positional argument is a setting of the function it resolves to
+    ({"mod.py": _PLANTED, "run.py": "from repro.mod import f\nf(1, 2)\n"},
+     {}, []),
+    ({"mod.py": _PLANTED + "def g(a, knob=1): ...\n",
+      "run.py": "from repro.mod import f\nf(1, 2)\n"},
+     {}, ["option:mod:g(knob)"]),
+    ({"mod.py": "class B:\n    def __init__(self, a, knob=1): ...\n"
+                "class C(B):\n    pass\nC(1, 2)\n"}, {}, []),
+    ({"mod.py": "class C:\n    def m(self, knob=1): ...\n"
+                "def use(c):\n    c.m(2)\n"}, {}, []),
+    ({"mod.py": _PLANTED + "f(*(1, 2))\n"}, {}, []),
+    # a descriptor builder's optional keys
+    ({"autotune/aggregator.py": "def build_autotuner(p):\n"
+                                "    return p.get('span', 2), p['need']\n"},
+     {}, ["option:autotune.aggregator:build_autotuner['span']"]),
+    ({"autotune/aggregator.py": "def build_autotuner(p):\n"
+                                "    return p.get('span', 2)\n",
+      "exp/rows.py": "ROW = {'span': 3}\n"}, {}, []),
+    # the exemption list: kept, stale, set, badly reasoned
+    ({"mod.py": _PLANTED}, {"mod:f(knob)": "fake: a test hook"}, []),
+    ({"mod.py": _PLANTED}, {"mod:f(knob)": "because"},
+     ["OPTIONS reason for mod:f(knob)"]),
+    ({"mod.py": _PLANTED},
+     {"mod:f(knob)": "fake: x", "mod:f(gone)": "fake: x"},
+     ["OPTIONS names mod:f(gone), which no longer exists"]),
+    ({"mod.py": _PLANTED + "f(1, knob=3)\n"}, {"mod:f(knob)": "fake: x"},
+     ["OPTIONS names mod:f(knob), which a caller sets"]),
+])
+def test_the_option_audit_finds_what_it_claims_to(tmp_path, files, kept,
+                                                   expected):
+    src = tmp_path / "src" / "repro"
+    for name, source in files.items():
+        top = name.split("/")[0]
+        path = (tmp_path if top in CALLERS else src) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    found = _option_audit(src, [tmp_path / name for name in CALLERS], kept)
+    assert len(found) == len(expected), found
+    for line, fragment in zip(found, expected):
+        assert fragment in line
+
+
+def test_a_kept_definition_keeps_its_options(tmp_path):
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    (src / "mod.py").write_text(_PLANTED + "class C:\n"
+                                "    def m(self, depth=2): ...\n")
+    assert _option_audit(src, [], {}, keep={"mod:f", "mod:C"}) == []
+
+
+def test_build_autotuner_accepts_exactly_the_keys_it_reads():
+    from repro.autotune.aggregator import COMMON_KEYS, POLICY_KEYS
+
+    tree = _parse(SRC / "autotune" / "aggregator.py")
+    read = set(_descriptor_keys(tree)) | {
+        node.slice.value for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+        and node.value.id == "p" and _str_key(node.slice)}
+    accepted = set(COMMON_KEYS).union(*POLICY_KEYS.values())
+    assert read == accepted

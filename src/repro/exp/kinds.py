@@ -529,8 +529,9 @@ PARAMS: dict[str, Callable[[Any], Any]] = {
     **dict.fromkeys(("noise_fraction", "loss", "zipf_s", "p_commit"),
                     non_negative_float),
     "module": lambda v: check_module(_descriptor(MODULE_NAMES)(v)),
-    **dict.fromkeys(("autotune", "per_edge"),
-                    lambda v: check_module(["autotune", v])[1]),
+    **dict.fromkeys(("autotune", "per_edge"), lambda v: check_module(
+        ["autotune", _shape(lambda x: isinstance(x, dict),
+                            "a JSON object")(v)])[1]),
     "topology": _descriptor(tuple(TOPOLOGIES)),
     "config": _built(build_config),
     "jobs": _built(_jobs),

@@ -238,9 +238,12 @@ def _script(root):
     return service
 
 
-def test_a_request_script_leaves_the_parents_bytes(tmp_path):
+def test_a_request_script_leaves_the_parents_bytes(tmp_path, monkeypatch):
+    # A TTL of eight lookups lets cached misses expire mid-script.
+    monkeypatch.setattr("repro.serve.cache.NEGATIVE_TTL", 8)
     service = _script(tmp_path)
     assert service.evicted_entries > 0 and service.store.conflicts > 0
+    assert service.cache.stale_hits > 0
     files = sorted(tmp_path.rglob("*.json"))
     assert len(files) == 17
     sha = hashlib.sha256()

@@ -183,6 +183,10 @@ def _row(argv, message, was=None):
      "autotune: autotune: autotune policy 'bandit' reads no key 'epsilom' "
      "(accepted: bandit_seed, config_tag, counts, decay, delay, deltas, "
      "epsilon, key_extra, policy, tracker_window, window)"),
+    (["point", "autotune", "autotune=null", "n_user=32", "total_bytes=2MiB"],
+     "autotune: autotune: want a JSON object, got None"),
+    (STENCIL + ["per_edge=null"],
+     "stencil: per_edge: want a JSON object, got None"),
 ])
 def test_bad_flags_are_usage_errors(argv, message, capsys):
     # A bad count, size or name is argparse's exit 2, raised before

@@ -35,6 +35,7 @@ from repro.autotune import store as store_mod
 from repro.autotune.policy import PlanChoice
 from repro.autotune.store import entry_digest
 from repro.serve import ShardedStore, TuningService
+from repro.serve import cache as cache_mod
 
 
 def key(i=0, space="space-1"):
@@ -89,7 +90,8 @@ class Spend:
 
 
 @pytest.fixture
-def service(tmp_path):
+def service(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_mod, "NEGATIVE_TTL", 4)
     service = TuningService(tmp_path, n_shards=2, cache_capacity=8)
     service.commit(key(0), PlanChoice(4, 1))
     return service
@@ -225,8 +227,9 @@ KEYS = st.builds(key, st.integers(0, 4), st.sampled_from(SPACES))
 class ServiceModel(RuleBasedStateMachine):
     """One ``TuningService`` against ``digest → (key, plan, version)``.
 
-    The cache is smaller than the key set and the negative TTL is a few
-    ticks, so hits, evictions, negative hits and expiries all occur.
+    The cache is smaller than the key set and the negative TTL is cut
+    to a few ticks, so hits, evictions, negative hits and expiries all
+    occur.
     """
 
     def __init__(self):
@@ -237,11 +240,13 @@ class ServiceModel(RuleBasedStateMachine):
     def open_service(self):
         self._tmp = tempfile.TemporaryDirectory(prefix="serve-model-")
         self.root = self._tmp.name
+        self._ttl, cache_mod.NEGATIVE_TTL = cache_mod.NEGATIVE_TTL, 3
         self.service = TuningService(self.root, n_shards=2,
                                      cache_capacity=2)
         self.other = None
 
     def teardown(self):
+        cache_mod.NEGATIVE_TTL = self._ttl
         self._tmp.cleanup()
 
     def _expect(self, k):

@@ -1148,13 +1148,76 @@ def test_a_kept_definition_keeps_its_options(tmp_path):
     assert _option_audit(src, [], {}, keep={"mod:f", "mod:C"}) == []
 
 
+def _keys_read(nodes, names=("p", "params")) -> set:
+    """The string keys ``nodes`` read from a dict named in ``names``:
+    ``d.get("k", …)``, ``d.pop("k")`` and ``d["k"]``."""
+    keys = set()
+    for node in nodes:
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("get", "pop")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in names and node.args
+                and _str_key(node.args[0])):
+            keys.add(node.args[0].value)
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in names and _str_key(node.slice)):
+            keys.add(node.slice.value)
+    return keys
+
+
+def _branch_reads(path: Path, function: str) -> dict:
+    """``name -> keys`` each ``if name == "…":`` branch of ``function``
+    reads, the module's own helpers it calls included; the ``None`` row
+    holds what the function reads outside those branches."""
+    tree = _parse(path)
+    helpers = {stmt.name: stmt for stmt in tree.body
+               if isinstance(stmt, ast.FunctionDef)}
+    inside, branches = set(), {}
+    for node in ast.walk(helpers[function]):
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and isinstance(node.test.left, ast.Name)
+                and node.test.left.id == "name"
+                and isinstance(node.test.ops[0], ast.Eq)
+                and _str_key(node.test.comparators[0])):
+            body = [n for stmt in node.body for n in ast.walk(stmt)]
+            inside.update(map(id, body))
+            called = [helpers[n.func.id] for n in body
+                      if isinstance(n, ast.Call)
+                      and isinstance(n.func, ast.Name)
+                      and n.func.id in helpers]
+            branches[node.test.comparators[0].value] = _keys_read(
+                body + [n for f in called for n in ast.walk(f)])
+    branches[None] = _keys_read(n for n in ast.walk(helpers[function])
+                            if id(n) not in inside)
+    return branches
+
+
 def test_build_autotuner_accepts_exactly_the_keys_it_reads():
     from repro.autotune.aggregator import COMMON_KEYS, POLICY_KEYS
 
-    tree = _parse(SRC / "autotune" / "aggregator.py")
-    read = set(_descriptor_keys(tree)) | {
-        node.slice.value for node in ast.walk(tree)
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
-        and node.value.id == "p" and _str_key(node.slice)}
-    accepted = set(COMMON_KEYS).union(*POLICY_KEYS.values())
-    assert read == accepted
+    reads = _branch_reads(SRC / "autotune" / "aggregator.py",
+                          "build_autotuner")
+    assert reads.pop(None) == set(COMMON_KEYS)
+    assert reads == {name: set(keys) for name, keys in POLICY_KEYS.items()}
+
+
+def test_build_module_accepts_exactly_the_keys_it_reads():
+    from repro.autotune.aggregator import COMMON_KEYS, POLICY_KEYS
+    from repro.exp.modules import MODULE_KEYS
+
+    path = SRC / "exp" / "modules.py"
+    reads = _branch_reads(path, "build_module")
+    assert reads.pop(None) == set()
+    # ``adaptive`` reads ``initial_delta`` and hands the rest to the
+    # δ-tracker, less the keys its own dict display pins.
+    adaptive = next(node for node in ast.walk(_parse(path))
+                    if isinstance(node, ast.Dict) and "quantile" in {
+                        _str_key(k) for k in node.keys if k is not None})
+    passed = (set(POLICY_KEYS["delta_tracker"]) | set(COMMON_KEYS)) - {
+        _str_key(k) for k in adaptive.keys if k is not None}
+    assert reads.pop("adaptive") == {"initial_delta"}
+    assert set(MODULE_KEYS["adaptive"]) - {"initial_delta"} <= passed
+    assert reads.pop("autotune") == set() and MODULE_KEYS["autotune"] is None
+    assert reads == {name: set(keys) for name, keys in MODULE_KEYS.items()
+                     if name not in ("adaptive", "autotune")}

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from math import isfinite
 from pathlib import Path
 from typing import Optional, Protocol, Union, runtime_checkable
 
-from repro.atomic import atomic_write
+from repro.atomic import atomic_write, read_json
 from repro.autotune.policy import PlanChoice
 from repro.errors import ReproError
 from repro.exp.spec import canonical
@@ -38,9 +37,6 @@ SCHEMA = "repro-autotune-store/v1"
 #: defines the text and takes whatever :func:`_encode_entry` hands it.
 _json_indent2 = json.JSONEncoder(indent=2, sort_keys=True).encode
 _escape = json.encoder.encode_basestring_ascii
-#: Entry files are a few hundred bytes; one read of this size takes a
-#: whole one (a read that fills it is followed by more).
-_READ_BYTES = 4096
 
 
 @runtime_checkable
@@ -179,30 +175,10 @@ class TuningStore:
         that exists but cannot be read as a schema-valid entry counts.
         """
         try:
-            fd = os.open(path, os.O_RDONLY)
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.corrupt_entries += 1
-            return None
-        try:
-            data = os.read(fd, _READ_BYTES)
-            if len(data) == _READ_BYTES:
-                chunks = [data]
-                while chunk := os.read(fd, 16 * _READ_BYTES):
-                    chunks.append(chunk)
-                data = b"".join(chunks)
-            # ValueError covers bad JSON and bytes that are not UTF-8.
-            payload = json.loads(data.decode())
+            return read_json(path, SCHEMA)
         except (OSError, ValueError):
             self.corrupt_entries += 1
             return None
-        finally:
-            os.close(fd)
-        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
-            self.corrupt_entries += 1
-            return None
-        return payload
 
     def get(self, key: dict) -> Optional[PlanChoice]:
         """The stored plan for ``key``, or None (missing/corrupt)."""
@@ -231,7 +207,7 @@ class TuningStore:
         layer above adds to the schema (the serving layer's version)."""
         payload = {"schema": SCHEMA, "key": key, "plan": choice.as_dict(),
                    "meta": meta, **extra}
-        # Owner-only, like ``tempfile.mkstemp``'s files.
+        # Owner-only: the mode the serve manifest is created with too.
         atomic_write(path, (_encode_entry(payload) + "\n").encode(), 0o600)
 
     def digests(self) -> list[str]:

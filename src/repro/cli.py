@@ -84,6 +84,7 @@ def _names(text: str, have: Sequence[str], what: str) -> tuple[str, ...]:
 
 def cmd_chaos(args) -> int:
     """The ``ext_chaos`` row at the campaign the flags describe."""
+    from repro.atomic import atomic_write
     from repro.chaos import KINDS, NATIVE, WORKLOADS
     from repro.exp import Runner, get_experiment
 
@@ -108,8 +109,8 @@ def cmd_chaos(args) -> int:
             path = os.path.join(
                 args.bundle_dir,
                 f"chaos-{bundle['workload']}-run{bundle['index']}.json")
-            with open(path, "w") as fh:
-                json.dump(bundle, fh, indent=2, sort_keys=True)
+            atomic_write(path, json.dumps(bundle, indent=2,
+                                          sort_keys=True).encode())
             print(f"wrote {path}")
     return 1 if violated else 0
 

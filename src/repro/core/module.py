@@ -230,7 +230,7 @@ class NativeVerbsModule(PartitionedModule):
         self.group_size = self.send_req.n_partitions // choice.n_transport
         self._planned_round = round_no
         self._round_t0 = self.env.now
-        self._counter_snapshot = counters.snapshot()
+        self._counter_snapshot = counters.as_dict()
         self._wrs_snapshot = self.total_wrs_posted
         self._flush_snapshot = self.timer_flushes
 

@@ -34,7 +34,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "registry": ("Experiment", "ExperimentSpec", "Guideline", "Metric",
                  "all_experiments", "experiment_names", "get_experiment"),
     "runner": ("Runner", "RunStats"),
-    "spec": ("Scenario", "canonical", "dedup", "grid"),
+    "spec": ("Scenario", "canonical", "dedup"),
     "store": ("RESULT_SCHEMA", "CompareReport", "ResultStore",
               "compare_results", "load_result"),
 })
@@ -47,6 +47,6 @@ __all__ = [
     "RunStats", "Scenario", "all_experiments", "canonical",
     "code_fingerprint", "compare_results", "dedup", "default_jobs",
     "diff_plans", "experiment_names", "experiment_plans",
-    "get_experiment", "get_profile", "grid",
+    "get_experiment", "get_profile",
     "load_result", "render_plans", "run_experiment",
 ]

@@ -18,7 +18,7 @@ import os
 import pathlib
 from typing import Optional
 
-from repro.atomic import atomic_write
+from repro.atomic import atomic_write, read_json
 from repro.exp.spec import Scenario
 
 CACHE_SCHEMA = "repro-exp-cache/v1"
@@ -39,17 +39,15 @@ class ResultCache:
     def get(self, digest: str) -> Optional[dict]:
         """The cached metrics for ``digest``, or None on a miss.
 
-        Unreadable or truncated entries (e.g. from a kill that raced
-        the atomic rename away) count as misses.
+        A missing file, an entry :func:`repro.atomic.read_json` rejects
+        (torn, not UTF-8, not an object, another schema) and one that
+        holds no metrics are all misses.
         """
-        path = self.path(digest)
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        if doc.get("schema") != CACHE_SCHEMA:
+            doc = read_json(self.path(digest), CACHE_SCHEMA)
+        except (OSError, ValueError):
+            doc = None
+        if doc is None or "metrics" not in doc:
             self.misses += 1
             return None
         self.hits += 1

@@ -17,11 +17,10 @@ Python floats round-trip through JSON bit-exactly.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 #: The one canonical encoder (``json.dumps`` builds one per call).
 #: ``_jsonable`` hands it a freshly built tree, so there is no cycle
@@ -93,18 +92,6 @@ class Scenario:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Scenario({self.kind}, {self.key})"
-
-
-def grid(kind: str, **axes: Sequence[Any]) -> list[Scenario]:
-    """Cartesian product of parameter axes.
-
-    ``grid("overhead", n_user=[32], total_bytes=SIZES, module=MODS)``
-    yields one scenario per (size, module) combination, in the given
-    axis order (last axis varies fastest).
-    """
-    names = list(axes)
-    return [Scenario.make(kind, **dict(zip(names, combo)))
-            for combo in itertools.product(*(axes[name] for name in names))]
 
 
 def dedup(points: Iterable[Scenario]) -> list[Scenario]:

@@ -21,13 +21,14 @@ gate.
 from __future__ import annotations
 
 import datetime
+import errno
 import json
 import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.atomic import atomic_write
+from repro.atomic import atomic_write, read_json
 
 RESULT_SCHEMA = "repro-bench/v1"
 
@@ -78,18 +79,15 @@ class ResultStore:
 
 def load_result(path: os.PathLike | str) -> dict:
     """Load and sanity-check one result artifact."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError:
-            raise ValueError(f"{path}: not a JSON artifact") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a {RESULT_SCHEMA} artifact "
-                         f"(a JSON {type(doc).__name__}, not an object)")
-    if doc.get("schema") != RESULT_SCHEMA:
+    try:
+        doc = read_json(path, RESULT_SCHEMA)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise ValueError(f"{path}: not a JSON artifact") from None
+    except ValueError as exc:
         raise ValueError(
-            f"{path}: not a {RESULT_SCHEMA} artifact "
-            f"(schema={doc.get('schema')!r})")
+            f"{path}: not a {RESULT_SCHEMA} artifact ({exc})") from None
+    if doc is None:
+        raise FileNotFoundError(errno.ENOENT, "no result file", str(path))
     return doc
 
 

@@ -15,8 +15,7 @@ service:
   storms.
 * :class:`~repro.serve.service.TuningService` — the thread-safe
   front: write-through cache, bounded entries per shard with
-  LRU + confidence-weighted eviction, ``plan_space``-digest
-  invalidation, warm-from-store bulk import.
+  LRU + confidence-weighted eviction, warm-from-store bulk import.
 * :class:`~repro.serve.client.ServeClient` — a ``TuningStore``
   duck-type with timeouts, retry/backoff, a circuit breaker, and
   graceful fallback to local exploration when the service is
@@ -37,7 +36,6 @@ exploration a cold one paid for).  See ``docs/SERVE.md``.
 from repro.serve.cache import PlanCache
 from repro.serve.client import (
     FlakyTransport,
-    LocalTransport,
     ServeClient,
     ServeUnavailable,
 )
@@ -47,7 +45,6 @@ from repro.serve.shard import CommitResult, ServedEntry, ShardedStore
 __all__ = [
     "CommitResult",
     "FlakyTransport",
-    "LocalTransport",
     "PlanCache",
     "ServeClient",
     "ServeUnavailable",

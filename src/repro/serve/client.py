@@ -19,11 +19,11 @@ After :data:`COOLDOWN_CALLS` skipped calls the breaker enters HALF_OPEN
 and the next call probes the service.  A tuning service outage
 degrades throughput (plans are re-explored), never correctness.
 
-Transports are injectable: :class:`LocalTransport` wraps an in-process
-:class:`~repro.serve.service.TuningService`; :class:`FlakyTransport`
-wraps any transport with seeded failure injection for tests and the
-``ext_serve`` experiment.  Backoff sleeping is injectable too and
-defaults to *no* sleeping, keeping every test and benchmark
+The transport is whatever speaks the service's ``get``/``commit``: an
+in-process :class:`~repro.serve.service.TuningService` itself, or a
+:class:`FlakyTransport` around one, which injects seeded failures for
+tests and the ``ext_serve`` experiment.  Backoff sleeping is injectable
+too and defaults to *no* sleeping, keeping every test and benchmark
 deterministic and fast.
 """
 
@@ -36,7 +36,6 @@ import numpy as np
 from repro.autotune.policy import PlanChoice
 from repro.engine.watchdog import HALF_OPEN, OPEN, CircuitBreaker
 from repro.errors import TransportError
-from repro.serve.service import TuningService
 from repro.serve.shard import CommitResult, ServedEntry
 
 #: The first retry's back-off (seconds) and its growth per retry; the
@@ -50,24 +49,9 @@ class ServeUnavailable(TransportError):
     """The tuning service could not be reached (transport-level)."""
 
 
-class LocalTransport:
-    """In-process transport: direct calls into a :class:`TuningService`."""
-
-    def __init__(self, service: TuningService):
-        self.service = service
-
-    def get(self, key: dict) -> Optional[ServedEntry]:
-        return self.service.get(key)
-
-    def commit(self, key: dict, choice: PlanChoice,
-               meta: Optional[dict] = None,
-               expect_version: Optional[int] = None) -> CommitResult:
-        return self.service.commit(key, choice, meta=meta,
-                                   expect_version=expect_version)
-
-
 class FlakyTransport:
-    """Wrap a transport with seeded, Bernoulli failure injection.
+    """Wrap a transport (a :class:`~repro.serve.service.TuningService`)
+    with seeded, Bernoulli failure injection.
 
     Each call independently fails with ``p_fail`` (raising
     :class:`ServeUnavailable` *before* reaching the inner transport, so

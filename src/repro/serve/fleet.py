@@ -29,7 +29,7 @@ from repro.config import ClusterConfig
 from repro.fleet.run import default_topology
 from repro.fleet.spec import JobSpec
 from repro.fleet.tenancy import TenantScheduler
-from repro.serve.client import LocalTransport, ServeClient
+from repro.serve.client import ServeClient
 from repro.serve.service import TuningService
 from repro.units import KiB
 
@@ -59,7 +59,7 @@ def run_served_tenants(root: str,
     tenants = []
     store_key = None
     for t in range(n_tenants):
-        client = ServeClient(LocalTransport(service))
+        client = ServeClient(service)
         agg = build_autotuner(dict(params), store=client)
         job = JobSpec(name="mpi", kind="pair", n_ranks=2,
                       n_partitions=n_partitions,
@@ -83,7 +83,7 @@ def run_served_tenants(root: str,
 
     # Bit-identity audit: the served plan vs a direct TuningStore read
     # of the shard directory holding the entry.
-    audit_client = ServeClient(LocalTransport(service))
+    audit_client = ServeClient(service)
     served = audit_client.get(store_key)
     shard_dir = service.store.shards[service.store.shard_of(store_key)].root
     direct = TuningStore(shard_dir).get(store_key)

@@ -11,9 +11,10 @@ the policies a shared backend needs:
   *confidence* (``rounds_observed`` from the autotuner's commit meta),
   then least-recently-accessed, then digest order — so a plan that a
   policy spent many rounds converging on outlives a one-shot guess.
-* **plan-space invalidation** — when a policy's searched plan space
-  changes, its PR7 plan-IR digest changes with it; purging by the old
-  digest removes exactly the entries that can never be looked up again.
+* **plan-space keys** — the autotuner puts its policy's plan-space
+  digest into every key, so a policy whose searched space changed looks
+  up fresh entries.  Nothing purges the old ones by digest: they are
+  never read again, and a bounded shard evicts them like any other.
 * **warm import** — bulk-load an existing flat ``TuningStore``
   directory (or another sharded root) so a new service starts hot.
 

@@ -22,20 +22,21 @@ On top of that layout this module adds what a *shared* backend needs:
   last-confident-writer wins, but still with a monotonic version so
   lost updates are detectable.
 * **atomic replace** — readers never see a torn entry: writes land in
-  a temp file and ``os.replace`` into place (the multi-process stress
-  test in :mod:`repro.serve.stress` holds this to zero torn reads).
+  a temp file and ``os.replace`` into place (:mod:`repro.atomic`; the
+  multi-process stress test in :mod:`repro.serve.stress` holds this to
+  zero torn reads).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.atomic import atomic_create, read_json
 from repro.autotune.policy import PlanChoice
 from repro.autotune.store import TuningStore, entry_digest
 from repro.errors import ConfigError, ReproError
@@ -91,8 +92,10 @@ class ShardedStore:
         manifest (or :data:`DEFAULT_SHARDS` for a fresh root); an
         explicit count must match an existing manifest.
         """
-        if n_shards is not None and n_shards < 1:
-            raise ConfigError(f"need at least one shard, got {n_shards}")
+        if n_shards is not None and (type(n_shards) is not int
+                                     or n_shards < 1):
+            # What the manifest check would refuse to read back.
+            raise ConfigError(f"need an int >= 1 shards, got {n_shards!r}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.n_shards = self._pin_manifest(n_shards)
@@ -120,35 +123,24 @@ class ShardedStore:
         path = self.root / MANIFEST
         while True:
             try:
-                manifest = json.loads(path.read_text())
-                break
-            except FileNotFoundError:
-                pass
+                manifest = read_json(path, MANIFEST_SCHEMA)
             except (OSError, ValueError) as exc:
                 raise ConfigError(
-                    f"unreadable shard manifest {path}: {exc}")
+                    f"{path} is not a serve-store manifest ({exc})") from None
+            if manifest is not None:
+                break
             pinned = (n_shards if n_shards is not None
                       else self.DEFAULT_SHARDS)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump({"schema": MANIFEST_SCHEMA,
-                               "n_shards": pinned}, fh)
-                    fh.write("\n")
-                # link, not replace: it refuses to overwrite, so of two
-                # openers racing on a fresh root exactly one creates
-                # the manifest and the other verifies against it.
-                os.link(tmp, path)
+            text = json.dumps({"schema": MANIFEST_SCHEMA,
+                               "n_shards": pinned})
+            # Of two openers racing on a fresh root exactly one creates
+            # the manifest, and the other verifies against it.
+            if atomic_create(path, f"{text}\n".encode()):
                 return pinned
-            except FileExistsError:
-                pass
-            finally:
-                os.unlink(tmp)
-        if manifest.get("schema") != MANIFEST_SCHEMA:
-            raise ConfigError(
-                f"{path} is not a serve-store manifest "
-                f"(schema {manifest.get('schema')!r})")
-        pinned = int(manifest["n_shards"])
+        pinned = manifest.get("n_shards")
+        if type(pinned) is not int or pinned < 1:
+            raise ConfigError(f"{path} is not a serve-store manifest "
+                              f"(n_shards={pinned!r}, not an int >= 1)")
         if n_shards is not None and pinned != n_shards:
             raise ConfigError(
                 f"store {self.root} was created with {pinned} shards; "

@@ -41,6 +41,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
+from repro.atomic import read_json
 from repro.autotune.policy import PlanChoice
 from repro.autotune.store import SCHEMA, workload_key
 from repro.serve.shard import ShardedStore
@@ -86,13 +87,10 @@ def writer_main(root: str, n_shards: int, writer: int, n_puts: int,
 def _audit_read(path: Path) -> Optional[bool]:
     """One raw read of the contested file: None=absent, True=clean."""
     try:
-        payload = json.loads(path.read_text())
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError):  # ValueError: bad JSON or not UTF-8
+        payload = read_json(path, SCHEMA)
+    except (OSError, ValueError):
         return False
-    return (isinstance(payload, dict) and payload.get("schema") == SCHEMA
-            and "version" in payload)
+    return None if payload is None else "version" in payload
 
 
 def run_multiwriter_stress(root: str, n_writers: int = 4,

@@ -117,11 +117,6 @@ class Counters:
         """Snapshot of all counters (a copy)."""
         return dict(self._counts)
 
-    def snapshot(self) -> dict[str, int]:
-        """Alias of :meth:`as_dict` for delta accounting with
-        :meth:`since` (the autotune controller's per-iteration window)."""
-        return dict(self._counts)
-
     def since(self, snapshot: dict[str, int]) -> dict[str, int]:
         """Per-counter increments since ``snapshot``; zero deltas omitted.
 

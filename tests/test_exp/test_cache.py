@@ -55,6 +55,18 @@ def test_schema_mismatch_is_a_miss(tmp_path):
     assert cache.get(digest) is None
 
 
+@pytest.mark.parametrize("body", [
+    b"[1, 2]",                  # JSON, but not an object
+    b"\xff\xfe\x00garbage\x80",  # not UTF-8
+    b'{"schema": "repro-exp-cache/v1"}',  # no metrics
+], ids=["list", "not-utf8", "no-metrics"])
+def test_a_malformed_entry_is_a_miss(tmp_path, body):
+    cache = ResultCache(tmp_path)
+    cache.path("d").write_bytes(body)
+    assert cache.get("d") is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
 def test_put_is_atomic_no_tmp_left_behind(tmp_path):
     cache = ResultCache(tmp_path)
     point = make_point(n_user=32)

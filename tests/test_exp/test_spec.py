@@ -1,4 +1,4 @@
-"""Scenario hashing, canonical encoding, grids and dedup."""
+"""Scenario hashing, canonical encoding and dedup."""
 
 import collections
 import enum
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autotune.store import entry_digest, workload_key
-from repro.exp.spec import Scenario, canonical, dedup, grid
+from repro.exp.spec import Scenario, canonical, dedup
 
 
 def test_canonical_is_order_insensitive():
@@ -60,17 +60,6 @@ def test_float_params_round_trip_bit_exactly():
     value = 0.1 + 0.2  # not representable prettily
     point = Scenario.make("overhead", compute=value)
     assert point.params["compute"].hex() == value.hex()
-
-
-def test_grid_is_cartesian_product_in_axis_order():
-    points = grid("overhead", n_user=[32],
-                  total_bytes=[1, 2], module=[["persist"], ["ploggp"]])
-    assert len(points) == 4
-    assert points[0].params == {"n_user": 32, "total_bytes": 1,
-                                "module": ["persist"]}
-    # Last axis varies fastest.
-    assert points[1].params["module"] == ["ploggp"]
-    assert points[2].params["total_bytes"] == 2
 
 
 def test_dedup_keeps_first_seen_order():

@@ -114,3 +114,34 @@ def test_scalar_series_values_compare():
     worse = artifact({"early fraction": 0.2})
     assert compare_results(old, old).ok
     assert not compare_results(worse, old).ok
+
+
+def test_an_artifact_longer_than_one_read_round_trips(tmp_path):
+    """``repro.atomic.read_json`` reads a file a few hundred bytes long
+    in one call; a results file of many KiB takes several."""
+    series = {f"T={t}": {str(2 ** k): k / 3 for k in range(10, 30)}
+              for t in range(16)}
+    [path] = ResultStore(tmp_path, bench_dir=None).write(
+        "big", {"series": series}, profile="fast", fingerprint="fp",
+        metric={})
+    assert path.stat().st_size > 2 * 4096
+    assert load_result(path)["series"] == series
+
+
+@pytest.mark.parametrize("failure", ["disk-full", "target-is-a-directory"])
+def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch,
+                                            failure):
+    store = ResultStore(tmp_path, bench_dir=None)
+    if failure == "disk-full":
+        import os
+
+        def write(fd, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "write", write)
+    else:
+        (tmp_path / "row.json").mkdir()
+    with pytest.raises(OSError):
+        store.write("row", {"series": {}}, profile="fast",
+                    fingerprint="fp", metric={})
+    assert not list(tmp_path.glob("*.tmp"))

@@ -6,7 +6,6 @@ from repro.autotune.policy import PlanChoice
 from repro.engine.watchdog import CLOSED, OPEN
 from repro.serve import (
     FlakyTransport,
-    LocalTransport,
     ServeClient,
     TuningService,
 )
@@ -28,10 +27,7 @@ def choice(t=4):
 
 def make(tmp_path, **flaky):
     svc = TuningService(tmp_path, n_shards=2)
-    transport = LocalTransport(svc)
-    if flaky:
-        transport = FlakyTransport(transport, **flaky)
-    return svc, transport
+    return svc, FlakyTransport(svc, **flaky) if flaky else svc
 
 
 def test_client_speaks_the_store_protocol(tmp_path):

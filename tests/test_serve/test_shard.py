@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from repro.autotune.policy import PlanChoice
 from repro.autotune.store import entry_digest
 from repro.errors import ConfigError
 from repro.serve import ShardedStore
+from repro.serve.shard import MANIFEST
 
 
 def key(i=0):
@@ -36,6 +38,27 @@ def test_manifest_pins_shard_count(tmp_path):
     assert ShardedStore(tmp_path, n_shards=4).n_shards == 4
     with pytest.raises(ConfigError):
         ShardedStore(tmp_path, n_shards=8)
+
+
+@pytest.mark.parametrize("body", [
+    "[]",
+    '{"schema": "repro-serve-store/v1"}',
+    '{"schema": "repro-serve-store/v1", "n_shards": "x"}',
+    '{"schema": "repro-serve-store/v1", "n_shards": 0}',
+    '{"schema": "repro-serve-store/v1", "n_shards": true}',
+], ids=["list", "no-count", "str-count", "zero-count", "bool-count"])
+def test_a_malformed_manifest_is_a_config_error_naming_it(tmp_path, body):
+    manifest = tmp_path / MANIFEST
+    manifest.write_text(body + "\n")
+    with pytest.raises(ConfigError, match=re.escape(str(manifest))):
+        ShardedStore(tmp_path)
+
+
+@pytest.mark.parametrize("n_shards", [0, True, 2.0])
+def test_a_count_the_manifest_could_not_hold_is_refused(tmp_path, n_shards):
+    with pytest.raises(ConfigError, match="int >= 1"):
+        ShardedStore(tmp_path, n_shards=n_shards)
+    assert not (tmp_path / MANIFEST).exists()
 
 
 def test_commit_versions_are_monotonic(tmp_path):
@@ -118,21 +141,19 @@ def test_entries_enumeration(tmp_path):
 def race_a_second_opener(monkeypatch, root, n_shards):
     """Between the next opener's "no manifest" read and its write,
     another process opens ``root`` with its own geometry."""
-    import pathlib
+    from repro.serve import shard as shard_mod
 
-    real_read_text = pathlib.Path.read_text
+    real_read_json = shard_mod.read_json
     raced = []
 
-    def read_text(path, *args, **kwargs):
-        try:
-            return real_read_text(path, *args, **kwargs)
-        except FileNotFoundError:
-            if path.name == "serve.json" and not raced:
-                raced.append(True)
-                ShardedStore(root, n_shards=n_shards)
-            raise
+    def read_json(path, schema):
+        manifest = real_read_json(path, schema)
+        if manifest is None and not raced:
+            raced.append(True)
+            ShardedStore(root, n_shards=n_shards)
+        return manifest
 
-    monkeypatch.setattr(pathlib.Path, "read_text", read_text)
+    monkeypatch.setattr(shard_mod, "read_json", read_json)
 
 
 def test_first_opener_wins_the_manifest_race(tmp_path, monkeypatch):

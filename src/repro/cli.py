@@ -36,7 +36,8 @@ run`` exits 1 when a run breaks a guideline::
 
     repro-bench bench list
     repro-bench bench run fig06 fig08 table1 ext_fleet --profile fast
-    repro-bench bench compare BENCH_fig06.json baseline/BENCH_fig06.json
+    repro-bench bench compare results/fig06.json \
+        results/baselines/BENCH_fig06.json
 
 ``plan`` renders the communication-plan IR of an experiment's points
 (``docs/PLAN_IR.md``), and the rest own stores and campaigns (``chaos``
@@ -293,8 +294,8 @@ def cmd_bench_run(args) -> int:
               f"{stats.executed} executed, {run.elapsed:.1f}s; {len(broken)} "
               f"of {len(run.experiment.guidelines)} guidelines violated)")
         violated += _print_violations(name, run.experiment, run.payload)
-        for path in run.paths:
-            print(f"wrote {path}")
+        if run.path:
+            print(f"wrote {run.path}")
         if run.cpu_profile:
             print(f"wrote {run.cpu_profile} (cProfile; inspect with "
                   f"python -m pstats)")
@@ -343,9 +344,11 @@ def cmd_bench_compare(args) -> int:
         raise ConfigError(f"no result file at {exc.filename}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if new.get("experiment") != baseline.get("experiment"):
-        print(f"warning: comparing {new.get('experiment')!r} against "
-              f"baseline {baseline.get('experiment')!r}", file=sys.stderr)
+    for field in ("experiment", "profile"):
+        if new.get(field) != baseline.get(field):
+            raise ConfigError(
+                f"{args.new} is {field} {new.get(field)!r}, but baseline "
+                f"{args.baseline} is {field} {baseline.get(field)!r}")
     report = compare_results(new, baseline, threshold=args.threshold)
     print(report.format())
     return 0 if report.ok else 1
@@ -488,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = bench_sub.add_parser(
         "compare", help="diff two result artifacts, flag regressions")
-    p.add_argument("new", help="candidate artifact (BENCH_*.json)")
+    p.add_argument("new", help="candidate artifact (results/<name>.json)")
     p.add_argument("baseline", help="baseline artifact to compare against")
     p.add_argument("--threshold", type=non_negative_float, default=0.10,
                    help="relative change tolerated before a value counts "

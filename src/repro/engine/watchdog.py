@@ -7,8 +7,7 @@ Failure events (retry exhaustions) accumulate; ``threshold``
 ladder (:class:`repro.mpi.ladder.LadderModule`, its owner) maps to
 "demote this edge one rung".  On a fallback rung the breaker runs
 HALF_OPEN: ``probation`` consecutive clean rounds close it again, which
-the ladder maps to "probe a promotion".  The serve client
-(:mod:`repro.serve.client`) trips one on failed calls.
+the ladder maps to "probe a promotion".
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ import argparse
 import dataclasses
 import functools
 import os
+import pathlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.errors import ConfigError
@@ -59,7 +60,8 @@ class ExperimentRun:
     stats: RunStats
     elapsed: float
     fingerprint: str
-    paths: list = field(default_factory=list)
+    #: The artifact the run wrote, when a store was given.
+    path: Optional[pathlib.Path] = None
     #: Path of the cProfile dump, when the run was profiled.
     cpu_profile: Optional[str] = None
 
@@ -92,7 +94,7 @@ def run_experiment(name: str, profile: Union[str, Profile] = "paper",
         metric = dataclasses.asdict(spec.metric)
         if experiment.lower_is_better:
             metric["lower_is_better"] = list(experiment.lower_is_better)
-        run.paths = store.write(
+        run.path = store.write(
             name, payload, profile=prof.name, fingerprint=fingerprint,
             metric=metric,
             stats={"points": run.stats.points, "unique": run.stats.unique,
@@ -123,9 +125,6 @@ def add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--results-dir", default="results",
                         help="directory for <name>.json artifacts "
                              "(default: %(default)s)")
-    parser.add_argument("--bench-dir", default=".",
-                        help="directory for BENCH_<name>.json artifacts "
-                             "(default: repo top level)")
     parser.add_argument("--no-store", action="store_true",
                         help="print the table only, write no artifacts")
     parser.add_argument("--profile-cpu", metavar="PATH", nargs="?",
@@ -141,8 +140,7 @@ def run_from_options(name: str, options: argparse.Namespace,
                      ) -> ExperimentRun:
     """Execute an experiment as the parsed run flags describe."""
     cache = None if options.no_cache else ResultCache(options.cache_dir)
-    store = None if options.no_store else ResultStore(
-        results_dir=options.results_dir, bench_dir=options.bench_dir)
+    store = None if options.no_store else ResultStore(options.results_dir)
     profile_cpu = getattr(options, "profile_cpu", None)
     execute = functools.partial(
         run_experiment, name, profile=options.profile, jobs=options.jobs,

@@ -1,16 +1,14 @@
 """Versioned, machine-readable result artifacts and regression diffing.
 
-:class:`ResultStore` writes each completed experiment twice:
+:class:`ResultStore` writes each completed experiment once, to
+``results/<name>.json``: the series plus any extra tables the
+experiment collected, in one atomic write, so a killed run leaves the
+previous artifact or the new one whole.
 
-* ``results/<name>.json`` — the full payload (series plus any extra
-  tables the experiment collected), and
-* ``BENCH_<name>.json`` at the repository top level — the compact
-  perf-trajectory artifact CI uploads and diffs.
-
-Both carry ``schema: repro-bench/v1``, the experiment name, profile,
-code fingerprint, metric direction (plus any lower-is-better series),
-and run bookkeeping, so any two artifacts are comparable without
-out-of-band context.
+An artifact carries ``schema: repro-bench/v1``, the experiment name,
+profile, code fingerprint, metric direction (plus any lower-is-better
+series), and run bookkeeping, so any two artifacts are comparable
+without out-of-band context.
 
 :func:`compare_results` diffs two artifacts and flags every series
 value that moved beyond a threshold in the metric's bad direction —
@@ -36,15 +34,13 @@ RESULT_SCHEMA = "repro-bench/v1"
 class ResultStore:
     """Writes experiment payloads as versioned JSON artifacts."""
 
-    def __init__(self, results_dir: os.PathLike | str = "results",
-                 bench_dir: Optional[os.PathLike | str] = "."):
+    def __init__(self, results_dir: os.PathLike | str = "results"):
         self.results_dir = pathlib.Path(results_dir)
-        self.bench_dir = pathlib.Path(bench_dir) if bench_dir else None
 
     def write(self, name: str, payload: dict, *, profile: str,
               fingerprint: str, metric: dict,
               stats: Optional[dict] = None,
-              elapsed: Optional[float] = None) -> list[pathlib.Path]:
+              elapsed: Optional[float] = None) -> pathlib.Path:
         doc = {
             "schema": RESULT_SCHEMA,
             "experiment": name,
@@ -60,17 +56,9 @@ class ResultStore:
         if stats:
             doc["run"] = stats
         extra = {k: v for k, v in payload.items() if k != "series"}
-        paths = []
-        if self.bench_dir is not None:
-            paths.append(self._dump(self.bench_dir / f"BENCH_{name}.json",
-                                    doc))
         if extra:
-            doc = dict(doc, extra=extra)
-        paths.insert(0, self._dump(self.results_dir / f"{name}.json", doc))
-        return paths
-
-    @staticmethod
-    def _dump(path: pathlib.Path, doc: dict) -> pathlib.Path:
+            doc["extra"] = extra
+        path = self.results_dir / f"{name}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True)
                             + "\n").encode())

@@ -9,7 +9,7 @@ a probation of clean rounds:
 * every rung-level failure event (send-WR retry exhaustion, read-rail
   replay) feeds a per-edge
   :class:`~repro.engine.watchdog.CircuitBreaker`;
-  :data:`BREAKER_THRESHOLD` consecutive events trip it and schedule a
+  :data:`BREAKER_FAILURES` consecutive events trip it and schedule a
   **demotion** one rung down at the next round boundary;
 * a tripped *native* rung additionally gets a **mid-round takeover**:
   the rung's :class:`~repro.engine.replay.ReplayTracker` diverts every
@@ -49,7 +49,7 @@ if TYPE_CHECKING:
     from repro.mpi.process import MPIProcess
 
 #: Consecutive failure events on an edge that trip its breaker.
-BREAKER_THRESHOLD = 3
+BREAKER_FAILURES = 3
 #: Clean rounds an edge completes on a fallback rung before the ladder
 #: probes a promotion back toward the preferred transport.
 BREAKER_PROBATION = 4
@@ -63,7 +63,7 @@ class LadderModule(PartitionedModule):
         self.rungs = list(rungs)
         self.sender: "MPIProcess" = send_req.process
         self.receiver: "MPIProcess" = recv_req.process
-        self.breaker = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_PROBATION)
+        self.breaker = CircuitBreaker(BREAKER_FAILURES, BREAKER_PROBATION)
         #: Current rung index (0 = preferred transport).
         self.level = 0
         #: The active rung's module instance.

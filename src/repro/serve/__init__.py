@@ -16,11 +16,8 @@ service:
 * :class:`~repro.serve.service.TuningService` — the thread-safe
   front: write-through cache, bounded entries per shard with
   LRU + confidence-weighted eviction, warm-from-store bulk import.
-* :class:`~repro.serve.client.ServeClient` — a ``TuningStore``
-  duck-type with timeouts, retry/backoff, a circuit breaker, and
-  graceful fallback to local exploration when the service is
-  unreachable — the PR1/PR6 degradation discipline applied to the
-  control plane.  Plug it into
+* :class:`~repro.serve.client.ServeClient` — the ``PlanStore``
+  protocol (``get``/``put``) over the service.  Plug it into
   :func:`~repro.autotune.build_autotuner`/
   :class:`~repro.autotune.AdaptiveAggregator` anywhere a
   ``TuningStore`` is accepted.
@@ -34,20 +31,14 @@ exploration a cold one paid for).  See ``docs/SERVE.md``.
 """
 
 from repro.serve.cache import PlanCache
-from repro.serve.client import (
-    FlakyTransport,
-    ServeClient,
-    ServeUnavailable,
-)
+from repro.serve.client import ServeClient
 from repro.serve.service import TuningService
 from repro.serve.shard import CommitResult, ServedEntry, ShardedStore
 
 __all__ = [
     "CommitResult",
-    "FlakyTransport",
     "PlanCache",
     "ServeClient",
-    "ServeUnavailable",
     "ServedEntry",
     "ShardedStore",
     "TuningService",

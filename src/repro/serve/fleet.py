@@ -78,7 +78,6 @@ def run_served_tenants(root: str,
             "pinned": controller.pinned is not None,
             "best_plan": controller.best_choice.as_dict(),
             "mean_iteration": profile.tenants["mpi"].mean_iteration,
-            "client": client.stats(),
         })
 
     # Bit-identity audit: the served plan vs a direct TuningStore read

@@ -106,7 +106,7 @@ if which == "cache":
 else:
     from repro.exp.store import ResultStore
 
-    store = ResultStore(directory, bench_dir=None)
+    store = ResultStore(directory)
     for i in range(n):
         store.write("row", {"series": {"s": [i]}}, profile="fast",
                     fingerprint="fp", metric={})

@@ -30,20 +30,21 @@ def test_bench_run_unknown_experiment_rejected(capsys):
     assert "unknown experiment(s): nope" in capsys.readouterr().err
 
 
-def test_bench_run_writes_artifacts_and_caches(tmp_path, capsys):
+def test_bench_run_writes_artifacts_and_caches(tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.chdir(tmp_path)
     argv = ["bench", "run", "table1", "--profile", "fast", "--quiet",
             "--cache-dir", str(tmp_path / "cache"),
-            "--results-dir", str(tmp_path / "results"),
-            "--bench-dir", str(tmp_path)]
+            "--results-dir", str(tmp_path / "results")]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "== table1:" in out
     assert "[fast]" in out
 
-    bench_path = tmp_path / "BENCH_table1.json"
     full_path = tmp_path / "results" / "table1.json"
-    assert bench_path.exists() and full_path.exists()
-    doc = json.loads(bench_path.read_text(encoding="utf-8"))
+    assert f"wrote {full_path}" in out
+    assert list(tmp_path.glob("*.json")) == []
+    doc = json.loads(full_path.read_text(encoding="utf-8"))
     assert doc["schema"] == RESULT_SCHEMA
     assert doc["experiment"] == "table1"
 
@@ -55,11 +56,10 @@ def test_bench_run_writes_artifacts_and_caches(tmp_path, capsys):
 
 def test_bench_compare_gates_on_regression(tmp_path, capsys):
     argv = ["bench", "run", "table1", "--profile", "fast", "--quiet",
-            "--no-cache", "--results-dir", str(tmp_path / "results"),
-            "--bench-dir", str(tmp_path)]
+            "--no-cache", "--results-dir", str(tmp_path / "results")]
     assert main(argv) == 0
     capsys.readouterr()
-    artifact = tmp_path / "BENCH_table1.json"
+    artifact = tmp_path / "results" / "table1.json"
 
     # Self-compare passes...
     assert main(["bench", "compare", str(artifact), str(artifact)]) == 0
@@ -76,7 +76,7 @@ def test_bench_compare_gates_on_regression(tmp_path, capsys):
                 else values)
         for label, values in doc["series"].items()
     }
-    regressed = tmp_path / "BENCH_table1_regressed.json"
+    regressed = tmp_path / "table1_regressed.json"
     regressed.write_text(
         json.dumps(dict(doc, series=worse)), encoding="utf-8")
     assert main(["bench", "compare", str(regressed), str(artifact)]) == 1
@@ -132,6 +132,37 @@ def test_bench_compare_names_a_missing_file(tmp_path, capsys):
         main(["bench", "compare", str(missing), str(tmp_path / "base.json")])
     assert exc.value.code == 2
     assert f"no result file at {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"profile": "paper"}, "profile 'paper'"),
+    ({"experiment": "fig08"}, "experiment 'fig08'"),
+    ({"profile": None}, "profile None"),
+])
+def test_bench_compare_refuses_a_foreign_run(tmp_path, capsys, change,
+                                             named):
+    """A paper run against the fast baseline compares 100-iteration values
+    with 10-iteration ones; it is a usage error naming both sides."""
+    baseline = BASELINES / "BENCH_fig06.json"
+    doc = json.loads(baseline.read_text(encoding="utf-8"))
+    new = tmp_path / "fig06.json"
+    new.write_text(json.dumps(
+        {k: v for k, v in dict(doc, **change).items() if v is not None}),
+        encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "compare", str(new), str(baseline)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert named in err and repr(doc[next(iter(change))]) in err
+
+
+def test_bench_compare_takes_artifacts_without_a_profile(tmp_path, capsys):
+    doc = {"schema": RESULT_SCHEMA, "experiment": "fig06",
+           "metric": {"higher_is_better": True}, "series": {"T=2": 1.5}}
+    path = tmp_path / "synthetic.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["bench", "compare", str(path), str(path)]) == 0
+    assert "OK" in capsys.readouterr().out
 
 
 #: The series the committed baselines declare under a higher-is-better

@@ -22,29 +22,27 @@ def artifact(series, higher_is_better=True, experiment="fig06"):
     }
 
 
-def test_write_emits_results_and_bench_artifacts(tmp_path):
-    store = ResultStore(results_dir=tmp_path / "results",
-                        bench_dir=tmp_path)
-    paths = store.write(
+def test_one_write_lands_one_artifact(tmp_path, monkeypatch):
+    """A run killed between two writes left a results file and a
+    ``BENCH_`` file from different runs; one write now lands one file."""
+    monkeypatch.chdir(tmp_path)
+    path = ResultStore(results_dir=tmp_path / "results").write(
         "fig06", {"series": {"T=2": {"65536": 1.5}}, "sizes": [65536]},
         profile="fast", fingerprint="fp",
         metric={"name": "speedup", "unit": "x", "higher_is_better": True},
         stats={"executed": 1}, elapsed=0.5)
-    assert [p.name for p in paths] == ["fig06.json", "BENCH_fig06.json"]
+    assert path == tmp_path / "results" / "fig06.json"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
-    full = load_result(tmp_path / "results" / "fig06.json")
-    bench = load_result(tmp_path / "BENCH_fig06.json")
-    for doc in (full, bench):
-        assert doc["schema"] == RESULT_SCHEMA
-        assert doc["experiment"] == "fig06"
-        assert doc["profile"] == "fast"
-        assert doc["code_fingerprint"] == "fp"
-        assert doc["series"] == {"T=2": {"65536": 1.5}}
-        assert doc["run"] == {"executed": 1}
-        assert doc["elapsed_s"] == 0.5
-    # Extra payload keys ride only in the full artifact.
-    assert full["extra"] == {"sizes": [65536]}
-    assert "extra" not in bench
+    doc = load_result(path)
+    assert doc["schema"] == RESULT_SCHEMA
+    assert doc["experiment"] == "fig06"
+    assert doc["profile"] == "fast"
+    assert doc["code_fingerprint"] == "fp"
+    assert doc["series"] == {"T=2": {"65536": 1.5}}
+    assert doc["run"] == {"executed": 1}
+    assert doc["elapsed_s"] == 0.5
+    assert doc["extra"] == {"sizes": [65536]}
 
 
 def test_load_result_rejects_foreign_schema(tmp_path):
@@ -121,7 +119,7 @@ def test_an_artifact_longer_than_one_read_round_trips(tmp_path):
     in one call; a results file of many KiB takes several."""
     series = {f"T={t}": {str(2 ** k): k / 3 for k in range(10, 30)}
               for t in range(16)}
-    [path] = ResultStore(tmp_path, bench_dir=None).write(
+    path = ResultStore(tmp_path).write(
         "big", {"series": series}, profile="fast", fingerprint="fp",
         metric={})
     assert path.stat().st_size > 2 * 4096
@@ -131,7 +129,7 @@ def test_an_artifact_longer_than_one_read_round_trips(tmp_path):
 @pytest.mark.parametrize("failure", ["disk-full", "target-is-a-directory"])
 def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch,
                                             failure):
-    store = ResultStore(tmp_path, bench_dir=None)
+    store = ResultStore(tmp_path)
     if failure == "disk-full":
         import os
 

@@ -15,8 +15,6 @@ def test_warm_tenant_pins_cold_tenants_plan(tmp_path):
     # read of the shard directory (the ISSUE 10 acceptance criterion).
     assert res["bit_identical"]
     assert res["served_plan"] == res["direct_plan"]
-    # No degradation events: the local service never went away.
-    assert all(t["client"]["fallbacks"] == 0 for t in res["tenants"])
 
 
 def test_serve_fleet_exp_point_is_compact(tmp_path):

@@ -57,6 +57,7 @@ from repro.autotune.policy import PlanChoice
 from repro.autotune.store import SCHEMA, entry_digest
 from repro.exp.cache import CACHE_SCHEMA, ResultCache
 from repro.exp.spec import Scenario
+from repro.exp import store as exp_store
 from repro.exp.store import ResultStore, load_result
 from repro.serve import ShardedStore, TuningService, shard
 
@@ -82,12 +83,9 @@ def in_place_point(self, digest, scenario, fingerprint, metrics):
                    "fingerprint": fingerprint, "metrics": metrics}, fh)
 
 
-def in_place_artifact(path, doc):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def in_place_artifact(path, data):
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def in_place_manifest(path, data):
@@ -103,7 +101,7 @@ def in_place_manifest(path, data):
 if writer == "in-place":
     TuningStore.write = in_place_entry
     ResultCache.put = in_place_point
-    ResultStore._dump = staticmethod(in_place_artifact)
+    exp_store.atomic_write = in_place_artifact
     shard.atomic_create = in_place_manifest
 
 
@@ -157,7 +155,7 @@ def cache():
 
 
 def results():
-    store = ResultStore(f"{root}/results", bench_dir=root)
+    store = ResultStore(f"{root}/results")
     versions = []
     for i in range(len(KEYS)):
         try:
@@ -293,11 +291,8 @@ class Harness:
             return {i: found.get(f"point-{i}", 0) for i in range(N_KEYS)}
         if self.mode == "results":
             found = {}
-            for path in [*self.root.glob("BENCH_*.json"),
-                         *self.root.glob("results/*.json")]:
-                version = load_result(path)["series"]["version"]
-                name = path.stem.removeprefix("BENCH_")
-                found[name] = min(found.get(name, version), version)
+            for path in self.root.glob("results/*.json"):
+                found[path.stem] = load_result(path)["series"]["version"]
             return {i: found.get(f"row{i}", 0) for i in range(N_KEYS)}
         # manifest: a root that has one holds the count its creator asked.
         for root in self.root.iterdir():
@@ -387,7 +382,7 @@ def _after_the_kills(harness: Harness) -> None:
             assert cache.get(f"point-{i}") == {"version": 10 ** 6}
         assert (cache.hits, cache.misses) == (2 * N_KEYS, 0)
     elif mode == "results":
-        store = ResultStore(root / "results", bench_dir=root)
+        store = ResultStore(root / "results")
         for i in range(N_KEYS):
             store.write(f"row{i}", {"series": {"version": 10 ** 6}},
                         profile="fast", fingerprint="fp", metric={})
@@ -441,8 +436,7 @@ def test_a_killed_bench_run_resumes_to_the_uninterrupted_series(tmp_path):
 
     def bench_run(out: Path, *cache: str) -> list:
         return ["bench", "run", "fig07", "--profile", "fast", "--quiet",
-                "--jobs", "1", "--results-dir", str(out),
-                "--bench-dir", str(out), *cache]
+                "--jobs", "1", "--results-dir", str(out), *cache]
 
     cache_dir = tmp_path / "cache"
     killed = subprocess.Popen(

@@ -229,8 +229,6 @@ KEEP = {
     "model.loggp:back_to_back_time": "reference: LogGP message train time",
     "units:next_power_of_two": "reference: inverse of the power-of-two "
                                "helpers the harness uses",
-    "serve.client:FlakyTransport": "fake: seeded failing transport for "
-                                   "the client retry tests",
     "chaos.generators:schedule_from_dict": "reader: rebuilds the schedule "
                                            "of a --bundle-dir failure bundle",
     "analysis:WireStats": "surface: trace analysis, the telemetry spine's "
@@ -747,7 +745,6 @@ OPTIONS = {
     "model.ploggp:optimal_transport_partitions(pattern)":
         "reference: PLogGP under another arrival pattern (model.arrival)",
     "mem.buffer:Buffer(fill)": "fake: a known payload byte tests read back",
-    "serve.client:ServeClient(sleep)": "fake: the back-off clock, recorded",
     "sim.core:Environment(initial_time)":
         "surface: the simpy Environment signature the kernel mirrors",
     "sim.monitor:Trace.filter(predicate)":

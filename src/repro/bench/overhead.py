@@ -39,7 +39,6 @@ def run_overhead(
     iterations: int = 100,
     warmup: int = 10,
     config: Optional[ClusterConfig] = None,
-    backed: bool = False,
 ) -> OverheadResult:
     """One overhead point: ``module`` (None = part_persist baseline)."""
     result = run_partitioned_pair(
@@ -50,7 +49,6 @@ def run_overhead(
         iterations=iterations,
         warmup=warmup,
         config=config,
-        backed=backed,
     )
     return OverheadResult(
         n_user=n_user,

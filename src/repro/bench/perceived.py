@@ -54,22 +54,20 @@ def run_perceived_bandwidth(
     iterations: int = 10,
     warmup: int = 3,
     config: Optional[ClusterConfig] = None,
-    fixed_victim: Optional[int] = None,
     fault_schedule=None,
 ) -> PerceivedResult:
     """One perceived-bandwidth point (None module = part_persist).
 
     Defaults follow the paper: 100 ms compute, 4 % noise, single-thread
-    delay.  ``fixed_victim`` pins the laggard (used when profiling
-    arrival patterns for Figs. 10-12); ``fault_schedule`` arms
-    deterministic fault injection for the run.
+    delay.  ``fault_schedule`` arms deterministic fault injection for
+    the run.
     """
     result = run_partitioned_pair(
         module,
         n_user=n_user,
         partition_size=partition_size_of(total_bytes, n_user),
         compute=compute,
-        noise=SingleThreadDelay(noise_fraction, fixed_victim=fixed_victim),
+        noise=SingleThreadDelay(noise_fraction),
         iterations=iterations,
         warmup=warmup,
         config=config,

@@ -25,6 +25,8 @@ from repro.units import is_power_of_two
 #: QPs a plan gets when its in-flight WRs do not need more (and it has
 #: at least that many transport partitions).
 DEFAULT_QPS = 2
+#: The largest transport count the PLogGP aggregators consider.
+MAX_TRANSPORT = 32
 
 
 @dataclass(frozen=True)
@@ -177,20 +179,17 @@ class PLogGPAggregator(Aggregator):
     """
 
     def __init__(self, params: Union[LogGPParams, LogGPTable],
-                 delay: float, max_transport: int = 32):
+                 delay: float):
         if not delay >= 0:
             raise ConfigError(f"delay must be >= 0, got {delay}")
-        if max_transport < 1:
-            raise ConfigError("max_transport must be >= 1")
         self.params = params
         self.delay = delay
-        self.max_transport = max_transport
 
     def plan(self, n_user, partition_size, config):
         total = n_user * partition_size
         n_transport = optimal_transport_partitions(
             self.params, total, n_user=n_user, delay=self.delay,
-            max_transport=self.max_transport)
+            max_transport=MAX_TRANSPORT)
         n_transport = min(n_transport, n_user)
         return PlanChoice(
             n_transport=n_transport,
@@ -212,9 +211,8 @@ class TimerPLogGPAggregator(PLogGPAggregator):
     """
 
     def __init__(self, params: Union[LogGPParams, LogGPTable],
-                 delay: float, delta: Optional[float] = None,
-                 max_transport: int = 32):
-        super().__init__(params, delay, max_transport)
+                 delay: float, delta: Optional[float] = None):
+        super().__init__(params, delay)
         if delta is not None and not delta >= 0:
             raise ConfigError(f"delta must be >= 0, got {delta}")
         self.delta = delta

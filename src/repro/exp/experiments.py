@@ -476,12 +476,15 @@ FIG14_NOISE_POINTS = (
     ("14b: 1ms+4% (40us)", 1e-3, 0.04),
     ("14c: 10ms+4% (400us)", 10e-3, 0.04),
 )
+#: The timer design's δ.
+FIG14_TIMER_DELTA = us(8)
 
 
-def fig14_spec(grid_shape, sizes, noise_points, iter_kwargs, n_threads=16,
-               timer_delta=us(8)) -> ExperimentSpec:
+def fig14_spec(grid_shape, sizes, noise_points, iter_kwargs,
+               n_threads=16) -> ExperimentSpec:
     designs = (("ploggp", PLOGGP),
-               ("timer", ["timer", {"delay": ms(4), "delta": timer_delta}]))
+               ("timer", ["timer", {"delay": ms(4),
+                                    "delta": FIG14_TIMER_DELTA}]))
     base, ours = {}, {}
     for label, compute, noise in noise_points:
         for s in sizes:
@@ -707,9 +710,10 @@ EXT_HALO_GUIDELINES = (
 #: rides the post-laggard critical path.  The tracker re-targets δ to
 #: the observed non-laggard spread and restores the early flush.
 AUTOTUNE_BAD_DELTA = us(8000)
-#: The bandit's and mutation walk's rounds, and the laggard comparison's
-#: message size.
-AUTOTUNE_BANDIT_ITERS, AUTOTUNE_LAGGARD_SIZE = 64, 32 * MiB
+#: The bandit's and mutation walk's rounds, their message size (fig08's
+#: scenario), and the laggard comparison's message size.
+AUTOTUNE_BANDIT_ITERS, AUTOTUNE_SIZE, AUTOTUNE_LAGGARD_SIZE = \
+    64, 2 * MiB, 32 * MiB
 
 
 def _autotune_point(autotune: dict, n_user: int, size: int,
@@ -724,8 +728,8 @@ def _autotune_point(autotune: dict, n_user: int, size: int,
     return Scenario.make("autotune", **params)
 
 
-def ext_autotune_spec(iter_kwargs, laggard_iters, table_iters, n_user=32,
-                      size=2 * MiB) -> ExperimentSpec:
+def ext_autotune_spec(iter_kwargs, laggard_iters, table_iters,
+                      n_user=32) -> ExperimentSpec:
     """Closed-loop tuning vs. the paper's open-loop optima.
 
     Three comparisons: (a) fig08's scenario — a bandit exploring
@@ -738,17 +742,17 @@ def ext_autotune_spec(iter_kwargs, laggard_iters, table_iters, n_user=32,
     (1.0 = parity with the offline optimum).
     """
     table_desc = ["tuning_table", {
-        "n_user_counts": [n_user], "message_sizes": [size],
+        "n_user_counts": [n_user], "message_sizes": [AUTOTUNE_SIZE],
         "iterations": table_iters, "warmup": 1}]
-    offline = _overhead(table_desc, n_user, size, iter_kwargs)
+    offline = _overhead(table_desc, n_user, AUTOTUNE_SIZE, iter_kwargs)
     bandit = _autotune_point(
         {"policy": "bandit", "counts": [1, 2, 4, 8, 16, 32],
          "deltas": [None, us(35)], "bandit_seed": 7},
-        n_user, size, AUTOTUNE_BANDIT_ITERS, 2)
+        n_user, AUTOTUNE_SIZE, AUTOTUNE_BANDIT_ITERS, 2)
     mutation = _autotune_point(
         {"policy": "plan_mutation", "deltas": [None, us(35)],
          "bandit_seed": 7},
-        n_user, size, AUTOTUNE_BANDIT_ITERS, 2)
+        n_user, AUTOTUNE_SIZE, AUTOTUNE_BANDIT_ITERS, 2)
     fixed = _perceived(
         ["timer", {"delay": ms(4), "delta": AUTOTUNE_BAD_DELTA}],
         n_user, AUTOTUNE_LAGGARD_SIZE, laggard_iters, 2)
@@ -767,9 +771,9 @@ def ext_autotune_spec(iter_kwargs, laggard_iters, table_iters, n_user=32,
         tracker_speedup = (res[tracker]["perceived_bandwidth"]
                            / res[fixed]["perceived_bandwidth"])
         series = {
-            "bandit vs offline table": {size: convergence},
+            "bandit vs offline table": {AUTOTUNE_SIZE: convergence},
             "plan mutation vs offline table": {
-                size: mutation_convergence},
+                AUTOTUNE_SIZE: mutation_convergence},
             "delta tracker vs fixed delta": {
                 AUTOTUNE_LAGGARD_SIZE: tracker_speedup},
         }

@@ -15,8 +15,8 @@ unchanged tree are pure cache reads.
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.exp.cache import ResultCache
@@ -33,7 +33,6 @@ class RunStats:
     unique: int = 0
     cache_hits: int = 0
     executed: int = 0
-    errors: list = field(default_factory=list)
 
 
 class Runner:
@@ -41,18 +40,10 @@ class Runner:
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
                  fingerprint: Optional[str] = None,
-                 progress: Optional[Callable[[str], None]] = None,
-                 timeout: Optional[float] = None):
+                 progress: Optional[Callable[[str], None]] = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
         self.jobs = jobs
-        #: Wall-clock watchdog (seconds) on pooled workers: a pass with
-        #: no completion inside the budget kills the running workers,
-        #: records them in ``last_stats.errors``, and re-runs the
-        #: not-yet-started points in a fresh pool.  ``None`` = off.
-        self.timeout = timeout
         self.cache = cache
         self.fingerprint = (
             fingerprint if fingerprint is not None
@@ -93,60 +84,17 @@ class Runner:
 
     def _run_pool(self, todo: list[Scenario],
                   results: dict[Scenario, dict], stats: RunStats) -> None:
-        queue = list(todo)
-        done_count = 0
-        while queue:
-            queue, done_count = self._pool_pass(queue, results, stats,
-                                                done_count, len(todo))
-
-    def _pool_pass(self, queue: list[Scenario],
-                   results: dict[Scenario, dict], stats: RunStats,
-                   done_count: int, total: int) -> tuple[list, int]:
-        """One pool lifetime: run until drained or the watchdog fires.
-
-        Returns the points that still need a (fresh) pool — queued
-        behind a hung worker when the watchdog killed the pass — and
-        the updated completion count.
-        """
         pool = ProcessPoolExecutor(max_workers=self.jobs)
         try:
             pending = {pool.submit(run_point, point.as_dict()): point
-                       for point in queue}
-            while pending:
-                done, _ = wait(pending, timeout=self.timeout,
-                               return_when=FIRST_COMPLETED)
-                if not done:
-                    return self._kill_hung(pool, pending, stats), done_count
-                for future in done:
-                    point = pending.pop(future)
-                    done_count += 1
-                    self._note(f"done {done_count}/{total}: "
-                               f"{point.kind} {point.key}")
-                    self._complete(point, future.result(), results, stats)
-            return [], done_count
+                       for point in todo}
+            for done, future in enumerate(as_completed(pending), 1):
+                point = pending[future]
+                self._note(f"done {done}/{len(todo)}: "
+                           f"{point.kind} {point.key}")
+                self._complete(point, future.result(), results, stats)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-
-    def _kill_hung(self, pool, pending: dict,
-                   stats: RunStats) -> list[Scenario]:
-        """Watchdog fired: kill running workers, salvage the queue."""
-        survivors = []
-        for future, point in pending.items():
-            if future.running():
-                stats.errors.append({
-                    "kind": point.kind,
-                    "params": point.params,
-                    "error": (f"worker exceeded the {self.timeout}s "
-                              "wall-clock watchdog and was killed"),
-                })
-                self._note(f"WATCHDOG killed {point.kind} {point.key} "
-                           f"after {self.timeout}s")
-            else:
-                future.cancel()
-                survivors.append(point)
-        for worker in list(pool._processes.values()):
-            worker.terminate()
-        return survivors
 
     def _complete(self, point: Scenario, metrics: dict,
                   results: dict[Scenario, dict], stats: RunStats) -> None:

@@ -43,6 +43,8 @@ from repro.units import KiB, ms, us
 NEIGHBOR_PAIRS, NEIGHBOR_STREAMS, NEIGHBOR_NBYTES = 2, 4, 256 * KiB
 #: A plan within this fraction of the congested-best mean is near-optimal.
 NEAR_OPTIMAL = 0.05
+#: Consecutive near-optimal rounds that count as re-converged.
+HOLD_ROUNDS = 3
 
 
 def default_topology() -> RoutedDragonflyPlus:
@@ -71,13 +73,12 @@ def background_jobs(level: int, seed: int = 0,
 
 
 def run_fleet(jobs: list[JobSpec], topology=None, placement: str = "packed",
-              seed: int = 0, config: Optional[ClusterConfig] = None,
-              module_overrides: Optional[dict] = None) -> FleetProfile:
+              seed: int = 0, config: Optional[ClusterConfig] = None
+              ) -> FleetProfile:
     """Run a job mix on one shared routed fabric."""
     topology = topology if topology is not None else default_topology()
     scheduler = TenantScheduler(jobs, topology, config=config,
-                                placement=placement, seed=seed,
-                                module_overrides=module_overrides)
+                                placement=placement, seed=seed)
     return scheduler.run()
 
 
@@ -196,8 +197,7 @@ def run_reconvergence(autotune_params: dict,
                       partition_size: int = 64 * KiB,
                       compute: float = 0.0,
                       seed: int = 0,
-                      config: Optional[ClusterConfig] = None,
-                      hold: int = 3) -> dict:
+                      config: Optional[ClusterConfig] = None) -> dict:
     """Drive an autotuned pair through a noisy-neighbor episode.
 
     The neighbor — :data:`NEIGHBOR_PAIRS` cross-group node pairs, each
@@ -215,10 +215,10 @@ def run_reconvergence(autotune_params: dict,
     layout (the regime :func:`run_contended_pair` reaches at level 2).
     Returns the per-round trajectory plus the re-convergence summary:
     quiet-best and congested-best plans, rounds to re-converge after
-    arrival (first congested round starting ``hold`` consecutive
-    rounds on *near-optimal* plans — within :data:`NEAR_OPTIMAL` of the
-    congested-best mean), and the cumulative regret vs always playing
-    the congested-best plan.
+    arrival (first congested round starting :data:`HOLD_ROUNDS`
+    consecutive rounds on *near-optimal* plans — within
+    :data:`NEAR_OPTIMAL` of the congested-best mean), and the cumulative
+    regret vs always playing the congested-best plan.
     """
     from repro.autotune import build_autotuner
 
@@ -312,8 +312,8 @@ def run_reconvergence(autotune_params: dict,
         for rec in congested:
             if _plan_key(rec) in good_plans:
                 run_len += 1
-                if run_len >= hold:
-                    reconverged_round = rec["round"] - (hold - 1)
+                if run_len >= HOLD_ROUNDS:
+                    reconverged_round = rec["round"] - (HOLD_ROUNDS - 1)
                     break
             else:
                 run_len = 0

@@ -48,11 +48,9 @@ def ibv_create_cq(context: Context, capacity: int = 4096) -> CompletionQueue:
 def ibv_create_qp(context: Context, pd: ProtectionDomain,
                   send_cq: CompletionQueue, recv_cq: CompletionQueue,
                   max_send_wr: int = 1024,
-                  max_recv_wr: int = 4096,
-                  port: int = 0) -> QueuePair:
+                  max_recv_wr: int = 4096) -> QueuePair:
     """``ibv_create_qp``."""
-    return context.create_qp(pd, send_cq, recv_cq, max_send_wr, max_recv_wr,
-                             port)
+    return context.create_qp(pd, send_cq, recv_cq, max_send_wr, max_recv_wr)
 
 
 def connect_qps(local: QueuePair, remote: QueuePair) -> None:

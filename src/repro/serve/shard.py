@@ -79,7 +79,8 @@ class CommitResult:
 
 
 class ShardedStore:
-    """Digest-prefix shards of versioned, TuningStore-compatible entries."""
+    """Digest-prefix shards of versioned entries, each shard a
+    :class:`~repro.autotune.TuningStore` directory."""
 
     #: Shard count used for a fresh root when none is requested.
     DEFAULT_SHARDS = 8
@@ -225,11 +226,6 @@ class ShardedStore:
             return None
         return self._entry(shard, payload)
 
-    def get(self, key: dict) -> Optional[PlanChoice]:
-        """TuningStore-compatible read (plan only)."""
-        entry = self.read(key)
-        return entry.choice if entry is not None else None
-
     # -- writes ---------------------------------------------------------
 
     def commit(self, key: dict, choice: PlanChoice,
@@ -274,13 +270,6 @@ class ShardedStore:
             self.commits += 1
             return CommitResult(entry=entry, committed=True)
 
-    def put(self, key: dict, choice: PlanChoice,
-            meta: Optional[dict] = None) -> Path:
-        """TuningStore-compatible confident write."""
-        digest = entry_digest(key)
-        self._commit(digest, key, choice, meta, None)
-        return Path(self._locate(digest)[1])
-
     def _delete_path(self, path: Union[str, Path]) -> bool:
         with self._entry_lock(path):
             try:
@@ -301,11 +290,3 @@ class ShardedStore:
     def count(self) -> int:
         """Total entries across shards (cheap, no parse)."""
         return sum(shard.count() for shard in self.shards)
-
-    def entries(self) -> list[dict]:
-        """Every readable entry payload, shard-major, digest order."""
-        return [payload for shard in self.shards
-                for payload in shard.entries()]
-
-    def __len__(self) -> int:
-        return self.count()

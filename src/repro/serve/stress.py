@@ -48,6 +48,9 @@ from repro.serve.shard import ShardedStore
 
 #: The single contested key every stress writer hammers.
 STRESS_KEY = workload_key(64, 64 * 4096, "stress", plan_space="stress-v1")
+#: Wall-clock seconds the writers get before the run kills them: a
+#: guard against a hung writer, not a knob.
+STRESS_TIMEOUT = 120.0
 
 
 def _stress_choice(writer: int, seq: int) -> PlanChoice:
@@ -95,8 +98,7 @@ def _audit_read(path: Path) -> Optional[bool]:
 
 def run_multiwriter_stress(root: str, n_writers: int = 4,
                            n_puts: int = 25, mode: str = "confident",
-                           n_shards: int = 4,
-                           timeout: float = 120.0) -> dict:
+                           n_shards: int = 4) -> dict:
     """Launch writer subprocesses; audit torn/lost invariants.
 
     Returns a result dict whose ``torn_reads`` and ``lost_updates``
@@ -121,12 +123,13 @@ def run_multiwriter_stress(root: str, n_writers: int = 4,
     # never observes a half-written entry.
     reads = 0
     torn = 0
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + STRESS_TIMEOUT
     while any(p.poll() is None for p in procs):
         if time.monotonic() > deadline:
             for p in procs:
                 p.kill()
-            raise TimeoutError(f"stress writers exceeded {timeout}s")
+            raise TimeoutError(
+                f"stress writers exceeded {STRESS_TIMEOUT}s")
         clean = _audit_read(contested)
         if clean is not None:
             reads += 1

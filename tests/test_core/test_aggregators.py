@@ -81,8 +81,6 @@ def test_ploggp_clamps_to_user_request():
 def test_ploggp_validation():
     with pytest.raises(ConfigError):
         PLogGPAggregator(NIAGARA_LOGGP, delay=-1.0)
-    with pytest.raises(ConfigError):
-        PLogGPAggregator(NIAGARA_LOGGP, delay=1.0, max_transport=0)
 
 
 def test_timer_plan_arms_delta():

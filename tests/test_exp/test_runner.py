@@ -1,12 +1,8 @@
-"""Runner semantics: dedup, stats, cache resume, watchdog, invalidation."""
-
-import multiprocessing
-import time
+"""Runner semantics: dedup, stats, cache resume, invalidation."""
 
 import pytest
 
 from repro.exp.cache import ResultCache
-from repro.exp.kinds import KINDS, Kind
 from repro.exp.runner import Runner
 from repro.exp.spec import Scenario
 
@@ -88,43 +84,3 @@ def test_progress_callback_sees_runs():
     runner = Runner(jobs=1, progress=notes.append)
     runner.run([cheap_point()])
     assert any("run 1/1" in note for note in notes)
-
-
-# -- wall-clock watchdog on pooled workers -----------------------------
-
-
-def test_rejects_non_positive_timeout():
-    with pytest.raises(ValueError):
-        Runner(timeout=0)
-
-
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="hang kind is registered in-process; workers "
-                           "must inherit it via fork")
-def test_watchdog_kills_hung_worker_and_finishes_the_rest():
-    def _hang(hang, seed):
-        if hang:
-            time.sleep(60)
-        return {"value": seed}
-
-    KINDS["test_hang"] = Kind(_hang, takes=("seed",))
-
-    quick = [Scenario.make("test_hang", hang=False, seed=s) for s in (1, 2)]
-    hung = Scenario.make("test_hang", hang=True, seed=99)
-    notes = []
-    try:
-        runner = Runner(jobs=2, timeout=1.0, progress=notes.append)
-        results = runner.run(quick + [hung])
-    finally:
-        KINDS.pop("test_hang")
-    # The quick points all completed (some possibly in the fresh pool
-    # spun up after the kill) and the hung one was reported, not waited
-    # on forever.
-    assert all(results[p] == {"value": p.params["seed"]} for p in quick)
-    assert hung not in results
-    errors = runner.last_stats.errors
-    assert len(errors) == 1
-    assert errors[0]["kind"] == "test_hang"
-    assert errors[0]["params"]["seed"] == 99
-    assert "watchdog" in errors[0]["error"]
-    assert any("WATCHDOG" in note for note in notes)

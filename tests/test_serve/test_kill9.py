@@ -349,7 +349,7 @@ def _after_the_kills(harness: Harness) -> None:
         shards = handle.shards if mode == "service" else [handle]
         assert sorted(d for shard in shards for d in shard.digests()) == \
             sorted(entry_digest(key) for key in KEYS)
-        assert len(handle.entries()) == N_KEYS
+        assert sum(len(shard.entries()) for shard in shards) == N_KEYS
         assert handle.corrupt_entries == 0
         locks = list(root.rglob("*.lock"))
         assert len(locks) == (N_KEYS if mode == "service" else 0)
@@ -393,8 +393,8 @@ def _after_the_kills(harness: Harness) -> None:
             n = int(root_n.name[1:])
             store = ShardedStore(root_n, n_shards=n % 3 + 1)
             assert store.count() == 0
-            store.put(KEYS[0], PlanChoice(4, 1))
-            assert store.get(KEYS[0]) == PlanChoice(4, 1)
+            store.commit(KEYS[0], PlanChoice(4, 1))
+            assert store.read(KEYS[0]).choice == PlanChoice(4, 1)
     assert harness.violations() == []
     if mode == "results":
         assert harness.versions() == {i: 10 ** 6 for i in range(N_KEYS)}

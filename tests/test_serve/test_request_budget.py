@@ -158,7 +158,7 @@ def test_store_handle_requests_digest_once(tmp_path, monkeypatch):
     """The public ``ShardedStore`` calls keep the same budget."""
     store = ShardedStore(tmp_path, n_shards=2)
     spend = Spend(monkeypatch)
-    assert spend.of(lambda: store.put(key(0), PlanChoice(4, 1))) == (
+    assert spend.of(lambda: store.commit(key(0), PlanChoice(4, 1))) == (
         1, 1, 1, 1)
     assert spend.of(lambda: store.read(key(0))) == (1, 1, 0, 0)
     assert spend.of(lambda: store.path_for(key(0))) == (1, 0, 0, 0)
@@ -175,7 +175,7 @@ def _one_of_each(service, flat, k):
         lambda: service.commit(k, PlanChoice(8, 1), expect_version=1),
         lambda: service.commit(k, PlanChoice(2, 1), expect_version=7),
         lambda: store.read(k),
-        lambda: store.put(k, PlanChoice(2, 2)),
+        lambda: store.commit(k, PlanChoice(2, 2)),
         lambda: store.path_for(k),
         lambda: flat.put(k, PlanChoice(4, 2)),
         lambda: flat.get(k),

@@ -95,32 +95,32 @@ def test_cas_on_absent_entry_expects_zero(tmp_path):
 
 def test_shard_dir_reads_as_plain_tuning_store(tmp_path):
     store = ShardedStore(tmp_path, n_shards=4)
-    store.put(key(), choice(8), meta={"rounds_observed": 5})
+    store.commit(key(), choice(8), meta={"rounds_observed": 5})
     shard_dir = store.shards[store.shard_of(key())].root
     direct = TuningStore(shard_dir).get(key())
     assert direct is not None
-    assert direct.as_dict() == store.get(key()).as_dict()
+    assert direct.as_dict() == store.read(key()).choice.as_dict()
     # Same file stem as the flat store would use (content address).
     assert (shard_dir / f"{entry_digest(key())}.json").exists()
 
 
 def test_corrupt_entries_counted_not_served(tmp_path):
     store = ShardedStore(tmp_path, n_shards=2)
-    store.put(key(), choice())
+    store.commit(key(), choice())
     path = store.path_for(key())
     path.write_text("{ not json")
     assert store.read(key()) is None
     assert store.corrupt_entries == 1
     path.write_text(json.dumps({"schema": "alien/v9"}))
-    assert store.get(key()) is None
+    assert store.read(key()) is None
     assert store.corrupt_entries == 2
 
 
 def test_delete_and_counts(tmp_path):
     store = ShardedStore(tmp_path, n_shards=2)
     for i in range(6):
-        store.put(key(i), choice())
-    assert store.count() == 6 == len(store)
+        store.commit(key(i), choice())
+    assert store.count() == 6
     assert sum(shard.count() for shard in store.shards) == 6
     path = store.path_for(key(0))
     assert store._delete_path(path)
@@ -131,8 +131,9 @@ def test_delete_and_counts(tmp_path):
 def test_entries_enumeration(tmp_path):
     store = ShardedStore(tmp_path, n_shards=3)
     for i in range(5):
-        store.put(key(i), choice(), meta={"i": i})
-    payloads = store.entries()
+        store.commit(key(i), choice(), meta={"i": i})
+    payloads = [payload for shard in store.shards
+                for payload in shard.entries()]
     assert len(payloads) == 5
     assert all(p["version"] == 1 for p in payloads)
     assert {p["meta"]["i"] for p in payloads} == set(range(5))
@@ -214,11 +215,11 @@ ROTTEN = [b"\xff\xfe\x00garbage\x80", b"[1, 2]\n", b"null\n", b"{ torn"]
 @pytest.mark.parametrize("rot", ROTTEN)
 def test_rotten_entry_is_a_counted_miss_for_read_and_commit(tmp_path, rot):
     store = ShardedStore(tmp_path, n_shards=2)
-    store.put(key(), choice(4))
-    store.put(key(), choice(8))
+    store.commit(key(), choice(4))
+    store.commit(key(), choice(8))
     store.path_for(key()).write_bytes(rot)
     assert store.read(key()) is None
-    assert store.get(key()) is None
+    assert store.read(key()) is None
     assert store.corrupt_entries == 2
     # A CAS against the rot sees "absent" (version 0) and may heal it.
     stale = store.commit(key(), choice(16), expect_version=2)
@@ -249,8 +250,8 @@ def test_path_for_is_a_path_under_the_keys_shard(tmp_path):
     assert isinstance(path, Path)
     assert path == (tmp_path / f"shard-{store.shard_of(key()):02d}"
                     / f"{entry_digest(key())}.json")
-    assert store.put(key(), choice()) == path
-    assert isinstance(store.put(key(), choice()), Path)
+    store.commit(key(), choice())
+    assert path.exists()
 
 
 def test_shard_entry_bytes_match_a_plain_tuning_store(tmp_path):
@@ -272,7 +273,7 @@ def test_shard_entry_bytes_match_a_plain_tuning_store(tmp_path):
                                             sort_keys=True) + "\n"
     direct = TuningStore(served.parent)
     assert direct.entries() == [payload]
-    assert direct.get(key()) == store.get(key()) == PlanChoice(
+    assert direct.get(key()) == store.read(key()).choice == PlanChoice(
         8, 2, delta=3.5e-05)
     # Only the entry and its lock file live in the shard.
     assert sorted(os.listdir(served.parent)) == [

@@ -12,10 +12,13 @@ half: a config field that only tests set fails, unless
 ``MODEL_FIELDS`` lists it as a calibrated cost.  The sixth extends
 that to every option: a defaulted parameter of a public function,
 method or constructor, or an optional descriptor key, that only tests
-set fails, unless ``OPTIONS`` names it with a reason.
+set fails, unless ``OPTIONS`` names it with a reason.  An argument sets
+the option of the function it is passed to, and a forward (``x=x``)
+sets only what the option it forwards is set by.
 """
 
 import ast
+import builtins
 from functools import lru_cache
 from pathlib import Path
 
@@ -358,6 +361,8 @@ def _registered(node: ast.AST) -> bool:
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: Callables of no package; ``dict`` takes any keyword, as a spelling.
+BUILTINS = set(vars(builtins)) - {"dict"}
 
 
 @lru_cache(maxsize=None)
@@ -594,32 +599,34 @@ def _config_fields(src: Path) -> dict:
             and getattr(item.annotation, "id", None) not in classes}
 
 
-def _forwards(node: ast.keyword, params: set) -> bool:
+def _forwards(name: str, value: ast.expr, params: set) -> bool:
     """``x=x`` (``x`` a parameter of the enclosing function), ``x=cfg.x``
     and ``x=p.get("x", d)``: a keyword that passes on a value of its own
     name instead of setting one."""
-    value = node.value
     if isinstance(value, ast.Name):
-        return value.id == node.arg and node.arg in params
+        return value.id == name and name in params
     if isinstance(value, ast.Attribute):
-        return value.attr == node.arg
+        return value.attr == name
     return (isinstance(value, ast.Call)
             and isinstance(value.func, ast.Attribute)
             and value.func.attr == "get" and bool(value.args)
             and isinstance(value.args[0], ast.Constant)
-            and value.args[0].value == node.arg)
+            and value.args[0].value == name)
 
 
-def _with_params(node: ast.AST, params: frozenset = frozenset()):
-    """Every node under ``node`` with the parameter names of the
-    functions that enclose it."""
+def _params(args: ast.arguments) -> set:
+    return {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+
+
+def _enclosed(node: ast.AST, keys: dict, stack: tuple = ()):
+    """Every node under ``node`` with the functions that enclose it,
+    innermost last, as ``(key or None, arguments)``; ``keys`` names the
+    top-level functions and methods (:func:`_functions`)."""
     if isinstance(node, (*_FUNCS, ast.Lambda)):
-        args = node.args
-        params = params | {arg.arg for arg in (
-            args.posonlyargs + args.args + args.kwonlyargs)}
-    yield node, params
+        stack += ((keys.get(node), node.args),)
+    yield node, stack
     for child in ast.iter_child_nodes(node):
-        yield from _with_params(child, params)
+        yield from _enclosed(child, keys, stack)
 
 
 def _str_key(node: ast.AST):
@@ -653,32 +660,39 @@ def _kind_params(tree: ast.Module) -> set:
     return names
 
 
+def _spelled(tree: ast.Module) -> set:
+    """Every name a tree sets by spelling, for a callee that takes it
+    through ``**kwargs``: a string key of a dict display or of a
+    subscript store (a descriptor), a command-line flag
+    (``--results-dir`` sets ``results_dir``) and a ``KINDS`` param."""
+    names = _kind_params(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            names.update(filter(None, map(_str_key, node.keys)))
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store) and _str_key(node.slice)):
+            names.add(node.slice.value)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "add_argument"):
+            names.update(flag[2:].replace("-", "_")
+                         for flag in map(_str_key, node.args)
+                         if flag and flag.startswith("--"))
+    return names
+
+
 def _settings(src: Path, callers) -> set:
     """Every name a non-test path sets: a keyword argument that does not
-    just forward a value of its own name (:func:`_forwards`), a string
-    key of a dict display or of a subscript store (a descriptor), a
-    command-line flag (``--results-dir`` sets ``results_dir``) and a
-    ``KINDS`` param."""
+    just forward a value of its own name (:func:`_forwards`) and every
+    name it spells (:func:`_spelled`)."""
     paths = [p for p in sorted(src.rglob("*.py")) if p != src / "config.py"]
     names = set()
     for path in paths + list(_caller_paths(callers)):
         tree = _parse(path)
-        names |= _kind_params(tree)
-        for node, params in _with_params(tree):
-            if isinstance(node, ast.keyword) and node.arg \
-                    and not _forwards(node, params):
-                names.add(node.arg)
-            elif isinstance(node, ast.Dict):
-                names.update(filter(None, map(_str_key, node.keys)))
-            elif (isinstance(node, ast.Subscript)
-                  and isinstance(node.ctx, ast.Store)
-                  and _str_key(node.slice)):
-                names.add(node.slice.value)
-            elif (isinstance(node, ast.Call)
-                  and getattr(node.func, "attr", None) == "add_argument"):
-                names.update(flag[2:].replace("-", "_")
-                             for flag in map(_str_key, node.args)
-                             if flag and flag.startswith("--"))
+        names |= _spelled(tree)
+        names.update(node.arg for node, stack in _enclosed(tree, {})
+                     if isinstance(node, ast.keyword) and node.arg
+                     and not _forwards(node.arg, node.value, set().union(
+                         *(_params(args) for _, args in stack))))
     return names
 
 
@@ -714,6 +728,7 @@ _MUTATION = "surface: a plan_mutation input, which ROADMAP 4(b) deletes"
 _MPI = "surface: the MPI API mirror's"
 _VERBS = "surface: the verbs API mirror's ibv_qp_cap"
 _DRAIN = "reference: PLogGP without deferred drain, checked against it"
+_LAGGARDS = "reference: the min-δ recipe at another laggard count"
 
 #: Options that stay although only tests set them, each with a KEEP_KINDS
 #: reason.  Any other option that only tests set is a constant.
@@ -731,20 +746,28 @@ OPTIONS = {
     "mpi.process:MPIProcess.irecv(offset)": f"{_MPI} buffer offset",
     "ib.qp:QueuePair(max_send_wr)": _VERBS,
     "ib.qp:QueuePair(max_recv_wr)": _VERBS,
+    "ib.device:Context.create_qp(max_send_wr)": _VERBS,
+    "ib.device:Context.create_qp(max_recv_wr)": _VERBS,
     "ib.verbs:ibv_create_qp(max_send_wr)": _VERBS,
     "ib.verbs:ibv_create_qp(max_recv_wr)": _VERBS,
+    "ib.wr:RecvWR(sg_list)": "surface: the verbs API mirror's ibv_recv_wr "
+                             "scatter list",
     "faults.schedule:FaultSchedule.chunk_loss(src)":
         "surface: per-edge chunk loss, the fault schedule's edge filter",
     "faults.schedule:FaultSchedule.chunk_loss(dst)":
         "surface: per-edge chunk loss, the fault schedule's edge filter",
-    "core.delta:estimate_min_delta(laggards_per_round)":
-        "reference: the min-δ recipe at another laggard count",
+    "faults.schedule:FaultSchedule.rnr_window(qp_num)":
+        "surface: a per-QP RNR window, the fault schedule's QP filter",
+    "core.delta:estimate_min_delta(laggards_per_round)": _LAGGARDS,
+    "core.delta:min_delta_per_round(laggards_per_round)": _LAGGARDS,
     "model.ploggp:completion_time(deferred_drain)": _DRAIN,
     "model.ploggp:model_curve(deferred_drain)": _DRAIN,
     "model.ploggp:optimal_transport_partitions(deferred_drain)": _DRAIN,
     "model.ploggp:optimal_transport_partitions(pattern)":
         "reference: PLogGP under another arrival pattern (model.arrival)",
     "mem.buffer:Buffer(fill)": "fake: a known payload byte tests read back",
+    "bench.pair:run_partitioned_pair(backed)":
+        "fake: byte-backed buffers whose payload the run verifies",
     "sim.core:Environment(initial_time)":
         "surface: the simpy Environment signature the kernel mirrors",
     "sim.monitor:Trace.filter(predicate)":
@@ -766,28 +789,28 @@ def _defaulted(args: ast.arguments, skip: int):
             yield arg.arg, None
 
 
-def _signatures(tree: ast.Module, module: str):
-    """``(owner, name, index)`` for every defaulted parameter of a public
-    function, method or constructor; ``owner`` is the function's key (a
-    class's for ``__init__``)."""
+def _functions(tree: ast.Module, module: str):
+    """``(key, function, skip, public)`` for every top-level function and
+    method: a constructor's key is its class's, ``skip`` counts the
+    ``self`` a call does not pass, and ``public`` says whether its
+    options are audited."""
     for stmt in tree.body:
-        if not isinstance(stmt, _DEFS) or stmt.name.startswith("_"):
+        if not isinstance(stmt, _DEFS):
             continue
         owner = f"{module}:{stmt.name}"
+        public = not stmt.name.startswith("_")
         if isinstance(stmt, _FUNCS):
-            for name, index in _defaulted(stmt.args, 0):
-                yield owner, name, index
+            yield owner, stmt, 0, public
             continue
         for item in stmt.body:
-            if not isinstance(item, _FUNCS) or (
-                    item.name.startswith("_") and item.name != "__init__"):
+            if not isinstance(item, _FUNCS):
                 continue
+            init = item.name == "__init__"
             static = "staticmethod" in map(_decorator_name,
                                            item.decorator_list)
-            method = owner if item.name == "__init__" else \
-                f"{owner}.{item.name}"
-            for name, index in _defaulted(item.args, 0 if static else 1):
-                yield method, name, index
+            yield (owner if init else f"{owner}.{item.name}", item,
+                   0 if static else 1,
+                   public and (init or not item.name.startswith("_")))
 
 
 def _descriptor_keys(tree: ast.Module):
@@ -801,8 +824,10 @@ def _descriptor_keys(tree: ast.Module):
 
 
 def _callee(node: ast.expr, scopes: dict, module: str):
-    """The key a call's function resolves to through import bindings,
-    ``("spell", name)`` for a method call nothing resolves, or None."""
+    """What a call's function resolves to: a key through import
+    bindings, ``("spell", name)`` for a method call nothing resolves,
+    ``"?"`` for any other callable (a local, ``dict``) and None for
+    another package's function or a builtin."""
     chain = []
     while isinstance(node, ast.Attribute):
         chain.append(node.attr)
@@ -813,9 +838,10 @@ def _callee(node: ast.expr, scopes: dict, module: str):
         target = _attribute(scopes, target[1], chain.pop())
     if target and target[0] == "def" and not chain:
         return target[1]
-    if len(chain) == 1 and target is None:
-        return ("spell", chain[0])
-    return None
+    if isinstance(node, ast.Name) and target is None and (
+            node.id in scopes[module][1] or node.id in BUILTINS):
+        return None
+    return ("spell", chain[0]) if chain else "?"
 
 
 def _init_owners(classes: dict, scopes: dict) -> dict:
@@ -838,11 +864,40 @@ def _init_owners(classes: dict, scopes: dict) -> dict:
     return {key: owner(key) for key in classes}
 
 
-def _positional(trees: dict) -> set:
-    """``(owner, index)`` for every positional argument a call in
-    ``trees`` passes to a function it resolves to (a constructor
-    through the bases, a method by its spelling); a ``*args`` covers
-    every index from its own on."""
+def _class_of(key: str) -> str:
+    """The top-level definition a key names or sits in."""
+    module, _, name = key.partition(":")
+    return f"{module}:{name.partition('.')[0]}"
+
+
+def _source(value: ast.expr, stack: tuple, name=None):
+    """What an argument's value hangs on: the parameter ``(key, name)``
+    of the enclosing function it forwards (None if that function has no
+    key), the spelled ``name`` that ``name=obj.name`` and
+    ``name=p.get("name", d)`` forward, or None when it sets a value."""
+    if isinstance(value, ast.Name):
+        for key, args in reversed(stack):
+            if value.id in _params(args):
+                return key and (key, value.id)
+    elif name and _forwards(name, value, set()):
+        return name
+    return None
+
+
+def _passes(trees: dict, functions: dict) -> tuple[set, list]:
+    """What the calls in ``trees`` pass, and what they forward.
+
+    A call passes ``(callee, slot)`` to the function it resolves to (a
+    constructor through its bases, ``cls(…)`` to its class,
+    ``partial(f, …)`` to ``f``, an unresolved method call to every
+    method of its spelling); ``slot`` is a positional index (a ``*args``
+    covers every index from its own on) or a keyword.  A keyword that a
+    callee's ``**kwargs`` or an unknown callable (``dict``, a local)
+    takes passes its bare name, as every :func:`_spelled` name does;
+    one to another package's function passes nothing.  An argument that
+    forwards instead of setting (:func:`_source`) is a ``(source, what
+    it would pass)`` forward.
+    """
     scopes = {module: ({stmt.name for stmt in tree.body
                         if isinstance(stmt, _DEFS)}, _bindings(tree, module))
               for module, tree in trees.items()}
@@ -850,44 +905,93 @@ def _positional(trees: dict) -> set:
         {f"{module}:{stmt.name}": (module, stmt)
          for module, tree in trees.items() for stmt in tree.body
          if isinstance(stmt, ast.ClassDef)}, scopes)
-    passed = set()
+    varkw = {}  # callee -> the names it takes other than through **kwargs
+    for key, (node, _, _) in functions.items():
+        if node.args.kwarg:
+            method = key.partition(":")[2].partition(".")[2]
+            for callee in (key, ("spell", method)) if method else (key,):
+                varkw.setdefault(callee, set()).update(_params(node.args))
+    passed, forwards = set(), []
     for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or not node.args:
+        passed |= _spelled(tree)
+        keys = {node: key for key, node, _, _ in _functions(tree, module)}
+        for node, stack in _enclosed(tree, keys):
+            if not isinstance(node, ast.Call):
                 continue
-            callee = _callee(node.func, scopes, module)
+            func, args = node.func, node.args
+            if args and getattr(func, "id",
+                                getattr(func, "attr", None)) == "partial":
+                func, args = args[0], args[1:]
+            callee = _callee(func, scopes, module)
+            if getattr(func, "id", None) == "cls" and stack and stack[0][0]:
+                callee = _class_of(stack[0][0])  # a classmethod's class
             callee = inits.get(callee, callee)
-            star = any(isinstance(arg, ast.Starred) for arg in node.args)
-            passed.update((callee, index) for index in range(
-                64 if star else len(node.args)))
-    return passed
+            given = [(k.arg, k.value) for k in node.keywords if k.arg]
+            for index, arg in enumerate(args):
+                if isinstance(arg, ast.Starred):
+                    passed.update((callee, i) for i in range(index, 64))
+                    break
+                given.append((index, arg))
+            for slot, value in given:
+                keyword = slot if isinstance(slot, str) else None
+                loose = keyword and (callee == "?" or keyword not in
+                                     varkw.get(callee, (keyword,)))
+                target = keyword if loose else (callee, slot)
+                source = _source(value, stack, keyword)
+                if source is None:
+                    passed.add(target)
+                else:
+                    forwards.append((source, target))
+    return passed, forwards
 
 
 def _options(src: Path, callers, keep=()) -> dict:
     """``key -> whether a non-test path sets it`` for every option of the
     tree: the defaulted parameters of its public signatures, except a
-    ``keep`` definition's, and its descriptors' optional keys."""
+    ``keep`` definition's, and its descriptors' optional keys.
+
+    ``f(name)`` is set by a positional argument or keyword that a call
+    passes to ``f`` (:func:`_passes`), by a spelled ``name``, or by a
+    forward from a set option: a fixpoint, so that a chain of forwards
+    (``cli`` → ``partial(run, progress=progress)``) is set where it
+    starts."""
     files = {}
     for path in sorted(src.rglob("*.py")):
         parts = path.relative_to(src).with_suffix("").parts
         files[".".join(p for p in parts if p != "__init__") or "repro"] = \
             _parse(path)
-    settings = _settings(src, callers)
-    passed = _positional({**files, **{f"<{path}>": _parse(path)
-                                      for path in _caller_paths(callers)}})
+    functions = {key: (node, skip, public) for module, tree in files.items()
+                 for key, node, skip, public in _functions(tree, module)}
+    slots = {(key, name): index
+             for key, (node, skip, _) in functions.items()
+             for name, index in _defaulted(node.args, skip)}
+    trees = {**files, **{f"<{path}>": _parse(path)
+                         for path in _caller_paths(callers)}}
+    passed, forwards = _passes(trees, functions)
+
+    def is_set(option) -> bool:
+        if isinstance(option, str):
+            return option in passed
+        if option not in slots:
+            return True  # a required parameter, or a caller's
+        key, name = option
+        method = ("spell", key.partition(":")[2].partition(".")[2])
+        return name in passed or any(
+            (callee, slot) in passed for callee in (key, method)
+            for slot in (name, slots[option]))
+
+    while fired := {target for source, target in forwards
+                    if target not in passed and is_set(source)}:
+        passed |= fired
     options = {}
-    for module, tree in files.items():
-        for owner, name, index in _signatures(tree, module):
-            cls, _, method = owner.partition(":")[2].partition(".")
-            if owner in keep or f"{module}:{cls}" in keep:
-                continue
-            options[f"{owner}({name})"] = name in settings or (
-                (owner, index) in passed
-                or (("spell", method), index) in passed)
+    for key, name in slots:
+        _, _, public = functions[key]
+        if public and key not in keep and _class_of(key) not in keep:
+            options[f"{key}({name})"] = is_set((key, name))
     for where, builder in DESCRIPTORS.items():
         if (src / where).exists():
             for name in _descriptor_keys(_parse(src / where)):
-                options[f"{builder}[{name!r}]"] = name in settings
+                options[f"{builder}[{name!r}]"] = name in passed
     return options
 
 
@@ -1106,6 +1210,32 @@ _PLANTED = "def f(a, knob=1): ...\n"
     ({"mod.py": "class C:\n    def m(self, knob=1): ...\n"
                 "def use(c):\n    c.m(2)\n"}, {}, []),
     ({"mod.py": _PLANTED + "f(*(1, 2))\n"}, {}, []),
+    # a keyword is a setting of the function it is passed to, and of no
+    # other that shares its name
+    ({"mod.py": "class Runner:\n    def __init__(self, timeout=None): ...\n"
+                "Runner()\n",
+      "run.py": "from concurrent.futures import wait\n"
+                "def drain(fs):\n    return wait(fs, timeout=1)\n"
+                "def other(timeout=1): ...\nother(timeout=2)\n"},
+     {}, ["option:mod:Runner(timeout)"]),
+    ({"mod.py": _PLANTED + "def g(a, knob=1): ...\n",
+      "run.py": "from functools import partial\nfrom repro.mod import f\n"
+                "RUN = partial(f, knob=2)\n"},
+     {}, ["option:mod:g(knob)"]),
+    ({"mod.py": _PLANTED + "def make(kind, **params): ...\n",
+      "run.py": "from repro.mod import make\nmake('x', knob=2)\n"}, {}, []),
+    ({"mod.py": _PLANTED,
+      "run.py": "def use(fn):\n    return fn(1, knob=2)\n"}, {}, []),
+    # a forward sets what it forwards to only where its own option is set
+    ({"mod.py": _PLANTED + "def g(a, knob=1):\n    return f(a, knob=knob)\n"
+                           "def h(knob=1): ...\nh(knob=2)\n"},
+     {}, ["option:mod:f(knob)", "option:mod:g(knob)"]),
+    ({"mod.py": _PLANTED + "def g(a, knob=1):\n    return f(a, knob)\n"},
+     {}, ["option:mod:f(knob)", "option:mod:g(knob)"]),
+    ({"mod.py": "from functools import partial\n" + _PLANTED
+                + "def g(a, knob=1):\n    return f(a, knob=knob)\n"
+                  "def h(b, knob=1):\n    return partial(g, b, knob=knob)\n",
+      "run.py": "from repro.mod import h\nh(1, knob=2)\n"}, {}, []),
     # a descriptor builder's optional keys
     ({"autotune/aggregator.py": "def build_autotuner(p):\n"
                                 "    return p.get('span', 2), p['need']\n"},

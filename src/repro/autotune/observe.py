@@ -52,13 +52,6 @@ class IterationObservation:
     retransmits: int = 0
     tainted: bool = False
 
-    @property
-    def spread(self) -> float:
-        """Full first-to-last arrival spread (laggard included)."""
-        if len(self.pready_times) < 2:
-            return 0.0
-        return max(self.pready_times) - min(self.pready_times)
-
 
 def _quantile(values: Sequence[float], q: float) -> float:
     """Nearest-rank quantile without numpy (tiny windows, hot path)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque
 
 from repro.ib.wr import WorkCompletion
 
@@ -65,10 +65,6 @@ class CompletionQueue:
         while entries and len(out) < max_entries:
             out.append(popleft())
         return out
-
-    def peek(self) -> Optional[WorkCompletion]:
-        """The oldest entry without removing it, or None."""
-        return self._entries[0] if self._entries else None
 
     def __repr__(self) -> str:
         return f"<CQ handle={self.handle} depth={len(self._entries)}/{self.capacity}>"

@@ -130,11 +130,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self._processed
-
-    @property
     def ok(self) -> bool:
         """True if the event succeeded. Only valid once triggered."""
         if self._ok is None:

@@ -51,10 +51,6 @@ class SimLock:
         #: the hand-off).
         self.contended_count = 0
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
     def hold(self) -> tuple:
         """Blockingly claim the lock; ``yield from`` the result.
 

@@ -2,22 +2,9 @@
 
 import pytest
 
-from repro.autotune import ArrivalTracker, IterationObservation
+from repro.autotune import ArrivalTracker
 from repro.autotune.observe import _quantile
 from repro.errors import ConfigError
-
-
-def test_observation_spread():
-    obs = IterationObservation(
-        round=0, completion_time=1.0, pready_times=(0.0, 2e-6, 5e-6))
-    assert obs.spread == pytest.approx(5e-6)
-
-
-def test_observation_spread_degenerate():
-    assert IterationObservation(round=0, completion_time=1.0).spread == 0.0
-    single = IterationObservation(
-        round=0, completion_time=1.0, pready_times=(3.0,))
-    assert single.spread == 0.0
 
 
 def test_quantile_nearest_rank():

@@ -38,17 +38,16 @@ def test_measured_aggregator_runs_and_wins_at_medium(measured_table):
 
 
 def test_measured_vs_calibrated_plans_comparable(measured_table):
-    """Measured-table plans stay within the same order of magnitude as
-    the calibrated-parameter plans (the paper's model/measurement
-    discrepancies, bounded)."""
+    """Today's (measured, calibrated) transport counts, pinned: the
+    measured table plans 2 and 32 transports where the hand-set
+    ``NIAGARA_LOGGP`` plans 1 and 2.  That gap is ROADMAP item 2's named
+    deviation, and the change that closes it updates this pin on
+    purpose."""
     from repro.model.tables import NIAGARA_LOGGP
 
     measured = PLogGPAggregator(measured_table, delay=ms(4))
     calibrated = PLogGPAggregator(NIAGARA_LOGGP, delay=ms(4))
-    for size in (64 * KiB, 1 * MiB):
-        p_measured = measured.plan(32, size // 32, NIAGARA).n_transport
-        p_calibrated = calibrated.plan(32, size // 32, NIAGARA).n_transport
-        assert p_measured <= 32 and p_calibrated <= 32
-        ratio = max(p_measured, p_calibrated) / max(
-            1, min(p_measured, p_calibrated))
-        assert ratio <= 32  # same order, never absurd
+    plans = {size: (measured.plan(32, size // 32, NIAGARA).n_transport,
+                    calibrated.plan(32, size // 32, NIAGARA).n_transport)
+             for size in (64 * KiB, 1 * MiB)}
+    assert plans == {64 * KiB: (2, 1), 1 * MiB: (32, 2)}

@@ -89,8 +89,8 @@ def test_unexpected_rndv_message():
     s = cluster.spawn(sender(a))
     r = cluster.spawn(receiver(b))
     cluster.run()
-    assert s.value is not None or s.processed
-    assert r.processed
+    assert s.value is not None or s._processed
+    assert r._processed
 
 
 def test_tag_matching_distinguishes_messages():

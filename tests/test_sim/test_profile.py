@@ -64,7 +64,7 @@ def test_site_census_names_the_line_that_parked():
     env.process(joiner(env, child))
     prof = KernelProfile.attach(env)
     env.run()
-    assert ghost.processed and seen == [observed]
+    assert ghost._processed and seen == [observed]
 
     def site(func, marker):
         import inspect

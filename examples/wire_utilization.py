@@ -57,15 +57,15 @@ def run(aggregator):
         yield from proc.start(req)
         yield from proc.wait_partitioned(req)
 
-    from repro.analysis import chunk_timeline
-
     cluster.spawn(sender(sender_rank))
     cluster.spawn(receiver(receiver_rank))
     cluster.run()
     laggard_arrival = marks["t0"] + COMPUTE * (1 + NOISE)
-    timeline = chunk_timeline(cluster.trace, node_id=0)
-    before = sum(n for s, _, n in timeline if s < laggard_arrival)
-    after = sum(n for s, _, n in timeline if s >= laggard_arrival)
+    # The sender's egress: every wire chunk node 0 put out.
+    chunks = [(rec.time, rec.data["nbytes"]) for rec in cluster.trace
+              if rec.category == "ib.chunk" and rec.subject == 0]
+    before = sum(n for start, n in chunks if start < laggard_arrival)
+    after = sum(n for start, n in chunks if start >= laggard_arrival)
     return before, after, marks["done"] - marks["t0"]
 
 

@@ -3,7 +3,7 @@
 The controller's sensor layer: each round of a persistent partitioned
 exchange yields one :class:`IterationObservation` (per-partition
 ``Pready`` times, achieved completion time, WR/flush/retransmit deltas
-from :class:`repro.sim.monitor.Counters`), and an
+from the fabric's ``counters``), and an
 :class:`ArrivalTracker` folds the arrival timestamps into EWMA and
 windowed-quantile statistics of the inter-partition gaps — the signal
 the δ-retargeting policy steers on.

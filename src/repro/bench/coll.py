@@ -171,7 +171,7 @@ def run_pcoll(
         cluster.run()
         result.completed = clock.done == world
         result.times = clock.times()
-        result.counters = cluster.fabric.counters.as_dict()
+        result.counters = dict(cluster.fabric.counters)
         if result.completed:
             result.leaks = _leaks(colls)
         return result

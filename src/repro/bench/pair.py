@@ -169,5 +169,5 @@ def run_partitioned_pair(
             iterations=records[warmup:],
             wrs_posted=getattr(module, "total_wrs_posted", None),
             timer_flushes=getattr(module, "timer_flushes", None),
-            counters=cluster.fabric.counters.as_dict(),
+            counters=dict(cluster.fabric.counters),
         )

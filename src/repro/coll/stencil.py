@@ -187,6 +187,6 @@ def run_stencil(
                 for nbr, req in coll.sends.items()
                 if getattr(req.module_spec, "aggregator", None) is not None
             }
-        result.counters = cluster.fabric.counters.as_dict()
+        result.counters = dict(cluster.fabric.counters)
         result.times = clock.times()
         return result

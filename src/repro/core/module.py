@@ -21,6 +21,7 @@ poster when a QP's 16-outstanding-RDMA budget is exhausted.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -112,7 +113,7 @@ class NativeVerbsModule(PartitionedModule):
         self._round_t0 = 0.0
         self._round_send_done = 0.0
         self._round_recv_done = 0.0
-        self._counter_snapshot: dict = {}
+        self._counter_snapshot: Counter[str] = Counter()
         self._wrs_snapshot = 0
         self._flush_snapshot = 0
         # Fault recovery: the tracker maps every in-flight WR to its QP
@@ -201,17 +202,17 @@ class NativeVerbsModule(PartitionedModule):
                 and self._round_pready_times is not None):
             from repro.autotune.observe import IterationObservation
 
-            deltas = counters.since(self._counter_snapshot)
+            deltas = counters - self._counter_snapshot
             # An observation that overlapped a recovery window measures
             # the fault, not the arm — quarantine it so the tuner's
             # statistics stay clean (chaos ladder, PR 6).
             tainted = bool(
-                deltas.get("ib.retry_exhausted", 0)
-                or deltas.get("ib.reconnects", 0)
+                deltas["ib.retry_exhausted"]
+                or deltas["ib.reconnects"]
                 or self._tracker.recovering
                 or self._fault_in_round)
             if tainted:
-                counters.inc("autotune.quarantined")
+                counters["autotune.quarantined"] += 1
             self._controller.observe(IterationObservation(
                 round=self._planned_round,
                 completion_time=max(self._round_send_done,
@@ -219,7 +220,7 @@ class NativeVerbsModule(PartitionedModule):
                 pready_times=tuple(self._round_pready_times),
                 wrs_posted=self.total_wrs_posted - self._wrs_snapshot,
                 timer_flushes=self.timer_flushes - self._flush_snapshot,
-                retransmits=deltas.get("ib.retransmits", 0),
+                retransmits=deltas["ib.retransmits"],
                 tainted=tainted,
             ))
         # Never flip the layout under pending recovery or replay: the
@@ -230,7 +231,7 @@ class NativeVerbsModule(PartitionedModule):
         self.group_size = self.send_req.n_partitions // choice.n_transport
         self._planned_round = round_no
         self._round_t0 = self.env.now
-        self._counter_snapshot = counters.as_dict()
+        self._counter_snapshot = counters.copy()
         self._wrs_snapshot = self.total_wrs_posted
         self._flush_snapshot = self.timer_flushes
 
@@ -402,7 +403,7 @@ class NativeVerbsModule(PartitionedModule):
             self._credit.defer((start, count))
             return
         if self._degraded and count > 1:
-            self.cluster.fabric.counters.inc("mpi.degraded_posts", count)
+            self.cluster.fabric.counters["mpi.degraded_posts"] += count
             for p in range(start, start + count):
                 yield from self._issue_wr((p, 1))
             return
@@ -585,7 +586,7 @@ class NativeVerbsModule(PartitionedModule):
             # re-posts them, nothing arrived, nothing to mark.
             if (wc.status is WCStatus.WR_FLUSH_ERR
                     and self._recovery_enabled):
-                self.cluster.fabric.counters.inc("mpi.flushed_recv_wcs")
+                self.cluster.fabric.counters["mpi.flushed_recv_wcs"] += 1
                 return
             wc.require_success()
         yield part_cfg.t_rx_wr
@@ -593,7 +594,7 @@ class NativeVerbsModule(PartitionedModule):
         if bool(req.arrived[start : start + count].all()):
             # Exactly-once safety net: a replayed WR whose original did
             # land is dropped here.
-            self.cluster.fabric.counters.inc("mpi.duplicates_dropped")
+            self.cluster.fabric.counters["mpi.duplicates_dropped"] += 1
         else:
             req.mark_arrived(start, count)
 

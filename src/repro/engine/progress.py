@@ -46,11 +46,6 @@ class ProgressEngine:
         self._pollers: list[tuple[Poller, Sized | None,
                                   Callable[[], None] | None]] = []
         self._notify = Notify(env)
-        # statistics
-        self.passes = 0
-        self.events_handled = 0
-        #: Passes skipped because another thread held the lock.
-        self.lock_misses = 0
 
     def register(self, poller: Poller, pending: Sized | None = None,
                  on_idle: Callable[[], None] | None = None) -> None:
@@ -87,7 +82,6 @@ class ProgressEngine:
         livelock the simulation.
         """
         if self._busy:
-            self.lock_misses += 1
             yield self.t_poll_miss
             return 0
         self._busy = True
@@ -101,8 +95,6 @@ class ProgressEngine:
                 handled += yield from poller()
             if handled == 0:
                 yield self.t_poll_miss
-            self.passes += 1
-            self.events_handled += handled
             return handled
         finally:
             self._busy = False
@@ -125,7 +117,6 @@ class ProgressEngine:
             # nested-generator hop per iteration is measurable).  The
             # yielded event sequence must stay identical to the method's.
             if self._busy:
-                self.lock_misses += 1
                 yield t_poll_miss
                 handled = 0
             else:
@@ -140,8 +131,6 @@ class ProgressEngine:
                         handled += yield from poller()
                     if handled == 0:
                         yield t_poll_miss
-                    self.passes += 1
-                    self.events_handled += handled
                 finally:
                     self._busy = False
             if predicate():
@@ -164,5 +153,4 @@ class ProgressEngine:
         self._pollers.clear()
 
     def __repr__(self) -> str:
-        return (f"<ProgressEngine pollers={len(self._pollers)} "
-                f"passes={self.passes}>")
+        return f"<ProgressEngine pollers={len(self._pollers)}>"

@@ -155,7 +155,7 @@ class ReplayTracker:
                 unit = self.replay[0]
                 if not self._can_replay(unit):
                     break  # died again; take another reconnect lap
-                counters.inc(self.counter)
+                counters[self.counter] += 1
                 yield from self._replay_unit(unit)
                 self.replay.pop(0)
             if not self.replay:

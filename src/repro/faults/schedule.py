@@ -17,6 +17,7 @@ every run.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.ib.constants import CHUNK_CORRUPT, CHUNK_LOST, CHUNK_OK
-from repro.sim.monitor import Counters
 from repro.sim.rng import RngStreams
 
 
@@ -213,12 +213,10 @@ class FaultInjector:
     """
 
     def __init__(self, schedule: FaultSchedule, rngs: RngStreams,
-                 counters: Optional[Counters] = None,
-                 trace=None):
+                 counters: Counter[str]):
         self.schedule = schedule
         self.rngs = rngs
-        self.counters = counters if counters is not None else Counters()
-        self.trace = trace
+        self.counters = counters
         self._link_streams: dict[tuple[int, int], np.random.Generator] = {}
 
     # -- RNG plumbing ------------------------------------------------------
@@ -267,18 +265,18 @@ class FaultInjector:
         draw per configured fault entry decides loss, then corruption.
         """
         if self.link_down(src, dst, t):
-            self.counters.inc("fault.chunks_lost")
+            self.counters["fault.chunks_lost"] += 1
             return CHUNK_LOST
         for cf in self.schedule.chunk_faults:
             if not cf.matches(src, dst):
                 continue
             if cf.loss > 0.0:
                 if self._stream(src, dst).random() < cf.loss:
-                    self.counters.inc("fault.chunks_lost")
+                    self.counters["fault.chunks_lost"] += 1
                     return CHUNK_LOST
             if cf.corruption > 0.0:
                 if self._stream(src, dst).random() < cf.corruption:
-                    self.counters.inc("fault.chunks_corrupted")
+                    self.counters["fault.chunks_corrupted"] += 1
                     return CHUNK_CORRUPT
         return CHUNK_OK
 

@@ -141,7 +141,7 @@ def run_fleet_workload(schedule, seed, module, config=None, iterations=4,
             workload="fleet", completed=completed,
             duration=float(cluster.env.now) if completed else 0.0,
             integrity_failures=state["integrity"],
-            counters=cluster.fabric.counters.as_dict(),
+            counters=dict(cluster.fabric.counters),
             leaks=leaks,
             meta={"tenants": {name: list(TENANT_NODES[name])
                               for name in tenants},

@@ -7,25 +7,27 @@ crossbar with uniform latency, or per-pair latency from a topology.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from repro.config import ClusterConfig, NIAGARA
 from repro.errors import ConfigError
 from repro.ib.nic import NIC
 from repro.sim.core import Environment
-from repro.sim.monitor import Counters, Trace
+from repro.sim.monitor import TraceRecord
 
 
 class Fabric:
     """A set of nodes joined by a non-blocking interconnect."""
 
     def __init__(self, env: Environment, config: Optional[ClusterConfig] = None,
-                 trace: Optional[Trace] = None, topology=None):
+                 topology=None):
         self.env = env
         self.config = config if config is not None else NIAGARA
         self.config.validate()
-        self.trace = trace if trace is not None else Trace(
-            enabled=self.config.trace_enabled)
+        #: The NICs' records when ``config.trace_enabled``, else None.
+        self.trace: Optional[list[TraceRecord]] = (
+            [] if self.config.trace_enabled else None)
         #: Optional :class:`repro.ib.topology.Topology`; None = uniform
         #: latency from the link config.
         self.topology = topology
@@ -44,8 +46,9 @@ class Fabric:
                           for key in topology.link_keys()}
             self.link_arbitration = getattr(topology, "arbitration", 0.0)
         self._nics: dict[int, NIC] = {}
-        #: Fault/retry/reconnect counters; always present, cheap to bump.
-        self.counters = Counters()
+        #: Fault/retry/reconnect counters (dotted names: ``ib.retransmits``,
+        #: ``fault.chunks_lost``, ...); always present, cheap to bump.
+        self.counters: Counter[str] = Counter()
         #: Installed :class:`repro.faults.FaultInjector`, or None.  The
         #: NIC engines check this once per WR; when None, the fault-free
         #: transmit paths run and virtual time is bit-identical to a
@@ -63,8 +66,7 @@ class Fabric:
         from repro.sim.rng import RngStreams
 
         rngs = RngStreams(self.config.seed).spawn("faults")
-        self.faults = FaultInjector(schedule, rngs, self.counters,
-                                    trace=self.trace)
+        self.faults = FaultInjector(schedule, rngs, self.counters)
         return self.faults
 
     def add_node(self, node_id: Optional[int] = None) -> NIC:
@@ -73,7 +75,7 @@ class Fabric:
             node_id = len(self._nics)
         if node_id in self._nics:
             raise ConfigError(f"node {node_id} already exists")
-        nic = NIC(self.env, self, node_id, self.config, self.trace)
+        nic = NIC(self.env, self, node_id, self.config)
         self._nics[node_id] = nic
         return nic
 

@@ -23,7 +23,7 @@ from repro.ib.link import IngressPort, wire_table
 from repro.ib.qp import QueuePair
 from repro.ib.wr import SendWR, WorkCompletion
 from repro.sim.core import PARKED, Environment, Timer, _INF
-from repro.sim.monitor import Trace
+from repro.sim.monitor import TraceRecord
 from repro.sim.resources import Resource, Store
 
 if TYPE_CHECKING:
@@ -34,12 +34,11 @@ class NIC:
     """A simulated HCA attached to one node."""
 
     def __init__(self, env: Environment, fabric: "Fabric", node_id: int,
-                 config: ClusterConfig, trace: Optional[Trace] = None):
+                 config: ClusterConfig):
         self.env = env
         self.fabric = fabric
         self.node_id = node_id
         self.config = config
-        self.trace = trace if trace is not None else Trace(enabled=False)
         #: Per-port wires.  Each physical port is an independent link:
         #: a capacity-1 egress serializer shared by the QPs bound to it,
         #: and an ingress pipe of its own.  ``egress``/``ingress`` alias
@@ -95,7 +94,7 @@ class NIC:
         """Stage 1: fetch/parse WQEs (pipelines with transmission)."""
         cfg = self.config.nic
         sq = qp.sq
-        trace = self.trace
+        trace = self.fabric.trace
         while True:
             if sq.items:
                 wr: SendWR = sq.items.pop(0)
@@ -113,10 +112,11 @@ class NIC:
             # is a scatter sink, so there is nothing to gather here.
             payload = (None if wr.opcode is Opcode.RDMA_READ
                        else self._gather(qp, wr))
-            if trace.enabled:
-                trace.record(self.env.now, "ib.wqe_start", self.node_id,
-                             qp=qp.qp_num, wr_id=wr.wr_id,
-                             nbytes=wr.total_length)
+            if trace is not None:
+                trace.append(TraceRecord(
+                    self.env.now, "ib.wqe_start", self.node_id,
+                    {"qp": qp.qp_num, "wr_id": wr.wr_id,
+                     "nbytes": wr.total_length}))
             qp._txq.hand_off((wr, payload))
 
     def _qp_transmitter(self, qp: QueuePair):
@@ -149,9 +149,7 @@ class NIC:
                 # window ends; the QP may have been killed meanwhile.
                 until = faults.stall_until(self.node_id, env.now)
                 if until > env.now:
-                    fabric.counters.inc("fault.nic_stalls")
-                    self.trace.record(env.now, "fault.nic_stall",
-                                      self.node_id, qp=qp.qp_num, until=until)
+                    fabric.counters["fault.nic_stalls"] += 1
                     yield until - env.now
                     if qp.state is QPState.ERROR:
                         self._flush_wr(qp, wr)
@@ -204,7 +202,7 @@ class NIC:
         Returns the last chunk's arrival time at ``dest``.
         """
         env = self.env
-        trace = self.trace
+        trace = self.fabric.trace
         faults = self.fabric.faults
         egress = qp.egress
         arrival = env._now
@@ -221,10 +219,11 @@ class NIC:
             egress.release(grant)
             qp.next_inject_time = start + spacing
             self.bytes_transmitted += chunk
-            if trace.enabled:
-                trace.record(start, "ib.chunk", self.node_id,
-                             qp=qp.qp_num, nbytes=chunk,
-                             occupancy=occupancy)
+            if trace is not None:
+                trace.append(TraceRecord(
+                    start, "ib.chunk", self.node_id,
+                    {"qp": qp.qp_num, "nbytes": chunk,
+                     "occupancy": occupancy}))
             if faults is not None:
                 if faults.chunk_outcome(self.node_id, dest.node_id,
                                         start) is not CHUNK_OK:
@@ -269,9 +268,7 @@ class NIC:
                 self._flush_wr(qp, wr)
                 return
             if retransmit:
-                counters.inc("ib.retransmits")
-                self.trace.record(env.now, "fault.retransmit", self.node_id,
-                                  qp=qp.qp_num, wr_id=wr.wr_id)
+                counters["ib.retransmits"] += 1
             retransmit = True
             arrival = yield from self._chunk_train(qp, remote, ingress,
                                                    nbytes, latency)
@@ -290,9 +287,7 @@ class NIC:
                     # Receiver not ready: the responder NAKs, the
                     # requester backs off for the advertised RNR timer
                     # and retransmits the message.
-                    counters.inc("ib.rnr_naks")
-                    self.trace.record(env.now, "fault.rnr_nak", self.node_id,
-                                      qp=qp.qp_num, wr_id=wr.wr_id)
+                    counters["ib.rnr_naks"] += 1
                     if rnr_budget != 7:  # 7 = infinite, per IB spec
                         if rnr_budget == 0:
                             self._complete_error(
@@ -412,9 +407,7 @@ class NIC:
                 self._flush_wr(qp, wr)
                 return
             if retransmit:
-                self.fabric.counters.inc("ib.retransmits")
-                self.trace.record(env.now, "fault.retransmit", self.node_id,
-                                  qp=qp.qp_num, wr_id=wr.wr_id)
+                self.fabric.counters["ib.retransmits"] += 1
             retransmit = True
             if remote is self:
                 # Loopback read: a host-memory copy.
@@ -488,10 +481,7 @@ class NIC:
         hardware), and :meth:`QueuePair.to_error` then flushes both
         queues and wakes every parked slot waiter.
         """
-        self.fabric.counters.inc("ib.retry_exhausted")
-        self.trace.record(self.env.now, "ib.qp_error", self.node_id,
-                          qp=qp.qp_num, wr_id=wr.wr_id,
-                          status=status.value)
+        self.fabric.counters["ib.retry_exhausted"] += 1
         qp.send_cq.push(WorkCompletion(
             wr_id=wr.wr_id,
             status=status,
@@ -552,10 +542,11 @@ class NIC:
             mr.check_remote_write(wr.remote_addr, nbytes, wr.rkey)
             if payload is not None:     # a phantom source writes nothing
                 mr.buffer.write(wr.remote_addr - mr.addr, payload)
-        if self.trace.enabled:
-            self.trace.record(self.env.now, "ib.deliver", self.node_id,
-                              qp=dest_qp.qp_num, wr_id=wr.wr_id,
-                              nbytes=nbytes)
+        trace = self.fabric.trace
+        if trace is not None:
+            trace.append(TraceRecord(
+                self.env.now, "ib.deliver", self.node_id,
+                {"qp": dest_qp.qp_num, "wr_id": wr.wr_id, "nbytes": nbytes}))
         if wr.opcode.consumes_recv_wr:
             recv_wr = dest_qp.consume_recv()
             if wr.opcode in (Opcode.SEND, Opcode.SEND_WITH_IMM):
@@ -646,7 +637,7 @@ class _Delivery(Timer):
                 if (qp.state not in (QPState.RTS, QPState.RTR)
                         or dest_qp is None
                         or dest_qp.state not in (QPState.RTR, QPState.RTS)):
-                    nic.fabric.counters.inc("fault.deliveries_dropped")
+                    nic.fabric.counters["fault.deliveries_dropped"] += 1
                     return
             self.remote._deliver(qp, wr, self.payload, self.nbytes)
             # The ACK returns to the sender.

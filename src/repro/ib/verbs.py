@@ -84,7 +84,7 @@ def reconnect_qps(local: QueuePair, remote: QueuePair) -> None:
             qp.modify(QPState.RESET)
     connect_qps(local, remote)
     if local.nic is not None:
-        local.nic.fabric.counters.inc("ib.reconnects")
+        local.nic.fabric.counters["ib.reconnects"] += 1
 
 
 def ibv_post_send(qp: QueuePair, wr: SendWR) -> None:

@@ -11,7 +11,6 @@ from repro.ib.fabric import Fabric
 from repro.mpi.process import MPIProcess
 from repro.mpi.request import PartitionedState, PrecvRequest, PsendRequest
 from repro.sim.core import Environment
-from repro.sim.monitor import Trace
 from repro.sim.rng import RngStreams
 from repro.units import us
 
@@ -34,9 +33,9 @@ class Cluster:
         self.config = config if config is not None else NIAGARA
         self.config.validate()
         self.env = Environment()
-        self.trace = Trace(enabled=self.config.trace_enabled)
-        self.fabric = Fabric(self.env, self.config, self.trace,
-                             topology=topology)
+        self.fabric = Fabric(self.env, self.config, topology=topology)
+        #: The fabric's trace records (None unless ``trace_enabled``).
+        self.trace = self.fabric.trace
         for node in range(n_nodes):
             self.fabric.add_node(node)
         self.rngs = RngStreams(self.config.seed)

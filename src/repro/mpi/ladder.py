@@ -162,12 +162,12 @@ class LadderModule(PartitionedModule):
         poison the new rung's probation.
         """
         counters = self.cluster.fabric.counters
-        counters.inc("chaos.edge_failures")
+        counters["chaos.edge_failures"] += 1
         if module is not None and module is not self.inner:
             return
         self._fault_this_round = True
         if self.breaker.record_failure():
-            counters.inc("chaos.breaker_trips")
+            counters["chaos.breaker_trips"] += 1
             if self.level + 1 < len(self.rungs):
                 self._pending_level = self.level + 1
                 self._begin_takeover()
@@ -175,8 +175,8 @@ class LadderModule(PartitionedModule):
     def _switch(self, new_level: int, round_no: int) -> None:
         counters = self.cluster.fabric.counters
         demotion = new_level > self.level
-        counters.inc("chaos.ladder_demotions" if demotion
-                     else "chaos.ladder_promotions")
+        counters["chaos.ladder_demotions" if demotion
+                 else "chaos.ladder_promotions"] += 1
         self.transitions.append({
             "time": self.env.now,
             "round": round_no,
@@ -253,7 +253,7 @@ class LadderModule(PartitionedModule):
                 if p in self._rescue_pending:
                     continue
                 self._rescue_pending.add(p)
-                counters.inc("chaos.rescued_partitions")
+                counters["chaos.rescued_partitions"] += 1
                 send_off = req.buf.partition_offset(p)
                 recv_off = self.recv_req.buf.partition_offset(p)
                 header = Header(
@@ -284,7 +284,7 @@ class LadderModule(PartitionedModule):
         yield proto.t_recv
         req = self.recv_req
         if bool(req.arrived[partition]):
-            self.cluster.fabric.counters.inc("chaos.rescue_duplicates")
+            self.cluster.fabric.counters["chaos.rescue_duplicates"] += 1
         else:
             req.mark_arrived(partition, 1)
         if req.all_arrived and not req.done:

@@ -205,7 +205,7 @@ class PersistModule(PartitionedModule):
         Nothing landed (a failed READ scatters no data), so re-issuing
         after the reconnect walk is exactly-once by construction.
         """
-        self.cluster.fabric.counters.inc("mpi.read_replays")
+        self.cluster.fabric.counters["mpi.read_replays"] += 1
         if self.ladder is not None:
             self.ladder.note_failure("read_replay", module=self)
         yield self.cluster.config.part.reconnect_delay

@@ -258,7 +258,7 @@ class MPIProcess:
                 edge=(self.rank, None), wr_id=wc.wr_id,
                 qp_num=wc.qp_num, status=wc.status.value,
                 retries=retries)
-        self.cluster.fabric.counters.inc("mpi.p2p_failures")
+        self.cluster.fabric.counters["mpi.p2p_failures"] += 1
         entry = self.router.failures.pop(wc.wr_id, None)
         if entry is None:
             # A flushed receive prestock entry: the reconnect walk

@@ -39,7 +39,7 @@ from repro.sim.events import AllOf
 from repro.sim.resources import Resource, Store
 from repro.sim.sync import SimLock, AtomicCounter, SimBarrier, Notify
 from repro.sim.rng import RngStreams
-from repro.sim.monitor import Counters, Trace, TraceRecord
+from repro.sim.monitor import TraceRecord
 
 __all__ = [
     "Environment",
@@ -55,8 +55,6 @@ __all__ = [
     "AtomicCounter",
     "Notify",
     "RngStreams",
-    "Counters",
-    "Trace",
     "TraceRecord",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",

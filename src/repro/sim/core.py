@@ -51,9 +51,12 @@ from __future__ import annotations
 import operator
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.errors import SimTimeError, SimulationError
+
+if TYPE_CHECKING:
+    from repro.sim.sync import _Park
 
 #: Priority for events that must fire before ordinary ones at the same time
 #: (used internally for process initialization and completion).
@@ -267,16 +270,22 @@ class Timer:
 
 class _Expiry(Timer):
     """A due lane deadline, staged into its timestamp's batch: at its
-    turn it expires the event, unless something triggered it first."""
+    turn it expires the parked wait, unless a set woke it first.
 
-    __slots__ = ("event",)
+    A lane entry is not an :class:`Event` but a
+    :class:`repro.sim.sync._Park`, one parked :meth:`Notify.wait
+    <repro.sim.sync.Notify.wait>`: the only kind of waiter with a
+    deadline lane and an ``_expire``.
+    """
 
-    def __init__(self, event: Event):
-        self.event = event
+    __slots__ = ("park",)
+
+    def __init__(self, park: _Park):
+        self.park = park
 
     def _resume(self, _entry) -> None:
-        if self.event._value is _PENDING:
-            self.event._expire()
+        if self.park._value is _PENDING:
+            self.park._expire()
 
 
 class _Wake(Event):
@@ -302,10 +311,11 @@ class Environment:
         #: queued normal ones.
         self._cur_urgent: deque[Event] = deque()
         self._cur_normal: deque[Event] = deque()
-        #: Deadline lanes, one per delay: FIFOs of ``(time, seq, event)``
-        #: at priority normal (see :meth:`repro.sim.sync.Notify.wait`),
-        #: and the earliest lane head (``inf`` with every lane empty).
-        self._lanes: dict[float, deque[tuple[float, int, Event]]] = {}
+        #: Deadline lanes, one per delay: FIFOs of ``(time, seq, park)``
+        #: at priority normal, each ``park`` a parked
+        #: :meth:`repro.sim.sync.Notify.wait`, and the earliest lane head
+        #: (``inf`` with every lane empty).
+        self._lanes: dict[float, deque[tuple[float, int, _Park]]] = {}
         self._lane_next = _INF
         self._seq = 0
         #: Optional :class:`~repro.sim.profile.KernelProfile` hook; when
@@ -370,9 +380,9 @@ class Environment:
         head = _INF
         for lane in self._lanes.values():
             while lane and lane[0][0] == when:
-                _, seq, event = lane.popleft()
-                if event._value is _PENDING:
-                    staged.append((1, seq, _Expiry(event)))
+                _, seq, park = lane.popleft()
+                if park._value is _PENDING:
+                    staged.append((1, seq, _Expiry(park)))
             if lane and lane[0][0] < head:
                 head = lane[0][0]
         self._lane_next = head

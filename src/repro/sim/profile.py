@@ -4,8 +4,7 @@ The dispatch loop in :meth:`repro.sim.core.Environment._drain` costs
 nothing when profiling is off (a single ``is None`` test per event).
 When a :class:`KernelProfile` is attached, every dispatch is routed
 through :meth:`KernelProfile.dispatch`, which runs the callbacks while
-accumulating wall-clock time and a histogram bucketed by event type,
-plus a census of *where* each dispatch resumes (:func:`site_of`): the
+accumulating counts and wall-clock time per event type, plus a census of *where* each dispatch resumes (:func:`site_of`): the
 event type says ``Process`` (a bootstrap, a sleep or a parked wake),
 the site says which generator line slept or parked.
 The site is read off the event at dispatch time, so nothing is added
@@ -26,12 +25,8 @@ this module covers the virtual-time view, cProfile the CPU view.
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 from typing import Optional
-
-#: Histogram bucket edges for per-dispatch wall time (seconds).
-_BUCKETS = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, float("inf"))
-
 
 #: Census key of an event dispatched with an empty callback list.
 NO_CALLBACKS = "(no callbacks)"
@@ -68,37 +63,26 @@ def site_of(callbacks) -> str:
 class EventTypeStats:
     """Accumulated dispatch statistics for one event type."""
 
-    __slots__ = ("count", "callbacks", "seconds", "hist")
+    __slots__ = ("count", "callbacks", "seconds")
 
     def __init__(self) -> None:
         self.count = 0
         self.callbacks = 0
         self.seconds = 0.0
-        self.hist = [0] * len(_BUCKETS)
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "callbacks": self.callbacks,
-            "seconds": self.seconds,
-            "hist": {f"<{edge:g}s": n for edge, n in zip(_BUCKETS, self.hist)},
-        }
 
 
 class KernelProfile:
-    """Event-count / dispatch-time histograms, keyed by event type."""
+    """Event counts and dispatch times, keyed by event type and by site."""
 
-    __slots__ = ("stats", "sites", "events", "first_dispatch",
-                 "last_dispatch", "_clock")
+    __slots__ = ("stats", "sites", "events", "last_dispatch")
 
-    def __init__(self, clock=time.perf_counter) -> None:
+    def __init__(self) -> None:
         self.stats: dict[str, EventTypeStats] = {}
         #: Dispatch count per resume site (see :func:`site_of`).
         self.sites: dict[str, int] = {}
         self.events = 0
-        self.first_dispatch: Optional[float] = None
+        #: Virtual time of the last dispatched event.
         self.last_dispatch: Optional[float] = None
-        self._clock = clock
 
     @classmethod
     def attach(cls, env) -> "KernelProfile":
@@ -116,14 +100,11 @@ class KernelProfile:
         """
         site = site_of(callbacks)
         self.sites[site] = self.sites.get(site, 0) + 1
-        clock = self._clock
-        start = clock()
+        start = perf_counter()
         for callback in callbacks:
             callback(event)
-        elapsed = clock() - start
+        elapsed = perf_counter() - start
 
-        if self.first_dispatch is None:
-            self.first_dispatch = now
         self.last_dispatch = now
         self.events += 1
 
@@ -134,23 +115,8 @@ class KernelProfile:
         stats.count += 1
         stats.callbacks += len(callbacks)
         stats.seconds += elapsed
-        for i, edge in enumerate(_BUCKETS):
-            if elapsed < edge:
-                stats.hist[i] += 1
-                break
 
     # -- reporting -----------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {
-            "events": self.events,
-            "virtual_span": (
-                None if self.first_dispatch is None
-                else self.last_dispatch - self.first_dispatch
-            ),
-            "by_type": {k: v.as_dict() for k, v in sorted(self.stats.items())},
-            "by_site": dict(sorted(self.sites.items())),
-        }
 
     def report(self, by: str = "type") -> str:
         """Human-readable table.

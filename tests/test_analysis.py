@@ -1,17 +1,9 @@
-"""Tests for trace-based analysis."""
+"""Simulator properties read straight off ``fabric.trace`` records."""
 
-from repro.analysis import (
-    chunk_timeline,
-    idle_gaps,
-    latency_percentiles,
-    message_wire_latencies,
-    wire_stats,
-)
 from repro.config import NIAGARA
 from repro.core import FixedAggregation, NativeSpec
 from repro.mem import PartitionedBuffer
 from repro.mpi import Cluster
-from repro.sim.monitor import Trace
 from repro.units import MiB
 
 
@@ -41,55 +33,54 @@ def traced_transfer(total_bytes=4 * MiB, n_parts=8, pready_stagger=0.0):
     cluster.spawn(sender(s_proc))
     cluster.spawn(receiver(r_proc))
     cluster.run()
-    return cluster.trace, cluster.env.now
+    return cluster.trace
+
+
+def egress(trace, node_id):
+    """(start, end, bytes) of every wire chunk ``node_id`` sent, in order."""
+    return sorted((rec.time, rec.time + rec.data["occupancy"],
+                   rec.data["nbytes"]) for rec in trace
+                  if rec.category == "ib.chunk" and rec.subject == node_id)
+
+
+def idle_gaps(trace, node_id, min_gap):
+    timeline = egress(trace, node_id)
+    return [(e1, s2) for (_, e1, _), (s2, _, _) in zip(timeline, timeline[1:])
+            if s2 - e1 > min_gap]
 
 
 def test_wire_stats_accounts_all_bytes():
-    trace, _ = traced_transfer(total_bytes=4 * MiB)
-    stats = wire_stats(trace, node_id=0)
-    assert stats.bytes_on_wire == 4 * MiB
-    assert stats.n_chunks >= 16  # 4MiB over 256KiB chunks
-    assert 0 < stats.utilization <= 1.0
+    timeline = egress(traced_transfer(total_bytes=4 * MiB), node_id=0)
+    assert sum(nbytes for _, _, nbytes in timeline) == 4 * MiB
+    assert len(timeline) >= 16  # 4MiB over 256KiB chunks
 
 
 def test_timeline_is_sorted_and_non_overlapping():
-    trace, _ = traced_transfer()
-    timeline = chunk_timeline(trace, node_id=0)
+    timeline = egress(traced_transfer(), node_id=0)
     for (s1, e1, _), (s2, _, _) in zip(timeline, timeline[1:]):
         assert s2 >= s1
         assert s2 >= e1 - 1e-15  # egress is a serializer
 
 
 def test_idle_gaps_found_with_staggered_arrivals():
-    trace, _ = traced_transfer(total_bytes=1 * MiB, pready_stagger=200e-6)
-    gaps = idle_gaps(trace, node_id=0, min_gap=50e-6)
-    assert len(gaps) >= 6  # one long gap between each staggered pready
+    trace = traced_transfer(total_bytes=1 * MiB, pready_stagger=200e-6)
+    # One long gap between each staggered pready.
+    assert len(idle_gaps(trace, node_id=0, min_gap=50e-6)) >= 6
 
 
 def test_no_big_gaps_without_stagger():
-    trace, _ = traced_transfer(total_bytes=1 * MiB)
-    gaps = idle_gaps(trace, node_id=0, min_gap=50e-6)
-    assert gaps == []
+    trace = traced_transfer(total_bytes=1 * MiB)
+    assert idle_gaps(trace, node_id=0, min_gap=50e-6) == []
 
 
 def test_message_latencies_positive_and_complete():
-    trace, _ = traced_transfer(total_bytes=1 * MiB, n_parts=8)
-    latencies = message_wire_latencies(trace)
-    assert len(latencies) == 8
-    assert all(v > 0 for v in latencies.values())
-
-
-def test_latency_percentiles_ordered():
-    trace, _ = traced_transfer(total_bytes=8 * MiB, n_parts=8)
-    pct = latency_percentiles(trace)
-    assert pct[50] <= pct[90] <= pct[99]
-
-
-def test_empty_trace_degenerates_gracefully():
-    trace = Trace()
-    stats = wire_stats(trace, node_id=0)
-    assert stats.utilization == 0.0
-    assert latency_percentiles(trace) == {50: 0.0, 90: 0.0, 99: 0.0}
+    trace = traced_transfer(total_bytes=1 * MiB, n_parts=8)
+    starts = {rec.data["wr_id"]: rec.time for rec in trace
+              if rec.category == "ib.wqe_start"}
+    delivered = {rec.data["wr_id"]: rec.time for rec in trace
+                 if rec.category == "ib.deliver"}
+    assert len(delivered) == 8 and delivered.keys() <= starts.keys()
+    assert all(delivered[wr_id] > starts[wr_id] for wr_id in delivered)
 
 
 def test_read_response_chunks_count_on_the_responder():
@@ -105,8 +96,9 @@ def test_read_response_chunks_count_on_the_responder():
     post_read(pair, src_mr, dst_mr, nbytes)
     pair.env.run()
     responder = pair.fabric.nic_at(0)
-    stats = wire_stats(pair.fabric.trace, node_id=0)
-    assert stats.bytes_on_wire == responder.bytes_transmitted == nbytes
-    assert stats.n_chunks == nbytes // NIAGARA.nic.wire_chunk
+    timeline = egress(pair.fabric.trace, node_id=0)
+    assert sum(n for _, _, n in timeline) == responder.bytes_transmitted \
+        == nbytes
+    assert len(timeline) == nbytes // NIAGARA.nic.wire_chunk
     # The requester put only the header-sized request on its wire.
-    assert wire_stats(pair.fabric.trace, node_id=1).bytes_on_wire == 0
+    assert sum(n for _, _, n in egress(pair.fabric.trace, node_id=1)) == 0

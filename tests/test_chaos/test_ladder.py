@@ -139,12 +139,12 @@ def test_dead_edge_degrades_and_completes_with_the_ladder(monkeypatch):
     # Every round completed with the right bytes, despite the dead rung.
     assert outcome["rounds_ok"] == rounds
     c = cluster.fabric.counters
-    assert c.get("ib.retry_exhausted") >= 1
-    assert c.get("chaos.edge_failures") >= 1
-    assert c.get("chaos.breaker_trips") >= 1
-    assert c.get("chaos.ladder_demotions") >= 1
+    assert c["ib.retry_exhausted"] >= 1
+    assert c["chaos.edge_failures"] >= 1
+    assert c["chaos.breaker_trips"] >= 1
+    assert c["chaos.ladder_demotions"] >= 1
     # The tripped round itself was rescued mid-flight over p2p.
-    assert c.get("chaos.rescued_partitions") >= 1
+    assert c["chaos.rescued_partitions"] >= 1
     module = outcome["send_req"].module
     assert module.level > 0
     assert module.rungs[module.level].name in ("part_persist", "channels")
@@ -166,7 +166,7 @@ def test_dead_edge_settles_on_the_channels_rung(monkeypatch, psize):
     cluster, outcome = run_dead_edge(spec, FaultSchedule(), ladder_config(),
                                      rounds=rounds, psize=psize)
     assert outcome["rounds_ok"] == rounds
-    assert cluster.fabric.counters.get("chaos.rescued_partitions") >= 1
+    assert cluster.fabric.counters["chaos.rescued_partitions"] >= 1
     module = outcome["send_req"].module
     assert module.rungs[module.level].name == "channels"
     assert [t["to"] for t in module.transitions] == ["channels"]
@@ -189,8 +189,8 @@ def test_recovered_edge_is_promoted_back_after_probation(monkeypatch):
         spec, schedule, ladder_config(), rounds=8)
     assert outcome["rounds_ok"] == 8
     c = cluster.fabric.counters
-    assert c.get("chaos.ladder_demotions") >= 1
-    assert c.get("chaos.ladder_promotions") >= 1
+    assert c["chaos.ladder_demotions"] >= 1
+    assert c["chaos.ladder_promotions"] >= 1
     module = outcome["send_req"].module
     kinds = [t["kind"] for t in module.transitions]
     assert "demote" in kinds and "promote" in kinds
@@ -217,4 +217,4 @@ def test_quarantine_counts_faulted_rounds():
         part=replace(NIAGARA.part, reconnect_delay=us(500)))
     cluster, outcome = run_dead_edge(spec, schedule, config, rounds=4)
     assert outcome["rounds_ok"] == 4
-    assert cluster.fabric.counters.get("autotune.quarantined") >= 1
+    assert cluster.fabric.counters["autotune.quarantined"] >= 1

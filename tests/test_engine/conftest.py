@@ -1,19 +1,10 @@
 """Shared stubs for the engine-layer unit tests."""
 
+from collections import Counter
+
 import pytest
 
 from repro.sim import Environment
-
-
-class FakeCounters:
-    def __init__(self):
-        self.data = {}
-
-    def inc(self, name, n=1):
-        self.data[name] = self.data.get(name, 0) + n
-
-    def get(self, name):
-        return self.data.get(name, 0)
 
 
 class FakeSchedule:
@@ -31,7 +22,7 @@ class FakeFabric:
 
     def __init__(self, faults=None):
         self.faults = faults
-        self.counters = FakeCounters()
+        self.counters = Counter()
 
 
 class FakeWC:

@@ -116,7 +116,7 @@ def test_recover_sweeps_and_replays_fifo(env):
     assert [u for u, _ in replayed] == ["u0", "u1", "u2"]
     # Replays happen after the reconnect delay, not before.
     assert all(t == pytest.approx(DELAY) for _, t in replayed)
-    assert fabric.counters.get("mpi.replayed_wrs") == 3
+    assert fabric.counters["mpi.replayed_wrs"] == 3
     assert not tracker.recovering
     assert not tracker.replay
     # The live WR stayed tracked.
@@ -149,7 +149,7 @@ def test_recover_takes_another_lap_when_path_still_dead(env):
     env.run()
     assert len(laps) == 2
     assert replayed == [("u", pytest.approx(2 * DELAY))]
-    assert fabric.counters.get("mpi.replayed_wrs") == 1
+    assert fabric.counters["mpi.replayed_wrs"] == 1
     assert not tracker.recovering
 
 
@@ -167,4 +167,4 @@ def test_custom_counter_name(env):
     tracker.queue(["m"])
     tracker.kick()
     env.run()
-    assert fabric.counters.get("mpi.p2p_resubmits") == 1
+    assert fabric.counters["mpi.p2p_resubmits"] == 1

@@ -122,7 +122,7 @@ def test_reconnect_walks_back_to_rts(env):
     verbs.reconnect_qps(p.qp0, p.qp1)
     assert p.qp0.state is QPState.RTS
     assert p.qp1.state is QPState.RTS
-    assert p.fabric.counters.get("ib.reconnects") == 1
+    assert p.fabric.counters["ib.reconnects"] == 1
 
 
 # -- retry exhaustion without reconnect (satellite acceptance) -----------
@@ -173,8 +173,8 @@ def test_retry_exhaustion_leaves_qp_error_with_queues_drained():
     for qp in dead:
         assert qp.sq_depth == 0
         assert qp.outstanding_rdma == 0
-    assert cluster.fabric.counters.get("ib.retry_exhausted") > 0
-    assert cluster.fabric.counters.get("ib.reconnects") == 0
+    assert cluster.fabric.counters["ib.retry_exhausted"] > 0
+    assert cluster.fabric.counters["ib.reconnects"] == 0
 
 
 # -- mid-round link flap: exactly-once recovery (tentpole acceptance) ----
@@ -189,11 +189,11 @@ def test_native_module_survives_mid_round_flap():
     cluster, outcome = run_faulty_roundtrip(
         spec, sched, config=recovery_config(reconnect_delay=us(500)))
     c = cluster.fabric.counters
-    assert c.get("ib.retransmits") > 0
-    assert c.get("ib.retry_exhausted") >= 1
-    assert c.get("ib.reconnects") == 1
-    assert c.get("mpi.replayed_wrs") > 0
-    assert c.get("mpi.duplicates_dropped") == 0
+    assert c["ib.retransmits"] > 0
+    assert c["ib.retry_exhausted"] >= 1
+    assert c["ib.reconnects"] == 1
+    assert c["mpi.replayed_wrs"] > 0
+    assert c["mpi.duplicates_dropped"] == 0
     # Every QP walked RESET -> INIT -> RTR -> RTS back to service.
     module = outcome["send_req"].module
     assert all(qp.state is QPState.RTS for qp in module.send_qps)
@@ -204,8 +204,8 @@ def test_persist_module_survives_mid_round_flap():
     cluster, _ = run_faulty_roundtrip(
         PersistSpec, sched, config=recovery_config(reconnect_delay=us(500)))
     c = cluster.fabric.counters
-    assert c.get("ib.retransmits") > 0
-    assert c.get("ib.reconnects") >= 1
+    assert c["ib.retransmits"] > 0
+    assert c["ib.reconnects"] >= 1
 
 
 def test_transient_chunk_loss_recovers_without_reconnect():
@@ -215,24 +215,24 @@ def test_transient_chunk_loss_recovers_without_reconnect():
     cluster, _ = run_faulty_roundtrip(
         lambda: NativeSpec(FixedAggregation(2, 1)), sched)
     c = cluster.fabric.counters
-    assert c.get("fault.chunks_lost") > 0
-    assert c.get("ib.retransmits") > 0
-    assert c.get("ib.reconnects") == 0
-    assert c.get("ib.retry_exhausted") == 0
+    assert c["fault.chunks_lost"] > 0
+    assert c["ib.retransmits"] > 0
+    assert c["ib.reconnects"] == 0
+    assert c["ib.retry_exhausted"] == 0
 
 
 def test_rnr_window_backs_off_and_completes():
     sched = FaultSchedule().rnr_window(1, start=us(40), duration=us(100))
     cluster, _ = run_faulty_roundtrip(
         lambda: NativeSpec(FixedAggregation(2, 1)), sched, psize=64 * KiB)
-    assert cluster.fabric.counters.get("ib.rnr_naks") > 0
+    assert cluster.fabric.counters["ib.rnr_naks"] > 0
 
 
 def test_nic_stall_delays_but_completes():
     sched = FaultSchedule(stalls=[NICStall(0, start=us(50), duration=us(200))])
     cluster, outcome = run_faulty_roundtrip(
         lambda: NativeSpec(FixedAggregation(2, 1)), sched)
-    assert cluster.fabric.counters.get("fault.nic_stalls") > 0
+    assert cluster.fabric.counters["fault.nic_stalls"] > 0
     # The stall pushes completion past the window's end.
     assert outcome["send_done"] > us(250)
 
@@ -250,8 +250,8 @@ def test_timer_flush_racing_qp_failure():
         spec, sched, config=recovery_config(reconnect_delay=us(500)),
         rounds=2)
     c = cluster.fabric.counters
-    assert c.get("ib.reconnects") >= 1
-    assert c.get("mpi.duplicates_dropped") == 0
+    assert c["ib.reconnects"] >= 1
+    assert c["mpi.duplicates_dropped"] == 0
 
 
 def test_degraded_posts_after_fault():
@@ -263,4 +263,4 @@ def test_degraded_posts_after_fault():
     cluster, _ = run_faulty_roundtrip(
         spec, sched, config=recovery_config(reconnect_delay=us(500)),
         rounds=3)
-    assert cluster.fabric.counters.get("mpi.degraded_posts") > 0
+    assert cluster.fabric.counters["mpi.degraded_posts"] > 0

@@ -1,5 +1,7 @@
 """FaultSchedule / FaultInjector: validation, queries, determinism."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigError
@@ -16,7 +18,8 @@ from repro.sim.rng import RngStreams
 
 
 def make_injector(schedule, seed=1234):
-    return FaultInjector(schedule, RngStreams(seed).spawn("faults"))
+    return FaultInjector(schedule, RngStreams(seed).spawn("faults"),
+                         Counter())
 
 
 # -- validation -----------------------------------------------------------
@@ -124,8 +127,8 @@ def test_corruption_counted_separately():
     inj = make_injector(FaultSchedule(
         chunk_faults=[ChunkFaults(corruption=1.0)]))
     assert inj.chunk_outcome(0, 1, 0.0) is CHUNK_CORRUPT
-    assert inj.counters.get("fault.chunks_corrupted") == 1
-    assert inj.counters.get("fault.chunks_lost") == 0
+    assert inj.counters["fault.chunks_corrupted"] == 1
+    assert inj.counters["fault.chunks_lost"] == 0
 
 
 def test_same_seed_same_outcome_stream():

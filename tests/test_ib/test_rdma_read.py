@@ -205,7 +205,7 @@ def test_read_completion_time_pinned(env, schedule):
     pair, src, dst, wc = faulted_read(env, schedule)
     assert wc.status is WCStatus.SUCCESS
     assert wc.completed_at.hex() == READ_1MIB_CLEAN
-    assert pair.fabric.counters.as_dict() == {}
+    assert dict(pair.fabric.counters) == {}
 
 
 @pytest.mark.faults
@@ -214,7 +214,7 @@ def test_read_response_chunk_loss_costs_one_ack_timeout(env):
         env, FaultSchedule().link_flap(0, 1, **RESPONSE_FLAP))
     assert wc.status is WCStatus.SUCCESS
     assert wc.opcode is WCOpcode.RDMA_READ
-    counters = pair.fabric.counters.as_dict()
+    counters = dict(pair.fabric.counters)
     assert counters == {"fault.chunks_lost": 1, "ib.retransmits": 1}
     # One ACK timeout plus the wasted part of the first attempt — not two.
     penalty = wc.completed_at - float.fromhex(READ_1MIB_CLEAN)
@@ -235,7 +235,7 @@ def test_read_request_loss_costs_one_ack_timeout(env):
     pair, src, dst, wc = faulted_read(
         env, FaultSchedule().link_flap(0, 1, **REQUEST_FLAP))
     assert wc.status is WCStatus.SUCCESS
-    counters = pair.fabric.counters.as_dict()
+    counters = dict(pair.fabric.counters)
     assert counters == {"fault.chunks_lost": 1, "ib.retransmits": 1}
     penalty = wc.completed_at - float.fromhex(READ_1MIB_CLEAN)
     assert penalty == pytest.approx(
@@ -255,7 +255,7 @@ def test_read_retry_exhaustion_kills_the_qp(env):
     assert wc.completed_at.hex() == READ_1MIB_EXHAUSTED
     assert pair.qp1.state is QPState.ERROR
     assert pair.qp1.outstanding_rdma == 0
-    counters = pair.fabric.counters.as_dict()
+    counters = dict(pair.fabric.counters)
     assert counters["ib.retry_exhausted"] == 1
     assert "ib.retransmits" not in counters
     assert not np.array_equal(dst.data, src.data)

@@ -46,8 +46,6 @@ def test_pollers_run_and_count():
     p = env.process(prog(env))
     env.run()
     assert p.value == (3, 0)
-    assert engine.events_handled == 3
-    assert engine.passes == 2
 
 
 def test_try_lock_discipline():

@@ -21,6 +21,7 @@ from repro.bench.sweep import run_sweep
 from repro.chaos import NATIVE
 from repro.chaos.workloads import run_chaos_tree
 from repro.coll import ladder_modules, per_edge_autotuners, run_stencil
+from repro.config import NIAGARA
 from repro.errors import SimulationError
 from repro.exp.modules import build_module
 from repro.faults import FaultSchedule
@@ -42,11 +43,16 @@ def _persist_pair():
     run_partitioned_pair(None, 8, 16 * KiB, iterations=2, warmup=1)
 
 
-def _native_pair_under_loss():
+def _native_pair_under_loss(config=None):
     run_partitioned_pair(build_module(["fixed", {"n_transport": 4,
                                                  "n_qps": 2}]),
                          8, 64 * KiB, iterations=3, warmup=1, backed=True,
+                         config=config,
                          fault_schedule=FaultSchedule().chunk_loss(0.05))
+
+
+def _traced_native_pair_under_loss():
+    _native_pair_under_loss(NIAGARA.with_changes(trace_enabled=True))
 
 
 def _sweep():
@@ -99,7 +105,8 @@ def _netgauge():
     measure_loggp(sizes=[64, 4 * KiB], rounds=3, burst=4)
 
 
-DRIVERS = [_persist_pair, _native_pair_under_loss, _sweep, _halo,
+DRIVERS = [_persist_pair, _native_pair_under_loss,
+           _traced_native_pair_under_loss, _sweep, _halo,
            _pallreduce, _tuned_stencil, _fleet, _reconvergence,
            _fleet_chaos_ladder, _chaos_pallreduce_ladder,
            _chaos_pbcast_persist, _netgauge]

@@ -1,63 +1,63 @@
-"""Tests for the trace monitor."""
+"""The fabric's trace: a list of records when enabled, ``None`` when off."""
 
-from repro.sim import Trace
+from dataclasses import asdict
 
+import pytest
 
-def test_record_and_iterate():
-    trace = Trace()
-    trace.record(1.0, "ib.post", subject=0, nbytes=64)
-    trace.record(2.0, "mpi.pready", subject=1)
-    assert len(trace) == 2
-    records = list(trace)
-    assert records[0].time == 1.0
-    assert records[0].data == {"nbytes": 64}
-
-
-def test_disabled_trace_is_noop():
-    trace = Trace(enabled=False)
-    trace.record(1.0, "x")
-    assert len(trace) == 0
+import repro.bench.pair
+from repro.bench.pair import run_partitioned_pair
+from repro.config import NIAGARA
+from repro.exp.modules import build_module
+from repro.faults import FaultSchedule
+from repro.mpi import Cluster
+from repro.sim import TraceRecord
+from repro.units import KiB
 
 
-def test_filter_by_exact_category():
-    trace = Trace()
-    trace.record(1.0, "ib.post")
-    trace.record(2.0, "ib.deliver")
-    assert len(trace.filter(category="ib.post")) == 1
+def _native_pair(monkeypatch, trace_enabled, faults=None):
+    """The release suite's native pair, and the cluster it ran on."""
+    clusters = []
+
+    class Recorded(Cluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clusters.append(self)
+
+    monkeypatch.setattr(repro.bench.pair, "Cluster", Recorded)
+    result = run_partitioned_pair(
+        build_module(["fixed", {"n_transport": 4, "n_qps": 2}]),
+        8, 64 * KiB, iterations=3, warmup=1, backed=True,
+        config=NIAGARA.with_changes(trace_enabled=trace_enabled),
+        fault_schedule=faults)
+    (cluster,) = clusters
+    return result, cluster
 
 
-def test_filter_by_category_prefix():
-    trace = Trace()
-    trace.record(1.0, "ib.post")
-    trace.record(2.0, "ib.deliver")
-    trace.record(3.0, "mpi.pready")
-    assert len(trace.filter(category="ib")) == 2
+@pytest.mark.faults
+def test_disabled_trace_is_noop(monkeypatch):
+    """Tracing records the run and changes nothing in it: every timing
+    and every counter of a faulted run is the same with it on or off."""
+    loss = FaultSchedule().chunk_loss(0.05)
+    off, off_cluster = _native_pair(monkeypatch, False, loss)
+    on, on_cluster = _native_pair(monkeypatch, True, loss)
+    assert off_cluster.fabric.trace is None and off_cluster.trace is None
+    assert on_cluster.trace is on_cluster.fabric.trace
+    assert on_cluster.trace
+    assert off.counters["fault.chunks_lost"] > 0
+    assert list(off.counters.items()) == list(on.counters.items())
+    assert asdict(off) == asdict(on)
 
 
-def test_filter_by_subject():
-    trace = Trace()
-    trace.record(1.0, "ib.post", subject=0)
-    trace.record(2.0, "ib.post", subject=1)
-    assert len(trace.filter(subject=1)) == 1
-
-
-def test_filter_by_predicate():
-    trace = Trace()
-    trace.record(1.0, "x", n=1)
-    trace.record(2.0, "x", n=5)
-    heavy = trace.filter(predicate=lambda r: r.data.get("n", 0) > 3)
-    assert len(heavy) == 1
-
-
-def test_clear():
-    trace = Trace()
-    trace.record(1.0, "x")
-    trace.clear()
-    assert len(trace) == 0
-
-
-def test_max_records_unbounded_by_default():
-    trace = Trace()
-    for i in range(100):
-        trace.record(float(i), "x")
-    assert len(trace) == 100
+def test_record_and_iterate(monkeypatch):
+    """The NICs append one record per WQE, wire chunk and delivery,
+    each with its payload as a plain dict."""
+    result, cluster = _native_pair(monkeypatch, True)
+    trace = cluster.trace
+    assert all(type(rec) is TraceRecord for rec in trace)
+    assert {rec.category for rec in trace} == {
+        "ib.wqe_start", "ib.chunk", "ib.deliver"}
+    chunks = [rec for rec in trace if rec.category == "ib.chunk"]
+    assert set(chunks[0].data) == {"qp", "nbytes", "occupancy"}
+    # Every payload byte of every round crossed node 0's wire once.
+    assert sum(rec.data["nbytes"] for rec in chunks
+               if rec.subject == 0) == result.total_bytes * 4

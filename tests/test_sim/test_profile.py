@@ -1,4 +1,4 @@
-"""The kernel profiling hook: histograms without semantic drift."""
+"""The kernel profiling hook: counts and timings without semantic drift."""
 
 from __future__ import annotations
 
@@ -34,9 +34,7 @@ def test_profile_counts_events_by_type():
     assert prof.stats["Process"].count == 4
     assert "_Wake" not in prof.stats
     assert prof.events == 24
-    data = prof.as_dict()
-    assert data["events"] == prof.events
-    assert data["virtual_span"] >= 0
+    assert prof.last_dispatch == env.now
     report = prof.report()
     assert "Timeout" in report and "total" in report
 
@@ -92,7 +90,6 @@ def test_site_census_names_the_line_that_parked():
         "list.append": 1,
     }
     assert sum(prof.sites.values()) == prof.events
-    assert prof.as_dict()["by_site"] == prof.sites
     report = prof.report(by="site")
     assert "(no callbacks)" in report and report.splitlines()[-1].endswith("total")
     with pytest.raises(ValueError):

@@ -647,7 +647,7 @@ class _ReferenceEnvironment(Environment):
                 return
             heapq.heappop(heap)
             self._now = when
-            if type(entry) is _Expiry and entry.event._value is not _PENDING:
+            if type(entry) is _Expiry and entry.park._value is not _PENDING:
                 continue            # a stale deadline: popped, not dispatched
             if entry._value is _PENDING:
                 self._profile.dispatch(when, entry, (entry._resume,))
@@ -678,9 +678,9 @@ class _DispatchLog:
 
     def dispatch(self, now, event, callbacks):
         if type(event) is _Expiry:
-            if event.event._value is not _PENDING:
+            if event.park._value is not _PENDING:
                 return              # staged, then beaten by a set: a no-op
-            what = ("expire", _waiters(event.event))
+            what = ("expire", _waiters(event.park))
         elif getattr(callbacks[0], "label", None):
             what = callbacks[0].label      # a reference NIC Timeout stage
         elif isinstance(event, Process) and event._value is _PENDING:

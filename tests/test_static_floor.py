@@ -213,8 +213,6 @@ PLAIN_DECORATORS = {"property", "setter", "staticmethod", "classmethod",
 #: (verbs, MPI, simpy).
 KEEP_KINDS = ("reference", "fake", "reader", "surface")
 
-_SPINE = "surface: trace analysis, the telemetry spine's input (ROADMAP)"
-
 KEEP = {
     "model.closed_form:simultaneous_completion":
         "reference: PLogGP completion, checked against the simulator",
@@ -234,12 +232,6 @@ KEEP = {
                                "helpers the harness uses",
     "chaos.generators:schedule_from_dict": "reader: rebuilds the schedule "
                                            "of a --bundle-dir failure bundle",
-    "analysis:WireStats": _SPINE,
-    "analysis:WireStats.utilization": _SPINE,
-    "analysis:wire_stats": _SPINE,
-    "analysis:message_wire_latencies": _SPINE,
-    "analysis:latency_percentiles": _SPINE,
-    "analysis:idle_gaps": _SPINE,
     "ib.verbs:ibv_dereg_mr": "surface: the verbs API mirror's inverse of "
                              "ibv_reg_mr",
 }
@@ -656,7 +648,7 @@ def _audit(src: Path, callers, keep: dict) -> list:
 #: Attribute reads whose receiver the graph cannot resolve and whose
 #: spelling names a judged method, which each still reaches: the
 #: audit's blind spot, which may only shrink.
-SPELLING_FALLBACKS = 1104
+SPELLING_FALLBACKS = 1043
 
 
 def test_every_definition_is_reached_or_kept():
@@ -872,10 +864,6 @@ OPTIONS = {
         "fake: byte-backed buffers whose payload the run verifies",
     "sim.core:Environment(initial_time)":
         "surface: the simpy Environment signature the kernel mirrors",
-    "sim.monitor:Trace.filter(predicate)":
-        "surface: trace analysis, the telemetry spine's input (ROADMAP)",
-    "sim.profile:KernelProfile(clock)":
-        "fake: a deterministic clock for the profile tests",
 }
 
 
